@@ -36,6 +36,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -151,26 +152,65 @@ int cmd_run(int argc, char** argv) {
     return scenario::run(*s, ctx);
 }
 
-/// Parses a --shard=K/N value. Throws std::invalid_argument on anything
-/// that is not two integers around one slash with K < N.
-void parse_shard_spec(const std::string& spec, unsigned& index, unsigned& count) {
-    const std::size_t slash = spec.find('/');
-    const auto parse_unsigned = [&spec](const std::string& text) -> unsigned {
-        if (text.empty()) throw std::invalid_argument("bad --shard '" + spec + "' (want K/N)");
-        unsigned value = 0;
-        for (const char c : text) {
-            if (c < '0' || c > '9')
-                throw std::invalid_argument("bad --shard '" + spec + "' (want K/N)");
-            value = value * 10 + static_cast<unsigned>(c - '0');
-        }
-        return value;
-    };
-    if (slash == std::string::npos)
-        throw std::invalid_argument("bad --shard '" + spec + "' (want K/N)");
-    index = parse_unsigned(spec.substr(0, slash));
-    count = parse_unsigned(spec.substr(slash + 1));
-    if (count == 0 || index >= count)
-        throw std::invalid_argument("bad --shard '" + spec + "': index must be < count");
+/// --workers=N (0 = hardware) as an optional pool held in `pool`. No
+/// pool below 2 workers — don't spawn threads a serial (or fully cached)
+/// run will never use.
+ThreadPool* workers_pool(const CliArgs& args, std::optional<ThreadPool>& pool) {
+    const std::int64_t workers_arg = args.get_int("workers", 0);
+    const unsigned workers =
+        workers_arg > 0 ? static_cast<unsigned>(workers_arg) : ThreadPool::default_threads();
+    if (workers <= 1) return nullptr;
+    pool.emplace(workers);
+    return &*pool;
+}
+
+/// --key as an integer no smaller than `min` (`fallback` when absent).
+std::int64_t int_at_least(const CliArgs& args, const std::string& key, std::int64_t fallback,
+                          std::int64_t min) {
+    const std::int64_t value = args.get_int(key, fallback);
+    DYNAMO_REQUIRE(value >= min, "--" + key + " must be at least " + std::to_string(min));
+    return value;
+}
+
+/// Writes `text` to --out, or to stdout when --out is absent.
+void write_out(const CliArgs& args, const std::string& text, const std::string& what) {
+    const std::string path = args.get_string("out", "");
+    if (path.empty()) {
+        std::cout << text;
+        return;
+    }
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    DYNAMO_REQUIRE(static_cast<bool>(out), "cannot write " + what + " '" + path + "'");
+    out << text;
+}
+
+/// Opens --progress into `file`; nullptr (no stream) when absent.
+std::ostream* open_progress(const CliArgs& args, std::ofstream& file) {
+    const std::string path = args.get_string("progress", "");
+    if (path.empty()) return nullptr;
+    file.open(path, std::ios::binary | std::ios::trunc);
+    DYNAMO_REQUIRE(static_cast<bool>(file), "cannot write campaign progress '" + path + "'");
+    return &file;
+}
+
+std::string read_file(const std::string& path, const std::string& what) {
+    std::ifstream in(path, std::ios::binary);
+    DYNAMO_REQUIRE(static_cast<bool>(in), "cannot open " + what + " '" + path + "'");
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+/// Binds --port (0 = ephemeral) on loopback. --port-file is the robust
+/// way for scripts to learn an ephemeral port: an atomic write, so the
+/// file appears only after the bind, fully formed.
+std::unique_ptr<service::HttpServer> bind_server(const CliArgs& args) {
+    const std::int64_t port = args.get_int("port", 0);
+    DYNAMO_REQUIRE(port >= 0 && port <= 65535, "--port must be in [0, 65535]");
+    auto server = std::make_unique<service::HttpServer>(static_cast<std::uint16_t>(port));
+    if (const std::string path = args.get_string("port-file", ""); !path.empty())
+        service::write_port_file(path, server->port());
+    return server;
 }
 
 int cmd_campaign(int argc, char** argv) {
@@ -190,36 +230,15 @@ int cmd_campaign(int argc, char** argv) {
     options.force = args.get_flag("force");
     options.cache_dir = args.get_string("cache-dir", options.cache_dir);
     if (const std::string shard = args.get_string("shard", ""); !shard.empty())
-        parse_shard_spec(shard, options.shard_index, options.shard_count);
+        scenario::parse_shard_spec(shard, options.shard_index, options.shard_count);
     options.checkpoint = args.get_string("checkpoint", "");
     std::ofstream progress;
-    if (const std::string path = args.get_string("progress", ""); !path.empty()) {
-        progress.open(path, std::ios::binary | std::ios::trunc);
-        DYNAMO_REQUIRE(static_cast<bool>(progress),
-                       "cannot write campaign progress '" + path + "'");
-        options.progress = &progress;
-    }
-    const std::int64_t workers_arg = args.get_int("workers", 0);
-    const unsigned workers =
-        workers_arg > 0 ? static_cast<unsigned>(workers_arg) : ThreadPool::default_threads();
-    // No pool below 2 workers — don't spawn threads a serial (or fully
-    // cached) campaign will never use.
+    options.progress = open_progress(args, progress);
     std::optional<ThreadPool> pool;
-    if (workers > 1) {
-        pool.emplace(workers);
-        options.pool = &*pool;
-    }
+    options.pool = workers_pool(args, pool);
 
     const scenario::CampaignOutcome outcome = scenario::run_campaign(manifest, options);
-    const std::string report = outcome.to_json(manifest);
-    const std::string out_path = args.get_string("out", "");
-    if (out_path.empty()) {
-        std::cout << report;
-    } else {
-        std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-        DYNAMO_REQUIRE(static_cast<bool>(out), "cannot write campaign report '" + out_path + "'");
-        out << report;
-    }
+    write_out(args, outcome.to_json(manifest), "campaign report");
     // The one-line summary always lands on stdout: CI greps it to assert a
     // warm cache computes zero points.
     std::cout << outcome.summary(manifest) << "\n";
@@ -234,23 +253,9 @@ int cmd_merge(int argc, char** argv) {
     }
     std::vector<scenario::ShardArtifact> shards;
     shards.reserve(args.positional().size());
-    for (const std::string& path : args.positional()) {
-        std::ifstream in(path, std::ios::binary);
-        DYNAMO_REQUIRE(static_cast<bool>(in), "cannot open shard artifact '" + path + "'");
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        shards.push_back({path, buf.str()});
-    }
-    const std::string merged = scenario::merge_campaign_artifacts(shards);
-    const std::string out_path = args.get_string("out", "");
-    if (out_path.empty()) {
-        std::cout << merged;
-    } else {
-        std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-        DYNAMO_REQUIRE(static_cast<bool>(out),
-                       "cannot write merged campaign '" + out_path + "'");
-        out << merged;
-    }
+    for (const std::string& path : args.positional())
+        shards.push_back({path, read_file(path, "shard artifact")});
+    write_out(args, scenario::merge_campaign_artifacts(shards), "merged campaign");
     std::cout << "merged " << shards.size() << " shard artifact(s)\n";
     return 0;
 }
@@ -263,34 +268,22 @@ int cmd_serve(int argc, char** argv) {
                      "[--cache-dir=DIR] [--port-file=PATH]\n";
         return 2;
     }
-    const std::int64_t port_arg = args.get_int("port", 0);
-    DYNAMO_REQUIRE(port_arg >= 0 && port_arg <= 65535, "--port must be in [0, 65535]");
-
-    const std::int64_t workers_arg = args.get_int("workers", 0);
-    const unsigned workers =
-        workers_arg > 0 ? static_cast<unsigned>(workers_arg) : ThreadPool::default_threads();
     std::optional<ThreadPool> pool;
     service::ServiceOptions service_options;
     service_options.cache_dir = args.get_string("cache-dir", service_options.cache_dir);
-    if (workers > 1) {
-        pool.emplace(workers);
-        service_options.pool = &*pool;
-    }
+    service_options.pool = workers_pool(args, pool);
 
-    service::HttpServer server(static_cast<std::uint16_t>(port_arg));
+    const std::unique_ptr<service::HttpServer> server = bind_server(args);
     service::CampaignService service(std::move(service_options));
-    // --port-file is the robust way for scripts to learn an ephemeral
-    // port (atomic write — the file appears only after the bind, fully
-    // formed); the log line below stays for humans and old scripts.
-    if (const std::string port_file = args.get_string("port-file", ""); !port_file.empty())
-        service::write_port_file(port_file, server.port());
-    std::cout << "dynamo serve: listening on http://127.0.0.1:" << server.port() << "\n"
+    // The log line stays for humans and old scripts; --port-file is the
+    // robust channel.
+    std::cout << "dynamo serve: listening on http://127.0.0.1:" << server->port() << "\n"
               << std::flush;
-    server.serve_forever([&](const service::HttpRequest& request) -> service::HttpResponse {
+    server->serve_forever([&](const service::HttpRequest& request) -> service::HttpResponse {
         if (request.target == "/shutdown") {
             if (request.method != "POST")
                 return {405, "application/json", "{\"error\": \"use POST\"}\n"};
-            server.stop();
+            server->stop();
             return {200, "application/json", "{\"status\": \"stopping\"}\n"};
         }
         return service.handle(request);
@@ -320,17 +313,10 @@ int cmd_coordinate(int argc, char** argv) {
                      "[--progress=FILE]\n";
         return 2;
     }
-    const std::int64_t port_arg = args.get_int("port", 0);
-    DYNAMO_REQUIRE(port_arg >= 0 && port_arg <= 65535, "--port must be in [0, 65535]");
-
     // Keep the raw document: GET /manifest serves it VERBATIM so workers
     // expand exactly the coordinator's grid.
     const std::string manifest_path = args.positional()[0];
-    std::ifstream in(manifest_path, std::ios::binary);
-    DYNAMO_REQUIRE(static_cast<bool>(in), "cannot open manifest '" + manifest_path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string manifest_text = buf.str();
+    const std::string manifest_text = read_file(manifest_path, "manifest");
     const scenario::Manifest manifest =
         scenario::parse_manifest(manifest_text, manifest_path);
 
@@ -338,19 +324,10 @@ int cmd_coordinate(int argc, char** argv) {
     options.cache_dir = args.get_string("cache-dir", options.cache_dir);
     options.checkpoint = args.get_string("checkpoint", "");
     options.force = args.get_flag("force");
-    const std::int64_t ttl_arg = args.get_int("lease-ttl-ms", 10000);
-    DYNAMO_REQUIRE(ttl_arg > 0, "--lease-ttl-ms must be positive");
-    options.lease_ttl_ms = static_cast<std::uint64_t>(ttl_arg);
-    const std::int64_t batch_arg = args.get_int("batch", 4);
-    DYNAMO_REQUIRE(batch_arg > 0, "--batch must be positive");
-    options.batch = static_cast<std::size_t>(batch_arg);
+    options.lease_ttl_ms = static_cast<std::uint64_t>(int_at_least(args, "lease-ttl-ms", 10000, 1));
+    options.batch = static_cast<std::size_t>(int_at_least(args, "batch", 4, 1));
     std::ofstream progress;
-    if (const std::string path = args.get_string("progress", ""); !path.empty()) {
-        progress.open(path, std::ios::binary | std::ios::trunc);
-        DYNAMO_REQUIRE(static_cast<bool>(progress),
-                       "cannot write campaign progress '" + path + "'");
-        options.progress = &progress;
-    }
+    options.progress = open_progress(args, progress);
 
     dist::CampaignCoordinator coordinator(manifest, manifest_text, std::move(options));
 
@@ -361,37 +338,25 @@ int cmd_coordinate(int argc, char** argv) {
         std::cout << "dynamo coordinate: campaign already complete (cache/checkpoint), "
                      "not serving\n";
     } else {
-        service::HttpServer server(static_cast<std::uint16_t>(port_arg));
-        if (const std::string port_file = args.get_string("port-file", "");
-            !port_file.empty())
-            service::write_port_file(port_file, server.port());
-        std::cout << "dynamo coordinate: listening on http://127.0.0.1:" << server.port()
+        const std::unique_ptr<service::HttpServer> server = bind_server(args);
+        std::cout << "dynamo coordinate: listening on http://127.0.0.1:" << server->port()
                   << " (" << coordinator.total_points() << " points, "
                   << coordinator.settled_points() << " already settled)\n"
                   << std::flush;
-        server.serve_forever(
+        server->serve_forever(
             [&](const service::HttpRequest& request) -> service::HttpResponse {
                 service::HttpResponse response =
                     coordinator.handle(request, steady_now_ms());
                 // Stop AFTER routing, so the completing worker still gets
                 // its reply; remaining workers see the shutdown and exit
                 // cleanly through their had-contact rule.
-                if (coordinator.complete()) server.stop();
+                if (coordinator.complete()) server->stop();
                 return response;
             });
         interrupted = !coordinator.complete();
     }
 
-    const std::string report = coordinator.artifact();
-    const std::string out_path = args.get_string("out", "");
-    if (out_path.empty()) {
-        std::cout << report;
-    } else {
-        std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-        DYNAMO_REQUIRE(static_cast<bool>(out),
-                       "cannot write campaign report '" + out_path + "'");
-        out << report;
-    }
+    write_out(args, coordinator.artifact(), "campaign report");
     std::cout << coordinator.summary() << "\n";
     if (coordinator.conflicts() > 0) {
         std::cerr << "dynamo coordinate: " << coordinator.conflicts()
@@ -427,36 +392,21 @@ int cmd_work(int argc, char** argv) {
 
     dist::WorkerOptions options;
     options.name = args.get_string("name", "worker-" + std::to_string(::getpid()));
-    const std::int64_t capacity_arg = args.get_int("capacity", 4);
-    DYNAMO_REQUIRE(capacity_arg > 0, "--capacity must be positive");
-    options.capacity = static_cast<std::size_t>(capacity_arg);
-    const std::int64_t poll_arg = args.get_int("poll-ms", 200);
-    DYNAMO_REQUIRE(poll_arg >= 0, "--poll-ms must be non-negative");
-    options.poll_ms = static_cast<std::uint64_t>(poll_arg);
-    const std::int64_t retries_arg = args.get_int("retries", 8);
-    DYNAMO_REQUIRE(retries_arg >= 0, "--retries must be non-negative");
-    options.backoff.max_attempts = static_cast<unsigned>(retries_arg);
-    const std::int64_t backoff_arg = args.get_int("backoff-ms", 50);
-    DYNAMO_REQUIRE(backoff_arg > 0, "--backoff-ms must be positive");
-    options.backoff.base_ms = static_cast<std::uint64_t>(backoff_arg);
-    const std::int64_t cap_arg = args.get_int("backoff-cap-ms", 2000);
-    DYNAMO_REQUIRE(cap_arg >= backoff_arg, "--backoff-cap-ms must be >= --backoff-ms");
-    options.backoff.cap_ms = static_cast<std::uint64_t>(cap_arg);
+    options.capacity = static_cast<std::size_t>(int_at_least(args, "capacity", 4, 1));
+    options.poll_ms = static_cast<std::uint64_t>(int_at_least(args, "poll-ms", 200, 0));
+    options.backoff.max_attempts = static_cast<unsigned>(int_at_least(args, "retries", 8, 0));
+    const std::int64_t backoff_ms = int_at_least(args, "backoff-ms", 50, 1);
+    options.backoff.base_ms = static_cast<std::uint64_t>(backoff_ms);
+    options.backoff.cap_ms =
+        static_cast<std::uint64_t>(int_at_least(args, "backoff-cap-ms", 2000, backoff_ms));
     // Decorrelate retry jitter across workers deterministically: the
     // seed is a pure function of the worker's name.
     for (const unsigned char c : options.name)
         options.backoff.jitter_seed = options.backoff.jitter_seed * 0x100000001b3ULL ^ c;
     options.heartbeats = !args.get_flag("no-heartbeat");
     options.log = &std::cout;
-
-    const std::int64_t workers_arg = args.get_int("workers", 0);
-    const unsigned workers =
-        workers_arg > 0 ? static_cast<unsigned>(workers_arg) : ThreadPool::default_threads();
     std::optional<ThreadPool> pool;
-    if (workers > 1) {
-        pool.emplace(workers);
-        options.pool = &*pool;
-    }
+    options.pool = workers_pool(args, pool);
 
     dist::WorkerLoop loop(
         [endpoint](const std::string& method, const std::string& target,
@@ -491,20 +441,9 @@ int cmd_report(int argc, char** argv) {
     }
 
     const std::string path = args.positional()[0];
-    std::ifstream in(path, std::ios::binary);
-    DYNAMO_REQUIRE(static_cast<bool>(in), "cannot open campaign artifact '" + path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string rendered = scenario::render_report(buf.str(), path, format);
-
-    const std::string out_path = args.get_string("out", "");
-    if (out_path.empty()) {
-        std::cout << rendered;
-    } else {
-        std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-        DYNAMO_REQUIRE(static_cast<bool>(out), "cannot write report '" + out_path + "'");
-        out << rendered;
-    }
+    write_out(args,
+              scenario::render_report(read_file(path, "campaign artifact"), path, format),
+              "report");
     return 0;
 }
 

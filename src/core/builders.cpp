@@ -327,6 +327,7 @@ Configuration build_minimum_dynamo(const Torus& torus, Color k) {
         case Topology::TorusSerpentinus: return build_theorem6_configuration(torus, k);
     }
     DYNAMO_REQUIRE(false, "unknown topology");
+    return {};
 }
 
 Configuration build_fig3_blocked_configuration(const Torus& torus, Color k) {

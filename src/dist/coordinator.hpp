@@ -1,11 +1,12 @@
 // dynamo/dist/coordinator.hpp
 //
-// The campaign coordinator behind `dynamo coordinate`: owns the single
-// authoritative expansion of the manifest, hands out leases over point
-// indices to pulling workers (dist/lease_table.hpp), and persists every
-// accepted result through the SAME cache + checkpoint machinery a local
-// `dynamo campaign` run uses — which is what makes the two execution
-// modes interchangeable:
+// The campaign coordinator behind `dynamo coordinate`: a CampaignLedger
+// (scenario/campaign.hpp) plus a LeaseTable (dist/lease_table.hpp) seeded
+// from the ledger's pending indices. The ledger — the same one a local
+// `dynamo campaign` run is built on — owns the expansion, the cache pass,
+// the checkpoint and settling; this class only routes the lease protocol
+// and hands each accepted completion to CampaignLedger::settle. That
+// shared owner is what makes the two execution modes interchangeable:
 //
 //   * placement independence — expansion is always the FULL manifest,
 //     so index i's parameters and injected RNG substream are identical
@@ -13,11 +14,10 @@
 //     rendered through render_campaign_json with the unsharded 0/1
 //     layout and is byte-identical to `dynamo campaign` on the same
 //     manifest (acceptance-gated in CI with `cmp`);
-//   * crash safety — results are cache.store()d and checkpoint-marked
-//     the moment they are accepted (the settle-time contract of
-//     scenario/campaign.hpp), and the checkpoint fingerprint is the
-//     shared campaign_fingerprint — so a killed coordinator resumes
-//     under `dynamo coordinate` OR `dynamo campaign`, and vice versa;
+//   * crash safety — the ledger stores and checkpoints a result the
+//     moment it is accepted, under the same fingerprint a local run
+//     computes, so a killed coordinator resumes under `dynamo
+//     coordinate` OR `dynamo campaign`, and vice versa;
 //   * cache warmth — a coordinated run warms the same content-addressed
 //     cache CLI runs read, so re-running distributes zero points.
 //
@@ -32,14 +32,10 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "dist/lease_table.hpp"
 #include "scenario/campaign.hpp"
-#include "scenario/checkpoint.hpp"
 #include "service/http.hpp"
-
-#include <memory>
 
 namespace dynamo::dist {
 
@@ -55,13 +51,12 @@ struct CoordinatorOptions {
 
 class CampaignCoordinator {
   public:
-    /// Expands the manifest, satisfies what it can from checkpoint +
-    /// cache (exactly run_campaign's serial pass 1, including the
-    /// "--force keeps checkpointed work" rule), and queues the rest for
-    /// leasing. `manifest_text` is the raw document served verbatim at
-    /// GET /manifest so workers expand the coordinator's exact grid.
-    /// Throws on infrastructure errors (unknown scenario, bad
-    /// checkpoint) — never because of point-level failures.
+    /// Builds the campaign's ledger (expansion + cache pass, unsharded)
+    /// and queues its pending indices for leasing. `manifest_text` is
+    /// the raw document served verbatim at GET /manifest so workers
+    /// expand the coordinator's exact grid. Throws on infrastructure
+    /// errors (unknown scenario, bad checkpoint) — never because of
+    /// point-level failures.
     CampaignCoordinator(scenario::Manifest manifest, std::string manifest_text,
                         CoordinatorOptions options);
 
@@ -79,17 +74,16 @@ class CampaignCoordinator {
 
     /// The campaign outcome so far (counts + points). Only meaningful
     /// for rendering once complete(); safe to call any time for status.
-    const scenario::CampaignOutcome& outcome() const noexcept { return outcome_; }
+    const scenario::CampaignOutcome& outcome() const noexcept { return ledger_.outcome(); }
 
     /// The final campaign JSON — render_campaign_json through
     /// CampaignOutcome::to_json, i.e. the byte-identical unsharded
     /// artifact. Call once complete().
-    std::string artifact() const { return outcome_.to_json(manifest_); }
+    std::string artifact() const { return ledger_.outcome().to_json(manifest_); }
 
     std::string fingerprint_hex() const;
-    std::size_t total_points() const noexcept { return specs_.size(); }
+    std::size_t total_points() const noexcept { return ledger_.outcome().total_points; }
     std::size_t settled_points() const;
-    const scenario::Manifest& manifest() const noexcept { return manifest_; }
 
     /// One-line human summary (the standard campaign summary plus
     /// fabric counters), for the CLI's final print.
@@ -103,23 +97,11 @@ class CampaignCoordinator {
     service::HttpResponse completion(const std::string& body, std::uint64_t now_ms);
     service::HttpResponse status(std::uint64_t now_ms);
 
-    /// Persist + record one accepted result for global index
-    /// `spec_index` (cache store for exit 0, checkpoint mark, progress
-    /// emit, outcome bookkeeping).
-    void settle_accepted(std::size_t spec_index, scenario::CachedResult result);
-
     scenario::Manifest manifest_;
     std::string manifest_text_;
     CoordinatorOptions options_;
-    scenario::ResultCache cache_;
-    int epoch_ = 0;
-    std::uint64_t fingerprint_ = 0;
-    std::vector<scenario::PointSpec> specs_;
-    std::vector<std::size_t> slot_of_index_;  ///< global index -> outcome_.points slot
-    scenario::CampaignOutcome outcome_;
-    std::unique_ptr<scenario::CampaignCheckpoint> checkpoint_;
-    scenario::CampaignProgressEmitter progress_;
-    std::unique_ptr<LeaseTable> table_;
+    scenario::CampaignLedger ledger_;
+    LeaseTable table_;
     mutable std::mutex mutex_;
 };
 

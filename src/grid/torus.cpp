@@ -16,6 +16,7 @@ Topology topology_from_string(const std::string& name) {
     if (name == "cordalis" || name == "torus-cordalis") return Topology::TorusCordalis;
     if (name == "serpentinus" || name == "torus-serpentinus") return Topology::TorusSerpentinus;
     DYNAMO_REQUIRE(false, "unknown topology '" + name + "' (mesh|cordalis|serpentinus)");
+    return {};
 }
 
 Coord Torus::neighbor_coord(Topology t, std::uint32_t m, std::uint32_t n, Coord c,

@@ -1,8 +1,8 @@
 // dynamo/io/jsonl.hpp
 //
 // The ONE serialized JSONL sink shared by everything that streams
-// line-delimited JSON records: campaign progress (scenario/campaign.cpp's
-// ProgressEmitter wraps one of these), the campaign service's progress
+// line-delimited JSON records: campaign progress (scenario/campaign.hpp's
+// CampaignLedger owns one of these), the campaign service's progress
 // buffers, and the per-round run stream observers (io/run_stream.hpp).
 //
 // Contract, inherited from the PR-8 progress path and now enforced in one

@@ -4,12 +4,10 @@
 // for the determinism, crash-safety, and sharding contracts).
 #include "scenario/campaign.hpp"
 
-#include <memory>
+#include <charconv>
 #include <ostream>
 #include <sstream>
 
-#include "io/jsonl.hpp"
-#include "scenario/checkpoint.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
 
@@ -21,40 +19,9 @@ using util::Json;
 using util::JsonArray;
 using util::JsonObject;
 
-} // namespace
-
-CachedResult compute_campaign_point(const Scenario& scenario, const PointSpec& point) {
-    CachedResult result;
-    std::ostringstream out;
-    try {
-        const CliArgs args(point.params);
-        Context ctx{args, out, {}};
-        result.exit_code = run(scenario, ctx);
-        result.metrics = std::move(ctx.metrics);
-    } catch (const std::exception& e) {
-        out << "point failed: " << e.what() << "\n";
-        result.exit_code = 2;
-    }
-    result.report = out.str();
-    return result;
-}
-
-void CampaignProgressEmitter::emit(std::size_t index, const char* status,
-                                   const CampaignPoint& point) {
-    if (!writer_.enabled()) return;
-    JsonObject params;
-    for (const auto& [k, v] : point.spec.params) params.emplace_back(k, Json(v));
-    JsonObject metrics;
-    for (const auto& [k, v] : point.result.metrics) metrics.emplace_back(k, Json(v));
-    JsonObject line;
-    line.emplace_back("index", Json(static_cast<std::uint64_t>(index)));
-    line.emplace_back("status", Json(std::string(status)));
-    line.emplace_back("exit_code", Json(static_cast<std::int64_t>(point.result.exit_code)));
-    line.emplace_back("params", Json(std::move(params)));
-    line.emplace_back("metrics", Json(std::move(metrics)));
-    writer_.write(Json(std::move(line)));
-}
-
+/// FNV-1a over the campaign's expanded identity (see CampaignLedger):
+/// any manifest edit lands in some point's canonical params and moves it,
+/// as does an epoch bump or a different shard split.
 std::uint64_t campaign_fingerprint(const std::string& scenario_name, int epoch,
                                    unsigned shard_index, unsigned shard_count,
                                    const std::vector<PointSpec>& specs) {
@@ -77,103 +44,161 @@ std::uint64_t campaign_fingerprint(const std::string& scenario_name, int epoch,
     return h;
 }
 
-CampaignOutcome run_campaign(const Manifest& manifest, const CampaignOptions& options) {
-    const Scenario* scenario = find(manifest.scenario);
-    DYNAMO_REQUIRE(scenario != nullptr, "manifest scenario vanished from the registry");
+/// One progress record: {"index", "status": "cached"|"computed"|"failed",
+/// "exit_code", "params", "metrics"}.
+void emit_progress(io::JsonlWriter& writer, const char* status, const CampaignPoint& point) {
+    if (!writer.enabled()) return;
+    JsonObject params;
+    for (const auto& [k, v] : point.spec.params) params.emplace_back(k, Json(v));
+    JsonObject metrics;
+    for (const auto& [k, v] : point.result.metrics) metrics.emplace_back(k, Json(v));
+    JsonObject line;
+    line.emplace_back("index", Json(static_cast<std::uint64_t>(point.spec.index)));
+    line.emplace_back("status", Json(std::string(status)));
+    line.emplace_back("exit_code", Json(static_cast<std::int64_t>(point.result.exit_code)));
+    line.emplace_back("params", Json(std::move(params)));
+    line.emplace_back("metrics", Json(std::move(metrics)));
+    writer.write(Json(std::move(line)));
+}
+
+} // namespace
+
+void parse_shard_spec(const std::string& spec, unsigned& index, unsigned& count) {
+    const std::string bad = "bad --shard '" + spec + "' (want K/N)";
+    const auto parse = [&bad](const std::string& text) {
+        unsigned value = 0;
+        const char* end = text.data() + text.size();
+        const auto [stop, error] = std::from_chars(text.data(), end, value);
+        if (error != std::errc() || stop != end) throw std::invalid_argument(bad);
+        return value;
+    };
+    const std::size_t slash = spec.find('/');
+    if (slash == std::string::npos) throw std::invalid_argument(bad);
+    index = parse(spec.substr(0, slash));
+    count = parse(spec.substr(slash + 1));
+    if (count == 0 || index >= count)
+        throw std::invalid_argument("bad --shard '" + spec + "': index must be < count");
+}
+
+CachedResult compute_campaign_point(const Scenario& scenario, const PointSpec& point) {
+    CachedResult result;
+    std::ostringstream out;
+    try {
+        const CliArgs args(point.params);
+        Context ctx{args, out, {}};
+        result.exit_code = run(scenario, ctx);
+        result.metrics = std::move(ctx.metrics);
+    } catch (const std::exception& e) {
+        out << "point failed: " << e.what() << "\n";
+        result.exit_code = 2;
+    }
+    result.report = out.str();
+    return result;
+}
+
+CampaignLedger::CampaignLedger(const Manifest& manifest, const CampaignOptions& options)
+    : scenario_(find(manifest.scenario)),
+      cache_(options.cache_dir, options.code_epoch),
+      progress_(options.progress) {
+    DYNAMO_REQUIRE(scenario_ != nullptr, "manifest scenario vanished from the registry");
     DYNAMO_REQUIRE(options.shard_count >= 1, "shard_count must be at least 1");
     DYNAMO_REQUIRE(options.shard_index < options.shard_count,
                    "shard_index " + std::to_string(options.shard_index) +
                        " is out of range for shard_count " +
                        std::to_string(options.shard_count));
-    const ResultCache cache(options.cache_dir, options.code_epoch);
-    const int epoch = cache.combined_epoch(scenario->epoch);
+    epoch_ = cache_.combined_epoch(scenario_->epoch);
 
     // Expansion is ALWAYS that of the full manifest: global indices (and
     // with them the injected RNG substreams) must not depend on the shard
     // split, or shard results would diverge from an unsharded run.
     const std::vector<PointSpec> specs = expand(manifest);
-    CampaignOutcome outcome;
-    outcome.total_points = specs.size();
-    outcome.shard_index = options.shard_index;
-    outcome.shard_count = options.shard_count;
+    fingerprint_ = campaign_fingerprint(scenario_->name, epoch_, options.shard_index,
+                                        options.shard_count, specs);
+    outcome_.total_points = specs.size();
+    outcome_.shard_index = options.shard_index;
+    outcome_.shard_count = options.shard_count;
     for (const PointSpec& spec : specs) {
         if (spec.index % options.shard_count != options.shard_index) continue;
         CampaignPoint point;
         point.spec = spec;
-        outcome.points.push_back(std::move(point));
+        outcome_.points.push_back(std::move(point));
     }
 
-    std::unique_ptr<CampaignCheckpoint> checkpoint;
     if (!options.checkpoint.empty()) {
-        checkpoint = std::make_unique<CampaignCheckpoint>(
-            options.checkpoint,
-            campaign_fingerprint(manifest.scenario, epoch, options.shard_index,
-                                 options.shard_count, specs),
-            options.shard_index, options.shard_count, specs.size());
-        outcome.resumed = checkpoint->resumed();
+        checkpoint_ = std::make_unique<CampaignCheckpoint>(options.checkpoint, fingerprint_,
+                                                           options.shard_index,
+                                                           options.shard_count, specs.size());
+        outcome_.resumed = checkpoint_->resumed();
     }
 
-    CampaignProgressEmitter progress(options.progress);
-
-    // Pass 1 (serial): satisfy points from the cache, collect the misses.
-    // A checkpointed point is served from the cache even under --force —
-    // resume means "keep the work already banked". Settled cache hits the
-    // checkpoint does not know yet are recorded, so a later --force
-    // resume keeps them too.
-    std::vector<std::size_t> missing;  // slots into outcome.points
-    for (std::size_t slot = 0; slot < outcome.points.size(); ++slot) {
-        CampaignPoint& point = outcome.points[slot];
-        const CacheKey key{manifest.scenario, epoch, point.spec.params};
+    // The cache pass (serial): satisfy points from the cache, collect the
+    // misses. A checkpointed point is served from the cache even under
+    // --force — resume means "keep the work already banked". Settled
+    // cache hits the checkpoint does not know yet are recorded, so a
+    // later --force resume keeps them too.
+    for (CampaignPoint& point : outcome_.points) {
+        const CacheKey key{scenario_->name, epoch_, point.spec.params};
         const std::uint64_t hash = cache_hash(key);
         const bool settled =
-            checkpoint != nullptr && checkpoint->is_settled(point.spec.index, hash);
+            checkpoint_ != nullptr && checkpoint_->is_settled(point.spec.index, hash);
         if (!options.force || settled) {
-            if (auto hit = cache.lookup(key)) {
+            if (auto hit = cache_.lookup(key)) {
                 point.result = std::move(*hit);
                 point.from_cache = true;
-                if (checkpoint != nullptr && point.result.exit_code == 0)
-                    checkpoint->mark_settled(point.spec.index, hash);
-                progress.emit(point.spec.index, "cached", point);
+                ++outcome_.cached;
+                if (point.result.exit_code != 0) ++outcome_.failed;
+                if (checkpoint_ != nullptr && point.result.exit_code == 0)
+                    checkpoint_->mark_settled(point.spec.index, hash);
+                emit_progress(progress_, "cached", point);
                 continue;
             }
         }
-        missing.push_back(slot);
+        pending_.push_back(point.spec.index);
     }
+}
 
-    // Pass 2: compute the misses across the pool. Each point writes only
-    // its own slot; grain 1 because points are coarse units of work. Every
-    // SUCCESSFUL point is stored (and checkpointed) the moment it settles,
-    // inside this pass — persisting used to wait for a serial pass after
-    // the pool drained, so a campaign killed at point k of n lost all k
-    // computed results; now it warm-starts with exactly k cache hits.
-    // Failed points are not cached — a re-run retries them instead of
-    // replaying the error. The cache store is concurrency-safe (unique
-    // per-writer temp names), so workers need no store mutex.
-    parallel_for_blocks(options.pool, missing.size(), 1, [&](std::size_t lo, std::size_t hi) {
+std::size_t CampaignLedger::slot(std::size_t index) const {
+    // Owned indices are shard_index, shard_index + N, ... in slot order.
+    const std::size_t slot = index / outcome_.shard_count;
+    DYNAMO_REQUIRE(index % outcome_.shard_count == outcome_.shard_index &&
+                       slot < outcome_.points.size(),
+                   "point " + std::to_string(index) + " is not owned by this campaign");
+    return slot;
+}
+
+void CampaignLedger::settle(std::size_t index, CachedResult result) {
+    // Each index settles once, so its slot is this call's alone; only the
+    // counts are shared. A SUCCESSFUL point is stored and checkpointed
+    // before this returns, so a campaign killed after k settles
+    // warm-starts with exactly k cache hits. Failed points are not cached
+    // — a re-run retries them instead of replaying the error. The cache
+    // store is concurrency-safe (unique per-writer temp names), so it
+    // runs outside the lock.
+    CampaignPoint& point = outcome_.points[slot(index)];
+    point.result = std::move(result);
+    const bool ok = point.result.exit_code == 0;
+    if (ok) {
+        const CacheKey key{scenario_->name, epoch_, point.spec.params};
+        cache_.store(key, point.result);
+        if (checkpoint_ != nullptr) checkpoint_->mark_settled(index, cache_hash(key));
+    }
+    emit_progress(progress_, ok ? "computed" : "failed", point);
+    const std::lock_guard<std::mutex> lock(counts_mutex_);
+    ++outcome_.computed;
+    if (!ok) ++outcome_.failed;
+}
+
+CampaignOutcome run_campaign(const Manifest& manifest, const CampaignOptions& options) {
+    CampaignLedger ledger(manifest, options);
+    const std::vector<std::size_t>& pending = ledger.pending();
+    // Grain 1: points are coarse units of work.
+    parallel_for_blocks(options.pool, pending.size(), 1, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t j = lo; j < hi; ++j) {
-            CampaignPoint& point = outcome.points[missing[j]];
-            point.result = compute_campaign_point(*scenario, point.spec);
-            if (point.result.exit_code == 0) {
-                const CacheKey key{manifest.scenario, epoch, point.spec.params};
-                cache.store(key, point.result);
-                if (checkpoint != nullptr)
-                    checkpoint->mark_settled(point.spec.index, cache_hash(key));
-            }
-            progress.emit(point.spec.index,
-                          point.result.exit_code == 0 ? "computed" : "failed", point);
+            ledger.settle(pending[j],
+                          compute_campaign_point(ledger.scenario(), ledger.spec(pending[j])));
         }
     });
-
-    // Pass 3 (serial): tally.
-    for (const CampaignPoint& point : outcome.points) {
-        if (point.from_cache) {
-            ++outcome.cached;
-        } else {
-            ++outcome.computed;
-        }
-        if (point.result.exit_code != 0) ++outcome.failed;
-    }
-    return outcome;
+    return std::move(ledger).finish();
 }
 
 std::string render_campaign_json(const CampaignHeader& header,

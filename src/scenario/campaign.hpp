@@ -12,6 +12,17 @@
 // pooled bit-identical, and a fully cached re-run reproduces the computed
 // run's JSON byte for byte (cache provenance is reported separately).
 //
+// Ownership: CampaignLedger is the ONE owner of a campaign's bookkeeping
+// — expansion and the shard filter, the checkpoint fingerprint, the
+// serial cache pass (with its "--force keeps checkpointed work" rule),
+// and settling a computed point into cache, checkpoint, progress stream
+// and counts. Both execution modes are a ledger plus a scheduler over
+// its pending indices: run_campaign drives them through
+// parallel_for_blocks, the distributed coordinator (dist/coordinator.hpp)
+// leases them to workers. Nothing else reads or writes the cache,
+// checkpoint or progress stream on a campaign's behalf, which is why a
+// checkpoint left by either mode resumes under the other.
+//
 // Crash-safety contract (the two bugs this layer used to have, both
 // test-enforced in tests/test_service.cpp):
 //   * each successful point is persisted to the cache THE MOMENT it
@@ -35,11 +46,14 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "io/jsonl.hpp"
 #include "scenario/cache.hpp"
+#include "scenario/checkpoint.hpp"
 #include "scenario/manifest.hpp"
 #include "util/parallel.hpp"
 
@@ -55,9 +69,9 @@ struct CampaignOptions {
     /// "exit_code", "params", "metrics"} — flushed as each point lands, so
     /// a tail -f of the file tracks a long campaign. Lines appear in
     /// COMPLETION order (pool scheduling), not expansion order; the
-    /// campaign JSON remains the deterministic artifact. Both the cached
-    /// pass and the compute pass emit through one mutex-serialized,
-    /// flush-on-drop emitter, so lines never interleave or truncate.
+    /// campaign JSON remains the deterministic artifact. The ledger's
+    /// cache pass and settle() emit through one serialized, flush-on-drop
+    /// writer (io/jsonl.hpp), so lines never interleave or truncate.
     std::ostream* progress = nullptr;
     /// Deterministic shard of the expanded points this run owns: index i
     /// belongs to shard i % shard_count. The default 0/1 owns everything
@@ -70,6 +84,12 @@ struct CampaignOptions {
     /// instead of recomputing them. Empty = no checkpoint.
     std::string checkpoint;
 };
+
+/// Parses a --shard=K/N value into (index, count). Throws
+/// std::invalid_argument on anything but two decimal integers around one
+/// slash with K < N — including numbers too large for `unsigned`, which
+/// must never wrap into some other valid shard.
+void parse_shard_spec(const std::string& spec, unsigned& index, unsigned& count);
 
 struct CampaignPoint {
     PointSpec spec;  ///< spec.index is the GLOBAL expansion index
@@ -114,10 +134,60 @@ struct CampaignOutcome {
     std::string summary(const Manifest& manifest) const;
 };
 
-/// Run the campaign (or one shard of it). Throws only on infrastructure
-/// errors (unwritable cache or checkpoint, a checkpoint belonging to a
-/// different campaign); per-point scenario exceptions are captured into
-/// that point's report with exit_code 2 and counted in `failed`.
+/// The bookkeeping half of a campaign (see "Ownership" above); the
+/// caller supplies only the schedule that computes pending points.
+class CampaignLedger {
+  public:
+    /// Expands the FULL manifest, keeps this shard's points, opens the
+    /// checkpoint (fingerprint: scenario, combined epoch, shard layout and
+    /// every expanded point's canonical cache-key string), and runs the
+    /// serial cache pass: a point is served from the cache unless --force
+    /// is set and the checkpoint does not record it. Cache hits are
+    /// counted, checkpointed and streamed here. `options.pool` is unused.
+    /// Throws on infrastructure errors (unknown scenario, bad shard
+    /// layout, a checkpoint belonging to a different campaign).
+    CampaignLedger(const Manifest& manifest, const CampaignOptions& options);
+
+    const Scenario& scenario() const noexcept { return *scenario_; }
+    std::uint64_t fingerprint() const noexcept { return fingerprint_; }
+
+    /// Global indices the cache pass left to compute, in expansion order.
+    const std::vector<std::size_t>& pending() const noexcept { return pending_; }
+
+    /// The expanded point with global index `index` (must be owned).
+    const PointSpec& spec(std::size_t index) const { return outcome_.points[slot(index)].spec; }
+
+    /// Settles one computed point, once per pending index: a successful
+    /// result is stored in the cache and checkpointed before this
+    /// returns (failures are neither, so a re-run retries them), then the
+    /// progress line is written and the counts move. Thread-safe.
+    void settle(std::size_t index, CachedResult result);
+
+    /// Counts and points so far; do not read it while settle() may run.
+    const CampaignOutcome& outcome() const noexcept { return outcome_; }
+    /// The finished campaign, once every pending index has settled.
+    CampaignOutcome finish() && { return std::move(outcome_); }
+
+  private:
+    std::size_t slot(std::size_t index) const;  ///< outcome_.points position
+
+    const Scenario* scenario_ = nullptr;
+    ResultCache cache_;
+    int epoch_ = 0;
+    std::uint64_t fingerprint_ = 0;
+    CampaignOutcome outcome_;
+    std::unique_ptr<CampaignCheckpoint> checkpoint_;
+    io::JsonlWriter progress_;
+    std::vector<std::size_t> pending_;
+    std::mutex counts_mutex_;
+};
+
+/// Run the campaign (or one shard of it): a CampaignLedger whose pending
+/// points are computed across `options.pool`. Throws only on
+/// infrastructure errors (unwritable cache or checkpoint, a checkpoint
+/// belonging to a different campaign); per-point scenario exceptions are
+/// captured into that point's report with exit_code 2 and counted in
+/// `failed`.
 CampaignOutcome run_campaign(const Manifest& manifest, const CampaignOptions& options = {});
 
 /// Execute one expanded point against a private output buffer. Never
@@ -128,34 +198,5 @@ CampaignOutcome run_campaign(const Manifest& manifest, const CampaignOptions& op
 /// is what makes a distributed campaign's results bit-identical to a
 /// local run's: placement chooses who calls this, never what it returns.
 CachedResult compute_campaign_point(const Scenario& scenario, const PointSpec& point);
-
-/// Fingerprint of the campaign a checkpoint belongs to: scenario name,
-/// combined epoch, shard layout, and every expanded point's canonical
-/// cache-key string — any edit to the manifest (grid, seed, repetitions,
-/// fixed bindings) lands in some point's canonical params and moves the
-/// fingerprint, as does an epoch bump or a different shard split. Shared
-/// by the campaign driver and the distributed coordinator so a killed
-/// coordinator's checkpoint resumes under `dynamo campaign` and vice
-/// versa.
-std::uint64_t campaign_fingerprint(const std::string& scenario_name, int epoch,
-                                   unsigned shard_index, unsigned shard_count,
-                                   const std::vector<PointSpec>& specs);
-
-/// The campaign progress sink: one JSONL record per settled point —
-/// {"index", "status": "cached"|"computed"|"failed", "exit_code",
-/// "params", "metrics"} — over the shared serialized writer
-/// (io/jsonl.hpp), which owns the interleaving, flush-per-line, and
-/// flush-on-drop guarantees. Used by both campaign passes and by the
-/// distributed coordinator, so every execution mode streams the same
-/// record shape.
-class CampaignProgressEmitter {
-  public:
-    explicit CampaignProgressEmitter(std::ostream* out) : writer_(out) {}
-
-    void emit(std::size_t index, const char* status, const CampaignPoint& point);
-
-  private:
-    io::JsonlWriter writer_;
-};
 
 } // namespace dynamo::scenario

@@ -17,18 +17,9 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/json.hpp"
-
 namespace dynamo::service {
 
 namespace {
-
-/// {"error": "<message>"} with proper JSON escaping.
-std::string error_body(const std::string& message) {
-    util::JsonObject body;
-    body.emplace_back("error", util::Json(message));
-    return util::Json(std::move(body)).dump(0) + "\n";
-}
 
 std::string lowercase(std::string s) {
     for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
@@ -48,6 +39,16 @@ std::string trim(const std::string& s) {
 constexpr std::size_t kMaxBody = 8u << 20;
 
 } // namespace
+
+HttpResponse json_response(int status, util::JsonObject body) {
+    return {status, "application/json", util::Json(std::move(body)).dump(0) + "\n"};
+}
+
+HttpResponse error_response(int status, const std::string& message) {
+    util::JsonObject body;
+    body.emplace_back("error", util::Json(message));
+    return json_response(status, std::move(body));
+}
 
 std::optional<HttpRequest> parse_http_request(const std::string& text) {
     const std::size_t head_end = text.find("\r\n\r\n");
@@ -178,18 +179,18 @@ void HttpServer::serve_forever(
 
         HttpResponse response;
         if (bad_request || need == std::string::npos) {
-            response = {400, "application/json", error_body("malformed request")};
+            response = error_response(400, "malformed request");
         } else if (need == kMaxBody + 1) {
-            response = {413, "application/json", error_body("request body too large")};
+            response = error_response(413, "request body too large");
         } else {
             const auto request = parse_http_request(data.substr(0, need));
             if (!request) {
-                response = {400, "application/json", error_body("malformed request")};
+                response = error_response(400, "malformed request");
             } else {
                 try {
                     response = handler(*request);
                 } catch (const std::exception& e) {
-                    response = {500, "application/json", error_body(e.what())};
+                    response = error_response(500, e.what());
                 }
             }
         }

@@ -19,6 +19,8 @@
 #include <optional>
 #include <string>
 
+#include "util/json.hpp"
+
 namespace dynamo::service {
 
 struct HttpRequest {
@@ -34,6 +36,12 @@ struct HttpResponse {
     std::string content_type = "application/json";
     std::string body;
 };
+
+/// A JSON reply: `body` serialized compactly, newline-terminated.
+HttpResponse json_response(int status, util::JsonObject body);
+
+/// {"error": "<message>"} with proper JSON escaping.
+HttpResponse error_response(int status, const std::string& message);
 
 /// Parses head + body of one HTTP/1.1 request. `text` must contain the
 /// complete request (the server reads until Content-Length is satisfied).

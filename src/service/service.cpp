@@ -5,6 +5,7 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <ostream>
 #include <sstream>
 
@@ -20,16 +21,6 @@ using util::Json;
 using util::JsonArray;
 using util::JsonObject;
 
-HttpResponse json_response(int status, JsonObject body) {
-    return {status, "application/json", Json(std::move(body)).dump(0) + "\n"};
-}
-
-HttpResponse error_response(int status, const std::string& message) {
-    JsonObject body;
-    body.emplace_back("error", Json(message));
-    return json_response(status, std::move(body));
-}
-
 const char* status_name(int job_status) {
     switch (job_status) {
         case 0: return "queued";
@@ -40,20 +31,17 @@ const char* status_name(int job_status) {
 }
 
 /// Splits "/campaigns/<id>[/<tail>]" -> (id, tail). False when the
-/// target is not of that shape or the id is not a number.
+/// target is not of that shape or the id is not a decimal number that
+/// fits in 64 bits (an overflowing id must not wrap onto a real job).
 bool parse_job_target(const std::string& target, std::uint64_t& id, std::string& tail) {
     const std::string prefix = "/campaigns/";
     if (target.rfind(prefix, 0) != 0) return false;
     const std::string rest = target.substr(prefix.size());
-    const std::size_t slash = rest.find('/');
-    const std::string id_text = rest.substr(0, slash);
-    if (id_text.empty()) return false;
-    id = 0;
-    for (const char c : id_text) {
-        if (c < '0' || c > '9') return false;
-        id = id * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    tail = slash == std::string::npos ? std::string() : rest.substr(slash);
+    const std::size_t slash = std::min(rest.find('/'), rest.size());
+    const char* end = rest.data() + slash;
+    const auto [stop, error] = std::from_chars(rest.data(), end, id);
+    if (error != std::errc() || stop != end) return false;
+    tail = rest.substr(slash);
     return true;
 }
 
@@ -184,21 +172,17 @@ HttpResponse CampaignService::list_jobs() const {
     return json_response(200, std::move(body));
 }
 
-CampaignService::Job* CampaignService::find_job(std::uint64_t id) const {
+CampaignService::Job* CampaignService::find_job(std::uint64_t id, JobStatus* status) const {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (id == 0 || id > jobs_.size()) return nullptr;
+    if (status != nullptr) *status = jobs_[id - 1]->status;
     return jobs_[id - 1].get();
 }
 
 HttpResponse CampaignService::job_status(std::uint64_t id) const {
-    Job* job = find_job(id);
+    JobStatus status = JobStatus::kQueued;
+    Job* job = find_job(id, &status);
     if (job == nullptr) return error_response(404, "no campaign " + std::to_string(id));
-
-    JobStatus status;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        status = job->status;
-    }
     // A progress line lands per settled point, so the line count IS the
     // live settled count — no extra bookkeeping channel needed.
     const std::string progress = job->progress.snapshot();
@@ -230,13 +214,9 @@ HttpResponse CampaignService::job_progress(std::uint64_t id) const {
 }
 
 HttpResponse CampaignService::job_report(std::uint64_t id) const {
-    Job* job = find_job(id);
+    JobStatus status = JobStatus::kQueued;
+    Job* job = find_job(id, &status);
     if (job == nullptr) return error_response(404, "no campaign " + std::to_string(id));
-    JobStatus status;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        status = job->status;
-    }
     if (status == JobStatus::kFailed) return error_response(409, job->error);
     if (status != JobStatus::kDone)
         return error_response(409, "campaign " + std::to_string(id) + " is " +

@@ -72,7 +72,7 @@ class CampaignService {
     enum class JobStatus { kQueued, kRunning, kDone, kFailed };
 
     /// A thread-safe accumulating streambuf: the runner's campaign writes
-    /// progress JSONL into it (through ProgressEmitter, line-at-a-time),
+    /// progress JSONL into it (through its ledger, line-at-a-time),
     /// HTTP threads snapshot it live.
     class ProgressBuffer : public std::streambuf {
       public:
@@ -105,11 +105,12 @@ class CampaignService {
     HttpResponse job_progress(std::uint64_t id) const;
     HttpResponse job_report(std::uint64_t id) const;
 
-    /// Job lookup under mutex_; nullptr when unknown. Jobs are never
-    /// destroyed while the service lives, so the pointer stays valid
-    /// after the lock drops (fields read afterwards are themselves
+    /// Job lookup under mutex_; nullptr when unknown. `status`, when
+    /// given, receives the job's status read under the same lock. Jobs
+    /// are never destroyed while the service lives, so the pointer stays
+    /// valid after the lock drops (fields read afterwards are themselves
     /// synchronized or write-once-before-done).
-    Job* find_job(std::uint64_t id) const;
+    Job* find_job(std::uint64_t id, JobStatus* status = nullptr) const;
 
     void runner_loop();
 

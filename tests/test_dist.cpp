@@ -11,7 +11,8 @@
 //   * coordinator — socketless handle() routing of the whole endpoint
 //     surface with an injected clock, the placement-independence
 //     invariant (distributed artifact byte-identical to run_campaign),
-//     and kill-and-resume through the shared cache + checkpoint;
+//     and kill-and-resume through the shared cache + checkpoint, in both
+//     directions between `dynamo coordinate` and `dynamo campaign`;
 //   * worker — every terminal state of the loop via scripted transports
 //     and recorded sleepers (retry counting, shutdown-vs-unreachable,
 //     fingerprint mismatch, immediate done);
@@ -25,6 +26,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -681,6 +683,104 @@ TEST(Coordinator, FailingPointsAreRetriedOnResume) {
         drain(coordinator, specs, "w2", 0);
         EXPECT_EQ(coordinator.outcome().computed, 1u);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Cross-mode resume: a checkpoint left by one execution mode finishes
+// under the other, because both are the same CampaignLedger. Each first
+// life ends in a real SIGKILL (a forked death-test child), so only what
+// was flushed to the cache and checkpoint survives.
+
+/// A progress sink that SIGKILLs the process at its `kill_at`-th line.
+/// The ledger writes a point's progress line only after caching and
+/// checkpointing it, so the kill lands right after that many settles.
+class KillAtLine : public std::streambuf {
+  public:
+    explicit KillAtLine(int kill_at) : left_(kill_at) {}
+
+  protected:
+    int_type overflow(int_type ch) override {
+        if (ch == '\n' && --left_ == 0) std::raise(SIGKILL);
+        return ch;
+    }
+
+  private:
+    int left_;
+};
+
+std::string clean_local_artifact(const ScratchDir& scratch, const Manifest& manifest) {
+    CampaignOptions local;
+    local.cache_dir = scratch.path() + "/cache-clean";
+    return run_campaign(manifest, local).to_json(manifest);
+}
+
+TEST(CrossModeResume, KilledCoordinatorFinishesUnderRunCampaign) {
+    const ScratchDir scratch("cross_coord");
+    const Manifest manifest = probe_manifest();
+    const std::vector<PointSpec> specs = scenario::expand(manifest);
+    const std::string checkpoint = scratch.path() + "/ledger.jsonl";
+    const std::string expected = clean_local_artifact(scratch, manifest);
+
+    EXPECT_EXIT(
+        {
+            CampaignCoordinator coordinator(manifest, kManifestText,
+                                            coordinator_options(scratch, checkpoint));
+            const LeaseGrant grant = parse_lease_grant(
+                coordinator
+                    .handle(make_request("POST", "/lease", render_lease_request({"w1", 2})), 0)
+                    .body);
+            CompleteRequest completion;
+            completion.worker = "w1";
+            completion.lease_id = grant.lease_id;
+            completion.fingerprint = coordinator.fingerprint_hex();
+            for (const std::size_t index : grant.indices)
+                completion.results.push_back(compute_result(specs, index));
+            coordinator.handle(
+                make_request("POST", "/complete", render_complete_request(completion)), 0);
+            std::raise(SIGKILL);
+        },
+        ::testing::KilledBySignal(SIGKILL), "");
+
+    // --force: only what the coordinator's checkpoint recorded is kept.
+    CampaignOptions options;
+    options.cache_dir = scratch.path() + "/cache";
+    options.checkpoint = checkpoint;
+    options.force = true;
+    const scenario::CampaignOutcome finished = run_campaign(manifest, options);
+    EXPECT_EQ(finished.resumed, 2u);
+    EXPECT_EQ(finished.cached, 2u);
+    EXPECT_EQ(finished.computed, 4u);
+    EXPECT_EQ(finished.to_json(manifest), expected);
+}
+
+TEST(CrossModeResume, KilledRunCampaignFinishesUnderCoordinator) {
+    const ScratchDir scratch("cross_local");
+    const Manifest manifest = probe_manifest();
+    const std::vector<PointSpec> specs = scenario::expand(manifest);
+    const std::string checkpoint = scratch.path() + "/ledger.jsonl";
+    const std::string expected = clean_local_artifact(scratch, manifest);
+
+    EXPECT_EXIT(
+        {
+            KillAtLine killer(3);
+            std::ostream progress(&killer);
+            CampaignOptions options;
+            options.cache_dir = scratch.path() + "/cache";
+            options.checkpoint = checkpoint;
+            options.progress = &progress;
+            run_campaign(manifest, options);
+        },
+        ::testing::KilledBySignal(SIGKILL), "");
+
+    CoordinatorOptions options = coordinator_options(scratch, checkpoint);
+    options.force = true;
+    CampaignCoordinator coordinator(manifest, kManifestText, options);
+    EXPECT_EQ(coordinator.outcome().resumed, 3u);
+    EXPECT_EQ(coordinator.settled_points(), 3u);
+    drain(coordinator, specs, "w1", 0);
+    EXPECT_TRUE(coordinator.complete());
+    EXPECT_EQ(coordinator.outcome().computed, 3u);
+    EXPECT_EQ(coordinator.artifact(), expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -332,6 +332,22 @@ TEST(ShardMerge, EveryShardCountMergesByteIdenticallyToUnsharded) {
     }
 }
 
+TEST(ShardMerge, ShardSpecParsesKOverNAndRejectsEverythingElse) {
+    unsigned index = 9;
+    unsigned count = 9;
+    parse_shard_spec("1/2", index, count);
+    EXPECT_EQ(index, 1u);
+    EXPECT_EQ(count, 2u);
+    parse_shard_spec("4294967294/4294967295", index, count);
+    EXPECT_EQ(index, 4294967294u);
+    EXPECT_EQ(count, 4294967295u);
+    // 4294967297 used to wrap to 1 and silently run shard 1/2.
+    for (const char* bad : {"", "1", "/2", "1/", "2/2", "1/0", "a/2", "1/2/3", "-1/2", "+1/2",
+                            " 1/2", "4294967297/2", "1/4294967296", "99999999999999999999/2"}) {
+        EXPECT_THROW(parse_shard_spec(bad, index, count), std::invalid_argument) << bad;
+    }
+}
+
 TEST(ShardMerge, SingleUnshardedArtifactRoundTripsUnchanged) {
     const ScratchDir dir("shard_roundtrip");
     const Manifest manifest = probe_manifest();
@@ -492,6 +508,9 @@ TEST(Service, RoutesTheWholeEndpointSurface) {
     EXPECT_EQ(parsed.find("status")->as_string(), "done");
     EXPECT_EQ(parsed.find("settled")->as_int(), 6);
     EXPECT_EQ(parsed.find("computed")->as_int(), 6);
+    // 2^64 + 1 used to wrap onto job 1.
+    EXPECT_EQ(call(service, "GET", "/campaigns/18446744073709551617").status, 404);
+    EXPECT_EQ(call(service, "GET", "/campaigns/18446744073709551617/report").status, 404);
 
     const HttpResponse listing = call(service, "GET", "/campaigns");
     ASSERT_EQ(listing.status, 200);
