@@ -26,6 +26,7 @@
 
 #include "analysis/montecarlo.hpp"
 #include "core/run/batch.hpp"
+#include "core/transform.hpp"
 #include "rules/registry.hpp"
 #include "util/cli.hpp"
 

@@ -25,9 +25,8 @@
 #include "analysis/montecarlo.hpp"
 #include "core/blocks.hpp"
 #include "core/builders.hpp"
-#include "core/engine.hpp"
-#include "core/frontier_engine.hpp"
 #include "core/run/batch.hpp"
+#include "core/run/simulate.hpp"
 #include "graph/generators.hpp"
 #include "graph/plurality.hpp"
 #include "rules/registry.hpp"
@@ -64,7 +63,7 @@ void BM_EngineStep(benchmark::State& state) {
     const auto side = static_cast<std::uint32_t>(state.range(0));
     const auto topo = static_cast<grid::Topology>(state.range(1));
     grid::Torus torus(topo, side, side);
-    SyncEngine engine(torus, random_field(torus.size(), 4, 42));
+    sim::PackedEngineT<sim::SmpRule> engine(torus, random_field(torus.size(), 4, 42));
     for (auto _ : state) {
         benchmark::DoNotOptimize(engine.step());
     }
@@ -76,8 +75,8 @@ BENCHMARK(BM_EngineStep)
     ->ArgNames({"side", "topo"});
 
 void BM_SeedEngineStep(benchmark::State& state) {
-    // The seed table-driven sweep (ReferenceSmpRule bypasses the packed
-    // fast path): the baseline BM_EngineStep is compared against.
+    // The seed table-driven sweep of the reference engine: the baseline
+    // BM_EngineStep is compared against.
     const auto side = static_cast<std::uint32_t>(state.range(0));
     const auto topo = static_cast<grid::Topology>(state.range(1));
     grid::Torus torus(topo, side, side);
@@ -97,7 +96,7 @@ void BM_EngineStepParallel(benchmark::State& state) {
     const auto workers = static_cast<unsigned>(state.range(1));
     grid::Torus torus(grid::Topology::ToroidalMesh, side, side);
     ThreadPool pool(workers);
-    SyncEngine engine(torus, random_field(torus.size(), 4, 43));
+    sim::PackedEngineT<sim::SmpRule> engine(torus, random_field(torus.size(), 4, 43));
     for (auto _ : state) {
         benchmark::DoNotOptimize(engine.step(&pool, 1 << 12));
     }
@@ -113,7 +112,7 @@ void BM_FullDynamoRun(benchmark::State& state) {
     grid::Torus torus(grid::Topology::ToroidalMesh, side, side);
     const Configuration cfg = build_theorem2_configuration(torus);
     for (auto _ : state) {
-        SimulationOptions opts;
+        RunOptions opts;
         opts.detect_cycles = false;  // dynamos terminate by monochromatic
         benchmark::DoNotOptimize(simulate(torus, cfg.field, opts).rounds);
     }
@@ -129,9 +128,11 @@ void BM_FrontierDynamoRun(benchmark::State& state) {
     grid::Torus torus(grid::Topology::ToroidalMesh, side, side);
     const Configuration cfg = build_theorem2_configuration(torus);
     for (auto _ : state) {
-        FrontierEngine engine(torus, cfg.field);
-        benchmark::DoNotOptimize(
-            frontier_run(engine, 4 * static_cast<std::uint32_t>(torus.size())));
+        sim::ActiveEngineT<sim::SmpRule> engine(torus, cfg.field);
+        RunOptions opts;
+        opts.max_rounds = 4 * static_cast<std::uint32_t>(torus.size());
+        opts.detect_cycles = false;
+        benchmark::DoNotOptimize(run_to_terminal(engine, opts).rounds);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(torus.size()));
@@ -143,7 +144,7 @@ void BM_TraceBookkeepingOverhead(benchmark::State& state) {
     grid::Torus torus(grid::Topology::ToroidalMesh, 128, 128);
     const Configuration cfg = build_theorem2_configuration(torus);
     for (auto _ : state) {
-        SimulationOptions opts;
+        RunOptions opts;
         opts.detect_cycles = false;
         if (tracked) opts.target = cfg.k;
         benchmark::DoNotOptimize(simulate(torus, cfg.field, opts).rounds);
@@ -246,7 +247,7 @@ double mc_batch_trials_per_sec(const grid::Torus& torus, std::size_t trials,
 
 /// Lockstep bit-identity check of the packed sweep vs the seed sweep.
 bool trajectories_identical(const grid::Torus& torus, const ColorField& field, int rounds) {
-    SyncEngine packed(torus, field);
+    sim::PackedEngineT<sim::SmpRule> packed(torus, field);
     BasicSyncEngine<ReferenceSmpRule> seed(torus, field);
     for (int r = 0; r < rounds; ++r) {
         if (packed.step() != seed.step() || packed.colors() != seed.colors()) return false;
@@ -349,7 +350,7 @@ int run_json_report(const CliArgs& args) {
 
         BasicSyncEngine<ReferenceSmpRule> seed_engine(torus, field);
         const double seed_cps = measure_cells_per_sec(seed_engine, smp, grain, warmup, rounds);
-        SyncEngine packed_engine(torus, field);
+        sim::PackedEngineT<sim::SmpRule> packed_engine(torus, field);
         const double packed_cps = measure_cells_per_sec(packed_engine, smp, grain, warmup, rounds);
         const double speedup = packed_cps / seed_cps;
         const bool identical = trajectories_identical(torus, field, std::min(rounds, 8));

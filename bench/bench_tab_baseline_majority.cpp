@@ -29,15 +29,15 @@ int scenario_main(dynamo::scenario::Context& ctx) {
         for (std::uint32_t s = 6; s <= max_dim; s += 6) {
             grid::Torus torus(topo, s, s);
             const Configuration cfg = build_minimum_dynamo(torus);
-            const Trace smp = run_traced(torus, cfg);
+            const RunResult smp = run_traced(torus, cfg);
 
             const ColorField bi = phi_collapse(cfg.field, cfg.k);
-            const Trace pb =
+            const RunResult pb =
                 rules::simulate_majority(torus, bi, rules::reverse_simple_majority());
             const rules::MajorityRule pc{rules::MajorityKind::Simple,
                                          rules::TiePolicy::PreferCurrent, true};
-            const Trace pc_trace = rules::simulate_majority(torus, bi, pc);
-            const Trace strong =
+            const RunResult pc_trace = rules::simulate_majority(torus, bi, pc);
+            const RunResult strong =
                 rules::simulate_majority(torus, bi, rules::reverse_strong_majority());
 
             table.add_row(std::to_string(s) + "x" + std::to_string(s), to_string(topo),

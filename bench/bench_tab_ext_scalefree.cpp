@@ -72,12 +72,11 @@ int scenario_main(dynamo::scenario::Context& ctx) {
             const auto seeds =
                 hubs ? top_degree_seeds(g, budget) : random_seeds(g, budget, rng);
             const ColorField f = seeded_field(g, seeds, 4, rng);
-            graphx::GraphSimulationOptions opts;
-            opts.threshold = thr;
+            RunOptions opts;
             opts.target = 1;
-            const graphx::GraphTrace trace = simulate_plurality(g, f, opts);
+            const RunResult trace = simulate_plurality(g, f, thr, opts);
             mono += trace.reached_mono(1);
-            share += static_cast<double>(trace.final_target_count) /
+            share += static_cast<double>(count_color(trace.final_colors, 1)) /
                      static_cast<double>(g.num_vertices());
             rounds += trace.rounds;
         }

@@ -24,7 +24,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
                  "X3 - Theorem-2 dynamo under intermittent links (edge up-probability sweep)");
     grid::Torus torus(grid::Topology::ToroidalMesh, m, n);
     const Configuration cfg = build_theorem2_configuration(torus);
-    const Trace baseline = run_traced(torus, cfg);
+    const RunResult baseline = run_traced(torus, cfg);
 
     ConsoleTable table({"edge up-prob", "P(complete)", "mean rounds", "max rounds",
                         "slowdown vs static", "monotone runs"});
@@ -35,9 +35,10 @@ int scenario_main(dynamo::scenario::Context& ctx) {
             graphx::TemporalOptions opts;
             opts.edge_up = p;
             opts.seed = 0xabcd + t;
-            opts.target = cfg.k;
-            opts.max_rounds = 20000;
-            const graphx::TemporalTrace trace = graphx::simulate_temporal(torus, cfg.field, opts);
+            RunOptions run;
+            run.target = cfg.k;
+            run.max_rounds = 20000;
+            const RunResult trace = graphx::simulate_temporal(torus, cfg.field, opts, run);
             if (trace.reached_mono(cfg.k)) {
                 ++completed;
                 rounds.push_back(static_cast<double>(trace.rounds));

@@ -26,7 +26,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
             grid::Torus torus(grid::Topology::TorusCordalis, m, n);
             const Configuration cfg = build_theorem4_configuration(torus);
             const ConditionReport rep = check_theorem_conditions(torus, cfg.field, cfg.k);
-            const Trace trace = run_traced(torus, cfg);
+            const RunResult trace = run_traced(torus, cfg);
             table.add_row(m, n, cordalis_size_lower_bound(m, n), cfg.seeds.size(),
                           static_cast<int>(cfg.colors_used), rep.ok() ? "hold" : "VIOLATED",
                           yesno(trace.reached_mono(cfg.k) && trace.monotone), trace.rounds);

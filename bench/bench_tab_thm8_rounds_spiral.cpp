@@ -33,7 +33,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
                 if (topo == grid::Topology::TorusSerpentinus && n > m) continue;  // N = n only
                 grid::Torus torus(topo, m, n);
                 const Configuration cfg = build_theorem4_configuration(torus);
-                const Trace trace = run_traced(torus, cfg);
+                const RunResult trace = run_traced(torus, cfg);
                 const std::uint32_t paper = spiral_rounds_paper(m, n);
                 const std::uint32_t derived = spiral_rounds_derived(m, n);
                 table.add_row(m, n, trace.rounds, paper, match_tag(trace.rounds, paper),
@@ -59,7 +59,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
         for (std::uint32_t n = m + 1; n <= max_dim; n += 2) {
             grid::Torus torus(grid::Topology::TorusSerpentinus, m, n);
             const Configuration cfg = build_theorem6_configuration(torus);
-            const Trace trace = run_traced(torus, cfg);
+            const RunResult trace = run_traced(torus, cfg);
             cols.add_row(m, n, cfg.seeds.size(), trace.rounds,
                          yesno(trace.reached_mono(cfg.k) && trace.monotone));
         }

@@ -14,8 +14,8 @@
 #include <numeric>
 
 #include "core/builders.hpp"
-#include "core/engine.hpp"
 #include "core/run/batch.hpp"
+#include "core/run/simulate.hpp"
 #include "graph/builder.hpp"
 #include "graph/plurality.hpp"
 #include "util/cli.hpp"
@@ -77,13 +77,12 @@ int scenario_main(dynamo::scenario::Context& ctx) {
                         deterministic_shuffle(ids.begin(), ids.end(), rng);
                         for (std::size_t s = 0; s < budget; ++s) opinions[ids[s]] = 1;
                     }
-                    graphx::GraphSimulationOptions opts;
-                    opts.threshold = graphx::PluralityThreshold::SimpleHalf;
+                    RunOptions opts;
                     opts.target = 1;
-                    const graphx::GraphTrace trace =
-                        graphx::simulate_plurality(society, opinions, opts);
+                    const RunResult trace = graphx::simulate_plurality(
+                        society, opinions, graphx::PluralityThreshold::SimpleHalf, opts);
                     return TrialOutcome{trace.reached_mono(1),
-                                        static_cast<double>(trace.final_target_count) /
+                                        static_cast<double>(count_color(trace.final_colors, 1)) /
                                             static_cast<double>(n),
                                         trace.rounds};
                 });
@@ -106,7 +105,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
                  "Theorem-2 seeding reaches full consensus with only m+n-2 = ";
     grid::Torus torus(grid::Topology::ToroidalMesh, 22, 23);
     const Configuration cfg = build_theorem2_configuration(torus);
-    const Trace trace = simulate(torus, cfg.field);
+    const RunResult trace = simulate(torus, cfg.field);
     out << cfg.seeds.size() << " of " << torus.size() << " agents ("
               << (trace.termination == Termination::Monochromatic ? "verified" : "FAILED")
               << ", " << trace.rounds << " rounds) - structure substitutes for budget when\n"

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "analysis/montecarlo.hpp"
+#include "core/transform.hpp"
 #include "grid/torus.hpp"
 #include "rules/registry.hpp"
 #include "scenario/scenario.hpp"

@@ -4,7 +4,7 @@
 // Shannon entropy per round, maintained incrementally from the changed
 // cells (O(changed + |C|) per round, never a full-field rescan). Lives in
 // analysis/ (not core/run/) so the core run API does not depend on this
-// layer; attach via RunOptions::observers or Runner::attach.
+// layer; attach via RunOptions::observers.
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "core/run/result.hpp"
 #include "util/assert.hpp"
 
 namespace dynamo::analysis {
@@ -32,10 +32,10 @@ struct WavefrontStats {
     }
 };
 
-/// Summarize a trace produced with SimulationOptions::target set.
-inline WavefrontStats wavefront_stats(const Trace& trace) {
+/// Summarize a trace produced with RunOptions::target set.
+inline WavefrontStats wavefront_stats(const RunResult& trace) {
     DYNAMO_REQUIRE(!trace.newly_k.empty(),
-                   "trace has no wavefront data (set SimulationOptions::target)");
+                   "trace has no wavefront data (set RunOptions::target)");
     WavefrontStats s;
     s.seeds = trace.newly_k[0];
     for (std::uint32_t r = 1; r < trace.newly_k.size(); ++r) {
@@ -54,7 +54,7 @@ inline WavefrontStats wavefront_stats(const Trace& trace) {
 
 /// True iff the front is unimodal (grows to one peak, then shrinks) -
 /// the diamond-wave signature of the mesh cross configurations.
-inline bool front_is_unimodal(const Trace& trace) {
+inline bool front_is_unimodal(const RunResult& trace) {
     bool descending = false;
     for (std::uint32_t r = 2; r < trace.newly_k.size(); ++r) {
         if (trace.newly_k[r] > trace.newly_k[r - 1]) {
@@ -67,7 +67,7 @@ inline bool front_is_unimodal(const Trace& trace) {
 }
 
 /// Round-by-round cumulative k-share (0..1] for plotting/thresholding.
-inline std::vector<double> cumulative_k_share(const Trace& trace, std::size_t num_vertices) {
+inline std::vector<double> cumulative_k_share(const RunResult& trace, std::size_t num_vertices) {
     DYNAMO_REQUIRE(num_vertices > 0, "empty torus");
     std::vector<double> shares;
     shares.reserve(trace.newly_k.size());

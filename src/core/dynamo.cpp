@@ -2,9 +2,8 @@
 
 #include <sstream>
 
-#include "core/run/runner.hpp"
-#include "core/sim/packed_engine.hpp"
-#include "rules/registry.hpp"
+#include "core/blocks.hpp"
+#include "core/run/simulate.hpp"
 
 namespace dynamo {
 
@@ -23,7 +22,7 @@ std::string DynamoVerdict::summary() const {
 
 DynamoVerdict verify_dynamo(const grid::Torus& torus, const ColorField& initial, Color k,
                             ThreadPool* pool) {
-    SimulationOptions opts;
+    RunOptions opts;
     opts.target = k;
     opts.pool = pool;
     DynamoVerdict verdict;
@@ -39,25 +38,6 @@ QuickVerdict classify_quick_verdict(const RunResult& result, Color k) {
     verdict.is_dynamo = result.reached_mono(k);
     verdict.is_monotone = verdict.is_dynamo && result.monotone;
     return verdict;
-}
-
-QuickVerdict quick_verify_dynamo(const grid::Torus& torus, const ColorField& initial, Color k) {
-    sim::PackedEngine engine(torus, initial);
-    RunOptions opts;
-    opts.target = k;
-    return classify_quick_verdict(run_to_terminal(engine, opts), k);
-}
-
-QuickVerdict quick_verify_dynamo(sim::PackedEngine& engine, const ColorField& initial, Color k) {
-    engine.reset(initial);
-    RunOptions opts;
-    opts.target = k;
-    return classify_quick_verdict(run_to_terminal(engine, opts), k);
-}
-
-QuickVerdict quick_verify_dynamo(const grid::Torus& torus, const ColorField& initial, Color k,
-                                 const rules::RuleInfo& rule) {
-    return rule.quick_verify(torus, initial, k);
 }
 
 bool has_non_dynamo_certificate(const grid::Torus& torus, const ColorField& initial, Color k) {

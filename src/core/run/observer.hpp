@@ -2,7 +2,7 @@
 //
 // Composable run observers: the per-round bookkeeping that the seed driver
 // hard-coded (target tracking, cycle hashing, frame dumps) factored into
-// small objects the Runner notifies. Observers are fed the *changed cells*
+// small objects run_to_terminal notifies. Observers are fed the *changed cells*
 // of each round (CellChange records the engines already know), so their
 // per-round cost is O(changed), not O(|V|) - in particular the seed
 // driver's full ColorField copy per tracked round is gone.

@@ -2,11 +2,10 @@
 //
 // Terminal classification and the result record of a simulation run.
 //
-// RunResult supersedes the seed driver's Trace: one record shared by every
-// engine (packed full sweep, active-set fast path, generic rules, general
-// graphs, temporal links) and every run driver. `Trace` remains as a thin
-// alias so seed-era call sites compile unchanged; field names and semantics
-// are identical to the seed driver bit for bit.
+// RunResult is the one record shared by every engine (packed full sweep,
+// active-set fast path, generic rules, general graphs, temporal links) and
+// every run driver; field names and semantics are the seed driver's bit for
+// bit.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +67,5 @@ struct RunResult {
         return termination == Termination::Monochromatic && mono && *mono == k;
     }
 };
-
-/// Seed-era name for RunResult, kept so all existing call sites compile.
-using Trace = RunResult;
 
 } // namespace dynamo

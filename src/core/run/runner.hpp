@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/coloring.hpp"
@@ -51,8 +50,7 @@ struct RunOptions {
     /// CycleDetector.
     bool detect_cycles = true;
 
-    /// Optional worker pool for engines whose step accepts one; nullptr =
-    /// serial.
+    /// Optional worker pool handed to every engine round; nullptr = serial.
     ThreadPool* pool = nullptr;
 
     /// Minimum vertices per parallel block (avoids threading toy grids).
@@ -72,56 +70,20 @@ struct RunOptions {
     std::vector<Observer*> observers;
 };
 
-/// Seed-era name for RunOptions, kept so all existing call sites compile.
-using SimulationOptions = RunOptions;
-
-/// Anything run_to_terminal can drive: one synchronous round per step()
-/// returning the number of changed vertices, plus state access.
+/// Anything run_to_terminal can drive: one synchronous round per
+/// step_collect(out, pool, grain), which returns the number of changed
+/// vertices and appends exactly those cells to `out`, plus state access.
 template <typename E>
-concept Engine = requires(E& e, const E& ce) {
-    { e.step() } -> std::convertible_to<std::size_t>;
+concept Engine = requires(E& e, const E& ce, std::vector<CellChange>& out, ThreadPool* pool,
+                          std::size_t grain) {
+    { e.step_collect(out, pool, grain) } -> std::convertible_to<std::size_t>;
     { ce.colors() } -> std::convertible_to<const ColorField&>;
     { ce.round() } -> std::convertible_to<std::uint32_t>;
 };
 
-/// Engines that report the exact cells they changed (all in-tree engines
-/// do); foreign engines fall back to a per-round diff against a kept copy.
-template <typename E>
-concept ChangeReportingEngine =
-    Engine<E> && requires(E& e, std::vector<CellChange>& out) {
-        { e.step_collect(out) } -> std::convertible_to<std::size_t>;
-    };
-
 inline constexpr std::uint32_t auto_round_cap(std::size_t num_vertices) noexcept {
     return static_cast<std::uint32_t>(4 * num_vertices + 64);
 }
-
-namespace run_detail {
-
-/// One engine round, with the changed cells appended to `out`. Prefers the
-/// pool-aware collecting overload, then the plain collecting one, then a
-/// diff against `prev` (kept across rounds) for foreign engines.
-template <Engine E>
-std::size_t step_engine(E& engine, const RunOptions& options, std::vector<CellChange>& out,
-                        ColorField& prev) {
-    if constexpr (requires { engine.step_collect(out, options.pool, options.parallel_grain); }) {
-        return engine.step_collect(out, options.pool, options.parallel_grain);
-    } else if constexpr (ChangeReportingEngine<E>) {
-        return engine.step_collect(out);
-    } else {
-        prev = engine.colors();
-        std::size_t changed;
-        if constexpr (requires { engine.step(options.pool, options.parallel_grain); }) {
-            changed = engine.step(options.pool, options.parallel_grain);
-        } else {
-            changed = engine.step();
-        }
-        if (changed != 0) append_changes(prev, engine.colors(), out);
-        return changed;
-    }
-}
-
-} // namespace run_detail
 
 /// Run `engine` until a terminal behaviour (see Termination and the header
 /// comment for the exact round accounting), notifying `options.observers`
@@ -174,10 +136,10 @@ RunResult run_to_terminal(E& engine, const RunOptions& options = {}) {
     if (distinct == 1) return finish(Termination::Monochromatic, engine.round());
 
     std::vector<CellChange> changes;
-    ColorField prev;  // used only by the foreign-engine diff fallback
     while (engine.round() < cap) {
         changes.clear();
-        const std::size_t changed = run_detail::step_engine(engine, options, changes, prev);
+        const std::size_t changed =
+            engine.step_collect(changes, options.pool, options.parallel_grain);
         const std::uint32_t r = engine.round();
 
         if (changed == 0 && options.stop_on_quiescence) {
@@ -210,29 +172,5 @@ RunResult run_to_terminal(E& engine, const RunOptions& options = {}) {
     }
     return finish(Termination::RoundLimit, engine.round());
 }
-
-/// Reusable bundle of options + observers: configure once, drive any
-/// engine. Thin sugar over run_to_terminal.
-class Runner {
-  public:
-    Runner() = default;
-    explicit Runner(RunOptions options) : options_(std::move(options)) {}
-
-    RunOptions& options() noexcept { return options_; }
-    const RunOptions& options() const noexcept { return options_; }
-
-    Runner& attach(Observer& observer) {
-        options_.observers.push_back(&observer);
-        return *this;
-    }
-
-    template <Engine E>
-    RunResult run(E& engine) const {
-        return run_to_terminal(engine, options_);
-    }
-
-  private:
-    RunOptions options_;
-};
 
 } // namespace dynamo

@@ -16,10 +16,7 @@
 // (property-tested per rule in tests/test_run.cpp and tests/test_rules.cpp).
 #pragma once
 
-#include <array>
 #include <stdexcept>
-#include <type_traits>
-#include <utility>
 
 #include "core/run/runner.hpp"
 #include "core/sim/active_engine.hpp"
@@ -29,16 +26,6 @@
 #include "grid/torus.hpp"
 
 namespace dynamo {
-
-/// Opaque rule wrapper: hides the rule's type from the packed fast-path
-/// dispatch, forcing the seed-style table-driven sweep (Backend::Generic).
-template <typename Rule>
-struct GenericRule {
-    Rule rule;
-    Color operator()(Color own, const std::array<Color, grid::kDegree>& nbr) const noexcept {
-        return rule(own, nbr);
-    }
-};
 
 /// Run the LocalRule `R` from `initial` until a terminal behaviour (see
 /// Termination). The monomorphized core of every rule's entry point: the
@@ -75,29 +62,24 @@ RunResult simulate_as(const grid::Torus& torus, const ColorField& initial,
 }
 
 /// Run a runtime rule functor from `initial` until a terminal behaviour.
-/// SmpRuleFn is recognized and forwarded to the packed path; any other
-/// functor type is opaque to the stencil engines, so only the table-driven
-/// generic sweep can step it - an explicit packed/active/bitplane request
-/// is refused loudly, never silently downgraded (a LocalRule type should
-/// use simulate_as<R>() or its registry entry instead).
+/// A functor type is opaque to the stencil engines, so only the
+/// table-driven generic sweep can step it - an explicit packed/active/
+/// bitplane request is refused loudly, never silently downgraded (a
+/// LocalRule type should use simulate_as<R>() or its registry entry
+/// instead).
 template <typename Rule>
 RunResult simulate_rule(const grid::Torus& torus, const ColorField& initial, Rule rule,
                         const RunOptions& options = {}) {
-    if constexpr (std::is_same_v<Rule, SmpRuleFn>) {
-        return simulate_as<sim::SmpRule>(torus, initial, options);
-    } else {
-        require_complete(torus, initial);
-        const Backend backend =
-            options.backend == Backend::Auto ? Backend::Generic : options.backend;
-        if (backend != Backend::Generic) {
-            throw std::invalid_argument(
-                backend_unsupported_message(backend, "<runtime functor>", "auto, generic") +
-                "; compile it as a LocalRule (simulate_as<R>() or a registry entry) for the "
-                "stencil engines");
-        }
-        BasicSyncEngine<GenericRule<Rule>> engine(torus, initial, GenericRule<Rule>{rule});
-        return run_to_terminal(engine, options);
+    require_complete(torus, initial);
+    const Backend backend = options.backend == Backend::Auto ? Backend::Generic : options.backend;
+    if (backend != Backend::Generic) {
+        throw std::invalid_argument(
+            backend_unsupported_message(backend, "<runtime functor>", "auto, generic") +
+            "; compile it as a LocalRule (simulate_as<R>() or a registry entry) for the "
+            "stencil engines");
     }
+    BasicSyncEngine<Rule> engine(torus, initial, rule);
+    return run_to_terminal(engine, options);
 }
 
 /// Run the SMP-Protocol from `initial` until a terminal behaviour.

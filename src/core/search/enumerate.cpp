@@ -1,8 +1,8 @@
 // dynamo/core/search/enumerate.cpp
 //
 // The seed-era serial full enumeration, kept verbatim as the oracle for
-// the quotiented driver and as the target of the core/search.hpp shims
-// (see enumerate.hpp for why its exact accounting is pinned).
+// the quotiented driver (see enumerate.hpp for why its exact accounting is
+// pinned).
 #include "core/search/enumerate.hpp"
 
 #include "core/blocks.hpp"

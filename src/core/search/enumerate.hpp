@@ -8,8 +8,7 @@
 // assume the lemmas under test.
 //
 // This driver is kept verbatim from the seed implementation for two jobs:
-//   * the thin-shim target of the legacy core/search.hpp entry points
-//     (seed call sites and their pinned tests keep exact behaviour,
+//   * the seed-era entry points (their pinned tests keep exact behaviour,
 //     including the sims == budget + 1 truncation accounting);
 //   * the brute-force oracle that the symmetry-reduced sharded driver
 //     (core/search/sharded.hpp) is tested against.

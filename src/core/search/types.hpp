@@ -7,8 +7,7 @@
 // complement over the palette. Two drivers share these records:
 //
 //   * core/search/enumerate.* - the seed-era serial full enumeration
-//     (every configuration, no quotienting), kept as the oracle and as
-//     the thin-shim target of core/search.hpp;
+//     (every configuration, no quotienting), kept as the oracle;
 //   * core/search/sharded.*   - the symmetry-reduced sharded driver that
 //     enumerates one representative per orbit of the torus symmetry
 //     group x non-seed color relabeling, deterministically decomposed

@@ -30,7 +30,7 @@
 // and per-rule in tests/test_rules.cpp). The bookkeeping is rule-agnostic
 // - "only vertices whose neighborhood changed can change" holds for every
 // deterministic local rule - so the engine is a template over the
-// LocalRule; `ActiveEngine` remains the SMP instantiation.
+// LocalRule.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +43,7 @@
 
 namespace dynamo::sim {
 
-template <LocalRule R = SmpRule>
+template <LocalRule R>
 class ActiveEngineT {
   public:
     /// Dirty segments tracked per row; a row collecting more disjoint
@@ -242,8 +242,5 @@ class ActiveEngineT {
     std::vector<std::uint32_t> next_active_rows_;
     std::uint32_t round_ = 0;
 };
-
-/// The SMP instantiation under its seed-era name.
-using ActiveEngine = ActiveEngineT<SmpRule>;
 
 } // namespace dynamo::sim

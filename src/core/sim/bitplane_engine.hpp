@@ -324,8 +324,8 @@ std::size_t bitplane_sweep(const grid::Torus& torus, const BitField& src, BitFie
     return changed.load(std::memory_order_relaxed);
 }
 
-/// The Backend::BitPlane engine. Satisfies the run layer's Engine and
-/// ChangeReportingEngine concepts; colors() serves the unpacked mirror.
+/// The Backend::BitPlane engine. Satisfies the run layer's Engine
+/// concept; colors() serves the unpacked mirror.
 template <LocalRule R>
 class BitplaneEngineT {
     static_assert(kBitplaneSupported<R>, "rule has no word-parallel bit-plane kernel; "

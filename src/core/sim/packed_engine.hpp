@@ -6,9 +6,8 @@
 // Semantically identical to the seed double-buffered engine under the same
 // rule (same synchronous round, same change counts, bit-identical
 // trajectories - tests/test_sim_packed.cpp, tests/test_rules.cpp); the
-// difference is purely the per-round cost. `PackedEngine` remains the SMP
-// instantiation for the seed-era call sites; the rule registry
-// (rules/registry.hpp) monomorphizes the others.
+// difference is purely the per-round cost. The rule registry
+// (rules/registry.hpp) monomorphizes one instantiation per rule.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +19,7 @@
 
 namespace dynamo::sim {
 
-template <LocalRule R = SmpRule>
+template <LocalRule R>
 class PackedEngineT {
   public:
     PackedEngineT(const grid::Torus& torus, ColorField initial)
@@ -69,8 +68,5 @@ class PackedEngineT {
     ColorField next_;
     std::uint32_t round_ = 0;
 };
-
-/// The SMP instantiation under its seed-era name.
-using PackedEngine = PackedEngineT<SmpRule>;
 
 } // namespace dynamo::sim

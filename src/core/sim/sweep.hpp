@@ -12,8 +12,7 @@
 // auto-vectorizable. Only columns 0 / n-1 and (for the torus serpentinus)
 // rows 0 / m-1 fall back to the precomputed table, O(m + n) cells of O(mn).
 // The stencil is rule-agnostic: any LocalRule rides the same fast path,
-// monomorphized per rule (rule_stencil_sweep<R>); smp_sweep is the SMP
-// instantiation under its seed-era name.
+// monomorphized per rule (rule_stencil_sweep<R>).
 //
 // Parallel decomposition: rows are split into contiguous bands, one
 // ThreadPool task per band (writes are row-disjoint, so results are
@@ -120,12 +119,6 @@ std::size_t rule_stencil_sweep(const grid::Torus& torus, const Color* src, Color
         changed.fetch_add(local, std::memory_order_relaxed);
     });
     return changed.load(std::memory_order_relaxed);
-}
-
-/// The SMP instantiation under its seed-era name.
-inline std::size_t smp_sweep(const grid::Torus& torus, const Color* src, Color* dst,
-                             ThreadPool* pool = nullptr, std::size_t grain = 1 << 14) {
-    return rule_stencil_sweep<SmpRule>(torus, src, dst, pool, grain);
 }
 
 /// Generic table-driven sweep for an arbitrary local rule (own color + 4

@@ -11,23 +11,19 @@
 // executed on a ThreadPool; results are bit-identical to the serial sweep
 // because writes are disjoint and reads never touch the write buffer.
 //
-// The engine is a template over a runtime rule functor so the SMP-Protocol
-// and the bi-color majority baselines of [15] (rules/majority.hpp) share
-// one driver. The sweep itself lives in core/sim/sweep.hpp: the SmpRuleFn
-// functor takes the packed-state cache-blocked stencil fast path, any
-// other functor takes the generic table-driven sweep. Compile-time
-// LocalRule types (core/sim/local_rule.hpp) get their own monomorphized
-// engines (PackedEngineT/ActiveEngineT via simulate_as); this functor
-// engine is the seed-style substrate they are oracle-tested against
-// (RuleFnOf<R> runs any LocalRule through it). Run-to-terminal drivers
-// live in core/run/ (runner.hpp / simulate.hpp); this header is just the
-// stepping substrate, exposed so examples and tests can single-step and
-// inspect intermediate states.
+// The engine is a template over a runtime rule functor (own color + 4
+// neighbor slot colors -> new color) and always takes the generic
+// table-driven sweep of core/sim/sweep.hpp: it is the reference engine the
+// monomorphized LocalRule engines (PackedEngineT/ActiveEngineT/
+// BitplaneEngineT via simulate_as) are oracle-tested against, and what
+// Backend::Generic runs (RuleFnOf<R> adapts any LocalRule to it).
+// Run-to-terminal drivers live in core/run/ (runner.hpp / simulate.hpp);
+// this header is just the stepping substrate, exposed so examples and
+// tests can single-step and inspect intermediate states.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "core/coloring.hpp"
@@ -38,19 +34,9 @@
 
 namespace dynamo {
 
-/// The SMP-Protocol as an engine rule functor. BasicSyncEngine recognizes
-/// this exact type and routes it through the packed stencil sweep.
-struct SmpRuleFn {
-    Color operator()(Color own, const std::array<Color, grid::kDegree>& nbr) const noexcept {
-        return smp_update(own, nbr);
-    }
-};
-
-/// The SMP rule as an opaque functor type: identical semantics to
-/// SmpRuleFn, but deliberately not recognized by the fast-path dispatch,
-/// so it runs the seed table-driven sweep. This is the baseline the packed
+/// The SMP-Protocol as a runtime rule functor: the baseline the packed
 /// engine is oracle-tested (tests/test_sim_packed.cpp) and benchmarked
-/// (bench/bench_perf_engine.cpp) against, and what Backend::Generic uses.
+/// (bench/bench_perf_engine.cpp) against.
 struct ReferenceSmpRule {
     Color operator()(Color own, const std::array<Color, grid::kDegree>& nbr) const noexcept {
         return smp_update(own, nbr);
@@ -58,8 +44,7 @@ struct ReferenceSmpRule {
 };
 
 /// Stepping engine, templated over the local rule (own color + 4 neighbor
-/// slot colors -> new color). Satisfies the run layer's Engine concept
-/// (and ChangeReportingEngine via step_collect).
+/// slot colors -> new color). Satisfies the run layer's Engine concept.
 template <typename Rule>
 class BasicSyncEngine {
   public:
@@ -71,7 +56,8 @@ class BasicSyncEngine {
     /// One synchronous round; returns the number of vertices that changed
     /// color. Deterministic for any pool/grain combination.
     std::size_t step(ThreadPool* pool = nullptr, std::size_t grain = 1 << 14) {
-        const std::size_t changed = sweep_once(pool, grain);
+        const std::size_t changed =
+            sim::rule_sweep(*torus_, cur_.data(), next_.data(), rule_, pool, grain);
         commit();
         return changed;
     }
@@ -81,7 +67,8 @@ class BasicSyncEngine {
     /// field copy.
     std::size_t step_collect(std::vector<CellChange>& out, ThreadPool* pool = nullptr,
                              std::size_t grain = 1 << 14) {
-        const std::size_t changed = sweep_once(pool, grain);
+        const std::size_t changed =
+            sim::rule_sweep(*torus_, cur_.data(), next_.data(), rule_, pool, grain);
         if (changed != 0) append_changes(cur_, next_, out);
         commit();
         return changed;
@@ -92,14 +79,6 @@ class BasicSyncEngine {
     std::uint32_t round() const noexcept { return round_; }
 
   private:
-    std::size_t sweep_once(ThreadPool* pool, std::size_t grain) {
-        if constexpr (std::is_same_v<Rule, SmpRuleFn>) {
-            return sim::smp_sweep(*torus_, cur_.data(), next_.data(), pool, grain);
-        } else {
-            return sim::rule_sweep(*torus_, cur_.data(), next_.data(), rule_, pool, grain);
-        }
-    }
-
     void commit() {
         cur_.swap(next_);
         ++round_;
@@ -111,7 +90,5 @@ class BasicSyncEngine {
     ColorField next_;
     std::uint32_t round_ = 0;
 };
-
-using SyncEngine = BasicSyncEngine<SmpRuleFn>;
 
 } // namespace dynamo

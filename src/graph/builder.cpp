@@ -94,8 +94,7 @@ RunResult run_graph_rule(const std::string& rule, const Graph& graph,
         PluralityThreshold t = PluralityThreshold::SimpleHalf;
         if (rule == "plurality-atleast2") t = PluralityThreshold::AtLeastTwo;
         if (rule == "plurality-strong") t = PluralityThreshold::StrongHalf;
-        sim::CsrGraphEngineT<PluralityRule> engine(graph, initial, PluralityRule{t});
-        return run_to_terminal(engine, options);
+        return simulate_plurality(graph, initial, t, options);
     }
     if (rule.rfind("threshold-", 0) == 0) {
         const int r = std::stoi(rule.substr(10));

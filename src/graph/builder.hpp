@@ -44,7 +44,7 @@ std::span<const char* const> known_graph_kinds() noexcept;
 /// The rule names run_graph_rule accepts.
 std::span<const char* const> known_graph_rules() noexcept;
 
-/// Run a named rule on `graph` from `initial` through the shared Runner
+/// Run a named rule on `graph` from `initial` through the shared run loop
 /// (CSR engine, pool-aware, observers honored). Throws on unknown names.
 RunResult run_graph_rule(const std::string& rule, const Graph& graph,
                          const ColorField& initial, const RunOptions& options);

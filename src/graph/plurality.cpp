@@ -1,10 +1,9 @@
 #include "graph/plurality.hpp"
 
 #include <array>
-#include <utility>
 
-#include "core/run/runner.hpp"
-#include "graph/graph_engine.hpp"
+#include "core/sim/csr_graph_engine.hpp"
+#include "graph/graph_rules.hpp"
 
 namespace dynamo::graphx {
 
@@ -73,36 +72,10 @@ std::size_t plurality_step(const Graph& graph, const ColorField& current, ColorF
     return changed;
 }
 
-GraphTrace simulate_plurality(const Graph& graph, const ColorField& initial,
-                              const GraphSimulationOptions& options) {
-    DYNAMO_REQUIRE(initial.size() == graph.num_vertices(), "field size mismatch");
-
-    // The run loop (termination detection, cycle hashing, monotonicity) is
-    // the shared Runner of core/run/; only the GraphTrace shape is local.
-    RunOptions run_options;
-    run_options.max_rounds = options.max_rounds;
-    run_options.target = options.target;
-    run_options.detect_cycles = options.detect_cycles;
-    run_options.pool = options.pool;
-    run_options.parallel_grain = options.parallel_grain;
-
-    GraphEngine engine(graph, initial, options.threshold);
-    RunResult result = run_to_terminal(engine, run_options);
-
-    GraphTrace trace;
-    trace.monochromatic = result.termination == Termination::Monochromatic;
-    trace.fixed_point = result.termination == Termination::FixedPoint;
-    trace.cycle = result.termination == Termination::Cycle;
-    trace.rounds = result.rounds;
-    trace.cycle_period = result.cycle_period;
-    trace.mono = result.mono;
-    trace.total_recolorings = result.total_recolorings;
-    trace.monotone = result.monotone;
-    if (options.target) {
-        trace.final_target_count = count_color(result.final_colors, *options.target);
-    }
-    trace.final_colors = std::move(result.final_colors);
-    return trace;
+RunResult simulate_plurality(const Graph& graph, const ColorField& initial,
+                             PluralityThreshold threshold, const RunOptions& options) {
+    sim::CsrGraphEngineT<PluralityRule> engine(graph, initial, PluralityRule{threshold});
+    return run_to_terminal(engine, options);
 }
 
 } // namespace dynamo::graphx

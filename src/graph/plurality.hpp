@@ -16,52 +16,24 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "core/coloring.hpp"
+#include "core/run/runner.hpp"
 #include "graph/graph.hpp"
-
-namespace dynamo {
-class ThreadPool;
-}
 
 namespace dynamo::graphx {
 
 enum class PluralityThreshold : std::uint8_t { AtLeastTwo, SimpleHalf, StrongHalf };
-
-struct GraphSimulationOptions {
-    std::uint32_t max_rounds = 0;  ///< 0 = automatic cap (4*|V| + 64)
-    std::optional<Color> target;   ///< track adoption / monotonicity of this color
-    bool detect_cycles = true;
-    PluralityThreshold threshold = PluralityThreshold::SimpleHalf;
-    ThreadPool* pool = nullptr;    ///< worker pool for the frontier sweep; nullptr = serial
-    std::size_t parallel_grain = 1 << 14;
-};
-
-struct GraphTrace {
-    bool monochromatic = false;
-    bool fixed_point = false;
-    bool cycle = false;
-    std::uint32_t rounds = 0;
-    std::uint32_t cycle_period = 0;
-    std::optional<Color> mono;
-    std::uint64_t total_recolorings = 0;
-    bool monotone = true;                 ///< w.r.t. options.target
-    std::size_t final_target_count = 0;   ///< |S_k| at termination
-    ColorField final_colors;
-
-    bool reached_mono(Color k) const { return monochromatic && mono && *mono == k; }
-};
 
 /// One synchronous round over the graph; returns number of changed
 /// vertices.
 std::size_t plurality_step(const Graph& graph, const ColorField& current, ColorField& next,
                            PluralityThreshold threshold);
 
-/// Full run through the shared Runner (core/run/runner.hpp) via
-/// graph/graph_engine.hpp - identical terminal-round semantics to the
-/// torus drivers.
-GraphTrace simulate_plurality(const Graph& graph, const ColorField& initial,
-                              const GraphSimulationOptions& options = {});
+/// Full run of the plurality rule with `threshold` through the shared run
+/// loop (run_to_terminal on the CSR graph engine, pool-aware, observers
+/// honored) - identical terminal-round semantics to the torus drivers.
+RunResult simulate_plurality(const Graph& graph, const ColorField& initial,
+                             PluralityThreshold threshold, const RunOptions& options = {});
 
 } // namespace dynamo::graphx

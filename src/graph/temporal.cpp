@@ -1,16 +1,13 @@
 #include "graph/temporal.hpp"
 
-#include <utility>
-
-#include "core/run/runner.hpp"
 #include "core/sim/csr_graph_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_rules.hpp"
 
 namespace dynamo::graphx {
 
-TemporalTrace simulate_temporal(const grid::Torus& torus, const ColorField& initial,
-                                const TemporalOptions& options) {
+RunResult simulate_temporal(const grid::Torus& torus, const ColorField& initial,
+                            const TemporalOptions& options, RunOptions run) {
     require_complete(torus, initial);
     DYNAMO_REQUIRE(options.edge_up >= 0.0 && options.edge_up <= 1.0,
                    "edge availability outside [0, 1]");
@@ -23,39 +20,17 @@ TemporalTrace simulate_temporal(const grid::Torus& torus, const ColorField& init
     const Graph graph = from_torus(torus);
     const TemporalSmpRule rule{options.edge_up, options.seed};
 
-    RunOptions run_options;
-    run_options.max_rounds = options.max_rounds != 0
-                                 ? options.max_rounds
-                                 : static_cast<std::uint32_t>(8 * n + 64);
-    run_options.target = options.target;
-    if (rule.time_varying()) {
-        run_options.detect_cycles = false;      // trajectories are round-dependent
-        run_options.stop_on_quiescence = false; // links may come back up
-    } else {
-        // edge_up == 1.0: every link is up every round, the process is the
-        // plain static SMP dynamics - a quiescent round IS terminal. The
-        // seed-era driver still ran with stop_on_quiescence = false here and
-        // spun no-op rounds to the cap on any non-monochromatic fixed point,
-        // reporting rounds == cap; exact semantics are pinned by
-        // Temporal.FullAvailabilityFixedPointStopsExactly.
-        run_options.detect_cycles = true;
-        run_options.stop_on_quiescence = true;
-    }
+    if (run.max_rounds == 0) run.max_rounds = static_cast<std::uint32_t>(8 * n + 64);
+    // edge_up < 1.0: trajectories are round-dependent and links may come
+    // back up, so neither a repeated state nor a quiescent round is
+    // terminal. edge_up == 1.0: every link is up every round, the process
+    // is the plain static SMP dynamics - a quiescent round IS terminal
+    // (pinned by Temporal.FullAvailabilityFixedPointStopsExactly).
+    run.detect_cycles = !rule.time_varying();
+    run.stop_on_quiescence = !rule.time_varying();
 
     sim::CsrGraphEngineT<TemporalSmpRule> engine(graph, initial, rule);
-    RunResult result = run_to_terminal(engine, run_options);
-
-    TemporalTrace trace;
-    trace.monochromatic = result.termination == Termination::Monochromatic;
-    trace.mono = result.mono;
-    trace.rounds = result.rounds;
-    trace.total_recolorings = result.total_recolorings;
-    trace.monotone = result.monotone;
-    if (options.target) {
-        trace.final_target_count = count_color(result.final_colors, *options.target);
-    }
-    trace.final_colors = std::move(result.final_colors);
-    return trace;
+    return run_to_terminal(engine, run);
 }
 
 } // namespace dynamo::graphx

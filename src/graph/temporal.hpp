@@ -15,36 +15,26 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "core/coloring.hpp"
+#include "core/run/runner.hpp"
 #include "grid/torus.hpp"
 
 namespace dynamo::graphx {
 
 struct TemporalOptions {
-    double edge_up = 1.0;          ///< per-round availability of each edge
-    std::uint64_t seed = 0x7e3;    ///< availability stream seed
-    std::uint32_t max_rounds = 0;  ///< 0 = automatic cap (8*|V| + 64)
-    std::optional<Color> target;   ///< track monotonicity / adoption of k
-};
-
-struct TemporalTrace {
-    bool monochromatic = false;
-    std::optional<Color> mono;
-    std::uint32_t rounds = 0;
-    std::uint64_t total_recolorings = 0;
-    bool monotone = true;
-    std::size_t final_target_count = 0;
-    ColorField final_colors;
-
-    bool reached_mono(Color k) const { return monochromatic && mono && *mono == k; }
+    double edge_up = 1.0;        ///< per-round availability of each edge
+    std::uint64_t seed = 0x7e3;  ///< availability stream seed
 };
 
 /// Simulate the SMP-Protocol on `torus` under intermittent edge
 /// availability. With edge_up == 1.0 this reproduces core::simulate()
-/// exactly (asserted in tests).
-TemporalTrace simulate_temporal(const grid::Torus& torus, const ColorField& initial,
-                                const TemporalOptions& options);
+/// exactly (asserted in tests). `run.max_rounds == 0` selects this
+/// model's own cap of 8*|V| + 64; `run.detect_cycles` and
+/// `run.stop_on_quiescence` are set from the model (both off while links
+/// flicker, both on at edge_up == 1.0); the remaining fields (target,
+/// pool, observers) apply as given.
+RunResult simulate_temporal(const grid::Torus& torus, const ColorField& initial,
+                            const TemporalOptions& options, RunOptions run = {});
 
 } // namespace dynamo::graphx

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/run/result.hpp"
+
 namespace dynamo::io {
 
 std::string render_field(const grid::Torus& torus, const ColorField& field, Color k) {

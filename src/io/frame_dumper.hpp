@@ -4,8 +4,7 @@
 // initial and final states), ready for
 // `ffmpeg -i frame_%03d.ppm wave.gif`. Replaces the hand-rolled dump loop
 // of examples/wavefront_frames. Lives in io/ (not core/run/) so the core
-// run API does not depend on this layer; attach via RunOptions::observers
-// or Runner::attach.
+// run API does not depend on this layer; attach via RunOptions::observers.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,8 @@
 // by construction.
 #include "scenario/merge.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -34,10 +36,22 @@ std::string need_string(const Json& record, const char* key, const std::string& 
     return value.as_string();
 }
 
-std::uint64_t need_number(const Json& record, const char* key, const std::string& source) {
+/// A non-negative integer member that fits T. Negative, fractional and
+/// oversized values are rejected, never wrapped into a plausible one.
+template <typename T>
+T need_number(const Json& record, const char* key, const std::string& source) {
     const Json& value = need(record, key, source);
     if (!value.is_number()) bad(source, std::string("'") + key + "' is not a number");
-    return static_cast<std::uint64_t>(value.as_int());
+    std::int64_t v = -1;  // stays negative (rejected) unless the number is an exact integer
+    try {
+        v = value.as_int();
+    } catch (const std::invalid_argument&) {
+    }
+    constexpr auto kMax = std::numeric_limits<T>::max();
+    if (v < 0 || static_cast<std::uint64_t>(v) > kMax)
+        bad(source, std::string("'") + key + "' is not an integer in [0, " +
+                        std::to_string(kMax) + "]: " + value.number_lexeme());
+    return static_cast<T>(v);
 }
 
 /// One shard artifact decoded into the campaign driver's own structures.
@@ -66,18 +80,15 @@ ParsedShard parse_shard(const ShardArtifact& artifact) {
         if (!description->is_string()) bad(artifact.source, "'description' is not a string");
         shard.header.description = description->as_string();
     }
-    shard.header.repetitions = need_number(root, "repetitions", artifact.source);
-    shard.header.seed = need_number(root, "seed", artifact.source);
+    shard.header.repetitions = need_number<std::uint64_t>(root, "repetitions", artifact.source);
+    shard.header.seed = need_number<std::uint64_t>(root, "seed", artifact.source);
 
     const Json* layout = root.find("shard");
     if (layout != nullptr) {
         if (!layout->is_object()) bad(artifact.source, "'shard' is not an object");
-        shard.shard_index =
-            static_cast<unsigned>(need_number(*layout, "index", artifact.source));
-        shard.shard_count =
-            static_cast<unsigned>(need_number(*layout, "count", artifact.source));
-        shard.total_points =
-            static_cast<std::size_t>(need_number(*layout, "total_points", artifact.source));
+        shard.shard_index = need_number<unsigned>(*layout, "index", artifact.source);
+        shard.shard_count = need_number<unsigned>(*layout, "count", artifact.source);
+        shard.total_points = need_number<std::size_t>(*layout, "total_points", artifact.source);
         if (shard.shard_count == 0) bad(artifact.source, "shard count is zero");
         if (shard.shard_index >= shard.shard_count)
             bad(artifact.source, "shard index out of range");
@@ -92,10 +103,8 @@ ParsedShard parse_shard(const ShardArtifact& artifact) {
         CampaignPoint point;
         // Unsharded artifacts omit "index" (classic format); reconstruct
         // it from the slot, which IS the expansion index when N == 1.
-        point.spec.index = layout != nullptr
-                               ? static_cast<std::size_t>(
-                                     need_number(record, "index", artifact.source))
-                               : slot;
+        point.spec.index =
+            layout != nullptr ? need_number<std::size_t>(record, "index", artifact.source) : slot;
         const Json& params = need(record, "params", artifact.source);
         if (!params.is_object()) bad(artifact.source, "point 'params' is not an object");
         for (const auto& [k, v] : params.as_object()) {
@@ -109,8 +118,7 @@ ParsedShard parse_shard(const ShardArtifact& artifact) {
                 bad(artifact.source, "point metric '" + k + "' is not a string");
             point.result.metrics[k] = v.as_string();
         }
-        point.result.exit_code =
-            static_cast<int>(need_number(record, "exit_code", artifact.source));
+        point.result.exit_code = need_number<int>(record, "exit_code", artifact.source);
         if (const Json* report = record.find("report")) {
             if (!report->is_string()) bad(artifact.source, "point 'report' is not a string");
             point.result.report = report->as_string();

@@ -195,10 +195,13 @@ void HttpServer::serve_forever(
             }
         }
 
+        // MSG_NOSIGNAL: a client that reset the connection must cost one
+        // EPIPE here, not a process-killing SIGPIPE.
         const std::string wire = render_http_response(response);
         std::size_t sent = 0;
         while (sent < wire.size()) {
-            const ssize_t n = ::write(fd, wire.data() + sent, wire.size() - sent);
+            const ssize_t n =
+                ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
             if (n <= 0) break;
             sent += static_cast<std::size_t>(n);
         }

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/blocks.hpp"
-#include "core/engine.hpp"
+#include "core/run/simulate.hpp"
 #include "util/rng.hpp"
 
 namespace dynamo {
@@ -182,10 +182,10 @@ TEST_P(BlockInvariance, KBlockMembersNeverRecolor) {
         Torus t(topo, 7, 8);
         ColorField f = random_field(t, 4, rng);
         const auto blocks = find_k_blocks(t, f, 1);
-        SimulationOptions opts;
+        RunOptions opts;
         opts.max_rounds = 64;
         opts.detect_cycles = true;
-        const Trace trace = simulate(t, f, opts);
+        const RunResult trace = simulate(t, f, opts);
         for (const auto& block : blocks) {
             for (const grid::VertexId v : block) {
                 ASSERT_EQ(trace.final_colors[v], 1)
@@ -202,9 +202,9 @@ TEST_P(BlockInvariance, NonKBlockMembersNeverAdoptK) {
         Torus t(topo, 7, 8);
         ColorField f = random_field(t, 4, rng);
         const auto nblocks = find_non_k_blocks(t, f, 1);
-        SimulationOptions opts;
+        RunOptions opts;
         opts.max_rounds = 64;
-        const Trace trace = simulate(t, f, opts);
+        const RunResult trace = simulate(t, f, opts);
         for (const auto& block : nblocks) {
             for (const grid::VertexId v : block) {
                 ASSERT_NE(trace.final_colors[v], 1)
@@ -287,9 +287,9 @@ TEST(Lemma1, DerivedSetsCannotOutgrowTheBoundingBox) {
         for (std::uint32_t i = 2; i <= 4; ++i)
             for (std::uint32_t j = 2; j <= 4; ++j) f[t.index(i, j)] = 1;
         const BoundingBox before = color_bounding_box(t, f, 1);
-        SimulationOptions opts;
+        RunOptions opts;
         opts.max_rounds = 64;
-        const Trace trace = simulate(t, f, opts);
+        const RunResult trace = simulate(t, f, opts);
         const BoundingBox after = color_bounding_box(t, trace.final_colors, 1);
         EXPECT_LE(after.rows, before.rows) << trial;
         EXPECT_LE(after.cols, before.cols) << trial;

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/builders.hpp"
-#include "core/engine.hpp"
+#include "core/run/simulate.hpp"
 
 namespace dynamo {
 namespace {
@@ -24,15 +24,15 @@ ColorField checkerboard(const Torus& t, Color a, Color b) {
 TEST(Engine, RejectsIncompleteFields) {
     Torus t(Topology::ToroidalMesh, 4, 4);
     ColorField too_small(7, 1);
-    EXPECT_THROW(SyncEngine(t, too_small), std::invalid_argument);
+    EXPECT_THROW(sim::PackedEngineT<sim::SmpRule>(t, too_small), std::invalid_argument);
     ColorField with_unset(t.size(), 1);
     with_unset[3] = kUnset;
-    EXPECT_THROW(SyncEngine(t, with_unset), std::invalid_argument);
+    EXPECT_THROW(sim::PackedEngineT<sim::SmpRule>(t, with_unset), std::invalid_argument);
 }
 
 TEST(Engine, MonochromaticInputTerminatesAtRoundZero) {
     Torus t(Topology::TorusCordalis, 4, 4);
-    const Trace trace = simulate(t, ColorField(t.size(), 3));
+    const RunResult trace = simulate(t, ColorField(t.size(), 3));
     EXPECT_EQ(trace.termination, Termination::Monochromatic);
     EXPECT_EQ(trace.rounds, 0u);
     ASSERT_TRUE(trace.mono.has_value());
@@ -43,14 +43,14 @@ TEST(Engine, CheckerboardOscillatesWithPeriodTwo) {
     // On an even torus every vertex sees 4x the opposite color, so the whole
     // board flips each round: the canonical period-2 limit cycle.
     Torus t(Topology::ToroidalMesh, 4, 4);
-    const Trace trace = simulate(t, checkerboard(t, 1, 2));
+    const RunResult trace = simulate(t, checkerboard(t, 1, 2));
     EXPECT_EQ(trace.termination, Termination::Cycle);
     EXPECT_EQ(trace.cycle_period, 2u);
 }
 
 TEST(Engine, CheckerboardStepFlipsEveryVertex) {
     Torus t(Topology::ToroidalMesh, 4, 4);
-    SyncEngine engine(t, checkerboard(t, 1, 2));
+    sim::PackedEngineT<sim::SmpRule> engine(t, checkerboard(t, 1, 2));
     const std::size_t changed = engine.step();
     EXPECT_EQ(changed, t.size());
     EXPECT_EQ(engine.colors(), checkerboard(t, 2, 1));
@@ -61,9 +61,9 @@ TEST(Engine, StalledStripesAreAFixedPointWithZeroRecolorings) {
     // The Figure-4 counterexample: no recoloring can arise at all.
     Torus t(Topology::ToroidalMesh, 6, 7);
     const Configuration cfg = build_fig4_stalled_configuration(t);
-    SimulationOptions opts;
+    RunOptions opts;
     opts.target = cfg.k;
-    const Trace trace = simulate(t, cfg.field, opts);
+    const RunResult trace = simulate(t, cfg.field, opts);
     EXPECT_EQ(trace.termination, Termination::FixedPoint);
     EXPECT_EQ(trace.rounds, 0u);
     EXPECT_EQ(trace.total_recolorings, 0u);
@@ -72,10 +72,10 @@ TEST(Engine, StalledStripesAreAFixedPointWithZeroRecolorings) {
 
 TEST(Engine, RoundLimitIsHonored) {
     Torus t(Topology::ToroidalMesh, 4, 4);
-    SimulationOptions opts;
+    RunOptions opts;
     opts.max_rounds = 1;
     opts.detect_cycles = false;
-    const Trace trace = simulate(t, checkerboard(t, 1, 2), opts);
+    const RunResult trace = simulate(t, checkerboard(t, 1, 2), opts);
     EXPECT_EQ(trace.termination, Termination::RoundLimit);
     EXPECT_EQ(trace.rounds, 1u);
 }
@@ -83,9 +83,9 @@ TEST(Engine, RoundLimitIsHonored) {
 TEST(Engine, TargetBookkeepingOnADynamo) {
     Torus t(Topology::ToroidalMesh, 6, 6);
     const Configuration cfg = build_theorem2_configuration(t);
-    SimulationOptions opts;
+    RunOptions opts;
     opts.target = cfg.k;
-    const Trace trace = simulate(t, cfg.field, opts);
+    const RunResult trace = simulate(t, cfg.field, opts);
     ASSERT_TRUE(trace.reached_mono(cfg.k));
     EXPECT_TRUE(trace.monotone);
 
@@ -127,9 +127,9 @@ TEST(Engine, DetectsNonMonotoneTargetEvolution) {
     f[t.index(0, 1)] = 2;
     f[t.index(2, 1)] = 2;
     f[t.index(1, 0)] = 2;
-    SimulationOptions opts;
+    RunOptions opts;
     opts.target = 1;
-    const Trace trace = simulate(t, f, opts);
+    const RunResult trace = simulate(t, f, opts);
     EXPECT_FALSE(trace.monotone);
     EXPECT_EQ(count_color(trace.final_colors, 1), 0u);
 }
@@ -138,17 +138,17 @@ TEST(Engine, SerialAndParallelTracesAreIdentical) {
     Torus t(Topology::TorusCordalis, 24, 31);
     const Configuration cfg = build_theorem4_configuration(t);
 
-    SimulationOptions serial;
+    RunOptions serial;
     serial.target = cfg.k;
-    const Trace a = simulate(t, cfg.field, serial);
+    const RunResult a = simulate(t, cfg.field, serial);
 
     for (const unsigned workers : {2u, 3u, 5u}) {
         ThreadPool pool(workers);
-        SimulationOptions par;
+        RunOptions par;
         par.target = cfg.k;
         par.pool = &pool;
         par.parallel_grain = 8;  // force multi-block execution
-        const Trace b = simulate(t, cfg.field, par);
+        const RunResult b = simulate(t, cfg.field, par);
         EXPECT_EQ(a.termination, b.termination) << workers;
         EXPECT_EQ(a.rounds, b.rounds) << workers;
         EXPECT_EQ(a.k_time, b.k_time) << workers;
@@ -160,7 +160,7 @@ TEST(Engine, SerialAndParallelTracesAreIdentical) {
 TEST(Engine, StepCountsChangedVerticesExactly) {
     Torus t(Topology::ToroidalMesh, 8, 8);
     const Configuration cfg = build_full_cross_configuration(t);
-    SyncEngine engine(t, cfg.field);
+    sim::PackedEngineT<sim::SmpRule> engine(t, cfg.field);
     ColorField before = engine.colors();
     const std::size_t changed = engine.step();
     std::size_t expected = 0;
@@ -175,7 +175,7 @@ TEST(Engine, MonochromaticStateIsAFixedPointOfTheRule) {
     // Invariant claimed in the header: once monochromatic, forever
     // monochromatic (any unanimous neighborhood re-adopts itself).
     Torus t(Topology::TorusSerpentinus, 5, 5);
-    SyncEngine engine(t, ColorField(t.size(), 4));
+    sim::PackedEngineT<sim::SmpRule> engine(t, ColorField(t.size(), 4));
     EXPECT_EQ(engine.step(), 0u);
     EXPECT_TRUE(is_monochromatic(engine.colors(), 4));
 }
@@ -183,9 +183,9 @@ TEST(Engine, MonochromaticStateIsAFixedPointOfTheRule) {
 TEST(Engine, TraceRecoloringsMatchWaveSizesOnMonotoneRun) {
     Torus t(Topology::ToroidalMesh, 7, 9);
     const Configuration cfg = build_full_cross_configuration(t);
-    SimulationOptions opts;
+    RunOptions opts;
     opts.target = cfg.k;
-    const Trace trace = simulate(t, cfg.field, opts);
+    const RunResult trace = simulate(t, cfg.field, opts);
     ASSERT_TRUE(trace.reached_mono(cfg.k));
     // On a monotone run where only k-adoptions happen, total recolorings
     // equal the non-seed vertex count.

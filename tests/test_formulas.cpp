@@ -7,7 +7,7 @@
 #include "core/bounds.hpp"
 #include "core/builders.hpp"
 #include "core/dynamo.hpp"
-#include "core/engine.hpp"
+#include "core/run/simulate.hpp"
 
 namespace dynamo {
 namespace {
@@ -15,8 +15,8 @@ namespace {
 using grid::Topology;
 using grid::Torus;
 
-Trace run_with_target(const Torus& t, const Configuration& cfg) {
-    SimulationOptions opts;
+RunResult run_with_target(const Torus& t, const Configuration& cfg) {
+    RunOptions opts;
     opts.target = cfg.k;
     return simulate(t, cfg.field, opts);
 }
@@ -26,7 +26,7 @@ Trace run_with_target(const Torus& t, const Configuration& cfg) {
 TEST(Figure5, ExactRecoloringTimeMatrix) {
     Torus t(Topology::ToroidalMesh, 5, 5);
     const Configuration cfg = build_full_cross_configuration(t);
-    const Trace trace = run_with_target(t, cfg);
+    const RunResult trace = run_with_target(t, cfg);
     ASSERT_TRUE(trace.reached_mono(cfg.k));
 
     const std::uint32_t expected[5][5] = {{0, 0, 0, 0, 0},
@@ -50,7 +50,7 @@ TEST(Figure5, PerCellTimesMatchTheAdditiveWaveFormula) {
         for (std::uint32_t n = 4; n <= 12; n += 3) {
             Torus t(Topology::ToroidalMesh, m, n);
             const Configuration cfg = build_full_cross_configuration(t);
-            const Trace trace = run_with_target(t, cfg);
+            const RunResult trace = run_with_target(t, cfg);
             ASSERT_TRUE(trace.reached_mono(cfg.k)) << m << "x" << n;
             for (std::uint32_t i = 0; i < m; ++i) {
                 for (std::uint32_t j = 0; j < n; ++j) {
@@ -69,7 +69,7 @@ TEST(Theorem7, PaperFormulaExactOnSquareMeshes) {
     for (std::uint32_t s = 3; s <= 16; ++s) {
         Torus t(Topology::ToroidalMesh, s, s);
         const Configuration cfg = build_full_cross_configuration(t);
-        const Trace trace = run_with_target(t, cfg);
+        const RunResult trace = run_with_target(t, cfg);
         ASSERT_TRUE(trace.reached_mono(cfg.k));
         EXPECT_EQ(trace.rounds, mesh_rounds_paper(s, s)) << s;
     }
@@ -82,7 +82,7 @@ TEST(Theorem7, DerivedSumFormulaExactOnAllMeshes) {
         for (std::uint32_t n = 3; n <= 12; ++n) {
             Torus t(Topology::ToroidalMesh, m, n);
             const Configuration cfg = build_full_cross_configuration(t);
-            const Trace trace = run_with_target(t, cfg);
+            const RunResult trace = run_with_target(t, cfg);
             ASSERT_TRUE(trace.reached_mono(cfg.k)) << m << "x" << n;
             EXPECT_EQ(trace.rounds, mesh_rounds_cross_derived(m, n)) << m << "x" << n;
         }
@@ -104,7 +104,7 @@ TEST(Theorem7, MinimalConfigurationIsWithinOneRoundOfTheCrossFormula) {
         for (std::uint32_t n = 3; n <= 11; ++n) {
             Torus t(Topology::ToroidalMesh, m, n);
             const Configuration cfg = build_theorem2_configuration(t);
-            const Trace trace = run_with_target(t, cfg);
+            const RunResult trace = run_with_target(t, cfg);
             ASSERT_TRUE(trace.reached_mono(cfg.k)) << m << "x" << n;
             const std::uint32_t cross = mesh_rounds_cross_derived(m, n);
             EXPECT_GE(trace.rounds, cross) << m << "x" << n;
@@ -121,7 +121,7 @@ TEST(Theorem7, MinimalConfigurationGoldenValues) {
     for (const auto& g : golden) {
         Torus t(Topology::ToroidalMesh, g.m, g.n);
         const Configuration cfg = build_theorem2_configuration(t);
-        const Trace trace = run_with_target(t, cfg);
+        const RunResult trace = run_with_target(t, cfg);
         EXPECT_EQ(trace.rounds, g.rounds) << g.m << "x" << g.n;
     }
 }
@@ -131,7 +131,7 @@ TEST(Theorem7, MinimalConfigurationGoldenValues) {
 TEST(Figure6, ExactRecoloringTimeMatrix) {
     Torus t(Topology::TorusCordalis, 5, 5);
     const Configuration cfg = build_theorem4_configuration(t);
-    const Trace trace = run_with_target(t, cfg);
+    const RunResult trace = run_with_target(t, cfg);
     ASSERT_TRUE(trace.reached_mono(cfg.k));
 
     const std::uint32_t expected[5][5] = {{0, 0, 0, 0, 0},
@@ -155,7 +155,7 @@ TEST(Theorem8, PaperFormulaExactForOddRowsOnCordalis) {
         for (std::uint32_t n = 3; n <= 11; ++n) {
             Torus t(Topology::TorusCordalis, m, n);
             const Configuration cfg = build_theorem4_configuration(t);
-            const Trace trace = run_with_target(t, cfg);
+            const RunResult trace = run_with_target(t, cfg);
             ASSERT_TRUE(trace.reached_mono(cfg.k)) << m << "x" << n;
             EXPECT_EQ(trace.rounds, spiral_rounds_paper(m, n)) << m << "x" << n;
         }
@@ -168,7 +168,7 @@ TEST(Theorem8, PaperFormulaExactForOddRowsOnSerpentinus) {
         for (std::uint32_t n = 3; n <= m; ++n) {
             Torus t(Topology::TorusSerpentinus, m, n);
             const Configuration cfg = build_theorem4_configuration(t);
-            const Trace trace = run_with_target(t, cfg);
+            const RunResult trace = run_with_target(t, cfg);
             ASSERT_TRUE(trace.reached_mono(cfg.k)) << m << "x" << n;
             EXPECT_EQ(trace.rounds, spiral_rounds_paper(m, n)) << m << "x" << n;
         }
@@ -182,7 +182,7 @@ TEST(Theorem8, DerivedFormulaExactForAllRows) {
         for (std::uint32_t n = 3; n <= 12; ++n) {
             Torus t(Topology::TorusCordalis, m, n);
             const Configuration cfg = build_theorem4_configuration(t);
-            const Trace trace = run_with_target(t, cfg);
+            const RunResult trace = run_with_target(t, cfg);
             ASSERT_TRUE(trace.reached_mono(cfg.k)) << m << "x" << n;
             EXPECT_EQ(trace.rounds, spiral_rounds_derived(m, n)) << m << "x" << n;
         }
@@ -209,7 +209,7 @@ TEST(Theorem8, SerpentinusColumnOrientationGoldenValues) {
     for (const auto& g : golden) {
         Torus t(Topology::TorusSerpentinus, g.m, g.n);
         const Configuration cfg = build_theorem6_configuration(t);
-        const Trace trace = run_with_target(t, cfg);
+        const RunResult trace = run_with_target(t, cfg);
         ASSERT_TRUE(trace.reached_mono(cfg.k)) << g.m << "x" << g.n;
         EXPECT_EQ(trace.rounds, g.rounds) << g.m << "x" << g.n;
     }
@@ -233,7 +233,7 @@ TEST(SizeBounds, WavefrontNeverExceedsBoundsOnDynamoRuns) {
     // mean wavefront is at least that ratio.
     Torus t(Topology::ToroidalMesh, 9, 9);
     const Configuration cfg = build_theorem2_configuration(t);
-    const Trace trace = run_with_target(t, cfg);
+    const RunResult trace = run_with_target(t, cfg);
     ASSERT_TRUE(trace.reached_mono(cfg.k));
     std::size_t recolored = 0;
     for (std::uint32_t r = 1; r < trace.newly_k.size(); ++r) recolored += trace.newly_k[r];

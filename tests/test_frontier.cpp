@@ -4,8 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/builders.hpp"
-#include "core/engine.hpp"
-#include "core/frontier_engine.hpp"
+#include "core/run/simulate.hpp"
 #include "util/rng.hpp"
 
 namespace dynamo {
@@ -14,7 +13,7 @@ namespace {
 using grid::Topology;
 using grid::Torus;
 
-TEST(FrontierEngine, MatchesFullSweepOnRandomFields) {
+TEST(ActiveFrontier, MatchesFullSweepOnRandomFields) {
     Xoshiro256 rng(0xf407);
     for (const Topology topo :
          {Topology::ToroidalMesh, Topology::TorusCordalis, Topology::TorusSerpentinus}) {
@@ -23,8 +22,8 @@ TEST(FrontierEngine, MatchesFullSweepOnRandomFields) {
             ColorField f(t.size());
             for (auto& c : f) c = static_cast<Color>(1 + rng.below(4));
 
-            SyncEngine full(t, f);
-            FrontierEngine frontier(t, f);
+            sim::PackedEngineT<sim::SmpRule> full(t, f);
+            sim::ActiveEngineT<sim::SmpRule> frontier(t, f);
             for (int r = 0; r < 40; ++r) {
                 const std::size_t ca = full.step();
                 const std::size_t cb = frontier.step();
@@ -36,7 +35,7 @@ TEST(FrontierEngine, MatchesFullSweepOnRandomFields) {
     }
 }
 
-TEST(FrontierEngine, MatchesFullSweepThroughOscillations) {
+TEST(ActiveFrontier, MatchesFullSweepThroughOscillations) {
     // The checkerboard flips forever; the frontier must keep tracking it.
     Torus t(Topology::ToroidalMesh, 6, 6);
     ColorField f(t.size());
@@ -44,8 +43,8 @@ TEST(FrontierEngine, MatchesFullSweepThroughOscillations) {
         const auto c = t.coord(v);
         f[v] = ((c.i + c.j) % 2 == 0) ? 1 : 2;
     }
-    SyncEngine full(t, f);
-    FrontierEngine frontier(t, f);
+    sim::PackedEngineT<sim::SmpRule> full(t, f);
+    sim::ActiveEngineT<sim::SmpRule> frontier(t, f);
     for (int r = 0; r < 10; ++r) {
         full.step();
         frontier.step();
@@ -53,26 +52,27 @@ TEST(FrontierEngine, MatchesFullSweepThroughOscillations) {
     }
 }
 
-TEST(FrontierEngine, DynamoRunsReachTheSameFixedPoint) {
+TEST(ActiveFrontier, DynamoRunsReachTheSameFixedPoint) {
     for (const Topology topo :
          {Topology::ToroidalMesh, Topology::TorusCordalis, Topology::TorusSerpentinus}) {
         Torus t(topo, 11, 9);
         const Configuration cfg = build_minimum_dynamo(t);
-        const Trace reference = simulate(t, cfg.field);
+        const RunResult reference = simulate(t, cfg.field);
 
-        FrontierEngine engine(t, cfg.field);
-        const std::uint32_t rounds = frontier_run(engine, 4 * static_cast<std::uint32_t>(t.size()));
-        EXPECT_EQ(rounds, reference.rounds) << to_string(topo);
+        sim::ActiveEngineT<sim::SmpRule> engine(t, cfg.field);
+        RunOptions opts;
+        opts.detect_cycles = false;
+        EXPECT_EQ(run_to_terminal(engine, opts).rounds, reference.rounds) << to_string(topo);
         EXPECT_TRUE(is_monochromatic(engine.colors(), cfg.k)) << to_string(topo);
     }
 }
 
-TEST(FrontierEngine, FrontierShrinksToTheWave) {
+TEST(ActiveFrontier, FrontierShrinksToTheWave) {
     // After the first sweep the frontier must be a small band, not O(|V|):
     // the whole point of the ablation.
     Torus t(Topology::ToroidalMesh, 40, 40);
     const Configuration cfg = build_theorem2_configuration(t);
-    FrontierEngine engine(t, cfg.field);
+    sim::ActiveEngineT<sim::SmpRule> engine(t, cfg.field);
     engine.step();  // full first sweep
     engine.step();
     // The wave involves O(m+n) cells per round; allow generous slack.
@@ -80,20 +80,20 @@ TEST(FrontierEngine, FrontierShrinksToTheWave) {
     EXPECT_GT(engine.frontier_size(), 0u);
 }
 
-TEST(FrontierEngine, StallPatternEmptiesTheFrontierImmediately) {
+TEST(ActiveFrontier, StallPatternEmptiesTheFrontierImmediately) {
     Torus t(Topology::ToroidalMesh, 8, 9);
     const Configuration cfg = build_fig4_stalled_configuration(t);
-    FrontierEngine engine(t, cfg.field);
+    sim::ActiveEngineT<sim::SmpRule> engine(t, cfg.field);
     EXPECT_EQ(engine.step(), 0u);
     EXPECT_EQ(engine.frontier_size(), 0u);
     EXPECT_EQ(engine.colors(), cfg.field);
 }
 
-TEST(FrontierEngine, RejectsIncompleteFields) {
+TEST(ActiveFrontier, RejectsIncompleteFields) {
     Torus t(Topology::ToroidalMesh, 4, 4);
     ColorField bad(t.size(), 1);
     bad[0] = kUnset;
-    EXPECT_THROW(FrontierEngine(t, bad), std::invalid_argument);
+    EXPECT_THROW(sim::ActiveEngineT<sim::SmpRule>(t, bad), std::invalid_argument);
 }
 
 } // namespace

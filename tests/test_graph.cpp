@@ -6,7 +6,7 @@
 #include <set>
 
 #include "core/builders.hpp"
-#include "core/engine.hpp"
+#include "core/run/simulate.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/plurality.hpp"
@@ -53,7 +53,8 @@ TEST(Generators, BarabasiAlbertShape) {
     const Graph g = barabasi_albert(n, m_attach, rng);
     EXPECT_EQ(g.num_vertices(), n);
     // clique edges + m per subsequent vertex
-    const std::size_t expected_edges = (m_attach + 1) * m_attach / 2 + (n - m_attach - 1) * m_attach;
+    const std::size_t expected_edges =
+        (m_attach + 1) * m_attach / 2 + (n - m_attach - 1) * m_attach;
     EXPECT_EQ(g.num_edges(), expected_edges);
     EXPECT_EQ(g.connected_components(), 1u);
     // Scale-free signature: hubs far above the mean degree.
@@ -113,15 +114,13 @@ TEST(PluralityEngine, MatchesTorusEngineOnAdaptedGraphs) {
         const Configuration cfg = build_minimum_dynamo(t);
         const Graph g = from_torus(t);
 
-        const Trace torus_trace = simulate(t, cfg.field);
-        GraphSimulationOptions gopts;
-        gopts.threshold = PluralityThreshold::AtLeastTwo;
+        const RunResult torus_trace = simulate(t, cfg.field);
+        RunOptions gopts;
         gopts.target = cfg.k;
-        const GraphTrace graph_trace = simulate_plurality(g, cfg.field, gopts);
+        const RunResult graph_trace =
+            simulate_plurality(g, cfg.field, PluralityThreshold::AtLeastTwo, gopts);
 
-        EXPECT_EQ(graph_trace.monochromatic,
-                  torus_trace.termination == Termination::Monochromatic)
-            << to_string(topo);
+        EXPECT_EQ(graph_trace.termination, torus_trace.termination) << to_string(topo);
         EXPECT_EQ(graph_trace.rounds, torus_trace.rounds) << to_string(topo);
         EXPECT_EQ(graph_trace.final_colors, torus_trace.final_colors) << to_string(topo);
     }
@@ -165,10 +164,8 @@ TEST(PluralityEngine, DetectsCyclesAndFixedPoints) {
     // Two vertices joined by two parallel edges flip each other forever
     // under AtLeastTwo (each sees the other's color twice).
     const Graph g = Graph::from_edges(2, {{0, 1}, {0, 1}});
-    GraphSimulationOptions opts;
-    opts.threshold = PluralityThreshold::AtLeastTwo;
-    const GraphTrace trace = simulate_plurality(g, {1, 2}, opts);
-    EXPECT_TRUE(trace.cycle);
+    const RunResult trace = simulate_plurality(g, {1, 2}, PluralityThreshold::AtLeastTwo);
+    EXPECT_EQ(trace.termination, Termination::Cycle);
     EXPECT_EQ(trace.cycle_period, 2u);
 }
 
@@ -176,13 +173,12 @@ TEST(PluralityEngine, TracksTargetMonotonicity) {
     Torus t(Topology::ToroidalMesh, 6, 6);
     const Configuration cfg = build_theorem2_configuration(t);
     const Graph g = from_torus(t);
-    GraphSimulationOptions opts;
-    opts.threshold = PluralityThreshold::AtLeastTwo;
+    RunOptions opts;
     opts.target = cfg.k;
-    const GraphTrace trace = simulate_plurality(g, cfg.field, opts);
+    const RunResult trace = simulate_plurality(g, cfg.field, PluralityThreshold::AtLeastTwo, opts);
     EXPECT_TRUE(trace.reached_mono(cfg.k));
     EXPECT_TRUE(trace.monotone);
-    EXPECT_EQ(trace.final_target_count, t.size());
+    EXPECT_EQ(count_color(trace.final_colors, cfg.k), t.size());
 }
 
 } // namespace

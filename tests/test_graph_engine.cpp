@@ -13,13 +13,12 @@
 #include "analysis/histogram.hpp"
 #include "analysis/survival.hpp"
 #include "core/builders.hpp"
-#include "core/engine.hpp"
+#include "core/run/simulate.hpp"
 #include "core/sim/csr_graph_engine.hpp"
 #include "core/sim/kernels.hpp"
 #include "core/transform.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "graph/graph_engine.hpp"
 #include "graph/graph_rules.hpp"
 #include "graph/temporal.hpp"
 #include "io/run_stream.hpp"
@@ -163,7 +162,7 @@ TEST(CsrEngineDifferential, LocalRuleAdapterOnFourRegularGraphs) {
     }();
     expect_matches_oracle(g, bicolor, LocalRuleOnGraph<sim::SmpRule>{}, 30, "expander/smp");
     // The registry's run_graph entry drives the same engine through the
-    // shared Runner: spot-check rounds/terminal agreement per rule.
+    // shared run loop: spot-check rounds/terminal agreement per rule.
     for (const rules::RuleInfo* info : rules::all_rules()) {
         RunOptions opts;
         const RunResult run = info->run_graph(g, bicolor, opts);
@@ -275,25 +274,26 @@ TEST(MigratedDrivers, SimulatePluralityPoolInvariant) {
     Xoshiro256 rng(0x5EED);
     const Graph g = barabasi_albert(300, 2, rng);
     const ColorField f = random_field(300, 0x1234, 3);
-    GraphSimulationOptions serial;
+    RunOptions serial;
     serial.target = 1;
-    GraphSimulationOptions pooled = serial;
+    RunOptions pooled = serial;
     ThreadPool pool(3);
     pooled.pool = &pool;
     pooled.parallel_grain = 5;
 
-    const GraphTrace a = simulate_plurality(g, f, serial);
-    const GraphTrace b = simulate_plurality(g, f, pooled);
+    const RunResult a = simulate_plurality(g, f, PluralityThreshold::SimpleHalf, serial);
+    const RunResult b = simulate_plurality(g, f, PluralityThreshold::SimpleHalf, pooled);
     EXPECT_EQ(a.rounds, b.rounds);
     EXPECT_EQ(a.total_recolorings, b.total_recolorings);
     EXPECT_EQ(a.final_colors, b.final_colors);
     EXPECT_EQ(a.monotone, b.monotone);
 }
 
-TEST(MigratedDrivers, GraphEngineMatchesPluralityStep) {
+TEST(MigratedDrivers, PluralityRuleEngineMatchesPluralityStep) {
     const Graph g = lollipop(6, 20);
     const ColorField f = random_field(26, 0x77, 3);
-    GraphEngine engine(g, f, PluralityThreshold::SimpleHalf);
+    sim::CsrGraphEngineT<PluralityRule> engine(g, f,
+                                               PluralityRule{PluralityThreshold::SimpleHalf});
     ColorField cur = f, next;
     for (int r = 0; r < 12; ++r) {
         const std::size_t expect = plurality_step(g, cur, next, PluralityThreshold::SimpleHalf);
@@ -488,8 +488,9 @@ TEST(TemporalMigration, IntermittentRecoloringsAreExactCellCounts) {
     TemporalOptions opts;
     opts.edge_up = 0.55;
     opts.seed = 31;
-    opts.max_rounds = 120;
-    const TemporalTrace trace = simulate_temporal(t, cfg.field, opts);
+    RunOptions run;
+    run.max_rounds = 120;
+    const RunResult trace = simulate_temporal(t, cfg.field, opts, run);
 
     // Replay the identical process through the CSR engine and diff states.
     const Graph g = from_torus(t);

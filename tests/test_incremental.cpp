@@ -35,9 +35,9 @@ TEST(IncrementalRule, GradientFieldConvergesGradually) {
         f[t.index(i, 2)] = 4;
         f[t.index(i, 3)] = 4;
     }
-    SimulationOptions opts;
-    const Trace inc = rules::simulate_incremental(t, f, 4, opts);
-    const Trace smp = simulate(t, f, opts);
+    RunOptions opts;
+    const RunResult inc = rules::simulate_incremental(t, f, 4, opts);
+    const RunResult smp = simulate(t, f, opts);
     // Neither oscillates...
     EXPECT_NE(inc.termination, Termination::Cycle);
     EXPECT_NE(smp.termination, Termination::Cycle);
@@ -73,7 +73,7 @@ TEST(IncrementalRule, RejectsOutOfScaleColors) {
 
 TEST(IncrementalRule, MonochromaticIsFixed) {
     Torus t(Topology::TorusCordalis, 4, 4);
-    const Trace trace = rules::simulate_incremental(t, ColorField(t.size(), 3), 4);
+    const RunResult trace = rules::simulate_incremental(t, ColorField(t.size(), 3), 4);
     EXPECT_EQ(trace.termination, Termination::Monochromatic);
     EXPECT_EQ(trace.rounds, 0u);
 }

@@ -5,7 +5,7 @@
 #include <fstream>
 
 #include "core/builders.hpp"
-#include "core/engine.hpp"
+#include "core/run/simulate.hpp"
 #include "io/ascii.hpp"
 #include "io/csv.hpp"
 #include "io/ppm.hpp"

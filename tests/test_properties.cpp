@@ -22,7 +22,7 @@
 #include "core/builders.hpp"
 #include "core/conditions.hpp"
 #include "core/dynamo.hpp"
-#include "core/engine.hpp"
+#include "core/run/simulate.hpp"
 #include "core/search/sharded.hpp"
 #include "core/solver.hpp"
 #include "util/rng.hpp"
@@ -56,10 +56,10 @@ TEST(Metamorphic, ColorPermutationEquivariance) {
             ColorField g(f.size());
             for (std::size_t v = 0; v < f.size(); ++v) g[v] = pi[f[v]];
 
-            SimulationOptions opts;
+            RunOptions opts;
             opts.max_rounds = 50;
-            const Trace ta = simulate(t, f, opts);
-            const Trace tb = simulate(t, g, opts);
+            const RunResult ta = simulate(t, f, opts);
+            const RunResult tb = simulate(t, g, opts);
             ASSERT_EQ(ta.rounds, tb.rounds) << to_string(topo) << ' ' << trial;
             ASSERT_EQ(ta.termination, tb.termination) << to_string(topo) << ' ' << trial;
             for (std::size_t v = 0; v < f.size(); ++v) {
@@ -84,10 +84,10 @@ TEST(Metamorphic, TranslationEquivarianceOnTheMesh) {
                 g[t.index((i + di) % 8, (j + dj) % 8)] = f[t.index(i, j)];
             }
         }
-        SimulationOptions opts;
+        RunOptions opts;
         opts.max_rounds = 40;
-        const Trace ta = simulate(t, f, opts);
-        const Trace tb = simulate(t, g, opts);
+        const RunResult ta = simulate(t, f, opts);
+        const RunResult tb = simulate(t, g, opts);
         ASSERT_EQ(ta.rounds, tb.rounds) << trial;
         for (std::uint32_t i = 0; i < 8; ++i) {
             for (std::uint32_t j = 0; j < 8; ++j) {
@@ -112,10 +112,10 @@ TEST(Metamorphic, RowTranslationEquivarianceOnTheCordalis) {
                 g[t.index((i + di) % 7, j)] = f[t.index(i, j)];
             }
         }
-        SimulationOptions opts;
+        RunOptions opts;
         opts.max_rounds = 40;
-        const Trace ta = simulate(t, f, opts);
-        const Trace tb = simulate(t, g, opts);
+        const RunResult ta = simulate(t, f, opts);
+        const RunResult tb = simulate(t, g, opts);
         ASSERT_EQ(ta.rounds, tb.rounds) << trial;
         ASSERT_EQ(ta.termination, tb.termination) << trial;
     }
@@ -125,14 +125,14 @@ TEST(Metamorphic, TerminalStatesAreIdempotent) {
     Xoshiro256 rng(0x1de);
     for (int trial = 0; trial < 10; ++trial) {
         Torus t(Topology::ToroidalMesh, 7, 7);
-        SimulationOptions opts;
+        RunOptions opts;
         opts.max_rounds = 60;
-        const Trace first = simulate(t, random_field(t, 3, rng), opts);
+        const RunResult first = simulate(t, random_field(t, 3, rng), opts);
         if (first.termination != Termination::FixedPoint &&
             first.termination != Termination::Monochromatic) {
             continue;  // cycles are terminal but not fixed
         }
-        const Trace again = simulate(t, first.final_colors, opts);
+        const RunResult again = simulate(t, first.final_colors, opts);
         EXPECT_EQ(again.rounds, 0u) << trial;
         EXPECT_EQ(again.final_colors, first.final_colors) << trial;
     }

@@ -196,8 +196,8 @@ TEST(RuleVerify, QuickVerifyAndSearchVerifierBridgeConventions) {
     // Rule-convention quick verify: one black cell on a bi-color field.
     ColorField one_black(t.size(), kWhite);
     one_black[t.index(1, 1)] = kBlack;
-    EXPECT_TRUE(quick_verify_dynamo(t, one_black, kBlack, contagion).is_monotone);
-    EXPECT_FALSE(quick_verify_dynamo(t, one_black, kBlack, two_threshold).is_dynamo);
+    EXPECT_TRUE(contagion.quick_verify(t, one_black, kBlack).is_monotone);
+    EXPECT_FALSE(two_threshold.quick_verify(t, one_black, kBlack).is_dynamo);
 
     // Search-convention verifier: seeds hold color 1, complement color 2;
     // bi-color rules read the seeds as the black faction.
@@ -210,13 +210,13 @@ TEST(RuleVerify, QuickVerifyAndSearchVerifierBridgeConventions) {
     // Reusable across candidates (the search hot-loop contract).
     EXPECT_TRUE(v1->verify(search_field).is_monotone);
 
-    // The SMP verifier is the seed-era quick_verify_dynamo bit for bit.
+    // The SMP search verifier is the SMP entry's quick_verify bit for bit.
     Xoshiro256 rng(0xabcd);
     const auto smp_verifier = rules::smp_rule().make_search_verifier(t);
     for (int trial = 0; trial < 16; ++trial) {
         ColorField f(t.size());
         for (auto& c : f) c = static_cast<Color>(1 + rng.below(3));
-        const QuickVerdict direct = quick_verify_dynamo(t, f, 1);
+        const QuickVerdict direct = rules::smp_rule().quick_verify(t, f, 1);
         const QuickVerdict bridged = smp_verifier->verify(f);
         EXPECT_EQ(direct.is_dynamo, bridged.is_dynamo) << trial;
         EXPECT_EQ(direct.is_monotone, bridged.is_monotone) << trial;

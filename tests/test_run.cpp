@@ -1,20 +1,19 @@
-// Run-API tests: backend-independent terminal-round semantics (one Runner
-// over packed / active / generic engines, bit-identical RunResults),
-// ActiveEngine terminal behaviours driven through the Runner, observer
-// composition (census series, frame dumper, cycle detector), the
-// frontier_run compatibility shim, GraphEngine under the shared Runner,
-// and BatchRunner substream determinism.
+// Run-API tests: backend-independent terminal-round semantics (one run
+// loop over packed / active / generic engines, bit-identical RunResults),
+// active-engine terminal behaviours driven through run_to_terminal,
+// observer composition (census series, frame dumper, cycle detector), the
+// plurality graph engine under the shared run loop, and BatchRunner
+// substream determinism.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "analysis/census_series.hpp"
 #include "core/builders.hpp"
-#include "core/frontier_engine.hpp"
 #include "core/run/batch.hpp"
 #include "core/run/simulate.hpp"
 #include "graph/generators.hpp"
-#include "graph/graph_engine.hpp"
+#include "graph/plurality.hpp"
 #include "io/frame_dumper.hpp"
 #include "rules/registry.hpp"
 #include "util/rng.hpp"
@@ -143,9 +142,8 @@ TEST(RunBackends, EveryRegisteredRuleIsBitIdenticalAcrossBackends) {
 }
 
 TEST(RunBackends, TerminalRoundSemanticsAgreeOnQuiescence) {
-    // Satellite: quiescence accounting is defined once. A run that stalls
-    // on round r reports r-1 on every backend, and frontier_run (the old
-    // second implementation) agrees with simulate() by construction.
+    // Quiescence accounting is defined once: a run that stalls on round r
+    // reports r-1 on every backend.
     Torus t(Topology::ToroidalMesh, 6, 7);  // the Fig-4 pattern is mesh-only
     const Configuration cfg = build_fig4_stalled_configuration(t);
     for (const Backend backend : kBackends) {
@@ -158,21 +156,23 @@ TEST(RunBackends, TerminalRoundSemanticsAgreeOnQuiescence) {
     }
 }
 
-TEST(RunBackends, FrontierRunAgreesWithSimulateRounds) {
+TEST(RunBackends, ActiveEngineRunAgreesWithSimulateRounds) {
+    RunOptions opts;
+    opts.detect_cycles = false;
     for (const Topology topo : kTopologies) {
         Torus t(topo, 11, 9);
         const Configuration cfg = build_minimum_dynamo(t);
         const RunResult reference = simulate(t, cfg.field);
 
-        FrontierEngine engine(t, cfg.field);
-        const std::uint32_t rounds = frontier_run(engine, auto_round_cap(t.size()));
-        EXPECT_EQ(rounds, reference.rounds) << to_string(topo);
+        sim::ActiveEngineT<sim::SmpRule> engine(t, cfg.field);
+        EXPECT_EQ(run_to_terminal(engine, opts).rounds, reference.rounds) << to_string(topo);
         EXPECT_EQ(engine.colors(), reference.final_colors) << to_string(topo);
     }
     // Initially monochromatic: 0 rounds, no stepping needed to know it.
     Torus t(Topology::ToroidalMesh, 5, 5);
-    FrontierEngine engine(t, ColorField(t.size(), 2));
-    EXPECT_EQ(frontier_run(engine, 100), 0u);
+    sim::ActiveEngineT<sim::SmpRule> engine(t, ColorField(t.size(), 2));
+    opts.max_rounds = 100;
+    EXPECT_EQ(run_to_terminal(engine, opts).rounds, 0u);
     EXPECT_EQ(engine.round(), 0u);
 }
 
@@ -251,23 +251,12 @@ TEST(RunBackends, UnsupportedRuleBackendCombinationsFailLoudly) {
     }
 }
 
-TEST(RunBackends, FrontierRunZeroCapExecutesNoRounds) {
-    // Seed contract: max_rounds = 0 means "do not step" (the runner would
-    // read 0 as the automatic cap).
-    Torus t(Topology::ToroidalMesh, 6, 6);
-    const Configuration cfg = build_theorem2_configuration(t);
-    FrontierEngine engine(t, cfg.field);
-    EXPECT_EQ(frontier_run(engine, 0), 0u);
-    EXPECT_EQ(engine.round(), 0u);
-    EXPECT_EQ(engine.colors(), cfg.field);
-}
-
 TEST(RunBackends, CycleDetectionRejectedForTimeVaryingRules) {
     // stop_on_quiescence = false declares a time-varying rule, under which
     // state repetition proves nothing: the runner must refuse the
     // combination instead of reporting spurious period-1 cycles.
     Torus t(Topology::ToroidalMesh, 6, 6);
-    SyncEngine engine(t, checkerboard(t, 1, 2));
+    sim::PackedEngineT<sim::SmpRule> engine(t, checkerboard(t, 1, 2));
     RunOptions opts;
     opts.stop_on_quiescence = false;
     EXPECT_THROW(run_to_terminal(engine, opts), std::invalid_argument);
@@ -277,8 +266,8 @@ TEST(RunBackends, CycleDetectionRejectedForTimeVaryingRules) {
 }
 
 TEST(RunActive, CheckerboardLimitCycleThroughRunner) {
-    // ActiveEngine terminal behaviour 1: the period-2 checkerboard flip,
-    // previously only exercised on SyncEngine paths.
+    // Active-engine terminal behaviour 1: the period-2 checkerboard flip,
+    // previously only exercised on packed-engine paths.
     Torus t(Topology::ToroidalMesh, 4, 4);
     RunOptions opts;
     opts.backend = Backend::Active;
@@ -289,7 +278,7 @@ TEST(RunActive, CheckerboardLimitCycleThroughRunner) {
 }
 
 TEST(RunActive, NonMonochromaticFixedPointThroughRunner) {
-    // ActiveEngine terminal behaviour 2: runs that *evolve into* a
+    // Active-engine terminal behaviour 2: runs that *evolve into* a
     // non-monochromatic fixed point (not just start on one). Scan fixed
     // random seeds for such trajectories via the reference backend, then
     // require the active backend to classify them identically.
@@ -315,7 +304,7 @@ TEST(RunActive, NonMonochromaticFixedPointThroughRunner) {
 }
 
 TEST(RunActive, RoundLimitCapThroughRunner) {
-    // ActiveEngine terminal behaviour 3: the defensive cap.
+    // Active-engine terminal behaviour 3: the defensive cap.
     Torus t(Topology::ToroidalMesh, 4, 4);
     RunOptions opts;
     opts.backend = Backend::Active;
@@ -367,25 +356,25 @@ TEST(RunObservers, FrameDumperWritesOneFramePerSampledRound) {
     std::filesystem::remove_all(dir);
 }
 
-TEST(RunObservers, RunnerClassComposesObservers) {
+TEST(RunObservers, OptionsComposeObserversWithTargetTracking) {
     Torus t(Topology::ToroidalMesh, 6, 6);
     const Configuration cfg = build_theorem2_configuration(t);
 
     analysis::CensusSeries census;
-    Runner runner;
-    runner.options().target = cfg.k;
-    runner.attach(census);
+    RunOptions opts;
+    opts.target = cfg.k;
+    opts.observers.push_back(&census);
 
-    SyncEngine engine(t, cfg.field);
-    const RunResult result = runner.run(engine);
+    sim::PackedEngineT<sim::SmpRule> engine(t, cfg.field);
+    const RunResult result = run_to_terminal(engine, opts);
     EXPECT_TRUE(result.reached_mono(cfg.k));
     EXPECT_EQ(census.samples().size(), result.rounds + 1);
     EXPECT_EQ(result.newly_k.size(), result.rounds + 1);
 }
 
-TEST(RunGraph, GraphEngineMatchesTorusUnderSharedRunner) {
+TEST(RunGraph, PluralityMatchesTorusUnderSharedRunLoop) {
     // The AtLeastTwo threshold on the torus-adapted graph is exactly the
-    // SMP rule; the generic graph engine under the same Runner must
+    // SMP rule; the generic graph engine under the same run loop must
     // reproduce the torus result field for field.
     for (const Topology topo : kTopologies) {
         Torus t(topo, 7, 7);
@@ -393,8 +382,8 @@ TEST(RunGraph, GraphEngineMatchesTorusUnderSharedRunner) {
         const RunResult reference = simulate(t, cfg.field);
 
         const graphx::Graph graph = graphx::from_torus(t);
-        graphx::GraphEngine engine(graph, cfg.field, graphx::PluralityThreshold::AtLeastTwo);
-        const RunResult result = run_to_terminal(engine);
+        const RunResult result = graphx::simulate_plurality(
+            graph, cfg.field, graphx::PluralityThreshold::AtLeastTwo);
         EXPECT_EQ(result.termination, reference.termination) << to_string(topo);
         EXPECT_EQ(result.rounds, reference.rounds) << to_string(topo);
         EXPECT_EQ(result.total_recolorings, reference.total_recolorings) << to_string(topo);

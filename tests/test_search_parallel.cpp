@@ -18,6 +18,7 @@
 #include "core/search/enumerate.hpp"
 #include "core/search/portfolio.hpp"
 #include "core/search/sharded.hpp"
+#include "rules/registry.hpp"
 #include "util/rng.hpp"
 
 namespace dynamo {
@@ -230,9 +231,10 @@ TEST(ParallelSearch, TruncationIsReportedIdenticallySerialAndPooled) {
 }
 
 TEST(ParallelSearch, QuickVerdictMatchesVerifyDynamo) {
-    // The search verifies through quick_verify_dynamo (packed engine via
-    // run_to_terminal); it must classify exactly like the Trace-carrying
-    // verify_dynamo on random fields and on known dynamos.
+    // The search verifies through the SMP entry's quick_verify (packed
+    // engine via run_to_terminal); it must classify exactly like the
+    // RunResult-carrying verify_dynamo on random fields and on known
+    // dynamos.
     Xoshiro256 rng(0x9d1);
     for (const Topology topo :
          {Topology::ToroidalMesh, Topology::TorusCordalis, Topology::TorusSerpentinus}) {
@@ -241,13 +243,13 @@ TEST(ParallelSearch, QuickVerdictMatchesVerifyDynamo) {
             ColorField f(t.size());
             for (auto& c : f) c = static_cast<Color>(1 + rng.below(3));
             const DynamoVerdict slow = verify_dynamo(t, f, 1);
-            const QuickVerdict quick = quick_verify_dynamo(t, f, 1);
+            const QuickVerdict quick = rules::smp_rule().quick_verify(t, f, 1);
             ASSERT_EQ(quick.is_dynamo, slow.is_dynamo) << to_string(topo) << ' ' << trial;
             ASSERT_EQ(quick.is_monotone, slow.is_monotone) << to_string(topo) << ' ' << trial;
             ASSERT_EQ(quick.rounds, slow.trace.rounds) << to_string(topo) << ' ' << trial;
         }
         const Configuration cfg = build_minimum_dynamo(t);
-        EXPECT_TRUE(quick_verify_dynamo(t, cfg.field, cfg.k).is_monotone);
+        EXPECT_TRUE(rules::smp_rule().quick_verify(t, cfg.field, cfg.k).is_monotone);
     }
 }
 

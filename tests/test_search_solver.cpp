@@ -2,11 +2,12 @@
 // tiny tori, plus the backtracking condition solver.
 #include <gtest/gtest.h>
 
+#include "core/blocks.hpp"
 #include "core/bounds.hpp"
 #include "core/builders.hpp"
 #include "core/conditions.hpp"
 #include "core/dynamo.hpp"
-#include "core/search.hpp"
+#include "core/search/enumerate.hpp"
 #include "core/solver.hpp"
 #include "core/transform.hpp"
 

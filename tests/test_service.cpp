@@ -383,6 +383,33 @@ TEST(ShardMerge, ValidationRejectsIncoherentInputs) {
                  std::invalid_argument);
     // Garbage is rejected with the artifact named, not parsed around.
     EXPECT_THROW(merge_campaign_artifacts({{"junk", "{not json"}}), std::invalid_argument);
+
+    // Numbers that do not fit their field are rejected, not wrapped: a
+    // count of 2^32 + 2 used to merge as a 2-way split, and an exit code
+    // of 2^32 used to render a failed point as 0.
+    const auto patched = [](std::string text, const std::string& from, const std::string& to) {
+        const std::size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return text.replace(at, from.size(), to);
+    };
+    const auto expect_rejected_naming = [&](const std::string& source, const std::string& text,
+                                            const std::string& field) {
+        try {
+            merge_campaign_artifacts({{source, text}, {"s1", shard1}});
+            ADD_FAILURE() << field << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("'" + source + "'"), std::string::npos) << what;
+            EXPECT_NE(what.find("'" + field + "'"), std::string::npos) << what;
+        }
+    };
+    expect_rejected_naming("wide-count.json",
+                           patched(shard0, "\"count\": 2", "\"count\": 4294967298"), "count");
+    expect_rejected_naming("wide-exit.json",
+                           patched(shard0, "\"exit_code\": 0", "\"exit_code\": 4294967296"),
+                           "exit_code");
+    expect_rejected_naming("negative-index.json",
+                           patched(shard0, "\"index\": 0", "\"index\": -1"), "index");
 }
 
 TEST(ShardMerge, ShardRunsPopulateASharedCacheUnshardedRunsCanReuse) {
@@ -630,6 +657,43 @@ TEST(Service, LoopbackSocketEndToEnd) {
     server.stop();
     loop.join();
     wait_until_idle(service);
+}
+
+TEST(Service, ClientResetBeforeTheReplyLeavesTheServerUp) {
+    // A client that sends half a request head and then resets the
+    // connection (SO_LINGER {1, 0} turns close() into an RST) makes the
+    // server's reply hit a dead socket. That must cost the server one
+    // failed send, not the SIGPIPE that kills the whole process.
+    HttpServer server(0);
+    ASSERT_GT(server.port(), 0);
+    std::thread loop([&] {
+        server.serve_forever([](const HttpRequest&) {
+            return HttpResponse{200, "application/json", "{\"status\":\"ok\"}\n"};
+        });
+    });
+
+    for (int attempt = 0; attempt < 3; ++attempt) {
+        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        ASSERT_GE(fd, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        addr.sin_port = htons(server.port());
+        ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+        const std::string partial = "GET /healthz HTTP/1.1\r\nHost: loc";
+        ASSERT_EQ(::write(fd, partial.data(), partial.size()),
+                  static_cast<ssize_t>(partial.size()));
+        const linger reset{1, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+        ::close(fd);
+    }
+
+    const std::string health = http_exchange(
+        server.port(), "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n");
+    EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos);
+
+    server.stop();
+    loop.join();
 }
 
 } // namespace

@@ -5,7 +5,7 @@
 // m = 2 / n = 2 grids where neighbor slots alias.
 #include <gtest/gtest.h>
 
-#include "core/engine.hpp"
+#include "core/run/simulate.hpp"
 #include "core/sim/active_engine.hpp"
 #include "core/sim/bitplane_engine.hpp"
 #include "core/sim/kernels.hpp"
@@ -75,14 +75,14 @@ TEST(SimSweep, OneRoundMatchesNeighborCoordFormula) {
             }
 
             ColorField out(t.size());
-            sim::smp_sweep(t, f.data(), out.data());
+            sim::rule_stencil_sweep<sim::SmpRule>(t, f.data(), out.data());
             ASSERT_EQ(out, expected) << to_string(topo) << " " << m << "x" << n;
         }
     }
 }
 
 TEST(SimSweep, PackedTrajectoriesBitIdenticalToSeedEngine) {
-    // The acceptance oracle: SyncEngine (packed fast path) against the seed
+    // The acceptance oracle: the packed SMP engine against the seed
     // table-driven sweep (ReferenceSmpRule), lockstep, all topologies,
     // including degenerate and non-square sizes.
     Xoshiro256 rng(0x9a11);
@@ -92,7 +92,7 @@ TEST(SimSweep, PackedTrajectoriesBitIdenticalToSeedEngine) {
             const Torus t(topo, m, n);
             const ColorField f = random_field(t.size(), 4, rng);
 
-            SyncEngine packed(t, f);
+            sim::PackedEngineT<sim::SmpRule> packed(t, f);
             BasicSyncEngine<ReferenceSmpRule> seed(t, f);
             for (int r = 0; r < 30; ++r) {
                 const std::size_t ca = packed.step();
@@ -105,20 +105,6 @@ TEST(SimSweep, PackedTrajectoriesBitIdenticalToSeedEngine) {
     }
 }
 
-TEST(SimSweep, PackedEngineClassMatchesSyncEngine) {
-    Xoshiro256 rng(0xbeef);
-    for (const Topology topo : kTopologies) {
-        const Torus t(topo, 11, 13);
-        const ColorField f = random_field(t.size(), 5, rng);
-        SyncEngine adapter(t, f);
-        sim::PackedEngine packed(t, f);
-        for (int r = 0; r < 25; ++r) {
-            ASSERT_EQ(packed.step(), adapter.step()) << to_string(topo) << " round " << r;
-            ASSERT_EQ(packed.colors(), adapter.colors()) << to_string(topo) << " round " << r;
-        }
-    }
-}
-
 TEST(SimSweep, ParallelTiledSweepIsBitIdenticalToSerial) {
     // Determinism across decompositions: any pool size and any grain must
     // reproduce the serial sweep exactly (writes are row-disjoint).
@@ -127,8 +113,8 @@ TEST(SimSweep, ParallelTiledSweepIsBitIdenticalToSerial) {
     for (const Topology topo : kTopologies) {
         const Torus t(topo, 33, 17);
         const ColorField f = random_field(t.size(), 4, rng);
-        SyncEngine serial(t, f);
-        SyncEngine threaded(t, f);
+        sim::PackedEngineT<sim::SmpRule> serial(t, f);
+        sim::PackedEngineT<sim::SmpRule> threaded(t, f);
         for (int r = 0; r < 20; ++r) {
             const std::size_t ca = serial.step();
             const std::size_t cb = threaded.step(&pool, /*grain=*/1);
@@ -146,7 +132,7 @@ TEST(SimSweep, ColumnPanelBlockingIsBitIdentical) {
     for (const Topology topo : kTopologies) {
         const Torus t(topo, 3, n);
         const ColorField f = random_field(t.size(), 3, rng);
-        SyncEngine packed(t, f);
+        sim::PackedEngineT<sim::SmpRule> packed(t, f);
         BasicSyncEngine<ReferenceSmpRule> seed(t, f);
         for (int r = 0; r < 4; ++r) {
             ASSERT_EQ(packed.step(), seed.step()) << to_string(topo) << " round " << r;
@@ -161,8 +147,8 @@ TEST(SimActive, ActiveEngineMatchesPackedThroughOscillationsAndWaves) {
         for (int trial = 0; trial < 6; ++trial) {
             const Torus t(topo, 12, 10);
             const ColorField f = random_field(t.size(), 4, rng);
-            sim::PackedEngine full(t, f);
-            sim::ActiveEngine active(t, f);
+            sim::PackedEngineT<sim::SmpRule> full(t, f);
+            sim::ActiveEngineT<sim::SmpRule> active(t, f);
             for (int r = 0; r < 40; ++r) {
                 const std::size_t ca = full.step();
                 const std::size_t cb = active.step();
@@ -176,7 +162,7 @@ TEST(SimActive, ActiveEngineMatchesPackedThroughOscillationsAndWaves) {
 
 TEST(SimActive, FixedPointEmptiesTheActiveSet) {
     const Torus t(Topology::ToroidalMesh, 6, 6);
-    sim::ActiveEngine engine(t, ColorField(t.size(), 2));
+    sim::ActiveEngineT<sim::SmpRule> engine(t, ColorField(t.size(), 2));
     EXPECT_EQ(engine.step(), 0u);
     EXPECT_EQ(engine.frontier_size(), 0u);
     // Once empty the active set stays empty at zero per-round cost.

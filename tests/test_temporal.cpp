@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/builders.hpp"
-#include "core/engine.hpp"
+#include "core/run/simulate.hpp"
 #include "graph/temporal.hpp"
 
 namespace dynamo::graphx {
@@ -19,17 +19,15 @@ TEST(Temporal, FullAvailabilityMatchesTheStaticEngine) {
         Torus t(topo, 7, 6);
         const Configuration cfg = build_minimum_dynamo(t);
 
-        SimulationOptions sopts;
+        RunOptions sopts;
         sopts.target = cfg.k;
-        const Trace stat = simulate(t, cfg.field, sopts);
+        const RunResult stat = simulate(t, cfg.field, sopts);
 
         TemporalOptions topts;
         topts.edge_up = 1.0;
-        topts.target = cfg.k;
-        const TemporalTrace temp = simulate_temporal(t, cfg.field, topts);
+        const RunResult temp = simulate_temporal(t, cfg.field, topts, sopts);
 
-        EXPECT_EQ(temp.monochromatic, stat.termination == Termination::Monochromatic)
-            << to_string(topo);
+        EXPECT_EQ(temp.termination, stat.termination) << to_string(topo);
         EXPECT_EQ(temp.rounds, stat.rounds) << to_string(topo);
         EXPECT_EQ(temp.final_colors, stat.final_colors) << to_string(topo);
         EXPECT_EQ(temp.monotone, stat.monotone) << to_string(topo);
@@ -48,13 +46,13 @@ TEST(Temporal, FullAvailabilityFixedPointStopsExactly) {
     for (std::uint32_t r = 0; r < 6; ++r) {
         for (std::uint32_t c = 0; c < 6; ++c) bands[r * 6 + c] = r < 3 ? 1 : 2;
     }
-    const Trace stat = simulate(t, bands);
+    const RunResult stat = simulate(t, bands);
     ASSERT_EQ(stat.termination, Termination::FixedPoint);
 
     TemporalOptions opts;
     opts.edge_up = 1.0;
-    const TemporalTrace temp = simulate_temporal(t, bands, opts);
-    EXPECT_FALSE(temp.monochromatic);
+    const RunResult temp = simulate_temporal(t, bands, opts);
+    EXPECT_EQ(temp.termination, Termination::FixedPoint);
     EXPECT_EQ(temp.rounds, stat.rounds);
     EXPECT_LT(temp.rounds, 8 * t.size() + 64);  // the seed-era inflated value
     EXPECT_EQ(temp.total_recolorings, stat.total_recolorings);
@@ -69,8 +67,9 @@ TEST(Temporal, ZeroAvailabilityStopsAtExactRoundCount) {
     const Configuration cfg = build_theorem2_configuration(t);
     TemporalOptions opts;
     opts.edge_up = 0.0;
-    opts.max_rounds = 50;
-    const TemporalTrace trace = simulate_temporal(t, cfg.field, opts);
+    RunOptions run;
+    run.max_rounds = 50;
+    const RunResult trace = simulate_temporal(t, cfg.field, opts, run);
     EXPECT_EQ(trace.total_recolorings, 0u);
     EXPECT_EQ(trace.final_colors, cfg.field);
 }
@@ -80,9 +79,11 @@ TEST(Temporal, ZeroAvailabilityFreezesEverything) {
     const Configuration cfg = build_theorem2_configuration(t);
     TemporalOptions opts;
     opts.edge_up = 0.0;
-    opts.max_rounds = 50;
-    const TemporalTrace trace = simulate_temporal(t, cfg.field, opts);
-    EXPECT_FALSE(trace.monochromatic);
+    RunOptions run;
+    run.max_rounds = 50;
+    const RunResult trace = simulate_temporal(t, cfg.field, opts, run);
+    EXPECT_EQ(trace.termination, Termination::RoundLimit);
+    EXPECT_EQ(trace.rounds, 50u);
     EXPECT_EQ(trace.total_recolorings, 0u);
     EXPECT_EQ(trace.final_colors, cfg.field);
 }
@@ -93,15 +94,16 @@ TEST(Temporal, DeterministicPerSeed) {
     TemporalOptions opts;
     opts.edge_up = 0.6;
     opts.seed = 1234;
-    opts.max_rounds = 200;
-    const TemporalTrace a = simulate_temporal(t, cfg.field, opts);
-    const TemporalTrace b = simulate_temporal(t, cfg.field, opts);
+    RunOptions run;
+    run.max_rounds = 200;
+    const RunResult a = simulate_temporal(t, cfg.field, opts, run);
+    const RunResult b = simulate_temporal(t, cfg.field, opts, run);
     EXPECT_EQ(a.rounds, b.rounds);
     EXPECT_EQ(a.final_colors, b.final_colors);
     EXPECT_EQ(a.total_recolorings, b.total_recolorings);
 
     opts.seed = 4321;
-    const TemporalTrace c = simulate_temporal(t, cfg.field, opts);
+    const RunResult c = simulate_temporal(t, cfg.field, opts, run);
     // Different availability stream: almost surely a different trajectory
     // (identical traces would indicate the seed is being ignored).
     EXPECT_TRUE(a.rounds != c.rounds || a.total_recolorings != c.total_recolorings);
@@ -115,12 +117,12 @@ TEST(Temporal, DynamoStillFloodsUnderHighAvailability) {
     TemporalOptions opts;
     opts.edge_up = 0.9;
     opts.seed = 7;
-    opts.target = cfg.k;
-    opts.max_rounds = 4000;
-    const TemporalTrace trace = simulate_temporal(t, cfg.field, opts);
+    RunOptions run;
+    run.target = cfg.k;
+    run.max_rounds = 4000;
+    const RunResult trace = simulate_temporal(t, cfg.field, opts, run);
     EXPECT_TRUE(trace.reached_mono(cfg.k));
-    SimulationOptions sopts;
-    const Trace stat = simulate(t, cfg.field, sopts);
+    const RunResult stat = simulate(t, cfg.field);
     EXPECT_GE(trace.rounds, stat.rounds);
 }
 
