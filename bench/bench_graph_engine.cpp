@@ -114,7 +114,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     // flips the whole graph every round and favors the full sweep).
     const double density = args.get_double("density", 0.45);
     const auto cap = static_cast<std::uint32_t>(args.get_int("rounds", 256));
-    const std::uint64_t seed = args.get_uint64("seed", 0xC5A11);
+    const std::uint64_t seed = args.get_uint64("seed", 809489);
     const auto workers_arg = args.get_int("workers", 0);
     const unsigned workers =
         workers_arg > 0 ? static_cast<unsigned>(workers_arg) : ThreadPool::default_threads();
@@ -217,7 +217,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
         {"density", dynamo::scenario::ParamType::Double, "0.45", "",
          "per-vertex probability of black in the initial field"},
         {"rounds", dynamo::scenario::ParamType::Int, "256", "64", "round cap per arm"},
-        {"seed", dynamo::scenario::ParamType::Uint, "807185", "", "graph + field RNG seed"},
+        {"seed", dynamo::scenario::ParamType::Uint, "809489", "", "graph + field RNG seed"},
         {"workers", dynamo::scenario::ParamType::Int, "0", "2",
          "pooled-arm worker count (0 = hardware)"},
         {"target-speedup", dynamo::scenario::ParamType::Double, "5", "1",

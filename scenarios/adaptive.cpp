@@ -51,8 +51,6 @@ int run_mc_critical_density(Context& ctx) {
     const std::uint64_t seed = ctx.args.get_uint64("seed", 97111);
     const Backend backend =
         backend_from_name(ctx.args.get_string("backend", "auto")).value();
-    const std::string backend_error = rules::backend_support_error(backend, rule);
-    DYNAMO_REQUIRE(backend_error.empty(), backend_error);
 
     stats::RefineOptions refine;
     refine.ladder = static_cast<std::size_t>(ctx.args.get_int("ladder", 6));

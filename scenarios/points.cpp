@@ -51,10 +51,6 @@ int run_mc_density_point(Context& ctx) {
     const std::uint64_t seed = ctx.args.get_uint64("seed", 53261);
     const Backend backend =
         backend_from_name(ctx.args.get_string("backend", "auto")).value();
-    // Fail before any trial runs when this rule x backend combination is
-    // unsupported (the name itself was validated by the schema).
-    const std::string backend_error = rules::backend_support_error(backend, rule);
-    DYNAMO_REQUIRE(backend_error.empty(), backend_error);
 
     // ci_target > 0 switches the point to adaptive mode: the confidence
     // sequence decides the trial count, so an explicit trials= binding
@@ -242,8 +238,6 @@ int run_perf_smp_sweep(Context& ctx) {
     const rules::RuleInfo& rule = rules::rule_or_throw(ctx.args.get_string("rule", "smp"));
     const Backend backend =
         backend_from_name(ctx.args.get_string("backend", "packed")).value();
-    const std::string backend_error = rules::backend_support_error(backend, rule);
-    DYNAMO_REQUIRE(backend_error.empty(), backend_error);
 
     const grid::Torus torus(topo, m, n);
     const Configuration cfg = build_minimum_dynamo(torus);

@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "core/run/batch.hpp"
-#include "core/run/simulate.hpp"
 #include "rules/registry.hpp"
 
 namespace dynamo::analysis {
@@ -38,27 +37,27 @@ struct TrialOutcome {
     std::size_t final_k = 0;
 };
 
-void check_rule_backend(Color num_colors, const rules::RuleInfo* rule, Backend backend) {
-    if (rule == nullptr) return;
+/// The rule the trials run under: nullptr is the SMP protocol; an explicit
+/// rule must admit the palette.
+const rules::RuleInfo& trial_rule(Color num_colors, const rules::RuleInfo* rule) {
+    if (rule == nullptr) return rules::smp_rule();
     DYNAMO_REQUIRE(rule->admits_palette(num_colors),
                    std::string("palette size inadmissible for rule '") + rule->name + "'");
-    const std::string error = rules::backend_support_error(backend, *rule);
-    DYNAMO_REQUIRE(error.empty(), error);
+    return *rule;
 }
 
 /// One trial: a random coloring from the trial's private substream, run
 /// to termination. Shared verbatim by the fixed and adaptive paths, so an
 /// adaptive point's prefix is bit-identical to a fixed-trial run.
 TrialOutcome run_one_trial(const grid::Torus& torus, Color k, double density,
-                           Color num_colors, const rules::RuleInfo* rule, Backend backend,
+                           Color num_colors, const rules::RuleInfo& rule, Backend backend,
                            Xoshiro256& rng) {
     const ColorField initial = random_coloring(torus.size(), k, num_colors, density, rng);
     // Backend::Auto: each (serial) trial takes the active-set fast path;
     // parallelism is across trials, not within the sweep.
     RunOptions opts;
     opts.backend = backend;
-    const RunResult result =
-        rule != nullptr ? rule->run(torus, initial, opts) : simulate(torus, initial, opts);
+    const RunResult result = rule.run(torus, initial, opts);
     return {result.termination, result.rounds, result.mono,
             count_color(result.final_colors, k)};
 }
@@ -101,11 +100,11 @@ DensityPoint reduce_outcomes(const grid::Torus& torus, double density,
 DensityPoint run_density_point(const grid::Torus& torus, Color k, double density,
                                Color num_colors, std::size_t trials, std::uint64_t seed,
                                ThreadPool* pool, const rules::RuleInfo* rule, Backend backend) {
-    check_rule_backend(num_colors, rule, backend);
+    const rules::RuleInfo& trials_rule = trial_rule(num_colors, rule);
     std::vector<TrialOutcome> outcomes(trials);
     BatchRunner batch(pool);
     batch.run_trials(trials, seed, [&](std::size_t t, Xoshiro256& rng) {
-        outcomes[t] = run_one_trial(torus, k, density, num_colors, rule, backend, rng);
+        outcomes[t] = run_one_trial(torus, k, density, num_colors, trials_rule, backend, rng);
     });
     return reduce_outcomes(torus, density, outcomes, trials);
 }
@@ -116,7 +115,7 @@ AdaptiveDensityPoint run_density_point_adaptive(const grid::Torus& torus, Color 
                                                 const AdaptiveOptions& options,
                                                 ThreadPool* pool, const rules::RuleInfo* rule,
                                                 Backend backend) {
-    check_rule_backend(num_colors, rule, backend);
+    const rules::RuleInfo& trials_rule = trial_rule(num_colors, rule);
     std::vector<TrialOutcome> outcomes(options.max_trials);
     stats::SequentialOptions seq;
     seq.stopping = options.stopping;
@@ -125,7 +124,7 @@ AdaptiveDensityPoint run_density_point_adaptive(const grid::Torus& torus, Color 
     const stats::SequentialEstimator estimator(seq, pool);
     const stats::SequentialResult result =
         estimator.run(seed, [&](std::size_t t, Xoshiro256& rng) {
-            outcomes[t] = run_one_trial(torus, k, density, num_colors, rule, backend, rng);
+            outcomes[t] = run_one_trial(torus, k, density, num_colors, trials_rule, backend, rng);
             const bool is_k_mono = outcomes[t].termination == Termination::Monochromatic &&
                                    outcomes[t].mono && *outcomes[t].mono == k;
             return is_k_mono ? 1.0 : 0.0;

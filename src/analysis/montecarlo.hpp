@@ -92,10 +92,8 @@ ColorField random_coloring(std::size_t size, Color k, Color num_colors, double d
 /// seed-era behaviour bit for bit. `backend` selects the engine each
 /// trial steps (core/run/backend.hpp) - all backends produce identical
 /// outcomes, so the parameter exists for engine cross-validation and
-/// perf experiments; validate rule x backend support with
-/// rules::backend_support_error before calling. The caller owns the color
-/// conventions: k is the flooding target under that rule (kBlack for
-/// bi-color rules).
+/// perf experiments. The caller owns the color conventions: k is the
+/// flooding target under that rule (kBlack for bi-color rules).
 DensityPoint run_density_point(const grid::Torus& torus, Color k, double density,
                                Color num_colors, std::size_t trials, std::uint64_t seed,
                                ThreadPool* pool = nullptr,

@@ -27,10 +27,6 @@
 //          [--format=markdown|json]      comparison table (atlas-aware)
 //          [--out=FILE]
 //   dynamo cache stats|clear|merge [--cache-dir=DIR]
-//
-// The seed-era bench/example binaries are wrappers over the same registry
-// (app/compat_stub.cpp), so `bench_tab_thm1_mesh_bounds --max-dim=8` and
-// `dynamo run tab_thm1_mesh_bounds --max-dim=8` print the same report.
 #include <unistd.h>
 
 #include <chrono>
@@ -144,7 +140,7 @@ int cmd_run(int argc, char** argv) {
     // argv[2] (the scenario name) becomes the sub-parse's program name, so
     // strict validation sees only the scenario's own arguments.
     const CliArgs args(argc - 2, argv + 2, scenario::grammar(*s));
-    if (const std::string err = scenario::validate_args(*s, args, true); !err.empty()) {
+    if (const std::string err = scenario::validate_args(*s, args); !err.empty()) {
         std::cerr << "dynamo run: " << err << "\n";
         return 2;
     }

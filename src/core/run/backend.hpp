@@ -1,16 +1,15 @@
 // dynamo/core/run/backend.hpp
 //
 // The Backend enum and its name mapping: which stepping substrate
-// simulate()/simulate_as<R>()/simulate_rule() route a run through. PR 6
-// promoted this from a bare enum inside runner.hpp to a first-class API
-// surface: runtime layers (the `dynamo` CLI's `backend=` parameters,
+// simulate(), a registry rule's run and simulate_rule() route a run
+// through. Runtime layers (the `dynamo` CLI's `backend=` parameters,
 // campaign manifests) resolve names through backend_from_name() and get
 // their error lists from known_backend_names(), exactly like rule names
-// resolve through rules/registry.hpp. Capability queries - can THIS
-// backend step THIS rule? - live next to the rule metadata
-// (rules::backend_supports in rules/registry.hpp); the shared message
-// builder below keeps the compile-time refusal in simulate_as<R>() and
-// the runtime refusals byte-identical.
+// resolve through rules/registry.hpp. Every backend steps every registered
+// rule (the registry refuses at compile time a rule without a bit-plane
+// kernel); only a runtime rule functor is limited to the generic sweep,
+// and simulate_rule() refuses the rest through
+// backend_unsupported_message().
 #pragma once
 
 #include <cstdint>
@@ -46,10 +45,9 @@ std::optional<Backend> backend_from_name(std::string_view name) noexcept;
 std::string known_backend_names();
 
 /// The one actionable message for an unsupported rule x backend
-/// combination. Every refusal site (simulate_as<R> dispatch, the registry
-/// capability query, scenario validation) formats through this builder so
-/// the user sees the same text everywhere. `supported` names the backends
-/// that DO step the rule (e.g. "active, auto, generic, packed").
+/// combination (simulate_rule() refusing a stencil backend for a runtime
+/// functor). `supported` names the backends that DO step the rule (e.g.
+/// "auto, generic").
 std::string backend_unsupported_message(Backend backend, std::string_view rule_name,
                                         std::string_view supported);
 

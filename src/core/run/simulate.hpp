@@ -1,9 +1,12 @@
 // dynamo/core/run/simulate.hpp
 //
 // The torus-level entry points of the run API: simulate() (the
-// SMP-Protocol), simulate_as<R>() (any LocalRule on the packed fast path),
-// and simulate_rule() (any runtime rule functor), routed through a
-// Backend-selected engine and the shared run_to_terminal() driver.
+// SMP-Protocol) and simulate_rule() (any runtime rule functor), routed
+// through a Backend-selected engine and the shared run_to_terminal()
+// loop. Every other LocalRule runs through its registry entry
+// (rules::rule_or_throw(name).run, rules/registry.hpp): the registry is the
+// one place a rule type is compiled into engines, and simulate() is defined
+// there too, so no caller compiles its own copy of them.
 //
 // Backend::Auto picks the fastest correct substrate: a LocalRule goes
 // through the active-set engine - per-round cost O(frontier), the
@@ -14,6 +17,9 @@
 // a silent fallback). All backends produce bit-identical RunResults -
 // same trajectories, same terminal classification, same round accounting
 // (property-tested per rule in tests/test_run.cpp and tests/test_rules.cpp).
+//
+// The engine headers come along for code that steps an engine directly
+// (sim::ActiveEngineT<R>, sim::PackedEngineT<R>, sim::BitplaneEngineT<R>).
 #pragma once
 
 #include <stdexcept>
@@ -27,46 +33,11 @@
 
 namespace dynamo {
 
-/// Run the LocalRule `R` from `initial` until a terminal behaviour (see
-/// Termination). The monomorphized core of every rule's entry point: the
-/// registry (rules/registry.hpp) exposes exactly this function per
-/// registered rule.
-template <sim::LocalRule R>
-RunResult simulate_as(const grid::Torus& torus, const ColorField& initial,
-                      const RunOptions& options = {}) {
-    require_complete(torus, initial);
-    Backend backend = options.backend;
-    if (backend == Backend::Auto) backend = Backend::Active;
-
-    if (backend == Backend::Active) {
-        sim::ActiveEngineT<R> engine(torus, initial);
-        return run_to_terminal(engine, options);
-    }
-    if (backend == Backend::Generic) {
-        BasicSyncEngine<sim::RuleFnOf<R>> engine(torus, initial);
-        return run_to_terminal(engine, options);
-    }
-    if (backend == Backend::BitPlane) {
-        if constexpr (sim::kBitplaneSupported<R>) {
-            sim::BitplaneEngineT<R> engine(torus, initial);
-            return run_to_terminal(engine, options);
-        } else {
-            // A LocalRule without a word kernel: neither bi-color nor
-            // providing bitplane_apply. Refuse with the alternatives.
-            throw std::invalid_argument(backend_unsupported_message(
-                Backend::BitPlane, R::kName, "active, auto, generic, packed"));
-        }
-    }
-    sim::PackedEngineT<R> engine(torus, initial);
-    return run_to_terminal(engine, options);
-}
-
 /// Run a runtime rule functor from `initial` until a terminal behaviour.
 /// A functor type is opaque to the stencil engines, so only the
 /// table-driven generic sweep can step it - an explicit packed/active/
 /// bitplane request is refused loudly, never silently downgraded (a
-/// LocalRule type should use simulate_as<R>() or its registry entry
-/// instead).
+/// LocalRule type should get a registry entry instead).
 template <typename Rule>
 RunResult simulate_rule(const grid::Torus& torus, const ColorField& initial, Rule rule,
                         const RunOptions& options = {}) {
@@ -75,17 +46,15 @@ RunResult simulate_rule(const grid::Torus& torus, const ColorField& initial, Rul
     if (backend != Backend::Generic) {
         throw std::invalid_argument(
             backend_unsupported_message(backend, "<runtime functor>", "auto, generic") +
-            "; compile it as a LocalRule (simulate_as<R>() or a registry entry) for the "
-            "stencil engines");
+            "; compile it as a LocalRule (a registry entry) for the stencil engines");
     }
     BasicSyncEngine<Rule> engine(torus, initial, rule);
     return run_to_terminal(engine, options);
 }
 
-/// Run the SMP-Protocol from `initial` until a terminal behaviour.
-inline RunResult simulate(const grid::Torus& torus, const ColorField& initial,
-                          const RunOptions& options = {}) {
-    return simulate_as<sim::SmpRule>(torus, initial, options);
-}
+/// Run the SMP-Protocol from `initial` until a terminal behaviour (see
+/// Termination). The same compiled run as rules::smp_rule().run.
+RunResult simulate(const grid::Torus& torus, const ColorField& initial,
+                   const RunOptions& options = {});
 
 } // namespace dynamo

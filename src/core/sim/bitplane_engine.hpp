@@ -72,7 +72,7 @@ concept BitplaneWordRule = LocalRule<R> && requires(const Word* own, Word* out) 
 
 /// Can the bit-plane engine step R? Bi-color rules get the derived
 /// count-table kernel; multi-color rules need the bitplane_apply hook.
-/// This is the compile-time face of rules::backend_supports().
+/// The rule registry requires it of every registered rule.
 template <typename R>
 inline constexpr bool kBitplaneSupported =
     LocalRule<R> && (R::kMaxColors == 2 || BitplaneWordRule<R>);

@@ -7,8 +7,9 @@
 // rules of Berger and Asadi-Zaker, the ordered "+1" rule of [4]/[5]); a
 // LocalRule packages one member of that family as a *type* so the hot
 // layers - the three-row stencil kernels (core/sim/kernels.hpp), the
-// cache-blocked sweep (core/sim/sweep.hpp), the packed/active engines and
-// simulate_as<R>() - monomorphize per rule instead of special-casing SMP.
+// cache-blocked sweep (core/sim/sweep.hpp), the packed/active/bit-plane
+// engines and the rule registry's runs (rules/registry.cpp) - monomorphize
+// per rule instead of special-casing SMP.
 //
 // A LocalRule provides:
 //

@@ -15,7 +15,7 @@
 // neighbor slot colors -> new color) and always takes the generic
 // table-driven sweep of core/sim/sweep.hpp: it is the reference engine the
 // monomorphized LocalRule engines (PackedEngineT/ActiveEngineT/
-// BitplaneEngineT via simulate_as) are oracle-tested against, and what
+// BitplaneEngineT via the rule registry) are oracle-tested against, and what
 // Backend::Generic runs (RuleFnOf<R> adapts any LocalRule to it).
 // Run-to-terminal drivers live in core/run/ (runner.hpp / simulate.hpp);
 // this header is just the stepping substrate, exposed so examples and

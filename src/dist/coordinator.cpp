@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "dist/protocol.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace dynamo::dist {
@@ -190,7 +191,9 @@ std::size_t CampaignCoordinator::settled_points() const {
     return table_.settled() + ledger_.outcome().cached;
 }
 
-std::string CampaignCoordinator::fingerprint_hex() const { return hex16(ledger_.fingerprint()); }
+std::string CampaignCoordinator::fingerprint_hex() const {
+    return util::hex16(ledger_.fingerprint());
+}
 
 std::string CampaignCoordinator::summary() const {
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -4,9 +4,9 @@
 // for the endpoint table and the idempotence rule result_hash backs).
 #include "dist/protocol.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace dynamo::dist {
@@ -57,28 +57,14 @@ Json parse_object(const std::string& text, const char* where) {
 } // namespace
 
 std::uint64_t result_hash(const PointResult& result) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](const std::string& s) {
-        for (const unsigned char c : s) {
-            h ^= c;
-            h *= 0x100000001b3ULL;
-        }
-        h ^= 0xff;  // separator, as in the cache/checkpoint hashes
-        h *= 0x100000001b3ULL;
-    };
-    mix(std::to_string(result.exit_code));
+    util::Fnv1a h;
+    h.field(std::to_string(result.exit_code));
     for (const auto& [key, value] : result.metrics) {  // std::map: sorted
-        mix(key);
-        mix(value);
+        h.field(key);
+        h.field(value);
     }
-    mix(result.report);
-    return h;
-}
-
-std::string hex16(std::uint64_t value) {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(value));
-    return buf;
+    h.field(result.report);
+    return h.value();
 }
 
 std::string render_lease_request(const LeaseRequest& request) {

@@ -81,7 +81,7 @@ struct PointResult {
 struct CompleteRequest {
     std::string worker;
     std::uint64_t lease_id = 0;
-    /// hex16 campaign fingerprint the worker derived from GET /manifest;
+    /// util::hex16 campaign fingerprint the worker derived from GET /manifest;
     /// the coordinator 409s a mismatch so a worker can never deposit
     /// results into the wrong campaign.
     std::string fingerprint;
@@ -94,14 +94,10 @@ struct CompleteReply {
     std::size_t conflicts = 0;   ///< already settled, MISMATCHING hash (fatal)
 };
 
-/// FNV-1a 64 over a point result's full payload (exit code, sorted
-/// metrics, report) — the duplicate-vs-conflict discriminator. Pure and
-/// platform-stable, like scenario::cache_hash.
+/// FNV-1a 64 (util/hash.hpp) over a point result's full payload (exit
+/// code, sorted metrics, report) — the duplicate-vs-conflict
+/// discriminator. Pure and platform-stable, like scenario::cache_hash.
 std::uint64_t result_hash(const PointResult& result);
-
-/// 16-lowercase-hex-digit rendering of a 64-bit value (fingerprints on
-/// the wire; matches the checkpoint ledger's format).
-std::string hex16(std::uint64_t value);
 
 // Codecs. Every parse_* throws std::invalid_argument with an actionable
 // message on malformed input; render_* always produces a compact

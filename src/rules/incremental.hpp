@@ -28,8 +28,9 @@
 
 #include <array>
 
-#include "core/run/simulate.hpp"
+#include "core/sim/kernels.hpp"
 #include "core/smp_rule.hpp"
+#include "rules/registry.hpp"
 
 namespace dynamo::rules {
 
@@ -92,15 +93,15 @@ struct IncrementalRule {
     }
 };
 
-/// Simulate the incremental rule through the shared run API (core/run/),
-/// on the packed fast path.
+/// Simulate the incremental rule through its registry entry, on the
+/// stencil fast path.
 inline RunResult simulate_incremental(const grid::Torus& torus, const ColorField& initial,
                                       Color num_colors, const RunOptions& options = {}) {
     DYNAMO_REQUIRE(num_colors >= 2, "ordered rule needs at least two colors");
     for (const Color c : initial) {
         DYNAMO_REQUIRE(c >= 1 && c <= num_colors, "color outside the ordered scale");
     }
-    return simulate_as<IncrementalStep>(torus, initial, options);
+    return rule_or_throw(IncrementalStep::kName).run(torus, initial, options);
 }
 
 } // namespace dynamo::rules

@@ -19,10 +19,11 @@
 // functor (the seed-era API, and the oracle the packed path is tested
 // against), and Majority<K, T, Irrev> is the same decision as a branchless
 // LocalRule (core/sim/local_rule.hpp) so each configuration rides the
-// packed stencil sweep. simulate_majority() dispatches a MajorityRule onto
-// its monomorphized LocalRule, which is what turned the bi-color benches
-// into packed-path consumers. tests/test_rules.cpp pins kernel equality on
-// every (own, neighborhood) combination.
+// packed stencil sweep. simulate_majority() runs a MajorityRule through the
+// registry entry of its LocalRule (rules/registry.hpp), which is what
+// turned the bi-color benches into packed-path consumers.
+// tests/test_rules.cpp pins kernel equality on every (own, neighborhood)
+// combination.
 //
 // Colors follow core/transform.hpp: kWhite = 1, kBlack = 2. Fields holding
 // other colors are still well-defined (any non-black color counts as
@@ -32,8 +33,8 @@
 
 #include <array>
 
-#include "core/run/simulate.hpp"
 #include "core/transform.hpp"
+#include "rules/registry.hpp"
 
 namespace dynamo::rules {
 
@@ -129,25 +130,24 @@ inline constexpr MajorityRule simple_majority_prefer_current() noexcept {
     return MajorityRule{MajorityKind::Simple, TiePolicy::PreferCurrent, false};
 }
 
-/// Simulate a bi-colored field under a majority rule, through the shared
-/// run API (core/run/). Every (kind, tie, irreversible) configuration maps
-/// onto its monomorphized LocalRule, so Backend::Auto takes the packed
-/// stencil fast path (bit-identical to the reference functor under
-/// Backend::Generic - the rule-parity oracle in tests/test_rules.cpp).
+/// Simulate a bi-colored field under a majority rule, through the registry
+/// entry of its (kind, tie, irreversible) configuration, so Backend::Auto
+/// takes the stencil fast path (bit-identical to the reference functor
+/// under Backend::Generic - the rule-parity oracle in tests/test_rules.cpp).
+/// A strong majority has no tie to break, so its tie policy is ignored.
 inline RunResult simulate_majority(const grid::Torus& torus, const ColorField& initial,
                                    const MajorityRule& rule, const RunOptions& options = {}) {
     DYNAMO_REQUIRE(is_bicolored(initial), "majority baselines require a bi-colored field");
-    if (rule.kind == MajorityKind::Simple) {
-        if (rule.tie == TiePolicy::PreferBlack) {
-            return rule.irreversible ? simulate_as<IrreversibleMajority>(torus, initial, options)
-                                     : simulate_as<MajorityPreferBlack>(torus, initial, options);
-        }
-        return rule.irreversible
-                   ? simulate_as<IrreversibleMajorityPreferCurrent>(torus, initial, options)
-                   : simulate_as<MajorityPreferCurrent>(torus, initial, options);
+    const char* name = nullptr;
+    if (rule.kind == MajorityKind::Strong) {
+        name = rule.irreversible ? IrreversibleStrongMajority::kName : StrongMajority::kName;
+    } else if (rule.tie == TiePolicy::PreferBlack) {
+        name = rule.irreversible ? IrreversibleMajority::kName : MajorityPreferBlack::kName;
+    } else {
+        name = rule.irreversible ? IrreversibleMajorityPreferCurrent::kName
+                                 : MajorityPreferCurrent::kName;
     }
-    return rule.irreversible ? simulate_as<IrreversibleStrongMajority>(torus, initial, options)
-                             : simulate_as<StrongMajority>(torus, initial, options);
+    return rule_or_throw(name).run(torus, initial, options);
 }
 
 } // namespace dynamo::rules

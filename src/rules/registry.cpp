@@ -2,7 +2,9 @@
 //
 // Monomorphization site of the rule registry: each table row binds a
 // LocalRule type's kernel, sweeps, simulate_as and verifier instantiations
-// to its runtime name (see registry.hpp for the catalog).
+// to its runtime name (see registry.hpp for the catalog). This is the only
+// file that compiles a rule into engines; simulate() (core/run/simulate.hpp)
+// is defined here as the SMP row's run.
 #include "rules/registry.hpp"
 
 #include <algorithm>
@@ -54,6 +56,31 @@ class SearchVerifierT final : public RuleVerifier {
     ColorField mapped_;
 };
 
+/// The monomorphized, Backend-selected run of rule R (RuleInfo::run).
+template <sim::LocalRule R>
+RunResult simulate_as(const grid::Torus& torus, const ColorField& initial,
+                      const RunOptions& options) {
+    require_complete(torus, initial);
+    switch (options.backend) {
+        case Backend::Generic: {
+            BasicSyncEngine<sim::RuleFnOf<R>> engine(torus, initial);
+            return run_to_terminal(engine, options);
+        }
+        case Backend::BitPlane: {
+            sim::BitplaneEngineT<R> engine(torus, initial);
+            return run_to_terminal(engine, options);
+        }
+        case Backend::Packed: {
+            sim::PackedEngineT<R> engine(torus, initial);
+            return run_to_terminal(engine, options);
+        }
+        case Backend::Auto:
+        case Backend::Active: break;
+    }
+    sim::ActiveEngineT<R> engine(torus, initial);
+    return run_to_terminal(engine, options);
+}
+
 template <sim::LocalRule R>
 QuickVerdict quick_verify_entry(const grid::Torus& torus, const ColorField& initial, Color k) {
     sim::PackedEngineT<R> engine(torus, initial);
@@ -79,25 +106,10 @@ RunResult run_graph_entry(const graphx::Graph& graph, const ColorField& initial,
 }
 
 template <sim::LocalRule R>
-double bitplane_cps_entry(const grid::Torus& torus, const ColorField& field, int warmup,
-                          int rounds) {
-    return sim::bitplane_cells_per_sec<R>(torus, field, warmup, rounds);
-}
-
-/// nullptr for rules without a word kernel - the template above must not
-/// be instantiated for them (its engine static_asserts support).
-template <sim::LocalRule R>
-constexpr auto bitplane_cps_ptr() {
-    using Fn = double (*)(const grid::Torus&, const ColorField&, int, int);
-    if constexpr (sim::kBitplaneSupported<R>) {
-        return Fn{&bitplane_cps_entry<R>};
-    } else {
-        return Fn{nullptr};
-    }
-}
-
-template <sim::LocalRule R>
 constexpr RuleInfo make_info(const char* summary) {
+    static_assert(sim::kBitplaneSupported<R>,
+                  "a registered rule needs a bit-plane word kernel: bi-color, or a "
+                  "bitplane_apply hook (core/sim/bitplane_engine.hpp)");
     return RuleInfo{
         R::kName,
         summary,
@@ -109,16 +121,13 @@ constexpr RuleInfo make_info(const char* summary) {
         &R::next,
         &sim::rule_stencil_sweep<R>,
         &generic_sweep_entry<R>,
-        +[](const grid::Torus& t, const ColorField& f, const RunOptions& o) {
-            return simulate_as<R>(t, f, o);
-        },
+        &simulate_as<R>,
         &run_graph_entry<R>,
         &quick_verify_entry<R>,
         +[](const grid::Torus& t) {
             return std::unique_ptr<RuleVerifier>(new SearchVerifierT<R>(t));
         },
-        sim::kBitplaneSupported<R>,
-        bitplane_cps_ptr<R>(),
+        &sim::bitplane_cells_per_sec<R>,
     };
 }
 
@@ -186,27 +195,13 @@ std::string known_rule_names() {
     return names;
 }
 
-bool backend_supports(Backend backend, const RuleInfo& rule) noexcept {
-    // Every registered rule is a LocalRule, so the byte engines and the
-    // generic sweep always apply; only the bit-plane engine needs a word
-    // kernel.
-    return backend != Backend::BitPlane || rule.bitplane;
-}
-
-std::string supported_backend_names(const RuleInfo& rule) {
-    std::string names;
-    for (const Backend b : {Backend::Active, Backend::Auto, Backend::BitPlane, Backend::Generic,
-                            Backend::Packed}) {
-        if (!backend_supports(b, rule)) continue;
-        if (!names.empty()) names += ", ";
-        names += backend_name(b);
-    }
-    return names;
-}
-
-std::string backend_support_error(Backend backend, const RuleInfo& rule) {
-    if (backend_supports(backend, rule)) return "";
-    return backend_unsupported_message(backend, rule.name, supported_backend_names(rule));
-}
-
 } // namespace dynamo::rules
+
+namespace dynamo {
+
+RunResult simulate(const grid::Torus& torus, const ColorField& initial,
+                   const RunOptions& options) {
+    return rules::simulate_as<sim::SmpRule>(torus, initial, options);
+}
+
+} // namespace dynamo

@@ -1,13 +1,13 @@
 // dynamo/rules/registry.hpp
 //
 // The runtime rule registry: names -> monomorphized entry points of the
-// LocalRule family (core/sim/local_rule.hpp). Compile-time callers
-// instantiate simulate_as<R>() directly; the registry is how *runtime*
-// surfaces - the `dynamo` CLI's `--rule=` parameter, campaign manifests,
-// the search drivers' SearchOptions::rule - reach the same monomorphized
-// packed-path code without carrying a type. Every entry point is a plain
-// function pointer into a template instantiation: no virtual dispatch in
-// any per-cell loop, one indirect call per simulation/sweep.
+// LocalRule family (core/sim/local_rule.hpp). It is the one place a rule
+// type is compiled into engines: the `dynamo` CLI's `--rule=` parameter,
+// campaign manifests, the search layer's SearchOptions::rule, simulate()
+// and the simulate_majority / simulate_threshold / simulate_incremental
+// helpers all reach the same instantiations through it. Every entry point
+// is a plain function pointer into a template instantiation: no virtual
+// dispatch in any per-cell loop, one indirect call per simulation/sweep.
 //
 // Registered rules (tests/test_rules.cpp pins each kernel against its
 // reference functor over every neighborhood):
@@ -74,7 +74,7 @@ struct RuleInfo {
     /// One seed-style table-driven round (the Generic baseline).
     std::size_t (*generic_sweep)(const grid::Torus&, const Color*, Color*, ThreadPool*,
                                  std::size_t);
-    /// simulate_as<R> - the full Backend-selected run.
+    /// The full Backend-selected run (every Backend steps every rule).
     RunResult (*run)(const grid::Torus&, const ColorField&, const RunOptions&);
     /// The same rule on an arbitrary 4-regular CSR graph (torus-as-graph,
     /// random regular expanders) through the frontier-driven graph engine
@@ -88,13 +88,9 @@ struct RuleInfo {
     /// Search-convention verifier factory (see RuleVerifier).
     std::unique_ptr<RuleVerifier> (*make_search_verifier)(const grid::Torus&);
 
-    /// Does this rule have a word-parallel bit-plane kernel
-    /// (sim::kBitplaneSupported<R>, core/sim/bitplane_engine.hpp)? All
-    /// shipped rules do; the flag exists so backend_supports() can answer
-    /// for future registry entries without one.
-    bool bitplane;
     /// Raw bit-plane sweep throughput (sim::bitplane_cells_per_sec<R>),
-    /// for bench_perf_engine's bit-plane section; nullptr when !bitplane.
+    /// for bench_perf_engine's bit-plane section. Every registered rule has
+    /// a word kernel: registering one without fails to compile.
     double (*bitplane_cells_per_sec)(const grid::Torus&, const ColorField&, int warmup,
                                      int rounds);
 
@@ -119,19 +115,5 @@ const std::vector<const RuleInfo*>& all_rules();
 
 /// "incremental, irreversible-majority, ..." - for error messages.
 std::string known_rule_names();
-
-/// Can `backend` step `rule`? The runtime face of the engine-capability
-/// queries: simulate_as<R> answers the same question at compile time, and
-/// scenario/manifest validation asks here BEFORE launching a campaign so
-/// an unsupported rule x backend combination fails at bind time with one
-/// actionable message (backend_support_error) instead of mid-run.
-bool backend_supports(Backend backend, const RuleInfo& rule) noexcept;
-
-/// "" when supported; otherwise the one refusal message, listing the
-/// backends that CAN step the rule (backend_unsupported_message).
-std::string backend_support_error(Backend backend, const RuleInfo& rule);
-
-/// Backends able to step `rule`, as a "active, auto, ..." list.
-std::string supported_backend_names(const RuleInfo& rule);
 
 } // namespace dynamo::rules

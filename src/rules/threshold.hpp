@@ -25,9 +25,10 @@
 #pragma once
 
 #include <array>
+#include <string>
 
-#include "core/run/simulate.hpp"
 #include "core/transform.hpp"
+#include "rules/registry.hpp"
 
 namespace dynamo::rules {
 
@@ -67,19 +68,14 @@ struct Threshold {
     }
 };
 
-/// Simulate a bi-colored field under the irreversible r-threshold rule on
-/// the packed fast path (the runtime `threshold` dispatches onto its
-/// monomorphized LocalRule).
+/// Simulate a bi-colored field under the irreversible r-threshold rule,
+/// through the registry entry of Threshold<threshold>.
 inline RunResult simulate_threshold(const grid::Torus& torus, const ColorField& initial,
                                     int threshold, const RunOptions& options = {}) {
     DYNAMO_REQUIRE(is_bicolored(initial), "threshold rules require a bi-colored field");
-    switch (threshold) {
-        case 1: return simulate_as<Threshold<1>>(torus, initial, options);
-        case 2: return simulate_as<Threshold<2>>(torus, initial, options);
-        case 3: return simulate_as<Threshold<3>>(torus, initial, options);
-        case 4: return simulate_as<Threshold<4>>(torus, initial, options);
-        default: DYNAMO_REQUIRE(false, "threshold must be 1..4"); return {};
-    }
+    DYNAMO_REQUIRE(threshold >= 1 && threshold <= static_cast<int>(grid::kDegree),
+                   "threshold must be 1..4");
+    return rule_or_throw("threshold-" + std::to_string(threshold)).run(torus, initial, options);
 }
 
 } // namespace dynamo::rules

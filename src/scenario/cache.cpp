@@ -11,12 +11,12 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace dynamo::scenario {
@@ -39,13 +39,7 @@ std::string canonical_key_string(const CacheKey& key) {
 }
 
 std::uint64_t cache_hash(const CacheKey& key) {
-    const std::string s = canonical_key_string(key);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    return util::Fnv1a().bytes(canonical_key_string(key)).value();
 }
 
 ResultCache::ResultCache(std::string dir, int code_epoch)
@@ -54,10 +48,8 @@ ResultCache::ResultCache(std::string dir, int code_epoch)
 }
 
 std::string ResultCache::entry_path(const CacheKey& key) const {
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(cache_hash(key)));
-    return dir_ + "/" + key.scenario + "-e" + std::to_string(key.epoch) + "-" + hex + ".json";
+    return dir_ + "/" + key.scenario + "-e" + std::to_string(key.epoch) + "-" +
+           util::hex16(cache_hash(key)) + ".json";
 }
 
 std::optional<CachedResult> ResultCache::lookup(const CacheKey& key) const {

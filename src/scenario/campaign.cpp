@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace dynamo::scenario {
@@ -25,23 +26,15 @@ using util::JsonObject;
 std::uint64_t campaign_fingerprint(const std::string& scenario_name, int epoch,
                                    unsigned shard_index, unsigned shard_count,
                                    const std::vector<PointSpec>& specs) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](const std::string& s) {
-        for (const unsigned char c : s) {
-            h ^= c;
-            h *= 0x100000001b3ULL;
-        }
-        h ^= 0xff;  // separator: "ab" + "c" never collides with "a" + "bc"
-        h *= 0x100000001b3ULL;
-    };
-    mix(scenario_name);
-    mix(std::to_string(epoch));
-    mix(std::to_string(shard_index));
-    mix(std::to_string(shard_count));
+    util::Fnv1a h;
+    h.field(scenario_name);
+    h.field(std::to_string(epoch));
+    h.field(std::to_string(shard_index));
+    h.field(std::to_string(shard_count));
     for (const PointSpec& spec : specs) {
-        mix(canonical_key_string(CacheKey{scenario_name, epoch, spec.params}));
+        h.field(canonical_key_string(CacheKey{scenario_name, epoch, spec.params}));
     }
-    return h;
+    return h.value();
 }
 
 /// One progress record: {"index", "status": "cached"|"computed"|"failed",

@@ -4,11 +4,11 @@
 // checkpoint.hpp).
 #include "scenario/checkpoint.hpp"
 
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace dynamo::scenario {
@@ -21,13 +21,9 @@ using util::JsonObject;
 constexpr const char* kFormat = "dynamo-campaign-checkpoint";
 constexpr int kVersion = 1;
 
-std::string hex16(std::uint64_t value) {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(value));
-    return buf;
-}
+using util::hex16;
 
-/// Parses a 16-hex lexeme; false on anything else.
+/// Parses a 16-hex lexeme (util::hex16's output); false on anything else.
 bool parse_hex16(const std::string& s, std::uint64_t& out) {
     if (s.size() != 16) return false;
     out = 0;

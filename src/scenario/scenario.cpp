@@ -4,8 +4,6 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <iostream>
 #include <sstream>
 
 #include "core/run/backend.hpp"
@@ -125,7 +123,7 @@ CliGrammar grammar(const Scenario& s) {
     return g;
 }
 
-std::string validate_args(const Scenario& s, const CliArgs& args, bool strict) {
+std::string validate_args(const Scenario& s, const CliArgs& args) {
     for (const auto& [key, value] : args.values()) {
         const ParamSpec* spec = nullptr;
         for (const ParamSpec& p : s.params) {
@@ -154,7 +152,7 @@ std::string validate_args(const Scenario& s, const CliArgs& args, bool strict) {
                    value + "'";
         }
     }
-    if (strict && !args.positional().empty()) {
+    if (!args.positional().empty()) {
         return "scenario '" + s.name + "' takes no positional arguments (got '" +
                args.positional().front() + "')";
     }
@@ -162,23 +160,6 @@ std::string validate_args(const Scenario& s, const CliArgs& args, bool strict) {
 }
 
 int run(const Scenario& s, Context& ctx) { return s.fn(ctx); }
-
-int compat_main(const char* scenario_name, int argc, const char* const* argv) {
-    const Scenario* s = find(scenario_name);
-    if (s == nullptr) {
-        std::cerr << "internal error: scenario '" << scenario_name
-                  << "' is not registered (compat wrapper misconfigured)\n";
-        return 2;
-    }
-    try {
-        const CliArgs args(argc, argv, grammar(*s));
-        Context ctx{args, std::cout, {}};
-        return run(*s, ctx);
-    } catch (const std::exception& e) {
-        std::cerr << argv[0] << ": " << e.what() << "\n";
-        return 2;
-    }
-}
 
 void print_list(std::ostream& out, bool markdown) {
     const auto scenarios = all();
@@ -201,10 +182,9 @@ void print_list(std::ostream& out, bool markdown) {
         << "Generated by `dynamo list --markdown`. Do not edit by hand: CI fails when this\n"
         << "file drifts from the registry — regenerate with\n"
         << "`./build/dynamo list --markdown > docs/scenarios.md`.\n\n"
-        << "Run any scenario with `dynamo run <name> [--param=value ...]`; the seed-era\n"
-        << "binary names (`bench_tab_*`, `bench_fig*`, `example_*`) remain as wrappers over\n"
-        << "the same registrations. See [manifest-format.md](manifest-format.md) for\n"
-        << "sweeping a scenario over a parameter grid with `dynamo campaign`.\n\n"
+        << "Run any scenario with `dynamo run <name> [--param=value ...]`. See\n"
+        << "[manifest-format.md](manifest-format.md) for sweeping a scenario over a\n"
+        << "parameter grid with `dynamo campaign`.\n\n"
         << "| scenario | kind | parameters | summary |\n"
         << "|---|---|---|---|\n";
     for (const Scenario* s : scenarios) {

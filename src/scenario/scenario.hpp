@@ -3,18 +3,14 @@
 // The scenario registry: every paper table/figure reproduction, every
 // example, and the perf/search benches register here as a named scenario
 // with a typed parameter schema and an entry function. One `dynamo` CLI
-// binary lists, describes, and runs them; the campaign driver
-// (scenario/campaign.hpp) sweeps them over parameter grids; and the
-// seed-era binary names (bench_tab_*, bench_fig*, example_*) survive as
-// two-line wrappers that dispatch into this registry (app/compat_stub.cpp)
-// so committed workflows keep producing byte-identical reports.
+// binary lists, describes, and runs them (`dynamo run <name>`), and the
+// campaign layer (scenario/campaign.hpp) sweeps them over parameter grids.
 //
 // A scenario's contract:
 //   * it reads parameters only through ctx.args (declared in its schema —
-//     `dynamo run` and the campaign driver validate against it; the compat
-//     wrappers stay permissive like the seed binaries were);
+//     `dynamo run` and the campaign layer validate against it);
 //   * it writes its human-readable report to ctx.out (std::cout under the
-//     CLI/wrappers, a private buffer under the campaign driver — so
+//     CLI, a private buffer under the campaign layer — so
 //     scenarios must not write to std::cout directly);
 //   * it may record machine-readable results in ctx.metrics (what the
 //     result cache keys on and campaigns aggregate);
@@ -54,9 +50,8 @@ enum class ParamType {
     /// `--backend=bitplane`, ... Validated against backend_from_name the
     /// same way Rule values resolve against the rule registry, so an
     /// unknown backend is rejected at parse/bind time with a message
-    /// listing the known names. Whether the named backend can step the
-    /// scenario's RULE is checked by the scenario via
-    /// rules::backend_support_error before launching.
+    /// listing the known names. Every backend steps every registered
+    /// rule.
     Backend,
 };
 
@@ -119,18 +114,12 @@ CliGrammar grammar(const Scenario& s);
 bool value_parses_as(ParamType type, const std::string& value);
 
 /// Validation of provided args against the schema: unknown keys, type
-/// errors. Returns "" when valid, else an actionable message. `strict`
-/// additionally rejects positional arguments.
-std::string validate_args(const Scenario& s, const CliArgs& args, bool strict);
+/// errors, positional arguments. Returns "" when valid, else an actionable
+/// message.
+std::string validate_args(const Scenario& s, const CliArgs& args);
 
 /// Run with already-parsed args. Exceptions escape to the caller.
 int run(const Scenario& s, Context& ctx);
-
-/// Entry point of the compatibility wrappers: parse argv with the
-/// scenario's grammar (permissive about unknown keys, exactly like the
-/// seed binaries), run against std::cout, return the scenario's exit
-/// code. Unknown scenario names abort loudly — that is a build bug.
-int compat_main(const char* scenario_name, int argc, const char* const* argv);
 
 /// `dynamo list` / `dynamo list --markdown`: the scenario catalog. The
 /// markdown form is committed as docs/scenarios.md and CI-gated against

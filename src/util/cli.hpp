@@ -1,7 +1,7 @@
 // dynamo/util/cli.hpp
 //
 // Tiny argument parser shared by the `dynamo` CLI, the scenario layer,
-// and the compatibility bench/example wrappers.
+// and bench_perf_engine.
 //
 // Grammar actually parsed (exactly this, nothing more):
 //

@@ -44,6 +44,7 @@
 #include "scenario/manifest.hpp"
 #include "scenario/scenario.hpp"
 #include "service/http.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace dynamo {
@@ -227,7 +228,7 @@ TEST(Protocol, EveryMessageRoundTrips) {
     CompleteRequest completion;
     completion.worker = "w-3";
     completion.lease_id = 5;
-    completion.fingerprint = hex16(0xdeadbeefULL);
+    completion.fingerprint = util::hex16(0xdeadbeefULL);
     PointResult result;
     result.index = 11;
     result.exit_code = 2;
@@ -549,7 +550,7 @@ TEST(Coordinator, DuplicateAndConflictingCompletions) {
 
     // Wrong fingerprint first: 409, nothing settles.
     CompleteRequest wrong = completion;
-    wrong.fingerprint = hex16(0x1234ULL);
+    wrong.fingerprint = util::hex16(0x1234ULL);
     EXPECT_EQ(coordinator
                   .handle(make_request("POST", "/complete", render_complete_request(wrong)), 0)
                   .status,
@@ -1005,6 +1006,29 @@ TEST(LoopbackEndToEnd, TwoRealWorkersMatchTheLocalArtifact) {
     EXPECT_TRUE(coordinator.complete());
     EXPECT_EQ(coordinator.conflicts(), 0u);
     EXPECT_EQ(coordinator.artifact(), local_json);
+}
+
+TEST(Hashes, CacheKeyFingerprintAndResultHashArePinned) {
+    // Cache entry names, checkpoint fingerprints and completion hashes are
+    // stored on disk and on the wire: a cache directory or checkpoint
+    // written by an earlier build must still be hit, so these values never
+    // move.
+    const scenario::CacheKey key{"dist_probe", 4, {{"seed", "17"}, {"value", "3"}}};
+    EXPECT_EQ(util::hex16(scenario::cache_hash(key)), "d8d2a31c2da5d243");
+
+    ScratchDir dir("pinned_hashes");
+    CampaignOptions options;
+    options.cache_dir = dir.path() + "/cache";
+    options.code_epoch = 4;
+    const scenario::CampaignLedger ledger(probe_manifest(), options);
+    EXPECT_EQ(util::hex16(ledger.fingerprint()), "81f20798338bf1df");
+
+    PointResult result;
+    result.exit_code = 0;
+    result.metrics = {{"seed", "17"}, {"value", "3"}};
+    result.report = "probe: value 3\n";
+    EXPECT_EQ(util::hex16(result_hash(result)), "c6c3657c579a4b9c");
+    EXPECT_EQ(util::hex16(0xdeadbeefULL), "00000000deadbeef");
 }
 
 } // namespace

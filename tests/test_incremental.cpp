@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/builders.hpp"
+#include "core/run/simulate.hpp"
 #include "rules/incremental.hpp"
 
 namespace dynamo {

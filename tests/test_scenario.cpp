@@ -87,12 +87,12 @@ TEST(Registry, EveryScenarioDescribesAndValidates) {
 
         // The declared defaults must pass the scenario's own validation.
         const CliArgs defaults(smoke_params(*s));
-        EXPECT_EQ(validate_args(*s, defaults, true), "") << s->name;
+        EXPECT_EQ(validate_args(*s, defaults), "") << s->name;
 
         // Unknown keys are rejected with an actionable message.
         const std::map<std::string, std::string> bogus{{"no_such_param", "1"}};
         const CliArgs unknown(bogus);
-        const std::string err = validate_args(*s, unknown, true);
+        const std::string err = validate_args(*s, unknown);
         EXPECT_NE(err.find("no_such_param"), std::string::npos) << s->name;
     }
 
@@ -102,7 +102,7 @@ TEST(Registry, EveryScenarioDescribesAndValidates) {
     ASSERT_NE(mc, nullptr);
     const std::map<std::string, std::string> negative_seed{{"seed", "-1"}};
     const CliArgs negative(negative_seed);
-    EXPECT_NE(validate_args(*mc, negative, true).find("expects uint"), std::string::npos);
+    EXPECT_NE(validate_args(*mc, negative).find("expects uint"), std::string::npos);
 }
 
 TEST(Registry, EveryScenarioRunsAtItsSmokePoint) {
@@ -121,6 +121,28 @@ TEST(Registry, EveryScenarioRunsAtItsSmokePoint) {
             EXPECT_FALSE(out.str().empty()) << s->name << " produced no report";
         }
     }
+}
+
+TEST(Registry, GraphEngineRunsItsDeclaredDefaultSeed) {
+    // `describe` and the catalog quote the schema default, so a run that
+    // omits --seed must be the same run as one that passes that default:
+    // the first report line carries |E|, the round count and the seed.
+    const Scenario* s = find("graph_engine");
+    ASSERT_NE(s, nullptr);
+    std::map<std::string, std::string> params = smoke_params(*s);
+    const std::string declared = params.at("seed");
+    const auto first_line = [s](const std::map<std::string, std::string>& p) {
+        const CliArgs args(p);
+        std::ostringstream out;
+        Context ctx{args, out, {}};
+        run(*s, ctx);
+        const std::string report = out.str();
+        return report.substr(0, report.find('\n'));
+    };
+    const std::string with_seed = first_line(params);
+    params.erase("seed");
+    EXPECT_EQ(first_line(params), with_seed);
+    EXPECT_NE(with_seed.find("seed " + declared), std::string::npos) << with_seed;
 }
 
 TEST(Registry, ListOutputsAreStable) {
@@ -556,7 +578,7 @@ TEST(Registry, BackendParamsValidateAgainstTheBackendNames) {
     EXPECT_EQ(known_backend_names(), "active, auto, bitplane, generic, packed");
 
     const CliArgs bad(std::map<std::string, std::string>{{"backend", "no-such-backend"}});
-    const std::string err = validate_args(*s, bad, /*strict=*/true);
+    const std::string err = validate_args(*s, bad);
     EXPECT_NE(err.find("unknown backend"), std::string::npos) << err;
     EXPECT_NE(err.find("bitplane"), std::string::npos)
         << "the error must list the known backends: " << err;
@@ -584,7 +606,7 @@ TEST(Registry, RuleParamsValidateAgainstTheRuleRegistry) {
     EXPECT_FALSE(value_parses_as(ParamType::Rule, "no-such-rule"));
 
     const CliArgs bad(std::map<std::string, std::string>{{"rule", "no-such-rule"}});
-    const std::string err = validate_args(*s, bad, /*strict=*/true);
+    const std::string err = validate_args(*s, bad);
     EXPECT_NE(err.find("unknown rule"), std::string::npos) << err;
     EXPECT_NE(err.find("majority-prefer-black"), std::string::npos)
         << "the error must list the known rules: " << err;

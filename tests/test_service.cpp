@@ -25,7 +25,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -39,6 +38,7 @@
 #include "scenario/scenario.hpp"
 #include "service/http.hpp"
 #include "service/service.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace dynamo {
@@ -116,12 +116,6 @@ Manifest probe_manifest(const std::string& extra_fixed = "") {
         "test-manifest");
 }
 
-std::string hex16(std::uint64_t value) {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(value));
-    return buf;
-}
-
 /// The cache entry file a given point spec will publish to.
 std::string entry_file(const std::string& cache_dir, const Manifest& manifest,
                        const PointSpec& spec) {
@@ -129,7 +123,7 @@ std::string entry_file(const std::string& cache_dir, const Manifest& manifest,
     const int epoch = ResultCache(cache_dir).combined_epoch(s->epoch);
     const CacheKey key{manifest.scenario, epoch, spec.params};
     return cache_dir + "/" + manifest.scenario + "-e" + std::to_string(epoch) + "-" +
-           hex16(cache_hash(key)) + ".json";
+           util::hex16(cache_hash(key)) + ".json";
 }
 
 // ---------------------------------------------------------------------------
