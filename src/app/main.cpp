@@ -11,9 +11,6 @@
 //          [--progress=FILE]             live JSONL: one line per completed point
 //          [--shard=K/N]                 run only points with index % N == K
 //          [--checkpoint=FILE]           crash-safe resume record (JSONL)
-//   dynamo merge <shard.json>... --out=FILE
-//                                        reassemble N shard artifacts into the
-//                                        byte-identical unsharded campaign JSON
 //   dynamo serve [--port=P] [--workers=N] [--cache-dir=DIR] [--port-file=PATH]
 //                                        HTTP/JSON campaign service (loopback)
 //   dynamo coordinate <manifest.json> [--port=P] [--port-file=PATH] ...
@@ -42,7 +39,6 @@
 #include "dist/http_client.hpp"
 #include "dist/worker.hpp"
 #include "scenario/campaign.hpp"
-#include "scenario/merge.hpp"
 #include "scenario/report.hpp"
 #include "scenario/scenario.hpp"
 #include "service/http.hpp"
@@ -68,9 +64,6 @@ int usage(std::ostream& out, int code) {
            "                                      per completed point; --shard: own\n"
            "                                      only points with index % N == K;\n"
            "                                      --checkpoint: crash-safe resume)\n"
-           "  dynamo merge <shard.json>... --out=FILE\n"
-           "                                      reassemble shard artifacts into the\n"
-           "                                      byte-identical unsharded campaign\n"
            "  dynamo serve [--port=P] [--workers=N] [--cache-dir=DIR]\n"
            "               [--port-file=PATH]\n"
            "                                      HTTP/JSON campaign service on\n"
@@ -96,10 +89,13 @@ int usage(std::ostream& out, int code) {
            "                                      comparison table (atlas-aware)\n"
            "  dynamo cache stats|clear [--cache-dir=DIR]\n"
            "  dynamo cache merge <src-dir>... [--cache-dir=DST]\n"
-           "                                      copy entries from shard caches\n"
+           "                                      copy entries from shard caches;\n"
+           "                                      a campaign re-run against the merged\n"
+           "                                      cache reassembles the unsharded\n"
+           "                                      artifact with 0 computed\n"
            "\n"
            "docs: docs/scenarios.md (catalog), docs/manifest-format.md (campaigns),\n"
-           "      docs/serving.md (shard/merge/resume + HTTP service),\n"
+           "      docs/serving.md (shard/reassemble/resume + HTTP service),\n"
            "      docs/reproducing-the-paper.md (paper artifact -> command)\n";
     return code;
 }
@@ -239,21 +235,6 @@ int cmd_campaign(int argc, char** argv) {
     // warm cache computes zero points.
     std::cout << outcome.summary(manifest) << "\n";
     return outcome.failed == 0 ? 0 : 1;
-}
-
-int cmd_merge(int argc, char** argv) {
-    const CliArgs args(argc - 1, argv + 1, CliGrammar{{}, {"out"}});
-    if (args.positional().empty()) {
-        std::cerr << "usage: dynamo merge <shard.json>... [--out=FILE]\n";
-        return 2;
-    }
-    std::vector<scenario::ShardArtifact> shards;
-    shards.reserve(args.positional().size());
-    for (const std::string& path : args.positional())
-        shards.push_back({path, read_file(path, "shard artifact")});
-    write_out(args, scenario::merge_campaign_artifacts(shards), "merged campaign");
-    std::cout << "merged " << shards.size() << " shard artifact(s)\n";
-    return 0;
 }
 
 int cmd_serve(int argc, char** argv) {
@@ -483,7 +464,6 @@ int main(int argc, char** argv) {
         if (cmd == "describe") return cmd_describe(argc, argv);
         if (cmd == "run") return cmd_run(argc, argv);
         if (cmd == "campaign") return cmd_campaign(argc, argv);
-        if (cmd == "merge") return cmd_merge(argc, argv);
         if (cmd == "serve") return cmd_serve(argc, argv);
         if (cmd == "coordinate") return cmd_coordinate(argc, argv);
         if (cmd == "work") return cmd_work(argc, argv);

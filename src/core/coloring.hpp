@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "grid/torus.hpp"
@@ -56,23 +55,9 @@ inline bool is_monochromatic(const ColorField& field, Color k) {
     return std::all_of(field.begin(), field.end(), [k](Color c) { return c == k; });
 }
 
-/// The single color all vertices share, if any.
-inline std::optional<Color> monochromatic_color(const ColorField& field) {
-    DYNAMO_REQUIRE(!field.empty(), "empty color field");
-    const Color c = field.front();
-    return is_monochromatic(field, c) ? std::optional<Color>(c) : std::nullopt;
-}
-
 /// Number of vertices holding color k (|S_k| in the paper's notation).
 inline std::size_t count_color(const ColorField& field, Color k) {
     return static_cast<std::size_t>(std::count(field.begin(), field.end(), k));
-}
-
-/// Largest color value present (the field's |C| upper bound); 0 if empty.
-inline Color max_color(const ColorField& field) {
-    Color m = 0;
-    for (const Color c : field) m = std::max(m, c);
-    return m;
 }
 
 /// Number of distinct colors present in the field.

@@ -33,8 +33,8 @@ DynamoVerdict verify_dynamo(const grid::Torus& torus, const ColorField& initial,
 
 /// Evidence-free verdict for search inner loops: same classification as
 /// verify_dynamo, without retaining the RunResult. Each registered rule
-/// produces one through RuleInfo::quick_verify (rules/registry.hpp), which
-/// simulates on the rule's packed full-sweep engine; the engines are
+/// produces one through RuleInfo::make_search_verifier (rules/registry.hpp),
+/// which simulates on the rule's packed full-sweep engine; the engines are
 /// bit-identical, so the verdicts agree (tests/test_search_parallel.cpp
 /// cross-checks them).
 struct QuickVerdict {

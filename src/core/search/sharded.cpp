@@ -2,8 +2,8 @@
 //
 // The deterministic sharded driver over the canonical enumeration: unit =
 // canonical seed set, shard = unit index mod width, per-shard budget
-// slices with an atomic truncation flag, checkpoint/resume of the shard
-// cursor (see sharded.hpp for the bit-identical-aggregation contract).
+// slices with an atomic truncation flag (see sharded.hpp for the
+// bit-identical-aggregation contract).
 #include "core/search/sharded.hpp"
 
 #include <atomic>
@@ -121,8 +121,7 @@ struct ShardState {
 } // namespace
 
 SearchOutcome parallel_min_dynamo(const grid::Torus& torus, std::uint32_t max_size,
-                                  const ParallelSearchOptions& options,
-                                  SearchCheckpoint* checkpoint) {
+                                  const ParallelSearchOptions& options) {
     const SearchOptions& base = options.base;
     DYNAMO_REQUIRE(base.total_colors >= 2, "need at least two colors");
     const rules::RuleInfo& rule = search_detail::validate_search_rule(base);
@@ -142,101 +141,36 @@ SearchOutcome parallel_min_dynamo(const grid::Torus& torus, std::uint32_t max_si
     std::optional<SymmetryGroup> group;
     if (options.use_symmetry) group.emplace(torus);
 
-    // Everything the checkpoint cursor's meaning depends on, mixed into
-    // one fingerprint so a resume against a different torus or options is
-    // a clean error, not an out-of-bounds unit index.
-    std::uint64_t fingerprint = 0xdb4e0;
-    for (const std::uint64_t part :
-         {static_cast<std::uint64_t>(torus.topology()), static_cast<std::uint64_t>(torus.rows()),
-          static_cast<std::uint64_t>(torus.cols()), static_cast<std::uint64_t>(max_size),
-          static_cast<std::uint64_t>(base.total_colors),
-          static_cast<std::uint64_t>(base.require_monotone),
-          static_cast<std::uint64_t>(base.use_box_prune),
-          static_cast<std::uint64_t>(base.use_block_prune), base.max_sims,
-          static_cast<std::uint64_t>(shards), static_cast<std::uint64_t>(options.use_symmetry)}) {
-        fingerprint = fingerprint * 0x100000001b3ULL ^ part;  // FNV-style mix
-    }
-    for (const char* c = rule.name; *c != '\0'; ++c) {  // a checkpoint never crosses rules
-        fingerprint = fingerprint * 0x100000001b3ULL ^ static_cast<std::uint64_t>(*c);
-    }
-
     // Fixed per-shard budget slices (remainder to the low shards): the
     // truncation point of every shard is a pure function of the options,
     // independent of scheduling.
     std::vector<std::uint64_t> slice(shards, base.max_sims / shards);
     for (unsigned s = 0; s < base.max_sims % shards; ++s) ++slice[s];
+    std::vector<std::uint64_t> shard_used(shards, 0);
 
     SearchOutcome outcome;
     outcome.group_order = group ? group->order() : 1;
-
-    std::uint32_t start_size = 1;
-    std::uint64_t start_unit = 0;
-    std::vector<std::uint64_t> shard_used(shards, 0);
-    // Witness state carried across the pause windows of one size: the run
-    // keeps processing the remaining units after a find, so resumed
-    // counters stay identical to an uninterrupted run.
-    std::uint64_t best_unit = kNoUnit;
-    ColorField best_witness;
-    const bool resuming = checkpoint != nullptr && checkpoint->active;
-    if (resuming) {
-        DYNAMO_REQUIRE(checkpoint->fingerprint == fingerprint,
-                       "checkpoint was written for a different torus or search options");
-        DYNAMO_REQUIRE(checkpoint->shard_sims.size() == shards,
-                       "checkpoint was written with a different shard count");
-        start_size = checkpoint->size;
-        start_unit = checkpoint->next_unit;
-        outcome.probed_max_size = checkpoint->probed_max_size;
-        outcome.sims = checkpoint->sims;
-        outcome.candidates = checkpoint->candidates;
-        outcome.covered = checkpoint->covered;
-        shard_used = checkpoint->shard_sims;
-        best_unit = checkpoint->found_unit;
-        best_witness = checkpoint->witness_field;
-    }
-
     const auto finalize = [&outcome] {
         outcome.reduction_factor =
             outcome.candidates == 0
                 ? 1.0
                 : static_cast<double>(outcome.covered) / static_cast<double>(outcome.candidates);
     };
-    const auto deactivate = [checkpoint] {
-        if (checkpoint != nullptr) {
-            checkpoint->active = false;
-            checkpoint->found_unit = SearchCheckpoint::kNoUnit;
-            checkpoint->witness_field.clear();
-            checkpoint->unit_cache.clear();
-        }
-    };
 
-    std::uint64_t pause_left = options.pause_after_units;  // meaningful only when > 0
-
-    for (std::uint32_t size = start_size; size <= max_size; ++size) {
+    for (std::uint32_t size = 1; size <= max_size; ++size) {
         // Canonical seed sets of this size, in combination order: the
-        // deterministic unit list every decomposition width shares. When
-        // resuming mid-size the checkpoint carries the cached list, so a
-        // pause/resume loop enumerates the combination space once.
-        const bool use_cache =
-            resuming && size == start_size && !checkpoint->unit_cache.empty();
-        std::vector<std::vector<grid::VertexId>> local_units;
-        if (!use_cache) {
+        // deterministic unit list every decomposition width shares.
+        std::vector<std::vector<grid::VertexId>> units;
+        {
             std::vector<std::uint32_t> comb(size);
             std::iota(comb.begin(), comb.end(), 0u);
             std::vector<grid::VertexId> seeds;
             bool more = true;
             while (more) {
                 seeds.assign(comb.begin(), comb.end());
-                if (!group || group->is_canonical_seed_set(seeds)) local_units.push_back(seeds);
+                if (!group || group->is_canonical_seed_set(seeds)) units.push_back(seeds);
                 more = search_detail::next_combination(comb, n);
             }
-        }
-        const std::vector<std::vector<grid::VertexId>>& units =
-            use_cache ? checkpoint->unit_cache : local_units;
-
-        const std::uint64_t unit_begin = size == start_size ? start_unit : 0;
-        std::uint64_t unit_end = units.size();
-        if (options.pause_after_units > 0 && unit_end - unit_begin > pause_left) {
-            unit_end = unit_begin + pause_left;
         }
 
         std::vector<ShardState> states(shards);
@@ -244,10 +178,8 @@ SearchOutcome parallel_min_dynamo(const grid::Torus& torus, std::uint32_t max_si
         parallel_for_shards(options.pool, shards, [&](unsigned s) {
             ShardState& st = states[s];
             std::uint64_t used = shard_used[s];
-            if (used > slice[s]) return;  // exhausted in an earlier window
-            // Shard s owns units j with j % shards == s, globally indexed.
-            std::uint64_t j = unit_begin + (shards - unit_begin % shards + s) % shards;
-            for (; j < unit_end; j += shards) {
+            // Shard s owns units j with j % shards == s.
+            for (std::uint64_t j = s; j < units.size(); j += shards) {
                 const std::vector<std::size_t> stabilizer =
                     group ? group->set_stabilizer(units[j]) : std::vector<std::size_t>{0};
                 UnitResult unit =
@@ -264,7 +196,7 @@ SearchOutcome parallel_min_dynamo(const grid::Torus& torus, std::uint32_t max_si
                 if (unit.status == -1) {
                     // Only this shard dies; the others still finish the
                     // size, so the processed-unit set depends on budgets
-                    // and unit order alone, never on pause windowing.
+                    // and unit order alone, never on scheduling.
                     truncated.store(true, std::memory_order_relaxed);
                     break;
                 }
@@ -272,93 +204,42 @@ SearchOutcome parallel_min_dynamo(const grid::Torus& torus, std::uint32_t max_si
         });
 
         // Deterministic fold in shard order.
+        std::uint64_t best_unit = kNoUnit;
+        ColorField best_witness;
         for (unsigned s = 0; s < shards; ++s) {
-            const ShardState& st = states[s];
+            ShardState& st = states[s];
             outcome.sims += st.sims;
             outcome.candidates += st.candidates;
             outcome.covered += st.covered;
             shard_used[s] += st.sims;
             if (st.found_unit < best_unit) {
                 best_unit = st.found_unit;
-                best_witness = st.witness;
+                best_witness = std::move(st.witness);
             }
-        }
-        bool any_exhausted = truncated.load(std::memory_order_relaxed);
-        for (unsigned s = 0; s < shards && !any_exhausted; ++s) {
-            any_exhausted = shard_used[s] > slice[s];  // dead since an earlier window
-        }
-
-        if (unit_end < units.size()) {  // paused mid-size
-            DYNAMO_REQUIRE(checkpoint != nullptr,
-                           "pause_after_units needs a SearchCheckpoint to write the cursor to");
-            checkpoint->active = true;
-            checkpoint->fingerprint = fingerprint;
-            checkpoint->size = size;
-            checkpoint->next_unit = unit_end;
-            checkpoint->probed_max_size = outcome.probed_max_size;
-            checkpoint->sims = outcome.sims;
-            checkpoint->candidates = outcome.candidates;
-            checkpoint->covered = outcome.covered;
-            checkpoint->shard_sims = shard_used;
-            checkpoint->found_unit = best_unit;
-            checkpoint->witness_field = best_witness;
-            if (!use_cache) checkpoint->unit_cache = std::move(local_units);
-            outcome.paused = true;
-            outcome.complete = false;
-            finalize();
-            return outcome;
         }
 
         // The size is fully processed (every shard ran to its unit list's
         // end or its budget); verdicts are only issued here.
+        outcome.probed_max_size = size;
         if (best_unit != kNoUnit) {
             // Sizes below `size` were exhausted (else we'd have returned),
             // so any witness here settles the minimum exactly.
             outcome.complete = true;
             outcome.min_size = size;
-            outcome.probed_max_size = size;
             outcome.witness_seeds = units[best_unit];
             outcome.witness_field = std::move(best_witness);
             finalize();
-            deactivate();
             return outcome;
         }
-        if (any_exhausted) {
+        if (truncated.load(std::memory_order_relaxed)) {
             outcome.complete = false;
-            outcome.probed_max_size = size;
             finalize();
-            deactivate();
             return outcome;
-        }
-        outcome.probed_max_size = size;
-        if (options.pause_after_units > 0) {
-            pause_left -= unit_end - unit_begin;
-            if (pause_left == 0 && size < max_size) {  // paused on a size boundary
-                DYNAMO_REQUIRE(checkpoint != nullptr,
-                               "pause_after_units needs a SearchCheckpoint to write the cursor to");
-                checkpoint->active = true;
-                checkpoint->fingerprint = fingerprint;
-                checkpoint->size = size + 1;
-                checkpoint->next_unit = 0;
-                checkpoint->probed_max_size = outcome.probed_max_size;
-                checkpoint->sims = outcome.sims;
-                checkpoint->candidates = outcome.candidates;
-                checkpoint->covered = outcome.covered;
-                checkpoint->shard_sims = shard_used;
-                checkpoint->found_unit = kNoUnit;
-                checkpoint->witness_field.clear();
-                checkpoint->unit_cache.clear();
-                outcome.paused = true;
-                outcome.complete = false;
-                finalize();
-                return outcome;
-            }
         }
     }
 
     outcome.complete = true;
     finalize();
-    deactivate();
     return outcome;
 }
 

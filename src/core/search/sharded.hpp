@@ -22,12 +22,8 @@
 //     outcome then reports complete = false (unless a witness was found,
 //     which settles the minimum exactly) - truncation is never silent,
 //     and every shard's stopping point depends only on its slice and
-//     unit order, which is what keeps paused/resumed runs identical to
-//     uninterrupted ones even under truncation;
-//   * a SearchCheckpoint captures the shard cursor (current size, next
-//     canonical unit, accumulated counters, per-shard budget use) so long
-//     searches can pause and resume with results identical to an
-//     uninterrupted run.
+//     unit order, which keeps truncated outcomes identical serial vs
+//     pooled.
 //
 // Within one seed-set size every shard always processes its full slice of
 // units (no early exit on the first witness), which is what makes
@@ -36,8 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <vector>
 
 #include "core/search/types.hpp"
 #include "util/parallel.hpp"
@@ -53,50 +47,11 @@ struct ParallelSearchOptions {
     /// coloring) - the configuration the parity tests use to compare
     /// against the serial oracle candidate-for-candidate.
     bool use_symmetry = true;
-    /// Pause after this many canonical seed-set units (across sizes),
-    /// writing the position to the caller's SearchCheckpoint; 0 = never.
-    std::uint64_t pause_after_units = 0;
-};
-
-/// Resumable shard cursor. Pass the same instance (and identical torus /
-/// options) back to parallel_min_dynamo to continue a paused run; the
-/// combined outcome is bit-identical to an uninterrupted run - including
-/// under budget truncation and when a witness sits beyond a pause
-/// boundary, because every shard's stopping point is determined by its
-/// budget slice and unit order alone, never by the windowing.
-struct SearchCheckpoint {
-    static constexpr std::uint64_t kNoUnit = std::numeric_limits<std::uint64_t>::max();
-
-    bool active = false;          ///< true iff a paused run can be resumed
-    /// Fingerprint of (torus, options) the cursor belongs to; resuming
-    /// against anything else is rejected loudly instead of reading a
-    /// stale cursor out of bounds.
-    std::uint64_t fingerprint = 0;
-    std::uint32_t size = 1;       ///< seed-set size being processed
-    std::uint64_t next_unit = 0;  ///< first unprocessed canonical unit at `size`
-    std::uint32_t probed_max_size = 0;
-    std::uint64_t sims = 0;
-    std::uint64_t candidates = 0;
-    std::uint64_t covered = 0;
-    std::vector<std::uint64_t> shard_sims;  ///< per-shard budget already consumed
-    /// Lowest-indexed canonical unit at `size` that found a witness so
-    /// far (kNoUnit if none), and its witness coloring. The run still
-    /// processes the remaining units of the size after a find, so
-    /// counters stay identical to an uninterrupted run.
-    std::uint64_t found_unit = kNoUnit;
-    ColorField witness_field;
-    /// Cached canonical unit list for `size`, so resume calls do not
-    /// re-enumerate the raw combination space once per window.
-    std::vector<std::vector<grid::VertexId>> unit_cache;
 };
 
 /// Minimum (monotone) dynamo size by canonical exhaustive search, probing
-/// seed-set sizes 1..max_size. Seeds hold color 1 w.l.o.g. When
-/// `checkpoint` is given and active, resumes from it; when the run pauses
-/// (pause_after_units) the checkpoint is (re)written and the outcome has
-/// paused = true.
+/// seed-set sizes 1..max_size. Seeds hold color 1 w.l.o.g.
 SearchOutcome parallel_min_dynamo(const grid::Torus& torus, std::uint32_t max_size,
-                                  const ParallelSearchOptions& options = {},
-                                  SearchCheckpoint* checkpoint = nullptr);
+                                  const ParallelSearchOptions& options = {});
 
 } // namespace dynamo

@@ -13,8 +13,8 @@
 //     group x non-seed color relabeling, deterministically decomposed
 //     into shards (bit-identical serial vs pooled).
 //
-// Every outcome reports whether the search was complete, paused at a
-// checkpoint, or truncated by budget - truncation is never silent.
+// Every outcome reports whether the search was complete or truncated by
+// budget - truncation is never silent.
 #pragma once
 
 #include <cstdint>
@@ -54,9 +54,6 @@ struct SearchOutcome {
     /// candidate at every probed size was examined, or a witness was found
     /// (which settles the minimum regardless of later candidates).
     bool complete = false;
-    /// True when the run stopped at a pause checkpoint (sharded driver
-    /// only; see SearchCheckpoint) rather than at an answer or a budget.
-    bool paused = false;
     /// Smallest size for which some (seed set, coloring) pair is a
     /// (monotone) dynamo; kNoDynamo if none exists up to `probed_max_size`.
     std::uint32_t min_size = kNoDynamo;

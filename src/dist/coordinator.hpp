@@ -11,7 +11,7 @@
 //   * placement independence — expansion is always the FULL manifest,
 //     so index i's parameters and injected RNG substream are identical
 //     no matter which worker computes it; the final artifact is
-//     rendered through render_campaign_json with the unsharded 0/1
+//     rendered through CampaignOutcome::to_json with the unsharded 0/1
 //     layout and is byte-identical to `dynamo campaign` on the same
 //     manifest (acceptance-gated in CI with `cmp`);
 //   * crash safety — the ledger stores and checkpoints a result the
@@ -76,9 +76,8 @@ class CampaignCoordinator {
     /// for rendering once complete(); safe to call any time for status.
     const scenario::CampaignOutcome& outcome() const noexcept { return ledger_.outcome(); }
 
-    /// The final campaign JSON — render_campaign_json through
-    /// CampaignOutcome::to_json, i.e. the byte-identical unsharded
-    /// artifact. Call once complete().
+    /// The final campaign JSON — CampaignOutcome::to_json, i.e. the
+    /// byte-identical unsharded artifact. Call once complete().
     std::string artifact() const { return ledger_.outcome().to_json(manifest_); }
 
     std::string fingerprint_hex() const;

@@ -20,13 +20,6 @@ constexpr std::array<const char*, 9> kKinds = {
     "torus-mesh", "torus-cordalis", "torus-serpentinus",
 };
 
-constexpr std::array<const char*, 11> kRuleNames = {
-    "plurality-atleast2", "plurality-simple", "plurality-strong",
-    "threshold-1",        "threshold-2",      "threshold-3",
-    "threshold-4",        "threshold-5",      "threshold-6",
-    "threshold-7",        "threshold-8",
-};
-
 Graph build_torus_graph(grid::Topology topo, std::size_t n) {
     auto rows = static_cast<std::uint32_t>(std::sqrt(static_cast<double>(n)));
     if (rows < 2) rows = 2;
@@ -85,7 +78,6 @@ Graph build_graph(const std::string& kind, std::size_t num_vertices, double para
 }
 
 std::span<const char* const> known_graph_kinds() noexcept { return kKinds; }
-std::span<const char* const> known_graph_rules() noexcept { return kRuleNames; }
 
 RunResult run_graph_rule(const std::string& rule, const Graph& graph,
                          const ColorField& initial, const RunOptions& options) {

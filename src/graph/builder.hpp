@@ -41,9 +41,6 @@ Graph build_graph(const std::string& kind, std::size_t num_vertices, double para
 /// The kinds build_graph accepts, for CLI help and docs.
 std::span<const char* const> known_graph_kinds() noexcept;
 
-/// The rule names run_graph_rule accepts.
-std::span<const char* const> known_graph_rules() noexcept;
-
 /// Run a named rule on `graph` from `initial` through the shared run loop
 /// (CSR engine, pool-aware, observers honored). Throws on unknown names.
 RunResult run_graph_rule(const std::string& rule, const Graph& graph,

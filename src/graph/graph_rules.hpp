@@ -12,13 +12,6 @@
 //   * ConstantThresholdRule- Berger-style irreversible constant
 //                            threshold: black is absorbing, a white
 //                            vertex turns black on >= r black neighbors;
-//   * LocalRuleOnGraph<R>  - any registry LocalRule on a 4-regular
-//                            graph. Sound because every shipped rule is
-//                            slot-symmetric (reads the neighborhood as a
-//                            multiset; pinned by tests/test_rules.cpp),
-//                            so CSR's sorted adjacency order vs. the
-//                            torus {Up,Down,Left,Right} order cannot
-//                            change a decision;
 //   * TemporalSmpRule      - the intermittent-availability SMP rule of
 //                            graph/temporal.hpp: plurality >= 2 over the
 //                            present neighbor slots, presence drawn by a
@@ -40,11 +33,9 @@
 #include <span>
 
 #include "core/coloring.hpp"
-#include "core/sim/local_rule.hpp"
 #include "core/transform.hpp"
 #include "graph/graph.hpp"
 #include "graph/plurality.hpp"
-#include "grid/torus.hpp"
 #include "util/rng.hpp"
 
 namespace dynamo::graphx {
@@ -125,21 +116,6 @@ struct ConstantThresholdRule {
         std::uint32_t black = 0;
         for (const VertexId u : nbrs) black += (colors[u] == kBlack);
         return black >= r ? kBlack : own;
-    }
-    bool time_varying() const noexcept { return false; }
-};
-
-/// Any registry LocalRule on a 4-regular graph (torus-as-graph, random
-/// 4-regular expanders): the four CSR neighbors are fed to R::next as the
-/// four slot colors. Every shipped rule is slot-symmetric, so the CSR
-/// adjacency order is immaterial; degree is asserted in debug builds.
-template <sim::LocalRule R>
-struct LocalRuleOnGraph {
-    Color operator()(VertexId /*v*/, Color own, std::span<const VertexId> nbrs,
-                     const Color* colors, std::uint32_t /*round*/) const noexcept {
-        DYNAMO_ASSERT(nbrs.size() == grid::kDegree, "LocalRuleOnGraph needs a 4-regular graph");
-        return R::next(own, colors[nbrs[0]], colors[nbrs[1]], colors[nbrs[2]],
-                       colors[nbrs[3]]);
     }
     bool time_varying() const noexcept { return false; }
 };

@@ -11,10 +11,8 @@
 
 #include "core/run/simulate.hpp"
 #include "core/sim/bitplane_engine.hpp"
-#include "core/sim/csr_graph_engine.hpp"
 #include "core/sim/packed_engine.hpp"
 #include "core/transform.hpp"
-#include "graph/graph_rules.hpp"
 #include "rules/incremental.hpp"
 #include "rules/majority.hpp"
 #include "rules/threshold.hpp"
@@ -82,27 +80,9 @@ RunResult simulate_as(const grid::Torus& torus, const ColorField& initial,
 }
 
 template <sim::LocalRule R>
-QuickVerdict quick_verify_entry(const grid::Torus& torus, const ColorField& initial, Color k) {
-    sim::PackedEngineT<R> engine(torus, initial);
-    RunOptions opts;
-    opts.target = k;
-    return classify_quick_verdict(run_to_terminal(engine, opts), k);
-}
-
-template <sim::LocalRule R>
 std::size_t generic_sweep_entry(const grid::Torus& torus, const Color* src, Color* dst,
                                 ThreadPool* pool, std::size_t grain) {
     return sim::rule_sweep(torus, src, dst, sim::RuleFnOf<R>{}, pool, grain);
-}
-
-template <sim::LocalRule R>
-RunResult run_graph_entry(const graphx::Graph& graph, const ColorField& initial,
-                          const RunOptions& options) {
-    DYNAMO_REQUIRE(graph.max_degree() == grid::kDegree &&
-                       graph.num_edges() * 2 == graph.num_vertices() * grid::kDegree,
-                   "LocalRule graph runs need a 4-regular graph");
-    sim::CsrGraphEngineT<graphx::LocalRuleOnGraph<R>> engine(graph, initial);
-    return run_to_terminal(engine, options);
 }
 
 template <sim::LocalRule R>
@@ -122,8 +102,6 @@ constexpr RuleInfo make_info(const char* summary) {
         &sim::rule_stencil_sweep<R>,
         &generic_sweep_entry<R>,
         &simulate_as<R>,
-        &run_graph_entry<R>,
-        &quick_verify_entry<R>,
         +[](const grid::Torus& t) {
             return std::unique_ptr<RuleVerifier>(new SearchVerifierT<R>(t));
         },

@@ -37,10 +37,6 @@
 #include "grid/torus.hpp"
 #include "util/parallel.hpp"
 
-namespace dynamo::graphx {
-class Graph;
-}
-
 namespace dynamo::rules {
 
 /// Reusable type-erased verifier for search inner loops: owns one packed
@@ -76,15 +72,6 @@ struct RuleInfo {
                                  std::size_t);
     /// The full Backend-selected run (every Backend steps every rule).
     RunResult (*run)(const grid::Torus&, const ColorField&, const RunOptions&);
-    /// The same rule on an arbitrary 4-regular CSR graph (torus-as-graph,
-    /// random regular expanders) through the frontier-driven graph engine
-    /// (core/sim/csr_graph_engine.hpp). Sound for every registered rule
-    /// because all are slot-symmetric; throws std::invalid_argument when
-    /// the graph is not 4-regular.
-    RunResult (*run_graph)(const graphx::Graph&, const ColorField&, const RunOptions&);
-    /// Evidence-free verdict under this rule (field in the RULE's own color
-    /// conventions, k the flooding target).
-    QuickVerdict (*quick_verify)(const grid::Torus&, const ColorField&, Color k);
     /// Search-convention verifier factory (see RuleVerifier).
     std::unique_ptr<RuleVerifier> (*make_search_verifier)(const grid::Torus&);
 

@@ -13,7 +13,9 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/assert.hpp"
 #include "util/hash.hpp"
@@ -92,7 +94,17 @@ std::optional<CachedResult> ResultCache::lookup(const CacheKey& key) const {
         result.metrics[k] = v.as_string();
     }
     result.report = report->as_string();
-    result.exit_code = static_cast<int>(exit_code->as_int());
+    // An exit code that is fractional or does not fit int is an edited
+    // entry: a miss, never a wrapped (2^32 -> 0, "success") value.
+    std::int64_t code = 0;
+    try {
+        code = exit_code->as_int();
+    } catch (const std::invalid_argument&) {
+        return std::nullopt;
+    }
+    if (code < std::numeric_limits<int>::min() || code > std::numeric_limits<int>::max())
+        return std::nullopt;
+    result.exit_code = static_cast<int>(code);
     return result;
 }
 

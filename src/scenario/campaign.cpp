@@ -194,19 +194,16 @@ CampaignOutcome run_campaign(const Manifest& manifest, const CampaignOptions& op
     return std::move(ledger).finish();
 }
 
-std::string render_campaign_json(const CampaignHeader& header,
-                                 const std::vector<CampaignPoint>& points,
-                                 unsigned shard_index, unsigned shard_count,
-                                 std::size_t total_points) {
+std::string CampaignOutcome::to_json(const Manifest& manifest) const {
     const bool sharded = shard_count > 1;
     JsonObject root;
     root.reserve(8);  // also sidesteps a GCC-12 -Warray-bounds false positive
-    root.emplace_back("campaign", Json(header.name));
-    root.emplace_back("scenario", Json(header.scenario));
-    if (!header.description.empty())
-        root.emplace_back("description", Json(header.description));
-    root.emplace_back("repetitions", Json(static_cast<std::uint64_t>(header.repetitions)));
-    root.emplace_back("seed", Json(static_cast<std::uint64_t>(header.seed)));
+    root.emplace_back("campaign", Json(manifest.name));
+    root.emplace_back("scenario", Json(manifest.scenario));
+    if (!manifest.description.empty())
+        root.emplace_back("description", Json(manifest.description));
+    root.emplace_back("repetitions", Json(static_cast<std::uint64_t>(manifest.repetitions)));
+    root.emplace_back("seed", Json(static_cast<std::uint64_t>(manifest.seed)));
     if (sharded) {
         JsonObject shard;
         shard.emplace_back("index", Json(static_cast<std::uint64_t>(shard_index)));
@@ -222,8 +219,7 @@ std::string render_campaign_json(const CampaignHeader& header,
         JsonObject metrics;
         for (const auto& [k, v] : point.result.metrics) metrics.emplace_back(k, Json(v));
         JsonObject record;
-        // The global expansion index only appears in shard artifacts — it
-        // is what the merge validates the interleave against; the
+        // The global expansion index only appears in shard artifacts; the
         // unsharded artifact keeps its classic (pre-shard) shape.
         if (sharded)
             record.emplace_back("index", Json(static_cast<std::uint64_t>(point.spec.index)));
@@ -238,12 +234,6 @@ std::string render_campaign_json(const CampaignHeader& header,
     }
     root.emplace_back("points", Json(std::move(point_records)));
     return Json(std::move(root)).dump(2) + "\n";
-}
-
-std::string CampaignOutcome::to_json(const Manifest& manifest) const {
-    const CampaignHeader header{manifest.name, manifest.scenario, manifest.description,
-                                manifest.repetitions, manifest.seed};
-    return render_campaign_json(header, points, shard_index, shard_count, total_points);
 }
 
 std::string CampaignOutcome::summary(const Manifest& manifest) const {

@@ -39,9 +39,10 @@
 // (the deterministic decomposition the sharded search driver uses).
 // Expansion — and therefore every point's parameters and injected RNG
 // substream — is always that of the full manifest, so a shard computes
-// exactly the same results it would in an unsharded run, and
-// merge_campaign_artifacts (scenario/merge.hpp) reassembles N shard
-// reports into the byte-identical unsharded campaign JSON.
+// exactly the same results it would in an unsharded run. Shards that
+// share one cache (or whose caches are joined with `dynamo cache merge`)
+// reassemble by re-running the unsharded campaign against that cache:
+// every point is a hit, and warm == cold makes the artifact byte-identical.
 #pragma once
 
 #include <cstdint>
@@ -97,26 +98,6 @@ struct CampaignPoint {
     bool from_cache = false;
 };
 
-/// The manifest-derived header fields every campaign artifact repeats.
-/// Extracted so merged shard reports serialize through exactly the code
-/// path an unsharded run uses (byte-identity by construction).
-struct CampaignHeader {
-    std::string name;
-    std::string scenario;
-    std::string description;
-    std::uint64_t repetitions = 1;
-    std::uint64_t seed = 0;
-};
-
-/// The one campaign-JSON serializer (used by CampaignOutcome::to_json and
-/// by the shard merge). shard_count > 1 additionally records the shard
-/// layout and each point's global index; shard_count == 1 emits the
-/// classic unsharded artifact, byte-identical to the pre-shard format.
-std::string render_campaign_json(const CampaignHeader& header,
-                                 const std::vector<CampaignPoint>& points,
-                                 unsigned shard_index, unsigned shard_count,
-                                 std::size_t total_points);
-
 struct CampaignOutcome {
     std::vector<CampaignPoint> points;  ///< owned points, expansion order
     std::size_t computed = 0;
@@ -127,7 +108,9 @@ struct CampaignOutcome {
     unsigned shard_index = 0;
     unsigned shard_count = 1;
 
-    /// The deterministic campaign report (see header comment).
+    /// The deterministic campaign report (see header comment). A shard
+    /// (shard_count > 1) also records the shard layout and each point's
+    /// global index; shard_count == 1 emits the classic unsharded artifact.
     std::string to_json(const Manifest& manifest) const;
     /// One-line human summary: point/computed/cached/failed counts (plus
     /// the shard slice when sharded).

@@ -90,7 +90,13 @@ CampaignCheckpoint::CampaignCheckpoint(std::string path, std::uint64_t fingerpri
             if (index == nullptr || !index->is_number() || hash == nullptr ||
                 !hash->is_string() || !parse_hex16(hash->as_string(), parsed_hash))
                 continue;  // foreign or damaged line: skip, never trust
-            settled_[static_cast<std::size_t>(index->as_int())] = parsed_hash;
+            std::int64_t parsed_index = -1;  // stays negative unless an exact integer
+            try {
+                parsed_index = index->as_int();
+            } catch (const std::invalid_argument&) {
+            }
+            if (parsed_index < 0) continue;  // damaged index: skip like any damaged line
+            settled_[static_cast<std::size_t>(parsed_index)] = parsed_hash;
         }
     }
     resumed_ = settled_.size();

@@ -1,7 +1,6 @@
 // dynamo/scenario/checkpoint.hpp
 //
-// Per-shard resumable campaign checkpoints (cf. the sharded-search
-// SearchCheckpoint in core/search/sharded.hpp): a crash-safe, append-only
+// Per-shard resumable campaign checkpoints: a crash-safe, append-only
 // JSONL record of which campaign points have settled successfully, so a
 // killed campaign — or a `--force` re-run — warm-starts from the work it
 // already banked instead of from zero.

@@ -5,12 +5,15 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -37,6 +40,13 @@ std::string trim(const std::string& s) {
 /// Hard ceiling on request bodies (manifests are a few KB; anything near
 /// this is abuse or a bug): 8 MiB.
 constexpr std::size_t kMaxBody = 8u << 20;
+
+/// Per-connection deadline: a client gets this long from accept() to
+/// deliver its whole request, and each send of the reply blocks at most
+/// this long. The loop is serial, so without it one idle or trickling
+/// client would wedge every later one (a coordinator's worker heartbeats
+/// included).
+constexpr std::chrono::seconds kConnectionDeadline{2};
 
 } // namespace
 
@@ -138,11 +148,13 @@ void HttpServer::serve_forever(
             if (errno == EINTR) continue;
             return;  // stop() shut the listening socket down
         }
+        const auto deadline = std::chrono::steady_clock::now() + kConnectionDeadline;
 
         // Read head, then exactly Content-Length body bytes.
         std::string data;
         char buf[4096];
         bool bad_request = false;
+        bool timed_out = false;
         std::size_t need = std::string::npos;  // total bytes once head is seen
         for (;;) {
             if (need == std::string::npos) {
@@ -171,10 +183,25 @@ void HttpServer::serve_forever(
                 }
             }
             if (need != std::string::npos && data.size() >= need) break;
+            const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                deadline - std::chrono::steady_clock::now());
+            pollfd readable{fd, POLLIN, 0};
+            const int ready =
+                left.count() > 0 ? ::poll(&readable, 1, static_cast<int>(left.count())) : 0;
+            if (ready < 0 && errno == EINTR) continue;
+            if (ready <= 0) {
+                timed_out = true;
+                break;
+            }
             const ssize_t n = ::read(fd, buf, sizeof(buf));
             if (n <= 0) break;  // peer closed or error: work with what we have
             data.append(buf, static_cast<std::size_t>(n));
             if (data.size() > kMaxBody + 16384) break;  // refuse unbounded heads
+        }
+
+        if (timed_out) {  // idle or trickling client: drop it, serve the next
+            ::close(fd);
+            continue;
         }
 
         HttpResponse response;
@@ -195,6 +222,9 @@ void HttpServer::serve_forever(
             }
         }
 
+        // The send timeout bounds a client that stops reading its reply.
+        const timeval send_timeout{kConnectionDeadline.count(), 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout, sizeof(send_timeout));
         // MSG_NOSIGNAL: a client that reset the connection must cost one
         // EPIPE here, not a process-killing SIGPIPE.
         const std::string wire = render_http_response(response);

@@ -6,7 +6,9 @@
 // binds 127.0.0.1 — fronting it with TLS/auth is a reverse proxy's job),
 // Content-Length bodies only (no chunked transfer), one connection at a
 // time (campaign jobs run on the worker pool; the HTTP loop only routes),
-// and every response closes its connection.
+// and every response closes its connection. Each connection has a fixed
+// 2 s deadline to deliver its request, and each reply send blocks at most
+// 2 s, so a slow client delays the loop by a bounded time, never wedges it.
 //
 // The parsing/serialization half (HttpRequest/HttpResponse and the
 // functions below) is pure string work, unit-tested without sockets;
@@ -79,8 +81,10 @@ class HttpServer {
     std::uint16_t port() const noexcept { return port_; }
 
     /// Accepts and answers connections until stop(). A connection that
-    /// sends garbage gets 400 and is closed; handler exceptions become
-    /// 500 — the serve loop itself never throws once entered.
+    /// sends garbage gets 400 and is closed; one that has not delivered
+    /// its request 2 s after accept is closed unanswered; handler
+    /// exceptions become 500 — the serve loop itself never throws once
+    /// entered.
     void serve_forever(const std::function<HttpResponse(const HttpRequest&)>& handler);
 
     /// Thread-safe; idempotent. Unblocks the accept loop.

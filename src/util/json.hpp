@@ -63,10 +63,6 @@ class Json {
         DYNAMO_REQUIRE(is_bool(), "JSON value is not a boolean");
         return bool_;
     }
-    double as_double() const {
-        DYNAMO_REQUIRE(is_number(), "JSON value is not a number");
-        return num_;
-    }
     std::int64_t as_int() const;
     const std::string& as_string() const {
         DYNAMO_REQUIRE(is_string(), "JSON value is not a string");

@@ -38,27 +38,12 @@ class ConsoleTable {
         rows_.push_back(std::move(row));
     }
 
-    void add_row_vec(std::vector<std::string> row) {
-        DYNAMO_REQUIRE(row.size() == headers_.size(), "row arity mismatch");
-        for (std::size_t c = 0; c < row.size(); ++c)
-            widths_[c] = std::max(widths_[c], row[c].size());
-        rows_.push_back(std::move(row));
-    }
-
     std::size_t rows() const noexcept { return rows_.size(); }
 
     void print(std::ostream& os) const {
         print_row(os, headers_);
         os << rule() << '\n';
         for (const auto& r : rows_) print_row(os, r);
-    }
-
-    /// Render as CSV (used by io::CsvWriter round-trips and plots).
-    std::string to_csv() const {
-        std::ostringstream os;
-        emit_csv_row(os, headers_);
-        for (const auto& r : rows_) emit_csv_row(os, r);
-        return os.str();
     }
 
   private:
@@ -87,14 +72,6 @@ class ConsoleTable {
         for (std::size_t c = 0; c < row.size(); ++c) {
             os << ' ' << std::setw(static_cast<int>(widths_[c])) << std::left << row[c] << ' ';
             if (c + 1 < row.size()) os << '|';
-        }
-        os << '\n';
-    }
-
-    static void emit_csv_row(std::ostringstream& os, const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c) os << ',';
-            os << row[c];
         }
         os << '\n';
     }

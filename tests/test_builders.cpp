@@ -41,12 +41,12 @@ TEST(Seeds, Theorem4SeedsAreRowPlusOne) {
 TEST(Seeds, Theorem6PicksTheSmallerDimension) {
     {
         Torus t(Topology::TorusSerpentinus, 8, 5);  // N = n = 5
-        EXPECT_EQ(theorem6_seeds(t).size(), 6u);
+        EXPECT_EQ(theorem6_seeds(t).size(), serpentinus_construction_size(8, 5));  // N + 1 = 6
     }
     {
         Torus t(Topology::TorusSerpentinus, 5, 8);  // N = m = 5
         const auto seeds = theorem6_seeds(t);
-        EXPECT_EQ(seeds.size(), 6u);
+        EXPECT_EQ(seeds.size(), serpentinus_construction_size(5, 8));  // N + 1 = 6
         const std::set<grid::VertexId> set(seeds.begin(), seeds.end());
         for (std::uint32_t i = 0; i < 5; ++i) EXPECT_TRUE(set.count(t.index(i, 0)));
         EXPECT_TRUE(set.count(t.index(0, 1)));

@@ -29,6 +29,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -263,6 +264,21 @@ TEST(Protocol, MalformedBodiesThrowActionably) {
     EXPECT_THROW(parse_complete_request(R"({"worker": "w", "lease_id": 1})"),
                  std::invalid_argument);
     EXPECT_THROW(parse_complete_reply(R"({"accepted": 1})"), std::invalid_argument);
+}
+
+TEST(Protocol, ExitCodesThatDoNotFitIntAreRejected) {
+    // 2^32 used to decode as exit code 0, settling a failed point as a
+    // success; fractional codes are not codes at all.
+    const auto completion = [](const std::string& exit_code) {
+        return R"({"worker": "w", "lease_id": 1, "fingerprint": "f", "results": [)"
+               R"({"index": 0, "exit_code": )" +
+               exit_code + R"(, "metrics": {}, "report": ""}]})";
+    };
+    EXPECT_EQ(parse_complete_request(completion("-2147483648")).results[0].exit_code,
+              std::numeric_limits<int>::min());
+    for (const char* bad : {"4294967296", "2147483648", "-2147483649", "0.5"}) {
+        EXPECT_THROW(parse_complete_request(completion(bad)), std::invalid_argument) << bad;
+    }
 }
 
 TEST(Protocol, ResultHashDiscriminatesPayloads) {

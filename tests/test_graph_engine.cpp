@@ -22,7 +22,6 @@
 #include "graph/graph_rules.hpp"
 #include "graph/temporal.hpp"
 #include "io/run_stream.hpp"
-#include "rules/registry.hpp"
 #include "util/json.hpp"
 
 namespace dynamo::graphx {
@@ -149,32 +148,6 @@ TEST(CsrEngineDifferential, ConstantThresholdOnIrregularGraphs) {
     }
 }
 
-TEST(CsrEngineDifferential, LocalRuleAdapterOnFourRegularGraphs) {
-    // Every registry LocalRule through LocalRuleOnGraph on a random
-    // 4-regular expander, against the same oracle.
-    Xoshiro256 rng(0x4444);
-    const Graph g = random_regular(100, 4, rng);
-    const ColorField bicolor = [&] {
-        Xoshiro256 frng(0xF00D);
-        ColorField f(g.num_vertices());
-        for (auto& c : f) c = frng.bernoulli(0.45) ? kBlack : kWhite;
-        return f;
-    }();
-    expect_matches_oracle(g, bicolor, LocalRuleOnGraph<sim::SmpRule>{}, 30, "expander/smp");
-    // The registry's run_graph entry drives the same engine through the
-    // shared run loop: spot-check rounds/terminal agreement per rule.
-    for (const rules::RuleInfo* info : rules::all_rules()) {
-        RunOptions opts;
-        const RunResult run = info->run_graph(g, bicolor, opts);
-        EXPECT_GT(run.final_colors.size(), 0u) << info->name;
-        EXPECT_TRUE(run.termination == Termination::Monochromatic ||
-                    run.termination == Termination::FixedPoint ||
-                    run.termination == Termination::Cycle ||
-                    run.termination == Termination::RoundLimit)
-            << info->name;
-    }
-}
-
 TEST(CsrEngineDifferential, TemporalRuleFullSweepsEveryRound) {
     const Torus t(Topology::ToroidalMesh, 6, 6);
     const Graph g = from_torus(t);
@@ -182,12 +155,6 @@ TEST(CsrEngineDifferential, TemporalRuleFullSweepsEveryRound) {
     ASSERT_TRUE(rule.time_varying());
     expect_matches_oracle(g, random_field(g.num_vertices(), 0xABba, 2), rule, 30,
                           "torus/temporal");
-}
-
-TEST(CsrEngineDifferential, RegistryRunGraphRejectsIrregularGraphs) {
-    const Graph star = Graph::from_edges(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
-    EXPECT_THROW(rules::smp_rule().run_graph(star, ColorField(5, 1), RunOptions{}),
-                 std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

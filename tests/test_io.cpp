@@ -7,7 +7,6 @@
 #include "core/builders.hpp"
 #include "core/run/simulate.hpp"
 #include "io/ascii.hpp"
-#include "io/csv.hpp"
 #include "io/ppm.hpp"
 
 namespace dynamo::io {
@@ -86,22 +85,6 @@ TEST(Ppm, RejectsBadInputs) {
     EXPECT_THROW(write_ppm("/tmp/x.ppm", t, wrong, 1), std::invalid_argument);
     ColorField ok(t.size(), 1);
     EXPECT_THROW(write_ppm("/nonexistent-dir/x.ppm", t, ok, 1), std::runtime_error);
-}
-
-TEST(Csv, QuotesSpecialCharacters) {
-    const std::string path = "/tmp/dynamo_test.csv";
-    {
-        CsvWriter csv(path);
-        csv.row("plain", "with,comma", "with\"quote");
-        csv.row(1, 2.5, "x");
-    }
-    std::ifstream in(path);
-    std::string line1, line2;
-    std::getline(in, line1);
-    std::getline(in, line2);
-    EXPECT_EQ(line1, "plain,\"with,comma\",\"with\"\"quote\"");
-    EXPECT_EQ(line2, "1,2.5,x");
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -89,7 +89,6 @@ TEST(RuleRegistry, LookupRoundTripsAndNamesTheIssueSet) {
         EXPECT_NE(rule->sweep, nullptr) << rule->name;
         EXPECT_NE(rule->generic_sweep, nullptr) << rule->name;
         EXPECT_NE(rule->run, nullptr) << rule->name;
-        EXPECT_NE(rule->quick_verify, nullptr) << rule->name;
         EXPECT_NE(rule->make_search_verifier, nullptr) << rule->name;
     }
     for (const char* name :
@@ -188,16 +187,10 @@ TEST(RuleSweeps, PackedStencilMatchesGenericTableSweepLockstep) {
     }
 }
 
-TEST(RuleVerify, QuickVerifyAndSearchVerifierBridgeConventions) {
+TEST(RuleVerify, SearchVerifierBridgesConventions) {
     const Torus t(Topology::ToroidalMesh, 3, 3);
     const rules::RuleInfo& contagion = *rules::find_rule("threshold-1");
     const rules::RuleInfo& two_threshold = *rules::find_rule("threshold-2");
-
-    // Rule-convention quick verify: one black cell on a bi-color field.
-    ColorField one_black(t.size(), kWhite);
-    one_black[t.index(1, 1)] = kBlack;
-    EXPECT_TRUE(contagion.quick_verify(t, one_black, kBlack).is_monotone);
-    EXPECT_FALSE(two_threshold.quick_verify(t, one_black, kBlack).is_dynamo);
 
     // Search-convention verifier: seeds hold color 1, complement color 2;
     // bi-color rules read the seeds as the black faction.
@@ -209,19 +202,6 @@ TEST(RuleVerify, QuickVerifyAndSearchVerifierBridgeConventions) {
     EXPECT_FALSE(v2->verify(search_field).is_dynamo);
     // Reusable across candidates (the search hot-loop contract).
     EXPECT_TRUE(v1->verify(search_field).is_monotone);
-
-    // The SMP search verifier is the SMP entry's quick_verify bit for bit.
-    Xoshiro256 rng(0xabcd);
-    const auto smp_verifier = rules::smp_rule().make_search_verifier(t);
-    for (int trial = 0; trial < 16; ++trial) {
-        ColorField f(t.size());
-        for (auto& c : f) c = static_cast<Color>(1 + rng.below(3));
-        const QuickVerdict direct = rules::smp_rule().quick_verify(t, f, 1);
-        const QuickVerdict bridged = smp_verifier->verify(f);
-        EXPECT_EQ(direct.is_dynamo, bridged.is_dynamo) << trial;
-        EXPECT_EQ(direct.is_monotone, bridged.is_monotone) << trial;
-        EXPECT_EQ(direct.rounds, bridged.rounds) << trial;
-    }
 }
 
 TEST(RuleSearch, QuotientedSearchMatchesSerialOracleUnderBicolorRules) {
@@ -291,24 +271,6 @@ TEST(RuleSearch, UnsoundCombinationsAreRefusedLoudly) {
     pruned.rule = rules::find_rule("threshold-2");
     pruned.use_block_prune = true;
     EXPECT_THROW(exhaustive_min_dynamo(t, 1, pruned), std::invalid_argument);
-}
-
-TEST(RuleSearch, CheckpointsNeverCrossRules) {
-    // The checkpoint fingerprint mixes the rule name: a cursor written
-    // under one rule must be rejected by a resume under another.
-    const Torus t(Topology::ToroidalMesh, 3, 3);
-    ParallelSearchOptions opts;
-    opts.base.total_colors = 2;
-    opts.base.rule = rules::find_rule("irreversible-majority");
-    opts.pause_after_units = 1;
-    SearchCheckpoint checkpoint;
-    const SearchOutcome paused = parallel_min_dynamo(t, 3, opts, &checkpoint);
-    ASSERT_TRUE(paused.paused);
-    ASSERT_TRUE(checkpoint.active);
-
-    ParallelSearchOptions other = opts;
-    other.base.rule = rules::find_rule("threshold-2");
-    EXPECT_THROW(parallel_min_dynamo(t, 3, other, &checkpoint), std::invalid_argument);
 }
 
 TEST(RuleSimulate, DispatchHelpersRideTheMonomorphizedPath) {

@@ -381,36 +381,6 @@ TEST(RunGraph, PluralityMatchesTorusUnderSharedRunLoop) {
     }
 }
 
-TEST(RunGraph, EveryRegisteredRuleMatchesPackedOnTorusAsGraph) {
-    // The torus-as-graph parity smoke: every registry rule driven through
-    // its run_graph entry (CSR frontier engine on the from_torus adjacency)
-    // must reproduce Backend::Packed on the torus itself. Sound because
-    // every shipped rule is slot-symmetric, so the CSR sorted neighbor
-    // order vs the torus {Up,Down,Left,Right} order cannot change any
-    // decision.
-    Xoshiro256 rng(0x60d);
-    for (const Topology topo : kTopologies) {
-        Torus t(topo, 6, 7);
-        const graphx::Graph graph = graphx::from_torus(t);
-        for (const rules::RuleInfo* rule : rules::all_rules()) {
-            const Color palette = rule->bicolor() ? 2 : 3;
-            const ColorField f = random_field(t, palette, rng);
-            RunOptions opts;
-            opts.target = rule->bicolor() ? Color(2) : Color(1);
-            opts.backend = Backend::Packed;
-            const RunResult reference = rule->run(t, f, opts);
-            const RunResult via_graph = rule->run_graph(graph, f, opts);
-            expect_results_identical(reference, via_graph,
-                                     std::string(rule->name) + "/" + to_string(topo));
-        }
-    }
-    // Non-4-regular graphs are refused up front: ring_lattice(n, 1) is the
-    // 2-regular cycle.
-    const graphx::Graph cycle = graphx::ring_lattice(8, 1);
-    EXPECT_THROW(rules::smp_rule().run_graph(cycle, ColorField(8, 1), RunOptions{}),
-                 std::invalid_argument);
-}
-
 TEST(RunBatch, SubstreamsAreDeterministicAcrossSchedules) {
     const std::uint64_t seed = 0xba7c4;
     BatchRunner serial(nullptr);

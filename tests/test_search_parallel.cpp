@@ -4,7 +4,6 @@
 //   * bit-identical aggregate outcomes serial vs pooled and across shard
 //     counts {1, 2, 7} (the shard, not the worker, is the determinism
 //     unit);
-//   * checkpoint/resume of the shard cursor equals an uninterrupted run;
 //   * budget truncation is reported atomically under the pool (regression
 //     for the racy plain-bool write) and is never silent;
 //   * agreement with the serial full enumerator on every decided value;
@@ -30,7 +29,6 @@ using grid::Torus;
 /// The outcome fields that must be bit-identical across decompositions.
 void expect_identical(const SearchOutcome& a, const SearchOutcome& b, const char* what) {
     EXPECT_EQ(a.complete, b.complete) << what;
-    EXPECT_EQ(a.paused, b.paused) << what;
     EXPECT_EQ(a.min_size, b.min_size) << what;
     EXPECT_EQ(a.probed_max_size, b.probed_max_size) << what;
     EXPECT_EQ(a.sims, b.sims) << what;
@@ -134,77 +132,6 @@ TEST(ParallelSearch, NonSymmetricModeMatchesTheOracleCandidateForCandidate) {
     EXPECT_EQ(raw.group_order, 1u);
 }
 
-TEST(ParallelSearch, CheckpointResumeEqualsUninterrupted) {
-    ThreadPool pool(4);
-    for (const unsigned pause : {1u, 2u, 5u}) {
-        ParallelSearchOptions opts;
-        opts.base.total_colors = 3;
-        opts.num_shards = 3;
-        opts.pool = &pool;
-        Torus t(Topology::ToroidalMesh, 3, 3);
-
-        const SearchOutcome uninterrupted = parallel_min_dynamo(t, 3, opts);
-
-        ParallelSearchOptions paused = opts;
-        paused.pause_after_units = pause;
-        SearchCheckpoint checkpoint;
-        SearchOutcome resumed;
-        int calls = 0;
-        do {
-            resumed = parallel_min_dynamo(t, 3, paused, &checkpoint);
-            ++calls;
-            ASSERT_LT(calls, 1000) << "search did not converge";
-        } while (resumed.paused);
-
-        expect_identical(uninterrupted, resumed, "resume");
-        EXPECT_FALSE(checkpoint.active);
-        EXPECT_GT(calls, 1) << "pause never triggered; the test lost its point";
-    }
-}
-
-TEST(ParallelSearch, CheckpointResumeEqualsUninterruptedUnderTruncation) {
-    // Regression (review finding): a shard exhausting its budget slice
-    // inside a pause window must not change the aggregate outcome - every
-    // shard's stopping point is a function of its slice and unit order
-    // alone, so paused+resumed equals uninterrupted even when the run
-    // truncates, and a witness beyond a pause boundary is still found.
-    Torus t(Topology::ToroidalMesh, 3, 3);
-    ParallelSearchOptions opts;
-    opts.base.total_colors = 3;
-    opts.base.max_sims = 100;  // truncates partway into the search
-    opts.num_shards = 2;
-    const SearchOutcome uninterrupted = parallel_min_dynamo(t, 3, opts);
-
-    for (const unsigned pause : {1u, 3u}) {
-        ParallelSearchOptions paused = opts;
-        paused.pause_after_units = pause;
-        SearchCheckpoint checkpoint;
-        SearchOutcome resumed;
-        int calls = 0;
-        do {
-            resumed = parallel_min_dynamo(t, 3, paused, &checkpoint);
-            ++calls;
-            ASSERT_LT(calls, 1000) << "search did not converge";
-        } while (resumed.paused);
-        expect_identical(uninterrupted, resumed, "truncated resume");
-    }
-}
-
-TEST(ParallelSearch, PausedOutcomesAreMarkedAndCarryTheCursor) {
-    Torus t(Topology::ToroidalMesh, 3, 3);
-    ParallelSearchOptions opts;
-    opts.base.total_colors = 3;
-    opts.num_shards = 2;
-    opts.pause_after_units = 1;
-    SearchCheckpoint checkpoint;
-    const SearchOutcome first = parallel_min_dynamo(t, 3, opts, &checkpoint);
-    ASSERT_TRUE(first.paused);
-    EXPECT_FALSE(first.complete);
-    EXPECT_TRUE(checkpoint.active);
-    EXPECT_EQ(checkpoint.shard_sims.size(), 2u);
-    EXPECT_EQ(first.sims, checkpoint.sims);
-}
-
 TEST(ParallelSearch, TruncationIsReportedIdenticallySerialAndPooled) {
     // Regression for the racy truncation flag: with 7 shards racing on the
     // pool and an absurdly small budget, every decomposition must agree -
@@ -221,7 +148,6 @@ TEST(ParallelSearch, TruncationIsReportedIdenticallySerialAndPooled) {
 
     const SearchOutcome s = parallel_min_dynamo(t, 4, serial);
     ASSERT_FALSE(s.complete);
-    EXPECT_FALSE(s.paused);
     EXPECT_GT(s.sims, 0u);
 
     for (int repeat = 0; repeat < 5; ++repeat) {
@@ -231,25 +157,30 @@ TEST(ParallelSearch, TruncationIsReportedIdenticallySerialAndPooled) {
 }
 
 TEST(ParallelSearch, QuickVerdictMatchesVerifyDynamo) {
-    // The search verifies through the SMP entry's quick_verify (packed
-    // engine via run_to_terminal); it must classify exactly like the
-    // RunResult-carrying verify_dynamo on random fields and on known
-    // dynamos.
+    // The search verifies through the SMP entry's search verifier (packed
+    // engine via run_to_terminal, target color 1); it must classify
+    // exactly like the RunResult-carrying verify_dynamo on random fields
+    // and on known dynamos.
     Xoshiro256 rng(0x9d1);
     for (const Topology topo :
          {Topology::ToroidalMesh, Topology::TorusCordalis, Topology::TorusSerpentinus}) {
         Torus t(topo, 4, 4);
+        const auto verifier = rules::smp_rule().make_search_verifier(t);
         for (int trial = 0; trial < 20; ++trial) {
             ColorField f(t.size());
             for (auto& c : f) c = static_cast<Color>(1 + rng.below(3));
             const DynamoVerdict slow = verify_dynamo(t, f, 1);
-            const QuickVerdict quick = rules::smp_rule().quick_verify(t, f, 1);
+            const QuickVerdict quick = verifier->verify(f);
             ASSERT_EQ(quick.is_dynamo, slow.is_dynamo) << to_string(topo) << ' ' << trial;
             ASSERT_EQ(quick.is_monotone, slow.is_monotone) << to_string(topo) << ' ' << trial;
             ASSERT_EQ(quick.rounds, slow.trace.rounds) << to_string(topo) << ' ' << trial;
         }
+        // SMP is color-symmetric: swapping k and 1 puts the seeds in the
+        // search convention without changing the verdict.
         const Configuration cfg = build_minimum_dynamo(t);
-        EXPECT_TRUE(rules::smp_rule().quick_verify(t, cfg.field, cfg.k).is_monotone);
+        ColorField seeds_as_one = cfg.field;
+        for (Color& c : seeds_as_one) c = c == cfg.k ? 1 : c == 1 ? cfg.k : c;
+        EXPECT_TRUE(verifier->verify(seeds_as_one).is_monotone);
     }
 }
 

@@ -8,10 +8,11 @@
 //     previously-successful points as cache hits;
 //   * checkpoints — round-trip, torn-tail tolerance, loud fingerprint
 //     rejection, --force-resume semantics;
-//   * sharding — shard counts {1, 2, 7} all merge byte-identically to
-//     the unsharded artifact; merge validation errors are loud;
+//   * sharding — shard counts {1, 2, 7} all reassemble through their
+//     shared cache into the byte-identical unsharded artifact;
 //   * the HTTP/JSON service — request parsing, socketless routing of the
-//     whole endpoint surface, and one real loopback-socket round trip.
+//     whole endpoint surface, and real loopback-socket round trips
+//     (including a reset client and idle/trickling clients).
 //
 // The probe scenarios registered here exist only in this binary (the
 // registry is process-local and register_scenario is public), so the
@@ -21,9 +22,11 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -34,7 +37,6 @@
 #include "scenario/campaign.hpp"
 #include "scenario/checkpoint.hpp"
 #include "scenario/manifest.hpp"
-#include "scenario/merge.hpp"
 #include "scenario/scenario.hpp"
 #include "service/http.hpp"
 #include "service/service.hpp"
@@ -256,6 +258,29 @@ TEST(Checkpoint, RoundTripAndTornTailTolerance) {
     EXPECT_FALSE(reopened.is_settled(4, 0)) << "the torn line must be ignored";
 }
 
+TEST(Checkpoint, DamagedIndexLinesAreSkippedNotFatal) {
+    // A settled line whose index is not a non-negative exact integer used
+    // to throw "not an exact integer" and abort the whole resume.
+    const ScratchDir dir("ckpt_damaged");
+    const std::string path = dir.path() + "/ck.jsonl";
+    {
+        CampaignCheckpoint fresh(path, 0x5eedULL, 0, 1, 4);
+        fresh.mark_settled(1, 11);
+    }
+    {
+        std::ofstream out(path, std::ios::app);
+        out << "{\"index\": 0.5, \"hash\": \"0000000000000007\"}\n"
+            << "{\"index\": -1, \"hash\": \"0000000000000007\"}\n"
+            << "{\"index\": 1e300, \"hash\": \"0000000000000007\"}\n"
+            << "{\"index\": 3, \"hash\": \"0000000000000021\"}\n";
+    }
+    const CampaignCheckpoint reopened(path, 0x5eedULL, 0, 1, 4);
+    EXPECT_EQ(reopened.resumed(), 2u);
+    EXPECT_TRUE(reopened.is_settled(1, 11));
+    EXPECT_TRUE(reopened.is_settled(3, 0x21)) << "lines after a damaged one still count";
+    EXPECT_FALSE(reopened.is_settled(0, 7));
+}
+
 TEST(Checkpoint, RejectsForeignFilesAndWrongFingerprints) {
     const ScratchDir dir("ckpt_reject");
     const std::string path = dir.path() + "/ck.jsonl";
@@ -294,7 +319,7 @@ TEST(Checkpoint, ForceResumeServesCheckpointedPointsFromTheCache) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharding + merge
+// Sharding + reassembly
 // ---------------------------------------------------------------------------
 
 TEST(ShardMerge, EveryShardCountMergesByteIdenticallyToUnsharded) {
@@ -309,20 +334,22 @@ TEST(ShardMerge, EveryShardCountMergesByteIdenticallyToUnsharded) {
         // concurrent-store fix is what makes that safe.
         CampaignOptions options;
         options.cache_dir = dir.path() + "/shared-" + std::to_string(count);
-        std::vector<ShardArtifact> artifacts;
         std::size_t owned_total = 0;
         for (unsigned k = 0; k < count; ++k) {
             options.shard_index = k;
             options.shard_count = count;
             options.checkpoint =
                 dir.path() + "/ck-" + std::to_string(count) + "-" + std::to_string(k);
-            const CampaignOutcome outcome = run_campaign(manifest, options);
-            owned_total += outcome.points.size();
-            artifacts.push_back({"shard-" + std::to_string(k), outcome.to_json(manifest)});
+            owned_total += run_campaign(manifest, options).points.size();
         }
         EXPECT_EQ(owned_total, 6u) << "shards must partition the expansion";
-        EXPECT_EQ(merge_campaign_artifacts(artifacts), expected)
-            << "merge of " << count << " shards is not byte-identical";
+        // Reassembly is the unsharded campaign over the shards' cache.
+        CampaignOptions reassemble;
+        reassemble.cache_dir = options.cache_dir;
+        const CampaignOutcome merged = run_campaign(manifest, reassemble);
+        EXPECT_EQ(merged.computed, 0u) << count << " shards left points uncached";
+        EXPECT_EQ(merged.to_json(manifest), expected)
+            << "reassembly of " << count << " shards is not byte-identical";
     }
 }
 
@@ -340,70 +367,6 @@ TEST(ShardMerge, ShardSpecParsesKOverNAndRejectsEverythingElse) {
                             " 1/2", "4294967297/2", "1/4294967296", "99999999999999999999/2"}) {
         EXPECT_THROW(parse_shard_spec(bad, index, count), std::invalid_argument) << bad;
     }
-}
-
-TEST(ShardMerge, SingleUnshardedArtifactRoundTripsUnchanged) {
-    const ScratchDir dir("shard_roundtrip");
-    const Manifest manifest = probe_manifest();
-    CampaignOptions options;
-    options.cache_dir = dir.path();
-    const std::string artifact = run_campaign(manifest, options).to_json(manifest);
-    EXPECT_EQ(merge_campaign_artifacts({{"full", artifact}}), artifact);
-}
-
-TEST(ShardMerge, ValidationRejectsIncoherentInputs) {
-    const ScratchDir dir("shard_invalid");
-    const Manifest manifest = probe_manifest();
-    CampaignOptions options;
-    options.cache_dir = dir.path();
-    options.shard_count = 2;
-    options.shard_index = 0;
-    const std::string shard0 = run_campaign(manifest, options).to_json(manifest);
-    options.shard_index = 1;
-    const std::string shard1 = run_campaign(manifest, options).to_json(manifest);
-
-    EXPECT_THROW(merge_campaign_artifacts({}), std::invalid_argument);
-    // A 2-way split needs both halves.
-    EXPECT_THROW(merge_campaign_artifacts({{"s0", shard0}}), std::invalid_argument);
-    // The same shard twice is not a merge.
-    EXPECT_THROW(merge_campaign_artifacts({{"s0", shard0}, {"s0-again", shard0}}),
-                 std::invalid_argument);
-    // Artifacts from different campaigns must not mix.
-    Manifest renamed = manifest;
-    renamed.name = "svc-probe-other";
-    options.shard_index = 1;
-    const std::string foreign = run_campaign(renamed, options).to_json(renamed);
-    EXPECT_THROW(merge_campaign_artifacts({{"s0", shard0}, {"foreign", foreign}}),
-                 std::invalid_argument);
-    // Garbage is rejected with the artifact named, not parsed around.
-    EXPECT_THROW(merge_campaign_artifacts({{"junk", "{not json"}}), std::invalid_argument);
-
-    // Numbers that do not fit their field are rejected, not wrapped: a
-    // count of 2^32 + 2 used to merge as a 2-way split, and an exit code
-    // of 2^32 used to render a failed point as 0.
-    const auto patched = [](std::string text, const std::string& from, const std::string& to) {
-        const std::size_t at = text.find(from);
-        EXPECT_NE(at, std::string::npos) << from;
-        return text.replace(at, from.size(), to);
-    };
-    const auto expect_rejected_naming = [&](const std::string& source, const std::string& text,
-                                            const std::string& field) {
-        try {
-            merge_campaign_artifacts({{source, text}, {"s1", shard1}});
-            ADD_FAILURE() << field << " was accepted";
-        } catch (const std::invalid_argument& e) {
-            const std::string what = e.what();
-            EXPECT_NE(what.find("'" + source + "'"), std::string::npos) << what;
-            EXPECT_NE(what.find("'" + field + "'"), std::string::npos) << what;
-        }
-    };
-    expect_rejected_naming("wide-count.json",
-                           patched(shard0, "\"count\": 2", "\"count\": 4294967298"), "count");
-    expect_rejected_naming("wide-exit.json",
-                           patched(shard0, "\"exit_code\": 0", "\"exit_code\": 4294967296"),
-                           "exit_code");
-    expect_rejected_naming("negative-index.json",
-                           patched(shard0, "\"index\": 0", "\"index\": -1"), "index");
 }
 
 TEST(ShardMerge, ShardRunsPopulateASharedCacheUnshardedRunsCanReuse) {
@@ -596,8 +559,8 @@ TEST(Service, ReportsConflictUntilDoneAndSurfacesJobFailure) {
 // One real socket round trip
 // ---------------------------------------------------------------------------
 
-/// Minimal blocking HTTP client for the loopback test.
-std::string http_exchange(std::uint16_t port, const std::string& wire) {
+/// A client socket connected to the loopback server.
+int connect_loopback(std::uint16_t port) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
     sockaddr_in addr{};
@@ -605,6 +568,16 @@ std::string http_exchange(std::uint16_t port, const std::string& wire) {
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(port);
     EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+}
+
+/// Minimal blocking HTTP client for the loopback tests. A nonzero
+/// `timeout_s` bounds each read, so a wedged server yields an empty reply
+/// instead of a hung test.
+std::string http_exchange(std::uint16_t port, const std::string& wire, long timeout_s = 0) {
+    const int fd = connect_loopback(port);
+    const timeval timeout{timeout_s, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     std::size_t sent = 0;
     while (sent < wire.size()) {
         const ssize_t n = ::write(fd, wire.data() + sent, wire.size() - sent);
@@ -667,13 +640,7 @@ TEST(Service, ClientResetBeforeTheReplyLeavesTheServerUp) {
     });
 
     for (int attempt = 0; attempt < 3; ++attempt) {
-        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        ASSERT_GE(fd, 0);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(server.port());
-        ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+        const int fd = connect_loopback(server.port());
         const std::string partial = "GET /healthz HTTP/1.1\r\nHost: loc";
         ASSERT_EQ(::write(fd, partial.data(), partial.size()),
                   static_cast<ssize_t>(partial.size()));
@@ -686,6 +653,48 @@ TEST(Service, ClientResetBeforeTheReplyLeavesTheServerUp) {
         server.port(), "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n");
     EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos);
 
+    server.stop();
+    loop.join();
+}
+
+TEST(Service, IdleAndTricklingClientsCannotWedgeTheServer) {
+    // The serial loop used to read with no deadline: one client that
+    // connected and sent nothing held /healthz off until it closed. Each
+    // connection now has 2 s from accept, so the idle client and one that
+    // trickles a byte every 500 ms cost at most 2 s each.
+    HttpServer server(0);
+    ASSERT_GT(server.port(), 0);
+    std::thread loop([&] {
+        server.serve_forever([](const HttpRequest&) {
+            return HttpResponse{200, "application/json", "{\"status\":\"ok\"}\n"};
+        });
+    });
+
+    const int idle = connect_loopback(server.port());
+    const int trickler = connect_loopback(server.port());
+    std::atomic<bool> done{false};
+    std::thread trickle([&] {
+        const std::string head = "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n";
+        for (std::size_t i = 0; i < head.size() && !done.load(); ++i) {
+            if (::send(trickler, &head[i], 1, MSG_NOSIGNAL) != 1) break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(500));
+        }
+    });
+
+    const long bound_s = 2 * 2 + 1;  // 2 x deadline + 1 s
+    const auto start = std::chrono::steady_clock::now();
+    const std::string health = http_exchange(
+        server.port(), "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n", bound_s);
+    const double elapsed_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos) << "no reply in " << bound_s
+                                                                << " s";
+    EXPECT_LT(elapsed_s, static_cast<double>(bound_s));
+
+    done.store(true);
+    trickle.join();
+    ::close(trickler);
+    ::close(idle);
     server.stop();
     loop.join();
 }

@@ -254,12 +254,6 @@ TEST(ConsoleTable, RejectsArityMismatch) {
     EXPECT_THROW(table.add_row(1), std::invalid_argument);
 }
 
-TEST(ConsoleTable, CsvRoundTrip) {
-    ConsoleTable table({"a", "b"});
-    table.add_row(1, "x");
-    EXPECT_EQ(table.to_csv(), "a,b\n1,x\n");
-}
-
 TEST(Stopwatch, TimeAdvances) {
     Stopwatch sw;
     double sink = 0;
