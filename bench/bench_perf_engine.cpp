@@ -255,18 +255,18 @@ bool trajectories_identical(const grid::Torus& torus, const ColorField& field, i
     return true;
 }
 
-using SweepFn = decltype(dynamo::rules::RuleInfo::sweep);  // the registry entry-point type
-
-/// Cells/second of one registry sweep entry point (serial), ping-ponging
-/// two buffers from `field`. Best of two timed passes: the rules section
-/// feeds a CI ratio gate, and taking the max per arm keeps a co-tenant
-/// burst that lands inside ONE millisecond-scale pass from skewing it.
-double measure_rule_sweep(SweepFn sweep, const grid::Torus& torus, const ColorField& field,
+/// Cells/second of one sweep (serial), ping-ponging two buffers from
+/// `field`; `sweep(src, dst)` is one round. Best of two timed passes: the
+/// rules section feeds a CI ratio gate, and taking the max per arm keeps a
+/// co-tenant burst that lands inside ONE millisecond-scale pass from
+/// skewing it.
+template <typename Sweep>
+double measure_rule_sweep(Sweep sweep, const grid::Torus& torus, const ColorField& field,
                           int warmup, int rounds) {
     ColorField cur = field;
     ColorField next(field.size());
     for (int r = 0; r < warmup; ++r) {
-        sweep(torus, cur.data(), next.data(), nullptr, 1 << 14);
+        sweep(cur.data(), next.data());
         cur.swap(next);
     }
     const double cells = static_cast<double>(torus.size()) * rounds;
@@ -274,7 +274,7 @@ double measure_rule_sweep(SweepFn sweep, const grid::Torus& torus, const ColorFi
     for (int pass = 0; pass < 2; ++pass) {
         Stopwatch watch;
         for (int r = 0; r < rounds; ++r) {
-            sweep(torus, cur.data(), next.data(), nullptr, 1 << 14);
+            sweep(cur.data(), next.data());
             cur.swap(next);
         }
         best = std::max(best, cells / watch.seconds());
@@ -282,15 +282,29 @@ double measure_rule_sweep(SweepFn sweep, const grid::Torus& torus, const ColorFi
     return best;
 }
 
+/// The registry's packed and generic sweeps of `rule` as measure_rule_sweep
+/// callables; the generic one walks `table` (reference_neighbor_table).
+auto packed_sweep(const rules::RuleInfo& rule, const grid::Torus& torus) {
+    return [&rule, &torus](const Color* src, Color* dst) {
+        return rule.sweep(torus, src, dst, nullptr, 1 << 14);
+    };
+}
+auto generic_sweep(const rules::RuleInfo& rule, const grid::Torus& torus,
+                   const std::vector<grid::VertexId>& table) {
+    return [&rule, &torus, &table](const Color* src, Color* dst) {
+        return rule.generic_sweep(torus, table.data(), src, dst, nullptr, 1 << 14);
+    };
+}
+
 /// Lockstep packed-vs-generic identity for one registered rule.
 bool rule_sweeps_identical(const rules::RuleInfo& rule, const grid::Torus& torus,
                            const ColorField& field, int rounds) {
     ColorField a = field, b = field;
     ColorField a_next(field.size()), b_next(field.size());
+    const auto table = reference_neighbor_table(torus);
     for (int r = 0; r < rounds; ++r) {
-        const std::size_t ca = rule.sweep(torus, a.data(), a_next.data(), nullptr, 1 << 14);
-        const std::size_t cb =
-            rule.generic_sweep(torus, b.data(), b_next.data(), nullptr, 1 << 14);
+        const std::size_t ca = packed_sweep(rule, torus)(a.data(), a_next.data());
+        const std::size_t cb = generic_sweep(rule, torus, table)(b.data(), b_next.data());
         if (ca != cb || a_next != b_next) return false;
         a.swap(a_next);
         b.swap(b_next);
@@ -405,6 +419,7 @@ int run_json_report(const CliArgs& args) {
     // promised the bi-color benches).
     constexpr double kRuleTargetSpeedup = 5.0;
     const grid::Torus rule_torus(grid::Topology::ToroidalMesh, side, side);
+    const auto rule_table = reference_neighbor_table(rule_torus);
     out << "  ],\n"
         << "  \"rules_target_speedup\": " << kRuleTargetSpeedup << ",\n"
         << "  \"rules\": {\n";
@@ -414,10 +429,10 @@ int run_json_report(const CliArgs& args) {
             const dynamo::rules::RuleInfo& rule = *all[i];
             const ColorField field =
                 random_field(rule_torus.size(), rule.bicolor() ? 2 : 4, 42);
-            const double generic_cps =
-                measure_rule_sweep(rule.generic_sweep, rule_torus, field, warmup, rounds);
-            const double packed_cps =
-                measure_rule_sweep(rule.sweep, rule_torus, field, warmup, rounds);
+            const double generic_cps = measure_rule_sweep(
+                generic_sweep(rule, rule_torus, rule_table), rule_torus, field, warmup, rounds);
+            const double packed_cps = measure_rule_sweep(packed_sweep(rule, rule_torus),
+                                                         rule_torus, field, warmup, rounds);
             const bool identical =
                 rule_sweeps_identical(rule, rule_torus, field, std::min(rounds, 8));
             out << "    \"" << rule.name << "\": {\"generic_cells_per_sec\": " << generic_cps
@@ -449,8 +464,8 @@ int run_json_report(const CliArgs& args) {
             const dynamo::rules::RuleInfo& rule = *all[i];
             const Color palette = rule.bicolor() ? 2 : 4;
             const ColorField field = random_field(rule_torus.size(), palette, 42);
-            const double packed_cps =
-                measure_rule_sweep(rule.sweep, rule_torus, field, warmup, rounds);
+            const double packed_cps = measure_rule_sweep(packed_sweep(rule, rule_torus),
+                                                         rule_torus, field, warmup, rounds);
             const double bitplane_cps =
                 rule.bitplane_cells_per_sec(rule_torus, field, warmup, rounds);
             const double speedup = bitplane_cps / packed_cps;

@@ -1,7 +1,7 @@
 // dynamo/core/search/canonical.cpp
 //
 // Symmetry-group construction and canonical-form computation: candidate
-// vertex maps are filtered against the topology's neighbor table, orbit
+// vertex maps are filtered against the topology's adjacency, orbit
 // sizes come from orbit-stabilizer counting, and non-seed colorings are
 // canonicalized by first-occurrence relabeling (see canonical.hpp).
 #include "core/search/canonical.hpp"

@@ -8,7 +8,7 @@
 //     maps (i,j) -> pointop(i,j) + (a,b): all row/column translations
 //     composed with the axis reflections (and the axis swap when m = n);
 //     each candidate is kept only if it preserves the neighbor structure
-//     of the *actual* topology, verified against the neighbor table. The
+//     of the *actual* topology, verified against Torus::neighbors. The
 //     toroidal mesh keeps all of them (order 4mn, 8n^2 when square); the
 //     cordalis/serpentinus spirals break most - whatever survives the
 //     automorphism filter is exactly the sound subgroup, computed rather

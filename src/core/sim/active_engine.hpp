@@ -10,7 +10,7 @@
 // The active set is tracked as a short list of dirty column segments per
 // row (up to kMaxSegments, sorted and disjoint) rather than a per-vertex
 // queue: a changed cell widens a segment of its own row and of the rows
-// holding its table neighbors. Segments are a superset of the exact dirty
+// holding its neighbors. Segments are a superset of the exact dirty
 // set - cells within kSlack columns of a dirty cell may be re-evaluated
 // too, and when a row collects more than kMaxSegments disjoint fronts the
 // nearest two merge - which keeps the hot loop on the contiguous stencil
@@ -105,7 +105,6 @@ class ActiveEngineT {
   private:
     std::size_t step_impl(std::vector<CellChange>* out, ThreadPool* pool, std::size_t grain) {
         const std::uint32_t n = torus_->cols();
-        const grid::VertexId* table = torus_->table_data();
 
         // Phase 1: evaluate every active segment into next_. All reads come
         // from cur_ and writes land in disjoint rows, so the active-row
@@ -138,16 +137,15 @@ class ActiveEngineT {
         for (const std::uint32_t i : active_rows_) {
             const std::size_t rbase = static_cast<std::size_t>(i) * n;
             const std::size_t base = static_cast<std::size_t>(i) * kMaxSegments;
+            const RowLinks links = row_links(*torus_, i);
             for (std::uint32_t s = 0; s < seg_cnt_[i]; ++s) {
-                for (std::size_t j = seg_lo_[base + s]; j < seg_hi_[base + s]; ++j) {
+                for (std::uint32_t j = seg_lo_[base + s]; j < seg_hi_[base + s]; ++j) {
                     const std::size_t v = rbase + j;
                     if (next_[v] == cur_[v]) continue;
                     ++changed;
                     if (out) out->push_back({static_cast<grid::VertexId>(v), cur_[v], next_[v]});
                     cur_[v] = next_[v];
-                    mark(static_cast<grid::VertexId>(v));
-                    const grid::VertexId* nb = table + v * grid::kDegree;
-                    for (std::size_t slot = 0; slot < grid::kDegree; ++slot) mark(nb[slot]);
+                    mark_with_neighbors(i, j, links);
                 }
             }
         }
@@ -164,14 +162,29 @@ class ActiveEngineT {
         return changed;
     }
 
-    /// Record column j of row i = v / n as dirty for the next round:
-    /// extend a nearby segment (within kSlack), insert a new one keeping
-    /// the list sorted and disjoint, or - at kMaxSegments - widen the
-    /// nearest neighbor instead. O(kMaxSegments) per mark.
-    void mark(grid::VertexId v) {
-        const std::uint32_t n = torus_->cols();
-        const std::uint32_t i = v / n;
-        const std::uint32_t j = v % n;
+    /// Mark changed cell (i, j) and its four neighbors, in slot order
+    /// (self, Up, Down, Left, Right). Interior columns take the row links
+    /// of the stencil; the edge columns take Torus::neighbor.
+    void mark_with_neighbors(std::uint32_t i, std::uint32_t j, const RowLinks& links) {
+        mark(i, j);
+        if (j != 0 && j + 1 != torus_->cols()) {
+            mark(links.up, j + links.up_shift);
+            mark(links.down, j - links.down_shift);
+            mark(i, j - 1);
+            mark(i, j + 1);
+            return;
+        }
+        for (std::size_t d = 0; d < grid::kDegree; ++d) {
+            const grid::Coord c = torus_->neighbor({i, j}, static_cast<grid::Direction>(d));
+            mark(c.i, c.j);
+        }
+    }
+
+    /// Record column j of row i as dirty for the next round: extend a
+    /// nearby segment (within kSlack), insert a new one keeping the list
+    /// sorted and disjoint, or - at kMaxSegments - widen the nearest
+    /// neighbor instead. O(kMaxSegments) per mark.
+    void mark(std::uint32_t i, std::uint32_t j) {
         const std::size_t base = static_cast<std::size_t>(i) * kMaxSegments;
         std::uint32_t cnt = nseg_cnt_[i];
         if (cnt == 0) {

@@ -2,10 +2,8 @@
 //
 // The bit-plane word-parallel engine (Backend::BitPlane): state packed
 // one bit per cell per plane (core/sim/bitpack.hpp), rule kernels lifted
-// from per-byte selects to boolean algebra over 64-cell limbs. Where the
-// byte stencil sweep evaluates one cell per lane, a limb operation here
-// evaluates 64, which is what makes the ROADMAP's large-torus sweeps
-// tractable past the byte engine's ~2-3 G cells/s ceiling.
+// from per-byte selects to boolean algebra over 64-cell limbs: one limb
+// operation evaluates 64 cells where the byte stencil evaluates one.
 //
 // Kernels, derived from the branchless next() forms:
 //
@@ -32,11 +30,10 @@
 //     Rules of the form g(own, smp_target) - SMP itself, the ordered
 //     "+1" rule - plug their g in as R::bitplane_apply on whole limbs.
 //
-// Torus wrap: interior lanes get Left/Right via limb shifts with
-// cross-limb carries; the wrap columns 0 / n-1 (whose Left/Right differ
-// per topology) and the serpentine-wrapped rows 0 / m-1 fall back to the
-// scalar neighbor-table kernel, O(m + n) lanes of O(mn) - the same
-// boundary split as the byte sweep (core/sim/sweep.hpp).
+// Torus wrap: rows are swept as in the byte sweep (core/sim/sweep.hpp).
+// Left/Right, and the shifted Up/Down rows of the serpentine wrap rows
+// (RowLinks), are limb shifts with cross-limb carries; only the edge
+// columns 0 / n-1 take a scalar fixup through Torus::neighbor.
 //
 // The engine keeps an unpacked byte mirror of the current state, updated
 // O(changed) per round from the XOR diff of the two packed buffers, so
@@ -223,18 +220,31 @@ struct BitplaneKernel {
 
 namespace bitplane_detail {
 
-/// Scalar fallback for the wrap columns and serpentine-wrapped rows: one
-/// cell through the neighbor table, reading lanes of the packed source.
-/// Returns whether the cell changed color (for the fused change count).
+/// Lane j of the result is lane j-1 of `row` (lane 0 reads 0): a row's
+/// Left neighbors, or the shifted Down row of a serpentine wrap row.
+inline Word lanes_from_left(const Word* row, std::size_t w) noexcept {
+    return (row[w] << 1) | (w > 0 ? row[w - 1] >> (kWordBits - 1) : 0);
+}
+
+/// Lane j of the result is lane j+1 of `row` (the last lane reads 0): a
+/// row's Right neighbors, or the shifted Up row of a serpentine wrap row.
+inline Word lanes_from_right(const Word* row, std::size_t w, std::size_t words) noexcept {
+    return (row[w] >> 1) | (w + 1 < words ? row[w + 1] << (kWordBits - 1) : 0);
+}
+
+/// Scalar fixup for an edge column (0 or n-1): one cell through
+/// Torus::neighbor, reading lanes of the packed source. Returns whether
+/// the cell changed color (for the fused change count).
 template <LocalRule R>
 inline bool fixup_cell(const grid::Torus& torus, const BitField& src, BitField& dst,
-                       const grid::VertexId* table, std::uint32_t i, std::uint32_t j) noexcept {
-    const std::uint32_t n = torus.cols();
-    const std::size_t v = static_cast<std::size_t>(i) * n + j;
-    const grid::VertexId* nb = table + v * grid::kDegree;
-    const auto at = [&](grid::VertexId u) noexcept { return src.get(u / n, u % n); };
+                       std::uint32_t i, std::uint32_t j) noexcept {
+    const auto at = [&](grid::Direction d) noexcept {
+        const grid::Coord u = torus.neighbor(grid::Coord{i, j}, d);
+        return src.get(u.i, u.j);
+    };
     const Color before = src.get(i, j);
-    const Color after = R::next(before, at(nb[0]), at(nb[1]), at(nb[2]), at(nb[3]));
+    const Color after = R::next(before, at(grid::Direction::Up), at(grid::Direction::Down),
+                                at(grid::Direction::Left), at(grid::Direction::Right));
     dst.set(i, j, after);
     return after != before;
 }
@@ -258,9 +268,8 @@ std::size_t bitplane_sweep(const grid::Torus& torus, const BitField& src, BitFie
     const std::uint32_t n = torus.cols();
     const std::size_t words = src.words_per_row();
     const Word tail = src.tail_mask();
-    const grid::VertexId* table = torus.table_data();
     const std::size_t row_grain = std::max<std::size_t>(1, (grain + n - 1) / n);
-    // The wrap columns 0 / n-1 are rewritten by the scalar fixups, so the
+    // The edge columns 0 / n-1 are rewritten by the scalar fixups, so the
     // in-register diff must not count them; their lanes are masked out of
     // the first/last limb and the fixups report their own changes.
     const std::size_t last_w = static_cast<std::size_t>(n - 1) / kWordBits;
@@ -271,39 +280,27 @@ std::size_t bitplane_sweep(const grid::Torus& torus, const BitField& src, BitFie
         std::size_t local = 0;
         for (std::size_t ri = rlo; ri < rhi; ++ri) {
             const auto i = static_cast<std::uint32_t>(ri);
-            const bool serpentine_wrap =
-                torus.topology() == grid::Topology::TorusSerpentinus && (i == 0 || i == m - 1);
-            if (serpentine_wrap) {
-                // Up/Down are not whole rows here; the scalar table kernel
-                // covers the full row, exactly like the byte sweep.
-                for (std::uint32_t j = 0; j < n; ++j) {
-                    local += bitplane_detail::fixup_cell<R>(torus, src, dst, table, i, j);
-                }
-                continue;
-            }
-            const std::uint32_t up_i = grid::dec_mod(i, m);
-            const std::uint32_t down_i = grid::inc_mod(i, m);
+            const RowLinks links = row_links(torus, i);
             std::array<const Word*, P> own_row, up_row, down_row;
             std::array<Word*, P> out_row;
             for (int p = 0; p < P; ++p) {
                 own_row[p] = src.row(p, i);
-                up_row[p] = src.row(p, up_i);
-                down_row[p] = src.row(p, down_i);
+                up_row[p] = src.row(p, links.up);
+                down_row[p] = src.row(p, links.down);
                 out_row[p] = dst.row(p, i);
             }
             for (std::size_t w = 0; w < words; ++w) {
                 Word own[P], up[P], down[P], left[P], right[P], out[P];
                 for (int p = 0; p < P; ++p) {
-                    const Word o = own_row[p][w];
-                    own[p] = o;
-                    up[p] = up_row[p][w];
-                    down[p] = down_row[p][w];
-                    // Interior Left/Right are lane shifts with cross-limb
-                    // carries; the wrap lanes get garbage here and are
-                    // overwritten by the column fixups below.
-                    left[p] = (o << 1) | (w > 0 ? own_row[p][w - 1] >> (kWordBits - 1) : 0);
-                    right[p] =
-                        (o >> 1) | (w + 1 < words ? own_row[p][w + 1] << (kWordBits - 1) : 0);
+                    // The edge lanes get garbage here and are overwritten
+                    // by the column fixups below.
+                    own[p] = own_row[p][w];
+                    up[p] = links.up_shift ? bitplane_detail::lanes_from_right(up_row[p], w, words)
+                                           : up_row[p][w];
+                    down[p] = links.down_shift ? bitplane_detail::lanes_from_left(down_row[p], w)
+                                               : down_row[p][w];
+                    left[p] = bitplane_detail::lanes_from_left(own_row[p], w);
+                    right[p] = bitplane_detail::lanes_from_right(own_row[p], w, words);
                 }
                 BitplaneKernel<R>::next_words(own, up, down, left, right, out);
                 const Word mask = (w + 1 == words) ? tail : ~Word{0};
@@ -316,8 +313,8 @@ std::size_t bitplane_sweep(const grid::Torus& torus, const BitField& src, BitFie
                 if (w == last_w) diff &= ~wrap_last;
                 local += static_cast<std::size_t>(std::popcount(diff));
             }
-            local += bitplane_detail::fixup_cell<R>(torus, src, dst, table, i, 0);
-            if (n > 1) local += bitplane_detail::fixup_cell<R>(torus, src, dst, table, i, n - 1);
+            local += bitplane_detail::fixup_cell<R>(torus, src, dst, i, 0);
+            local += bitplane_detail::fixup_cell<R>(torus, src, dst, i, n - 1);
         }
         changed.fetch_add(local, std::memory_order_relaxed);
     });
@@ -351,15 +348,6 @@ class BitplaneEngineT {
     std::size_t step_collect(std::vector<CellChange>& out, ThreadPool* pool = nullptr,
                              std::size_t grain = 1 << 14) {
         return step_impl(&out, pool, grain);
-    }
-
-    /// Rewind to round 0 with a new initial field on the same torus,
-    /// reusing the packed buffers (search-loop reset, no allocation).
-    void reset(const ColorField& initial) {
-        require_complete(*torus_, initial);
-        mirror_.assign(initial.begin(), initial.end());
-        pack_field(mirror_, cur_);
-        round_ = 0;
     }
 
     const ColorField& colors() const noexcept { return mirror_; }

@@ -27,9 +27,8 @@
 //
 // Layout contract used by the row kernels: colors are row-major, one byte
 // per vertex, and for every topology the interior columns 1..n-2 of a row
-// have Left = j-1 and Right = j+1 (the cordalis/serpentinus rewirings only
-// touch columns 0 and n-1), so an interior sweep needs just three source
-// row pointers (up / own / down) and no neighbor table at all.
+// have Left = j-1, Right = j+1 and whole-row Up/Down neighbors (RowLinks
+// below), so a row is one three-row stencil plus its two edge cells.
 #pragma once
 
 #include <cstddef>
@@ -90,33 +89,39 @@ struct SmpRule {
     }
 };
 
-/// Stencil sweep of one row restricted to interior columns [jlo, jhi),
-/// 1 <= jlo <= jhi <= n-1. `up` / `row` / `down` point at the start of the
-/// three source rows, `out` at the start of the destination row. Returns
-/// the number of cells that changed color. The single hot loop of the
-/// packed engines: unit-stride 8-bit loads, no table, no branches.
-template <LocalRule R>
-inline std::size_t sweep_row_interior(const Color* up, const Color* row, const Color* down,
-                                      Color* out, std::size_t jlo, std::size_t jhi) noexcept {
-    std::size_t changed = 0;
-    for (std::size_t j = jlo; j < jhi; ++j) {
-        const Color next = R::next(row[j], up[j], down[j], row[j - 1], row[j + 1]);
-        out[j] = next;
-        changed += next != row[j];
-    }
-    return changed;
+/// Row i's Up and Down neighbors as whole rows: interior column j has
+/// Up = (up, j + up_shift) and Down = (down, j - down_shift). A shift is 1
+/// only on the serpentinus, for the Up row of row 0 and the Down row of
+/// row m-1 (the column-spiral links of Section II.A). Columns 0 and n-1
+/// wrap differently per topology and are evaluated from Torus::neighbors.
+struct RowLinks {
+    std::uint32_t up, down, up_shift, down_shift;
+};
+
+inline RowLinks row_links(const grid::Torus& torus, std::uint32_t i) noexcept {
+    const std::uint32_t m = torus.rows();
+    const bool serpentinus = torus.topology() == grid::Topology::TorusSerpentinus;
+    return {grid::dec_mod(i, m), grid::inc_mod(i, m), serpentinus && i == 0,
+            serpentinus && i == m - 1};
 }
 
-/// Fallback cell kernel for boundary cells (columns 0 / n-1 everywhere,
-/// plus the serpentine-wrapped rows 0 / m-1): gather the 4 slots from the
-/// torus's precomputed flat neighbor table.
+/// Stencil sweep of `len` interior cells: `up` / `row` / `down` point at
+/// the first cell's Up neighbor, the cell and its Down neighbor, `out` at
+/// its destination. Returns the number of cells that changed color. The
+/// single hot loop of the byte engines: unit-stride 8-bit loads, no
+/// branches.
 template <LocalRule R>
-inline std::size_t sweep_cell_table(const Color* src, Color* dst, const grid::VertexId* table,
-                                    std::size_t v) noexcept {
-    const grid::VertexId* nb = table + v * grid::kDegree;
-    const Color next = R::next(src[v], src[nb[0]], src[nb[1]], src[nb[2]], src[nb[3]]);
-    dst[v] = next;
-    return next != src[v];
+inline std::size_t sweep_row_interior(const Color* up, const Color* row, const Color* down,
+                                      Color* out, std::size_t len) noexcept {
+    const Color* left = row - 1;
+    const Color* right = row + 1;
+    std::size_t changed = 0;
+    for (std::size_t k = 0; k < len; ++k) {
+        const Color next = R::next(row[k], up[k], down[k], left[k], right[k]);
+        out[k] = next;
+        changed += next != row[k];
+    }
+    return changed;
 }
 
 } // namespace dynamo::sim

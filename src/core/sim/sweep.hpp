@@ -3,16 +3,11 @@
 // Packed-state synchronous sweeps over the three torus topologies,
 // templated over the LocalRule concept (core/sim/local_rule.hpp).
 //
-// The seed engine walked the flat neighbor table: 16 bytes of indices plus
-// 4 scattered color loads per cell. For these topologies that traffic is
-// almost entirely avoidable: every interior column has Left/Right = j∓1 and
-// every row except the serpentine-wrapped pair has whole-row Up/Down
-// pointers (i∓1 mod m), so the bulk of a round is a three-row stencil over
-// 8-bit color buffers (core/sim/kernels.hpp) — unit-stride, table-free,
-// auto-vectorizable. Only columns 0 / n-1 and (for the torus serpentinus)
-// rows 0 / m-1 fall back to the precomputed table, O(m + n) cells of O(mn).
-// The stencil is rule-agnostic: any LocalRule rides the same fast path,
-// monomorphized per rule (rule_stencil_sweep<R>).
+// Every row of every topology is one kernel: the three-row stencil over
+// its interior columns (core/sim/kernels.hpp) plus its two edge cells 0
+// and n-1, whose Left/Right wrap differs per topology and which read
+// Torus::neighbors. The stencil is rule-agnostic and monomorphized per
+// LocalRule (rule_stencil_sweep<R>).
 //
 // Parallel decomposition: rows are split into contiguous bands, one
 // ThreadPool task per band (writes are row-disjoint, so results are
@@ -23,7 +18,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -42,56 +36,39 @@ inline constexpr std::size_t kColPanel = std::size_t{1} << 13;
 
 namespace detail {
 
-/// Sweep the column window [jlo, jhi) of a row whose Up/Down neighbors are
-/// whole rows `up_row` / `down_row` (every row of a mesh/cordalis, interior
-/// rows of a serpentinus). Interior columns take the stencil kernel;
-/// columns 0 / n-1 (whose Left/Right wrap differs per topology) take the
-/// neighbor table.
+/// One edge cell (column 0 or n-1) of the byte sweep, gathered through
+/// Torus::neighbors. Returns whether it changed color.
 template <LocalRule R>
-inline std::size_t sweep_plain_row(const Color* src, Color* dst, const grid::VertexId* table,
-                                   std::uint32_t i, std::uint32_t up_row, std::uint32_t down_row,
-                                   std::uint32_t n, std::size_t jlo, std::size_t jhi) noexcept {
-    const std::size_t base = static_cast<std::size_t>(i) * n;
-    std::size_t changed = 0;
-    if (jlo == 0) changed += sweep_cell_table<R>(src, dst, table, base);
-    const std::size_t slo = std::max<std::size_t>(jlo, 1);
-    const std::size_t shi = std::min<std::size_t>(jhi, n - 1);
-    if (slo < shi) {
-        changed += sweep_row_interior<R>(src + static_cast<std::size_t>(up_row) * n, src + base,
-                                         src + static_cast<std::size_t>(down_row) * n, dst + base,
-                                         slo, shi);
-    }
-    if (jhi == n) changed += sweep_cell_table<R>(src, dst, table, base + n - 1);
-    return changed;
+inline std::size_t sweep_edge_cell(const grid::Torus& torus, const Color* src, Color* dst,
+                                   std::uint32_t i, std::uint32_t j) noexcept {
+    const auto nb = torus.neighbors(grid::Coord{i, j});
+    const std::size_t v = static_cast<std::size_t>(i) * torus.cols() + j;
+    const Color next = R::next(src[v], src[nb[0]], src[nb[1]], src[nb[2]], src[nb[3]]);
+    dst[v] = next;
+    return next != src[v];
 }
 
-/// Fully table-driven sweep of the column window [jlo, jhi) of row i; used
-/// for the serpentine-wrapped rows whose Up/Down neighbors are not whole
-/// rows.
-template <LocalRule R>
-inline std::size_t sweep_table_row(const Color* src, Color* dst, const grid::VertexId* table,
-                                   std::uint32_t i, std::uint32_t n, std::size_t jlo,
-                                   std::size_t jhi) noexcept {
-    const std::size_t base = static_cast<std::size_t>(i) * n;
-    std::size_t changed = 0;
-    for (std::size_t j = jlo; j < jhi; ++j)
-        changed += sweep_cell_table<R>(src, dst, table, base + j);
-    return changed;
-}
-
-/// Sweep the column window [jlo, jhi) of row i, dispatching on whether the
-/// row has whole-row Up/Down pointers. Shared by the full sweep below and
-/// the active-set engine (core/sim/active_engine.hpp).
+/// Sweep the column window [jlo, jhi) of row i: the edge cells it holds
+/// plus the stencil over its interior columns. Shared by the full sweep
+/// below and the active-set engine (core/sim/active_engine.hpp).
 template <LocalRule R>
 inline std::size_t sweep_row_window(const grid::Torus& torus, const Color* src, Color* dst,
                                     std::uint32_t i, std::size_t jlo, std::size_t jhi) noexcept {
-    const std::uint32_t m = torus.rows();
-    const std::uint32_t n = torus.cols();
-    const bool serpentine_wrap = torus.topology() == grid::Topology::TorusSerpentinus &&
-                                 (i == 0 || i == m - 1);
-    if (serpentine_wrap) return sweep_table_row<R>(src, dst, torus.table_data(), i, n, jlo, jhi);
-    return sweep_plain_row<R>(src, dst, torus.table_data(), i, grid::dec_mod(i, m),
-                              grid::inc_mod(i, m), n, jlo, jhi);
+    const std::size_t n = torus.cols();
+    std::size_t changed = 0;
+    if (jlo == 0) changed += sweep_edge_cell<R>(torus, src, dst, i, 0);
+    const std::size_t slo = std::max<std::size_t>(jlo, 1);
+    const std::size_t shi = std::min<std::size_t>(jhi, n - 1);
+    if (slo < shi) {
+        // slo >= 1, so the shifted Down source never points before src.
+        const RowLinks links = row_links(torus, i);
+        const std::size_t base = i * n + slo;
+        changed += sweep_row_interior<R>(src + links.up * n + slo + links.up_shift, src + base,
+                                         src + links.down * n + slo - links.down_shift,
+                                         dst + base, shi - slo);
+    }
+    if (jhi == n) changed += sweep_edge_cell<R>(torus, src, dst, i, n - 1);
+    return changed;
 }
 
 } // namespace detail
@@ -115,32 +92,6 @@ std::size_t rule_stencil_sweep(const grid::Torus& torus, const Color* src, Color
                 local += detail::sweep_row_window<R>(torus, src, dst,
                                                      static_cast<std::uint32_t>(i), jlo, jhi);
             }
-        }
-        changed.fetch_add(local, std::memory_order_relaxed);
-    });
-    return changed.load(std::memory_order_relaxed);
-}
-
-/// Generic table-driven sweep for an arbitrary local rule (own color + 4
-/// neighbor slot colors -> new color). This is the seed engine's inner
-/// loop, kept as the Backend::Generic path (also reachable for a static
-/// rule R via RuleFnOf<R>) and as the baseline every packed instantiation
-/// is benchmarked and oracle-tested against.
-template <typename Rule>
-std::size_t rule_sweep(const grid::Torus& torus, const Color* src, Color* dst, const Rule& rule,
-                       ThreadPool* pool = nullptr, std::size_t grain = 1 << 14) {
-    const std::size_t count = torus.size();
-    const grid::VertexId* table = torus.table_data();
-    std::atomic<std::size_t> changed{0};
-    parallel_for_blocks(pool, count, grain, [&](std::size_t lo, std::size_t hi) {
-        std::size_t local = 0;
-        for (std::size_t v = lo; v < hi; ++v) {
-            const grid::VertexId* nb = table + v * grid::kDegree;
-            const std::array<Color, grid::kDegree> nbr{src[nb[0]], src[nb[1]], src[nb[2]],
-                                                       src[nb[3]]};
-            const Color out = rule(src[v], nbr);
-            dst[v] = out;
-            local += (out != src[v]);
         }
         changed.fetch_add(local, std::memory_order_relaxed);
     });

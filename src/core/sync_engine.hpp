@@ -12,22 +12,20 @@
 // because writes are disjoint and reads never touch the write buffer.
 //
 // The engine is a template over a runtime rule functor (own color + 4
-// neighbor slot colors -> new color) and always takes the generic
-// table-driven sweep of core/sim/sweep.hpp: it is the reference engine the
-// monomorphized LocalRule engines (PackedEngineT/ActiveEngineT/
-// BitplaneEngineT via the rule registry) are oracle-tested against, and what
-// Backend::Generic runs (RuleFnOf<R> adapts any LocalRule to it).
-// Run-to-terminal drivers live in core/run/ (runner.hpp / simulate.hpp);
-// this header is just the stepping substrate, exposed so examples and
-// tests can single-step and inspect intermediate states.
+// neighbor slot colors -> new color) and walks the seed's flat neighbor
+// table - the only one in the code base. It is the oracle of the
+// LocalRule engines (PackedEngineT/ActiveEngineT/BitplaneEngineT), the
+// denominator of the bench speedup gates, and what Backend::Generic runs
+// (RuleFnOf<R> adapts any LocalRule to it). Run-to-terminal drivers live
+// in core/run/ (runner.hpp / simulate.hpp).
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "core/coloring.hpp"
-#include "core/sim/sweep.hpp"
 #include "core/smp_rule.hpp"
 #include "grid/torus.hpp"
 #include "util/parallel.hpp"
@@ -43,13 +41,50 @@ struct ReferenceSmpRule {
     }
 };
 
+/// The reference engine's neighbor table: the 4 slots of every vertex,
+/// row-major, built from Torus::neighbors.
+inline std::vector<grid::VertexId> reference_neighbor_table(const grid::Torus& torus) {
+    std::vector<grid::VertexId> table;
+    table.reserve(torus.size() * grid::kDegree);
+    for (std::uint32_t i = 0; i < torus.rows(); ++i) {
+        for (std::uint32_t j = 0; j < torus.cols(); ++j) {
+            const auto nb = torus.neighbors(grid::Coord{i, j});
+            table.insert(table.end(), nb.begin(), nb.end());
+        }
+    }
+    return table;
+}
+
+/// The seed engine's inner loop: one table-driven round of an arbitrary
+/// local rule over `table` (reference_neighbor_table of `torus`).
+template <typename Rule>
+std::size_t rule_sweep(const grid::Torus& torus, const grid::VertexId* table, const Color* src,
+                       Color* dst, const Rule& rule, ThreadPool* pool = nullptr,
+                       std::size_t grain = 1 << 14) {
+    std::atomic<std::size_t> changed{0};
+    parallel_for_blocks(pool, torus.size(), grain, [&](std::size_t lo, std::size_t hi) {
+        std::size_t local = 0;
+        for (std::size_t v = lo; v < hi; ++v) {
+            const grid::VertexId* nb = table + v * grid::kDegree;
+            const std::array<Color, grid::kDegree> nbr{src[nb[0]], src[nb[1]], src[nb[2]],
+                                                       src[nb[3]]};
+            const Color out = rule(src[v], nbr);
+            dst[v] = out;
+            local += (out != src[v]);
+        }
+        changed.fetch_add(local, std::memory_order_relaxed);
+    });
+    return changed.load(std::memory_order_relaxed);
+}
+
 /// Stepping engine, templated over the local rule (own color + 4 neighbor
 /// slot colors -> new color). Satisfies the run layer's Engine concept.
 template <typename Rule>
 class BasicSyncEngine {
   public:
     BasicSyncEngine(const grid::Torus& torus, ColorField initial, Rule rule = Rule{})
-        : torus_(&torus), rule_(rule), cur_(std::move(initial)), next_(cur_.size()) {
+        : torus_(&torus), rule_(rule), table_(reference_neighbor_table(torus)),
+          cur_(std::move(initial)), next_(cur_.size()) {
         require_complete(torus, cur_);
     }
 
@@ -57,7 +92,7 @@ class BasicSyncEngine {
     /// color. Deterministic for any pool/grain combination.
     std::size_t step(ThreadPool* pool = nullptr, std::size_t grain = 1 << 14) {
         const std::size_t changed =
-            sim::rule_sweep(*torus_, cur_.data(), next_.data(), rule_, pool, grain);
+            rule_sweep(*torus_, table_.data(), cur_.data(), next_.data(), rule_, pool, grain);
         commit();
         return changed;
     }
@@ -68,7 +103,7 @@ class BasicSyncEngine {
     std::size_t step_collect(std::vector<CellChange>& out, ThreadPool* pool = nullptr,
                              std::size_t grain = 1 << 14) {
         const std::size_t changed =
-            sim::rule_sweep(*torus_, cur_.data(), next_.data(), rule_, pool, grain);
+            rule_sweep(*torus_, table_.data(), cur_.data(), next_.data(), rule_, pool, grain);
         if (changed != 0) append_changes(cur_, next_, out);
         commit();
         return changed;
@@ -86,6 +121,7 @@ class BasicSyncEngine {
 
     const grid::Torus* torus_;
     Rule rule_;
+    std::vector<grid::VertexId> table_;
     ColorField cur_;
     ColorField next_;
     std::uint32_t round_ = 0;

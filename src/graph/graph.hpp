@@ -3,9 +3,9 @@
 // General-graph substrate for the paper's "future work" extension
 // (Conclusions: "scale-free networks could be studied under the
 // SMP-Protocol"). Immutable undirected graphs in compressed sparse row
-// (CSR) layout: one offsets array, one flat adjacency array - the same
-// cache-friendly shape the torus neighbor table uses, generalized to
-// arbitrary degree.
+// (CSR) layout: one offsets array, one flat adjacency array - the
+// cache-friendly shape of the reference engine's torus neighbor table
+// (core/sync_engine.hpp), generalized to arbitrary degree.
 #pragma once
 
 #include <cstdint>

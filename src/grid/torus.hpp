@@ -19,16 +19,14 @@
 // degenerate sizes (m = 2 or n = 2) two slots may reference the same vertex;
 // the SMP rule counts colors per slot, matching the paper's |N(x)| = 4.
 //
-// Neighbors are precomputed into a flat row-major table (4 entries per
-// vertex, contiguous) so a simulation round is a single linear sweep with
-// unit-stride loads - the layout a cache/NUMA-conscious HPC code would use.
+// Adjacency is computed, never stored: a Torus is (topology, m, n), and
+// neighbor_coord below states the wrap rules once.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "util/assert.hpp"
 
@@ -50,8 +48,7 @@ inline constexpr std::size_t kDegree = 4;
 
 /// Wrap-around decrement / increment modulo `mod` (branch, no division).
 /// Shared by the neighbor formulas below and by the sim sweep kernels,
-/// which turn them into whole-row pointer offsets instead of per-cell
-/// neighbor-table lookups.
+/// which turn them into whole-row pointer offsets.
 constexpr std::uint32_t dec_mod(std::uint32_t x, std::uint32_t mod) noexcept {
     return x == 0 ? mod - 1 : x - 1;
 }
@@ -71,9 +68,9 @@ struct Coord {
     friend bool operator==(const Coord&, const Coord&) = default;
 };
 
-/// An m x n torus of one of the three paper topologies with a precomputed
-/// neighbor table. Immutable after construction; cheap to share by
-/// reference across threads.
+/// An m x n torus of one of the three paper topologies: three scalars,
+/// trivially copyable, with adjacency computed from the paper's wrap rules
+/// on demand.
 class Torus {
   public:
     /// Requires m, n >= 2 (the paper's standing assumption).
@@ -95,31 +92,63 @@ class Torus {
         return Coord{v / cols_, v % cols_};
     }
 
-    /// The 4 neighbor slots of v in Up, Down, Left, Right order.
-    std::span<const VertexId, kDegree> neighbors(VertexId v) const noexcept {
-        DYNAMO_ASSERT(v < size(), "vertex id out of range");
-        return std::span<const VertexId, kDegree>(&table_[static_cast<std::size_t>(v) * kDegree],
-                                                  kDegree);
+    /// The paper's adjacency (Section II.A): neighbor d of c on an m x n
+    /// torus of topology t. The only per-cell definition in the code base.
+    static constexpr Coord neighbor_coord(Topology t, std::uint32_t m, std::uint32_t n, Coord c,
+                                          Direction d) noexcept {
+        const auto [i, j] = c;
+        const bool spiral_rows = t != Topology::ToroidalMesh;
+        const bool spiral_cols = t == Topology::TorusSerpentinus;
+        switch (d) {
+            case Direction::Up:
+                // Inverse of the serpentine down-link below.
+                if (spiral_cols && i == 0) return {m - 1, inc_mod(j, n)};
+                return {dec_mod(i, m), j};
+            case Direction::Down:
+                // "the last vertex v(m-1,j) of each column j is connected to the
+                //  first vertex v(0, (j-1) mod n) of column j-1"
+                if (spiral_cols && i == m - 1) return {0, dec_mod(j, n)};
+                return {inc_mod(i, m), j};
+            case Direction::Left:
+                // Inverse of the cordalis right-link below.
+                if (spiral_rows && j == 0) return {dec_mod(i, m), n - 1};
+                return {i, dec_mod(j, n)};
+            case Direction::Right:
+                // "the last vertex v(i, n-1) of each row is connected to the
+                //  first vertex v((i+1) mod m, 0) of row i+1"
+                if (spiral_rows && j == n - 1) return {inc_mod(i, m), 0};
+                return {i, inc_mod(j, n)};
+        }
+        return c;  // unreachable
+    }
+
+    /// Neighbor d of c on this torus, as a coordinate (no division).
+    Coord neighbor(Coord c, Direction d) const noexcept {
+        return neighbor_coord(topology_, rows_, cols_, c, d);
+    }
+
+    /// The 4 neighbor slots of c in Up, Down, Left, Right order. Callers
+    /// that know (i, j) use this form and skip the division of coord().
+    std::array<VertexId, kDegree> neighbors(Coord c) const noexcept {
+        return {index(neighbor(c, Direction::Up)), index(neighbor(c, Direction::Down)),
+                index(neighbor(c, Direction::Left)), index(neighbor(c, Direction::Right))};
+    }
+    std::array<VertexId, kDegree> neighbors(VertexId v) const noexcept {
+        return neighbors(coord(v));
     }
 
     VertexId neighbor(VertexId v, Direction d) const noexcept {
-        return neighbors(v)[static_cast<std::size_t>(d)];
+        return index(neighbor(coord(v), d));
     }
-
-    /// Direct (table-free) neighbor computation from the paper's definitions.
-    /// The constructor fills the table with exactly these values; tests
-    /// cross-check table vs. formula on full sweeps.
-    static Coord neighbor_coord(Topology t, std::uint32_t m, std::uint32_t n, Coord c,
-                                Direction d) noexcept;
-
-    /// Raw table access for the engine's inner loop.
-    const VertexId* table_data() const noexcept { return table_.data(); }
 
   private:
     Topology topology_;
     std::uint32_t rows_;
     std::uint32_t cols_;
-    std::vector<VertexId> table_;  // size() * kDegree entries
 };
+
+// A torus is its three scalars: engines copy it freely and a 2^30-cell
+// torus costs its field, not a 16 GiB table.
+static_assert(sizeof(Torus) <= 12 && std::is_trivially_copyable_v<Torus>);
 
 } // namespace dynamo::grid

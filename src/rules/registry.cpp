@@ -80,9 +80,10 @@ RunResult simulate_as(const grid::Torus& torus, const ColorField& initial,
 }
 
 template <sim::LocalRule R>
-std::size_t generic_sweep_entry(const grid::Torus& torus, const Color* src, Color* dst,
-                                ThreadPool* pool, std::size_t grain) {
-    return sim::rule_sweep(torus, src, dst, sim::RuleFnOf<R>{}, pool, grain);
+std::size_t generic_sweep_entry(const grid::Torus& torus, const grid::VertexId* table,
+                                const Color* src, Color* dst, ThreadPool* pool,
+                                std::size_t grain) {
+    return rule_sweep(torus, table, src, dst, sim::RuleFnOf<R>{}, pool, grain);
 }
 
 template <sim::LocalRule R>

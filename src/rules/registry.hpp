@@ -67,9 +67,10 @@ struct RuleInfo {
     Color (*next)(Color own, Color a, Color b, Color c, Color d);
     /// One packed stencil round (rule_stencil_sweep<R> instantiation).
     std::size_t (*sweep)(const grid::Torus&, const Color*, Color*, ThreadPool*, std::size_t);
-    /// One seed-style table-driven round (the Generic baseline).
-    std::size_t (*generic_sweep)(const grid::Torus&, const Color*, Color*, ThreadPool*,
-                                 std::size_t);
+    /// One seed-style table-driven round (the Generic baseline) over a
+    /// reference_neighbor_table (core/sync_engine.hpp) of the torus.
+    std::size_t (*generic_sweep)(const grid::Torus&, const grid::VertexId* table, const Color*,
+                                 Color*, ThreadPool*, std::size_t);
     /// The full Backend-selected run (every Backend steps every rule).
     RunResult (*run)(const grid::Torus&, const ColorField&, const RunOptions&);
     /// Search-convention verifier factory (see RuleVerifier).

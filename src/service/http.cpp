@@ -10,9 +10,11 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -40,6 +42,9 @@ std::string trim(const std::string& s) {
 /// Hard ceiling on request bodies (manifests are a few KB; anything near
 /// this is abuse or a bug): 8 MiB.
 constexpr std::size_t kMaxBody = 8u << 20;
+
+/// Hard ceiling on the request head (request line + headers): 16 KiB.
+constexpr std::size_t kMaxHead = 16u << 10;
 
 /// Per-connection deadline: a client gets this long from accept() to
 /// deliver its whole request, and each send of the reply blocks at most
@@ -106,6 +111,7 @@ const char* http_status_text(int status) {
         case 405: return "Method Not Allowed";
         case 409: return "Conflict";
         case 413: return "Payload Too Large";
+        case 431: return "Request Header Fields Too Large";
         case 500: return "Internal Server Error";
         default: return "Unknown";
     }
@@ -154,11 +160,20 @@ void HttpServer::serve_forever(
         std::string data;
         char buf[4096];
         bool bad_request = false;
+        bool head_too_large = false;
         bool timed_out = false;
+        std::size_t scanned = 0;  // bytes already searched for the head's end
         std::size_t need = std::string::npos;  // total bytes once head is seen
         for (;;) {
             if (need == std::string::npos) {
-                const std::size_t head_end = data.find("\r\n\r\n");
+                // Resume 3 bytes back: the last read may have split the end.
+                const std::size_t head_end =
+                    data.find("\r\n\r\n", std::max<std::size_t>(scanned, 3) - 3);
+                scanned = data.size();
+                if ((head_end == std::string::npos ? scanned : head_end + 4) > kMaxHead) {
+                    head_too_large = true;
+                    break;
+                }
                 if (head_end != std::string::npos) {
                     std::size_t content_length = 0;
                     const auto parsed = parse_http_request(data.substr(0, head_end + 4));
@@ -168,12 +183,16 @@ void HttpServer::serve_forever(
                     }
                     const auto it = parsed->headers.find("content-length");
                     if (it != parsed->headers.end()) {
-                        try {
-                            content_length = std::stoul(it->second);
-                        } catch (const std::exception&) {
+                        // Decimal digits only: no sign, space or suffix. A
+                        // value past size_t is too large, not malformed.
+                        const std::string& text = it->second;
+                        const char* end = text.data() + text.size();
+                        const auto [stop, ec] = std::from_chars(text.data(), end, content_length);
+                        if (text.empty() || stop != end) {
                             bad_request = true;
                             break;
                         }
+                        if (ec == std::errc::result_out_of_range) content_length = kMaxBody + 1;
                     }
                     if (content_length > kMaxBody) {
                         need = kMaxBody + 1;  // sentinel: answer 413 below
@@ -196,7 +215,6 @@ void HttpServer::serve_forever(
             const ssize_t n = ::read(fd, buf, sizeof(buf));
             if (n <= 0) break;  // peer closed or error: work with what we have
             data.append(buf, static_cast<std::size_t>(n));
-            if (data.size() > kMaxBody + 16384) break;  // refuse unbounded heads
         }
 
         if (timed_out) {  // idle or trickling client: drop it, serve the next
@@ -205,7 +223,9 @@ void HttpServer::serve_forever(
         }
 
         HttpResponse response;
-        if (bad_request || need == std::string::npos) {
+        if (head_too_large) {
+            response = error_response(431, "request head too large");
+        } else if (bad_request || need == std::string::npos) {
             response = error_response(400, "malformed request");
         } else if (need == kMaxBody + 1) {
             response = error_response(413, "request body too large");

@@ -81,7 +81,8 @@ class HttpServer {
     std::uint16_t port() const noexcept { return port_; }
 
     /// Accepts and answers connections until stop(). A connection that
-    /// sends garbage gets 400 and is closed; one that has not delivered
+    /// sends garbage or a non-numeric Content-Length gets 400, a head over
+    /// 16 KiB 431, a body over 8 MiB 413; one that has not delivered
     /// its request 2 s after accept is closed unanswered; handler
     /// exceptions become 500 — the serve loop itself never throws once
     /// entered.

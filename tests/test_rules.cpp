@@ -16,6 +16,7 @@
 #include "core/search/enumerate.hpp"
 #include "core/search/sharded.hpp"
 #include "core/sim/kernels.hpp"
+#include "core/sync_engine.hpp"
 #include "core/transform.hpp"
 #include "rules/incremental.hpp"
 #include "rules/majority.hpp"
@@ -167,6 +168,7 @@ TEST(RuleSweeps, PackedStencilMatchesGenericTableSweepLockstep) {
         for (const Topology topo : kTopologies) {
             for (const auto& [m, n] : {std::pair{2u, 2u}, {2u, 9u}, {3u, 3u}, {9u, 7u}}) {
                 const Torus t(topo, m, n);
+                const auto table = reference_neighbor_table(t);
                 ColorField a = random_field_for(*rule, t.size(), rng);
                 ColorField b = a;
                 ColorField a_next(t.size()), b_next(t.size());
@@ -174,7 +176,8 @@ TEST(RuleSweeps, PackedStencilMatchesGenericTableSweepLockstep) {
                     const std::size_t ca =
                         rule->sweep(t, a.data(), a_next.data(), nullptr, 1 << 14);
                     const std::size_t cb =
-                        rule->generic_sweep(t, b.data(), b_next.data(), nullptr, 1 << 14);
+                        rule->generic_sweep(t, table.data(), b.data(), b_next.data(), nullptr,
+                                            1 << 14);
                     ASSERT_EQ(ca, cb) << rule->name << " " << to_string(topo) << " " << m << "x"
                                       << n << " round " << r;
                     ASSERT_EQ(a_next, b_next) << rule->name << " " << to_string(topo) << " " << m

@@ -657,6 +657,56 @@ TEST(Service, ClientResetBeforeTheReplyLeavesTheServerUp) {
     loop.join();
 }
 
+TEST(Service, OversizedRequestHeadGets431) {
+    // The head used to be bounded only by the 8 MiB body cap plus 16 KiB.
+    // It has its own 16 KiB cap now. The client sends exactly one byte
+    // past it, so the server reads the whole head before it answers and
+    // closes with nothing unread.
+    HttpServer server(0);
+    ASSERT_GT(server.port(), 0);
+    std::thread loop([&] {
+        server.serve_forever([](const HttpRequest&) {
+            return HttpResponse{200, "application/json", "{\"status\":\"ok\"}\n"};
+        });
+    });
+
+    const std::string start = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+    const std::string end = "\r\n\r\n";
+    const std::string head = start + std::string(16385 - start.size() - end.size(), 'a') + end;
+    ASSERT_EQ(head.size(), 16385u);
+    const std::string reply = http_exchange(server.port(), head, 5);
+    EXPECT_NE(reply.find("HTTP/1.1 431 Request Header Fields Too Large"), std::string::npos)
+        << reply;
+
+    server.stop();
+    loop.join();
+}
+
+TEST(Service, ContentLengthMustBeAllDigits) {
+    // std::stoul used to read "5x" as 5 and "-1" as ULONG_MAX. Each bad
+    // value is sent with no body, so the server answers from the head.
+    HttpServer server(0);
+    ASSERT_GT(server.port(), 0);
+    std::thread loop([&] {
+        server.serve_forever([](const HttpRequest&) {
+            return HttpResponse{200, "application/json", "{\"status\":\"ok\"}\n"};
+        });
+    });
+
+    for (const std::string value : {"5x", "-1", "+5", "0x5", "5 5", ""}) {
+        const std::string reply = http_exchange(
+            server.port(), "POST /campaigns HTTP/1.1\r\nContent-Length: " + value + "\r\n\r\n", 5);
+        EXPECT_NE(reply.find("HTTP/1.1 400 Bad Request"), std::string::npos)
+            << "Content-Length: '" << value << "' -> " << reply;
+    }
+    const std::string ok = http_exchange(
+        server.port(), "POST /campaigns HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello", 5);
+    EXPECT_NE(ok.find("HTTP/1.1 200 OK"), std::string::npos) << ok;
+
+    server.stop();
+    loop.join();
+}
+
 TEST(Service, IdleAndTricklingClientsCannotWedgeTheServer) {
     // The serial loop used to read with no deadline: one client that
     // connected and sent nothing held /healthz off until it closed. Each

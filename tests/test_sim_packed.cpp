@@ -53,32 +53,68 @@ TEST(SimKernels, BranchlessKernelMatchesSmpDecideExhaustively) {
     }
 }
 
-TEST(SimSweep, OneRoundMatchesNeighborCoordFormula) {
-    // Table-free oracle: evaluate one round straight from the paper's
-    // neighbor formulas (Torus::neighbor_coord), bypassing both the packed
-    // sweep's row pointers and the precomputed table it uses at boundaries.
-    Xoshiro256 rng(0x51a1);
-    for (const Topology topo : kTopologies) {
-        for (const auto& [m, n] : {std::pair{2u, 2u}, {2u, 7u}, {7u, 2u}, {3u, 3u}, {9u, 7u}}) {
-            const Torus t(topo, m, n);
-            const ColorField f = random_field(t.size(), 4, rng);
-
-            ColorField expected(t.size());
-            for (grid::VertexId v = 0; v < t.size(); ++v) {
-                std::array<Color, grid::kDegree> nbr{};
-                for (std::size_t s = 0; s < grid::kDegree; ++s) {
-                    const Coord nc = Torus::neighbor_coord(topo, m, n, t.coord(v),
-                                                           static_cast<Direction>(s));
-                    nbr[s] = f[t.index(nc)];
-                }
-                expected[v] = smp_update(f[v], nbr);
+/// One round of R straight from the paper's neighbor formulas
+/// (Torus::neighbor_coord): no row pointers, shifted rows or edge cells.
+template <sim::LocalRule R>
+ColorField formula_round(const Torus& t, const ColorField& f) {
+    const std::uint32_t m = t.rows(), n = t.cols();
+    ColorField next(t.size());
+    for (std::uint32_t i = 0; i < m; ++i) {
+        for (std::uint32_t j = 0; j < n; ++j) {
+            std::array<Color, grid::kDegree> nbr{};
+            for (std::size_t s = 0; s < grid::kDegree; ++s) {
+                const Coord nc = Torus::neighbor_coord(t.topology(), m, n, Coord{i, j},
+                                                       static_cast<Direction>(s));
+                nbr[s] = f[static_cast<std::size_t>(nc.i) * n + nc.j];
             }
-
-            ColorField out(t.size());
-            sim::rule_stencil_sweep<sim::SmpRule>(t, f.data(), out.data());
-            ASSERT_EQ(out, expected) << to_string(topo) << " " << m << "x" << n;
+            const std::size_t v = static_cast<std::size_t>(i) * n + j;
+            next[v] = R::next(f[v], nbr[0], nbr[1], nbr[2], nbr[3]);
         }
     }
+    return next;
+}
+
+/// Packed, active, bit-plane and the reference engine, stepped 25 rounds
+/// against the formula trajectory on every topology, including the
+/// degenerate 2-wide sizes and rows spanning several bit-plane limbs.
+template <sim::LocalRule R>
+void engines_follow_formula(Color colors) {
+    Xoshiro256 rng(0xf0e1);
+    for (const Topology topo : kTopologies) {
+        for (const auto& [m, n] : {std::pair{2u, 2u}, {2u, 9u}, {9u, 2u}, {3u, 3u}, {9u, 7u},
+                                   {5u, 65u}, {4u, 129u}}) {
+            const Torus t(topo, m, n);
+            ColorField expected = random_field(t.size(), colors, rng);
+            sim::PackedEngineT<R> packed(t, expected);
+            sim::ActiveEngineT<R> active(t, expected);
+            sim::BitplaneEngineT<R> bitplane(t, expected);
+            BasicSyncEngine<sim::RuleFnOf<R>> reference(t, expected);
+            for (int r = 0; r < 25; ++r) {
+                const ColorField next = formula_round<R>(t, expected);
+                std::size_t changed = 0;
+                for (std::size_t v = 0; v < next.size(); ++v) changed += next[v] != expected[v];
+                expected = next;
+                const auto check = [&](auto& engine, const char* name) {
+                    ASSERT_EQ(engine.step(), changed) << R::kName << " " << name << " "
+                                                      << to_string(topo) << " " << m << "x" << n
+                                                      << " round " << r;
+                    ASSERT_EQ(engine.colors(), expected) << R::kName << " " << name << " "
+                                                         << to_string(topo) << " " << m << "x"
+                                                         << n << " round " << r;
+                };
+                check(packed, "packed");
+                check(active, "active");
+                check(bitplane, "bitplane");
+                check(reference, "reference");
+                if (::testing::Test::HasFatalFailure()) return;
+            }
+        }
+    }
+}
+
+TEST(SimEngines, EveryEngineFollowsTheNeighborCoordTrajectory) {
+    engines_follow_formula<sim::SmpRule>(4);
+    engines_follow_formula<rules::MajorityPreferBlack>(2);
 }
 
 TEST(SimSweep, PackedTrajectoriesBitIdenticalToSeedEngine) {
