@@ -80,7 +80,8 @@ void BM_SeedEngineStep(benchmark::State& state) {
     const auto side = static_cast<std::uint32_t>(state.range(0));
     const auto topo = static_cast<grid::Topology>(state.range(1));
     grid::Torus torus(topo, side, side);
-    BasicSyncEngine<ReferenceSmpRule> engine(torus, random_field(torus.size(), 4, 42));
+    BasicSyncEngine engine(torus, random_field(torus.size(), 4, 42),
+                           &reference_sweep<ReferenceSmpRule>);
     for (auto _ : state) {
         benchmark::DoNotOptimize(engine.step());
     }
@@ -226,7 +227,7 @@ double mc_serial_trials_per_sec(const grid::Torus& torus, std::size_t trials,
         opts.target = 1;
         if (seed_engine) {
             benchmark::DoNotOptimize(
-                simulate_rule(torus, initial, ReferenceSmpRule{}, opts).rounds);
+                run_reference(torus, initial, &reference_sweep<ReferenceSmpRule>, opts).rounds);
         } else {
             opts.backend = Backend::Packed;
             benchmark::DoNotOptimize(simulate(torus, initial, opts).rounds);
@@ -248,7 +249,7 @@ double mc_batch_trials_per_sec(const grid::Torus& torus, std::size_t trials,
 /// Lockstep bit-identity check of the packed sweep vs the seed sweep.
 bool trajectories_identical(const grid::Torus& torus, const ColorField& field, int rounds) {
     sim::PackedEngineT<sim::SmpRule> packed(torus, field);
-    BasicSyncEngine<ReferenceSmpRule> seed(torus, field);
+    BasicSyncEngine seed(torus, field, &reference_sweep<ReferenceSmpRule>);
     for (int r = 0; r < rounds; ++r) {
         if (packed.step() != seed.step() || packed.colors() != seed.colors()) return false;
     }
@@ -362,7 +363,7 @@ int run_json_report(const CliArgs& args) {
         const grid::Torus torus(topo, side, side);
         const ColorField field = random_field(torus.size(), 4, 42);
 
-        BasicSyncEngine<ReferenceSmpRule> seed_engine(torus, field);
+        BasicSyncEngine seed_engine(torus, field, &reference_sweep<ReferenceSmpRule>);
         const double seed_cps = measure_cells_per_sec(seed_engine, smp, grain, warmup, rounds);
         sim::PackedEngineT<sim::SmpRule> packed_engine(torus, field);
         const double packed_cps = measure_cells_per_sec(packed_engine, smp, grain, warmup, rounds);

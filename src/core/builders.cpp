@@ -62,18 +62,20 @@ Color nonk_color(Color k, std::uint32_t p) {
     return c;
 }
 
-bool plan_valid(const std::vector<Color>& seq, Color buffer) {
+/// Constraints (a)-(c): the stripes alone, checked once per sequence.
+bool stripes_valid(const std::vector<Color>& seq) {
     const std::size_t len = seq.size();
     for (std::size_t i = 0; i + 1 < len; ++i) {
-        if (seq[i] == seq[i + 1]) return false;
+        if (seq[i] == seq[i + 1] || (i + 2 < len && seq[i] == seq[i + 2])) return false;
     }
-    for (std::size_t i = 0; i + 2 < len; ++i) {
-        if (seq[i] == seq[i + 2]) return false;
-    }
-    if (len >= 2 && seq.front() == seq.back()) return false;
+    return len < 2 || seq.front() != seq.back();
+}
+
+/// Constraint (d): the buffer color avoids c(1), c(2), c(len-1), c(len).
+bool buffer_valid(const std::vector<Color>& seq, Color buffer) {
+    const std::size_t len = seq.size();
     if (buffer == seq.front() || buffer == seq.back()) return false;
-    if (len >= 2 && (buffer == seq[1] || buffer == seq[len - 2])) return false;
-    return true;
+    return len < 2 || (buffer != seq[1] && buffer != seq[len - 2]);
 }
 
 Color count_plan_colors(const std::vector<Color>& seq, Color buffer) {
@@ -102,8 +104,9 @@ StripePlan choose_stripe_plan(Color k, std::size_t len) {
 
     std::optional<StripePlan> best;
     const auto consider = [&](const std::vector<Color>& seq) {
+        if (!stripes_valid(seq)) return;
         for (const Color buffer : palette) {
-            if (!plan_valid(seq, buffer)) continue;
+            if (!buffer_valid(seq, buffer)) continue;
             const Color used = count_plan_colors(seq, buffer);
             if (!best || used < best->colors_used) {
                 best = StripePlan{seq, buffer, used};

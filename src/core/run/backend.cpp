@@ -46,15 +46,4 @@ std::string known_backend_names() {
     return names;
 }
 
-std::string backend_unsupported_message(Backend backend, std::string_view rule_name,
-                                        std::string_view supported) {
-    std::string msg = "backend '";
-    msg += backend_name(backend);
-    msg += "' cannot step rule '";
-    msg += rule_name;
-    msg += "'; supported backends for this rule: ";
-    msg += supported;
-    return msg;
-}
-
 } // namespace dynamo

@@ -29,10 +29,9 @@ inline std::uint64_t substream_seed(std::uint64_t seed, std::uint64_t stream) no
 
 class BatchRunner {
   public:
-    /// `pool` may be null (serial execution, same results). `min_grain` is
-    /// the minimum trials per worker block before threading kicks in.
-    explicit BatchRunner(ThreadPool* pool = nullptr, std::size_t min_grain = 1) noexcept
-        : pool_(pool), min_grain_(min_grain) {}
+    /// `pool` may be null (serial execution, same results). A trial is
+    /// coarse enough to be its own grain: any two trials may thread.
+    explicit BatchRunner(ThreadPool* pool = nullptr) noexcept : pool_(pool) {}
 
     /// Executes fn(trial, rng) exactly once for every trial in
     /// [0, trials). fn must write its outcome to a per-trial slot (no
@@ -50,7 +49,7 @@ class BatchRunner {
     template <typename Fn>
     void run_trials(std::size_t lo, std::size_t hi, std::uint64_t seed, Fn&& fn) const {
         DYNAMO_ASSERT(lo <= hi, "trial range is inverted");
-        parallel_for_blocks(pool_, hi - lo, min_grain_, [&](std::size_t a, std::size_t b) {
+        parallel_for_blocks(pool_, hi - lo, 1, [&](std::size_t a, std::size_t b) {
             for (std::size_t t = lo + a; t < lo + b; ++t) {
                 Xoshiro256 rng(substream_seed(seed, t));
                 fn(t, rng);
@@ -68,11 +67,8 @@ class BatchRunner {
         return out;
     }
 
-    ThreadPool* pool() const noexcept { return pool_; }
-
   private:
     ThreadPool* pool_;
-    std::size_t min_grain_;
 };
 
 } // namespace dynamo

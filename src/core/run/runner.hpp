@@ -56,8 +56,8 @@ struct RunOptions {
     /// Minimum vertices per parallel block (avoids threading toy grids).
     std::size_t parallel_grain = 1 << 14;
 
-    /// Backend selector for simulate()/simulate_rule() (ignored when a
-    /// caller drives run_to_terminal with an explicit engine).
+    /// Backend selector for simulate() and a registry rule's run (ignored
+    /// when a caller drives run_to_terminal with an explicit engine).
     Backend backend = Backend::Auto;
 
     /// When false, a zero-change round is NOT terminal: time-varying rules

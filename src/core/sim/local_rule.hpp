@@ -83,10 +83,10 @@ concept LocalRule = requires(Color own, Color a, Color b, Color c, Color d) {
     { R::kColorSymmetric } -> std::convertible_to<bool>;
 };
 
-/// Functor form of a LocalRule, for the table-driven generic sweep
-/// (Backend::Generic) and any seed-era API that takes a runtime rule
-/// functor. This is the oracle adapter: BasicSyncEngine<RuleFnOf<R>> runs
-/// R through the seed sweep, which the packed path is tested against.
+/// Functor form of a LocalRule, for the table-driven reference sweep
+/// (Backend::Generic). This is the oracle adapter:
+/// reference_sweep<RuleFnOf<R>> (core/sync_engine.hpp) runs R through the
+/// seed sweep, which the stencil engines are tested against.
 template <LocalRule R>
 struct RuleFnOf {
     Color operator()(Color own, const std::array<Color, grid::kDegree>& nbr) const noexcept {

@@ -1,6 +1,6 @@
 // dynamo/core/sync_engine.hpp
 //
-// Synchronous stepping engines for local recoloring protocols (paper
+// The synchronous reference engine for local recoloring protocols (paper
 // Section III.D): the system is synchronous, one unit of time per round,
 // every vertex updates simultaneously from the previous round's state.
 //
@@ -11,21 +11,22 @@
 // executed on a ThreadPool; results are bit-identical to the serial sweep
 // because writes are disjoint and reads never touch the write buffer.
 //
-// The engine is a template over a runtime rule functor (own color + 4
-// neighbor slot colors -> new color) and walks the seed's flat neighbor
-// table - the only one in the code base. It is the oracle of the
-// LocalRule engines (PackedEngineT/ActiveEngineT/BitplaneEngineT), the
-// denominator of the bench speedup gates, and what Backend::Generic runs
-// (RuleFnOf<R> adapts any LocalRule to it). Run-to-terminal drivers live
-// in core/run/ (runner.hpp / simulate.hpp).
+// The engine walks the seed's flat neighbor table - the only one in the
+// code base - with a sweep pointer: a rule compiles only its
+// reference_sweep<Rule>, and the engine's run loop (run_reference) is
+// compiled once. It is the oracle of the LocalRule engines (Packed/Active/
+// BitplaneEngineT), the denominator of the bench speedup gates, and what
+// Backend::Generic runs (reference_sweep<RuleFnOf<R>> for a LocalRule).
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/coloring.hpp"
+#include "core/run/runner.hpp"
 #include "core/smp_rule.hpp"
 #include "grid/torus.hpp"
 #include "util/parallel.hpp"
@@ -55,12 +56,18 @@ inline std::vector<grid::VertexId> reference_neighbor_table(const grid::Torus& t
     return table;
 }
 
-/// The seed engine's inner loop: one table-driven round of an arbitrary
-/// local rule over `table` (reference_neighbor_table of `torus`).
+/// One table-driven round over `table` (reference_neighbor_table of the
+/// torus); returns the number of vertices that changed color.
+using TableSweep = std::size_t (*)(const grid::Torus&, const grid::VertexId* table,
+                                   const Color* src, Color* dst, ThreadPool* pool,
+                                   std::size_t grain);
+
+/// The seed engine's inner loop, monomorphized over a default-constructed
+/// rule functor (own color + 4 neighbor slot colors -> new color).
 template <typename Rule>
-std::size_t rule_sweep(const grid::Torus& torus, const grid::VertexId* table, const Color* src,
-                       Color* dst, const Rule& rule, ThreadPool* pool = nullptr,
-                       std::size_t grain = 1 << 14) {
+std::size_t reference_sweep(const grid::Torus& torus, const grid::VertexId* table,
+                            const Color* src, Color* dst, ThreadPool* pool, std::size_t grain) {
+    const Rule rule{};
     std::atomic<std::size_t> changed{0};
     parallel_for_blocks(pool, torus.size(), grain, [&](std::size_t lo, std::size_t hi) {
         std::size_t local = 0;
@@ -77,13 +84,12 @@ std::size_t rule_sweep(const grid::Torus& torus, const grid::VertexId* table, co
     return changed.load(std::memory_order_relaxed);
 }
 
-/// Stepping engine, templated over the local rule (own color + 4 neighbor
-/// slot colors -> new color). Satisfies the run layer's Engine concept.
-template <typename Rule>
+/// The reference stepping engine: owns the neighbor table and steps it with
+/// a TableSweep. Satisfies the run layer's Engine concept.
 class BasicSyncEngine {
   public:
-    BasicSyncEngine(const grid::Torus& torus, ColorField initial, Rule rule = Rule{})
-        : torus_(&torus), rule_(rule), table_(reference_neighbor_table(torus)),
+    BasicSyncEngine(const grid::Torus& torus, ColorField initial, TableSweep sweep)
+        : torus_(&torus), sweep_(sweep), table_(reference_neighbor_table(torus)),
           cur_(std::move(initial)), next_(cur_.size()) {
         require_complete(torus, cur_);
     }
@@ -92,7 +98,7 @@ class BasicSyncEngine {
     /// color. Deterministic for any pool/grain combination.
     std::size_t step(ThreadPool* pool = nullptr, std::size_t grain = 1 << 14) {
         const std::size_t changed =
-            rule_sweep(*torus_, table_.data(), cur_.data(), next_.data(), rule_, pool, grain);
+            sweep_(*torus_, table_.data(), cur_.data(), next_.data(), pool, grain);
         commit();
         return changed;
     }
@@ -103,7 +109,7 @@ class BasicSyncEngine {
     std::size_t step_collect(std::vector<CellChange>& out, ThreadPool* pool = nullptr,
                              std::size_t grain = 1 << 14) {
         const std::size_t changed =
-            rule_sweep(*torus_, table_.data(), cur_.data(), next_.data(), rule_, pool, grain);
+            sweep_(*torus_, table_.data(), cur_.data(), next_.data(), pool, grain);
         if (changed != 0) append_changes(cur_, next_, out);
         commit();
         return changed;
@@ -120,11 +126,16 @@ class BasicSyncEngine {
     }
 
     const grid::Torus* torus_;
-    Rule rule_;
+    TableSweep sweep_;
     std::vector<grid::VertexId> table_;
     ColorField cur_;
     ColorField next_;
     std::uint32_t round_ = 0;
 };
+
+/// Run `sweep` on the reference engine from `initial` until a terminal
+/// behaviour (Backend::Generic's run). options.backend is ignored.
+RunResult run_reference(const grid::Torus& torus, const ColorField& initial, TableSweep sweep,
+                        const RunOptions& options);
 
 } // namespace dynamo

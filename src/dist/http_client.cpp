@@ -10,11 +10,10 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+
+#include "service/http.hpp"
 
 namespace dynamo::dist {
 
@@ -123,10 +122,13 @@ std::optional<HttpClientResponse> http_request(const Endpoint& endpoint,
         if (raw.size() > (std::size_t{8} << 20) + 65536) return std::nullopt;  // runaway
     }
 
+    const std::size_t blank = raw.find("\r\n\r\n");
+    if (blank == std::string::npos) return std::nullopt;
+    const auto head = service::parse_http_head(raw.substr(0, blank));
+    if (!head) return std::nullopt;
+
     // Status line: "HTTP/1.1 <code> <reason>".
-    const std::size_t line_end = raw.find("\r\n");
-    if (line_end == std::string::npos) return std::nullopt;
-    const std::string status_line = raw.substr(0, line_end);
+    const std::string& status_line = head->start_line;
     const std::size_t sp1 = status_line.find(' ');
     if (sp1 == std::string::npos || status_line.rfind("HTTP/", 0) != 0) return std::nullopt;
     const std::size_t sp2 = status_line.find(' ', sp1 + 1);
@@ -140,32 +142,15 @@ std::optional<HttpClientResponse> http_request(const Endpoint& endpoint,
         status = status * 10 + (c - '0');
     }
 
-    const std::size_t blank = raw.find("\r\n\r\n");
-    if (blank == std::string::npos) return std::nullopt;
-    std::string payload = raw.substr(blank + 4);
-
     // Honor Content-Length when present (defensive against trailing
     // bytes); the read-to-EOF model means a SHORT body is a torn
-    // response and therefore a transport failure.
-    const std::string headers = raw.substr(0, blank + 2);
-    std::size_t pos = raw.find("\r\n") + 2;
-    while (pos < blank + 2) {
-        const std::size_t eol = headers.find("\r\n", pos);
-        if (eol == std::string::npos) break;
-        std::string line = headers.substr(pos, eol - pos);
-        pos = eol + 2;
-        const std::size_t colon = line.find(':');
-        if (colon == std::string::npos) continue;
-        std::string name = line.substr(0, colon);
-        for (char& c : name) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-        if (name != "content-length") continue;
-        std::size_t value_begin = colon + 1;
-        while (value_begin < line.size() && line[value_begin] == ' ') ++value_begin;
-        const unsigned long long length =
-            std::strtoull(line.c_str() + value_begin, nullptr, 10);
-        if (payload.size() < length) return std::nullopt;  // torn
-        payload.resize(length);
-        break;
+    // response and therefore a transport failure. So is a malformed
+    // length ("5x", "+5", empty): never a silently cut or dropped body.
+    std::string payload = raw.substr(blank + 4);
+    if (const auto it = head->headers.find("content-length"); it != head->headers.end()) {
+        const auto length = service::parse_content_length(it->second);
+        if (!length || payload.size() < *length) return std::nullopt;
+        payload.resize(*length);
     }
 
     HttpClientResponse response;

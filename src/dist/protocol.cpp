@@ -4,7 +4,6 @@
 // for the endpoint table and the idempotence rule result_hash backs).
 #include "dist/protocol.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 #include "util/hash.hpp"
@@ -169,11 +168,9 @@ CompleteRequest parse_complete_request(const std::string& text) {
         result.index = static_cast<std::size_t>(get_uint(record, "index", "result"));
         const Json& exit_code = member(record, "exit_code", "result");
         if (!exit_code.is_number()) bad("result.exit_code must be a number");
-        // Range-checked, never wrapped: 2^32 must not settle as success.
-        const std::int64_t code = exit_code.as_int();
-        if (code < std::numeric_limits<int>::min() || code > std::numeric_limits<int>::max())
-            bad("result.exit_code does not fit an int: " + exit_code.number_lexeme());
-        result.exit_code = static_cast<int>(code);
+        const std::optional<int> code = exit_code.to_int();
+        if (!code) bad("result.exit_code does not fit an int: " + exit_code.number_lexeme());
+        result.exit_code = *code;
         const Json& metrics = member(record, "metrics", "result");
         if (!metrics.is_object()) bad("result.metrics must be an object");
         for (const auto& [key, value] : metrics.as_object()) {

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "core/sim/csr_graph_engine.hpp"
@@ -88,14 +89,17 @@ RunResult run_graph_rule(const std::string& rule, const Graph& graph,
         if (rule == "plurality-strong") t = PluralityThreshold::StrongHalf;
         return simulate_plurality(graph, initial, t, options);
     }
-    if (rule.rfind("threshold-", 0) == 0) {
-        const int r = std::stoi(rule.substr(10));
-        DYNAMO_REQUIRE(r >= 1 && r <= 8, "constant threshold outside 1..8");
+    // Exactly "threshold-1" .. "threshold-8": no sign, padding or suffix,
+    // so a rule's label is always the rule that ran.
+    if (rule.size() == 11 && rule.rfind("threshold-", 0) == 0 && rule[10] >= '1' &&
+        rule[10] <= '8') {
         sim::CsrGraphEngineT<ConstantThresholdRule> engine(
-            graph, initial, ConstantThresholdRule{static_cast<std::uint32_t>(r)});
+            graph, initial, ConstantThresholdRule{static_cast<std::uint32_t>(rule[10] - '0')});
         return run_to_terminal(engine, options);
     }
-    throw std::invalid_argument("unknown graph rule: " + rule);
+    throw std::invalid_argument("unknown graph rule '" + rule +
+                                "'; known: plurality-atleast2, plurality-simple, "
+                                "plurality-strong, threshold-1 .. threshold-8");
 }
 
 } // namespace dynamo::graphx

@@ -3,8 +3,9 @@
 // Monomorphization site of the rule registry: each table row binds a
 // LocalRule type's kernel, sweeps, simulate_as and verifier instantiations
 // to its runtime name (see registry.hpp for the catalog). This is the only
-// file that compiles a rule into engines; simulate() (core/run/simulate.hpp)
-// is defined here as the SMP row's run.
+// file that compiles a rule into engines (a row's reference_sweep runs on a
+// loop compiled once, in core/sync_engine.cpp); simulate()
+// (core/run/simulate.hpp) is defined here as the SMP row's run.
 #include "rules/registry.hpp"
 
 #include <algorithm>
@@ -60,10 +61,8 @@ RunResult simulate_as(const grid::Torus& torus, const ColorField& initial,
                       const RunOptions& options) {
     require_complete(torus, initial);
     switch (options.backend) {
-        case Backend::Generic: {
-            BasicSyncEngine<sim::RuleFnOf<R>> engine(torus, initial);
-            return run_to_terminal(engine, options);
-        }
+        case Backend::Generic:
+            return run_reference(torus, initial, &reference_sweep<sim::RuleFnOf<R>>, options);
         case Backend::BitPlane: {
             sim::BitplaneEngineT<R> engine(torus, initial);
             return run_to_terminal(engine, options);
@@ -77,13 +76,6 @@ RunResult simulate_as(const grid::Torus& torus, const ColorField& initial,
     }
     sim::ActiveEngineT<R> engine(torus, initial);
     return run_to_terminal(engine, options);
-}
-
-template <sim::LocalRule R>
-std::size_t generic_sweep_entry(const grid::Torus& torus, const grid::VertexId* table,
-                                const Color* src, Color* dst, ThreadPool* pool,
-                                std::size_t grain) {
-    return rule_sweep(torus, table, src, dst, sim::RuleFnOf<R>{}, pool, grain);
 }
 
 template <sim::LocalRule R>
@@ -101,7 +93,7 @@ constexpr RuleInfo make_info(const char* summary) {
         R::kColorSymmetric,
         &R::next,
         &sim::rule_stencil_sweep<R>,
-        &generic_sweep_entry<R>,
+        &reference_sweep<sim::RuleFnOf<R>>,
         &simulate_as<R>,
         +[](const grid::Torus& t) {
             return std::unique_ptr<RuleVerifier>(new SearchVerifierT<R>(t));

@@ -34,6 +34,7 @@
 #include "core/dynamo.hpp"
 #include "core/run/runner.hpp"
 #include "core/sim/local_rule.hpp"
+#include "core/sync_engine.hpp"
 #include "grid/torus.hpp"
 #include "util/parallel.hpp"
 
@@ -68,9 +69,9 @@ struct RuleInfo {
     /// One packed stencil round (rule_stencil_sweep<R> instantiation).
     std::size_t (*sweep)(const grid::Torus&, const Color*, Color*, ThreadPool*, std::size_t);
     /// One seed-style table-driven round (the Generic baseline) over a
-    /// reference_neighbor_table (core/sync_engine.hpp) of the torus.
-    std::size_t (*generic_sweep)(const grid::Torus&, const grid::VertexId* table, const Color*,
-                                 Color*, ThreadPool*, std::size_t);
+    /// reference_neighbor_table of the torus: reference_sweep<RuleFnOf<R>>,
+    /// the sweep Backend::Generic's run_reference steps.
+    TableSweep generic_sweep;
     /// The full Backend-selected run (every Backend steps every rule).
     RunResult (*run)(const grid::Torus&, const ColorField&, const RunOptions&);
     /// Search-convention verifier factory (see RuleVerifier).

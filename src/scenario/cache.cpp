@@ -13,7 +13,6 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -96,15 +95,9 @@ std::optional<CachedResult> ResultCache::lookup(const CacheKey& key) const {
     result.report = report->as_string();
     // An exit code that is fractional or does not fit int is an edited
     // entry: a miss, never a wrapped (2^32 -> 0, "success") value.
-    std::int64_t code = 0;
-    try {
-        code = exit_code->as_int();
-    } catch (const std::invalid_argument&) {
-        return std::nullopt;
-    }
-    if (code < std::numeric_limits<int>::min() || code > std::numeric_limits<int>::max())
-        return std::nullopt;
-    result.exit_code = static_cast<int>(code);
+    const std::optional<int> code = exit_code->to_int();
+    if (!code) return std::nullopt;
+    result.exit_code = *code;
     return result;
 }
 

@@ -91,7 +91,11 @@ Campaign parse_campaign(const std::string& json_text, const std::string& where) 
             }
         }
         if (const Json* code = record.find("exit_code"); code != nullptr && code->is_number()) {
-            p.exit_code = static_cast<int>(code->as_int());
+            const std::optional<int> value = code->to_int();
+            if (!value)
+                fail(where, "point " + std::to_string(c.points.size()) + ": exit_code " +
+                                code->number_lexeme() + " does not fit an int");
+            p.exit_code = *value;
         }
         if (p.exit_code != 0) ++c.failed;
         c.points.push_back(std::move(p));

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -65,30 +66,46 @@ HttpResponse error_response(int status, const std::string& message) {
     return json_response(status, std::move(body));
 }
 
-std::optional<HttpRequest> parse_http_request(const std::string& text) {
-    const std::size_t head_end = text.find("\r\n\r\n");
-    if (head_end == std::string::npos) return std::nullopt;
-
-    std::istringstream head(text.substr(0, head_end));
+std::optional<HttpHead> parse_http_head(const std::string& text) {
+    std::istringstream head(text);
     std::string line;
     if (!std::getline(head, line)) return std::nullopt;
-    // Request line: METHOD SP TARGET SP VERSION
-    std::istringstream request_line(trim(line));
-    HttpRequest request;
-    std::string version;
-    if (!(request_line >> request.method >> request.target >> version)) return std::nullopt;
-    if (version.rfind("HTTP/1.", 0) != 0) return std::nullopt;
-
+    HttpHead parsed{trim(line), {}};
     while (std::getline(head, line)) {
         line = trim(line);
         if (line.empty()) continue;
         const std::size_t colon = line.find(':');
         if (colon == std::string::npos) return std::nullopt;
-        request.headers[lowercase(trim(line.substr(0, colon)))] = trim(line.substr(colon + 1));
+        parsed.headers[lowercase(trim(line.substr(0, colon)))] = trim(line.substr(colon + 1));
     }
+    return parsed;
+}
 
+std::optional<HttpRequest> parse_http_request(const std::string& text) {
+    const std::size_t head_end = text.find("\r\n\r\n");
+    if (head_end == std::string::npos) return std::nullopt;
+    auto head = parse_http_head(text.substr(0, head_end));
+    if (!head) return std::nullopt;
+
+    // Request line: METHOD SP TARGET SP VERSION
+    std::istringstream request_line(head->start_line);
+    HttpRequest request;
+    std::string version;
+    if (!(request_line >> request.method >> request.target >> version)) return std::nullopt;
+    if (version.rfind("HTTP/1.", 0) != 0) return std::nullopt;
+
+    request.headers = std::move(head->headers);
     request.body = text.substr(head_end + 4);
     return request;
+}
+
+std::optional<std::size_t> parse_content_length(std::string_view text) {
+    std::size_t length = 0;
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, length);
+    if (text.empty() || stop != end) return std::nullopt;
+    if (ec == std::errc::result_out_of_range) return std::numeric_limits<std::size_t>::max();
+    return length;
 }
 
 std::string render_http_response(const HttpResponse& response) {
@@ -183,16 +200,12 @@ void HttpServer::serve_forever(
                     }
                     const auto it = parsed->headers.find("content-length");
                     if (it != parsed->headers.end()) {
-                        // Decimal digits only: no sign, space or suffix. A
-                        // value past size_t is too large, not malformed.
-                        const std::string& text = it->second;
-                        const char* end = text.data() + text.size();
-                        const auto [stop, ec] = std::from_chars(text.data(), end, content_length);
-                        if (text.empty() || stop != end) {
+                        const auto length = parse_content_length(it->second);
+                        if (!length) {
                             bad_request = true;
                             break;
                         }
-                        if (ec == std::errc::result_out_of_range) content_length = kMaxBody + 1;
+                        content_length = *length;
                     }
                     if (content_length > kMaxBody) {
                         need = kMaxBody + 1;  // sentinel: answer 413 below

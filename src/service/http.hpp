@@ -15,11 +15,13 @@
 // HttpServer is the thin socket loop around it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/json.hpp"
 
@@ -45,10 +47,26 @@ HttpResponse json_response(int status, util::JsonObject body);
 /// {"error": "<message>"} with proper JSON escaping.
 HttpResponse error_response(int status, const std::string& message);
 
+/// An HTTP message head: the trimmed start line and the header fields
+/// (names lowercased, values trimmed).
+struct HttpHead {
+    std::string start_line;
+    std::map<std::string, std::string> headers;
+};
+
+/// Parses a request or response head (without the blank line); empty
+/// optional when a header line has no colon.
+std::optional<HttpHead> parse_http_head(const std::string& head);
+
 /// Parses head + body of one HTTP/1.1 request. `text` must contain the
 /// complete request (the server reads until Content-Length is satisfied).
 /// Empty optional on malformed input.
 std::optional<HttpRequest> parse_http_request(const std::string& text);
+
+/// A trimmed Content-Length value, for server and client alike: decimal
+/// digits only (no sign, space, suffix or empty value), else nullopt. A
+/// value past size_t saturates to SIZE_MAX: too large, not malformed.
+std::optional<std::size_t> parse_content_length(std::string_view text);
 
 /// Serializes a response with Content-Length and Connection: close.
 std::string render_http_response(const HttpResponse& response);

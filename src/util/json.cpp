@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace dynamo::util {
 
@@ -247,6 +248,13 @@ std::int64_t Json::as_int() const {
     DYNAMO_REQUIRE(rounded == num_ && std::abs(num_) < 9.007199254740992e15,
                    "JSON number '" + str_ + "' is not an exact integer");
     return static_cast<std::int64_t>(rounded);
+}
+
+std::optional<int> Json::to_int() const noexcept {
+    if (!is_number() || std::nearbyint(num_) != num_ || num_ < std::numeric_limits<int>::min() ||
+        num_ > std::numeric_limits<int>::max())
+        return std::nullopt;
+    return static_cast<int>(num_);
 }
 
 std::string Json::scalar_to_param_string() const {

@@ -64,6 +64,9 @@ class Json {
         return bool_;
     }
     std::int64_t as_int() const;
+    /// An exact integer that fits int, else nullopt: never a wrapped value
+    /// (an exit code of 2^32 must not read as 0, "success").
+    std::optional<int> to_int() const noexcept;
     const std::string& as_string() const {
         DYNAMO_REQUIRE(is_string(), "JSON value is not a string");
         return str_;

@@ -24,6 +24,11 @@
 // committed catalog in docs/scenarios.md is unaffected.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -966,6 +971,65 @@ TEST(PortFile, AtomicWriteThenReadBack) {
     // An unwritable location fails loudly, not silently.
     EXPECT_THROW(service::write_port_file(scratch.path() + "/no/such/dir/p.txt", 1),
                  std::runtime_error);
+}
+
+/// A fake server on an ephemeral loopback port: answers one connection
+/// with `reply` after reading the request head, then closes.
+class CannedReplyServer {
+  public:
+    explicit CannedReplyServer(std::string reply) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        addr.sin_port = 0;
+        EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+        EXPECT_EQ(::listen(fd_, 1), 0);
+        socklen_t len = sizeof(addr);
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+        port_ = ntohs(addr.sin_port);
+        thread_ = std::thread([this, reply = std::move(reply)] {
+            const int conn = ::accept(fd_, nullptr, nullptr);
+            if (conn < 0) return;
+            std::string head;
+            char buf[1024];
+            while (head.find("\r\n\r\n") == std::string::npos) {
+                const ssize_t n = ::read(conn, buf, sizeof(buf));
+                if (n <= 0) break;
+                head.append(buf, static_cast<std::size_t>(n));
+            }
+            ::send(conn, reply.data(), reply.size(), MSG_NOSIGNAL);
+            ::close(conn);
+        });
+    }
+    ~CannedReplyServer() {
+        ::shutdown(fd_, SHUT_RDWR);  // unblocks accept() if no client came
+        thread_.join();
+        ::close(fd_);
+    }
+    CannedReplyServer(const CannedReplyServer&) = delete;
+    CannedReplyServer& operator=(const CannedReplyServer&) = delete;
+    Endpoint endpoint() const { return {"127.0.0.1", port_}; }
+
+  private:
+    int fd_;
+    std::uint16_t port_ = 0;
+    std::thread thread_;
+};
+
+TEST(HttpClient, ContentLengthMustBeAllDigits) {
+    // strtoull used to read "5x" and "+5" as 5 and an empty value as 0,
+    // which dropped the body. Each is now a transport failure.
+    for (const std::string value : {"5x", "+5", "", "-1", "5 5"}) {
+        CannedReplyServer server("HTTP/1.1 200 OK\r\nContent-Length: " + value +
+                                 "\r\nConnection: close\r\n\r\nhello");
+        EXPECT_FALSE(http_request(server.endpoint(), "GET", "/healthz", "", 5000))
+            << "Content-Length: '" << value << "' was accepted";
+    }
+    CannedReplyServer server("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello");
+    const auto reply = http_request(server.endpoint(), "GET", "/healthz", "", 5000);
+    ASSERT_TRUE(reply);
+    EXPECT_EQ(reply->status, 200);
+    EXPECT_EQ(reply->body, "hello");
 }
 
 TEST(LoopbackEndToEnd, TwoRealWorkersMatchTheLocalArtifact) {

@@ -7,6 +7,7 @@
 
 #include "core/builders.hpp"
 #include "core/run/simulate.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/plurality.hpp"
@@ -25,6 +26,25 @@ TEST(Graph, CsrRoundTripSmall) {
     EXPECT_EQ(g.degree(3), 2u);
     const auto n0 = g.neighbors(0);
     EXPECT_EQ(std::vector<VertexId>(n0.begin(), n0.end()), (std::vector<VertexId>{1, 2, 3}));
+}
+
+TEST(GraphRules, ThresholdNamesParseStrictly) {
+    // std::stoi used to run "threshold-2x" as threshold-2 (labelled and
+    // cached under the wrong name) and die on "threshold-99999999999".
+    const Graph graph = build_graph("ring", 16, 0, 1);
+    const ColorField field(graph.num_vertices(), kWhite);
+    EXPECT_EQ(run_graph_rule("threshold-2", graph, field, {}).termination,
+              Termination::Monochromatic);
+    for (const std::string rule : {"threshold-2x", "threshold-99999999999", "threshold-0",
+                                   "threshold-9", "threshold-+2", "threshold-", "bogus"}) {
+        try {
+            run_graph_rule(rule, graph, field, {});
+            FAIL() << rule << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("known: plurality-atleast2"), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Graph, RejectsBadEdges) {

@@ -57,7 +57,7 @@ TEST(IncrementalRule, IntermediateColorsAppearDuringTheRun) {
     f[t.index(2, 1)] = 2;
     f[t.index(2, 3)] = 3;
     f[t.index(2, 2)] = 1;
-    BasicSyncEngine<IncrementalRule> engine(t, f, IncrementalRule{4});
+    BasicSyncEngine engine(t, f, &reference_sweep<IncrementalRule>);
     engine.step();
     EXPECT_EQ(engine.colors()[t.index(2, 2)], 2);  // 1 -> 2, en route to 4
     for (const Color c : engine.colors()) {

@@ -209,31 +209,16 @@ TEST(RunBackends, PooledRunsAreBitIdenticalToSerialOnEveryBackend) {
     EXPECT_EQ(simulate(t, checkerboard(t, 1, 2), opts).termination, Termination::Cycle);
 }
 
-TEST(RunBackends, UnsupportedRuleBackendCombinationsFailLoudly) {
-    // A runtime rule functor is opaque to the stencil engines: explicit
-    // packed / active / bitplane requests must refuse with one actionable
-    // message, never silently downgrade to the generic sweep.
+TEST(RunBackends, ReferenceEngineRunsARuntimeFunctor) {
+    // A runtime rule functor has no registry entry: the reference engine
+    // steps it through its monomorphized table sweep.
     Torus t(Topology::ToroidalMesh, 6, 6);
     const ColorField f = checkerboard(t, 1, 2);
     const auto flip = [](Color own, const std::array<Color, grid::kDegree>& nbr) noexcept {
         return nbr[0] == nbr[1] ? nbr[0] : own;
     };
-    for (const Backend backend : {Backend::Packed, Backend::Active, Backend::BitPlane}) {
-        RunOptions opts;
-        opts.backend = backend;
-        try {
-            simulate_rule(t, f, flip, opts);
-            FAIL() << "backend " << backend_name(backend) << " accepted a runtime functor";
-        } catch (const std::invalid_argument& e) {
-            EXPECT_NE(std::string(e.what()).find("cannot step rule"), std::string::npos)
-                << e.what();
-            EXPECT_NE(std::string(e.what()).find("generic"), std::string::npos) << e.what();
-        }
-    }
-    // Auto and explicit Generic still run it.
-    RunOptions opts;
-    opts.backend = Backend::Auto;
-    EXPECT_EQ(simulate_rule(t, f, flip, opts).termination, Termination::Cycle);
+    EXPECT_EQ(run_reference(t, f, &reference_sweep<decltype(flip)>, RunOptions{}).termination,
+              Termination::Cycle);
     // Every registered rule has a word kernel (make_info refuses one
     // without at compile time), so its bit-plane throughput entry is set.
     for (const rules::RuleInfo* rule : rules::all_rules()) {

@@ -837,6 +837,25 @@ TEST(Report, RendersTheCriticalDensityAtlas) {
     EXPECT_EQ(render_report(artifact, "atlas-test", ReportFormat::Markdown), markdown);
 }
 
+TEST(Report, RejectsExitCodesThatDoNotFitAnInt) {
+    // 2^32 used to wrap to 0 and render as a success; it names its point.
+    for (const char* code : {"4294967296", "-2147483649", "1.5"}) {
+        const std::string artifact =
+            std::string(R"({"campaign": "c", "scenario": "mc_density_point", "points": [
+              {"params": {"density": "0.1"}, "exit_code": 0, "metrics": {}},
+              {"params": {"density": "0.2"}, "exit_code": )") +
+            code + R"(, "metrics": {}}]})";
+        try {
+            render_report(artifact, "edited", ReportFormat::Markdown);
+            FAIL() << "exit_code " << code << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("point 1: exit_code " + std::string(code)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Report, GenericCampaignsGetVaryingParamColumns) {
     // End to end: run a real campaign, render its artifact. Only `density`
     // varies across points, so it is the sole parameter column.

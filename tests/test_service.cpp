@@ -30,6 +30,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -429,6 +430,17 @@ TEST(Http, ParsesRequestsAndNormalizesHeaderNames) {
     EXPECT_FALSE(service::parse_http_request("garbage\r\n\r\n").has_value());
     EXPECT_FALSE(service::parse_http_request("GET /x SPDY/3\r\n\r\n").has_value());
     EXPECT_FALSE(service::parse_http_request("no head terminator").has_value());
+}
+
+TEST(Http, ContentLengthParsesDigitsOnly) {
+    EXPECT_EQ(service::parse_content_length("0"), 0u);
+    EXPECT_EQ(service::parse_content_length("1234"), 1234u);
+    // Too large is not malformed: it saturates, and the caller refuses it.
+    EXPECT_EQ(service::parse_content_length("99999999999999999999999"),
+              std::numeric_limits<std::size_t>::max());
+    for (const char* bad : {"", "5x", "+5", "-1", " 5", "5 ", "0x5", "5.0"}) {
+        EXPECT_FALSE(service::parse_content_length(bad)) << "'" << bad << "'";
+    }
 }
 
 TEST(Http, RendersResponsesWithLengthAndClose) {

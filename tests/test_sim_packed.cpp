@@ -88,7 +88,7 @@ void engines_follow_formula(Color colors) {
             sim::PackedEngineT<R> packed(t, expected);
             sim::ActiveEngineT<R> active(t, expected);
             sim::BitplaneEngineT<R> bitplane(t, expected);
-            BasicSyncEngine<sim::RuleFnOf<R>> reference(t, expected);
+            BasicSyncEngine reference(t, expected, &reference_sweep<sim::RuleFnOf<R>>);
             for (int r = 0; r < 25; ++r) {
                 const ColorField next = formula_round<R>(t, expected);
                 std::size_t changed = 0;
@@ -129,7 +129,7 @@ TEST(SimSweep, PackedTrajectoriesBitIdenticalToSeedEngine) {
             const ColorField f = random_field(t.size(), 4, rng);
 
             sim::PackedEngineT<sim::SmpRule> packed(t, f);
-            BasicSyncEngine<ReferenceSmpRule> seed(t, f);
+            BasicSyncEngine seed(t, f, &reference_sweep<ReferenceSmpRule>);
             for (int r = 0; r < 30; ++r) {
                 const std::size_t ca = packed.step();
                 const std::size_t cb = seed.step();
@@ -169,7 +169,7 @@ TEST(SimSweep, ColumnPanelBlockingIsBitIdentical) {
         const Torus t(topo, 3, n);
         const ColorField f = random_field(t.size(), 3, rng);
         sim::PackedEngineT<sim::SmpRule> packed(t, f);
-        BasicSyncEngine<ReferenceSmpRule> seed(t, f);
+        BasicSyncEngine seed(t, f, &reference_sweep<ReferenceSmpRule>);
         for (int r = 0; r < 4; ++r) {
             ASSERT_EQ(packed.step(), seed.step()) << to_string(topo) << " round " << r;
             ASSERT_EQ(packed.colors(), seed.colors()) << to_string(topo) << " round " << r;
