@@ -23,7 +23,7 @@ namespace dynamo::bench {
 
 /// Simulate with target-color bookkeeping enabled (run API: Backend::Auto
 /// routes serial SMP runs through the active-set fast path; the
-/// AdoptionTracker observer fills k_time/newly_k/monotone).
+/// run loop's target tracker fills k_time/newly_k/monotone).
 inline RunResult run_traced(const grid::Torus& torus, const Configuration& cfg) {
     RunOptions opts;
     opts.target = cfg.k;

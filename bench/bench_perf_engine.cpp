@@ -226,8 +226,8 @@ double mc_serial_trials_per_sec(const grid::Torus& torus, std::size_t trials,
         RunOptions opts;
         opts.target = 1;
         if (seed_engine) {
-            benchmark::DoNotOptimize(
-                run_reference(torus, initial, &reference_sweep<ReferenceSmpRule>, opts).rounds);
+            BasicSyncEngine engine(torus, initial, &reference_sweep<ReferenceSmpRule>);
+            benchmark::DoNotOptimize(run_to_terminal(engine, opts).rounds);
         } else {
             opts.backend = Backend::Packed;
             benchmark::DoNotOptimize(simulate(torus, initial, opts).rounds);

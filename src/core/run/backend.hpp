@@ -18,12 +18,12 @@ namespace dynamo {
 
 /// Which stepping substrate simulate() routes a run through.
 enum class Backend : std::uint8_t {
-    Auto,      ///< the fastest correct substrate: the (pool-capable)
-               ///< active-set engine
+    Auto,      ///< the (pool-capable) active-set engine: best on thin
+               ///< frontiers; dense churn runs faster on BitPlane
     Packed,    ///< full-sweep engine (packed byte stencil fast path)
     Active,    ///< active-set engine: re-evaluates dirty spans only,
                ///< O(frontier) rounds; pooled phase-1 when given a pool
-    Generic,   ///< seed-style table-driven sweep (run_reference)
+    Generic,   ///< seed-style table-driven sweep (BasicSyncEngine)
     BitPlane,  ///< bit-plane word-parallel engine (core/sim/
                ///< bitplane_engine.hpp): 64 cells per limb per plane
 };

@@ -48,8 +48,8 @@ struct RunResult {
 
     ColorField final_colors;
 
-    // --- target-color bookkeeping (filled by AdoptionTracker, which the
-    // --- runner attaches automatically when RunOptions::target is set) ---
+    // --- target-color bookkeeping (filled by the run loop's target tracker,
+    // --- switched on by RunOptions::target) ---
 
     /// k_time[v]: round at which v most recently assumed the target color
     /// (0 for initially-k vertices); kNeverK if v is not k at termination.

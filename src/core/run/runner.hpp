@@ -14,6 +14,10 @@
 //   * the defensive cap (max_rounds, default 4*|V| + 64, far above every
 //     bound the paper proves) reports the cap itself.
 //
+// Only the stepping loop is a template: the bookkeeping - census,
+// classification, observer dispatch - is the RunTally, compiled once in
+// core/run/runner.cpp however many engines the library instantiates.
+//
 // Per-round cost on top of the engine step is O(changed): the runner keeps
 // an incremental color census for monochromatic detection (no O(|V|) scan
 // per round) and observers fold the changed-cell list (no per-round field
@@ -24,6 +28,8 @@
 #include <array>
 #include <concepts>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -37,17 +43,17 @@
 namespace dynamo {
 
 struct RunOptions {
-    /// Hard cap on rounds; 0 selects an automatic cap of 4*|V| + 64 (far
+    /// Hard cap on rounds; 0 selects auto_round_cap(|V|) = 4*|V| + 64 (far
     /// above every bound the paper proves, see Theorems 7-8).
     std::uint32_t max_rounds = 0;
 
     /// When set, the result records per-vertex adoption times of this
     /// color, the per-round wavefront sizes, and monotonicity
-    /// (Definition 3) via an automatically attached AdoptionTracker.
+    /// (Definition 3) via an automatically attached target tracker.
     std::optional<Color> target;
 
     /// Detect repeated states (limit cycles) via an automatically attached
-    /// CycleDetector.
+    /// cycle detector (an incremental XOR fingerprint of the field).
     bool detect_cycles = true;
 
     /// Optional worker pool handed to every engine round; nullptr = serial.
@@ -66,7 +72,7 @@ struct RunOptions {
     bool stop_on_quiescence = true;
 
     /// Additional observers, notified in order after the automatic ones
-    /// (AdoptionTracker, CycleDetector). Non-owning.
+    /// (target tracker, cycle detector). Non-owning.
     std::vector<Observer*> observers;
 };
 
@@ -81,96 +87,68 @@ concept Engine = requires(E& e, const E& ce, std::vector<CellChange>& out, Threa
     { ce.round() } -> std::convertible_to<std::uint32_t>;
 };
 
+/// The automatic round cap: 4*|V| + 64, saturated at UINT32_MAX.
 inline constexpr std::uint32_t auto_round_cap(std::size_t num_vertices) noexcept {
-    return static_cast<std::uint32_t>(4 * num_vertices + 64);
+    constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+    return num_vertices > (kMax - 64) / 4 ? kMax
+                                          : static_cast<std::uint32_t>(4 * num_vertices + 64);
 }
+
+/// Everything run_to_terminal decides, compiled once (core/run/runner.cpp):
+/// the round cap, the color census, the terminal classification, observer
+/// dispatch (the automatic target/cycle observers first, then
+/// RunOptions::observers) and the RunResult. The engine-specific part - the
+/// stepping loop - stays in the run_to_terminal template.
+class RunTally {
+  public:
+    /// Validates `options`, takes the census of `initial` and notifies
+    /// on_start. An initially monochromatic field finishes the run here, at
+    /// `round` (the engine's current round). `options` must outlive the
+    /// tally.
+    RunTally(const ColorField& initial, std::uint32_t round, const RunOptions& options);
+    ~RunTally();
+
+    /// True while the run is neither finished nor at the cap.
+    bool running(std::uint32_t round) const noexcept { return !done_ && round < cap_; }
+
+    /// Folds one executed round: `round` is the engine's round after the
+    /// step, `changes` its changed cells and `colors` the state after it.
+    void record(std::uint32_t round, std::size_t changed, std::span<const CellChange> changes,
+                const ColorField& colors);
+
+    /// The run's result. A run still going ends RoundLimit at `round`.
+    RunResult finish(std::uint32_t round, const ColorField& colors);
+
+  private:
+    class AdoptionTracker;  // RunOptions::target
+    class CycleDetector;    // RunOptions::detect_cycles
+
+    void end(Termination termination, std::uint32_t rounds, const ColorField& colors);
+
+    const RunOptions& options_;
+    std::uint32_t cap_;
+    bool done_ = false;
+    std::unique_ptr<AdoptionTracker> tracker_;
+    std::unique_ptr<CycleDetector> cycles_;
+    std::array<std::size_t, 256> counts_{};
+    std::size_t distinct_ = 0;
+    RunResult result_;
+};
 
 /// Run `engine` until a terminal behaviour (see Termination and the header
 /// comment for the exact round accounting), notifying `options.observers`
 /// plus the automatic target/cycle observers along the way.
 template <Engine E>
 RunResult run_to_terminal(E& engine, const RunOptions& options = {}) {
-    const std::size_t n = engine.colors().size();
-    DYNAMO_REQUIRE(n > 0, "cannot run an empty field");
-    // stop_on_quiescence = false declares a time-varying rule, under which
-    // a repeated state proves nothing (the rule may act differently next
-    // round) - cycle detection would misread a quiescent round as a
-    // period-1 cycle. Reject the inconsistent combination loudly.
-    DYNAMO_REQUIRE(options.stop_on_quiescence || !options.detect_cycles,
-                   "detect_cycles needs a time-invariant rule; disable it when "
-                   "stop_on_quiescence is false");
-    const std::uint32_t cap = options.max_rounds != 0 ? options.max_rounds : auto_round_cap(n);
-
-    // Assemble the observer list: automatic bookkeeping first, then the
-    // caller's. Stored by pointer; the automatic ones live on this frame.
-    std::optional<AdoptionTracker> tracker;
-    std::optional<CycleDetector> cycles;
-    std::vector<Observer*> observers;
-    observers.reserve(options.observers.size() + 2);
-    if (options.target) observers.push_back(&tracker.emplace(*options.target));
-    if (options.detect_cycles) observers.push_back(&cycles.emplace());
-    for (Observer* ob : options.observers) observers.push_back(ob);
-
-    // Incremental color census: monochromatic detection is O(changed) per
-    // round instead of a full-field scan.
-    std::array<std::size_t, 256> counts{};
-    std::size_t distinct = 0;
-    for (const Color c : engine.colors()) {
-        if (counts[c]++ == 0) ++distinct;
-    }
-
-    for (Observer* ob : observers) ob->on_start(engine.colors());
-
-    RunResult result;
-    const auto finish = [&](Termination termination, std::uint32_t rounds) -> RunResult& {
-        result.termination = termination;
-        result.rounds = rounds;
-        if (termination == Termination::Monochromatic) result.mono = engine.colors().front();
-        result.final_colors = engine.colors();
-        for (Observer* ob : observers) ob->on_finish(result);
-        return result;
-    };
-
-    // Degenerate but legal: an initially monochromatic field has already
-    // reached the configuration.
-    if (distinct == 1) return finish(Termination::Monochromatic, engine.round());
-
+    RunTally tally(engine.colors(), engine.round(), options);
     std::vector<CellChange> changes;
-    while (engine.round() < cap) {
+    while (tally.running(engine.round())) {
         changes.clear();
         const std::size_t changed =
             engine.step_collect(changes, options.pool, options.parallel_grain);
-        const std::uint32_t r = engine.round();
-
-        if (changed == 0 && options.stop_on_quiescence) {
-            // The state was already terminal before this no-op round.
-            return finish(distinct == 1 ? Termination::Monochromatic : Termination::FixedPoint,
-                          r - 1);
-        }
-
-        result.total_recolorings += changed;
-        for (const CellChange& ch : changes) {
-            if (--counts[ch.before] == 0) --distinct;
-            if (counts[ch.after]++ == 0) ++distinct;
-        }
-
-        const RoundEvent event{r, changed, std::span<const CellChange>(changes),
-                               engine.colors()};
-        std::optional<StopRequest> stop;
-        for (Observer* ob : observers) {
-            auto request = ob->on_round(event);
-            if (request && !stop) stop = request;
-        }
-
-        // Monochromatic wins over observer stops, matching the seed
-        // driver's check order (mono before cycle lookup).
-        if (distinct == 1) return finish(Termination::Monochromatic, r);
-        if (stop) {
-            result.cycle_period = stop->cycle_period;
-            return finish(stop->termination, r);
-        }
+        tally.record(engine.round(), changed, changes, engine.colors());
     }
-    return finish(Termination::RoundLimit, engine.round());
+    return tally.finish(engine.round(), engine.colors());
 }
 
 } // namespace dynamo

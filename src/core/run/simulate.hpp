@@ -7,13 +7,13 @@
 // is the one place a rule type is compiled into engines, and simulate() is
 // defined there too, so no caller compiles its own copy of them.
 //
-// Backend::Auto picks the fastest correct substrate: the active-set
-// engine - per-round cost O(frontier), the thin-wave regime of Theorems
-// 7-8, pool-aware since the segmented rewrite. Every backend steps every
-// registered rule. A runtime rule functor has no registry entry: it runs
-// on the reference engine alone, through
-// run_reference(torus, initial, &reference_sweep<Rule>, options)
-// (core/sync_engine.hpp). All backends produce bit-identical RunResults -
+// Backend::Auto is the active-set engine: per-round cost O(frontier),
+// best on the thin frontiers of Theorems 7-8 (pool-aware since the
+// segmented rewrite); dense churn runs faster on BitPlane. Every backend
+// steps every registered rule. A runtime rule functor has no registry
+// entry: it runs on the reference engine alone, by constructing
+// BasicSyncEngine(torus, initial, &reference_sweep<Rule>) and calling
+// run_to_terminal (core/sync_engine.hpp). All backends produce bit-identical RunResults -
 // same trajectories, same terminal classification, same round accounting
 // (property-tested per rule in tests/test_run.cpp and tests/test_rules.cpp).
 //

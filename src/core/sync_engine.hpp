@@ -13,10 +13,10 @@
 //
 // The engine walks the seed's flat neighbor table - the only one in the
 // code base - with a sweep pointer: a rule compiles only its
-// reference_sweep<Rule>, and the engine's run loop (run_reference) is
-// compiled once. It is the oracle of the LocalRule engines (Packed/Active/
-// BitplaneEngineT), the denominator of the bench speedup gates, and what
-// Backend::Generic runs (reference_sweep<RuleFnOf<R>> for a LocalRule).
+// reference_sweep<Rule>, and the engine itself is compiled once. It is the
+// oracle of the LocalRule engines (Packed/Active/BitplaneEngineT), the
+// denominator of the bench speedup gates, and what Backend::Generic runs
+// (reference_sweep<RuleFnOf<R>> for a LocalRule).
 #pragma once
 
 #include <array>
@@ -132,10 +132,5 @@ class BasicSyncEngine {
     ColorField next_;
     std::uint32_t round_ = 0;
 };
-
-/// Run `sweep` on the reference engine from `initial` until a terminal
-/// behaviour (Backend::Generic's run). options.backend is ignored.
-RunResult run_reference(const grid::Torus& torus, const ColorField& initial, TableSweep sweep,
-                        const RunOptions& options);
 
 } // namespace dynamo

@@ -3,9 +3,9 @@
 // Monomorphization site of the rule registry: each table row binds a
 // LocalRule type's kernel, sweeps, simulate_as and verifier instantiations
 // to its runtime name (see registry.hpp for the catalog). This is the only
-// file that compiles a rule into engines (a row's reference_sweep runs on a
-// loop compiled once, in core/sync_engine.cpp); simulate()
-// (core/run/simulate.hpp) is defined here as the SMP row's run.
+// file that compiles a rule into engines (a row's reference_sweep steps the
+// one BasicSyncEngine); simulate() (core/run/simulate.hpp) is defined here
+// as the SMP row's run.
 #include "rules/registry.hpp"
 
 #include <algorithm>
@@ -61,8 +61,10 @@ RunResult simulate_as(const grid::Torus& torus, const ColorField& initial,
                       const RunOptions& options) {
     require_complete(torus, initial);
     switch (options.backend) {
-        case Backend::Generic:
-            return run_reference(torus, initial, &reference_sweep<sim::RuleFnOf<R>>, options);
+        case Backend::Generic: {
+            BasicSyncEngine engine(torus, initial, &reference_sweep<sim::RuleFnOf<R>>);
+            return run_to_terminal(engine, options);
+        }
         case Backend::BitPlane: {
             sim::BitplaneEngineT<R> engine(torus, initial);
             return run_to_terminal(engine, options);

@@ -70,7 +70,7 @@ struct RuleInfo {
     std::size_t (*sweep)(const grid::Torus&, const Color*, Color*, ThreadPool*, std::size_t);
     /// One seed-style table-driven round (the Generic baseline) over a
     /// reference_neighbor_table of the torus: reference_sweep<RuleFnOf<R>>,
-    /// the sweep Backend::Generic's run_reference steps.
+    /// the sweep Backend::Generic's BasicSyncEngine steps.
     TableSweep generic_sweep;
     /// The full Backend-selected run (every Backend steps every rule).
     RunResult (*run)(const grid::Torus&, const ColorField&, const RunOptions&);

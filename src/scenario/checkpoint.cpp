@@ -51,6 +51,7 @@ CampaignCheckpoint::CampaignCheckpoint(std::string path, std::uint64_t fingerpri
                                        std::size_t total_points)
     : path_(std::move(path)) {
     DYNAMO_REQUIRE(!path_.empty(), "checkpoint path must not be empty");
+    DYNAMO_REQUIRE(shard_index < shard_count, "checkpoint shard index out of range");
 
     bool have_header = false;
     {
@@ -95,8 +96,12 @@ CampaignCheckpoint::CampaignCheckpoint(std::string path, std::uint64_t fingerpri
                 parsed_index = index->as_int();
             } catch (const std::invalid_argument&) {
             }
-            if (parsed_index < 0) continue;  // damaged index: skip like any damaged line
-            settled_[static_cast<std::size_t>(parsed_index)] = parsed_hash;
+            // A damaged index, or one outside this shard's points: skip
+            // like any damaged line.
+            if (parsed_index < 0) continue;
+            const auto slot = static_cast<std::size_t>(parsed_index);
+            if (slot >= total_points || slot % shard_count != shard_index) continue;
+            settled_[slot] = parsed_hash;
         }
     }
     resumed_ = settled_.size();

@@ -48,7 +48,8 @@ class CampaignCheckpoint {
     const std::string& path() const noexcept { return path_; }
 
     /// Points recorded as settled when the checkpoint was opened (resume
-    /// state; later mark_settled calls do not appear here).
+    /// state; later mark_settled calls do not appear here). Lines naming
+    /// another shard's point, or an index past `total_points`, are skipped.
     std::size_t resumed() const noexcept { return resumed_; }
 
     /// True iff `index` was recorded settled with exactly this cache hash.

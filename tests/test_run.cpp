@@ -1,7 +1,8 @@
 // Run-API tests: backend-independent terminal-round semantics (one run
 // loop over packed / active / generic engines, bit-identical RunResults),
-// active-engine terminal behaviours driven through run_to_terminal,
-// observer composition (census series, frame dumper, cycle detector), the
+// active-engine terminal behaviours driven through run_to_terminal, the
+// automatic round cap, observer composition (census series, frame dumper,
+// cycle detector) and stop-request priorities, the
 // plurality graph engine under the shared run loop, and BatchRunner
 // substream determinism.
 #include <gtest/gtest.h>
@@ -217,8 +218,8 @@ TEST(RunBackends, ReferenceEngineRunsARuntimeFunctor) {
     const auto flip = [](Color own, const std::array<Color, grid::kDegree>& nbr) noexcept {
         return nbr[0] == nbr[1] ? nbr[0] : own;
     };
-    EXPECT_EQ(run_reference(t, f, &reference_sweep<decltype(flip)>, RunOptions{}).termination,
-              Termination::Cycle);
+    BasicSyncEngine engine(t, f, &reference_sweep<decltype(flip)>);
+    EXPECT_EQ(run_to_terminal(engine).termination, Termination::Cycle);
     // Every registered rule has a word kernel (make_info refuses one
     // without at compile time), so its bit-plane throughput entry is set.
     for (const rules::RuleInfo* rule : rules::all_rules()) {
@@ -238,6 +239,15 @@ TEST(RunBackends, CycleDetectionRejectedForTimeVaryingRules) {
     opts.detect_cycles = false;
     opts.max_rounds = 4;
     EXPECT_EQ(run_to_terminal(engine, opts).termination, Termination::RoundLimit);
+}
+
+TEST(RunBackends, AutomaticRoundCapSaturates) {
+    EXPECT_EQ(auto_round_cap(1), 68u);
+    EXPECT_EQ(auto_round_cap((std::size_t{1} << 30) - 17), 4294967292u);
+    // From |V| = 2^30 - 16 on, 4*|V| + 64 does not fit 32 bits (truncated,
+    // it would be a cap of 0 there and of 64 at 2^30).
+    EXPECT_EQ(auto_round_cap((std::size_t{1} << 30) - 16), UINT32_MAX);
+    EXPECT_EQ(auto_round_cap(std::size_t{1} << 30), UINT32_MAX);
 }
 
 TEST(RunActive, CheckerboardLimitCycleThroughRunner) {
@@ -345,6 +355,95 @@ TEST(RunObservers, OptionsComposeObserversWithTargetTracking) {
     EXPECT_TRUE(result.reached_mono(cfg.k));
     EXPECT_EQ(census.samples().size(), result.rounds + 1);
     EXPECT_EQ(result.newly_k.size(), result.rounds + 1);
+}
+
+/// Requests `request` after round `stop_round` (0 = never) and records what
+/// the run loop showed it.
+class ScriptedObserver final : public Observer {
+  public:
+    ScriptedObserver(std::uint32_t stop_round, StopRequest request)
+        : stop_round_(stop_round), request_(request) {}
+
+    void on_start(const ColorField& initial) override { initial_ = initial; }
+    std::optional<StopRequest> on_round(const RoundEvent& event) override {
+        if (event.round == stop_round_) return request_;
+        return std::nullopt;
+    }
+    void on_finish(RunResult& /*result*/) override { ++finishes_; }
+
+    const ColorField& initial() const { return initial_; }
+    int finishes() const { return finishes_; }
+
+  private:
+    std::uint32_t stop_round_;
+    StopRequest request_;
+    ColorField initial_;
+    int finishes_ = 0;
+};
+
+TEST(RunObservers, StopRequestsFollowTheRunLoopPriorities) {
+    const Torus t(Topology::ToroidalMesh, 6, 6);
+    const ColorField dynamo = build_minimum_dynamo(t).field;
+    const ColorField board = checkerboard(t, 1, 2);  // period-2 cycle, detected at round 2
+    const ColorField mono(t.size(), 3);
+    for (const Backend backend : {Backend::Auto, Backend::Packed, Backend::Active,
+                                  Backend::Generic, Backend::BitPlane}) {
+        SCOPED_TRACE(backend_name(backend));
+        RunOptions opts;
+        opts.backend = backend;
+        const RunResult plain = simulate(t, dynamo, opts);
+        ASSERT_EQ(plain.termination, Termination::Monochromatic);
+
+        // A stop on the round that turns the field monochromatic loses to it.
+        ScriptedObserver late(plain.rounds, StopRequest{Termination::Cycle, 7});
+        opts.observers = {&late};
+        RunResult r = simulate(t, dynamo, opts);
+        EXPECT_EQ(r.termination, Termination::Monochromatic);
+        EXPECT_EQ(r.rounds, plain.rounds);
+        EXPECT_EQ(r.cycle_period, 0u);
+        EXPECT_EQ(late.initial(), dynamo);
+        EXPECT_EQ(late.finishes(), 1);
+
+        // Two stops in one round: the first-registered observer wins.
+        ScriptedObserver cycle(1, StopRequest{Termination::Cycle, 5});
+        ScriptedObserver fixed(1, StopRequest{Termination::FixedPoint, 9});
+        opts.observers = {&cycle, &fixed};
+        r = simulate(t, board, opts);
+        EXPECT_EQ(r.termination, Termination::Cycle);
+        EXPECT_EQ(r.cycle_period, 5u);
+        EXPECT_EQ(r.rounds, 1u);
+        opts.observers = {&fixed, &cycle};
+        r = simulate(t, board, opts);
+        EXPECT_EQ(r.termination, Termination::FixedPoint);
+        EXPECT_EQ(r.cycle_period, 9u);
+        EXPECT_EQ(cycle.finishes(), 2);
+        EXPECT_EQ(fixed.finishes(), 2);
+
+        // The automatic cycle detector registers before the caller's
+        // observers, so it wins their common round.
+        ScriptedObserver second(2, StopRequest{Termination::FixedPoint, 9});
+        opts.observers = {&second};
+        r = simulate(t, board, opts);
+        EXPECT_EQ(r.termination, Termination::Cycle);
+        EXPECT_EQ(r.cycle_period, 2u);
+        EXPECT_EQ(r.rounds, 2u);
+        EXPECT_EQ(second.initial(), board);
+
+        // on_finish runs once on the round-0 monochromatic path and once at
+        // the cap.
+        ScriptedObserver idle(0, StopRequest{});
+        opts.observers = {&idle};
+        r = simulate(t, mono, opts);
+        EXPECT_EQ(r.termination, Termination::Monochromatic);
+        EXPECT_EQ(r.rounds, 0u);
+        EXPECT_EQ(idle.initial(), mono);
+        EXPECT_EQ(idle.finishes(), 1);
+        opts.max_rounds = 1;
+        r = simulate(t, board, opts);
+        EXPECT_EQ(r.termination, Termination::RoundLimit);
+        EXPECT_EQ(r.rounds, 1u);
+        EXPECT_EQ(idle.finishes(), 2);
+    }
 }
 
 TEST(RunGraph, PluralityMatchesTorusUnderSharedRunLoop) {

@@ -248,11 +248,19 @@ TEST(Checkpoint, RoundTripAndTornTailTolerance) {
         fresh.mark_settled(2, 22);
         fresh.mark_settled(2, 22);  // idempotent
     }
+    // Lines of another shard (index 1) or past the campaign's points
+    // (index 6) are not this shard's progress.
+    {
+        std::ofstream(path, std::ios::app) << "{\"index\": 1, \"hash\": \"000000000000000b\"}\n"
+                                           << "{\"index\": 6, \"hash\": \"000000000000000b\"}\n";
+    }
     // Simulate a crash mid-append: a torn, unparsable final line.
     { std::ofstream(path, std::ios::app) << "{\"index\": 4, \"ha"; }
 
     CampaignCheckpoint reopened(path, 0xabcdefULL, 0, 2, 6);
     EXPECT_EQ(reopened.resumed(), 2u);
+    EXPECT_FALSE(reopened.is_settled(1, 11));
+    EXPECT_FALSE(reopened.is_settled(6, 11));
     EXPECT_TRUE(reopened.is_settled(0, 11));
     EXPECT_TRUE(reopened.is_settled(2, 22));
     EXPECT_FALSE(reopened.is_settled(2, 23)) << "hash must match, not just the index";
@@ -261,7 +269,8 @@ TEST(Checkpoint, RoundTripAndTornTailTolerance) {
 
 TEST(Checkpoint, DamagedIndexLinesAreSkippedNotFatal) {
     // A settled line whose index is not a non-negative exact integer used
-    // to throw "not an exact integer" and abort the whole resume.
+    // to throw "not an exact integer" and abort the whole resume. One past
+    // the campaign's points is not progress either.
     const ScratchDir dir("ckpt_damaged");
     const std::string path = dir.path() + "/ck.jsonl";
     {
@@ -273,6 +282,7 @@ TEST(Checkpoint, DamagedIndexLinesAreSkippedNotFatal) {
         out << "{\"index\": 0.5, \"hash\": \"0000000000000007\"}\n"
             << "{\"index\": -1, \"hash\": \"0000000000000007\"}\n"
             << "{\"index\": 1e300, \"hash\": \"0000000000000007\"}\n"
+            << "{\"index\": 4, \"hash\": \"0000000000000007\"}\n"
             << "{\"index\": 3, \"hash\": \"0000000000000021\"}\n";
     }
     const CampaignCheckpoint reopened(path, 0x5eedULL, 0, 1, 4);
@@ -280,6 +290,7 @@ TEST(Checkpoint, DamagedIndexLinesAreSkippedNotFatal) {
     EXPECT_TRUE(reopened.is_settled(1, 11));
     EXPECT_TRUE(reopened.is_settled(3, 0x21)) << "lines after a damaged one still count";
     EXPECT_FALSE(reopened.is_settled(0, 7));
+    EXPECT_FALSE(reopened.is_settled(4, 7)) << "index 4 is past the campaign's 4 points";
 }
 
 TEST(Checkpoint, RejectsForeignFilesAndWrongFingerprints) {
