@@ -22,8 +22,8 @@
 namespace dynamo::bench {
 
 /// Simulate with target-color bookkeeping enabled (run API: Backend::Auto
-/// routes serial SMP runs through the active-set fast path; the
-/// run loop's target tracker fills k_time/newly_k/monotone).
+/// steps the active-set engine on thin rounds and the bit-plane engine on
+/// dense ones; the run loop's target tracker fills k_time/newly_k/monotone).
 inline RunResult run_traced(const grid::Torus& torus, const Configuration& cfg) {
     RunOptions opts;
     opts.target = cfg.k;

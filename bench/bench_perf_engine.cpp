@@ -237,7 +237,8 @@ double mc_serial_trials_per_sec(const grid::Torus& torus, std::size_t trials,
 }
 
 /// Trials/sec of the new across-trial path: BatchRunner substreams +
-/// Backend::Auto (active-set fast path per trial), optionally pooled.
+/// Backend::Auto (active-set or bit-plane per round of each trial),
+/// optionally pooled.
 double mc_batch_trials_per_sec(const grid::Torus& torus, std::size_t trials,
                                std::uint64_t seed, double density, ThreadPool* pool) {
     Stopwatch watch;
@@ -313,20 +314,27 @@ bool rule_sweeps_identical(const rules::RuleInfo& rule, const grid::Torus& torus
     return true;
 }
 
-/// Engine-level bit-identity of Backend::BitPlane vs Backend::Packed for
-/// one registered rule: full rule.run trajectories (termination, rounds,
-/// final field) must coincide.
+/// Engine-level bit-identity of Backend::BitPlane and the adaptive
+/// Backend::Auto (which hands dense rounds to the bit-plane engine and thin
+/// ones back) vs Backend::Packed for one registered rule: full rule.run
+/// trajectories (termination, rounds, recolorings, cycle period, final
+/// field) must coincide.
 bool bitplane_runs_identical(const rules::RuleInfo& rule, const grid::Torus& torus,
                              const ColorField& field, std::uint32_t max_rounds) {
-    RunOptions packed_opts;
-    packed_opts.backend = Backend::Packed;
-    packed_opts.max_rounds = max_rounds;
-    RunOptions bitplane_opts = packed_opts;
-    bitplane_opts.backend = Backend::BitPlane;
-    const RunResult a = rule.run(torus, field, packed_opts);
-    const RunResult b = rule.run(torus, field, bitplane_opts);
-    return a.termination == b.termination && a.rounds == b.rounds &&
-           a.final_colors == b.final_colors;
+    RunOptions opts;
+    opts.backend = Backend::Packed;
+    opts.max_rounds = max_rounds;
+    const RunResult a = rule.run(torus, field, opts);
+    for (const Backend backend : {Backend::BitPlane, Backend::Auto}) {
+        opts.backend = backend;
+        const RunResult b = rule.run(torus, field, opts);
+        if (a.termination != b.termination || a.rounds != b.rounds ||
+            a.total_recolorings != b.total_recolorings || a.cycle_period != b.cycle_period ||
+            a.final_colors != b.final_colors) {
+            return false;
+        }
+    }
+    return true;
 }
 
 int run_json_report(const CliArgs& args) {

@@ -53,8 +53,9 @@ TrialOutcome run_one_trial(const grid::Torus& torus, Color k, double density,
                            Color num_colors, const rules::RuleInfo& rule, Backend backend,
                            Xoshiro256& rng) {
     const ColorField initial = random_coloring(torus.size(), k, num_colors, density, rng);
-    // Backend::Auto: each (serial) trial takes the active-set fast path;
-    // parallelism is across trials, not within the sweep.
+    // Backend::Auto: each (serial) trial steps the active-set engine on
+    // thin rounds and the bit-plane engine on dense ones; parallelism is
+    // across trials, not within the sweep.
     RunOptions opts;
     opts.backend = backend;
     const RunResult result = rule.run(torus, initial, opts);

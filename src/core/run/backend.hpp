@@ -6,7 +6,9 @@
 // names through backend_from_name() and get their error lists from
 // known_backend_names(), exactly like rule names resolve through
 // rules/registry.hpp. Every backend steps every registered rule (the
-// registry refuses at compile time a rule without a bit-plane kernel).
+// registry refuses at compile time a rule without a bit-plane kernel);
+// BitPlane only within its palette, colors 1..7 ({1, 2} under a bi-color
+// rule), and refuses any other field.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +20,10 @@ namespace dynamo {
 
 /// Which stepping substrate simulate() routes a run through.
 enum class Backend : std::uint8_t {
-    Auto,      ///< the (pool-capable) active-set engine: best on thin
-               ///< frontiers; dense churn runs faster on BitPlane
+    Auto,      ///< adaptive: Active on thin rounds, BitPlane on dense
+               ///< ones, switching per round on the change count
+               ///< (core/sim/hybrid_engine.hpp); stays on Active for a
+               ///< palette BitPlane cannot hold
     Packed,    ///< full-sweep engine (packed byte stencil fast path)
     Active,    ///< active-set engine: re-evaluates dirty spans only,
                ///< O(frontier) rounds; pooled phase-1 when given a pool

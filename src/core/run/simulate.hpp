@@ -7,10 +7,15 @@
 // is the one place a rule type is compiled into engines, and simulate() is
 // defined there too, so no caller compiles its own copy of them.
 //
-// Backend::Auto is the active-set engine: per-round cost O(frontier),
-// best on the thin frontiers of Theorems 7-8 (pool-aware since the
-// segmented rewrite); dense churn runs faster on BitPlane. Every backend
-// steps every registered rule. A runtime rule functor has no registry
+// Backend::Auto is adaptive (core/sim/hybrid_engine.hpp): it steps the
+// active-set engine while rounds are thin - O(frontier), the wavefronts
+// of Theorems 7-8 - and the bit-plane engine while they are dense - the
+// churn of majority dynamics from a random or collapsed coloring -
+// deciding after each round from its change count alone, so serial and
+// pooled runs switch alike. Active, BitPlane and Auto are one engine type
+// with a fixed hand-over policy. Every backend steps every registered rule
+// (BitPlane within its 1..7 palette; Auto stays on the active engine for a
+// field outside it). A runtime rule functor has no registry
 // entry: it runs on the reference engine alone, by constructing
 // BasicSyncEngine(torus, initial, &reference_sweep<Rule>) and calling
 // run_to_terminal (core/sync_engine.hpp). All backends produce bit-identical RunResults -

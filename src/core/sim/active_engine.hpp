@@ -57,18 +57,24 @@ class ActiveEngineT {
     ActiveEngineT(const grid::Torus& torus, ColorField initial)
         : torus_(&torus), cur_(std::move(initial)), next_(cur_.size()) {
         require_complete(torus, cur_);
-        const std::uint32_t m = torus.rows();
-        const std::uint32_t n = torus.cols();
-        // Round 0 evaluates everything: every row active, one full segment.
-        seg_lo_.assign(static_cast<std::size_t>(m) * kMaxSegments, 0);
-        seg_hi_.assign(static_cast<std::size_t>(m) * kMaxSegments, 0);
-        seg_cnt_.assign(m, 1);
-        for (std::uint32_t i = 0; i < m; ++i) seg_hi_[i * kMaxSegments] = n;
-        nseg_lo_.assign(static_cast<std::size_t>(m) * kMaxSegments, 0);
-        nseg_hi_.assign(static_cast<std::size_t>(m) * kMaxSegments, 0);
-        nseg_cnt_.assign(m, 0);
-        active_rows_.resize(m);
-        for (std::uint32_t i = 0; i < m; ++i) active_rows_[i] = i;
+        const std::size_t slots = static_cast<std::size_t>(torus.rows()) * kMaxSegments;
+        seg_lo_.resize(slots);
+        seg_hi_.resize(slots);
+        nseg_lo_.resize(slots);
+        nseg_hi_.resize(slots);
+        nseg_cnt_.assign(torus.rows(), 0);
+        mark_everything();
+    }
+
+    /// Rewind to round 0 from `initial` on the same torus, reusing the
+    /// buffers. Every row is dirty again, so the next round is one full
+    /// byte round - always correct, as the dirty set only has to be a
+    /// superset.
+    void reset(const ColorField& initial) {
+        require_complete(*torus_, initial);
+        cur_.assign(initial.begin(), initial.end());
+        mark_everything();  // nseg_cnt_ is all zero between rounds
+        round_ = 0;
     }
 
     /// One synchronous round over the active segments; returns the number
@@ -103,6 +109,19 @@ class ActiveEngineT {
     }
 
   private:
+    /// Make every row active with one full segment (round 0 evaluates
+    /// everything).
+    void mark_everything() {
+        const std::uint32_t m = torus_->rows();
+        seg_cnt_.assign(m, 1);
+        active_rows_.resize(m);
+        for (std::uint32_t i = 0; i < m; ++i) {
+            seg_lo_[i * kMaxSegments] = 0;
+            seg_hi_[i * kMaxSegments] = torus_->cols();
+            active_rows_[i] = i;
+        }
+    }
+
     std::size_t step_impl(std::vector<CellChange>* out, ThreadPool* pool, std::size_t grain) {
         const std::uint32_t n = torus_->cols();
 

@@ -115,38 +115,13 @@ class BitField {
 /// 1-plane encoding requires a strictly bi-colored field; 3-plane
 /// encoding requires colors 1..7 (3 bits, kUnset excluded). Both
 /// requirements fail loudly - the bit-plane engine never guesses.
-inline void pack_field(const ColorField& field, BitField& out) {
-    const std::uint32_t m = out.rows();
-    const std::uint32_t n = out.cols();
-    DYNAMO_REQUIRE(field.size() == static_cast<std::size_t>(m) * n,
-                   "field size does not match the bit-plane dimensions");
-    for (std::uint32_t i = 0; i < m; ++i) {
-        for (std::uint32_t j = 0; j < n; ++j) {
-            const Color c = field[static_cast<std::size_t>(i) * n + j];
-            if (out.planes() == 1) {
-                DYNAMO_REQUIRE(c == kWhite || c == kBlack,
-                               "bit-plane backend needs a strictly bi-colored field "
-                               "{1, 2} for a bi-color rule");
-            } else {
-                DYNAMO_REQUIRE(c >= 1 && c <= 7,
-                               "bit-plane backend packs colors into 3 bits; palette "
-                               "must be within 1..7");
-            }
-            out.set(i, j, c);
-        }
-    }
-}
+void pack_field(const ColorField& field, BitField& out);
+
+/// Does `field` fit the `planes`-plane encoding, i.e. would pack_field
+/// accept it? Lets a caller pick another engine instead of catching.
+bool packable(const ColorField& field, int planes) noexcept;
 
 /// Unpack into a row-major byte field (resized to rows x cols).
-inline void unpack_field(const BitField& in, ColorField& out) {
-    const std::uint32_t m = in.rows();
-    const std::uint32_t n = in.cols();
-    out.resize(static_cast<std::size_t>(m) * n);
-    for (std::uint32_t i = 0; i < m; ++i) {
-        for (std::uint32_t j = 0; j < n; ++j) {
-            out[static_cast<std::size_t>(i) * n + j] = in.get(i, j);
-        }
-    }
-}
+void unpack_field(const BitField& in, ColorField& out);
 
 } // namespace dynamo::sim

@@ -337,6 +337,15 @@ class BitplaneEngineT {
         pack_field(mirror_, cur_);
     }
 
+    /// Rewind to round 0 from `initial` on the same torus, reusing the
+    /// buffers (the same palette requirement as the constructor).
+    void reset(const ColorField& initial) {
+        require_complete(*torus_, initial);
+        mirror_.assign(initial.begin(), initial.end());
+        pack_field(mirror_, cur_);
+        round_ = 0;
+    }
+
     /// One synchronous round; returns the number of vertices that changed
     /// color. Deterministic for any pool/grain combination.
     std::size_t step(ThreadPool* pool = nullptr, std::size_t grain = 1 << 14) {

@@ -11,7 +11,7 @@
 #include <algorithm>
 
 #include "core/run/simulate.hpp"
-#include "core/sim/bitplane_engine.hpp"
+#include "core/sim/hybrid_engine.hpp"
 #include "core/sim/packed_engine.hpp"
 #include "core/transform.hpp"
 #include "rules/incremental.hpp"
@@ -56,27 +56,28 @@ class SearchVerifierT final : public RuleVerifier {
 };
 
 /// The monomorphized, Backend-selected run of rule R (RuleInfo::run).
+/// Active, BitPlane and Auto share one engine type, and so one stepping
+/// loop per rule; only its hand-over policy differs.
 template <sim::LocalRule R>
 RunResult simulate_as(const grid::Torus& torus, const ColorField& initial,
                       const RunOptions& options) {
     require_complete(torus, initial);
+    using Hybrid = sim::HybridEngineT<R>;
+    typename Hybrid::Policy policy = Hybrid::Policy::Adaptive;
     switch (options.backend) {
         case Backend::Generic: {
             BasicSyncEngine engine(torus, initial, &reference_sweep<sim::RuleFnOf<R>>);
-            return run_to_terminal(engine, options);
-        }
-        case Backend::BitPlane: {
-            sim::BitplaneEngineT<R> engine(torus, initial);
             return run_to_terminal(engine, options);
         }
         case Backend::Packed: {
             sim::PackedEngineT<R> engine(torus, initial);
             return run_to_terminal(engine, options);
         }
-        case Backend::Auto:
-        case Backend::Active: break;
+        case Backend::Active: policy = Hybrid::Policy::Active; break;
+        case Backend::BitPlane: policy = Hybrid::Policy::BitPlane; break;
+        case Backend::Auto: break;
     }
-    sim::ActiveEngineT<R> engine(torus, initial);
+    Hybrid engine(torus, initial, policy);
     return run_to_terminal(engine, options);
 }
 

@@ -13,6 +13,8 @@
 #include "core/builders.hpp"
 #include "core/run/batch.hpp"
 #include "core/run/simulate.hpp"
+#include "core/sim/hybrid_engine.hpp"
+#include "core/transform.hpp"
 #include "graph/generators.hpp"
 #include "graph/plurality.hpp"
 #include "io/frame_dumper.hpp"
@@ -28,7 +30,7 @@ using grid::Torus;
 constexpr Topology kTopologies[] = {Topology::ToroidalMesh, Topology::TorusCordalis,
                                     Topology::TorusSerpentinus};
 constexpr Backend kBackends[] = {Backend::Packed, Backend::Active, Backend::Generic,
-                                 Backend::BitPlane};
+                                 Backend::BitPlane, Backend::Auto};
 
 ColorField checkerboard(const Torus& t, Color a, Color b) {
     ColorField f(t.size());
@@ -59,9 +61,9 @@ void expect_results_identical(const RunResult& a, const RunResult& b, const std:
 
 TEST(RunBackends, AllBackendsProduceBitIdenticalResults) {
     // The acceptance oracle: Backend::Generic is the seed table-driven
-    // driver; Packed and Active (the Auto default) must match it on every
-    // field of the result, across dynamos, stalls, oscillations, and
-    // random fields, on all three topologies.
+    // driver; Packed, Active, BitPlane and the adaptive Auto default must
+    // match it on every field of the result, across dynamos, stalls,
+    // oscillations, and random fields, on all three topologies.
     Xoshiro256 rng(0x5eed);
     for (const Topology topo : kTopologies) {
         Torus t(topo, 9, 8);
@@ -133,6 +135,105 @@ TEST(RunBackends, EveryRegisteredRuleIsBitIdenticalAcrossBackends) {
                     EXPECT_TRUE(reference.monotone)
                         << rule->name << "/" << to_string(topo) << "/" << name;
                 }
+            }
+        }
+    }
+}
+
+/// Three starts that are dense on their first rounds and thin later, on
+/// `t` under a rule with `palette` colors: a random upper half over a
+/// quiet lower half, the same over a checkerboard, and the minimum dynamo
+/// (a thin wave; phi-collapsed to black and white for a bi-color rule)
+/// with every third cell of every fourth row recolored.
+using NamedFields = std::vector<std::pair<std::string, ColorField>>;
+
+NamedFields dense_then_thin_starts(const Torus& t, Color palette, Xoshiro256& rng) {
+    const std::uint32_t m = t.rows(), n = t.cols();
+    ColorField quiet(t.size(), 1), board = checkerboard(t, 1, 2);
+    for (std::uint32_t i = 0; i < m / 2; ++i) {
+        for (std::uint32_t j = 0; j < n; ++j) {
+            const auto c = static_cast<Color>(1 + rng.below(palette));
+            quiet[t.index(i, j)] = board[t.index(i, j)] = c;
+        }
+    }
+    const Configuration dynamo = build_minimum_dynamo(t);
+    ColorField noisy = palette == 2 ? phi_collapse(dynamo.field, dynamo.k) : dynamo.field;
+    for (std::uint32_t i = 4; i < m; i += 4) {
+        for (std::uint32_t j = 4; j + 1 < n; j += 3) {
+            Color& c = noisy[t.index(i, j)];
+            c = static_cast<Color>(c % palette + 1);
+        }
+    }
+    return {{"half-random", quiet}, {"half-random/checkerboard", board}, {"noisy-dynamo", noisy}};
+}
+
+TEST(RunBackends, AutoHandsOverBothWaysBitIdentically) {
+    // Backend::Auto moves a run to the bit-plane engine after a dense round
+    // and back to the active engine after a thin one. Every registered rule
+    // on every topology must take both hand-overs on these starts and still
+    // match Generic on every field, serial and pooled at the finest grain.
+    Xoshiro256 rng(0x4a4d);
+    ThreadPool pool(3);
+    for (const rules::RuleInfo* rule : rules::all_rules()) {
+        const Color palette = rule->bicolor() ? 2 : 4;
+        for (const Topology topo : kTopologies) {
+            const Torus t(topo, 128, 64);
+            const std::string where = std::string(rule->name) + "/" + to_string(topo);
+            const sim::HandoverCounts before = sim::handover_counts();
+            for (const auto& [name, field] : dense_then_thin_starts(t, palette, rng)) {
+                RunOptions opts;
+                opts.target = rule->bicolor() ? Color(2) : Color(1);
+                opts.max_rounds = 256;  // the long spiral waves are not the point
+                opts.backend = Backend::Generic;
+                const RunResult reference = rule->run(t, field, opts);
+                opts.backend = Backend::Auto;
+                expect_results_identical(reference, rule->run(t, field, opts), where + "/" + name);
+                opts.pool = &pool;
+                opts.parallel_grain = 1;
+                expect_results_identical(reference, rule->run(t, field, opts),
+                                         where + "/" + name + "/pooled");
+            }
+            const sim::HandoverCounts after = sim::handover_counts();
+            EXPECT_GE(after.to_bitplane - before.to_bitplane, 1u) << where;
+            EXPECT_GE(after.to_active - before.to_active, 1u) << where;
+        }
+    }
+}
+
+TEST(RunBackends, AutoStaysOnTheActiveEngineForAWidePalette) {
+    // The bit-plane engine packs colors 1..7; SMP and the incremental rule
+    // take any palette. A dense random 9-color field would hand Auto to the
+    // bit-plane engine after its first round: Auto must check the palette
+    // and stay on the active engine, while an explicit BitPlane run still
+    // refuses the field.
+    Xoshiro256 rng(0x9c01);
+    for (const char* name : {"smp", "incremental"}) {
+        const rules::RuleInfo& rule = rules::rule_or_throw(name);
+        for (const Topology topo : kTopologies) {
+            const Torus t(topo, 64, 64);
+            const std::string where = std::string(name) + "/" + to_string(topo);
+            const ColorField field = random_field(t, 9, rng);
+            ColorField next(t.size());
+            ASSERT_GE(rule.sweep(t, field.data(), next.data(), nullptr, 1 << 14) * 8, t.size())
+                << where << ": the first round must be dense";
+
+            RunOptions opts;
+            opts.target = 1;
+            opts.backend = Backend::Generic;
+            const RunResult reference = rule.run(t, field, opts);
+            opts.backend = Backend::Auto;
+            RunResult result;
+            ASSERT_NO_THROW(result = rule.run(t, field, opts)) << where;
+            expect_results_identical(reference, result, where);
+
+            opts.backend = Backend::BitPlane;
+            try {
+                rule.run(t, field, opts);
+                ADD_FAILURE() << where << ": BitPlane accepted a 9-color field";
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find("palette must be within 1..7"),
+                          std::string::npos)
+                    << e.what();
             }
         }
     }
