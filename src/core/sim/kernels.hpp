@@ -48,7 +48,6 @@ struct SmpRule {
     static constexpr const char* kName = "smp";
     static constexpr Color kMinColors = 2;
     static constexpr Color kMaxColors = 0;  // any palette
-    static constexpr TiePolicy kTie = TiePolicy::PreferCurrent;
     static constexpr bool kIrreversible = false;
     static constexpr bool kColorSymmetric = true;
 

@@ -27,7 +27,6 @@
 //       kMaxColors      largest admissible palette; 0 = unbounded, 2 marks
 //                       a bi-color rule (fixed white/black semantics,
 //                       core/transform.hpp conventions)
-//       kTie            what a 2-2 neighborhood split does
 //       kIrreversible   true when one color is absorbing (the "reverse"/
 //                       monotone fault semantics of [15]) - every run is
 //                       monotone by construction
@@ -52,24 +51,11 @@
 
 #include <array>
 #include <concepts>
-#include <cstdint>
 
 #include "core/coloring.hpp"
 #include "grid/torus.hpp"
 
 namespace dynamo::sim {
-
-/// Resolution of an exact 2-2 neighborhood split (bi-color rules; the
-/// multi-color rules generalize it to "no unique plurality").
-enum class TiePolicy : std::uint8_t {
-    PreferBlack,    ///< ties recolor to black (Flocchini et al. [15])
-    PreferCurrent,  ///< ties keep the current color (Peleg [26]; also the
-                    ///< SMP paper's resolved 2+2 ambiguity)
-};
-
-constexpr const char* to_string(TiePolicy t) noexcept {
-    return t == TiePolicy::PreferBlack ? "prefer-black" : "prefer-current";
-}
 
 /// The packed-path rule contract (see the header comment).
 template <typename R>
@@ -78,7 +64,6 @@ concept LocalRule = requires(Color own, Color a, Color b, Color c, Color d) {
     { R::kName } -> std::convertible_to<const char*>;
     { R::kMinColors } -> std::convertible_to<Color>;
     { R::kMaxColors } -> std::convertible_to<Color>;
-    { R::kTie } -> std::convertible_to<TiePolicy>;
     { R::kIrreversible } -> std::convertible_to<bool>;
     { R::kColorSymmetric } -> std::convertible_to<bool>;
 };

@@ -39,7 +39,6 @@ struct IncrementalStep {
     static constexpr const char* kName = "incremental";
     static constexpr Color kMinColors = 2;
     static constexpr Color kMaxColors = 0;  // any ordered palette
-    static constexpr sim::TiePolicy kTie = sim::TiePolicy::PreferCurrent;
     static constexpr bool kIrreversible = false;
     static constexpr bool kColorSymmetric = false;  // order-sensitive
 

@@ -18,20 +18,33 @@
 // Two forms per rule: MajorityRule is the runtime-configured reference
 // functor (the seed-era API, and the oracle the packed path is tested
 // against), and Majority<K, T, Irrev> is the same decision as a branchless
-// LocalRule (core/sim/local_rule.hpp) so each configuration rides the
-// packed stencil sweep. simulate_majority() runs a MajorityRule through the
-// registry entry of its LocalRule (rules/registry.hpp), which is what
-// turned the bi-color benches into packed-path consumers.
+// LocalRule (core/sim/local_rule.hpp). simulate_majority() runs a
+// MajorityRule through the registry entry of its name (rules/registry.hpp).
 // tests/test_rules.cpp pins kernel equality on every (own, neighborhood)
 // combination.
 //
-// Colors follow core/transform.hpp: kWhite = 1, kBlack = 2. Fields holding
-// other colors are still well-defined (any non-black color counts as
-// white in the tallies, and "keep" keeps it), which both forms implement
+// Four configurations equal other registered rules, and the registry runs
+// each as an alias of the rule it equals:
+//
+//   majority-prefer-current               strong-majority (every input)
+//   irreversible-majority-prefer-current  threshold-3 (on {1, 2}; equal to
+//                                         irreversible-strong-majority on
+//                                         every input)
+//   irreversible-majority                 threshold-2 (on {1, 2})
+//   irreversible-strong-majority          threshold-3 (on {1, 2})
+//
+// Off {1, 2} an irreversible majority recolors a non-black cell below its
+// threshold to white where a threshold rule keeps it, so the registry's run
+// refuses such a field under every bi-color rule.
+//
+// Colors follow core/transform.hpp: kWhite = 1, kBlack = 2. The kernels and
+// functors are total over colors (any non-black color counts as white in
+// the tallies, and "keep" keeps it), and both forms implement that
 // identically.
 #pragma once
 
 #include <array>
+#include <cstdint>
 
 #include "core/transform.hpp"
 #include "rules/registry.hpp"
@@ -39,7 +52,11 @@
 namespace dynamo::rules {
 
 enum class MajorityKind : std::uint8_t { Simple, Strong };
-using TiePolicy = sim::TiePolicy;  ///< moved next to the LocalRule concept
+/// Resolution of an exact 2-2 neighborhood split under simple majority.
+enum class TiePolicy : std::uint8_t {
+    PreferBlack,    ///< ties recolor to black (Flocchini et al. [15])
+    PreferCurrent,  ///< ties keep the current color (Peleg [26])
+};
 
 /// Engine rule functor for the bi-color majority protocols: the
 /// runtime-configured reference form.
@@ -78,9 +95,11 @@ struct MajorityRule {
     }
 };
 
-/// The same decision as a branchless LocalRule, monomorphized per
+/// The same decision as a branchless LocalRule, one type per
 /// configuration: select-only over the black tally, so the stencil sweep
-/// vectorizes it like the SMP kernel.
+/// vectorizes it like the SMP kernel. The registry compiles only
+/// MajorityPreferBlack and StrongMajority; the other four are the oracles
+/// of the alias rows (see the header comment).
 template <MajorityKind K, TiePolicy T, bool Irrev>
 struct Majority {
     static constexpr const char* kName =
@@ -92,7 +111,6 @@ struct Majority {
             : (Irrev ? "irreversible-strong-majority" : "strong-majority");
     static constexpr Color kMinColors = 2;
     static constexpr Color kMaxColors = 2;  // bi-color: fixed white/black roles
-    static constexpr sim::TiePolicy kTie = T;
     static constexpr bool kIrreversible = Irrev;
     static constexpr bool kColorSymmetric = false;  // black is named, not relabelable
 
@@ -134,10 +152,10 @@ inline constexpr MajorityRule simple_majority_prefer_current() noexcept {
 /// entry of its (kind, tie, irreversible) configuration, so Backend::Auto
 /// takes the stencil fast path (bit-identical to the reference functor
 /// under Backend::Generic - the rule-parity oracle in tests/test_rules.cpp).
-/// A strong majority has no tie to break, so its tie policy is ignored.
+/// A strong majority has no tie to break, so its tie policy is ignored. The
+/// registry's run refuses a field outside {kWhite, kBlack}.
 inline RunResult simulate_majority(const grid::Torus& torus, const ColorField& initial,
                                    const MajorityRule& rule, const RunOptions& options = {}) {
-    DYNAMO_REQUIRE(is_bicolored(initial), "majority baselines require a bi-colored field");
     const char* name = nullptr;
     if (rule.kind == MajorityKind::Strong) {
         name = rule.irreversible ? IrreversibleStrongMajority::kName : StrongMajority::kName;

@@ -5,10 +5,12 @@
 // to its runtime name (see registry.hpp for the catalog). This is the only
 // file that compiles a rule into engines (a row's reference_sweep steps the
 // one BasicSyncEngine); simulate() (core/run/simulate.hpp) is defined here
-// as the SMP row's run.
+// as the SMP row's run. A name that equals another rule is an alias row of
+// that rule's type, so each distinct rule is compiled once.
 #include "rules/registry.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/run/simulate.hpp"
 #include "core/sim/hybrid_engine.hpp"
@@ -55,6 +57,10 @@ class SearchVerifierT final : public RuleVerifier {
     ColorField mapped_;
 };
 
+/// Throws std::invalid_argument unless `field` holds only kWhite and
+/// kBlack. Kept out of line: every bi-color simulate_as calls one copy.
+[[gnu::noinline]] void require_bicolor_field(const ColorField& field, const char* rule);
+
 /// The monomorphized, Backend-selected run of rule R (RuleInfo::run).
 /// Active, BitPlane and Auto share one engine type, and so one stepping
 /// loop per rule; only its hand-over policy differs.
@@ -62,6 +68,8 @@ template <sim::LocalRule R>
 RunResult simulate_as(const grid::Torus& torus, const ColorField& initial,
                       const RunOptions& options) {
     require_complete(torus, initial);
+    // Alias rows equal their canonical rule only on {1, 2} (majority.hpp).
+    if constexpr (R::kMaxColors == 2) require_bicolor_field(initial, R::kName);
     using Hybrid = sim::HybridEngineT<R>;
     typename Hybrid::Policy policy = Hybrid::Policy::Adaptive;
     switch (options.backend) {
@@ -91,7 +99,6 @@ constexpr RuleInfo make_info(const char* summary) {
         summary,
         R::kMinColors,
         R::kMaxColors,
-        R::kTie,
         R::kIrreversible,
         R::kColorSymmetric,
         &R::next,
@@ -105,20 +112,34 @@ constexpr RuleInfo make_info(const char* summary) {
     };
 }
 
+/// The row of rule R under another name: the same entry points and
+/// metadata as make_info<R>, and its own name and summary.
+template <sim::LocalRule R>
+constexpr RuleInfo make_alias(const char* name, const char* summary) {
+    RuleInfo info = make_info<R>(summary);
+    info.name = name;
+    return info;
+}
+
 const RuleInfo kRules[] = {
     make_info<sim::SmpRule>("the paper's SMP protocol: adopt the unique neighbor "
                             "plurality of multiplicity >= 2, 2+2 ties keep"),
     make_info<MajorityPreferBlack>("bi-color simple majority of [15], 2-2 ties recolor "
                                    "to black"),
-    make_info<MajorityPreferCurrent>("bi-color simple majority, 2-2 ties keep the "
-                                     "current color (Peleg [26])"),
+    // majority-prefer-current equals strong-majority: a 2-2 split keeps.
+    make_alias<StrongMajority>("majority-prefer-current",
+                               "bi-color simple majority, 2-2 ties keep the current color "
+                               "(Peleg [26])"),
     make_info<StrongMajority>("bi-color strong majority: >= 3 of 4 neighbors"),
-    make_info<IrreversibleMajority>("[15]'s reverse simple majority: black absorbing, "
-                                    "ties to black - the monotone fault semantics"),
-    make_info<IrreversibleMajorityPreferCurrent>("reverse simple majority with "
-                                                 "Prefer-Current ties"),
-    make_info<IrreversibleStrongMajority>("[15]'s reverse strong majority: black "
-                                          "absorbing, >= 3 of 4 to flip"),
+    // On {1, 2} the irreversible majorities are constant-threshold rules.
+    make_alias<Threshold<2>>("irreversible-majority",
+                             "[15]'s reverse simple majority: black absorbing, ties to "
+                             "black - the monotone fault semantics"),
+    make_alias<Threshold<3>>("irreversible-majority-prefer-current",
+                             "reverse simple majority with Prefer-Current ties"),
+    make_alias<Threshold<3>>("irreversible-strong-majority",
+                             "[15]'s reverse strong majority: black absorbing, >= 3 of 4 "
+                             "to flip"),
     make_info<Threshold<1>>("irreversible 1-threshold (contagion): any black neighbor "
                             "infects"),
     make_info<Threshold<2>>("Berger-style irreversible 2-threshold: half the degree "
@@ -130,6 +151,20 @@ const RuleInfo kRules[] = {
     make_info<IncrementalStep>("the ordered '+1' rule of [4]/[5]: step one color "
                                "toward the SMP trigger"),
 };
+
+void require_bicolor_field(const ColorField& field, const char* rule) {
+    if (is_bicolored(field)) return;
+    // Name every registry row that runs this rule, aliases included.
+    const RuleInfo& canonical = *find_rule(rule);
+    std::string names;
+    for (const RuleInfo& row : kRules) {
+        if (row.run != canonical.run) continue;
+        names += names.empty() ? "'" : ", '";
+        names += std::string(row.name) + "'";
+    }
+    throw std::invalid_argument("bi-color rule (" + names +
+                                ") requires a field of colors 1 (white) and 2 (black) only");
+}
 
 } // namespace
 

@@ -10,20 +10,29 @@
 // dispatch in any per-cell loop, one indirect call per simulation/sweep.
 //
 // Registered rules (tests/test_rules.cpp pins each kernel against its
-// reference functor over every neighborhood):
+// reference functor over every neighborhood). A name marked "alias of"
+// runs the compiled rule of the name it equals (see rules/majority.hpp for
+// the identities); the registry's run refuses a field outside {1, 2} under
+// every bi-color rule, so an alias gives the same result as its own kernel
+// on every field it accepts:
 //
 //   smp                                    the paper's protocol (default)
 //   majority-prefer-black                  simple majority, ties to black [15]
-//   majority-prefer-current                simple majority, ties keep [26]
+//   majority-prefer-current                simple majority, ties keep [26];
+//                                          alias of strong-majority
 //   strong-majority                        >= 3 of 4 neighbors
-//   irreversible-majority                  [15]'s reverse simple majority
-//   irreversible-majority-prefer-current   reverse simple majority, ties keep
-//   irreversible-strong-majority           [15]'s reverse strong majority
+//   irreversible-majority                  [15]'s reverse simple majority;
+//                                          alias of threshold-2
+//   irreversible-majority-prefer-current   reverse simple majority, ties keep;
+//                                          alias of threshold-3
+//   irreversible-strong-majority           [15]'s reverse strong majority;
+//                                          alias of threshold-3
 //   threshold-1 .. threshold-4             Berger-style irreversible r-threshold
 //   incremental                            the ordered "+1" rule of [4]/[5]
 //
 // The list is static (a fixed table, not self-registration): rules are
-// code, and the set of monomorphized engines is a build-time property.
+// code, and the set of monomorphized engines is a build-time property -
+// 8 rule types for 12 names.
 #pragma once
 
 #include <memory>
@@ -55,12 +64,13 @@ class RuleVerifier {
 };
 
 /// One registered rule: identity metadata plus monomorphized entry points.
+/// An alias row has its own name and summary and shares everything else
+/// with the row of the rule it equals.
 struct RuleInfo {
     const char* name;     ///< registry key, also the CLI `--rule=` value
     const char* summary;  ///< one line for CLI errors and docs
     Color min_colors;     ///< smallest admissible palette
     Color max_colors;     ///< largest admissible palette; 0 = unbounded
-    sim::TiePolicy tie;
     bool irreversible;     ///< one color absorbing: every run is monotone
     bool color_symmetric;  ///< equivariant under arbitrary color permutations
 
@@ -73,6 +83,8 @@ struct RuleInfo {
     /// the sweep Backend::Generic's BasicSyncEngine steps.
     TableSweep generic_sweep;
     /// The full Backend-selected run (every Backend steps every rule).
+    /// Under a bi-color rule it throws std::invalid_argument for a field
+    /// holding a color other than 1 and 2, on every backend.
     RunResult (*run)(const grid::Torus&, const ColorField&, const RunOptions&);
     /// Search-convention verifier factory (see RuleVerifier).
     std::unique_ptr<RuleVerifier> (*make_search_verifier)(const grid::Torus&);

@@ -21,7 +21,11 @@
 //
 // Colors follow core/transform.hpp (kWhite = 1, kBlack = 2). A non-black
 // own color below the threshold keeps itself - the rule never recolors
-// toward white - so fields holding other colors remain well-defined.
+// toward white - so the kernel is total over colors.
+//
+// On {1, 2}, threshold-2 is [15]'s reverse simple majority and threshold-3
+// its reverse strong majority: the registry runs those majorities as
+// aliases of these rules (rules/majority.hpp).
 #pragma once
 
 #include <array>
@@ -56,7 +60,6 @@ struct Threshold {
                                                     : "threshold-4";
     static constexpr Color kMinColors = 2;
     static constexpr Color kMaxColors = 2;  // bi-color: fixed white/black roles
-    static constexpr sim::TiePolicy kTie = sim::TiePolicy::PreferCurrent;  // no tie exists
     static constexpr bool kIrreversible = true;
     static constexpr bool kColorSymmetric = false;
 
@@ -69,10 +72,10 @@ struct Threshold {
 };
 
 /// Simulate a bi-colored field under the irreversible r-threshold rule,
-/// through the registry entry of Threshold<threshold>.
+/// through the registry entry of Threshold<threshold> (whose run refuses a
+/// field outside {kWhite, kBlack}).
 inline RunResult simulate_threshold(const grid::Torus& torus, const ColorField& initial,
                                     int threshold, const RunOptions& options = {}) {
-    DYNAMO_REQUIRE(is_bicolored(initial), "threshold rules require a bi-colored field");
     DYNAMO_REQUIRE(threshold >= 1 && threshold <= static_cast<int>(grid::kDegree),
                    "threshold must be 1..4");
     return rule_or_throw("threshold-" + std::to_string(threshold)).run(torus, initial, options);

@@ -4,15 +4,18 @@
 // registry round-trips and metadata invariants (unanimity fixed points
 // inside the admissible palette, absorbing black under irreversible rules,
 // color equivariance where claimed), packed-vs-generic sweep parity per
-// rule x topology, the search-convention RuleVerifier bridge, and
+// rule x topology, the search-convention RuleVerifier bridge,
 // rule-generic search parity (quotiented sharded driver vs the serial
-// enumerator under non-SMP rules).
+// enumerator under non-SMP rules), and the soundness of the registry's
+// alias rows (kernel identities, run identity on every backend, and the
+// bi-color palette check they rely on).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
 #include "core/dynamo.hpp"
+#include "core/run/backend.hpp"
 #include "core/search/enumerate.hpp"
 #include "core/search/sharded.hpp"
 #include "core/sim/kernels.hpp"
@@ -33,18 +36,19 @@ using grid::Torus;
 constexpr Topology kTopologies[] = {Topology::ToroidalMesh, Topology::TorusCordalis,
                                     Topology::TorusSerpentinus};
 
-/// Exhaustive 5^5 parity of a LocalRule kernel against a reference
-/// functor: every multiset shape in every slot order, own both inside and
-/// outside the neighborhood (and outside the bi-color palette - the
-/// functors are total over colors, and the kernels must match them there
-/// too, since that equality is what "bit-identical" means).
+/// Exhaustive colors^5 (default 5^5) parity of a LocalRule kernel against
+/// a reference functor: every multiset shape in every slot order, own both
+/// inside and outside the neighborhood (and, at the default, outside the
+/// bi-color palette - the functors are total over colors, and the kernels
+/// must match them there too, since that equality is what "bit-identical"
+/// means).
 template <sim::LocalRule R, typename Ref>
-void expect_kernel_matches(const Ref& ref) {
-    for (Color own = 1; own <= 5; ++own) {
-        for (Color a = 1; a <= 5; ++a) {
-            for (Color b = 1; b <= 5; ++b) {
-                for (Color c = 1; c <= 5; ++c) {
-                    for (Color d = 1; d <= 5; ++d) {
+void expect_kernel_matches(const Ref& ref, Color colors = 5) {
+    for (Color own = 1; own <= colors; ++own) {
+        for (Color a = 1; a <= colors; ++a) {
+            for (Color b = 1; b <= colors; ++b) {
+                for (Color c = 1; c <= colors; ++c) {
+                    for (Color d = 1; d <= colors; ++d) {
                         const std::array<Color, grid::kDegree> nbr{a, b, c, d};
                         ASSERT_EQ(R::next(own, a, b, c, d), ref(own, nbr))
                             << R::kName << " own=" << int(own) << " nbr=" << int(a) << int(b)
@@ -79,6 +83,118 @@ TEST(RuleKernels, EveryBranchlessKernelMatchesItsReferenceFunctor) {
     expect_kernel_matches<rules::Threshold<3>>(rules::ThresholdRule{3});
     expect_kernel_matches<rules::Threshold<4>>(rules::ThresholdRule{4});
     expect_kernel_matches<rules::IncrementalStep>(rules::IncrementalRule{5});
+}
+
+TEST(RuleAliases, AliasedKernelsEqualTheirCanonicalRules) {
+    // The identities the registry's alias rows rest on (rules/majority.hpp).
+    // Simple majority with kept ties is strong majority on every input...
+    expect_kernel_matches<rules::MajorityPreferCurrent>(sim::RuleFnOf<rules::StrongMajority>{});
+    expect_kernel_matches<rules::IrreversibleMajorityPreferCurrent>(
+        sim::RuleFnOf<rules::IrreversibleStrongMajority>{});
+    // ...and the irreversible majorities are threshold rules on {1, 2}.
+    expect_kernel_matches<rules::IrreversibleMajority>(sim::RuleFnOf<rules::Threshold<2>>{}, 2);
+    expect_kernel_matches<rules::IrreversibleStrongMajority>(
+        sim::RuleFnOf<rules::Threshold<3>>{}, 2);
+    expect_kernel_matches<rules::IrreversibleMajorityPreferCurrent>(
+        sim::RuleFnOf<rules::Threshold<3>>{}, 2);
+}
+
+/// An alias name, the name whose compiled rule it runs, and the reference
+/// sweep of the alias's own kernel.
+struct AliasCase {
+    const char* alias;
+    const char* canonical;
+    TableSweep oracle;
+};
+
+const AliasCase kAliases[] = {
+    {"majority-prefer-current", "strong-majority",
+     &reference_sweep<sim::RuleFnOf<rules::MajorityPreferCurrent>>},
+    {"irreversible-majority", "threshold-2",
+     &reference_sweep<sim::RuleFnOf<rules::IrreversibleMajority>>},
+    {"irreversible-majority-prefer-current", "threshold-3",
+     &reference_sweep<sim::RuleFnOf<rules::IrreversibleMajorityPreferCurrent>>},
+    {"irreversible-strong-majority", "threshold-3",
+     &reference_sweep<sim::RuleFnOf<rules::IrreversibleStrongMajority>>},
+};
+
+void expect_same_run(const RunResult& a, const RunResult& b, const std::string& tag) {
+    EXPECT_EQ(a.termination, b.termination) << tag;
+    EXPECT_EQ(a.rounds, b.rounds) << tag;
+    EXPECT_EQ(a.mono, b.mono) << tag;
+    EXPECT_EQ(a.cycle_period, b.cycle_period) << tag;
+    EXPECT_EQ(a.total_recolorings, b.total_recolorings) << tag;
+    EXPECT_EQ(a.final_colors, b.final_colors) << tag;
+    EXPECT_EQ(a.k_time, b.k_time) << tag;
+    EXPECT_EQ(a.newly_k, b.newly_k) << tag;
+    EXPECT_EQ(a.monotone, b.monotone) << tag;
+}
+
+TEST(RuleAliases, AliasRunsEqualTheirCanonicalAndOwnKernelOnEveryBackend) {
+    // Each alias name must give, on every backend, topology and random
+    // bi-colored field, serial and pooled, the RunResult of its canonical
+    // name and of its own kernel under the reference engine.
+    Xoshiro256 rng(0xa11a5);
+    ThreadPool pool(3);
+    for (const AliasCase& alias : kAliases) {
+        const rules::RuleInfo& rule = rules::rule_or_throw(alias.alias);
+        const rules::RuleInfo& canonical = rules::rule_or_throw(alias.canonical);
+        for (const Topology topo : kTopologies) {
+            const Torus t(topo, 16, 13);
+            for (int trial = 0; trial < 4; ++trial) {
+                ColorField field(t.size());
+                for (auto& c : field) c = static_cast<Color>(1 + rng.below(2));
+                const std::string where = std::string(alias.alias) + "/" + to_string(topo) +
+                                          "/trial" + std::to_string(trial);
+                RunOptions opts;
+                opts.target = kBlack;
+                BasicSyncEngine oracle(t, field, alias.oracle);
+                const RunResult expected = run_to_terminal(oracle, opts);
+                for (const Backend backend : {Backend::Generic, Backend::Packed, Backend::Active,
+                                              Backend::BitPlane, Backend::Auto}) {
+                    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+                        opts.backend = backend;
+                        opts.pool = p;
+                        opts.parallel_grain = 1;
+                        const std::string tag = where + "/" + backend_name(backend) +
+                                                (p != nullptr ? "/pooled" : "");
+                        expect_same_run(expected, rule.run(t, field, opts), tag);
+                        expect_same_run(expected, canonical.run(t, field, opts),
+                                        tag + "/canonical");
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(RuleAliases, BicolorRulesRefuseAThirdColorOnEveryBackend) {
+    // The aliases equal their canonical rules only on {1, 2}, so every
+    // bi-color rule refuses a field with a third color, on every backend,
+    // with an error naming the rule. Multi-color rules run the same field.
+    const Torus t(Topology::ToroidalMesh, 6, 6);
+    ColorField field(t.size());
+    for (std::size_t v = 0; v < field.size(); ++v) field[v] = static_cast<Color>(1 + v % 3);
+    for (const rules::RuleInfo* rule : rules::all_rules()) {
+        for (const Backend backend : {Backend::Generic, Backend::Packed, Backend::Active,
+                                      Backend::BitPlane, Backend::Auto}) {
+            RunOptions opts;
+            opts.backend = backend;
+            const std::string where = std::string(rule->name) + "/" + backend_name(backend);
+            if (!rule->bicolor()) {
+                EXPECT_NO_THROW(rule->run(t, field, opts)) << where;
+                continue;
+            }
+            try {
+                rule->run(t, field, opts);
+                ADD_FAILURE() << where << ": ran a field holding color 3";
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find(std::string("'") + rule->name + "'"),
+                          std::string::npos)
+                    << where << ": " << e.what();
+            }
+        }
+    }
 }
 
 TEST(RuleRegistry, LookupRoundTripsAndNamesTheIssueSet) {
