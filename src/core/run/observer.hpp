@@ -19,7 +19,7 @@
 //
 // The order of changes within a round is unspecified (the active-set
 // engine reports per span, not globally sorted), so observers must fold
-// changes order-independently. The target tracker and cycle detector that
+// changes order-independently. The target tracker and repeat check that
 // RunOptions::target and RunOptions::detect_cycles switch on are private
 // to core/run/runner.cpp and run ahead of every Observer; the observers
 // live with their layer, so including the run API never drags io/ or

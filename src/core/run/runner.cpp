@@ -1,13 +1,16 @@
 // dynamo/core/run/runner.cpp
 //
-// The run loop's bookkeeping (RunTally, runner.hpp) and the two automatic
-// observers RunOptions switches on: target tracking and cycle detection.
-// They are called directly, ahead of RunOptions::observers.
+// The run loop's bookkeeping (RunTally, runner.hpp) and the automatic
+// observers RunOptions switches on: target tracking and the two repeat
+// checks, the hash detector and the period-2 check. They are called
+// directly, ahead of RunOptions::observers.
 #include "core/run/runner.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
+#include "core/transform.hpp"
 #include "util/assert.hpp"
 
 namespace dynamo {
@@ -58,17 +61,19 @@ class RunTally::AdoptionTracker {
     bool monotone_ = true;
 };
 
-/// Limit-cycle detection via an incrementally maintained position-keyed
-/// XOR fingerprint (two independent 64-bit streams): each change costs two
-/// mixes, so a round costs O(changed) instead of the seed driver's O(|V|)
-/// full-state rehash. XOR-folding makes the fingerprint independent of the
-/// order changes are reported in. A collision would merely terminate a run
-/// early - and ~2^-128 per pair is negligible at our scales.
+/// Limit-cycle detection for any period, via an incrementally maintained
+/// position-keyed XOR fingerprint (two independent 64-bit streams) looked
+/// up in a table of every state seen: each change costs two mixes, so a
+/// round costs O(changed) plus one lookup instead of the seed driver's
+/// O(|V|) full-state rehash. XOR-folding makes the fingerprint independent
+/// of the order changes are reported in. A collision would merely
+/// terminate a run early - and ~2^-128 per pair is negligible at our
+/// scales.
 class RunTally::CycleDetector {
   public:
-    void on_start(const ColorField& initial) {
+    void on_start(const ColorField& initial, std::uint32_t round) {
         for (std::size_t v = 0; v < initial.size(); ++v) fold(v, initial[v]);
-        seen_.emplace(a_, std::make_pair(b_, 0u));
+        seen_.emplace(a_, std::make_pair(b_, round));
     }
 
     std::optional<StopRequest> on_round(const RoundEvent& event) {
@@ -102,7 +107,43 @@ class RunTally::CycleDetector {
     std::unordered_map<std::uint64_t, std::pair<std::uint64_t, std::uint32_t>> seen_;
 };
 
-RunTally::RunTally(const ColorField& initial, std::uint32_t round, const RunOptions& options)
+/// The repeat check of a run whose every limit cycle has period 1 or 2
+/// (PeriodBound::Two). Its first repeat is then state(t) == state(t-2), and
+/// that holds exactly when round t undoes round t-1: the same cells
+/// change, each back to the color it had before round t-1. A cell that
+/// changes in neither round keeps its color across both, and a cell that
+/// changes in only one of them differs between t-2 and t. Period 1 is
+/// quiescence, which the tally reports before asking.
+class RunTally::PeriodTwoCheck {
+  public:
+    /// Does `now` (round t's changes) undo `last` (round t-1's)? Equal
+    /// counts are the O(1) pre-filter. Engines report changes in a stable
+    /// order (ascending, or per dirty span), so an undoing round usually
+    /// matches entry by entry; since the order is unspecified, a mismatch
+    /// is settled on sorted copies.
+    bool undoes(std::span<const CellChange> now, std::span<const CellChange> last) {
+        if (now.size() != last.size()) return false;
+        if (std::equal(now.begin(), now.end(), last.begin(), undoes_one)) return true;
+        now_.assign(now.begin(), now.end());
+        last_.assign(last.begin(), last.end());
+        std::sort(now_.begin(), now_.end(), by_vertex);
+        std::sort(last_.begin(), last_.end(), by_vertex);
+        return std::equal(now_.begin(), now_.end(), last_.begin(), undoes_one);
+    }
+
+  private:
+    static bool undoes_one(const CellChange& now, const CellChange& last) noexcept {
+        return now.v == last.v && now.before == last.after && now.after == last.before;
+    }
+    static bool by_vertex(const CellChange& a, const CellChange& b) noexcept {
+        return a.v < b.v;
+    }
+
+    std::vector<CellChange> now_, last_;  ///< sort scratch, reused across rounds
+};
+
+RunTally::RunTally(const ColorField& initial, std::uint32_t round, const RunOptions& options,
+                   PeriodBound bound)
     : options_(options),
       cap_(options.max_rounds != 0 ? options.max_rounds : auto_round_cap(initial.size())) {
     DYNAMO_REQUIRE(!initial.empty(), "cannot run an empty field");
@@ -126,8 +167,17 @@ RunTally::RunTally(const ColorField& initial, std::uint32_t round, const RunOpti
         tracker_->on_start(initial);
     }
     if (options.detect_cycles) {
-        cycles_ = std::make_unique<CycleDetector>();
-        cycles_->on_start(initial);
+        // A period bound is a statement about bi-color fields; on any other
+        // field the hash detector decides.
+        if (counts_[kWhite] + counts_[kBlack] != initial.size()) bound = PeriodBound::Unbounded;
+        switch (bound) {
+            case PeriodBound::Unbounded:
+                cycles_ = std::make_unique<CycleDetector>();
+                cycles_->on_start(initial, round);
+                break;
+            case PeriodBound::Two: period_two_ = std::make_unique<PeriodTwoCheck>(); break;
+            case PeriodBound::FixedPoint: break;
+        }
     }
     for (Observer* ob : options.observers) ob->on_start(initial);
 
@@ -138,8 +188,7 @@ RunTally::RunTally(const ColorField& initial, std::uint32_t round, const RunOpti
 
 RunTally::~RunTally() = default;
 
-void RunTally::record(std::uint32_t round, std::size_t changed,
-                      std::span<const CellChange> changes, const ColorField& colors) {
+void RunTally::record(std::uint32_t round, std::size_t changed, const ColorField& colors) {
     if (changed == 0 && options_.stop_on_quiescence) {
         // The state was already terminal before this no-op round.
         end(distinct_ == 1 ? Termination::Monochromatic : Termination::FixedPoint, round - 1,
@@ -148,6 +197,7 @@ void RunTally::record(std::uint32_t round, std::size_t changed,
     }
 
     result_.total_recolorings += changed;
+    const std::span<const CellChange> changes = changes_[latest_];
     std::size_t distinct = distinct_;  // a local: the counts_ stores cannot alias it
     for (const CellChange& ch : changes) {
         if (--counts_[ch.before] == 0) --distinct;
@@ -155,12 +205,15 @@ void RunTally::record(std::uint32_t round, std::size_t changed,
     }
     distinct_ = distinct;
 
-    // The first stop requested wins; the cycle detector asks before the
+    // The first stop requested wins; the repeat check asks before the
     // caller's observers.
     const RoundEvent event{round, changed, changes, colors};
     if (tracker_) tracker_->on_round(event);
     std::optional<StopRequest> stop;
     if (cycles_) stop = cycles_->on_round(event);
+    if (period_two_ && period_two_->undoes(changes, changes_[latest_ ^ 1])) {
+        stop = StopRequest{Termination::Cycle, 2};
+    }
     for (Observer* ob : options_.observers) {
         auto request = ob->on_round(event);
         if (request && !stop) stop = request;

@@ -15,8 +15,35 @@
 //     bound the paper proves) reports the cap itself.
 //
 // Only the stepping loop is a template: the bookkeeping - census,
-// classification, observer dispatch - is the RunTally, compiled once in
-// core/run/runner.cpp however many engines the library instantiates.
+// classification, observer dispatch, repeat detection - is the RunTally,
+// compiled once in core/run/runner.cpp however many engines the library
+// instantiates.
+//
+// Repeated states (RunOptions::detect_cycles) are found by the cheapest
+// check the rule's period bound allows. The bound is a rule trait that
+// run_to_terminal reads through the engine type (engine_period_bound):
+//
+//   * a reversible bi-color rule (majority-prefer-black, strong-majority
+//     and its alias) is a synchronous threshold network with symmetric
+//     weights - a torus adjacency is symmetric, and on thin tori a
+//     parallel edge is weight 2 - so every limit cycle has period 1 or 2
+//     (Goles & Olivos, Discrete Math. 30, 1980; Poljak & Sura,
+//     Combinatorica 3, 1983). The first repeat of a run is then
+//     state(t) == state(t-2), which holds exactly when round t undoes
+//     round t-1's changes: an O(changed) comparison of two change lists;
+//   * an irreversible rule (threshold-*, and the names aliased to them)
+//     is monotone, so its only repeat is a fixed point, which the
+//     quiescence check reports first: no detector at all;
+//   * every other engine and rule - smp, incremental, the reference
+//     BasicSyncEngine (Backend::Generic), the graph engines - keeps the
+//     hash detector, an incremental fingerprint of the whole field looked
+//     up in a table of every state seen. It is the oracle the two cheap
+//     checks are tested against (tests/test_run.cpp).
+//
+// Both cheap checks stop at the round the hash detector stops at, with the
+// same period, so the RunResult does not depend on the check. The premise
+// is checked rather than assumed: a field holding a color other than 1 and
+// 2 gets the hash detector under any rule.
 //
 // Per-round cost on top of the engine step is O(changed): the runner keeps
 // an incremental color census for monochromatic detection (no O(|V|) scan
@@ -52,8 +79,12 @@ struct RunOptions {
     /// (Definition 3) via an automatically attached target tracker.
     std::optional<Color> target;
 
-    /// Detect repeated states (limit cycles) via an automatically attached
-    /// cycle detector (an incremental XOR fingerprint of the field).
+    /// Detect repeated states (limit cycles): the run ends Cycle on the
+    /// first round whose state was seen before. Which check does it
+    /// follows from the rule (see the header comment): reversible bi-color
+    /// rules compare state(t) with state(t-2), irreversible rules need no
+    /// check beyond quiescence, and every other rule or engine keeps a hash
+    /// fingerprint of every state seen.
     bool detect_cycles = true;
 
     /// Optional worker pool handed to every engine round; nullptr = serial.
@@ -72,7 +103,7 @@ struct RunOptions {
     bool stop_on_quiescence = true;
 
     /// Additional observers, notified in order after the automatic ones
-    /// (target tracker, cycle detector). Non-owning.
+    /// (target tracker, repeat check). Non-owning.
     std::vector<Observer*> observers;
 };
 
@@ -94,34 +125,73 @@ inline constexpr std::uint32_t auto_round_cap(std::size_t num_vertices) noexcept
                                           : static_cast<std::uint32_t>(4 * num_vertices + 64);
 }
 
+/// The longest limit cycle a rule can enter, which picks the RunTally's
+/// repeat check (see the header comment).
+enum class PeriodBound : std::uint8_t {
+    Unbounded,   ///< any period: the hash detector
+    Two,         ///< period 1 or 2: compare state(t) with state(t-2)
+    FixedPoint,  ///< monotone: a fixed point is the only repeat, and
+                 ///< quiescence reports it - no detector
+};
+
+/// The period bound of what an engine steps. The engines a registry rule's
+/// run steps (sim::HybridEngineT, sim::PackedEngineT) name their LocalRule
+/// as E::Rule, and its metadata gives the bound: every bi-color rule is a
+/// symmetric threshold rule (the LocalRule contract, core/sim/
+/// local_rule.hpp), so its period is at most 2, and an irreversible one is
+/// also monotone. Any other engine - the reference BasicSyncEngine, the
+/// graph engines - is Unbounded.
+template <typename E>
+constexpr PeriodBound engine_period_bound() noexcept {
+    if constexpr (!requires { typename E::Rule; }) {
+        return PeriodBound::Unbounded;
+    } else if constexpr (E::Rule::kMaxColors != 2) {
+        return PeriodBound::Unbounded;
+    } else {
+        return E::Rule::kIrreversible ? PeriodBound::FixedPoint : PeriodBound::Two;
+    }
+}
+
 /// Everything run_to_terminal decides, compiled once (core/run/runner.cpp):
-/// the round cap, the color census, the terminal classification, observer
-/// dispatch (the automatic target/cycle observers first, then
-/// RunOptions::observers) and the RunResult. The engine-specific part - the
-/// stepping loop - stays in the run_to_terminal template.
+/// the round cap, the color census, the terminal classification, the
+/// repeat check, observer dispatch (the automatic target/cycle observers
+/// first, then RunOptions::observers) and the RunResult. The
+/// engine-specific part - the stepping loop - stays in the run_to_terminal
+/// template.
 class RunTally {
   public:
-    /// Validates `options`, takes the census of `initial` and notifies
-    /// on_start. An initially monochromatic field finishes the run here, at
-    /// `round` (the engine's current round). `options` must outlive the
-    /// tally.
-    RunTally(const ColorField& initial, std::uint32_t round, const RunOptions& options);
+    /// Validates `options`, takes the census of `initial`, picks the repeat
+    /// check from `bound` and notifies on_start. An initially monochromatic
+    /// field finishes the run here, at `round` (the engine's current
+    /// round). `options` must outlive the tally.
+    RunTally(const ColorField& initial, std::uint32_t round, const RunOptions& options,
+             PeriodBound bound);
     ~RunTally();
 
     /// True while the run is neither finished nor at the cap.
     bool running(std::uint32_t round) const noexcept { return !done_ && round < cap_; }
 
+    /// The empty list the next round appends its changed cells to. The
+    /// tally keeps the two latest rounds' lists, so the period-2 check
+    /// compares them without copying either.
+    std::vector<CellChange>& next_changes() noexcept {
+        latest_ ^= 1;
+        changes_[latest_].clear();
+        return changes_[latest_];
+    }
+
     /// Folds one executed round: `round` is the engine's round after the
-    /// step, `changes` its changed cells and `colors` the state after it.
-    void record(std::uint32_t round, std::size_t changed, std::span<const CellChange> changes,
-                const ColorField& colors);
+    /// step, `changed` its change count, the list next_changes() handed
+    /// out its changed cells, and `colors` the state after it.
+    void record(std::uint32_t round, std::size_t changed, const ColorField& colors);
 
     /// The run's result. A run still going ends RoundLimit at `round`.
     RunResult finish(std::uint32_t round, const ColorField& colors);
 
   private:
     class AdoptionTracker;  // RunOptions::target
-    class CycleDetector;    // RunOptions::detect_cycles
+    class CycleDetector;    // RunOptions::detect_cycles, PeriodBound::Unbounded
+    class PeriodTwoCheck;   // RunOptions::detect_cycles, PeriodBound::Two
 
     void end(Termination termination, std::uint32_t rounds, const ColorField& colors);
 
@@ -130,6 +200,9 @@ class RunTally {
     bool done_ = false;
     std::unique_ptr<AdoptionTracker> tracker_;
     std::unique_ptr<CycleDetector> cycles_;
+    std::unique_ptr<PeriodTwoCheck> period_two_;
+    std::array<std::vector<CellChange>, 2> changes_;  ///< this round's and the last
+    unsigned latest_ = 1;                             ///< index of this round's list
     std::array<std::size_t, 256> counts_{};
     std::size_t distinct_ = 0;
     RunResult result_;
@@ -137,16 +210,16 @@ class RunTally {
 
 /// Run `engine` until a terminal behaviour (see Termination and the header
 /// comment for the exact round accounting), notifying `options.observers`
-/// plus the automatic target/cycle observers along the way.
+/// plus the automatic target/cycle observers along the way. Kept out of
+/// line, so the library holds one stepping loop per engine type whatever
+/// its callers inline (CI counts the hybrid engine's).
 template <Engine E>
-RunResult run_to_terminal(E& engine, const RunOptions& options = {}) {
-    RunTally tally(engine.colors(), engine.round(), options);
-    std::vector<CellChange> changes;
+[[gnu::noinline]] RunResult run_to_terminal(E& engine, const RunOptions& options = {}) {
+    RunTally tally(engine.colors(), engine.round(), options, engine_period_bound<E>());
     while (tally.running(engine.round())) {
-        changes.clear();
         const std::size_t changed =
-            engine.step_collect(changes, options.pool, options.parallel_grain);
-        tally.record(engine.round(), changed, changes, engine.colors());
+            engine.step_collect(tally.next_changes(), options.pool, options.parallel_grain);
+        tally.record(engine.round(), changed, engine.colors());
     }
     return tally.finish(engine.round(), engine.colors());
 }

@@ -67,6 +67,8 @@ inline HandoverCounts handover_counts() noexcept {
 template <LocalRule R>
 class HybridEngineT {
   public:
+    using Rule = R;  ///< the rule stepped; run_to_terminal reads its period bound
+
     enum class Policy : std::uint8_t { Active, BitPlane, Adaptive };
 
     /// A round recoloring at least |V| / kDenseDivisor cells hands an

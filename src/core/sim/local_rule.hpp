@@ -46,7 +46,12 @@
 //     every color in the rule's admissible palette, so monochromatic
 //     states are fixed points and Termination::Monochromatic is terminal
 //     under every rule;
-//   * kIrreversible implies next() never maps kBlack off kBlack.
+//   * kIrreversible implies next() never maps kBlack off kBlack;
+//   * a bi-color rule (kMaxColors == 2) is a threshold rule on {1, 2}: a
+//     cell is black next round iff w * [own is black] + (black neighbor
+//     slots) >= theta, for one self-weight w >= 0 and threshold theta.
+//     Its runs then have period 1 or 2 on every torus, and the run layer
+//     checks for repeats on that premise (core/run/runner.hpp).
 #pragma once
 
 #include <array>

@@ -22,6 +22,8 @@ namespace dynamo::sim {
 template <LocalRule R>
 class PackedEngineT {
   public:
+    using Rule = R;  ///< the rule stepped; run_to_terminal reads its period bound
+
     PackedEngineT(const grid::Torus& torus, ColorField initial)
         : torus_(&torus), cur_(std::move(initial)), next_(cur_.size()) {
         require_complete(torus, cur_);

@@ -90,13 +90,12 @@ RunResult simulate_as(const grid::Torus& torus, const ColorField& initial,
 }
 
 template <sim::LocalRule R>
-constexpr RuleInfo make_info(const char* summary) {
+constexpr RuleInfo make_info() {
     static_assert(sim::kBitplaneSupported<R>,
                   "a registered rule needs a bit-plane word kernel: bi-color, or a "
                   "bitplane_apply hook (core/sim/bitplane_engine.hpp)");
     return RuleInfo{
         R::kName,
-        summary,
         R::kMinColors,
         R::kMaxColors,
         R::kIrreversible,
@@ -113,43 +112,43 @@ constexpr RuleInfo make_info(const char* summary) {
 }
 
 /// The row of rule R under another name: the same entry points and
-/// metadata as make_info<R>, and its own name and summary.
+/// metadata as make_info<R>, and its own name.
 template <sim::LocalRule R>
-constexpr RuleInfo make_alias(const char* name, const char* summary) {
-    RuleInfo info = make_info<R>(summary);
+constexpr RuleInfo make_alias(const char* name) {
+    RuleInfo info = make_info<R>();
     info.name = name;
     return info;
 }
 
 const RuleInfo kRules[] = {
-    make_info<sim::SmpRule>("the paper's SMP protocol: adopt the unique neighbor "
-                            "plurality of multiplicity >= 2, 2+2 ties keep"),
-    make_info<MajorityPreferBlack>("bi-color simple majority of [15], 2-2 ties recolor "
-                                   "to black"),
-    // majority-prefer-current equals strong-majority: a 2-2 split keeps.
-    make_alias<StrongMajority>("majority-prefer-current",
-                               "bi-color simple majority, 2-2 ties keep the current color "
-                               "(Peleg [26])"),
-    make_info<StrongMajority>("bi-color strong majority: >= 3 of 4 neighbors"),
-    // On {1, 2} the irreversible majorities are constant-threshold rules.
-    make_alias<Threshold<2>>("irreversible-majority",
-                             "[15]'s reverse simple majority: black absorbing, ties to "
-                             "black - the monotone fault semantics"),
-    make_alias<Threshold<3>>("irreversible-majority-prefer-current",
-                             "reverse simple majority with Prefer-Current ties"),
-    make_alias<Threshold<3>>("irreversible-strong-majority",
-                             "[15]'s reverse strong majority: black absorbing, >= 3 of 4 "
-                             "to flip"),
-    make_info<Threshold<1>>("irreversible 1-threshold (contagion): any black neighbor "
-                            "infects"),
-    make_info<Threshold<2>>("Berger-style irreversible 2-threshold: half the degree "
-                            "suffices"),
-    make_info<Threshold<3>>("irreversible 3-threshold (strong-majority flip "
-                            "requirement)"),
-    make_info<Threshold<4>>("irreversible 4-threshold (unanimity): flip only when "
-                            "surrounded"),
-    make_info<IncrementalStep>("the ordered '+1' rule of [4]/[5]: step one color "
-                               "toward the SMP trigger"),
+    // The paper's SMP protocol: adopt the unique neighbor plurality of
+    // multiplicity >= 2; 2+2 ties keep.
+    make_info<sim::SmpRule>(),
+    // Bi-color simple majority of [15]; 2-2 ties recolor to black.
+    make_info<MajorityPreferBlack>(),
+    // Simple majority with 2-2 ties keeping the current color (Peleg [26])
+    // equals strong-majority: a 2-2 split keeps.
+    make_alias<StrongMajority>("majority-prefer-current"),
+    // Bi-color strong majority: >= 3 of 4 neighbors.
+    make_info<StrongMajority>(),
+    // On {1, 2} the irreversible majorities are constant-threshold rules:
+    // [15]'s reverse simple majority (black absorbing, ties to black - the
+    // monotone fault semantics) is threshold-2, and both the reverse simple
+    // majority with Prefer-Current ties and [15]'s reverse strong majority
+    // (black absorbing, >= 3 of 4 to flip) are threshold-3.
+    make_alias<Threshold<2>>("irreversible-majority"),
+    make_alias<Threshold<3>>("irreversible-majority-prefer-current"),
+    make_alias<Threshold<3>>("irreversible-strong-majority"),
+    // Berger-style irreversible r-thresholds: contagion (any black neighbor
+    // infects), half the degree, the strong-majority flip requirement, and
+    // unanimity (flip only when surrounded).
+    make_info<Threshold<1>>(),
+    make_info<Threshold<2>>(),
+    make_info<Threshold<3>>(),
+    make_info<Threshold<4>>(),
+    // The ordered "+1" rule of [4]/[5]: step one color toward the SMP
+    // trigger.
+    make_info<IncrementalStep>(),
 };
 
 void require_bicolor_field(const ColorField& field, const char* rule) {

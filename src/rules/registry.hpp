@@ -64,13 +64,12 @@ class RuleVerifier {
 };
 
 /// One registered rule: identity metadata plus monomorphized entry points.
-/// An alias row has its own name and summary and shares everything else
-/// with the row of the rule it equals.
+/// An alias row has its own name and shares everything else with the row
+/// of the rule it equals.
 struct RuleInfo {
-    const char* name;     ///< registry key, also the CLI `--rule=` value
-    const char* summary;  ///< one line for CLI errors and docs
-    Color min_colors;     ///< smallest admissible palette
-    Color max_colors;     ///< largest admissible palette; 0 = unbounded
+    const char* name;      ///< registry key, also the CLI `--rule=` value
+    Color min_colors;      ///< smallest admissible palette
+    Color max_colors;      ///< largest admissible palette; 0 = unbounded
     bool irreversible;     ///< one color absorbing: every run is monotone
     bool color_symmetric;  ///< equivariant under arbitrary color permutations
 

@@ -2,11 +2,15 @@
 // loop over packed / active / generic engines, bit-identical RunResults),
 // active-engine terminal behaviours driven through run_to_terminal, the
 // automatic round cap, observer composition (census series, frame dumper,
-// cycle detector) and stop-request priorities, the
-// plurality graph engine under the shared run loop, and BatchRunner
-// substream determinism.
+// cycle detector) and stop-request priorities, the repeat checks (the
+// bi-color period-2 check and the irreversible rules' quiescence against
+// the hash detector, and the Goles-Olivos / Poljak-Sura period bound they
+// rest on), the plurality graph engine under the shared run loop, and
+// BatchRunner substream determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <filesystem>
 
 #include "analysis/census_series.hpp"
@@ -18,7 +22,9 @@
 #include "graph/generators.hpp"
 #include "graph/plurality.hpp"
 #include "io/frame_dumper.hpp"
+#include "rules/majority.hpp"
 #include "rules/registry.hpp"
+#include "rules/threshold.hpp"
 #include "util/rng.hpp"
 
 namespace dynamo {
@@ -349,6 +355,297 @@ TEST(RunBackends, AutomaticRoundCapSaturates) {
     // it would be a cap of 0 there and of 64 at 2^30).
     EXPECT_EQ(auto_round_cap((std::size_t{1} << 30) - 16), UINT32_MAX);
     EXPECT_EQ(auto_round_cap(std::size_t{1} << 30), UINT32_MAX);
+}
+
+/// The bi-color registry names, aliases included.
+std::vector<const rules::RuleInfo*> bicolor_rules() {
+    std::vector<const rules::RuleInfo*> out;
+    for (const rules::RuleInfo* rule : rules::all_rules()) {
+        if (rule->bicolor()) out.push_back(rule);
+    }
+    return out;
+}
+
+/// A field of kWhite with each cell kBlack at probability `black`.
+ColorField bicolor_field(const Torus& t, double black, Xoshiro256& rng) {
+    ColorField f(t.size(), kWhite);
+    for (auto& c : f) {
+        if (rng.uniform() < black) c = kBlack;
+    }
+    return f;
+}
+
+/// Tori for the repeat-check tests: thin ones, where two neighbor slots of
+/// a cell name the same vertex (a parallel edge of weight 2), and wider
+/// ones.
+constexpr std::pair<std::uint32_t, std::uint32_t> kRepeatCheckSizes[] = {
+    {2, 2}, {2, 7}, {7, 2}, {3, 5}, {8, 8}, {13, 10}};
+
+TEST(RunCycleChecks, BicolorRunsMatchTheHashDetectorOnEveryBackend) {
+    // A reversible bi-color rule's run ends on the period-2 check and an
+    // irreversible one's on quiescence alone (core/run/runner.hpp), while
+    // Backend::Generic's reference engine keeps the hash detector. Every
+    // bi-color name, aliases included, must give Generic's RunResult on
+    // every other backend, serial and pooled, on thin and wide tori of
+    // every topology. The checkerboard is a 2-cycle under
+    // majority-prefer-black, so the cycle path always runs.
+    Xoshiro256 rng(0x2c7c1e);
+    ThreadPool pool(3);
+    std::size_t cycles = 0;
+    for (const rules::RuleInfo* rule : bicolor_rules()) {
+        for (const Topology topo : kTopologies) {
+            for (const auto& [m, n] : kRepeatCheckSizes) {
+                const Torus t(topo, m, n);
+                std::vector<std::pair<std::string, ColorField>> fields;
+                fields.emplace_back("checkerboard", checkerboard(t, kWhite, kBlack));
+                for (const double black : {0.2, 0.4, 0.5, 0.7}) {
+                    for (int trial = 0; trial < 2; ++trial) {
+                        fields.emplace_back("black" + std::to_string(black) + "/" +
+                                                std::to_string(trial),
+                                            bicolor_field(t, black, rng));
+                    }
+                }
+                for (const auto& [name, field] : fields) {
+                    const std::string where = std::string(rule->name) + "/" + to_string(topo) +
+                                              "/" + std::to_string(m) + "x" +
+                                              std::to_string(n) + "/" + name;
+                    RunOptions opts;
+                    opts.backend = Backend::Generic;
+                    const RunResult reference = rule->run(t, field, opts);
+                    cycles += reference.termination == Termination::Cycle;
+                    for (const Backend backend :
+                         {Backend::Auto, Backend::Active, Backend::BitPlane, Backend::Packed}) {
+                        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+                            opts.backend = backend;
+                            opts.pool = p;
+                            opts.parallel_grain = 1;
+                            expect_results_identical(reference, rule->run(t, field, opts),
+                                                     where + "/" + backend_name(backend) +
+                                                         (p != nullptr ? "/pooled" : ""));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(cycles, 0u);
+
+    const Torus t(Topology::ToroidalMesh, 8, 8);
+    RunOptions opts;
+    opts.backend = Backend::Packed;
+    const RunResult flip =
+        rules::rule_or_throw("majority-prefer-black").run(t, checkerboard(t, kWhite, kBlack), opts);
+    EXPECT_EQ(flip.termination, Termination::Cycle);
+    EXPECT_EQ(flip.cycle_period, 2u);
+    EXPECT_EQ(flip.rounds, 2u);
+}
+
+TEST(RunCycleChecks, BicolorPeriodsAreAtMostTwoByGolesOlivosAndPoljakSura) {
+    // Goles & Olivos, "Periodic behaviour of generalized threshold
+    // functions" (Discrete Math. 30, 1980), and Poljak & Sura, "On
+    // periodical behaviour in societies with symmetric influences"
+    // (Combinatorica 3, 1983): a synchronous threshold network with
+    // symmetric weights has period 1 or 2. The period-2 check and the
+    // irreversible rules' missing detector rest on it.
+    //
+    // Premise 1: every bi-color kernel is a threshold rule on {1, 2} -
+    // black next iff w * [own black] + (black neighbor slots) >= theta.
+    constexpr int kSlots = static_cast<int>(grid::kDegree);
+    for (const rules::RuleInfo* rule : bicolor_rules()) {
+        bool found = false;
+        for (int w = 0; w <= kSlots + 1 && !found; ++w) {
+            for (int theta = 0; theta <= 2 * kSlots + 2 && !found; ++theta) {
+                bool fits = true;
+                for (unsigned bits = 0; bits < 32 && fits; ++bits) {
+                    const auto color = [&](int i) { return (bits >> i & 1U) ? kBlack : kWhite; };
+                    const int black = std::popcount(bits >> 1);
+                    const Color expected =
+                        w * int(bits & 1U) + black >= theta ? kBlack : kWhite;
+                    fits = rule->next(color(0), color(1), color(2), color(3), color(4)) ==
+                           expected;
+                }
+                found = fits;
+            }
+        }
+        EXPECT_TRUE(found) << rule->name << " is not a threshold rule on {1, 2}";
+    }
+    // Premise 2: the weights are symmetric - u fills as many neighbor slots
+    // of v as v fills of u, on thin tori too.
+    for (const Topology topo : kTopologies) {
+        for (const auto& [m, n] : kRepeatCheckSizes) {
+            const Torus t(topo, m, n);
+            const std::vector<grid::VertexId> table = reference_neighbor_table(t);
+            const auto weight = [&](grid::VertexId v, grid::VertexId u) {
+                return std::count(table.begin() + v * grid::kDegree,
+                                  table.begin() + (v + 1) * grid::kDegree, u);
+            };
+            for (grid::VertexId v = 0; v < t.size(); ++v) {
+                for (std::size_t s = 0; s < grid::kDegree; ++s) {
+                    const grid::VertexId u = table[v * grid::kDegree + s];
+                    ASSERT_EQ(weight(v, u), weight(u, v))
+                        << to_string(topo) << " " << m << "x" << n << " v=" << v << " u=" << u;
+                }
+            }
+        }
+    }
+    // The conclusion, on the hash detector's path (Backend::Generic), which
+    // would report any period: no bi-color run exceeds period 2, and no
+    // irreversible run ends in a cycle.
+    Xoshiro256 rng(0x60135);
+    std::size_t two_cycles = 0;
+    for (const rules::RuleInfo* rule : bicolor_rules()) {
+        for (const Topology topo : kTopologies) {
+            for (std::uint32_t m : {2u, 3u, 4u, 5u, 7u, 9u}) {
+                for (std::uint32_t n : {2u, 3u, 4u, 6u, 8u, 11u}) {
+                    const Torus t(topo, m, n);
+                    for (int trial = 0; trial < 8; ++trial) {
+                        const ColorField field =
+                            trial == 0 ? checkerboard(t, kWhite, kBlack)
+                                       : bicolor_field(t, 0.15 + 0.1 * trial, rng);
+                        RunOptions opts;
+                        opts.backend = Backend::Generic;
+                        const RunResult result = rule->run(t, field, opts);
+                        const std::string where = std::string(rule->name) + "/" +
+                                                  to_string(topo) + "/" + std::to_string(m) +
+                                                  "x" + std::to_string(n) + "/" +
+                                                  std::to_string(trial);
+                        ASSERT_NE(result.termination, Termination::RoundLimit) << where;
+                        if (result.termination != Termination::Cycle) continue;
+                        EXPECT_FALSE(rule->irreversible) << where;
+                        EXPECT_EQ(result.cycle_period, 2u) << where;
+                        ++two_cycles;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(two_cycles, 0u);
+}
+
+TEST(RunCycleChecks, BicolorSearchVerdictsMatchTheHashDetector) {
+    // The search verifier steps PackedEngineT, so its bi-color runs take
+    // the period-2 check (or none): every verdict must equal the one the
+    // hash detector's run gives on the same black-seeded field.
+    constexpr std::pair<std::uint32_t, std::uint32_t> kSizes[] = {{3, 3}, {4, 4}, {2, 5}, {5, 4}};
+    Xoshiro256 rng(0x5ea2c);
+    for (const rules::RuleInfo* rule : bicolor_rules()) {
+        for (const Topology topo : kTopologies) {
+            for (const auto& [m, n] : kSizes) {
+                const Torus t(topo, m, n);
+                const auto verifier = rule->make_search_verifier(t);
+                for (int trial = 0; trial < 24; ++trial) {
+                    // Search convention: seeds hold color 1, the rest 2.
+                    ColorField search(t.size(), 2);
+                    for (auto& c : search) {
+                        if (rng.uniform() < 0.1 + 0.03 * trial) c = 1;
+                    }
+                    ColorField mapped(t.size());
+                    for (std::size_t v = 0; v < t.size(); ++v) {
+                        mapped[v] = search[v] == 1 ? kBlack : kWhite;
+                    }
+                    RunOptions opts;
+                    opts.backend = Backend::Generic;
+                    opts.target = kBlack;
+                    const QuickVerdict expected =
+                        classify_quick_verdict(rule->run(t, mapped, opts), kBlack);
+                    const QuickVerdict verdict = verifier->verify(search);
+                    const std::string where = std::string(rule->name) + "/" + to_string(topo) +
+                                              "/" + std::to_string(trial);
+                    EXPECT_EQ(verdict.is_dynamo, expected.is_dynamo) << where;
+                    EXPECT_EQ(verdict.is_monotone, expected.is_monotone) << where;
+                    EXPECT_EQ(verdict.rounds, expected.rounds) << where;
+                }
+            }
+        }
+    }
+}
+
+/// A packed engine that reports every other round's changes in descending
+/// vertex order: the run loop promises nothing about the order, so the
+/// period-2 check must not depend on it.
+template <sim::LocalRule R>
+class ReversingEngine {
+  public:
+    using Rule = R;
+
+    ReversingEngine(const Torus& t, ColorField initial) : inner_(t, std::move(initial)) {}
+
+    std::size_t step_collect(std::vector<CellChange>& out, ThreadPool* pool, std::size_t grain) {
+        const std::size_t first = out.size();
+        const std::size_t changed = inner_.step_collect(out, pool, grain);
+        if (inner_.round() % 2 == 1) std::reverse(out.begin() + first, out.end());
+        return changed;
+    }
+    const ColorField& colors() const noexcept { return inner_.colors(); }
+    std::uint32_t round() const noexcept { return inner_.round(); }
+
+  private:
+    sim::PackedEngineT<R> inner_;
+};
+
+TEST(RunCycleChecks, PeriodTwoCheckIgnoresTheOrderChangesArriveIn) {
+    Xoshiro256 rng(0x0dde);
+    for (const Topology topo : kTopologies) {
+        const Torus t(topo, 12, 9);
+        for (int trial = 0; trial < 6; ++trial) {
+            const ColorField field =
+                trial == 0 ? checkerboard(t, kWhite, kBlack) : bicolor_field(t, 0.5, rng);
+            BasicSyncEngine oracle(t, field,
+                                   &reference_sweep<sim::RuleFnOf<rules::MajorityPreferBlack>>);
+            ReversingEngine<rules::MajorityPreferBlack> reversing(t, field);
+            expect_results_identical(run_to_terminal(oracle), run_to_terminal(reversing),
+                                     std::string(to_string(topo)) + "/" +
+                                         std::to_string(trial));
+        }
+    }
+}
+
+/// Majority-prefer-black on {1, 2}, which rotates every other color
+/// through 3 -> 4 -> 5 -> 3: a period-3 orbit off the bi-color palette.
+struct RotatingOffPalette {
+    static constexpr const char* kName = "rotating-off-palette";
+    static constexpr Color kMinColors = 2;
+    static constexpr Color kMaxColors = 2;
+    static constexpr bool kIrreversible = false;
+    static constexpr bool kColorSymmetric = false;
+
+    static constexpr Color next(Color own, Color a, Color b, Color c, Color d) noexcept {
+        if (own > kBlack) return own == 5 ? Color(3) : Color(own + 1);
+        return rules::MajorityPreferBlack::next(own, a, b, c, d);
+    }
+};
+
+TEST(RunCycleChecks, OtherFieldsAndEnginesKeepTheHashDetector) {
+    static_assert(engine_period_bound<sim::PackedEngineT<rules::StrongMajority>>() ==
+                  PeriodBound::Two);
+    static_assert(engine_period_bound<sim::HybridEngineT<rules::Threshold<2>>>() ==
+                  PeriodBound::FixedPoint);
+    static_assert(engine_period_bound<sim::HybridEngineT<sim::SmpRule>>() ==
+                  PeriodBound::Unbounded);
+    static_assert(engine_period_bound<BasicSyncEngine>() == PeriodBound::Unbounded);
+    // The period bound speaks about bi-color fields only: a bi-color
+    // engine driven directly on a field with a third color keeps the hash
+    // detector, which sees the period-3 orbit the period-2 check cannot.
+    for (const Topology topo : kTopologies) {
+        const Torus t(topo, 5, 4);
+        ColorField field(t.size(), kWhite);
+        field[t.index(2, 1)] = 3;
+        sim::PackedEngineT<RotatingOffPalette> engine(t, field);
+        const RunResult result = run_to_terminal(engine);
+        EXPECT_EQ(result.termination, Termination::Cycle) << to_string(topo);
+        EXPECT_EQ(result.rounds, 3u) << to_string(topo);
+        EXPECT_EQ(result.cycle_period, 3u) << to_string(topo);
+    }
+    // The hash detector counts periods from the round the run starts at:
+    // SMP flips a checkerboard every round, so a run joined at round 1
+    // repeats at round 3 with period 2.
+    const Torus t(Topology::ToroidalMesh, 6, 6);
+    sim::PackedEngineT<sim::SmpRule> engine(t, checkerboard(t, 1, 2));
+    engine.step();
+    const RunResult joined = run_to_terminal(engine);
+    EXPECT_EQ(joined.termination, Termination::Cycle);
+    EXPECT_EQ(joined.rounds, 3u);
+    EXPECT_EQ(joined.cycle_period, 2u);
 }
 
 TEST(RunActive, CheckerboardLimitCycleThroughRunner) {
