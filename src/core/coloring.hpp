@@ -37,6 +37,15 @@ struct CellChange {
     Color after;
 };
 
+/// One round as an engine reports it when no one on the run reads its
+/// changed cells (core/run/runner.hpp): the change count and two tests of
+/// the whole state, with no per-cell work.
+struct RoundFacts {
+    std::size_t changed = 0;
+    bool monochromatic = false;     ///< every cell holds one color
+    bool repeats_two_back = false;  ///< state(t) == state(t-2), both known
+};
+
 /// Appends every differing cell of two equal-size fields to `out`, in
 /// ascending vertex order. The diff-scan used by full-sweep engines to
 /// report their changed cells.

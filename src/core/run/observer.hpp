@@ -3,9 +3,11 @@
 // Composable run observers: the per-round bookkeeping that the seed driver
 // hard-coded (target tracking, cycle hashing, frame dumps) factored into
 // small objects run_to_terminal notifies. Observers are fed the *changed cells*
-// of each round (CellChange records the engines already know), so their
-// per-round cost is O(changed), not O(|V|) - in particular the seed
-// driver's full ColorField copy per tracked round is gone.
+// of each round, so their per-round cost is O(changed), not O(|V|) - in
+// particular the seed driver's full ColorField copy per tracked round is
+// gone. Those lists are built for consumers only: attaching an observer
+// makes every round of the run listed, where a run without one may take
+// the bit-plane engine's count-only rounds (core/run/runner.hpp).
 //
 // Protocol, per run:
 //   on_start(initial)   once, before the first round;

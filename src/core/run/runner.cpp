@@ -157,9 +157,7 @@ RunTally::RunTally(const ColorField& initial, std::uint32_t round, const RunOpti
 
     // Incremental color census: monochromatic detection is O(changed) per
     // round instead of a full-field scan.
-    for (const Color c : initial) {
-        if (counts_[c]++ == 0) ++distinct_;
-    }
+    take_census(initial);
 
     // Automatic bookkeeping first, then the caller's observers.
     if (options.target) {
@@ -183,27 +181,41 @@ RunTally::RunTally(const ColorField& initial, std::uint32_t round, const RunOpti
 
     // Degenerate but legal: an initially monochromatic field has already
     // reached the configuration.
-    if (distinct_ == 1) end(Termination::Monochromatic, round, initial);
+    if (distinct_ == 1) end(Termination::Monochromatic, round);
 }
 
 RunTally::~RunTally() = default;
 
+void RunTally::take_census(const ColorField& colors) {
+    counts_.fill(0);
+    distinct_ = 0;
+    for (const Color c : colors) {
+        if (counts_[c]++ == 0) ++distinct_;
+    }
+}
+
 void RunTally::record(std::uint32_t round, std::size_t changed, const ColorField& colors) {
-    if (changed == 0 && options_.stop_on_quiescence) {
-        // The state was already terminal before this no-op round.
-        end(distinct_ == 1 ? Termination::Monochromatic : Termination::FixedPoint, round - 1,
-            colors);
-        return;
+    const std::span<const CellChange> changes = changes_[latest_];
+    if (census_stale_) {
+        // The first listed round after facts rounds (an engine hand-back):
+        // the census is taken again, once.
+        take_census(colors);
+        census_stale_ = false;
+    } else {
+        std::size_t distinct = distinct_;  // a local: the counts_ stores cannot alias it
+        for (const CellChange& ch : changes) {
+            if (--counts_[ch.before] == 0) --distinct;
+            if (counts_[ch.after]++ == 0) ++distinct;
+        }
+        distinct_ = distinct;
     }
 
-    result_.total_recolorings += changed;
-    const std::span<const CellChange> changes = changes_[latest_];
-    std::size_t distinct = distinct_;  // a local: the counts_ stores cannot alias it
-    for (const CellChange& ch : changes) {
-        if (--counts_[ch.before] == 0) --distinct;
-        if (counts_[ch.after]++ == 0) ++distinct;
+    if (changed == 0 && options_.stop_on_quiescence) {
+        // The state was already terminal before this no-op round.
+        end(distinct_ == 1 ? Termination::Monochromatic : Termination::FixedPoint, round - 1);
+        return;
     }
-    distinct_ = distinct;
+    result_.total_recolorings += changed;
 
     // The first stop requested wins; the repeat check asks before the
     // caller's observers.
@@ -222,26 +234,43 @@ void RunTally::record(std::uint32_t round, std::size_t changed, const ColorField
     // Monochromatic wins over observer stops, matching the seed driver's
     // check order (mono before cycle lookup).
     if (distinct_ == 1) {
-        end(Termination::Monochromatic, round, colors);
+        end(Termination::Monochromatic, round);
     } else if (stop) {
         result_.cycle_period = stop->cycle_period;
-        end(stop->termination, round, colors);
+        end(stop->termination, round);
+    }
+}
+
+void RunTally::record_facts(std::uint32_t round, const RoundFacts& facts) {
+    census_stale_ = true;
+    if (facts.changed == 0 && options_.stop_on_quiescence) {
+        end(facts.monochromatic ? Termination::Monochromatic : Termination::FixedPoint,
+            round - 1);
+        return;
+    }
+    result_.total_recolorings += facts.changed;
+    // The same priority as record(): monochromatic first, then the repeat.
+    if (facts.monochromatic) {
+        end(Termination::Monochromatic, round);
+    } else if (period_two_ && facts.repeats_two_back) {
+        result_.cycle_period = 2;
+        end(Termination::Cycle, round);
     }
 }
 
 RunResult RunTally::finish(std::uint32_t round, const ColorField& colors) {
-    if (!done_) end(Termination::RoundLimit, round, colors);
-    return std::move(result_);
-}
-
-void RunTally::end(Termination termination, std::uint32_t rounds, const ColorField& colors) {
-    done_ = true;
-    result_.termination = termination;
-    result_.rounds = rounds;
-    if (termination == Termination::Monochromatic) result_.mono = colors.front();
+    if (!done_) end(Termination::RoundLimit, round);
+    if (result_.termination == Termination::Monochromatic) result_.mono = colors.front();
     result_.final_colors = colors;
     if (tracker_) tracker_->on_finish(result_);
     for (Observer* ob : options_.observers) ob->on_finish(result_);
+    return std::move(result_);
+}
+
+void RunTally::end(Termination termination, std::uint32_t rounds) {
+    done_ = true;
+    result_.termination = termination;
+    result_.rounds = rounds;
 }
 
 } // namespace dynamo

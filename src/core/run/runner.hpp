@@ -45,11 +45,24 @@
 // is checked rather than assumed: a field holding a color other than 1 and
 // 2 gets the hash detector under any rule.
 //
-// Per-round cost on top of the engine step is O(changed): the runner keeps
-// an incremental color census for monochromatic detection (no O(|V|) scan
-// per round) and observers fold the changed-cell list (no per-round field
-// copies; the seed driver's target tracking copied the whole ColorField
-// every round).
+// Change lists are built only for a consumer. A run with a target, a
+// caller observer or the hash detector reads every round's changed cells:
+// each round hands the tally its CellChange list, and the bookkeeping on
+// top of the engine step is O(changed) - an incremental color census for
+// monochromatic detection (no O(|V|) scan per round), the period-2 check,
+// and observers folding the list (no per-round field copies). Any other
+// run - a bi-color rule's with the period-2 check or no check at all -
+// reads nothing per cell, so an engine that can skip that work
+// (sim::HybridEngineT on its bit-plane engine) reports RoundFacts instead:
+// the change count its sweep computes, and whole-limb tests for
+// "monochromatic" and state(t) == state(t-2). Such a round costs one sweep
+// plus O(|V|/64), and the byte field is unpacked only when the run ends or
+// the engine hands back. The tally asks once per run which kind it wants
+// (RunTally::wants_changes) and takes both kinds of round, so the checks
+// hold across hand-overs: the active engine's last list becomes the
+// bit-plane engine's packed history, a hand-back lists its thin last round
+// for the next list round to compare with, and the census is taken again
+// on the first list round after facts rounds.
 #pragma once
 
 #include <array>
@@ -103,7 +116,8 @@ struct RunOptions {
     bool stop_on_quiescence = true;
 
     /// Additional observers, notified in order after the automatic ones
-    /// (target tracker, repeat check). Non-owning.
+    /// (target tracker, repeat check). Non-owning. Any observer makes the
+    /// run list every round's changed cells (see the header comment).
     std::vector<Observer*> observers;
 };
 
@@ -116,6 +130,17 @@ concept Engine = requires(E& e, const E& ce, std::vector<CellChange>& out, Threa
     { e.step_collect(out, pool, grain) } -> std::convertible_to<std::size_t>;
     { ce.colors() } -> std::convertible_to<const ColorField&>;
     { ce.round() } -> std::convertible_to<std::uint32_t>;
+};
+
+/// An engine that can also step a round without per-cell work:
+/// step_facts(out, pool, grain) steps one and reports its RoundFacts, or
+/// returns nullopt without stepping when this round must be listed (then
+/// the caller steps step_collect). Whenever the next round will be listed,
+/// a facts round leaves its changed cells in `out`.
+template <typename E>
+concept ReportsRoundFacts = requires(E& e, std::vector<CellChange>& out, ThreadPool* pool,
+                                     std::size_t grain) {
+    { e.step_facts(out, pool, grain) } -> std::same_as<std::optional<RoundFacts>>;
 };
 
 /// The automatic round cap: 4*|V| + 64, saturated at UINT32_MAX.
@@ -171,6 +196,12 @@ class RunTally {
     /// True while the run is neither finished nor at the cap.
     bool running(std::uint32_t round) const noexcept { return !done_ && round < cap_; }
 
+    /// Does anything on this run read per-cell changes: a target, the hash
+    /// detector or a caller observer? If not, the run may record facts.
+    bool wants_changes() const noexcept {
+        return tracker_ || cycles_ || !options_.observers.empty();
+    }
+
     /// The empty list the next round appends its changed cells to. The
     /// tally keeps the two latest rounds' lists, so the period-2 check
     /// compares them without copying either.
@@ -185,7 +216,13 @@ class RunTally {
     /// out its changed cells, and `colors` the state after it.
     void record(std::uint32_t round, std::size_t changed, const ColorField& colors);
 
-    /// The run's result. A run still going ends RoundLimit at `round`.
+    /// Folds one round an engine reported as RoundFacts, for a run that
+    /// does not want changes: the count, quiescence, the monochromatic
+    /// test and the period-2 check, with no per-cell work.
+    void record_facts(std::uint32_t round, const RoundFacts& facts);
+
+    /// The run's result, with `colors` the final state. A run still going
+    /// ends RoundLimit at `round`.
     RunResult finish(std::uint32_t round, const ColorField& colors);
 
   private:
@@ -193,7 +230,8 @@ class RunTally {
     class CycleDetector;    // RunOptions::detect_cycles, PeriodBound::Unbounded
     class PeriodTwoCheck;   // RunOptions::detect_cycles, PeriodBound::Two
 
-    void end(Termination termination, std::uint32_t rounds, const ColorField& colors);
+    void take_census(const ColorField& colors);
+    void end(Termination termination, std::uint32_t rounds);
 
     const RunOptions& options_;
     std::uint32_t cap_;
@@ -205,6 +243,7 @@ class RunTally {
     unsigned latest_ = 1;                             ///< index of this round's list
     std::array<std::size_t, 256> counts_{};
     std::size_t distinct_ = 0;
+    bool census_stale_ = false;  ///< facts rounds since the last census
     RunResult result_;
 };
 
@@ -216,9 +255,21 @@ class RunTally {
 template <Engine E>
 [[gnu::noinline]] RunResult run_to_terminal(E& engine, const RunOptions& options = {}) {
     RunTally tally(engine.colors(), engine.round(), options, engine_period_bound<E>());
+    const bool lists = tally.wants_changes();
     while (tally.running(engine.round())) {
+        std::vector<CellChange>& changes = tally.next_changes();
+        if constexpr (ReportsRoundFacts<E>) {
+            if (!lists) {
+                const std::optional<RoundFacts> facts =
+                    engine.step_facts(changes, options.pool, options.parallel_grain);
+                if (facts) {
+                    tally.record_facts(engine.round(), *facts);
+                    continue;
+                }
+            }
+        }
         const std::size_t changed =
-            engine.step_collect(tally.next_changes(), options.pool, options.parallel_grain);
+            engine.step_collect(changes, options.pool, options.parallel_grain);
         tally.record(engine.round(), changed, engine.colors());
     }
     return tally.finish(engine.round(), engine.colors());

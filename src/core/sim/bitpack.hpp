@@ -95,6 +95,10 @@ class BitField {
         }
     }
 
+    /// The same dimensions and every limb equal (tails are zero): the same
+    /// state.
+    friend bool operator==(const BitField&, const BitField&) = default;
+
     void swap(BitField& other) noexcept {
         std::swap(rows_, other.rows_);
         std::swap(cols_, other.cols_);

@@ -35,20 +35,31 @@
 // (RowLinks), are limb shifts with cross-limb carries; only the edge
 // columns 0 / n-1 take a scalar fixup through Torus::neighbor.
 //
-// The engine keeps an unpacked byte mirror of the current state, updated
-// O(changed) per round from the XOR diff of the two packed buffers, so
-// colors() satisfies the run layer's Engine concept without an O(|V|)
-// unpack per round, and step_collect reports exact CellChange lists in
-// ascending vertex order. Trajectories are bit-identical to the byte
-// engines for every supported rule, topology, pool, and grain
-// (tests/test_sim_packed.cpp, tests/test_run.cpp).
+// A round costs one sweep and nothing per cell unless a caller asks:
+//
+//   * step() returns the change count the sweep fuses in, and the
+//     whole-state tests monochromatic() and repeats_two_back() read whole
+//     limbs - the engine keeps the last three states packed (|V|/8 bytes
+//     each per plane), the sweep writing into the oldest;
+//   * step_collect() also walks the XOR diff of the two latest states and
+//     appends the exact CellChange list in ascending vertex order;
+//   * the byte mirror behind colors() is unpacked only when colors() is
+//     read after a step() round. step_collect() keeps an up-to-date mirror
+//     up to date O(changed), so a run that reads colors() every round never
+//     unpacks.
+//
+// Trajectories are bit-identical to the byte engines for every supported
+// rule, topology, pool, and grain (tests/test_sim_packed.cpp,
+// tests/test_run.cpp).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/coloring.hpp"
@@ -322,7 +333,9 @@ std::size_t bitplane_sweep(const grid::Torus& torus, const BitField& src, BitFie
 }
 
 /// The Backend::BitPlane engine. Satisfies the run layer's Engine
-/// concept; colors() serves the unpacked mirror.
+/// concept; colors() serves the byte mirror, unpacked when stale. Like
+/// every engine it is not for concurrent use: colors() may write the
+/// mirror.
 template <LocalRule R>
 class BitplaneEngineT {
     static_assert(kBitplaneSupported<R>, "rule has no word-parallel bit-plane kernel; "
@@ -331,78 +344,145 @@ class BitplaneEngineT {
   public:
     BitplaneEngineT(const grid::Torus& torus, ColorField initial)
         : torus_(&torus), mirror_(std::move(initial)),
-          cur_(torus.rows(), torus.cols(), kBitplanePlanes<R>),
-          next_(torus.rows(), torus.cols(), kBitplanePlanes<R>) {
+          cur_(torus.rows(), torus.cols(), kBitplanePlanes<R>), prev_(cur_), spare_(cur_) {
         require_complete(torus, mirror_);
         pack_field(mirror_, cur_);
     }
 
     /// Rewind to round 0 from `initial` on the same torus, reusing the
-    /// buffers (the same palette requirement as the constructor).
+    /// buffers (the same palette requirement as the constructor). The
+    /// engine knows no earlier state.
     void reset(const ColorField& initial) {
         require_complete(*torus_, initial);
         mirror_.assign(initial.begin(), initial.end());
+        mirror_fresh_ = true;
         pack_field(mirror_, cur_);
+        history_ = 0;
         round_ = 0;
     }
 
+    /// Take `last_round` - the changed cells of the round that led to the
+    /// current state, stepped by another engine - as this engine's
+    /// history: undone, they give the state before, so the next round's
+    /// repeats_two_back() compares with it. O(|V|/64 + changed).
+    void seed_history(std::span<const CellChange> last_round) {
+        const std::uint32_t n = torus_->cols();
+        prev_ = cur_;
+        for (const CellChange& ch : last_round) {
+            prev_.set(static_cast<std::uint32_t>(ch.v / n), static_cast<std::uint32_t>(ch.v % n),
+                      ch.before);
+        }
+        history_ = 1;
+    }
+
     /// One synchronous round; returns the number of vertices that changed
-    /// color. Deterministic for any pool/grain combination.
+    /// color, as the sweep counts it - no per-cell work. Deterministic for
+    /// any pool/grain combination.
     std::size_t step(ThreadPool* pool = nullptr, std::size_t grain = 1 << 14) {
-        return step_impl(nullptr, pool, grain);
+        const std::size_t changed = bitplane_sweep<R>(*torus_, cur_, spare_, pool, grain);
+        // spare_ now holds the new state: rotate it to cur_, and the two
+        // before it to prev_ and spare_.
+        cur_.swap(spare_);
+        prev_.swap(spare_);
+        history_ = std::min(history_ + 1, 2);
+        ++round_;
+        if (changed != 0) mirror_fresh_ = false;
+        return changed;
     }
 
     /// step() that also appends the changed cells to `out` (ascending
     /// vertex order), for the run layer's observers.
     std::size_t step_collect(std::vector<CellChange>& out, ThreadPool* pool = nullptr,
                              std::size_t grain = 1 << 14) {
-        return step_impl(&out, pool, grain);
+        const bool fresh = mirror_fresh_;
+        const std::size_t changed = step(pool, grain);
+        walk_last_round(out, fresh ? &mirror_ : nullptr);
+        mirror_fresh_ = fresh;
+        return changed;
     }
 
-    const ColorField& colors() const noexcept { return mirror_; }
+    /// Appends the last round's changed cells to `out` (ascending vertex
+    /// order), read from the two packed states: a diff walk, O(|V|/64 +
+    /// changed). Needs a round stepped since the last reset.
+    void collect_last_round(std::vector<CellChange>& out) const {
+        DYNAMO_ASSERT(history_ >= 1, "no round stepped since the last reset");
+        walk_last_round(out, nullptr);
+    }
+
+    /// Does every cell hold one color? A whole-limb test: each plane is all
+    /// zeros or all ones, a row's last limb compared under tail_mask().
+    bool monochromatic() const noexcept {
+        const std::size_t words = cur_.words_per_row();
+        const Word tail = cur_.tail_mask();
+        for (int p = 0; p < kBitplanePlanes<R>; ++p) {
+            const Word fill = (cur_.row(p, 0)[0] & 1u) ? ~Word{0} : Word{0};
+            for (std::uint32_t i = 0; i < torus_->rows(); ++i) {
+                const Word* row = cur_.row(p, i);
+                for (std::size_t w = 0; w + 1 < words; ++w) {
+                    if (row[w] != fill) return false;
+                }
+                if (row[words - 1] != (fill & tail)) return false;
+            }
+        }
+        return true;
+    }
+
+    /// Is the current state the one two rounds back? A limb compare of
+    /// the packed states; false until two rounds are known (seed_history
+    /// counts as one).
+    bool repeats_two_back() const noexcept { return history_ == 2 && cur_ == spare_; }
+
+    const ColorField& colors() const {
+        if (!mirror_fresh_) {
+            unpack_field(cur_, mirror_);
+            mirror_fresh_ = true;
+        }
+        return mirror_;
+    }
     const grid::Torus& torus() const noexcept { return *torus_; }
     std::uint32_t round() const noexcept { return round_; }
 
   private:
-    std::size_t step_impl(std::vector<CellChange>* out, ThreadPool* pool, std::size_t grain) {
-        bitplane_sweep<R>(*torus_, cur_, next_, pool, grain);
-        // Serial diff walk: change count, CellChange list, and the byte
-        // mirror update, all O(changed) plus one popcount pass over the
-        // limbs. Serial on purpose - the output order is part of the
-        // bit-identity contract with the byte engines.
+    /// Serial diff walk of prev_ against cur_: appends the changed cells to
+    /// `out`, and brings `mirror`, when given, from the state before the
+    /// round up to date. Serial on purpose - the output order is part of
+    /// the bit-identity contract with the byte engines.
+    void walk_last_round(std::vector<CellChange>& out, ColorField* mirror) const {
         const std::uint32_t m = torus_->rows();
         const std::uint32_t n = torus_->cols();
         const std::size_t words = cur_.words_per_row();
-        std::size_t changed = 0;
         for (std::uint32_t i = 0; i < m; ++i) {
             for (std::size_t w = 0; w < words; ++w) {
                 Word diff = 0;
                 for (int p = 0; p < kBitplanePlanes<R>; ++p) {
-                    diff |= cur_.row(p, i)[w] ^ next_.row(p, i)[w];
+                    diff |= prev_.row(p, i)[w] ^ cur_.row(p, i)[w];
                 }
                 while (diff != 0) {
                     const auto bit = static_cast<std::uint32_t>(std::countr_zero(diff));
                     diff &= diff - 1;
                     const auto j = static_cast<std::uint32_t>(w * kWordBits + bit);
                     const std::size_t v = static_cast<std::size_t>(i) * n + j;
-                    const Color after = next_.get(i, j);
-                    if (out != nullptr) {
-                        out->push_back({static_cast<grid::VertexId>(v), mirror_[v], after});
+                    const Color after = cur_.get(i, j);
+                    Color before;
+                    if (mirror != nullptr) {
+                        before = (*mirror)[v];
+                        (*mirror)[v] = after;
+                    } else {
+                        before = prev_.get(i, j);
                     }
-                    mirror_[v] = after;
-                    ++changed;
+                    out.push_back({static_cast<grid::VertexId>(v), before, after});
                 }
             }
         }
-        cur_.swap(next_);
-        ++round_;
-        return changed;
     }
 
     const grid::Torus* torus_;
-    ColorField mirror_;  ///< unpacked current state (the colors() view)
-    BitField cur_;
-    BitField next_;
+    mutable ColorField mirror_;       ///< unpacked current state (the colors() view)
+    mutable bool mirror_fresh_ = true;
+    BitField cur_;    ///< state(t)
+    BitField prev_;   ///< state(t-1), once history_ >= 1
+    BitField spare_;  ///< state(t-2), once history_ == 2; the next sweep's output
+    int history_ = 0;  ///< rounds of packed history before cur_, at most 2
     std::uint32_t round_ = 0;
 };
 

@@ -21,9 +21,14 @@
 //     hysteresis that keeps a run near the crossover from switching every
 //     round.
 //
-// Active -> bit-plane packs the byte field. Bit-plane -> active restarts
-// the active engine from the mirror with every row dirty: one full byte
-// round, always correct because the dirty set only has to be a superset.
+// Active -> bit-plane packs the byte field, and the active engine's last
+// change list, undone, becomes the bit-plane engine's previous state.
+// Bit-plane -> active restarts the active engine from the mirror with
+// every row dirty: one full byte round, always correct because the dirty
+// set only has to be a superset. A run that reads no change lists steps
+// step_facts(), whose bit-plane rounds do no per-cell work; such a round
+// that hands back lists its changes (it is thin) for the next round's
+// period-2 check.
 // Both engines are bit-identical round for round, so a switch cannot
 // change the trajectory, and the change count does not depend on the pool
 // or grain, so neither does the switch: serial == pooled as before.
@@ -38,6 +43,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/coloring.hpp"
@@ -93,33 +99,65 @@ class HybridEngineT {
         }
     }
 
-    /// One synchronous round on the current engine, then (adaptive runs)
-    /// the hand-over decision for the next one.
-    std::size_t step_collect(std::vector<CellChange>& out, ThreadPool* pool = nullptr,
-                             std::size_t grain = 1 << 14) {
+    /// One synchronous round on the current engine, appending its changed
+    /// cells to `out`, then (adaptive runs) the hand-over decision for the
+    /// next one. Always inlined: it is the body of run_to_terminal's loop,
+    /// where a thin round costs little more than the call.
+    [[gnu::always_inline]] std::size_t step_collect(std::vector<CellChange>& out,
+                                                    ThreadPool* pool = nullptr,
+                                                    std::size_t grain = 1 << 14) {
         ++round_;
         if (on_bitplane_) {
             const std::size_t changed = bitplane_->step_collect(out, pool, grain);
-            if (policy_ == Policy::Adaptive && changed * kThinDivisor < torus_->size()) {
-                to_active();
-            }
+            if (hands_back(changed)) to_active();
             return changed;
         }
+        const std::size_t first = out.size();
         const std::size_t changed = active_->step_collect(out, pool, grain);
         if (policy_ == Policy::Adaptive && changed * kDenseDivisor >= torus_->size()) {
-            to_bitplane();
+            to_bitplane(std::span<const CellChange>(out).subspan(first));
         }
         return changed;
     }
 
-    const ColorField& colors() const noexcept {
+    /// One round for a run that reads no change lists. On the bit-plane
+    /// engine it does no per-cell work: the count is the sweep's and the
+    /// two tests of RoundFacts read whole limbs. On the active engine,
+    /// where lists cost nothing, it steps nothing and returns nullopt: the
+    /// caller steps step_collect. A hand-back writes the round's changes -
+    /// fewer than |V| / kThinDivisor - to `out`, so the first active round
+    /// after it can still compare state(t) with state(t-2) through two
+    /// lists. Kept out of line, so the list path's loop in run_to_terminal
+    /// compiles as it would without it.
+    [[gnu::noinline]] std::optional<RoundFacts> step_facts(std::vector<CellChange>& out,
+                                                           ThreadPool* pool = nullptr,
+                                                           std::size_t grain = 1 << 14) {
+        if (!on_bitplane_) return std::nullopt;
+        ++round_;
+        BitplaneEngineT<R>& engine = *bitplane_;
+        const RoundFacts facts{engine.step(pool, grain), engine.monochromatic(),
+                               engine.repeats_two_back()};
+        if (hands_back(facts.changed)) {
+            engine.collect_last_round(out);
+            to_active();
+        }
+        return facts;
+    }
+
+    const ColorField& colors() const {
         return on_bitplane_ ? bitplane_->colors() : active_->colors();
     }
     const grid::Torus& torus() const noexcept { return *torus_; }
     std::uint32_t round() const noexcept { return round_; }
 
   private:
-    void to_bitplane() {
+    bool hands_back(std::size_t changed) const noexcept {
+        return policy_ == Policy::Adaptive && changed * kThinDivisor < torus_->size();
+    }
+
+    /// Packs the active engine's state; `last_round`, the round that led to
+    /// it, becomes the bit-plane engine's history.
+    void to_bitplane(std::span<const CellChange> last_round) {
         const ColorField& field = active_->colors();
         if (!packable(field, kBitplanePlanes<R>)) return;
         if (bitplane_) {
@@ -127,6 +165,7 @@ class HybridEngineT {
         } else {
             bitplane_.emplace(*torus_, field);
         }
+        bitplane_->seed_history(last_round);
         on_bitplane_ = true;
         ++hybrid_detail::to_bitplane;
     }

@@ -5,8 +5,10 @@
 // cycle detector) and stop-request priorities, the repeat checks (the
 // bi-color period-2 check and the irreversible rules' quiescence against
 // the hash detector, and the Goles-Olivos / Poljak-Sura period bound they
-// rest on), the plurality graph engine under the shared run loop, and
-// BatchRunner substream determinism.
+// rest on), facts rounds (runs nothing reads change lists of, against
+// the same runs listed and Generic, across Auto's hand-overs), the
+// plurality graph engine under the shared run loop, and BatchRunner
+// substream determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -646,6 +648,219 @@ TEST(RunCycleChecks, OtherFieldsAndEnginesKeepTheHashDetector) {
     EXPECT_EQ(joined.termination, Termination::Cycle);
     EXPECT_EQ(joined.rounds, 3u);
     EXPECT_EQ(joined.cycle_period, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Facts rounds: a run nothing reads change lists of takes the engine's
+// count and whole-limb tests instead (core/run/runner.hpp)
+// ---------------------------------------------------------------------------
+
+/// Attaching any caller observer makes a run build its change lists.
+class NoOpObserver final : public Observer {};
+
+/// The per-round change counts of a run.
+class ChangeCounts final : public Observer {
+  public:
+    std::optional<StopRequest> on_round(const RoundEvent& event) override {
+        counts.push_back(event.changed);
+        return std::nullopt;
+    }
+    std::vector<std::size_t> counts;
+};
+
+/// The rounds after which an adaptive run hands back to the active engine,
+/// replayed from a run's change counts with HybridEngineT's thresholds.
+std::vector<std::uint32_t> hand_back_rounds(const std::vector<std::size_t>& counts,
+                                            std::size_t vertices) {
+    using Hybrid = sim::HybridEngineT<rules::StrongMajority>;
+    std::vector<std::uint32_t> out;
+    bool on_bitplane = false;
+    for (std::size_t k = 0; k < counts.size(); ++k) {
+        if (!on_bitplane && counts[k] * Hybrid::kDenseDivisor >= vertices) {
+            on_bitplane = true;
+        } else if (on_bitplane && counts[k] * Hybrid::kThinDivisor < vertices) {
+            on_bitplane = false;
+            out.push_back(static_cast<std::uint32_t>(k + 1));
+        }
+    }
+    return out;
+}
+
+/// Runs `field` under `opts` on `backend`, serially and pooled at the
+/// finest grain, each with and without a no-op observer, and expects
+/// `reference` every time.
+void expect_facts_and_lists_match(const rules::RuleInfo& rule, const Torus& t,
+                                  const ColorField& field, Backend backend,
+                                  const RunResult& reference, ThreadPool& pool,
+                                  const std::string& where, RunOptions opts = {}) {
+    NoOpObserver noop;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        for (const bool listed : {false, true}) {
+            opts.backend = backend;
+            opts.pool = p;
+            opts.parallel_grain = 1;
+            opts.observers.clear();
+            if (listed) opts.observers.push_back(&noop);
+            expect_results_identical(reference, rule.run(t, field, opts),
+                                     where + "/" + backend_name(backend) +
+                                         (p != nullptr ? "/pooled" : "") +
+                                         (listed ? "/observed" : ""));
+        }
+    }
+}
+
+TEST(RunSummaries, FactsRoundsMatchListedRunsAndGeneric) {
+    // Every bi-color name's Auto and BitPlane runs take facts rounds on the
+    // bit-plane engine. Each must give the RunResult of the same run with
+    // a no-op observer attached (every round listed) and of Generic, on
+    // thin tori, rows with a tail limb, one full limb, and several limbs.
+    Xoshiro256 rng(0x5a11);
+    ThreadPool pool(3);
+    std::size_t ends[3] = {};  // Monochromatic, FixedPoint, Cycle
+    for (const rules::RuleInfo* rule : bicolor_rules()) {
+        for (const Topology topo : kTopologies) {
+            for (const auto& [m, n] : {std::pair{2u, 2u}, {2u, 7u}, {7u, 2u}, {8u, 63u},
+                                       {8u, 64u}, {8u, 65u}, {16u, 129u}}) {
+                const Torus t(topo, m, n);
+                std::vector<std::pair<std::string, ColorField>> fields;
+                fields.emplace_back("checkerboard", checkerboard(t, kWhite, kBlack));
+                for (const Color fill : {kWhite, kBlack}) {
+                    ColorField f(t.size(), fill);
+                    f[t.index(m / 2, n - 1)] = fill == kWhite ? kBlack : kWhite;
+                    fields.emplace_back(fill == kWhite ? "white-but-one" : "black-but-one", f);
+                }
+                for (const double black : {0.2, 0.4, 0.5, 0.7}) {
+                    fields.emplace_back("black" + std::to_string(black),
+                                        bicolor_field(t, black, rng));
+                }
+                for (const auto& [name, field] : fields) {
+                    const std::string where = std::string(rule->name) + "/" + to_string(topo) +
+                                              "/" + std::to_string(m) + "x" +
+                                              std::to_string(n) + "/" + name;
+                    RunOptions opts;
+                    opts.backend = Backend::Generic;
+                    const RunResult reference = rule->run(t, field, opts);
+                    ASSERT_NE(reference.termination, Termination::RoundLimit) << where;
+                    ++ends[static_cast<int>(reference.termination)];
+                    for (const Backend backend : {Backend::Auto, Backend::BitPlane}) {
+                        expect_facts_and_lists_match(*rule, t, field, backend, reference, pool,
+                                                     where);
+                    }
+                }
+            }
+        }
+    }
+    // Every way these runs end is covered.
+    for (const std::size_t count : ends) EXPECT_GT(count, 0u);
+}
+
+TEST(RunSummaries, AutoGoesDenseThinDenseAcrossFactsRounds) {
+    // Majority-prefer-black on a 24x24 mesh. Isolated black cells vanish in
+    // round 1 (dense: to the bit-plane engine); a two-cell-thick black L
+    // fills its corner one anti-diagonal per round, so round 2 changes 2
+    // cells (thin: back to the active engine) and round r changes r, until
+    // round 18 is dense again. The run hands over both ways twice.
+    const Torus t(Topology::ToroidalMesh, 24, 24);
+    ColorField field(t.size(), kWhite);
+    for (std::uint32_t k = 0; k < 22; ++k) {
+        field[t.index(0, k)] = field[t.index(1, k)] = kBlack;
+        field[t.index(k, 0)] = field[t.index(k, 1)] = kBlack;
+    }
+    for (std::uint32_t i = 5; i < 22; i += 3) {
+        for (std::uint32_t j = 5; j < 22; j += 3) field[t.index(i, j)] = kBlack;
+    }
+    const rules::RuleInfo& rule = rules::rule_or_throw("majority-prefer-black");
+    RunOptions opts;
+    opts.backend = Backend::Generic;
+    ChangeCounts counts;
+    opts.observers.push_back(&counts);
+    const RunResult reference = rule.run(t, field, opts);
+    ASSERT_EQ(hand_back_rounds(counts.counts, t.size()), (std::vector<std::uint32_t>{2, 38}));
+
+    ThreadPool pool(3);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        const sim::HandoverCounts before = sim::handover_counts();
+        RunOptions auto_opts;
+        auto_opts.pool = p;
+        auto_opts.parallel_grain = 1;
+        expect_results_identical(reference, rule.run(t, field, auto_opts),
+                                 p != nullptr ? "pooled" : "serial");
+        const sim::HandoverCounts after = sim::handover_counts();
+        EXPECT_EQ(after.to_bitplane - before.to_bitplane, 2u);
+        EXPECT_EQ(after.to_active - before.to_active, 2u);
+    }
+}
+
+TEST(RunSummaries, RepeatsRightAfterAHandBackAreCaught) {
+    // A period-2 blinker whose first repeat falls on the first or second
+    // round after Auto hands back to the active engine: the repeat check
+    // there compares the active engine's list with the hand-back round's,
+    // which the bit-plane engine listed from its packed states. Strong
+    // majority leaves 4-cell blinkers on random 64x64 fields; the fields
+    // are the first seeds that put the repeat one and two rounds after the
+    // last hand-back.
+    ThreadPool pool(3);
+    for (const char* name : {"strong-majority", "majority-prefer-current"}) {
+        const rules::RuleInfo& rule = rules::rule_or_throw(name);
+        for (const Topology topo : kTopologies) {
+            const Torus t(topo, 64, 64);
+            bool found[3] = {false, false, false};
+            for (std::uint64_t seed = 0; seed < 400 && !(found[1] && found[2]); ++seed) {
+                Xoshiro256 rng(seed);
+                const ColorField field = bicolor_field(t, 0.4, rng);
+                RunOptions opts;
+                opts.backend = Backend::Generic;
+                ChangeCounts counts;
+                opts.observers.push_back(&counts);
+                const RunResult reference = rule.run(t, field, opts);
+                const std::vector<std::uint32_t> backs = hand_back_rounds(counts.counts, t.size());
+                if (reference.termination != Termination::Cycle || backs.empty()) continue;
+                const std::uint32_t after = reference.rounds - backs.back();
+                if (after < 1 || after > 2 || found[after]) continue;
+                found[after] = true;
+                const std::string where = std::string(name) + "/" + to_string(topo) + "/seed" +
+                                          std::to_string(seed);
+                const sim::HandoverCounts before = sim::handover_counts();
+                expect_facts_and_lists_match(rule, t, field, Backend::Auto, reference, pool,
+                                             where);
+                const sim::HandoverCounts later = sim::handover_counts();
+                EXPECT_GE(later.to_bitplane - before.to_bitplane, 4u) << where;
+                EXPECT_GE(later.to_active - before.to_active, 4u) << where;
+            }
+            EXPECT_TRUE(found[1] && found[2]) << name << "/" << to_string(topo);
+        }
+    }
+}
+
+TEST(RunSummaries, MulticolorRunsWithoutARepeatCheckTakeFactsToo) {
+    // smp and incremental keep the hash detector, so their runs list every
+    // round - unless detect_cycles is off and nothing else reads lists.
+    // Then their bit-plane rounds are facts rounds over three planes.
+    Xoshiro256 rng(0x3c01);
+    ThreadPool pool(3);
+    for (const char* name : {"smp", "incremental"}) {
+        const rules::RuleInfo& rule = rules::rule_or_throw(name);
+        for (const Topology topo : kTopologies) {
+            for (const auto& [m, n] : {std::pair{2u, 7u}, {8u, 65u}, {64u, 64u}}) {
+                const Torus t(topo, m, n);
+                for (const Color colors : {Color(2), Color(4)}) {
+                    const ColorField field = random_field(t, colors, rng);
+                    const std::string where = std::string(name) + "/" + to_string(topo) + "/" +
+                                              std::to_string(m) + "x" + std::to_string(n) +
+                                              "/" + std::to_string(colors) + " colors";
+                    RunOptions opts;
+                    opts.detect_cycles = false;
+                    opts.max_rounds = 200;
+                    opts.backend = Backend::Generic;
+                    const RunResult reference = rule.run(t, field, opts);
+                    for (const Backend backend : {Backend::Auto, Backend::BitPlane}) {
+                        expect_facts_and_lists_match(rule, t, field, backend, reference, pool,
+                                                     where, opts);
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(RunActive, CheckerboardLimitCycleThroughRunner) {

@@ -2,7 +2,8 @@
 // an exhaustive enumeration of the SMP rule, and the packed / active /
 // parallel sweeps against the seed table-driven engine - bit-identical
 // round trajectories on all three topologies, including the degenerate
-// m = 2 / n = 2 grids where neighbor slots alias.
+// m = 2 / n = 2 grids where neighbor slots alias - and the bit-plane
+// engine's count-only rounds and whole-limb tests.
 #include <gtest/gtest.h>
 
 #include "core/run/simulate.hpp"
@@ -385,6 +386,124 @@ TEST(SimBitplane, StepCollectReportsChangesInAscendingVertexOrder) {
         }
         ASSERT_EQ(engine.colors(), oracle.colors()) << "round " << r;
     }
+}
+
+/// The bit-plane engine against the byte packed engine in lockstep, with
+/// count-only step() rounds, step_collect() rounds, collect_last_round()
+/// and colors() reads interleaved in a seeded pattern: whatever came
+/// before, each list - `before` included - and each colors() read must be
+/// the byte engine's.
+template <typename R>
+void interleaved_lockstep(Color colors) {
+    Xoshiro256 rng(0x1e4f);
+    for (const Topology topo : kTopologies) {
+        for (const auto& [m, n] : {std::pair{2u, 2u}, {2u, 9u}, {9u, 2u}, {8u, 63u}, {8u, 64u},
+                                   {8u, 65u}, {4u, 129u}}) {
+            const Torus t(topo, m, n);
+            const std::string where = std::string(R::kName) + " " + to_string(topo) + " " +
+                                      std::to_string(m) + "x" + std::to_string(n);
+            const ColorField f = random_field(t.size(), colors, rng);
+            sim::PackedEngineT<R> packed(t, f);
+            sim::BitplaneEngineT<R> bitplane(t, f);
+            for (int r = 0; r < 24; ++r) {
+                std::vector<CellChange> want, got;
+                const std::size_t changed = packed.step_collect(want);
+                const auto call = rng.below(4);
+                if (call == 0) {
+                    ASSERT_EQ(bitplane.step(), changed) << where << " round " << r;
+                } else if (call == 1) {
+                    ASSERT_EQ(bitplane.step(), changed) << where << " round " << r;
+                    bitplane.collect_last_round(got);
+                } else {
+                    ASSERT_EQ(bitplane.step_collect(got), changed) << where << " round " << r;
+                }
+                if (call != 0) {
+                    ASSERT_EQ(got.size(), want.size()) << where << " round " << r;
+                    for (std::size_t k = 0; k < want.size(); ++k) {
+                        ASSERT_EQ(got[k].v, want[k].v) << where << " round " << r;
+                        ASSERT_EQ(got[k].before, want[k].before) << where << " round " << r;
+                        ASSERT_EQ(got[k].after, want[k].after) << where << " round " << r;
+                    }
+                }
+                if (call == 3 || rng.below(3) == 0) {
+                    ASSERT_EQ(bitplane.colors(), packed.colors()) << where << " round " << r;
+                }
+            }
+            ASSERT_EQ(bitplane.colors(), packed.colors()) << where;
+        }
+    }
+}
+
+TEST(SimBitplane, CountOnlyRoundsKeepListsAndColorsExact) {
+    interleaved_lockstep<rules::MajorityPreferBlack>(2);
+    interleaved_lockstep<rules::StrongMajority>(2);
+    interleaved_lockstep<rules::Threshold<2>>(2);
+    interleaved_lockstep<sim::SmpRule>(5);
+}
+
+TEST(SimBitplane, MonochromaticIsAWholeLimbTest) {
+    // All white and all black, and one odd cell in an edge column (a fixup
+    // lane), at a limb boundary or mid-row, on rows of 63, 64, 65 and 129
+    // cells: the tail lanes of a row's last limb are zero whatever the
+    // fill. Majority-prefer-black removes a lone odd cell in one round, so
+    // the test is also read after a count-only step(), mirror stale.
+    for (const Topology topo : kTopologies) {
+        for (const std::uint32_t n : {63u, 64u, 65u, 129u}) {
+            for (const std::uint32_t m : {3u, 5u}) {
+                const Torus t(topo, m, n);
+                for (const Color fill : {kWhite, kBlack}) {
+                    const std::string where = std::string(to_string(topo)) + " " +
+                                              std::to_string(m) + "x" + std::to_string(n) +
+                                              (fill == kBlack ? " black" : " white");
+                    const ColorField uniform(t.size(), fill);
+                    sim::BitplaneEngineT<rules::MajorityPreferBlack> engine(t, uniform);
+                    EXPECT_TRUE(engine.monochromatic()) << where;
+                    EXPECT_EQ(engine.step(), 0u) << where;
+                    EXPECT_TRUE(engine.monochromatic()) << where;
+                    for (const std::uint32_t j : {0u, n - 1, 63u, n / 2}) {
+                        ColorField f = uniform;
+                        f[t.index(m - 1, std::min(j, n - 1))] = fill == kWhite ? kBlack : kWhite;
+                        engine.reset(f);
+                        EXPECT_FALSE(engine.monochromatic()) << where << " odd column " << j;
+                        EXPECT_EQ(engine.step(), 1u) << where << " odd column " << j;
+                        EXPECT_TRUE(engine.monochromatic()) << where << " odd column " << j;
+                        EXPECT_EQ(engine.colors(), uniform) << where << " odd column " << j;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimBitplane, RepeatsTwoBackNeedsTwoKnownRounds) {
+    // A checkerboard flips every round under majority-prefer-black: state 2
+    // is state 0. Stepped from a reset, the engine knows state t-2 from the
+    // second round on; seeded with the round that led to its state, from
+    // the first.
+    const Torus t(Topology::ToroidalMesh, 6, 70);
+    ColorField board(t.size());
+    for (grid::VertexId v = 0; v < t.size(); ++v) {
+        const auto c = t.coord(v);
+        board[v] = (c.i + c.j) % 2 == 0 ? kWhite : kBlack;
+    }
+    sim::BitplaneEngineT<rules::MajorityPreferBlack> engine(t, board);
+    EXPECT_FALSE(engine.repeats_two_back());
+    engine.step();
+    EXPECT_FALSE(engine.repeats_two_back());
+    engine.step();
+    EXPECT_TRUE(engine.repeats_two_back());
+
+    sim::PackedEngineT<rules::MajorityPreferBlack> packed(t, board);
+    std::vector<CellChange> last;
+    packed.step_collect(last);
+    engine.reset(packed.colors());
+    engine.seed_history(last);
+    EXPECT_FALSE(engine.repeats_two_back());
+    engine.step();
+    EXPECT_TRUE(engine.repeats_two_back());
+    std::vector<CellChange> changes;
+    engine.collect_last_round(changes);
+    EXPECT_EQ(changes.size(), t.size());
 }
 
 } // namespace
