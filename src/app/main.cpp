@@ -144,24 +144,24 @@ int cmd_run(int argc, char** argv) {
     return scenario::run(*s, ctx);
 }
 
-/// --workers=N (0 = hardware) as an optional pool held in `pool`. No
-/// pool below 2 workers — don't spawn threads a serial (or fully cached)
-/// run will never use.
-ThreadPool* workers_pool(const CliArgs& args, std::optional<ThreadPool>& pool) {
-    const std::int64_t workers_arg = args.get_int("workers", 0);
-    const unsigned workers =
-        workers_arg > 0 ? static_cast<unsigned>(workers_arg) : ThreadPool::default_threads();
-    if (workers <= 1) return nullptr;
-    pool.emplace(workers);
-    return &*pool;
-}
-
 /// --key as an integer no smaller than `min` (`fallback` when absent).
 std::int64_t int_at_least(const CliArgs& args, const std::string& key, std::int64_t fallback,
                           std::int64_t min) {
     const std::int64_t value = args.get_int(key, fallback);
     DYNAMO_REQUIRE(value >= min, "--" + key + " must be at least " + std::to_string(min));
     return value;
+}
+
+/// --workers=N (0 = hardware) as an optional pool held in `pool`. No
+/// pool below 2 workers — don't spawn threads a serial (or fully cached)
+/// run will never use.
+ThreadPool* workers_pool(const CliArgs& args, std::optional<ThreadPool>& pool) {
+    const std::int64_t workers_arg = int_at_least(args, "workers", 0, 0);
+    const unsigned workers =
+        workers_arg > 0 ? static_cast<unsigned>(workers_arg) : ThreadPool::default_threads();
+    if (workers <= 1) return nullptr;
+    pool.emplace(workers);
+    return &*pool;
 }
 
 /// Writes `text` to --out, or to stdout when --out is absent.

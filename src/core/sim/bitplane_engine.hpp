@@ -488,9 +488,9 @@ class BitplaneEngineT {
 
 /// Raw packed-plane throughput in cells/second: pack once, then time
 /// `rounds` sweep+count rounds after `warmup` (best of two passes, like
-/// the byte-path bench arms). This is what the registry exposes to
-/// bench_perf_engine's bit-plane section - the mirror/change machinery of
-/// the full engine is deliberately out of the measured loop, mirroring
+/// the byte-path bench arms). This is what the registry exposes to the
+/// perf_engine scenario's bit-plane section - the mirror/change machinery
+/// of the full engine is deliberately out of the measured loop, mirroring
 /// how the byte arms time the raw sweeps.
 template <LocalRule R>
 double bitplane_cells_per_sec(const grid::Torus& torus, const ColorField& field, int warmup,

@@ -127,8 +127,11 @@ class HybridEngineT {
     /// caller steps step_collect. A hand-back writes the round's changes -
     /// fewer than |V| / kThinDivisor - to `out`, so the first active round
     /// after it can still compare state(t) with state(t-2) through two
-    /// lists. Kept out of line, so the list path's loop in run_to_terminal
-    /// compiles as it would without it.
+    /// lists. A round that changes nothing or leaves the field
+    /// monochromatic ends the run, so it hands nothing back (a run that
+    /// steps on past quiescence stays on the bit-plane engine). Kept out
+    /// of line, so the list path's loop in run_to_terminal compiles as it
+    /// would without it.
     [[gnu::noinline]] std::optional<RoundFacts> step_facts(std::vector<CellChange>& out,
                                                            ThreadPool* pool = nullptr,
                                                            std::size_t grain = 1 << 14) {
@@ -137,7 +140,7 @@ class HybridEngineT {
         BitplaneEngineT<R>& engine = *bitplane_;
         const RoundFacts facts{engine.step(pool, grain), engine.monochromatic(),
                                engine.repeats_two_back()};
-        if (hands_back(facts.changed)) {
+        if (facts.changed != 0 && !facts.monochromatic && hands_back(facts.changed)) {
             engine.collect_last_round(out);
             to_active();
         }

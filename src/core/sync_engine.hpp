@@ -35,7 +35,7 @@ namespace dynamo {
 
 /// The SMP-Protocol as a runtime rule functor: the baseline the packed
 /// engine is oracle-tested (tests/test_sim_packed.cpp) and benchmarked
-/// (bench/bench_perf_engine.cpp) against.
+/// (the perf_engine scenario, bench/bench_perf_engine.cpp) against.
 struct ReferenceSmpRule {
     Color operator()(Color own, const std::array<Color, grid::kDegree>& nbr) const noexcept {
         return smp_update(own, nbr);
@@ -132,5 +132,10 @@ class BasicSyncEngine {
     ColorField next_;
     std::uint32_t round_ = 0;
 };
+
+/// The reference engine's run loop is compiled once, in rules/registry.cpp
+/// (Backend::Generic's run): a caller that runs the engine directly links
+/// that copy instead of compiling its own.
+extern template RunResult run_to_terminal<BasicSyncEngine>(BasicSyncEngine&, const RunOptions&);
 
 } // namespace dynamo

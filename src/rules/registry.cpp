@@ -20,6 +20,13 @@
 #include "rules/majority.hpp"
 #include "rules/threshold.hpp"
 
+namespace dynamo {
+
+// The one copy of the reference engine's run loop (core/sync_engine.hpp).
+template RunResult run_to_terminal<BasicSyncEngine>(BasicSyncEngine&, const RunOptions&);
+
+} // namespace dynamo
+
 namespace dynamo::rules {
 
 namespace {

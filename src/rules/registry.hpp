@@ -89,8 +89,8 @@ struct RuleInfo {
     std::unique_ptr<RuleVerifier> (*make_search_verifier)(const grid::Torus&);
 
     /// Raw bit-plane sweep throughput (sim::bitplane_cells_per_sec<R>),
-    /// for bench_perf_engine's bit-plane section. Every registered rule has
-    /// a word kernel: registering one without fails to compile.
+    /// for the perf_engine scenario's bit-plane section. Every registered
+    /// rule has a word kernel: registering one without fails to compile.
     double (*bitplane_cells_per_sec)(const grid::Torus&, const ColorField&, int warmup,
                                      int rounds);
 

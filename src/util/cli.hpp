@@ -1,7 +1,6 @@
 // dynamo/util/cli.hpp
 //
-// Tiny argument parser shared by the `dynamo` CLI, the scenario layer,
-// and bench_perf_engine.
+// Tiny argument parser shared by the `dynamo` CLI and the scenario layer.
 //
 // Grammar actually parsed (exactly this, nothing more):
 //
@@ -15,6 +14,10 @@
 //                   get_flag()/has().
 //   anything else   positional argument, kept in order. A lone "-" and
 //                   single-dash tokens ("-x") are positionals, not flags.
+//
+// A number parses completely or not at all: get_int("2oops"),
+// get_int("1.9") and get_double("0.5x") throw std::invalid_argument
+// naming the flag instead of reading the leading digits.
 //
 // Ambiguity: without a schema, `--flag token` cannot distinguish a bare
 // flag followed by a positional from a key/value pair — the parser greedily
@@ -105,7 +108,7 @@ class CliArgs {
         if (it == values_.end()) return fallback;
         std::istringstream is(it->second);
         std::int64_t v = 0;
-        DYNAMO_REQUIRE(static_cast<bool>(is >> v),
+        DYNAMO_REQUIRE(static_cast<bool>(is >> v) && is.eof(),
                        "--" + key + " expects an integer, got '" + it->second + "'");
         return v;
     }
@@ -117,7 +120,8 @@ class CliArgs {
         if (it == values_.end()) return fallback;
         std::istringstream is(it->second);
         std::uint64_t v = 0;
-        DYNAMO_REQUIRE(static_cast<bool>(is >> v) && it->second.find('-') == std::string::npos,
+        DYNAMO_REQUIRE(static_cast<bool>(is >> v) && is.eof() &&
+                           it->second.find('-') == std::string::npos,
                        "--" + key + " expects an unsigned integer, got '" + it->second + "'");
         return v;
     }
@@ -127,7 +131,7 @@ class CliArgs {
         if (it == values_.end()) return fallback;
         std::istringstream is(it->second);
         double v = 0;
-        DYNAMO_REQUIRE(static_cast<bool>(is >> v),
+        DYNAMO_REQUIRE(static_cast<bool>(is >> v) && is.eof(),
                        "--" + key + " expects a number, got '" + it->second + "'");
         return v;
     }

@@ -863,6 +863,60 @@ TEST(RunSummaries, MulticolorRunsWithoutARepeatCheckTakeFactsToo) {
     }
 }
 
+TEST(RunSummaries, AutoHandsNothingBackOnTheRoundThatEndsTheRun) {
+    // A facts round that changes nothing (a fixed point) or leaves the
+    // field monochromatic ends the run, so Auto must not restart the
+    // active engine after it. On the 8x8 and 12x12 tori (|V| < 256) only a
+    // zero-change round is thin, so a run there that ends on a fixed point
+    // or monochromatic hands back nothing at all.
+    Xoshiro256 rng(0xe4d5);
+    std::size_t on_bitplane = 0;  // runs that reached the bit-plane engine
+    for (const rules::RuleInfo* rule : bicolor_rules()) {
+        for (const Topology topo : kTopologies) {
+            for (const std::uint32_t side : {8u, 12u}) {
+                const Torus t(topo, side, side);
+                for (const double black : {0.2, 0.4, 0.5, 0.6, 0.8}) {
+                    const ColorField field = bicolor_field(t, black, rng);
+                    RunOptions opts;
+                    opts.backend = Backend::Generic;
+                    const RunResult reference = rule->run(t, field, opts);
+                    if (reference.termination != Termination::FixedPoint &&
+                        reference.termination != Termination::Monochromatic) {
+                        continue;
+                    }
+                    const std::string where = std::string(rule->name) + "/" + to_string(topo) +
+                                              "/" + std::to_string(side) + "/black" +
+                                              std::to_string(black);
+                    const sim::HandoverCounts before = sim::handover_counts();
+                    expect_results_identical(reference, rule->run(t, field, {}), where);
+                    const sim::HandoverCounts after = sim::handover_counts();
+                    EXPECT_EQ(after.to_active, before.to_active) << where;
+                    on_bitplane += after.to_bitplane != before.to_bitplane;
+                }
+            }
+        }
+    }
+    EXPECT_GT(on_bitplane, 0u);
+
+    // threshold-1 on a 128^2 mesh at 30 % black: rounds of 8716, 2543, 142
+    // and 2 changes, and the thin last one leaves the torus black. Only
+    // the first is dense and only the last is thin.
+    const Torus t(Topology::ToroidalMesh, 128, 128);
+    Xoshiro256 field_rng(0x30);
+    const ColorField field = bicolor_field(t, 0.3, field_rng);
+    const rules::RuleInfo& rule = rules::rule_or_throw("threshold-1");
+    RunOptions opts;
+    opts.backend = Backend::Generic;
+    const RunResult reference = rule.run(t, field, opts);
+    ASSERT_EQ(reference.termination, Termination::Monochromatic);
+    ASSERT_EQ(reference.rounds, 4u);
+    const sim::HandoverCounts before = sim::handover_counts();
+    expect_results_identical(reference, rule.run(t, field, {}), "threshold-1/128x128");
+    const sim::HandoverCounts after = sim::handover_counts();
+    EXPECT_EQ(after.to_bitplane - before.to_bitplane, 1u);
+    EXPECT_EQ(after.to_active - before.to_active, 0u);
+}
+
 TEST(RunActive, CheckerboardLimitCycleThroughRunner) {
     // Active-engine terminal behaviour 1: the period-2 checkerboard flip,
     // previously only exercised on packed-engine paths.

@@ -75,7 +75,7 @@ TEST(Registry, HasTheFullCatalog) {
           "search_scaling", "quickstart", "fault_containment", "viral_marketing",
           "wavefront_frames", "opinion_scalefree", "mc_density_point",
           "search_scaling_point", "perf_smp_sweep", "mc_critical_density",
-          "adaptive_mc"}) {
+          "adaptive_mc", "perf_engine"}) {
         EXPECT_NE(find(name), nullptr) << name;
     }
 }
@@ -144,6 +144,63 @@ TEST(Registry, GraphEngineRunsItsDeclaredDefaultSeed) {
     params.erase("seed");
     EXPECT_EQ(first_line(params), with_seed);
     EXPECT_NE(with_seed.find("seed " + declared), std::string::npos) << with_seed;
+}
+
+TEST(Registry, PerfEngineReportCarriesTheFieldsCiGatesOn) {
+    // CI's bench-smoke scripts read these fields of the perf_engine record
+    // and gate on them; every identity flag must hold at any size.
+    const Scenario* s = find("perf_engine");
+    ASSERT_NE(s, nullptr);
+    ScratchDir dir("perf_engine");
+    fs::create_directories(dir.path());
+    const std::string path = (fs::path(dir.path()) / "perf.json").string();
+    const CliArgs args(std::map<std::string, std::string>{{"json-report", path},
+                                                          {"side", "64"},
+                                                          {"rounds", "2"},
+                                                          {"warmup", "1"},
+                                                          {"workers", "2"},
+                                                          {"mc-trials", "4"}});
+    std::ostringstream out;
+    Context ctx{args, out, {}};
+    ASSERT_EQ(run(*s, ctx), 0);
+    EXPECT_TRUE(ctx.metrics.empty());
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << path;
+    const util::Json report = util::Json::parse(
+        std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()),
+        path);
+
+    const auto number = [&report](const std::string& key) {
+        const util::Json* v = report.find(key);
+        return v != nullptr && v->is_number();
+    };
+    const auto identical = [](const util::Json& entry) {
+        const util::Json* v = entry.find("bit_identical");
+        return v != nullptr && v->as_bool();
+    };
+    EXPECT_TRUE(number("rules_target_speedup"));
+    EXPECT_TRUE(number("bitplane_target_speedup"));
+    EXPECT_TRUE(number("mesh_speedup"));
+    ASSERT_NE(report.find("results"), nullptr);
+    EXPECT_EQ(report.find("results")->as_array().size(), 3u);
+    for (const util::Json& topo : report.find("results")->as_array()) {
+        EXPECT_TRUE(identical(topo)) << topo.dump();
+    }
+    for (const char* section : {"rules", "bitplane"}) {
+        const util::Json* entries = report.find(section);
+        ASSERT_NE(entries, nullptr) << section;
+        EXPECT_EQ(entries->as_object().size(), rules::all_rules().size()) << section;
+        for (const auto& [name, entry] : entries->as_object()) {
+            EXPECT_TRUE(identical(entry)) << section << "/" << name;
+        }
+        const util::Json* majority = entries->find("majority-prefer-black");
+        ASSERT_NE(majority, nullptr) << section;
+        const util::Json* speedup = majority->find("speedup");
+        EXPECT_TRUE(speedup != nullptr && speedup->is_number()) << section;
+    }
+    const util::Json* all_identical = report.find("bitplane_all_bit_identical");
+    ASSERT_NE(all_identical, nullptr);
+    EXPECT_TRUE(all_identical->as_bool());
 }
 
 TEST(Registry, ListOutputsAreStable) {

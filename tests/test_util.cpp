@@ -229,6 +229,27 @@ TEST(CliArgs, Uint64CoversFullRangeAndRejectsNegatives) {
     EXPECT_THROW(args.get_uint64("bad", 0), std::invalid_argument);
 }
 
+TEST(CliArgs, NumbersParseCompletely) {
+    // A number with trailing characters is rejected, not read up to them.
+    const std::map<std::string, std::string> params{
+        {"workers", "2oops"}, {"fraction", "1.9"}, {"seed", "12abc"},
+        {"rate", "0.5x"}, {"offset", "-3"}, {"epsilon", "1e-3"}};
+    const CliArgs args(params);
+    for (const char* key : {"workers", "fraction"}) {
+        try {
+            args.get_int(key, 0);
+            ADD_FAILURE() << key << " parsed as an integer";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("--") + key), std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(args.get_uint64("seed", 0), std::invalid_argument);
+    EXPECT_THROW(args.get_double("rate", 0.0), std::invalid_argument);
+    EXPECT_EQ(args.get_int("offset", 0), -3);
+    EXPECT_DOUBLE_EQ(args.get_double("epsilon", 0.0), 1e-3);
+}
+
 TEST(CliArgs, MapConstructorBindsParams) {
     const std::map<std::string, std::string> params{{"m", "6"}, {"density", "0.25"}};
     CliArgs args(params);
