@@ -81,14 +81,14 @@ int scenario_main(dynamo::scenario::Context& ctx) {
                "  --oracle-trials N     fixed-census trials per grid point (default 10000)\n";
         return 0;
     }
-    const auto m = static_cast<std::uint32_t>(args.get_int("m", 8));
-    const auto n = static_cast<std::uint32_t>(args.get_int("n", 8));
+    const auto m = args.get_int_as<std::uint32_t>("m", 8);
+    const auto n = args.get_int_as<std::uint32_t>("n", 8);
     const rules::RuleInfo& rule =
         rules::rule_or_throw(args.get_string("rule", "majority-prefer-black"));
     const auto colors = static_cast<Color>(rule.bicolor() ? 2 : 4);
     const double epsilon = args.get_double("epsilon", 0.01);
     const double delta = args.get_double("delta", 0.05);
-    const auto oracle_trials = static_cast<std::size_t>(args.get_int("oracle-trials", 10000));
+    const auto oracle_trials = args.get_int_as<std::size_t>("oracle-trials", 10000);
     const bool write_json = args.has("json-report");
     std::string path = args.get_string("json-report", "");
     if (path.empty()) path = "BENCH_adaptive_mc.json";  // bare --json-report flag

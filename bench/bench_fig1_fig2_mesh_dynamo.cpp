@@ -16,8 +16,8 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     using namespace dynamo;
     using namespace dynamo::bench;
     const CliArgs& args = ctx.args;
-    const auto m = static_cast<std::uint32_t>(args.get_int("m", 9));
-    const auto n = static_cast<std::uint32_t>(args.get_int("n", 9));
+    const auto m = args.get_int_as<std::uint32_t>("m", 9);
+    const auto n = args.get_int_as<std::uint32_t>("n", 9);
 
     print_banner(out, "Figures 1 & 2 - minimum monotone dynamo on the toroidal mesh");
     out << "paper: |S_k| = m + n - 2 = " << mesh_size_lower_bound(m, n) << " on a " << m

@@ -21,8 +21,8 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     using namespace dynamo;
     using namespace dynamo::bench;
     const CliArgs& args = ctx.args;
-    const auto m = static_cast<std::uint32_t>(args.get_int("m", 9));
-    const auto n = static_cast<std::uint32_t>(args.get_int("n", 9));
+    const auto m = args.get_int_as<std::uint32_t>("m", 9);
+    const auto n = args.get_int_as<std::uint32_t>("n", 9);
     grid::Torus torus(grid::Topology::ToroidalMesh, m, n);
 
     print_banner(out, "Figure 3 - black nodes do not constitute a dynamo");

@@ -104,7 +104,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     std::ostream& out = ctx.out;
     const CliArgs& args = ctx.args;
     const std::string kind = args.get_string("kind", "ba");
-    const auto n = static_cast<std::size_t>(args.get_int("n", 1'000'000));
+    const auto n = args.get_int_as<std::size_t>("n", 1'000'000);
     const double gparam = args.get_double("gparam", 0.0);
     const graphx::PluralityThreshold threshold =
         threshold_from_name(args.get_string("grule", "plurality-simple"));
@@ -113,7 +113,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     // precisely the workload shape the frontier engine exists for (0.5
     // flips the whole graph every round and favors the full sweep).
     const double density = args.get_double("density", 0.45);
-    const auto cap = static_cast<std::uint32_t>(args.get_int("rounds", 256));
+    const auto cap = args.get_int_as<std::uint32_t>("rounds", 256);
     const std::uint64_t seed = args.get_uint64("seed", 809489);
     const auto workers_arg = args.get_int("workers", 0);
     const unsigned workers =

@@ -74,9 +74,9 @@ double mc_serial_trials_per_sec(const grid::Torus& torus, std::size_t trials,
     return static_cast<double>(trials) / seconds;
 }
 
-/// Trials/sec of the new across-trial path: BatchRunner substreams +
-/// Backend::Auto (active-set or bit-plane per round of each trial),
-/// optionally pooled.
+/// Trials/sec of the across-trial path: BatchRunner substreams +
+/// Backend::Auto, which at this size runs the trials 64 at a time on lane
+/// batches (analysis/montecarlo.cpp), optionally pooled.
 double mc_batch_trials_per_sec(const grid::Torus& torus, std::size_t trials,
                                std::uint64_t seed, double density, ThreadPool* pool) {
     Stopwatch watch;
@@ -182,9 +182,9 @@ bool bitplane_runs_identical(const rules::RuleInfo& rule, const grid::Torus& tor
 int scenario_main(scenario::Context& ctx) {
     const CliArgs& args = ctx.args;
     std::ostream& log = ctx.out;
-    const auto side = static_cast<std::uint32_t>(args.get_int("side", 1024));
-    const int rounds = static_cast<int>(args.get_int("rounds", 16));
-    const int warmup = static_cast<int>(args.get_int("warmup", 3));
+    const auto side = args.get_int_as<std::uint32_t>("side", 1024);
+    const int rounds = args.get_int_as<int>("rounds", 16);
+    const int warmup = args.get_int_as<int>("warmup", 3);
     const std::int64_t workers_arg = args.get_int("workers", 0);
     const unsigned workers = workers_arg > 0 ? static_cast<unsigned>(workers_arg)
                                              : ThreadPool::default_threads();
@@ -245,7 +245,7 @@ int scenario_main(scenario::Context& ctx) {
     // on multicore hosts).
     constexpr double kMcTargetSpeedup = 2.0;
     constexpr double kMcDensity = 0.45;
-    const auto mc_trials = static_cast<std::size_t>(args.get_int("mc-trials", 96));
+    const auto mc_trials = args.get_int_as<std::size_t>("mc-trials", 96);
     const grid::Torus mc_torus(grid::Topology::ToroidalMesh, 64, 64);
     mc_batch_trials_per_sec(mc_torus, 8, 0x7a11, kMcDensity, smp);  // warm pool + caches
     const double mc_seed_tps =

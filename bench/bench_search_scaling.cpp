@@ -96,12 +96,12 @@ int scenario_main(dynamo::scenario::Context& ctx) {
         return 0;
     }
     const auto topology = grid::topology_from_string(args.get_string("topology", "mesh"));
-    const auto rows = static_cast<std::uint32_t>(args.get_int("rows", 4));
-    const auto cols = static_cast<std::uint32_t>(args.get_int("cols", 4));
-    const auto colors = static_cast<Color>(args.get_int("colors", 3));
-    const auto max_size = static_cast<std::uint32_t>(args.get_int("max-size", 6));
-    const auto budget = static_cast<std::uint64_t>(args.get_int("budget", 2'000'000));
-    const auto shards = static_cast<unsigned>(args.get_int("shards", 8));
+    const auto rows = args.get_int_as<std::uint32_t>("rows", 4);
+    const auto cols = args.get_int_as<std::uint32_t>("cols", 4);
+    const auto colors = args.get_int_as<Color>("colors", 3);
+    const auto max_size = args.get_int_as<std::uint32_t>("max-size", 6);
+    const auto budget = args.get_int_as<std::uint64_t>("budget", 2'000'000);
+    const auto shards = args.get_int_as<unsigned>("shards", 8);
     const auto workers_arg = args.get_int("workers", 0);
     const auto workers =
         workers_arg > 0 ? static_cast<unsigned>(workers_arg) : ThreadPool::default_threads();

@@ -17,7 +17,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     using namespace dynamo;
     using namespace dynamo::bench;
     const CliArgs& args = ctx.args;
-    const auto max_dim = static_cast<std::uint32_t>(args.get_int("max-dim", 24));
+    const auto max_dim = args.get_int_as<std::uint32_t>("max-dim", 24);
 
     print_banner(out,
                  "B1 - SMP minimum dynamos vs bi-color majority baselines (full cross seeds)");

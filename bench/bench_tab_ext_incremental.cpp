@@ -15,7 +15,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     using namespace dynamo;
     using namespace dynamo::bench;
     const CliArgs& args = ctx.args;
-    const auto max_dim = static_cast<std::uint32_t>(args.get_int("max-dim", 13));
+    const auto max_dim = args.get_int_as<std::uint32_t>("max-dim", 13);
 
     print_banner(out,
                  "X2 - ordered '+1' recoloring vs SMP on Theorem-2 mesh configurations");

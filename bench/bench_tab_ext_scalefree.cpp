@@ -54,8 +54,8 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     std::ostream& out = ctx.out;
     using namespace dynamo::bench;
     const dynamo::CliArgs& args = ctx.args;
-    const auto n = static_cast<std::size_t>(args.get_int("n", 400));
-    const auto trials = static_cast<std::size_t>(args.get_int("trials", 12));
+    const auto n = args.get_int_as<std::size_t>("n", 400);
+    const auto trials = args.get_int_as<std::size_t>("trials", 12);
 
     print_banner(out,
                  "X1 - SMP plurality protocol on general graphs: seed strategy comparison");

@@ -16,9 +16,9 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     using namespace dynamo;
     using namespace dynamo::bench;
     const CliArgs& args = ctx.args;
-    const auto m = static_cast<std::uint32_t>(args.get_int("m", 9));
-    const auto n = static_cast<std::uint32_t>(args.get_int("n", 9));
-    const auto trials = static_cast<std::size_t>(args.get_int("trials", 20));
+    const auto m = args.get_int_as<std::uint32_t>("m", 9);
+    const auto n = args.get_int_as<std::uint32_t>("n", 9);
+    const auto trials = args.get_int_as<std::size_t>("trials", 20);
 
     print_banner(out,
                  "X3 - Theorem-2 dynamo under intermittent links (edge up-probability sweep)");

@@ -16,10 +16,10 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     using namespace dynamo;
     using namespace dynamo::bench;
     const CliArgs& args = ctx.args;
-    const auto m = static_cast<std::uint32_t>(args.get_int("m", 12));
-    const auto n = static_cast<std::uint32_t>(args.get_int("n", 12));
-    const auto trials = static_cast<std::size_t>(args.get_int("trials", 120));
-    const auto colors = static_cast<Color>(args.get_int("colors", 4));
+    const auto m = args.get_int_as<std::uint32_t>("m", 12);
+    const auto n = args.get_int_as<std::uint32_t>("n", 12);
+    const auto trials = args.get_int_as<std::size_t>("trials", 120);
+    const auto colors = args.get_int_as<Color>("colors", 4);
     const auto workers_arg = args.get_int("workers", 0);
     const auto workers =
         workers_arg > 0 ? static_cast<unsigned>(workers_arg) : ThreadPool::default_threads();

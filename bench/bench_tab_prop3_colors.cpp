@@ -22,7 +22,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     using namespace dynamo;
     using namespace dynamo::bench;
     const CliArgs& args = ctx.args;
-    const auto max_dim = static_cast<std::uint32_t>(args.get_int("max-dim", 9));
+    const auto max_dim = args.get_int_as<std::uint32_t>("max-dim", 9);
 
     print_banner(out, "Proposition 3 - N = 2: a k column on an m x 2 mesh");
     ConsoleTable n2({"m", "|C|", "foreign pattern", "dynamo"});

@@ -28,7 +28,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     using namespace dynamo;
     using namespace dynamo::bench;
     const CliArgs& args = ctx.args;
-    const auto max_dim = static_cast<std::uint32_t>(args.get_int("max-dim", 16));
+    const auto max_dim = args.get_int_as<std::uint32_t>("max-dim", 16);
 
     print_banner(out,
                  "Theorems 1 & 2 - mesh dynamo size: construction vs lower bound m+n-2");

@@ -16,7 +16,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     using namespace dynamo;
     using namespace dynamo::bench;
     const CliArgs& args = ctx.args;
-    const auto max_dim = static_cast<std::uint32_t>(args.get_int("max-dim", 15));
+    const auto max_dim = args.get_int_as<std::uint32_t>("max-dim", 15);
 
     print_banner(out, "Theorem 7 - mesh rounds: full-cross configuration (Figure 5 wave)");
     ConsoleTable cross({"m", "n", "measured", "paper 2*max", "vs paper", "derived sum",

@@ -19,7 +19,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     using namespace dynamo;
     using namespace dynamo::bench;
     const CliArgs& args = ctx.args;
-    const auto max_dim = static_cast<std::uint32_t>(args.get_int("max-dim", 14));
+    const auto max_dim = args.get_int_as<std::uint32_t>("max-dim", 14);
 
     for (const grid::Topology topo :
          {grid::Topology::TorusCordalis, grid::Topology::TorusSerpentinus}) {

@@ -28,8 +28,8 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     std::ostream& out = ctx.out;
     using namespace dynamo;
     const CliArgs& args = ctx.args;
-    const auto m = static_cast<std::uint32_t>(args.get_int("m", 10));
-    const auto n = static_cast<std::uint32_t>(args.get_int("n", 10));
+    const auto m = args.get_int_as<std::uint32_t>("m", 10);
+    const auto n = args.get_int_as<std::uint32_t>("n", 10);
     grid::Torus array(grid::Topology::ToroidalMesh, m, n);
     const Color faulty = 1;
 

@@ -30,8 +30,8 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     std::ostream& out = ctx.out;
     using namespace dynamo;
     const CliArgs& args = ctx.args;
-    const auto n = static_cast<std::size_t>(args.get_int("n", 500));
-    const auto trials = static_cast<std::size_t>(args.get_int("trials", 15));
+    const auto n = args.get_int_as<std::size_t>("n", 500);
+    const auto trials = args.get_int_as<std::size_t>("trials", 15);
     const std::string kind = args.get_string("kind", "ba");
     const double gparam = args.get_double("gparam", kind == "ba" ? 3.0 : 0.0);
 

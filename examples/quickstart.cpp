@@ -23,8 +23,8 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     const CliArgs& args = ctx.args;
     const grid::Topology topo =
         grid::topology_from_string(args.get_string("topology", "mesh"));
-    const auto m = static_cast<std::uint32_t>(args.get_int("m", 9));
-    const auto n = static_cast<std::uint32_t>(args.get_int("n", 9));
+    const auto m = args.get_int_as<std::uint32_t>("m", 9);
+    const auto n = args.get_int_as<std::uint32_t>("n", 9);
 
     // 1. A torus (Definition 1 / cordalis / serpentinus).
     grid::Torus torus(topo, m, n);

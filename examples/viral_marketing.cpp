@@ -29,9 +29,9 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     std::ostream& out = ctx.out;
     using namespace dynamo;
     const CliArgs& args = ctx.args;
-    const auto m = static_cast<std::uint32_t>(args.get_int("m", 12));
-    const auto n = static_cast<std::uint32_t>(args.get_int("n", 18));
-    const auto trials = static_cast<std::size_t>(args.get_int("trials", 40));
+    const auto m = args.get_int_as<std::uint32_t>("m", 12);
+    const auto n = args.get_int_as<std::uint32_t>("n", 18);
+    const auto trials = args.get_int_as<std::size_t>("trials", 40);
 
     grid::Torus market(grid::Topology::TorusCordalis, m, n);
     out << "market: " << market.size() << " customers on a " << m << "x" << n

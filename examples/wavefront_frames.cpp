@@ -27,10 +27,10 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     const CliArgs& args = ctx.args;
     const grid::Topology topo =
         grid::topology_from_string(args.get_string("topology", "cordalis"));
-    const auto m = static_cast<std::uint32_t>(args.get_int("m", 16));
-    const auto n = static_cast<std::uint32_t>(args.get_int("n", 16));
+    const auto m = args.get_int_as<std::uint32_t>("m", 16);
+    const auto n = args.get_int_as<std::uint32_t>("n", 16);
     const std::string outdir = args.get_string("outdir", "/tmp/dynamo_frames");
-    const auto every = static_cast<std::uint32_t>(args.get_int("every", 1));
+    const auto every = args.get_int_as<std::uint32_t>("every", 1);
 
     grid::Torus torus(topo, m, n);
     const Configuration cfg = build_minimum_dynamo(torus);

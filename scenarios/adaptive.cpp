@@ -41,11 +41,10 @@ std::string fmt(double v) {
 
 int run_mc_critical_density(Context& ctx) {
     const auto topo = grid::topology_from_string(ctx.args.get_string("topology", "mesh"));
-    const auto m = static_cast<std::uint32_t>(ctx.args.get_int("m", 12));
-    const auto n = static_cast<std::uint32_t>(ctx.args.get_int("n", 12));
+    const auto m = ctx.args.get_int_as<std::uint32_t>("m", 12);
+    const auto n = ctx.args.get_int_as<std::uint32_t>("n", 12);
     const rules::RuleInfo& rule = rules::rule_or_throw(ctx.args.get_string("rule", "smp"));
-    const auto colors = static_cast<Color>(
-        ctx.args.get_int("colors", rule.bicolor() ? 2 : 4));
+    const auto colors = ctx.args.get_int_as<Color>("colors", rule.bicolor() ? 2 : 4);
     DYNAMO_REQUIRE(rule.admits_palette(colors),
                    std::string("palette size inadmissible for rule '") + rule.name + "'");
     const std::uint64_t seed = ctx.args.get_uint64("seed", 97111);
@@ -53,9 +52,9 @@ int run_mc_critical_density(Context& ctx) {
         backend_from_name(ctx.args.get_string("backend", "auto")).value();
 
     stats::RefineOptions refine;
-    refine.ladder = static_cast<std::size_t>(ctx.args.get_int("ladder", 6));
+    refine.ladder = ctx.args.get_int_as<std::size_t>("ladder", 6);
     refine.bracket_target = ctx.args.get_double("bracket_target", 0.02);
-    refine.max_probes = static_cast<std::size_t>(ctx.args.get_int("max_probes", 32));
+    refine.max_probes = ctx.args.get_int_as<std::size_t>("max_probes", 32);
 
     analysis::AdaptiveOptions probe_opts;
     const std::string boundary_str = ctx.args.get_string("boundary", "eb");
@@ -69,7 +68,7 @@ int run_mc_critical_density(Context& ctx) {
     // budget so the WHOLE bracket is valid at 1 - delta.
     probe_opts.stopping.union_count = refine.max_probes;
     probe_opts.stopping.decision_threshold = 0.5;
-    probe_opts.max_trials = static_cast<std::size_t>(ctx.args.get_int("max_trials", 10000));
+    probe_opts.max_trials = ctx.args.get_int_as<std::size_t>("max_trials", 10000);
 
     const Color k = rule.bicolor() ? kBlack : Color(1);
     const grid::Torus torus(topo, m, n);

@@ -34,11 +34,11 @@ std::string fmt(double v) {
 
 int run_graph_dynamics_point(Context& ctx) {
     const std::string kind = ctx.args.get_string("kind", "ba");
-    const auto n = static_cast<std::size_t>(ctx.args.get_int("n", 4096));
+    const auto n = ctx.args.get_int_as<std::size_t>("n", 4096);
     const double gparam = ctx.args.get_double("gparam", 0.0);
     const std::string grule = ctx.args.get_string("grule", "plurality-simple");
     const double density = ctx.args.get_double("density", 0.3);
-    const auto trials = static_cast<std::size_t>(ctx.args.get_int("trials", 32));
+    const auto trials = ctx.args.get_int_as<std::size_t>("trials", 32);
     const std::uint64_t seed = ctx.args.get_uint64("seed", 97251);
     const std::string stream_path = ctx.args.get_string("stream", "");
 

@@ -38,13 +38,12 @@ std::string fmt(double v) {
 
 int run_mc_density_point(Context& ctx) {
     const auto topo = grid::topology_from_string(ctx.args.get_string("topology", "mesh"));
-    const auto m = static_cast<std::uint32_t>(ctx.args.get_int("m", 12));
-    const auto n = static_cast<std::uint32_t>(ctx.args.get_int("n", 12));
+    const auto m = ctx.args.get_int_as<std::uint32_t>("m", 12);
+    const auto n = ctx.args.get_int_as<std::uint32_t>("n", 12);
     const rules::RuleInfo& rule = rules::rule_or_throw(ctx.args.get_string("rule", "smp"));
     // Bi-color rules narrow the default palette to {white, black}; an
     // explicit --colors still wins (and is validated against the rule).
-    const auto colors = static_cast<Color>(
-        ctx.args.get_int("colors", rule.bicolor() ? 2 : 4));
+    const auto colors = ctx.args.get_int_as<Color>("colors", rule.bicolor() ? 2 : 4);
     DYNAMO_REQUIRE(rule.admits_palette(colors),
                    std::string("palette size inadmissible for rule '") + rule.name + "'");
     const double density = ctx.args.get_double("density", 0.3);
@@ -61,7 +60,7 @@ int run_mc_density_point(Context& ctx) {
     DYNAMO_REQUIRE(!(adaptive && ctx.args.has("trials")),
                    "adaptive mode (ci_target > 0) decides the trial count itself; "
                    "drop trials= or set ci_target=0");
-    const auto trials = static_cast<std::size_t>(ctx.args.get_int("trials", 120));
+    const auto trials = ctx.args.get_int_as<std::size_t>("trials", 120);
 
     // The seeded faction: color 1 under color-symmetric rules, the black
     // (faulty) faction under the bi-color baselines.
@@ -80,9 +79,8 @@ int run_mc_density_point(Context& ctx) {
         opts.stopping.boundary = *boundary;
         opts.stopping.ci_target = ci_target;
         opts.stopping.delta = ctx.args.get_double("delta", 0.05);
-        opts.stopping.union_count =
-            static_cast<std::size_t>(ctx.args.get_int("union", 1));
-        opts.max_trials = static_cast<std::size_t>(ctx.args.get_int("max_trials", 10000));
+        opts.stopping.union_count = ctx.args.get_int_as<std::size_t>("union", 1);
+        opts.max_trials = ctx.args.get_int_as<std::size_t>("max_trials", 10000);
         // Serial inside the point: campaigns parallelize ACROSS points, and
         // the adaptive runner is chunk- and pool-invariant anyway.
         ap = analysis::run_density_point_adaptive(torus, k, density, colors, seed, opts,
@@ -167,14 +165,13 @@ int run_mc_density_point(Context& ctx) {
 
 int run_search_scaling_point(Context& ctx) {
     const auto topo = grid::topology_from_string(ctx.args.get_string("topology", "mesh"));
-    const auto rows = static_cast<std::uint32_t>(ctx.args.get_int("rows", 4));
-    const auto cols = static_cast<std::uint32_t>(ctx.args.get_int("cols", 4));
+    const auto rows = ctx.args.get_int_as<std::uint32_t>("rows", 4);
+    const auto cols = ctx.args.get_int_as<std::uint32_t>("cols", 4);
     const rules::RuleInfo& rule = rules::rule_or_throw(ctx.args.get_string("rule", "smp"));
-    const auto colors = static_cast<Color>(
-        ctx.args.get_int("colors", rule.bicolor() ? 2 : 3));
-    const auto max_size = static_cast<std::uint32_t>(ctx.args.get_int("max-size", 4));
-    const auto budget = static_cast<std::uint64_t>(ctx.args.get_int("budget", 2'000'000));
-    const auto shards = static_cast<unsigned>(ctx.args.get_int("shards", 8));
+    const auto colors = ctx.args.get_int_as<Color>("colors", rule.bicolor() ? 2 : 3);
+    const auto max_size = ctx.args.get_int_as<std::uint32_t>("max-size", 4);
+    const auto budget = ctx.args.get_int_as<std::uint64_t>("budget", 2'000'000);
+    const auto shards = ctx.args.get_int_as<unsigned>("shards", 8);
 
     const grid::Torus torus(topo, rows, cols);
     ParallelSearchOptions opts;
@@ -233,8 +230,8 @@ int run_search_scaling_point(Context& ctx) {
 
 int run_perf_smp_sweep(Context& ctx) {
     const auto topo = grid::topology_from_string(ctx.args.get_string("topology", "mesh"));
-    const auto m = static_cast<std::uint32_t>(ctx.args.get_int("m", 256));
-    const auto n = static_cast<std::uint32_t>(ctx.args.get_int("n", 256));
+    const auto m = ctx.args.get_int_as<std::uint32_t>("m", 256);
+    const auto n = ctx.args.get_int_as<std::uint32_t>("n", 256);
     const rules::RuleInfo& rule = rules::rule_or_throw(ctx.args.get_string("rule", "smp"));
     const Backend backend =
         backend_from_name(ctx.args.get_string("backend", "packed")).value();

@@ -80,6 +80,16 @@ struct AdaptiveDensityPoint {
     std::size_t computed = 0; ///< trials generated incl. the discarded chunk tail
 };
 
+/// Trials that ran on a lane batch, and lanes re-run on a scalar engine
+/// because they outlived the lane cap, over every density point in this
+/// process. Tests read the difference around a call; nothing else depends
+/// on them.
+struct LaneTrialCounts {
+    std::uint64_t lanes = 0;
+    std::uint64_t fallbacks = 0;
+};
+LaneTrialCounts lane_trial_counts() noexcept;
+
 /// Random coloring: each vertex takes color k with probability `density`,
 /// otherwise a uniform color from the remaining palette.
 ColorField random_coloring(std::size_t size, Color k, Color num_colors, double density,

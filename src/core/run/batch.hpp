@@ -9,7 +9,9 @@
 // parallelism, the right axis on the small tori those workloads use.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -48,11 +50,32 @@ class BatchRunner {
     /// this to grow a batch chunk by chunk without changing any trial.
     template <typename Fn>
     void run_trials(std::size_t lo, std::size_t hi, std::uint64_t seed, Fn&& fn) const {
+        run_trial_blocks(lo, hi, 1, seed, [&](std::size_t t, std::span<Xoshiro256> rng) {
+            fn(t, rng[0]);
+        });
+    }
+
+    /// Block form: trials [lo, hi) in blocks of at most `width` consecutive
+    /// trials, fn(first, rngs) once per block, where rngs[i] is trial
+    /// first + i's substream, Xoshiro256(substream_seed(seed, first + i)).
+    /// The blocks are cut at lo, lo + width, ... whatever the pool, which
+    /// runs whole blocks - for callers that step a block of trials at once
+    /// (the lane-sliced Monte-Carlo trials, analysis/montecarlo.cpp).
+    template <typename Fn>
+    void run_trial_blocks(std::size_t lo, std::size_t hi, std::size_t width, std::uint64_t seed,
+                          Fn&& fn) const {
         DYNAMO_ASSERT(lo <= hi, "trial range is inverted");
-        parallel_for_blocks(pool_, hi - lo, 1, [&](std::size_t a, std::size_t b) {
-            for (std::size_t t = lo + a; t < lo + b; ++t) {
-                Xoshiro256 rng(substream_seed(seed, t));
-                fn(t, rng);
+        DYNAMO_REQUIRE(width >= 1, "a trial block holds at least one trial");
+        const std::size_t blocks = (hi - lo + width - 1) / width;
+        parallel_for_blocks(pool_, blocks, 1, [&](std::size_t a, std::size_t b) {
+            std::vector<Xoshiro256> rngs;
+            rngs.reserve(std::min(width, hi - lo));
+            for (std::size_t block = a; block < b; ++block) {
+                const std::size_t first = lo + block * width;
+                const std::size_t last = std::min(hi, first + width);
+                rngs.clear();
+                for (std::size_t t = first; t < last; ++t) rngs.emplace_back(substream_seed(seed, t));
+                fn(first, std::span<Xoshiro256>(rngs));
             }
         });
     }

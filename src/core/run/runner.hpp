@@ -159,21 +159,29 @@ enum class PeriodBound : std::uint8_t {
                  ///< quiescence reports it - no detector
 };
 
+/// The period bound of a LocalRule, from its metadata: every bi-color rule
+/// is a symmetric threshold rule (the LocalRule contract, core/sim/
+/// local_rule.hpp), so its period is at most 2, and an irreversible one is
+/// also monotone. Any other rule is Unbounded.
+template <typename R>
+constexpr PeriodBound rule_period_bound() noexcept {
+    if constexpr (R::kMaxColors != 2) {
+        return PeriodBound::Unbounded;
+    } else {
+        return R::kIrreversible ? PeriodBound::FixedPoint : PeriodBound::Two;
+    }
+}
+
 /// The period bound of what an engine steps. The engines a registry rule's
 /// run steps (sim::HybridEngineT, sim::PackedEngineT) name their LocalRule
-/// as E::Rule, and its metadata gives the bound: every bi-color rule is a
-/// symmetric threshold rule (the LocalRule contract, core/sim/
-/// local_rule.hpp), so its period is at most 2, and an irreversible one is
-/// also monotone. Any other engine - the reference BasicSyncEngine, the
-/// graph engines - is Unbounded.
+/// as E::Rule, whose bound it is. Any other engine - the reference
+/// BasicSyncEngine, the graph engines - is Unbounded.
 template <typename E>
 constexpr PeriodBound engine_period_bound() noexcept {
     if constexpr (!requires { typename E::Rule; }) {
         return PeriodBound::Unbounded;
-    } else if constexpr (E::Rule::kMaxColors != 2) {
-        return PeriodBound::Unbounded;
     } else {
-        return E::Rule::kIrreversible ? PeriodBound::FixedPoint : PeriodBound::Two;
+        return rule_period_bound<typename E::Rule>();
     }
 }
 

@@ -1,11 +1,11 @@
 // dynamo/rules/registry.cpp
 //
 // Monomorphization site of the rule registry: each table row binds a
-// LocalRule type's kernel, sweeps, simulate_as and verifier instantiations
-// to its runtime name (see registry.hpp for the catalog). This is the only
-// file that compiles a rule into engines (a row's reference_sweep steps the
-// one BasicSyncEngine); simulate() (core/run/simulate.hpp) is defined here
-// as the SMP row's run. A name that equals another rule is an alias row of
+// LocalRule type's kernel, sweeps, simulate_as, verifier and lane batch
+// instantiations to its runtime name (see registry.hpp for the catalog).
+// This is the only file that compiles a rule into engines (a row's
+// reference_sweep steps the one BasicSyncEngine); simulate()
+// (core/run/simulate.hpp) is defined here as the SMP row's run. A name that equals another rule is an alias row of
 // that rule's type, so each distinct rule is compiled once.
 #include "rules/registry.hpp"
 
@@ -14,6 +14,7 @@
 
 #include "core/run/simulate.hpp"
 #include "core/sim/hybrid_engine.hpp"
+#include "core/sim/lane_engine.hpp"
 #include "core/sim/packed_engine.hpp"
 #include "core/transform.hpp"
 #include "rules/incremental.hpp"
@@ -113,6 +114,9 @@ constexpr RuleInfo make_info() {
         &simulate_as<R>,
         +[](const grid::Torus& t) {
             return std::unique_ptr<RuleVerifier>(new SearchVerifierT<R>(t));
+        },
+        +[](const grid::Torus& t) {
+            return std::unique_ptr<sim::LaneBatch>(new sim::LaneBatchT<R>(t));
         },
         &sim::bitplane_cells_per_sec<R>,
     };

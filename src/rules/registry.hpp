@@ -47,6 +47,10 @@
 #include "grid/torus.hpp"
 #include "util/parallel.hpp"
 
+namespace dynamo::sim {
+class LaneBatch;
+}
+
 namespace dynamo::rules {
 
 /// Reusable type-erased verifier for search inner loops: owns one packed
@@ -87,6 +91,10 @@ struct RuleInfo {
     RunResult (*run)(const grid::Torus&, const ColorField&, const RunOptions&);
     /// Search-convention verifier factory (see RuleVerifier).
     std::unique_ptr<RuleVerifier> (*make_search_verifier)(const grid::Torus&);
+    /// Lane batch factory (sim::LaneBatchT<R>, core/sim/lane_engine.hpp):
+    /// up to 64 runs on one torus at once, under the run's defaults. The
+    /// Monte-Carlo trials of Backend::Auto step it.
+    std::unique_ptr<sim::LaneBatch> (*make_lane_batch)(const grid::Torus&);
 
     /// Raw bit-plane sweep throughput (sim::bitplane_cells_per_sec<R>),
     /// for the perf_engine scenario's bit-plane section. Every registered

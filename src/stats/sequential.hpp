@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/run/batch.hpp"
@@ -62,17 +63,29 @@ class SequentialEstimator {
     /// past result.trials belong to discarded trials.
     template <typename SampleFn>
     SequentialResult run(std::uint64_t seed, SampleFn&& sample) const {
-        ConfidenceSequence sequence(options_.stopping);
         const BatchRunner batch(pool_);
+        return run_chunks([&](std::size_t lo, std::size_t hi, std::span<double> values) {
+            batch.run_trials(lo, hi, seed, [&](std::size_t t, Xoshiro256& rng) {
+                values[t - lo] = sample(t, rng);
+            });
+        });
+    }
+
+    /// The per-chunk form: sample_chunk(lo, hi, values) writes the
+    /// observations of trials [lo, hi) to values[0 .. hi - lo), each a pure
+    /// function of its trial, and runs them however it likes (the pool is
+    /// the sampler's business). The chunks are the ones run() would ask
+    /// for, so `computed` and every statistic are the same.
+    template <typename ChunkFn>
+    SequentialResult run_chunks(ChunkFn&& sample_chunk) const {
+        ConfidenceSequence sequence(options_.stopping);
         std::vector<double> values;
         SequentialResult result;
         std::size_t generated = 0;
         while (!sequence.stopped() && result.trials < options_.max_trials) {
             const std::size_t hi = std::min(generated + options_.chunk, options_.max_trials);
             values.resize(hi - generated);
-            batch.run_trials(generated, hi, seed, [&](std::size_t t, Xoshiro256& rng) {
-                values[t - generated] = sample(t, rng);
-            });
+            sample_chunk(generated, hi, std::span<double>(values));
             for (std::size_t t = generated; t < hi && !sequence.stopped(); ++t) {
                 sequence.observe(values[t - generated]);
                 ++result.trials;

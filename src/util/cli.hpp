@@ -27,12 +27,15 @@
 // and only undeclared keys fall back to the greedy rule.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -111,6 +114,20 @@ class CliArgs {
         DYNAMO_REQUIRE(static_cast<bool>(is >> v) && is.eof(),
                        "--" + key + " expects an integer, got '" + it->second + "'");
         return v;
+    }
+
+    /// get_int narrowed to T: a value outside T's range throws
+    /// std::invalid_argument naming the flag instead of wrapping (a 258-
+    /// color palette must not run as 2 colors).
+    template <std::integral T>
+    T get_int_as(const std::string& key, T fallback) const {
+        const std::int64_t v = get_int(key, static_cast<std::int64_t>(fallback));
+        DYNAMO_REQUIRE(std::in_range<T>(v),
+                       "--" + key + " expects an integer in [" +
+                           std::to_string(std::numeric_limits<T>::min()) + ", " +
+                           std::to_string(std::numeric_limits<T>::max()) + "], got " +
+                           std::to_string(v));
+        return static_cast<T>(v);
     }
 
     /// Full-range unsigned parse: RNG substream seeds cover all 64 bits,

@@ -1,12 +1,14 @@
 // Analysis helpers: census/entropy, descriptive statistics, and the
 // Monte-Carlo density harness (determinism, accounting, boundary
-// densities).
+// densities, and lane trials == per-trial runs).
 #include <gtest/gtest.h>
 
 #include "analysis/census.hpp"
 #include "analysis/montecarlo.hpp"
 #include "analysis/stats.hpp"
+#include "core/transform.hpp"
 #include "grid/torus.hpp"
+#include "rules/registry.hpp"
 #include "util/parallel.hpp"
 
 namespace dynamo::analysis {
@@ -257,6 +259,82 @@ TEST(MonteCarlo, DensityPointRegressionPin) {
     EXPECT_EQ(p.fixed_points, kPinFixedPoints);
     EXPECT_NEAR(p.mean_rounds_mono, kPinMeanRoundsMono, 1e-12);
     EXPECT_NEAR(p.mean_final_k_fraction, kPinMeanFinalKFraction, 1e-12);
+}
+
+void expect_points_equal(const DensityPoint& a, const DensityPoint& b, const std::string& tag) {
+    EXPECT_EQ(a.density, b.density) << tag;
+    EXPECT_EQ(a.trials, b.trials) << tag;
+    EXPECT_EQ(a.k_mono, b.k_mono) << tag;
+    EXPECT_EQ(a.other_mono, b.other_mono) << tag;
+    EXPECT_EQ(a.cycles, b.cycles) << tag;
+    EXPECT_EQ(a.fixed_points, b.fixed_points) << tag;
+    EXPECT_EQ(a.mean_rounds_mono, b.mean_rounds_mono) << tag;
+    EXPECT_EQ(a.mean_final_k_fraction, b.mean_final_k_fraction) << tag;
+}
+
+void expect_adaptive_equal(const AdaptiveDensityPoint& a, const AdaptiveDensityPoint& b,
+                           const std::string& tag) {
+    expect_points_equal(a.point, b.point, tag);
+    EXPECT_EQ(a.half_width, b.half_width) << tag;
+    EXPECT_EQ(a.lower, b.lower) << tag;
+    EXPECT_EQ(a.upper, b.upper) << tag;
+    EXPECT_EQ(a.decided, b.decided) << tag;
+    EXPECT_EQ(a.converged, b.converged) << tag;
+    EXPECT_EQ(a.computed, b.computed) << tag;
+}
+
+TEST(MonteCarlo, LaneTrialsEqualPerTrialRunsFieldForField) {
+    // Backend::Auto runs a point's trials 64 at a time on lanes; Active
+    // runs one engine per trial. Every field of the point must agree,
+    // serial and pooled, fixed and adaptive, at every estimator chunk.
+    struct Case {
+        const char* rule;
+        Color colors;
+        bool lanes;  ///< does Auto take the lanes?
+    };
+    const Case cases[] = {{"majority-prefer-black", 2, true},
+                          {"threshold-1", 2, true},
+                          {"irreversible-strong-majority", 2, true},
+                          {"smp", 4, true},
+                          {"incremental", 7, true},
+                          {"smp", 8, false}};
+    ThreadPool pool(3);
+    for (const Case& c : cases) {
+        const rules::RuleInfo& rule = rules::rule_or_throw(c.rule);
+        const Color k = rule.bicolor() ? kBlack : Color{1};
+        for (const Topology topo : {Topology::ToroidalMesh, Topology::TorusSerpentinus}) {
+            const Torus t(topo, 8, 8);
+            const std::string where = std::string(c.rule) + " |C|=" + std::to_string(c.colors) +
+                                      " " + to_string(topo);
+            for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+                const std::string tag = where + (p ? " pooled" : " serial");
+                const LaneTrialCounts before = lane_trial_counts();
+                const DensityPoint lanes =
+                    run_density_point(t, k, 0.4, c.colors, 150, 0x1a7e, p, &rule, Backend::Auto);
+                const LaneTrialCounts after = lane_trial_counts();
+                EXPECT_EQ(after.lanes - before.lanes, c.lanes ? 150u : 0u) << tag;
+                const DensityPoint per_trial = run_density_point(t, k, 0.4, c.colors, 150, 0x1a7e,
+                                                                 p, &rule, Backend::Active);
+                EXPECT_EQ(lane_trial_counts().lanes, after.lanes) << tag;
+                expect_points_equal(lanes, per_trial, tag);
+
+                for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+                    AdaptiveOptions options;
+                    options.stopping.ci_target = 0.15;
+                    options.stopping.decision_threshold = 0.5;
+                    options.max_trials = 400;
+                    options.chunk = chunk;
+                    const std::string at = tag + " chunk " + std::to_string(chunk);
+                    expect_adaptive_equal(
+                        run_density_point_adaptive(t, k, 0.5, c.colors, 0xc4a, options, p, &rule,
+                                                   Backend::Auto),
+                        run_density_point_adaptive(t, k, 0.5, c.colors, 0xc4a, options, p, &rule,
+                                                   Backend::Active),
+                        at);
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -7,19 +7,24 @@
 // the hash detector, and the Goles-Olivos / Poljak-Sura period bound they
 // rest on), facts rounds (runs nothing reads change lists of, against
 // the same runs listed and Generic, across Auto's hand-overs), the
-// plurality graph engine under the shared run loop, and BatchRunner
-// substream determinism.
+// plurality graph engine under the shared run loop, BatchRunner
+// substream determinism, and lane batches (every lane == the scalar run,
+// and a lane past the lane cap or the repeat check's history left live).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <filesystem>
+#include <span>
 
 #include "analysis/census_series.hpp"
+#include "analysis/montecarlo.hpp"
 #include "core/builders.hpp"
 #include "core/run/batch.hpp"
 #include "core/run/simulate.hpp"
 #include "core/sim/hybrid_engine.hpp"
+#include "core/sim/lane_engine.hpp"
 #include "core/transform.hpp"
 #include "graph/generators.hpp"
 #include "graph/plurality.hpp"
@@ -1170,6 +1175,204 @@ TEST(RunBatch, BatchedSimulationsMatchDirectRuns) {
         ColorField f(t.size());
         for (auto& c : f) c = static_cast<Color>(1 + rng.below(4));
         EXPECT_EQ(simulate(t, f).rounds, rounds[trial]) << trial;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lane batches (core/sim/lane_engine.hpp): each lane ends as the scalar run
+// of its field does, on the four fields a Monte-Carlo trial keeps.
+
+/// A scalar run reduced to a lane's outcome, counting `counted`.
+sim::LaneOutcome scalar_outcome(const RunResult& r, Color counted) {
+    return {true, r.termination, r.rounds, r.mono.value_or(kUnset),
+            static_cast<std::uint32_t>(count_color(r.final_colors, counted))};
+}
+
+/// Writes fields[0 .. width) into lanes 0 .. width of `batch` and runs it.
+std::array<sim::LaneOutcome, 64> run_lanes(sim::LaneBatch& batch,
+                                           const std::vector<ColorField>& fields, unsigned width,
+                                           std::uint32_t lane_cap, Color counted) {
+    batch.clear();
+    for (unsigned lane = 0; lane < width; ++lane) {
+        for (std::size_t v = 0; v < fields[lane].size(); ++v) batch.put(lane, v, fields[lane][v]);
+    }
+    std::array<sim::LaneOutcome, 64> ends;
+    batch.run(width, lane_cap, counted, ends);
+    return ends;
+}
+
+/// 64 trial fields of `rule` on `t`: densities 0, 1 and four random ones
+/// in turn, bi-color rules on {1, 2}, the others on palettes of 3..7.
+std::vector<ColorField> trial_fields(const Torus& t, const rules::RuleInfo& rule,
+                                     std::uint64_t seed) {
+    Xoshiro256 pick(seed);
+    const double densities[] = {0.0, 1.0, pick.uniform(), pick.uniform(), pick.uniform(),
+                                pick.uniform()};
+    std::vector<ColorField> fields;
+    for (unsigned lane = 0; lane < 64; ++lane) {
+        Xoshiro256 rng(substream_seed(seed, lane));
+        const Color colors = rule.bicolor() ? 2 : static_cast<Color>(3 + lane % 5);
+        const Color k = rule.bicolor() ? kBlack : Color{1};
+        fields.push_back(analysis::random_coloring(t.size(), k, colors, densities[lane % 6], rng));
+    }
+    return fields;
+}
+
+TEST(LaneBatches, EveryLaneEqualsTheScalarRunOnEveryRuleTopologyAndShape) {
+    const std::pair<std::uint32_t, std::uint32_t> shapes[] = {{2, 2}, {2, 7},   {7, 2},
+                                                              {8, 8}, {12, 12}, {3, 67}};
+    std::size_t compared = 0;
+    for (const rules::RuleInfo* rule : rules::all_rules()) {
+        for (const Topology topo : kTopologies) {
+            for (const auto& [m, n] : shapes) {
+                const Torus t(topo, m, n);
+                const std::string where = std::string(rule->name) + " " + to_string(topo) + " " +
+                                          std::to_string(m) + "x" + std::to_string(n);
+                const std::vector<ColorField> fields = trial_fields(t, *rule, m * 131 + n);
+                std::vector<RunResult> autos, generics;
+                for (const ColorField& f : fields) {
+                    RunOptions opts;
+                    autos.push_back(rule->run(t, f, opts));
+                    opts.backend = Backend::Generic;
+                    generics.push_back(rule->run(t, f, opts));
+                }
+                const auto batch = rule->make_lane_batch(t);
+                for (const unsigned width : {1u, 7u, 63u, 64u}) {
+                    for (const Color counted : {kWhite, kBlack}) {
+                        const auto ends =
+                            run_lanes(*batch, fields, width, sim::kDefaultLaneCap, counted);
+                        for (unsigned lane = 0; lane < width; ++lane) {
+                            const std::string tag = where + " width " + std::to_string(width) +
+                                                    " lane " + std::to_string(lane);
+                            const sim::LaneOutcome expected = scalar_outcome(autos[lane], counted);
+                            ASSERT_EQ(expected, scalar_outcome(generics[lane], counted)) << tag;
+                            if (!ends[lane].ended) {
+                                // Left live: the scalar run went past the lane cap.
+                                EXPECT_GE(expected.rounds, sim::kDefaultLaneCap) << tag;
+                                continue;
+                            }
+                            EXPECT_EQ(ends[lane], expected) << tag;
+                            ++compared;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Nearly every lane ends inside the default cap at these sizes.
+    EXPECT_GT(compared, 12u * 3 * 6 * (1 + 7 + 63 + 64) * 2 * 9 / 10);
+}
+
+TEST(LaneBatches, LanesPastTheLaneCapAreLeftLiveForTheScalarRun) {
+    // A lane that has not ended by the cap is reported live, never given an
+    // outcome of its own; one that ended by then is exact.
+    std::size_t live = 0, ended = 0;
+    for (const rules::RuleInfo* rule : rules::all_rules()) {
+        for (const Topology topo : kTopologies) {
+            const Torus t(topo, 8, 8);
+            const std::vector<ColorField> fields = trial_fields(t, *rule, 0x1a4e);
+            const auto batch = rule->make_lane_batch(t);
+            for (const std::uint32_t cap : {0u, 1u, 2u, 3u}) {
+                const auto ends = run_lanes(*batch, fields, 64, cap, kBlack);
+                for (unsigned lane = 0; lane < 64; ++lane) {
+                    const sim::LaneOutcome expected =
+                        scalar_outcome(rule->run(t, fields[lane], {}), kBlack);
+                    const std::string tag = std::string(rule->name) + " " + to_string(topo) +
+                                            " cap " + std::to_string(cap) + " lane " +
+                                            std::to_string(lane);
+                    if (ends[lane].ended) {
+                        EXPECT_EQ(ends[lane], expected) << tag;
+                        ++ended;
+                    } else {
+                        EXPECT_GE(expected.rounds, cap) << tag;
+                        ++live;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(live, 1000u);
+    EXPECT_GT(ended, 1000u);
+}
+
+template <unsigned History>
+sim::LaneOutcome smp_lane(const Torus& t, const ColorField& field) {
+    sim::LaneBatchT<sim::SmpRule, History> batch(t);
+    return run_lanes(batch, {field}, 1, sim::kDefaultLaneCap, 1)[0];
+}
+
+TEST(LaneBatches, ARepeatBeyondTheHistoryIsLeftLiveNotMisread) {
+    // smp fields whose first repeat has period 4 and 6 (found by a random
+    // search over small tori). A lane batch whose check reaches fewer
+    // rounds back cannot match any state, so it leaves the lane live; one
+    // that reaches the period ends it at the scalar run's round.
+    struct Case {
+        Topology topo;
+        std::uint32_t m, n;
+        const char* field;
+        std::uint32_t period, rounds;
+    };
+    const Case cases[] = {
+        {Topology::TorusCordalis, 2, 6, "232223141214", 4, 4},
+        {Topology::TorusSerpentinus, 2, 4, "22536544", 4, 4},
+        {Topology::TorusSerpentinus, 5, 7, "13423333443423224122244211412243412", 6, 11},
+    };
+    for (const Case& c : cases) {
+        const Torus t(c.topo, c.m, c.n);
+        ColorField field;
+        for (const char* p = c.field; *p != '\0'; ++p) field.push_back(static_cast<Color>(*p - '0'));
+        RunOptions generic;
+        generic.backend = Backend::Generic;
+        const RunResult scalar = rules::smp_rule().run(t, field, generic);
+        ASSERT_EQ(scalar.termination, Termination::Cycle) << c.field;
+        ASSERT_EQ(scalar.cycle_period, c.period) << c.field;
+        ASSERT_EQ(scalar.rounds, c.rounds) << c.field;
+        const sim::LaneOutcome expected = scalar_outcome(scalar, 1);
+
+        const std::pair<unsigned, sim::LaneOutcome> lanes[] = {
+            {2, smp_lane<2>(t, field)},
+            {4, smp_lane<4>(t, field)},
+            {5, smp_lane<5>(t, field)},
+            {6, smp_lane<6>(t, field)},
+        };
+        for (const auto& [history, lane] : lanes) {
+            const std::string tag = std::string(c.field) + " history " + std::to_string(history);
+            EXPECT_EQ(lane.ended, c.period <= history) << tag;
+            if (lane.ended) {
+                EXPECT_EQ(lane, expected) << tag;
+            }
+        }
+        // The registry's smp batch is the History-6 one.
+        const auto batch = rules::smp_rule().make_lane_batch(t);
+        EXPECT_EQ(run_lanes(*batch, {field}, 1, sim::kDefaultLaneCap, 1)[0], expected);
+    }
+}
+
+TEST(RunBatch, TrialBlocksSeeEveryTrialsOwnSubstream) {
+    // The block form cuts [lo, hi) at lo, lo + width, ... on any pool, and
+    // hands each block its trials' substreams in order.
+    const std::uint64_t seed = 0xb10c;
+    ThreadPool pool(3);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        for (const std::size_t width : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+            std::vector<std::uint64_t> draws(300 - 5, 0);
+            std::vector<std::size_t> sizes((300 - 5 + width - 1) / width, 0);
+            BatchRunner(p).run_trial_blocks(
+                5, 300, width, seed, [&](std::size_t first, std::span<Xoshiro256> rngs) {
+                    ASSERT_EQ((first - 5) % width, 0u);
+                    sizes[(first - 5) / width] = rngs.size();
+                    for (std::size_t i = 0; i < rngs.size(); ++i) {
+                        draws[first + i - 5] = rngs[i].next();
+                    }
+                });
+            for (std::size_t b = 0; b < sizes.size(); ++b) {
+                EXPECT_EQ(sizes[b], std::min(width, 300 - 5 - b * width)) << width;
+            }
+            for (std::size_t t = 5; t < 300; ++t) {
+                Xoshiro256 rng(substream_seed(seed, t));
+                EXPECT_EQ(draws[t - 5], rng.next()) << t;
+            }
+        }
     }
 }
 

@@ -670,6 +670,48 @@ TEST(Registry, BackendParamsValidateAgainstTheBackendNames) {
                  std::invalid_argument);
 }
 
+TEST(Registry, SizeAndPaletteParametersThatDoNotFitAreRejected) {
+    // A parameter narrowed to its type must not silently become another
+    // run: --colors=258 would run |C| = 2 and --m=4294967302 a 6-row torus,
+    // under a cache key that records the value as given.
+    const auto expect_rejected = [](const char* scenario,
+                                    const std::map<std::string, std::string>& params,
+                                    const std::string& flag) {
+        const Scenario* s = find(scenario);
+        ASSERT_NE(s, nullptr);
+        const CliArgs args(params);
+        std::ostringstream out;
+        Context ctx{args, out, {}};
+        try {
+            run(*s, ctx);
+            ADD_FAILURE() << scenario << " ran with --" << flag << "=" << params.at(flag)
+                          << ":\n" << out.str();
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("--" + flag), std::string::npos) << e.what();
+        }
+    };
+    const std::map<std::string, std::string> small_bracket{
+        {"m", "4"}, {"n", "4"}, {"max_trials", "60"}, {"max_probes", "2"}, {"ladder", "2"}};
+    auto palette = small_bracket;
+    palette["rule"] = "smp";
+    palette["colors"] = "258";
+    expect_rejected("mc_critical_density", palette, "colors");
+    auto rows = small_bracket;
+    rows["m"] = "4294967302";
+    rows["n"] = "6";
+    expect_rejected("mc_critical_density", rows, "m");
+
+    expect_rejected("mc_density_point", {{"rule", "smp"}, {"colors", "258"}, {"trials", "4"}},
+                    "colors");
+    expect_rejected("mc_density_point", {{"m", "4294967302"}, {"n", "6"}, {"trials", "4"}}, "m");
+    expect_rejected("mc_density_point", {{"n", "-4294967290"}, {"trials", "4"}}, "n");
+    expect_rejected("search_scaling_point",
+                    {{"rows", "4294967298"}, {"cols", "2"}, {"max-size", "2"}}, "rows");
+    expect_rejected("search_scaling_point",
+                    {{"rows", "2"}, {"cols", "2"}, {"colors", "258"}, {"max-size", "2"}},
+                    "colors");
+}
+
 TEST(Registry, RuleParamsValidateAgainstTheRuleRegistry) {
     // ParamType::Rule resolves values against rules/registry.hpp at parse
     // time, on both surfaces: `dynamo run` arg validation and manifest
