@@ -99,10 +99,12 @@ ColorField random_coloring(std::size_t size, Color k, Color num_colors, double d
 /// t seeded with substream_seed(seed, t), executed on `pool` when given
 /// (bit-identical results either way). `rule` selects the local rule the
 /// trials run under (rules/registry.hpp); nullptr = the SMP protocol, the
-/// seed-era behaviour bit for bit. `backend` selects the engine each
-/// trial steps (core/run/backend.hpp) - all backends produce identical
-/// outcomes, so the parameter exists for engine cross-validation and
-/// perf experiments. The caller owns the color conventions: k is the
+/// seed-era behaviour bit for bit. `backend` selects the engine the
+/// trials step (core/run/backend.hpp): Backend::Auto runs them 64 at a
+/// time on the rule's lane batch (core/sim/lane_engine.hpp) when the
+/// palette has at most 7 colors and the torus at most 128x128 cells, any
+/// other backend one run per trial. All produce identical outcomes, so
+/// the parameter exists for engine cross-validation and perf experiments. The caller owns the color conventions: k is the
 /// flooding target under that rule (kBlack for bi-color rules).
 DensityPoint run_density_point(const grid::Torus& torus, Color k, double density,
                                Color num_colors, std::size_t trials, std::uint64_t seed,

@@ -5,8 +5,9 @@
 // instantiations to its runtime name (see registry.hpp for the catalog).
 // This is the only file that compiles a rule into engines (a row's
 // reference_sweep steps the one BasicSyncEngine); simulate()
-// (core/run/simulate.hpp) is defined here as the SMP row's run. A name that equals another rule is an alias row of
-// that rule's type, so each distinct rule is compiled once.
+// (core/run/simulate.hpp) is defined here as the SMP row's run. A name
+// that equals another rule is an alias row of that rule's type, so each
+// distinct rule is compiled once.
 #include "rules/registry.hpp"
 
 #include <algorithm>
