@@ -5,9 +5,9 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace dynamo::service {
 
@@ -47,12 +48,15 @@ constexpr std::size_t kMaxBody = 8u << 20;
 /// Hard ceiling on the request head (request line + headers): 16 KiB.
 constexpr std::size_t kMaxHead = 16u << 10;
 
-/// Per-connection deadline: a client gets this long from accept() to
-/// deliver its whole request, and each send of the reply blocks at most
-/// this long. The loop is serial, so without it one idle or trickling
-/// client would wedge every later one (a coordinator's worker heartbeats
-/// included).
+/// Per-connection deadline: a client gets this long after accept() or
+/// after its last reply to deliver its whole request, and this long to
+/// take a reply. A connection that misses it is closed, so idle,
+/// trickling or non-reading clients never pile up.
 constexpr std::chrono::seconds kConnectionDeadline{2};
+
+/// Open connections beyond this wait in the listen backlog, well below
+/// the usual 1024-descriptor limit.
+constexpr std::size_t kMaxConnections = 256;
 
 } // namespace
 
@@ -76,7 +80,13 @@ std::optional<HttpHead> parse_http_head(const std::string& text) {
         if (line.empty()) continue;
         const std::size_t colon = line.find(':');
         if (colon == std::string::npos) return std::nullopt;
-        parsed.headers[lowercase(trim(line.substr(0, colon)))] = trim(line.substr(colon + 1));
+        std::string value = trim(line.substr(colon + 1));
+        const auto [it, fresh] =
+            parsed.headers.try_emplace(lowercase(trim(line.substr(0, colon))), value);
+        if (fresh) continue;
+        // Two different lengths leave the message's end ambiguous.
+        if (it->first == "content-length" && it->second != value) return std::nullopt;
+        it->second = std::move(value);
     }
     return parsed;
 }
@@ -108,13 +118,13 @@ std::optional<std::size_t> parse_content_length(std::string_view text) {
     return length;
 }
 
-std::string render_http_response(const HttpResponse& response) {
+std::string render_http_response(const HttpResponse& response, bool keep_alive) {
     std::ostringstream out;
     out << "HTTP/1.1 " << response.status << " " << http_status_text(response.status)
         << "\r\n"
         << "Content-Type: " << response.content_type << "\r\n"
         << "Content-Length: " << response.body.size() << "\r\n"
-        << "Connection: close\r\n\r\n"
+        << (keep_alive ? "Connection: keep-alive\r\n\r\n" : "Connection: close\r\n\r\n")
         << response.body;
     return out.str();
 }
@@ -130,12 +140,13 @@ const char* http_status_text(int status) {
         case 413: return "Payload Too Large";
         case 431: return "Request Header Fields Too Large";
         case 500: return "Internal Server Error";
+        case 501: return "Not Implemented";
         default: return "Unknown";
     }
 }
 
 HttpServer::HttpServer(std::uint16_t port) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (listen_fd_ < 0) throw std::runtime_error("http: cannot create socket");
     const int one = 1;
     ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -163,114 +174,245 @@ HttpServer::~HttpServer() {
     if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
-void HttpServer::serve_forever(
-    const std::function<HttpResponse(const HttpRequest&)>& handler) {
-    for (;;) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR) continue;
-            return;  // stop() shut the listening socket down
-        }
-        const auto deadline = std::chrono::steady_clock::now() + kConnectionDeadline;
+namespace {
 
-        // Read head, then exactly Content-Length body bytes.
-        std::string data;
-        char buf[4096];
-        bool bad_request = false;
-        bool head_too_large = false;
-        bool timed_out = false;
-        std::size_t scanned = 0;  // bytes already searched for the head's end
-        std::size_t need = std::string::npos;  // total bytes once head is seen
+using Clock = std::chrono::steady_clock;
+
+/// A request framed off the front of a connection's buffer, or the
+/// error reply that ends the connection.
+struct Framed {
+    std::optional<HttpRequest> request;  ///< set once a whole request is buffered
+    std::size_t length = 0;              ///< its bytes in the buffer
+    std::optional<HttpResponse> reject;  ///< set when the buffer can never frame one
+};
+
+Framed rejected(int status, const std::string& message) {
+    Framed framed;
+    framed.reject = error_response(status, message);
+    return framed;
+}
+
+/// Frames the first request of `in`. `scanned` is how much of `in` is
+/// already known to hold no head end, so a trickled head is searched once.
+Framed frame_request(const std::string& in, std::size_t& scanned) {
+    // Resume 3 bytes back: the last read may have split the end.
+    const std::size_t head_end = in.find("\r\n\r\n", std::max<std::size_t>(scanned, 3) - 3);
+    scanned = head_end == std::string::npos ? in.size() : head_end;
+    if ((head_end == std::string::npos ? in.size() : head_end + 4) > kMaxHead)
+        return rejected(431, "request head too large");
+    if (head_end == std::string::npos) return {};
+    auto request = parse_http_request(in.substr(0, head_end + 4));
+    if (!request) return rejected(400, "malformed request");
+    // A body of another framing could be read as the next request.
+    if (request->headers.count("transfer-encoding") != 0)
+        return rejected(501, "transfer-encoding is not supported");
+    std::size_t content_length = 0;
+    if (const auto it = request->headers.find("content-length"); it != request->headers.end()) {
+        const auto length = parse_content_length(it->second);
+        if (!length) return rejected(400, "malformed request");
+        content_length = *length;
+    }
+    if (content_length > kMaxBody) return rejected(413, "request body too large");
+    Framed framed;
+    if (in.size() - head_end - 4 < content_length) return framed;
+    request->body = in.substr(head_end + 4, content_length);
+    framed.length = head_end + 4 + content_length;
+    framed.request = std::move(request);
+    return framed;
+}
+
+/// True when the request asked to keep its connection open.
+bool wants_keep_alive(const HttpRequest& request) {
+    const auto it = request.headers.find("connection");
+    return it != request.headers.end() &&
+           lowercase(it->second).find("keep-alive") != std::string::npos;
+}
+
+/// One open connection of the poll loop. It is reading (no reply
+/// pending) or writing (`out` not yet sent); `deadline` bounds either.
+struct Connection {
+    int fd = -1;
+    std::string in;            ///< received bytes not yet consumed
+    std::size_t scanned = 0;   ///< see frame_request
+    bool peer_closed = false;  ///< the client closed its side (or failed)
+    std::string out;           ///< the reply being sent
+    std::size_t sent = 0;
+    bool close_after = false;  ///< close once `out` is sent
+    Clock::time_point deadline;
+};
+
+/// The connections of one serve_forever call.
+class PollLoop {
+  public:
+    PollLoop(int listen_fd, const std::function<HttpResponse(const HttpRequest&)>& handler)
+        : listen_fd_(listen_fd), handler_(handler) {}
+    ~PollLoop() {
+        for (Connection& c : conns_) close(c);
+    }
+    PollLoop(const PollLoop&) = delete;
+    PollLoop& operator=(const PollLoop&) = delete;
+
+    void run() {
+        std::vector<pollfd> fds;
         for (;;) {
-            if (need == std::string::npos) {
-                // Resume 3 bytes back: the last read may have split the end.
-                const std::size_t head_end =
-                    data.find("\r\n\r\n", std::max<std::size_t>(scanned, 3) - 3);
-                scanned = data.size();
-                if ((head_end == std::string::npos ? scanned : head_end + 4) > kMaxHead) {
-                    head_too_large = true;
-                    break;
-                }
-                if (head_end != std::string::npos) {
-                    std::size_t content_length = 0;
-                    const auto parsed = parse_http_request(data.substr(0, head_end + 4));
-                    if (!parsed) {
-                        bad_request = true;
-                        break;
-                    }
-                    const auto it = parsed->headers.find("content-length");
-                    if (it != parsed->headers.end()) {
-                        const auto length = parse_content_length(it->second);
-                        if (!length) {
-                            bad_request = true;
-                            break;
-                        }
-                        content_length = *length;
-                    }
-                    if (content_length > kMaxBody) {
-                        need = kMaxBody + 1;  // sentinel: answer 413 below
-                        break;
-                    }
-                    need = head_end + 4 + content_length;
+            const auto now = Clock::now();
+            if (stopping_) {
+                for (Connection& c : conns_)
+                    if (c.out.empty()) close(c);
+                sweep();
+                if (conns_.empty()) return;
+            }
+            // The listener is polled even when full: its POLLHUP is stop().
+            fds.clear();
+            int timeout_ms = -1;
+            if (!stopping_) {
+                const bool room = conns_.size() < kMaxConnections;
+                fds.push_back({listen_fd_, static_cast<short>(room ? POLLIN : 0), 0});
+            }
+            for (const Connection& c : conns_) {
+                fds.push_back({c.fd, static_cast<short>(c.out.empty() ? POLLIN : POLLOUT), 0});
+                const auto left =
+                    std::chrono::duration_cast<std::chrono::milliseconds>(c.deadline - now);
+                const int ms = static_cast<int>(std::max<std::int64_t>(left.count() + 1, 0));
+                timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
+            }
+            if (::poll(fds.data(), fds.size(), timeout_ms) < 0) {
+                if (errno == EINTR) continue;
+                return;
+            }
+            std::size_t next = 0;
+            if (!stopping_) {
+                const short events = fds[next++].revents;
+                if ((events & (POLLHUP | POLLERR | POLLNVAL)) != 0) {
+                    stopping_ = true;
+                } else if ((events & POLLIN) != 0) {
+                    accept_one();
                 }
             }
-            if (need != std::string::npos && data.size() >= need) break;
-            const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now());
-            pollfd readable{fd, POLLIN, 0};
-            const int ready =
-                left.count() > 0 ? ::poll(&readable, 1, static_cast<int>(left.count())) : 0;
-            if (ready < 0 && errno == EINTR) continue;
-            if (ready <= 0) {
-                timed_out = true;
-                break;
+            const std::size_t polled = fds.size() - next;
+            for (std::size_t i = 0; i < polled; ++i) {
+                Connection& c = conns_[i];
+                const short events = fds[next + i].revents;
+                if (events == 0) continue;
+                if (!c.out.empty()) {
+                    flush(c);
+                } else {
+                    read_some(c);
+                }
+                serve_buffered(c);
             }
-            const ssize_t n = ::read(fd, buf, sizeof(buf));
-            if (n <= 0) break;  // peer closed or error: work with what we have
-            data.append(buf, static_cast<std::size_t>(n));
+            const auto after = Clock::now();
+            for (Connection& c : conns_)
+                if (c.fd >= 0 && after >= c.deadline) close(c);  // idle, trickling or not reading
+            sweep();
         }
+    }
 
-        if (timed_out) {  // idle or trickling client: drop it, serve the next
-            ::close(fd);
-            continue;
+  private:
+    void accept_one() {
+        const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+        if (fd < 0) return;
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+        Connection c;
+        c.fd = fd;
+        c.deadline = Clock::now() + kConnectionDeadline;
+        conns_.push_back(std::move(c));
+    }
+
+    void read_some(Connection& c) {
+        char buf[65536];
+        const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
+        if (n > 0) {
+            c.in.append(buf, static_cast<std::size_t>(n));
+        } else if (n == 0 || (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK)) {
+            c.peer_closed = true;
         }
+    }
 
-        HttpResponse response;
-        if (head_too_large) {
-            response = error_response(431, "request head too large");
-        } else if (bad_request || need == std::string::npos) {
-            response = error_response(400, "malformed request");
-        } else if (need == kMaxBody + 1) {
-            response = error_response(413, "request body too large");
-        } else {
-            const auto request = parse_http_request(data.substr(0, need));
-            if (!request) {
-                response = error_response(400, "malformed request");
-            } else {
+    /// Answers the requests buffered on a reading connection, one reply at
+    /// a time, until one is incomplete or a reply cannot be sent at once.
+    void serve_buffered(Connection& c) {
+        while (c.fd >= 0 && c.out.empty() && !stopping_) {
+            Framed framed = frame_request(c.in, c.scanned);
+            HttpResponse response;
+            bool keep_alive = false;
+            if (framed.reject) {
+                response = std::move(*framed.reject);
+            } else if (framed.request) {
+                keep_alive = wants_keep_alive(*framed.request);
                 try {
-                    response = handler(*request);
+                    response = handler_(*framed.request);
                 } catch (const std::exception& e) {
                     response = error_response(500, e.what());
                 }
+                c.in.erase(0, framed.length);
+                c.scanned = 0;
+            } else if (c.peer_closed && !c.in.empty()) {
+                response = error_response(400, "malformed request");  // torn request
+            } else {
+                if (c.peer_closed) close(c);
+                return;
+            }
+            c.out = render_http_response(response, keep_alive);
+            c.close_after = !keep_alive;
+            c.deadline = Clock::now() + kConnectionDeadline;
+            flush(c);
+        }
+    }
+
+    /// Sends what the socket takes of `out`. A sent reply closes the
+    /// connection or restarts its deadline for the next request.
+    void flush(Connection& c) {
+        while (c.sent < c.out.size()) {
+            // MSG_NOSIGNAL: a client that reset the connection must cost
+            // one EPIPE here, not a process-killing SIGPIPE.
+            const ssize_t n =
+                ::send(c.fd, c.out.data() + c.sent, c.out.size() - c.sent, MSG_NOSIGNAL);
+            if (n > 0) {
+                c.sent += static_cast<std::size_t>(n);
+            } else if (n < 0 && errno == EINTR) {
+                continue;
+            } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+                return;
+            } else {
+                close(c);
+                return;
             }
         }
-
-        // The send timeout bounds a client that stops reading its reply.
-        const timeval send_timeout{kConnectionDeadline.count(), 0};
-        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout, sizeof(send_timeout));
-        // MSG_NOSIGNAL: a client that reset the connection must cost one
-        // EPIPE here, not a process-killing SIGPIPE.
-        const std::string wire = render_http_response(response);
-        std::size_t sent = 0;
-        while (sent < wire.size()) {
-            const ssize_t n =
-                ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
-            if (n <= 0) break;
-            sent += static_cast<std::size_t>(n);
+        c.out.clear();
+        c.sent = 0;
+        if (c.close_after) {
+            close(c);
+            return;
         }
-        ::shutdown(fd, SHUT_RDWR);
-        ::close(fd);
+        c.deadline = Clock::now() + kConnectionDeadline;
     }
+
+    static void close(Connection& c) {
+        if (c.fd < 0) return;
+        ::shutdown(c.fd, SHUT_RDWR);
+        ::close(c.fd);
+        c.fd = -1;
+    }
+
+    void sweep() {
+        conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
+                                    [](const Connection& c) { return c.fd < 0; }),
+                     conns_.end());
+    }
+
+    int listen_fd_;
+    const std::function<HttpResponse(const HttpRequest&)>& handler_;
+    std::vector<Connection> conns_;
+    bool stopping_ = false;
+};
+
+} // namespace
+
+void HttpServer::serve_forever(
+    const std::function<HttpResponse(const HttpRequest&)>& handler) {
+    PollLoop(listen_fd_, handler).run();
 }
 
 void HttpServer::stop() {

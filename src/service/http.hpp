@@ -3,12 +3,17 @@
 // The smallest HTTP/1.1 surface `dynamo serve` needs, over raw POSIX
 // sockets — no third-party dependency, mirroring how util/json carries
 // the JSON side. Scope is deliberately narrow: loopback only (the server
-// binds 127.0.0.1 — fronting it with TLS/auth is a reverse proxy's job),
-// Content-Length bodies only (no chunked transfer), one connection at a
-// time (campaign jobs run on the worker pool; the HTTP loop only routes),
-// and every response closes its connection. Each connection has a fixed
-// 2 s deadline to deliver its request, and each reply send blocks at most
-// 2 s, so a slow client delays the loop by a bounded time, never wedges it.
+// binds 127.0.0.1 — fronting it with TLS/auth is a reverse proxy's job)
+// and Content-Length bodies only (a request with any Transfer-Encoding
+// gets 501). One poll() loop on the serving thread multiplexes the
+// listener and every open connection (campaign jobs run on the worker
+// pool; the loop only routes). Each connection has its own read buffer,
+// a non-blocking reply and a 2 s deadline to deliver a request (after
+// accept or after its last reply) and to take a reply, so an idle,
+// trickling or non-reading client costs the others nothing. A reply
+// keeps its connection open only when the request sent
+// `Connection: keep-alive`; every other request gets one reply and the
+// connection closes, as in a one-shot exchange.
 //
 // The parsing/serialization half (HttpRequest/HttpResponse and the
 // functions below) is pure string work, unit-tested without sockets;
@@ -55,7 +60,8 @@ struct HttpHead {
 };
 
 /// Parses a request or response head (without the blank line); empty
-/// optional when a header line has no colon.
+/// optional when a header line has no colon or two Content-Length
+/// fields differ. Of other repeated fields the last one wins.
 std::optional<HttpHead> parse_http_head(const std::string& head);
 
 /// Parses head + body of one HTTP/1.1 request. `text` must contain the
@@ -68,8 +74,9 @@ std::optional<HttpRequest> parse_http_request(const std::string& text);
 /// value past size_t saturates to SIZE_MAX: too large, not malformed.
 std::optional<std::size_t> parse_content_length(std::string_view text);
 
-/// Serializes a response with Content-Length and Connection: close.
-std::string render_http_response(const HttpResponse& response);
+/// Serializes a response with Content-Length and Connection: close (or
+/// Connection: keep-alive when `keep_alive`).
+std::string render_http_response(const HttpResponse& response, bool keep_alive = false);
 
 /// The canonical reason phrase for the status codes the service uses;
 /// "Unknown" otherwise.
@@ -83,10 +90,11 @@ const char* http_status_text(int status);
 /// std::runtime_error when the path is unwritable.
 void write_port_file(const std::string& path, std::uint16_t port);
 
-/// A serial loopback HTTP server. Lifecycle: construct (binds + listens,
+/// A loopback HTTP server. Lifecycle: construct (binds + listens,
 /// throws std::runtime_error on failure), serve_forever(handler) from the
-/// thread that owns the loop, stop() from any other thread to make
-/// serve_forever return after the in-flight request (if any) completes.
+/// thread that owns the loop, stop() from any thread (the handler's
+/// included) to make serve_forever return once the replies in flight are
+/// sent; every connection is closed then.
 class HttpServer {
   public:
     /// Binds 127.0.0.1:port; port 0 picks an ephemeral port (read the
@@ -98,15 +106,19 @@ class HttpServer {
 
     std::uint16_t port() const noexcept { return port_; }
 
-    /// Accepts and answers connections until stop(). A connection that
-    /// sends garbage or a non-numeric Content-Length gets 400, a head over
-    /// 16 KiB 431, a body over 8 MiB 413; one that has not delivered
-    /// its request 2 s after accept is closed unanswered; handler
-    /// exceptions become 500 — the serve loop itself never throws once
-    /// entered.
+    /// Accepts and answers connections until stop(), calling `handler`
+    /// on this thread for one request at a time. A request that is
+    /// garbage, has a non-numeric Content-Length or two different ones
+    /// gets 400, a head over 16 KiB 431, a body over 8 MiB 413, any
+    /// Transfer-Encoding 501, and each of these closes its connection; a
+    /// connection that has not delivered its request 2 s after accept or
+    /// after its last reply, or has not taken a reply in 2 s, is closed;
+    /// handler exceptions become 500 — the serve loop itself never throws
+    /// once entered.
     void serve_forever(const std::function<HttpResponse(const HttpRequest&)>& handler);
 
-    /// Thread-safe; idempotent. Unblocks the accept loop.
+    /// Thread-safe; idempotent. Shuts the listener down, which wakes the
+    /// loop.
     void stop();
 
   private:

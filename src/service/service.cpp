@@ -247,6 +247,8 @@ void CampaignService::runner_loop() {
             scenario::CampaignOutcome outcome = scenario::run_campaign(job->manifest, options);
             const std::string report = outcome.to_json(job->manifest);
             const std::string summary = outcome.summary(job->manifest);
+            // The report holds every point; status reads only the counts.
+            outcome.points = {};
             const std::lock_guard<std::mutex> lock(mutex_);
             job->outcome = std::move(outcome);
             job->report = report;

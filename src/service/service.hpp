@@ -96,7 +96,7 @@ class CampaignService {
         std::string report;   ///< campaign JSON once done
         std::string summary;  ///< one-line summary once done
         std::string error;    ///< infrastructure error when failed
-        scenario::CampaignOutcome outcome;  ///< counts, valid once done
+        scenario::CampaignOutcome outcome;  ///< counts (no points), valid once done
     };
 
     HttpResponse submit(const std::string& body);

@@ -35,6 +35,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -973,35 +974,57 @@ TEST(PortFile, AtomicWriteThenReadBack) {
                  std::runtime_error);
 }
 
-/// A fake server on an ephemeral loopback port: answers one connection
-/// with `reply` after reading the request head, then closes.
+/// A fake server on an ephemeral loopback port. It answers the requests
+/// it reads, over any number of connections, with `replies` in order.
+/// After a reply it closes the connection unless the reply says
+/// `Connection: keep-alive`; an empty reply closes it unanswered.
 class CannedReplyServer {
   public:
-    explicit CannedReplyServer(std::string reply) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    explicit CannedReplyServer(std::vector<std::string> replies)
+        : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
         addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
         addr.sin_port = 0;
         EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-        EXPECT_EQ(::listen(fd_, 1), 0);
+        EXPECT_EQ(::listen(fd_, 4), 0);
         socklen_t len = sizeof(addr);
         ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
         port_ = ntohs(addr.sin_port);
-        thread_ = std::thread([this, reply = std::move(reply)] {
-            const int conn = ::accept(fd_, nullptr, nullptr);
-            if (conn < 0) return;
-            std::string head;
-            char buf[1024];
-            while (head.find("\r\n\r\n") == std::string::npos) {
-                const ssize_t n = ::read(conn, buf, sizeof(buf));
-                if (n <= 0) break;
-                head.append(buf, static_cast<std::size_t>(n));
+        thread_ = std::thread([this, replies = std::move(replies)] {
+            std::size_t next = 0;
+            for (;;) {
+                const int conn = ::accept(fd_, nullptr, nullptr);
+                if (conn < 0) return;
+                {
+                    const std::lock_guard<std::mutex> lock(mutex_);
+                    if (stopping_) {
+                        ::close(conn);
+                        return;
+                    }
+                    conn_ = conn;
+                }
+                ++connections_;
+                std::string in;
+                while (next < replies.size() && read_request(conn, in)) {
+                    ++requests_;
+                    const std::string& reply = replies[next++];
+                    ::send(conn, reply.data(), reply.size(), MSG_NOSIGNAL);
+                    if (reply.find("Connection: keep-alive") == std::string::npos) break;
+                }
+                const std::lock_guard<std::mutex> lock(mutex_);
+                ::close(conn);
+                conn_ = -1;
             }
-            ::send(conn, reply.data(), reply.size(), MSG_NOSIGNAL);
-            ::close(conn);
         });
     }
     ~CannedReplyServer() {
+        {
+            // Wakes a read on a connection the client keeps open.
+            const std::lock_guard<std::mutex> lock(mutex_);
+            stopping_ = true;
+            if (conn_ >= 0) ::shutdown(conn_, SHUT_RDWR);
+        }
         ::shutdown(fd_, SHUT_RDWR);  // unblocks accept() if no client came
         thread_.join();
         ::close(fd_);
@@ -1009,10 +1032,39 @@ class CannedReplyServer {
     CannedReplyServer(const CannedReplyServer&) = delete;
     CannedReplyServer& operator=(const CannedReplyServer&) = delete;
     Endpoint endpoint() const { return {"127.0.0.1", port_}; }
+    int requests() const { return requests_.load(); }
+    int connections() const { return connections_.load(); }
 
   private:
+    /// Consumes one request (head and Content-Length body) off `in`,
+    /// reading more as needed; false at EOF.
+    static bool read_request(int conn, std::string& in) {
+        char buf[1024];
+        for (;;) {
+            const std::size_t blank = in.find("\r\n\r\n");
+            if (blank != std::string::npos) {
+                const auto head = service::parse_http_head(in.substr(0, blank));
+                std::size_t length = 0;
+                if (head && head->headers.count("content-length") != 0)
+                    length = std::stoul(head->headers.at("content-length"));
+                if (in.size() >= blank + 4 + length) {
+                    in.erase(0, blank + 4 + length);
+                    return true;
+                }
+            }
+            const ssize_t n = ::read(conn, buf, sizeof(buf));
+            if (n <= 0) return false;
+            in.append(buf, static_cast<std::size_t>(n));
+        }
+    }
+
     int fd_;
     std::uint16_t port_ = 0;
+    std::mutex mutex_;
+    bool stopping_ = false;
+    int conn_ = -1;
+    std::atomic<int> requests_{0};
+    std::atomic<int> connections_{0};
     std::thread thread_;
 };
 
@@ -1020,20 +1072,76 @@ TEST(HttpClient, ContentLengthMustBeAllDigits) {
     // strtoull used to read "5x" and "+5" as 5 and an empty value as 0,
     // which dropped the body. Each is now a transport failure.
     for (const std::string value : {"5x", "+5", "", "-1", "5 5"}) {
-        CannedReplyServer server("HTTP/1.1 200 OK\r\nContent-Length: " + value +
-                                 "\r\nConnection: close\r\n\r\nhello");
+        CannedReplyServer server({"HTTP/1.1 200 OK\r\nContent-Length: " + value +
+                                  "\r\nConnection: close\r\n\r\nhello"});
         EXPECT_FALSE(http_request(server.endpoint(), "GET", "/healthz", "", 5000))
             << "Content-Length: '" << value << "' was accepted";
     }
-    CannedReplyServer server("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello");
+    CannedReplyServer server({"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"});
     const auto reply = http_request(server.endpoint(), "GET", "/healthz", "", 5000);
     ASSERT_TRUE(reply);
     EXPECT_EQ(reply->status, 200);
     EXPECT_EQ(reply->body, "hello");
 }
 
-TEST(LoopbackEndToEnd, TwoRealWorkersMatchTheLocalArtifact) {
-    const ScratchDir scratch("e2e");
+TEST(HttpClient, ChunkedOrConflictingLengthRepliesAreTransportFailures) {
+    // A chunked reply used to be returned raw, and of two lengths the
+    // last one silently cut the body.
+    for (const std::string reply :
+         {"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+          "HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\nhello"}) {
+        CannedReplyServer server({reply});
+        EXPECT_FALSE(http_request(server.endpoint(), "GET", "/healthz", "", 5000)) << reply;
+    }
+}
+
+const std::string kKeptAliveOk = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+                                 "Connection: keep-alive\r\n\r\nok";
+
+TEST(HttpClient, ReusesOneConnectionAndReplacesAStaleOneUnnoticed) {
+    // The second reply lacks keep-alive, so the server closes that
+    // connection while the client still holds it idle: the next request
+    // must go out on a fresh connection, unnoticed by the caller.
+    CannedReplyServer server({kKeptAliveOk, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+                              "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfresh"});
+    ASSERT_TRUE(http_request(server.endpoint(), "GET", "/a", "", 5000));
+    ASSERT_TRUE(http_request(server.endpoint(), "GET", "/b", "", 5000));
+    EXPECT_EQ(server.connections(), 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // the close lands
+    const auto reply = http_request(server.endpoint(), "GET", "/c", "", 5000);
+    ASSERT_TRUE(reply);
+    EXPECT_EQ(reply->body, "fresh");
+    EXPECT_EQ(server.requests(), 3);
+    EXPECT_EQ(server.connections(), 2);
+}
+
+TEST(HttpClient, ReusedConnectionClosedBeforeAnyReplyByteIsRetriedOnce) {
+    // The server reads the second request and closes unanswered, as it
+    // does when a kept-alive connection times out as a request goes out.
+    CannedReplyServer server(
+        {kKeptAliveOk, "", "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfresh"});
+    ASSERT_TRUE(http_request(server.endpoint(), "GET", "/a", "", 5000));
+    const auto reply = http_request(server.endpoint(), "POST", "/complete", "{}", 5000);
+    ASSERT_TRUE(reply);
+    EXPECT_EQ(reply->body, "fresh");
+    EXPECT_EQ(server.requests(), 3);
+}
+
+TEST(HttpClient, TornReplyOnAReusedConnectionIsNotSentAgain) {
+    // Part of a reply arrived, so the server may have acted on the POST:
+    // sending it again could apply it twice. It is a transport failure.
+    CannedReplyServer server({kKeptAliveOk, "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\ntorn",
+                              "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfresh"});
+    ASSERT_TRUE(http_request(server.endpoint(), "GET", "/a", "", 5000));
+    EXPECT_FALSE(http_request(server.endpoint(), "POST", "/complete", "{}", 5000));
+    EXPECT_EQ(server.requests(), 2);
+}
+
+/// HttpServer + coordinator + two WorkerLoop threads over loopback. With
+/// `hold_idle`, a raw connection that never sends a byte is opened as the
+/// first lease is granted and stays open for the rest of the run.
+void run_two_real_workers(bool hold_idle) {
+    const ScratchDir scratch(hold_idle ? "e2e_idle" : "e2e");
     const Manifest manifest = probe_manifest();
 
     CampaignOptions local;
@@ -1046,8 +1154,19 @@ TEST(LoopbackEndToEnd, TwoRealWorkersMatchTheLocalArtifact) {
 
     HttpServer server(0);
     const Endpoint endpoint{"127.0.0.1", server.port()};
+    int idle = -1;
     std::thread serve([&] {
         server.serve_forever([&](const HttpRequest& request) {
+            if (hold_idle && idle < 0 && request.target == "/lease") {
+                // Queued behind this reply, ahead of the workers' next
+                // requests: a serial loop would stall them past the TTL.
+                idle = ::socket(AF_INET, SOCK_STREAM, 0);
+                sockaddr_in addr{};
+                addr.sin_family = AF_INET;
+                addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+                addr.sin_port = htons(server.port());
+                EXPECT_EQ(::connect(idle, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+            }
             const HttpResponse response = coordinator.handle(request, steady_now_ms());
             // The campaign finishing stops the server AFTER this reply
             // is written — the completing worker still hears back.
@@ -1082,11 +1201,19 @@ TEST(LoopbackEndToEnd, TwoRealWorkersMatchTheLocalArtifact) {
     w2.join();
     server.stop();
     serve.join();
+    if (idle >= 0) ::close(idle);
 
     EXPECT_TRUE(coordinator.complete());
     EXPECT_EQ(coordinator.conflicts(), 0u);
     EXPECT_EQ(coordinator.artifact(), local_json);
+    // Heartbeats were answered in time: no lease expired.
+    EXPECT_NE(coordinator.summary().find(" 0 expired,"), std::string::npos)
+        << coordinator.summary();
 }
+
+TEST(LoopbackEndToEnd, TwoRealWorkersMatchTheLocalArtifact) { run_two_real_workers(false); }
+
+TEST(LoopbackEndToEnd, AnIdleConnectionHeldOpenExpiresNoLease) { run_two_real_workers(true); }
 
 TEST(Hashes, CacheKeyFingerprintAndResultHashArePinned) {
     // Cache entry names, checkpoint fingerprints and completion hashes are

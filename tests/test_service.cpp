@@ -31,6 +31,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -463,6 +464,20 @@ TEST(Http, RendersResponsesWithLengthAndClose) {
     EXPECT_EQ(wire.substr(wire.size() - 9), "{\"a\": 1}\n");
 }
 
+TEST(Http, ConflictingContentLengthsMakeAHeadMalformed) {
+    // The last duplicate used to win silently: on a kept-alive connection
+    // the rest of the body would be parsed as the next request.
+    EXPECT_FALSE(service::parse_http_head("POST / HTTP/1.1\r\nContent-Length: 5\r\n"
+                                          "content-length: 3"));
+    const auto same =
+        service::parse_http_head("HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5");
+    ASSERT_TRUE(same);
+    EXPECT_EQ(same->headers.at("content-length"), "5");
+    EXPECT_STREQ(service::http_status_text(501), "Not Implemented");
+    const std::string wire = service::render_http_response({200, "text/plain", "ok"}, true);
+    EXPECT_NE(wire.find("Connection: keep-alive\r\n"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // The campaign service (socketless routing)
 // ---------------------------------------------------------------------------
@@ -770,6 +785,216 @@ TEST(Service, IdleAndTricklingClientsCannotWedgeTheServer) {
     ::close(idle);
     server.stop();
     loop.join();
+}
+
+/// One end of a kept-alive connection: sends raw bytes and reads replies
+/// one at a time by their Content-Length, keeping what follows.
+class KeepAliveClient {
+  public:
+    explicit KeepAliveClient(std::uint16_t port) : fd_(connect_loopback(port)) {
+        const timeval timeout{5, 0};
+        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    }
+    ~KeepAliveClient() { ::close(fd_); }
+    KeepAliveClient(const KeepAliveClient&) = delete;
+    KeepAliveClient& operator=(const KeepAliveClient&) = delete;
+
+    void send(const std::string& wire) {
+        ASSERT_EQ(::send(fd_, wire.data(), wire.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(wire.size()));
+    }
+
+    /// The next whole reply (head and body), or "" at EOF or timeout.
+    std::string reply() {
+        for (;;) {
+            const std::size_t blank = buffer_.find("\r\n\r\n");
+            if (blank != std::string::npos) {
+                const auto head = service::parse_http_head(buffer_.substr(0, blank));
+                if (!head) return "";
+                const std::size_t total =
+                    blank + 4 + std::stoul(head->headers.at("content-length"));
+                if (buffer_.size() >= total) {
+                    std::string whole = buffer_.substr(0, total);
+                    buffer_.erase(0, total);
+                    return whole;
+                }
+            }
+            if (!read_more()) return "";
+        }
+    }
+
+    /// True when the server has closed the connection with nothing unread.
+    bool closed_by_server() { return buffer_.empty() && !read_more(); }
+
+  private:
+    bool read_more() {
+        char buf[65536];
+        const ssize_t n = ::read(fd_, buf, sizeof(buf));
+        if (n <= 0) return false;
+        buffer_.append(buf, static_cast<std::size_t>(n));
+        return true;
+    }
+
+    int fd_;
+    std::string buffer_;
+};
+
+/// A server whose handler echoes the request target as the body.
+class EchoServer {
+  public:
+    EchoServer()
+        : loop_([this] {
+              server_.serve_forever([](const HttpRequest& request) {
+                  return HttpResponse{200, "text/plain", request.target};
+              });
+          }) {}
+    ~EchoServer() {
+        server_.stop();
+        loop_.join();
+    }
+    EchoServer(const EchoServer&) = delete;
+    EchoServer& operator=(const EchoServer&) = delete;
+    std::uint16_t port() const { return server_.port(); }
+
+  private:
+    HttpServer server_{0};
+    std::thread loop_;
+};
+
+TEST(Http, TransferEncodingGets501AndClosesTheConnection) {
+    // A chunked body used to be read as empty and its chunks left on the
+    // wire: on a kept-alive connection they would be the next request.
+    const EchoServer server;
+    const auto start = std::chrono::steady_clock::now();
+    const std::string reply = http_exchange(
+        server.port(),
+        "POST /campaigns HTTP/1.1\r\nConnection: keep-alive\r\nTransfer-Encoding: chunked\r\n"
+        "\r\n5\r\nhello\r\n0\r\n\r\n",
+        5);
+    EXPECT_EQ(reply.rfind("HTTP/1.1 501 Not Implemented\r\n", 0), 0u) << reply;
+    EXPECT_NE(reply.find("Connection: close\r\n"), std::string::npos) << reply;
+    // Closed at once, not at the 2 s deadline.
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count(),
+              1.0);
+}
+
+TEST(Http, ConflictingContentLengthsGet400AndCloseTheConnection) {
+    const EchoServer server;
+    const auto start = std::chrono::steady_clock::now();
+    const std::string reply = http_exchange(
+        server.port(),
+        "POST /campaigns HTTP/1.1\r\nConnection: keep-alive\r\nContent-Length: 3\r\n"
+        "Content-Length: 5\r\n\r\nhello",
+        5);
+    EXPECT_EQ(reply.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u) << reply;
+    EXPECT_NE(reply.find("Connection: close\r\n"), std::string::npos) << reply;
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count(),
+              1.0);
+}
+
+TEST(Service, IdleTricklingAndResettingClientsCostHealthzNothing) {
+    // Eight idle connections, a trickler and a client that resets before
+    // it reads its reply are all open at once; a fresh /healthz must still
+    // be answered well inside one 2 s deadline.
+    HttpServer server(0);
+    std::thread loop([&] {
+        server.serve_forever([](const HttpRequest&) {
+            return HttpResponse{200, "application/json", "{\"status\":\"ok\"}\n"};
+        });
+    });
+
+    std::vector<int> idle;
+    for (int k = 0; k < 8; ++k) idle.push_back(connect_loopback(server.port()));
+    const int trickler = connect_loopback(server.port());
+    std::atomic<bool> done{false};
+    std::thread trickle([&] {
+        const std::string head = "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n";
+        for (std::size_t i = 0; i < head.size() && !done.load(); ++i) {
+            if (::send(trickler, &head[i], 1, MSG_NOSIGNAL) != 1) break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(500));
+        }
+    });
+    {
+        const int reset = connect_loopback(server.port());
+        const std::string request =
+            "GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n";
+        ASSERT_EQ(::write(reset, request.data(), request.size()),
+                  static_cast<ssize_t>(request.size()));
+        const linger abort{1, 0};
+        ::setsockopt(reset, SOL_SOCKET, SO_LINGER, &abort, sizeof(abort));
+        ::close(reset);
+    }
+
+    const auto start = std::chrono::steady_clock::now();
+    const std::string health = http_exchange(
+        server.port(), "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n", 2);
+    const double elapsed_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos) << "no reply within 2 s";
+    EXPECT_LT(elapsed_s, 2.0);
+
+    done.store(true);
+    trickle.join();
+    ::close(trickler);
+    for (const int fd : idle) ::close(fd);
+    server.stop();
+    loop.join();
+}
+
+TEST(Service, KeepAliveAnswersSequentialAndPipelinedRequestsInOrder) {
+    const EchoServer server;
+    KeepAliveClient client(server.port());
+    for (int k = 0; k < 100; ++k) {
+        const std::string target = "/r" + std::to_string(k);
+        client.send("GET " + target + " HTTP/1.1\r\nConnection: keep-alive\r\n\r\n");
+        const std::string reply = client.reply();
+        ASSERT_NE(reply.find("Connection: keep-alive\r\n"), std::string::npos) << k << reply;
+        ASSERT_EQ(reply.substr(reply.size() - target.size()), target) << reply;
+    }
+    // Two requests in one write, the second without keep-alive: both are
+    // answered in order, then the connection closes.
+    client.send("POST /first HTTP/1.1\r\nConnection: keep-alive\r\nContent-Length: 4\r\n\r\nbody"
+                "GET /second HTTP/1.1\r\n\r\n");
+    const std::string first = client.reply();
+    const std::string second = client.reply();
+    EXPECT_EQ(first.substr(first.size() - 6), "/first") << first;
+    EXPECT_EQ(second.substr(second.size() - 7), "/second") << second;
+    EXPECT_NE(second.find("Connection: close\r\n"), std::string::npos) << second;
+    EXPECT_TRUE(client.closed_by_server());
+}
+
+TEST(Service, StopFlushesTheReplyInFlightAndClosesKeptAliveConnections) {
+    // The handler stops the server and returns a reply far larger than a
+    // socket buffer, which its client reads only after a pause: the loop
+    // must see the stop with the reply half sent, finish sending it, close
+    // the idle kept-alive connections and return.
+    const std::string big(4u << 20, 'x');
+    HttpServer server(0);
+    std::thread loop([&] {
+        server.serve_forever([&](const HttpRequest& request) {
+            if (request.target == "/stop") {
+                server.stop();
+                return HttpResponse{200, "text/plain", big};
+            }
+            return HttpResponse{200, "text/plain", "ok"};
+        });
+    });
+
+    std::vector<std::unique_ptr<KeepAliveClient>> idle;
+    for (int k = 0; k < 3; ++k) {
+        idle.push_back(std::make_unique<KeepAliveClient>(server.port()));
+        idle.back()->send("GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n");
+        ASSERT_NE(idle.back()->reply().find("Connection: keep-alive\r\n"), std::string::npos);
+    }
+    KeepAliveClient stopper(server.port());
+    stopper.send("POST /stop HTTP/1.1\r\nConnection: keep-alive\r\n\r\n");
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const std::string reply = stopper.reply();
+    ASSERT_GT(reply.size(), big.size());
+    EXPECT_EQ(reply.substr(reply.size() - big.size()), big);
+    loop.join();
+    EXPECT_TRUE(stopper.closed_by_server());
+    for (const auto& client : idle) EXPECT_TRUE(client->closed_by_server());
 }
 
 } // namespace
