@@ -18,7 +18,7 @@
 //                                        leases points to pulling workers,
 //                                        persists through cache + checkpoint,
 //                                        artifact byte-identical to a local run
-//   dynamo work --coordinator=URL [--name=ID] [--workers=N] ...
+//   dynamo work --coordinator=URL [--name=ID] [--workers=N] [--capacity=N]
 //                                        pull-compute-complete worker loop
 //   dynamo report <campaign.json>        render a campaign artifact as a
 //          [--format=markdown|json]      comparison table (atlas-aware)
@@ -78,8 +78,6 @@ int usage(std::ostream& out, int code) {
            "                                      `dynamo work` processes; artifact\n"
            "                                      is byte-identical to a local run\n"
            "  dynamo work --coordinator=URL [--name=ID] [--workers=N] [--capacity=N]\n"
-           "              [--poll-ms=MS] [--retries=N] [--backoff-ms=MS]\n"
-           "              [--backoff-cap-ms=MS]\n"
            "                                      pull leases, compute points, push\n"
            "                                      results; exits 0 when the campaign\n"
            "                                      completes or the coordinator shuts\n"
@@ -350,14 +348,11 @@ int cmd_coordinate(int argc, char** argv) {
 
 int cmd_work(int argc, char** argv) {
     const CliArgs args(argc - 1, argv + 1,
-                       CliGrammar{{"no-heartbeat"},
-                                  {"coordinator", "name", "workers", "capacity", "poll-ms",
-                                   "retries", "backoff-ms", "backoff-cap-ms"}});
+                       CliGrammar{{}, {"coordinator", "name", "workers", "capacity"}});
     const std::string url = args.get_string("coordinator", "");
     if (!args.positional().empty() || url.empty()) {
         std::cerr << "usage: dynamo work --coordinator=URL [--name=ID] [--workers=N] "
-                     "[--capacity=N] [--poll-ms=MS] [--retries=N] [--backoff-ms=MS] "
-                     "[--backoff-cap-ms=MS] [--no-heartbeat]\n";
+                     "[--capacity=N]\n";
         return 2;
     }
     const std::optional<dist::Endpoint> endpoint = dist::parse_endpoint(url);
@@ -370,17 +365,10 @@ int cmd_work(int argc, char** argv) {
     dist::WorkerOptions options;
     options.name = args.get_string("name", "worker-" + std::to_string(::getpid()));
     options.capacity = static_cast<std::size_t>(int_at_least(args, "capacity", 4, 1));
-    options.poll_ms = static_cast<std::uint64_t>(int_at_least(args, "poll-ms", 200, 0));
-    options.backoff.max_attempts = static_cast<unsigned>(int_at_least(args, "retries", 8, 0));
-    const std::int64_t backoff_ms = int_at_least(args, "backoff-ms", 50, 1);
-    options.backoff.base_ms = static_cast<std::uint64_t>(backoff_ms);
-    options.backoff.cap_ms =
-        static_cast<std::uint64_t>(int_at_least(args, "backoff-cap-ms", 2000, backoff_ms));
     // Decorrelate retry jitter across workers deterministically: the
     // seed is a pure function of the worker's name.
     for (const unsigned char c : options.name)
         options.backoff.jitter_seed = options.backoff.jitter_seed * 0x100000001b3ULL ^ c;
-    options.heartbeats = !args.get_flag("no-heartbeat");
     options.log = &std::cout;
     std::optional<ThreadPool> pool;
     options.pool = workers_pool(args, pool);

@@ -20,23 +20,13 @@ std::string DynamoVerdict::summary() const {
     return os.str();
 }
 
-DynamoVerdict verify_dynamo(const grid::Torus& torus, const ColorField& initial, Color k,
-                            ThreadPool* pool) {
+DynamoVerdict verify_dynamo(const grid::Torus& torus, const ColorField& initial, Color k) {
     RunOptions opts;
     opts.target = k;
-    opts.pool = pool;
     DynamoVerdict verdict;
     verdict.trace = simulate(torus, initial, opts);
     verdict.is_dynamo = verdict.trace.reached_mono(k);
     verdict.is_monotone = verdict.is_dynamo && verdict.trace.monotone;
-    return verdict;
-}
-
-QuickVerdict classify_quick_verdict(const RunResult& result, Color k) {
-    QuickVerdict verdict;
-    verdict.rounds = result.rounds;
-    verdict.is_dynamo = result.reached_mono(k);
-    verdict.is_monotone = verdict.is_dynamo && result.monotone;
     return verdict;
 }
 

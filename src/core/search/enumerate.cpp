@@ -1,12 +1,12 @@
 // dynamo/core/search/enumerate.cpp
 //
-// The seed-era serial full enumeration, kept verbatim as the oracle for
-// the quotiented driver (see enumerate.hpp for why its exact accounting is
-// pinned).
+// The seed-era serial full enumeration, kept as the oracle for the
+// quotiented driver (see enumerate.hpp for why its exact accounting is
+// pinned): one rule.run per candidate.
 #include "core/search/enumerate.hpp"
 
 #include "core/blocks.hpp"
-#include "core/dynamo.hpp"
+#include "core/transform.hpp"
 #include "rules/registry.hpp"
 
 namespace dynamo {
@@ -22,6 +22,37 @@ const rules::RuleInfo& validate_search_rule(const SearchOptions& options) {
                        &rule == &rules::smp_rule(),
                    "the box/block prunes are SMP-specific; disable them for other rules");
     return rule;
+}
+
+Color rule_color(const rules::RuleInfo& rule, Color c) noexcept {
+    if (!rule.bicolor()) return c;
+    return c == kSearchSeedColor ? kBlack : kWhite;
+}
+
+bool verify_candidate(const grid::Torus& torus, const rules::RuleInfo& rule,
+                      const ColorField& field, bool require_monotone) {
+    ColorField mapped(field.size());
+    for (std::size_t v = 0; v < field.size(); ++v) mapped[v] = rule_color(rule, field[v]);
+    RunOptions opts;
+    opts.target = rule_color(rule, kSearchSeedColor);
+    const RunResult result = rule.run(torus, mapped, opts);
+    return result.reached_mono(*opts.target) && (result.monotone || !require_monotone);
+}
+
+std::optional<std::vector<grid::VertexId>> free_vertices(const grid::Torus& torus,
+                                                         const std::vector<grid::VertexId>& seeds,
+                                                         const SearchOptions& options) {
+    if (options.use_box_prune) {
+        const BoundingBox box = bounding_box(torus, seeds);
+        if (box.rows + 1 < torus.rows() || box.cols + 1 < torus.cols()) return std::nullopt;
+    }
+    std::vector<char> is_seed(torus.size(), 0);
+    for (const grid::VertexId v : seeds) is_seed[v] = 1;
+    std::vector<grid::VertexId> rest;
+    for (grid::VertexId v = 0; v < torus.size(); ++v) {
+        if (!is_seed[v]) rest.push_back(v);
+    }
+    return rest;
 }
 
 bool next_combination(std::vector<std::uint32_t>& comb, std::uint32_t n) {
@@ -50,17 +81,12 @@ bool next_odometer(std::vector<std::uint8_t>& digits, std::uint8_t base) {
 
 namespace {
 
-constexpr Color kSeedColor = 1;
-
 struct ProbeContext {
     const grid::Torus& torus;
     const SearchOptions& options;
-    std::uint64_t& sims;
-    std::uint64_t& candidates;
-    /// Non-null when options.rule is set: candidates verify through the
-    /// rule's packed-engine verifier. Null keeps the seed-era SMP path
-    /// (verify_dynamo) verbatim, pinned accounting and all.
-    rules::RuleVerifier* verifier = nullptr;
+    const rules::RuleInfo& rule;
+    std::uint64_t sims = 0;
+    std::uint64_t candidates = 0;
 };
 
 /// Try every complement coloring for a fixed seed set. Returns 1 if a
@@ -69,56 +95,28 @@ int probe_seed_set(ProbeContext& ctx, const std::vector<grid::VertexId>& seeds,
                    ColorField& witness) {
     const grid::Torus& torus = ctx.torus;
     const SearchOptions& opt = ctx.options;
-
-    if (opt.use_box_prune) {
-        const BoundingBox box = bounding_box(torus, seeds);
-        if (box.rows + 1 < torus.rows() || box.cols + 1 < torus.cols()) return 0;
-    }
-
-    std::vector<grid::VertexId> rest;
-    {
-        std::vector<char> is_seed(torus.size(), 0);
-        for (const grid::VertexId v : seeds) is_seed[v] = 1;
-        for (grid::VertexId v = 0; v < torus.size(); ++v) {
-            if (!is_seed[v]) rest.push_back(v);
-        }
-    }
+    const auto free = search_detail::free_vertices(torus, seeds, opt);
+    if (!free) return 0;
+    const std::vector<grid::VertexId>& rest = *free;
 
     const std::uint8_t base = static_cast<std::uint8_t>(opt.total_colors - 1);
     std::vector<std::uint8_t> digits(rest.size(), 0);
 
-    ColorField field(torus.size(), kSeedColor);
+    ColorField field(torus.size(), kSearchSeedColor);
     do {
         ++ctx.candidates;
         for (std::size_t idx = 0; idx < rest.size(); ++idx) {
             field[rest[idx]] = static_cast<Color>(2 + digits[idx]);
         }
-        if (opt.use_block_prune && has_non_k_block(torus, field, kSeedColor)) continue;
+        if (opt.use_block_prune && has_non_k_block(torus, field, kSearchSeedColor)) continue;
 
         if (++ctx.sims > opt.max_sims) return -1;
-        bool hit;
-        if (ctx.verifier != nullptr) {
-            const QuickVerdict verdict = ctx.verifier->verify(field);
-            hit = opt.require_monotone ? verdict.is_monotone : verdict.is_dynamo;
-        } else {
-            const DynamoVerdict verdict = verify_dynamo(torus, field, kSeedColor);
-            hit = opt.require_monotone ? verdict.is_monotone : verdict.is_dynamo;
-        }
-        if (hit) {
+        if (search_detail::verify_candidate(torus, ctx.rule, field, opt.require_monotone)) {
             witness = field;
             return 1;
         }
     } while (search_detail::next_odometer(digits, base));
     return 0;
-}
-
-/// Validate the rule options and build the verifier to probe through
-/// (null = the pinned SMP path, which verify_dynamo serves verbatim).
-std::unique_ptr<rules::RuleVerifier> validate_rule_options(const grid::Torus& torus,
-                                                           const SearchOptions& options) {
-    const rules::RuleInfo& rule = search_detail::validate_search_rule(options);
-    if (&rule == &rules::smp_rule()) return nullptr;
-    return rule.make_search_verifier(torus);
 }
 
 } // namespace
@@ -127,15 +125,14 @@ SeedProbe seed_set_admits_dynamo(const grid::Torus& torus,
                                  const std::vector<grid::VertexId>& seeds,
                                  const SearchOptions& options) {
     DYNAMO_REQUIRE(options.total_colors >= 2, "need at least two colors");
-    const std::unique_ptr<rules::RuleVerifier> verifier = validate_rule_options(torus, options);
+    const rules::RuleInfo& rule = search_detail::validate_search_rule(options);
     SeedProbe probe;
-    std::uint64_t sims = 0, candidates = 0;
-    ProbeContext ctx{torus, options, sims, candidates, verifier.get()};
+    ProbeContext ctx{torus, options, rule};
     ColorField witness;
     const int r = probe_seed_set(ctx, seeds, witness);
     probe.found = r == 1;
     probe.complete = r != -1;
-    probe.sims = sims;
+    probe.sims = ctx.sims;
     if (probe.found) probe.witness_field = std::move(witness);
     return probe;
 }
@@ -145,16 +142,15 @@ SearchOutcome exhaustive_min_dynamo(const grid::Torus& torus, std::uint32_t max_
     DYNAMO_REQUIRE(options.total_colors >= 2, "need at least two colors");
     const auto n = static_cast<std::uint32_t>(torus.size());
     DYNAMO_REQUIRE(max_size <= n, "max_size exceeds |V|");
-    const std::unique_ptr<rules::RuleVerifier> verifier = validate_rule_options(torus, options);
+    const rules::RuleInfo& rule = search_detail::validate_search_rule(options);
 
     SearchOutcome outcome;
-    std::uint64_t sims = 0, candidates = 0;
-    ProbeContext ctx{torus, options, sims, candidates, verifier.get()};
+    ProbeContext ctx{torus, options, rule};
 
     const auto fill_counts = [&] {
-        outcome.sims = sims;
-        outcome.candidates = candidates;
-        outcome.covered = candidates;  // no quotienting: one orbit each
+        outcome.sims = ctx.sims;
+        outcome.candidates = ctx.candidates;
+        outcome.covered = ctx.candidates;  // no quotienting: one orbit each
         outcome.reduction_factor = 1.0;
     };
 

@@ -13,11 +13,13 @@
 //   * the brute-force oracle that the symmetry-reduced sharded driver
 //     (core/search/sharded.hpp) is tested against.
 // SearchOptions::rule threads any registered LocalRule through the same
-// enumeration (candidates verify through the rule's RuleVerifier); the
-// default nullptr/SMP path is untouched.
+// enumeration. Every candidate, under every rule, is verified by one
+// rule.run with the search target set (verify_candidate), which for the
+// default SMP is exactly what verify_dynamo runs.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/search/types.hpp"
@@ -44,6 +46,25 @@ namespace search_detail {
 /// and the sharded driver so the two can never drift apart; the sharded
 /// driver layers its quotient-soundness check on top.
 const rules::RuleInfo& validate_search_rule(const SearchOptions& options);
+
+/// `rule`'s color for search-convention color `c`: a bi-color rule reads
+/// the seeds as the black (faulty) faction of [15] and every other vertex
+/// as white; any other rule runs the field as it is. A candidate is a hit
+/// when it floods rule_color(rule, kSearchSeedColor).
+Color rule_color(const rules::RuleInfo& rule, Color c) noexcept;
+
+/// Is the search-convention `field` a dynamo for the search target under
+/// `rule` (and monotone, when `require_monotone`)? One rule.run with the
+/// target set. The serial enumerator verifies every candidate with it;
+/// the sharded driver, the candidates its lane batches cannot decide.
+bool verify_candidate(const grid::Torus& torus, const rules::RuleInfo& rule,
+                      const ColorField& field, bool require_monotone);
+
+/// The non-seed vertices in ascending order, or nullopt when the
+/// bounding-box prune (SearchOptions::use_box_prune) rules `seeds` out.
+std::optional<std::vector<grid::VertexId>> free_vertices(const grid::Torus& torus,
+                                                         const std::vector<grid::VertexId>& seeds,
+                                                         const SearchOptions& options);
 
 /// Advance a combination (sorted index vector over [0, n)); returns false
 /// after the last combination. Shared by both search drivers.

@@ -6,23 +6,24 @@
 // bit-identical-aggregation contract).
 #include "core/search/sharded.hpp"
 
+#include <array>
 #include <atomic>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <utility>
 
 #include "core/blocks.hpp"
-#include "core/dynamo.hpp"
 #include "core/search/canonical.hpp"
 #include "core/search/enumerate.hpp"
+#include "core/sim/lane_engine.hpp"
 #include "rules/registry.hpp"
 
 namespace dynamo {
 
 namespace {
 
-constexpr Color kSeedColor = 1;
 constexpr std::uint64_t kNoUnit = std::numeric_limits<std::uint64_t>::max();
 
 struct UnitResult {
@@ -33,37 +34,63 @@ struct UnitResult {
     ColorField witness;
 };
 
+/// A shard's lane batch for one seed-set size, and the candidates queued
+/// on it: lane l holds fields[l] (search convention), and the unit's
+/// candidate and coverage counts just after it was examined.
+struct LaneQueue {
+    /// Null when the palette does not fit the lanes: every `ends` entry
+    /// then stays unended, and each candidate runs through rule.run.
+    std::unique_ptr<sim::LaneBatch> batch;
+    unsigned size = 0;
+    std::array<ColorField, sim::LaneBatch::kLanes> fields;
+    std::array<std::uint64_t, sim::LaneBatch::kLanes> candidates{}, covered{};
+    std::array<sim::LaneOutcome, sim::LaneBatch::kLanes> ends;
+};
+
 /// Examine every (canonical) complement coloring of one canonical seed
-/// set, verifying through the rule's packed-engine verifier. `sim_budget`
-/// is the shard's remaining slice; on exhaustion the result reports status
-/// -1 with the same "stopped right after exceeding" accounting the serial
-/// enumerator uses.
+/// set, in enumeration order, verifying 64 candidates per lane batch run.
+/// `sim_budget` is the shard's remaining slice. The result is the first
+/// deciding candidate's - a hit, or the one that exceeds the budget
+/// (status -1, sims = budget + 1) - with the counters rolled back to it,
+/// exactly as if every candidate had been verified on its own.
 UnitResult probe_unit(const grid::Torus& torus, const SearchOptions& opt,
                       const rules::RuleInfo& rule, const SymmetryGroup* group,
                       const std::vector<std::size_t>& stabilizer,
-                      const std::vector<grid::VertexId>& seeds, std::uint64_t sim_budget) {
+                      const std::vector<grid::VertexId>& seeds, LaneQueue& lanes,
+                      std::uint64_t sim_budget) {
     UnitResult result;
-
-    if (opt.use_box_prune) {
-        const BoundingBox box = bounding_box(torus, seeds);
-        if (box.rows + 1 < torus.rows() || box.cols + 1 < torus.cols()) return result;
-    }
-
-    std::vector<grid::VertexId> rest;
-    {
-        std::vector<char> is_seed(torus.size(), 0);
-        for (const grid::VertexId v : seeds) is_seed[v] = 1;
-        for (grid::VertexId v = 0; v < torus.size(); ++v) {
-            if (!is_seed[v]) rest.push_back(v);
-        }
-    }
+    const auto free = search_detail::free_vertices(torus, seeds, opt);
+    if (!free) return result;
+    const std::vector<grid::VertexId>& rest = *free;
 
     const auto base = static_cast<std::uint8_t>(opt.total_colors - 1);
-    ColorField field(torus.size(), kSeedColor);
+    const Color target = search_detail::rule_color(rule, kSearchSeedColor);
+    ColorField field(torus.size(), kSearchSeedColor);
     ColorField scratch;
-    // One engine per unit, reset per candidate (no realloc); the verifier
-    // also owns the search->rule color-convention bridge.
-    const std::unique_ptr<rules::RuleVerifier> verifier = rule.make_search_verifier(torus);
+
+    // Verifies the queued candidates in lane order up to the first hit,
+    // which takes the counters back to the state just after it.
+    const auto flush = [&]() -> int {
+        const unsigned queued = std::exchange(lanes.size, 0u);
+        if (queued != 0 && lanes.batch) {
+            lanes.batch->run(queued, sim::kDefaultLaneCap, target, lanes.ends);
+        }
+        for (unsigned l = 0; l < queued; ++l) {
+            const sim::LaneOutcome& end = lanes.ends[l];
+            const bool hit =
+                end.ended ? end.termination == Termination::Monochromatic && end.mono == target &&
+                                (end.monotone || !opt.require_monotone)
+                          : search_detail::verify_candidate(torus, rule, lanes.fields[l],
+                                                            opt.require_monotone);
+            if (!hit) continue;
+            result.sims -= queued - l - 1;
+            result.candidates = lanes.candidates[l];
+            result.covered = lanes.covered[l];
+            result.witness = std::move(lanes.fields[l]);
+            return 1;
+        }
+        return 0;
+    };
 
     const auto examine = [&](const std::vector<std::uint8_t>& digits) -> int {
         for (std::size_t idx = 0; idx < rest.size(); ++idx) {
@@ -78,33 +105,37 @@ UnitResult probe_unit(const grid::Torus& torus, const SearchOptions& opt,
         }
         ++result.candidates;
         result.covered += orbit;
-        if (opt.use_block_prune && has_non_k_block(torus, field, kSeedColor)) return 0;
-        if (++result.sims > sim_budget) return -1;
-        const QuickVerdict verdict = verifier->verify(field);
-        return (opt.require_monotone ? verdict.is_monotone : verdict.is_dynamo) ? 1 : 0;
+        if (opt.use_block_prune && has_non_k_block(torus, field, kSearchSeedColor)) return 0;
+        if (result.sims == sim_budget) {
+            // This candidate exceeds the budget; a queued one may still hit.
+            if (flush() == 1) return 1;
+            ++result.sims;
+            return -1;
+        }
+        ++result.sims;
+        const unsigned lane = lanes.size++;
+        if (lanes.batch) {
+            if (lane == 0) lanes.batch->clear();
+            for (std::size_t v = 0; v < field.size(); ++v) {
+                lanes.batch->put(lane, v, search_detail::rule_color(rule, field[v]));
+            }
+        }
+        lanes.fields[lane] = field;
+        lanes.candidates[lane] = result.candidates;
+        lanes.covered[lane] = result.covered;
+        return lanes.size == sim::LaneBatch::kLanes ? flush() : 0;
     };
 
-    if (group != nullptr) {
-        RgOdometer odometer(rest.size(), base);
-        do {
-            const int r = examine(odometer.digits());
-            if (r != 0) {
-                result.status = r;
-                if (r == 1) result.witness = field;
-                return result;
-            }
-        } while (odometer.next());
-    } else {
-        std::vector<std::uint8_t> digits(rest.size(), 0);
-        do {
-            const int r = examine(digits);
-            if (r != 0) {
-                result.status = r;
-                if (r == 1) result.witness = field;
-                return result;
-            }
-        } while (search_detail::next_odometer(digits, base));
-    }
+    // Canonical colorings are restricted-growth strings; the raw space is
+    // every digit string.
+    RgOdometer canonical(rest.size(), base);
+    std::vector<std::uint8_t> raw(rest.size(), 0);
+    int status = 0;
+    do {
+        status = examine(group != nullptr ? canonical.digits() : raw);
+    } while (status == 0 &&
+             (group != nullptr ? canonical.next() : search_detail::next_odometer(raw, base)));
+    result.status = status != 0 ? status : flush();
     return result;
 }
 
@@ -178,13 +209,15 @@ SearchOutcome parallel_min_dynamo(const grid::Torus& torus, std::uint32_t max_si
         parallel_for_shards(options.pool, shards, [&](unsigned s) {
             ShardState& st = states[s];
             std::uint64_t used = shard_used[s];
+            LaneQueue lanes;
+            if (rule.bicolor() || base.total_colors <= 7) lanes.batch = rule.make_lane_batch(torus);
             // Shard s owns units j with j % shards == s.
             for (std::uint64_t j = s; j < units.size(); j += shards) {
                 const std::vector<std::size_t> stabilizer =
                     group ? group->set_stabilizer(units[j]) : std::vector<std::size_t>{0};
                 UnitResult unit =
                     probe_unit(torus, base, rule, group ? &*group : nullptr, stabilizer,
-                               units[j], slice[s] - used);
+                               units[j], lanes, slice[s] - used);
                 st.sims += unit.sims;
                 st.candidates += unit.candidates;
                 st.covered += unit.covered;

@@ -12,10 +12,13 @@
 //     shards - canonical seed set j of the current size belongs to shard
 //     j mod num_shards, whatever thread runs it - so the aggregate outcome
 //     is bit-identical serial vs pooled (the BatchRunner guarantee);
-//   * every candidate is verified through the rule's packed engine via
-//     run_to_terminal (SearchOptions::rule -> RuleVerifier; nullptr = the
-//     SMP protocol, the seed-era path bit for bit — non-SMP rules get the
-//     soundness guards described in types.hpp);
+//   * a shard verifies its candidates 64 at a time on the rule's lane
+//     batch (core/sim/lane_engine.hpp; SearchOptions::rule, nullptr = the
+//     SMP protocol - non-SMP rules get the soundness guards described in
+//     types.hpp); a lane still live at the lane cap, and a palette the
+//     lanes cannot hold, re-run through rule.run. A unit reports its first
+//     deciding candidate in enumeration order with the counters rolled
+//     back to it, so batching changes no outcome;
 //   * the simulation budget is split into fixed per-shard slices; a shard
 //     that exhausts its slice raises a shared atomic truncation flag and
 //     stops, the OTHER shards still finish the current size, and the

@@ -7,11 +7,13 @@
 // complement over the palette. Two drivers share these records:
 //
 //   * core/search/enumerate.* - the seed-era serial full enumeration
-//     (every configuration, no quotienting), kept as the oracle;
+//     (every configuration, no quotienting, one rule.run per candidate),
+//     kept as the oracle;
 //   * core/search/sharded.*   - the symmetry-reduced sharded driver that
 //     enumerates one representative per orbit of the torus symmetry
 //     group x non-seed color relabeling, deterministically decomposed
-//     into shards (bit-identical serial vs pooled).
+//     into shards (bit-identical serial vs pooled) and verified 64
+//     candidates at a time on lane batches.
 //
 // Every outcome reports whether the search was complete or truncated by
 // budget - truncation is never silent.
@@ -30,6 +32,9 @@ namespace rules {
 struct RuleInfo;
 }
 
+/// The color of every seed in a search candidate; the others hold 2..|C|.
+inline constexpr Color kSearchSeedColor = 1;
+
 struct SearchOptions {
     Color total_colors = 3;        ///< |C|; seeds hold color 1, others 2..|C|
     bool require_monotone = true;  ///< count only monotone dynamos (Thm 1/3/5 scope)
@@ -38,9 +43,10 @@ struct SearchOptions {
     std::uint64_t max_sims = 50'000'000;  ///< simulation budget
     /// Local rule candidates are verified under (rules/registry.hpp);
     /// nullptr = the SMP protocol, the seed-era behaviour. Candidates stay
-    /// in the search convention (seeds = color 1, complement 2..|C|); the
-    /// rule's RuleVerifier bridges to its own color conventions (bi-color
-    /// rules treat the seeds as the black faction). Constraints enforced
+    /// in the search convention (seeds = color 1, complement 2..|C|) and
+    /// are mapped to the rule's colors only to run (bi-color rules treat
+    /// the seeds as the black faction; search_detail::rule_color in
+    /// core/search/enumerate.hpp). Constraints enforced
     /// by the drivers: the palette must be admissible for the rule, and
     /// the symmetry quotient requires a color-symmetric rule or |C| = 2
     /// (where relabeling the single non-seed color is the identity). The

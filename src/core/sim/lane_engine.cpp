@@ -45,16 +45,31 @@ Word LaneBatch::monochromatic(const Word* state) const noexcept {
     return monochromatic(all, any);
 }
 
+LaneBatch::ColorKey LaneBatch::key_of(Color counted) const noexcept {
+    ColorKey key;
+    if (planes_ == 1) {
+        key.bits[0] = counted == kBlack ? ~Word{0} : 0;
+        key.valid = counted == kBlack || counted == kWhite ? ~Word{0} : 0;
+        return key;
+    }
+    for (int p = 0; p < planes_; ++p) key.bits[p] = (counted >> p) & 1u ? ~Word{0} : 0;
+    key.valid = counted >= 1 && counted <= 7 ? ~Word{0} : 0;
+    return key;
+}
+
 void LaneBatch::end(Word lanes, Termination termination, std::uint32_t rounds,
-                    const Word* state, Color counted, std::span<LaneOutcome> out) const {
+                    const Word* state, Color counted, Word left,
+                    std::span<LaneOutcome> out) const {
     if (lanes == 0) return;
     const auto stride = static_cast<std::size_t>(planes_);
     for (Word rest = lanes; rest != 0; rest &= rest - 1) {
-        LaneOutcome& o = out[static_cast<std::size_t>(std::countr_zero(rest))];
+        const int l = std::countr_zero(rest);
+        LaneOutcome& o = out[static_cast<std::size_t>(l)];
         o.ended = true;
         o.termination = termination;
         o.rounds = rounds;
         o.count = 0;
+        o.monotone = ((left >> l) & 1u) == 0;
     }
     if (termination == Termination::Monochromatic) {
         // Cell 0 gives the color, and the count is all or nothing.
@@ -70,15 +85,11 @@ void LaneBatch::end(Word lanes, Termination termination, std::uint32_t rounds,
         return;
     }
     // The cells of each lane that hold `counted`, one match word per cell.
+    const ColorKey key = key_of(counted);
     for (std::size_t v = 0; v < cells_; ++v) {
         const Word* cell = state + v * stride;
-        Word match;
-        if (planes_ == 1) {
-            match = counted == kBlack ? cell[0] : counted == kWhite ? ~cell[0] : 0;
-        } else {
-            match = ~Word{0};
-            for (int p = 0; p < planes_; ++p) match &= (counted >> p) & 1u ? cell[p] : ~cell[p];
-        }
+        Word match = key.valid;
+        for (int p = 0; p < planes_; ++p) match &= ~(cell[p] ^ key.bits[p]);
         for (Word rest = match & lanes; rest != 0; rest &= rest - 1) {
             ++out[static_cast<std::size_t>(std::countr_zero(rest))].count;
         }

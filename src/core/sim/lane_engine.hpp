@@ -9,9 +9,11 @@
 // way. The cell kernel is the bit-plane engine's BitplaneKernel<R>, which
 // is bitwise and so does not care what a bit position means.
 //
-// This is the engine for Monte-Carlo trials (analysis/montecarlo.cpp): at
-// the atlas's 8x8 and 12x12 sizes a scalar run is dominated by per-run
-// overhead, not by sweeping, and a lane round amortizes it over 64 runs.
+// It runs Monte-Carlo trials (analysis/montecarlo.cpp) and the exhaustive
+// search's candidates (core/search/sharded.cpp): at the atlas's 8x8 and
+// 12x12 sizes, and more so at a search's 3x3 and 4x4, a scalar run is
+// dominated by per-run overhead, not by sweeping, and a lane round
+// amortizes it over 64 runs.
 //
 // Each lane ends with RunTally's priority and round accounting
 // (core/run/runner.hpp), checked per lane on whole-word masks fused into
@@ -23,6 +25,10 @@
 //   * a lane monochromatic after round r ends Monochromatic at r;
 //   * otherwise a lane whose state(r) equals state(r - j) for some
 //     2 <= j <= H ends Cycle at r.
+//
+// The same sweep keeps, per lane, whether a cell holding the counted color
+// ever recolored: LaneOutcome::monotone, which is RunResult::monotone of
+// the scalar run targeting that color.
 //
 // H follows the rule's period bound (rule_period_bound): 2 for reversible
 // bi-color rules, none for irreversible ones (their only repeat is a fixed
@@ -61,6 +67,9 @@ struct LaneOutcome {
     std::uint32_t rounds = 0;
     Color mono = kUnset;       ///< the shared color of a Monochromatic end
     std::uint32_t count = 0;   ///< cells holding the counted color at the end
+    /// No cell ever left the counted color: RunResult::monotone of the
+    /// scalar run with the counted color as its target.
+    bool monotone = true;
 
     friend bool operator==(const LaneOutcome&, const LaneOutcome&) = default;
 };
@@ -108,7 +117,8 @@ class LaneBatch {
     /// Runs lanes [0, lanes) from the state put() wrote, under the rule's
     /// RunOptions defaults (cycle detection on, automatic round cap), for at
     /// most `lane_cap` rounds. out[l] receives lane l's outcome, with
-    /// `count` the number of its cells holding `counted` at the end.
+    /// `count` the number of its cells holding `counted` at the end and
+    /// `monotone` whether none of them ever left it.
     virtual void run(unsigned lanes, std::uint32_t lane_cap, Color counted,
                      std::span<LaneOutcome> out) = 0;
 
@@ -128,10 +138,20 @@ class LaneBatch {
     /// The same, read from a whole state.
     Word monochromatic(const Word* state) const noexcept;
 
+    /// Color `counted` under the rule's encoding: a cell's words w hold it
+    /// in the lanes of valid & AND_p ~(w[p] ^ bits[p]). `valid` is zero for
+    /// a color the encoding cannot hold, which no cell then matches.
+    struct ColorKey {
+        Word bits[3] = {};
+        Word valid = 0;
+    };
+    ColorKey key_of(Color counted) const noexcept;
+
     /// Ends every lane of `lanes` with `termination` after `rounds`, `state`
-    /// being its final state.
+    /// being its final state and `left` the lanes where a cell left the
+    /// counted color.
     void end(Word lanes, Termination termination, std::uint32_t rounds, const Word* state,
-             Color counted, std::span<LaneOutcome> out) const;
+             Color counted, Word left, std::span<LaneOutcome> out) const;
 
     const grid::Torus torus_;
     const int planes_;
@@ -176,9 +196,12 @@ class LaneBatchT final : public LaneBatch {
         Word live = lanes == kLanes ? ~Word{0} : (Word{1} << lanes) - 1;
         for (unsigned l = 0; l < lanes; ++l) out[l] = LaneOutcome{};
         const std::uint32_t cap = std::min(lane_cap, auto_round_cap(cells_));
+        const ColorKey key = key_of(counted);
         const Word initially_mono = live & monochromatic(slot(0));
-        end(initially_mono, Termination::Monochromatic, 0, slot(0), counted, out);
+        end(initially_mono, Termination::Monochromatic, 0, slot(0), counted, 0, out);
         live &= ~initially_mono;
+        // Lanes where a cell holding `counted` (modulo key.valid) recolored.
+        Word left = 0;
 
         for (std::uint32_t r = 1; live != 0 && r <= cap; ++r) {
             const Word* cur = slot(r - 1);
@@ -202,28 +225,33 @@ class LaneBatchT final : public LaneBatch {
                 Word out_words[kPlanes] = {};
                 BitplaneKernel<R>::next_words(cur + w, cur + nb[0], cur + nb[1], cur + nb[2],
                                               cur + nb[3], out_words);
+                Word moved = 0, held = ~Word{0};
                 for (int p = 0; p < kPlanes; ++p) {
                     next[w + p] = out_words[p];
-                    changed |= out_words[p] ^ cur[w + p];
+                    moved |= out_words[p] ^ cur[w + p];
+                    held &= ~(cur[w + p] ^ key.bits[p]);
                     all[p] &= out_words[p];
                     any[p] |= out_words[p];
                     for (unsigned j = 2; j <= kHistory; ++j) {
                         differs[j] |= out_words[p] ^ past[j][w + p];
                     }
                 }
+                changed |= moved;
+                left |= moved & held;
             }
+            const Word lost = left & key.valid;
 
             const Word mono = monochromatic(all, any);
             // A round that changed nothing: the state was terminal at r - 1.
             const Word quiet = live & ~changed;
-            end(quiet & mono, Termination::Monochromatic, r - 1, next, counted, out);
-            end(quiet & ~mono, Termination::FixedPoint, r - 1, next, counted, out);
+            end(quiet & mono, Termination::Monochromatic, r - 1, next, counted, lost, out);
+            end(quiet & ~mono, Termination::FixedPoint, r - 1, next, counted, lost, out);
             live &= changed;
-            end(live & mono, Termination::Monochromatic, r, next, counted, out);
+            end(live & mono, Termination::Monochromatic, r, next, counted, lost, out);
             live &= ~mono;
             Word repeats = 0;
             for (unsigned j = 2; j <= depth; ++j) repeats |= ~differs[j];
-            end(live & repeats, Termination::Cycle, r, next, counted, out);
+            end(live & repeats, Termination::Cycle, r, next, counted, lost, out);
             live &= ~repeats;
         }
     }

@@ -51,15 +51,6 @@ class PackedEngineT {
         return changed;
     }
 
-    /// Rewind to round 0 with a new initial field on the same torus,
-    /// reusing the internal buffers - the search hot loop resets one
-    /// engine per candidate instead of constructing (and allocating) one.
-    void reset(const ColorField& initial) {
-        require_complete(*torus_, initial);
-        cur_.assign(initial.begin(), initial.end());
-        round_ = 0;
-    }
-
     const ColorField& colors() const noexcept { return cur_; }
     const grid::Torus& torus() const noexcept { return *torus_; }
     std::uint32_t round() const noexcept { return round_; }

@@ -1,7 +1,7 @@
 // dynamo/rules/registry.cpp
 //
 // Monomorphization site of the rule registry: each table row binds a
-// LocalRule type's kernel, sweeps, simulate_as, verifier and lane batch
+// LocalRule type's kernel, sweeps, simulate_as and lane batch
 // instantiations to its runtime name (see registry.hpp for the catalog).
 // This is the only file that compiles a rule into engines (a row's
 // reference_sweep steps the one BasicSyncEngine); simulate()
@@ -32,39 +32,6 @@ template RunResult run_to_terminal<BasicSyncEngine>(BasicSyncEngine&, const RunO
 namespace dynamo::rules {
 
 namespace {
-
-constexpr Color kSearchSeedColor = 1;
-
-/// Search-convention verifier over a reusable packed engine (see
-/// RuleVerifier in registry.hpp for the color-convention contract).
-template <sim::LocalRule R>
-class SearchVerifierT final : public RuleVerifier {
-  public:
-    explicit SearchVerifierT(const grid::Torus& torus)
-        : engine_(torus, ColorField(torus.size(), kSearchSeedColor)) {}
-
-    QuickVerdict verify(const ColorField& initial) override {
-        Color target = kSearchSeedColor;
-        const ColorField* field = &initial;
-        if constexpr (R::kMaxColors == 2) {
-            // Bi-color rule: the seeds are the black (faulty) faction.
-            mapped_.resize(initial.size());
-            for (std::size_t v = 0; v < initial.size(); ++v) {
-                mapped_[v] = initial[v] == kSearchSeedColor ? kBlack : kWhite;
-            }
-            target = kBlack;
-            field = &mapped_;
-        }
-        engine_.reset(*field);
-        RunOptions opts;
-        opts.target = target;
-        return classify_quick_verdict(run_to_terminal(engine_, opts), target);
-    }
-
-  private:
-    sim::PackedEngineT<R> engine_;
-    ColorField mapped_;
-};
 
 /// Throws std::invalid_argument unless `field` holds only kWhite and
 /// kBlack. Kept out of line: every bi-color simulate_as calls one copy.
@@ -113,9 +80,6 @@ constexpr RuleInfo make_info() {
         &sim::rule_stencil_sweep<R>,
         &reference_sweep<sim::RuleFnOf<R>>,
         &simulate_as<R>,
-        +[](const grid::Torus& t) {
-            return std::unique_ptr<RuleVerifier>(new SearchVerifierT<R>(t));
-        },
         +[](const grid::Torus& t) {
             return std::unique_ptr<sim::LaneBatch>(new sim::LaneBatchT<R>(t));
         },

@@ -40,7 +40,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/dynamo.hpp"
 #include "core/run/runner.hpp"
 #include "core/sim/local_rule.hpp"
 #include "core/sync_engine.hpp"
@@ -52,20 +51,6 @@ class LaneBatch;
 }
 
 namespace dynamo::rules {
-
-/// Reusable type-erased verifier for search inner loops: owns one packed
-/// engine per instance (reset per candidate, no per-candidate allocation)
-/// and the search->rule color-convention bridge. `initial` is always in
-/// the SEARCH convention - seeds hold color 1, the complement colors
-/// 2..|C|. Color-symmetric rules run it verbatim with target 1; bi-color
-/// rules view the seeds as the black (faulty) faction - color 1 maps to
-/// kBlack, everything else to kWhite - and verify black flooding, the
-/// dynamo semantics of [15].
-class RuleVerifier {
-  public:
-    virtual ~RuleVerifier() = default;
-    virtual QuickVerdict verify(const ColorField& initial) = 0;
-};
 
 /// One registered rule: identity metadata plus monomorphized entry points.
 /// An alias row has its own name and shares everything else with the row
@@ -89,11 +74,10 @@ struct RuleInfo {
     /// Under a bi-color rule it throws std::invalid_argument for a field
     /// holding a color other than 1 and 2, on every backend.
     RunResult (*run)(const grid::Torus&, const ColorField&, const RunOptions&);
-    /// Search-convention verifier factory (see RuleVerifier).
-    std::unique_ptr<RuleVerifier> (*make_search_verifier)(const grid::Torus&);
     /// Lane batch factory (sim::LaneBatchT<R>, core/sim/lane_engine.hpp):
     /// up to 64 runs on one torus at once, under the run's defaults. The
-    /// Monte-Carlo trials of Backend::Auto step it.
+    /// Monte-Carlo trials of Backend::Auto and the exhaustive search's
+    /// candidates step it.
     std::unique_ptr<sim::LaneBatch> (*make_lane_batch)(const grid::Torus&);
 
     /// Raw bit-plane sweep throughput (sim::bitplane_cells_per_sec<R>),

@@ -4,7 +4,7 @@
 // registry round-trips and metadata invariants (unanimity fixed points
 // inside the admissible palette, absorbing black under irreversible rules,
 // color equivariance where claimed), packed-vs-generic sweep parity per
-// rule x topology, the search-convention RuleVerifier bridge,
+// rule x topology, the search-convention bridge onto the lane batches,
 // rule-generic search parity (quotiented sharded driver vs the serial
 // enumerator under non-SMP rules), and the soundness of the registry's
 // alias rows (kernel identities, run identity on every backend, and the
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "core/dynamo.hpp"
@@ -19,6 +20,7 @@
 #include "core/search/enumerate.hpp"
 #include "core/search/sharded.hpp"
 #include "core/sim/kernels.hpp"
+#include "core/sim/lane_engine.hpp"
 #include "core/sync_engine.hpp"
 #include "core/transform.hpp"
 #include "rules/incremental.hpp"
@@ -206,7 +208,7 @@ TEST(RuleRegistry, LookupRoundTripsAndNamesTheIssueSet) {
         EXPECT_NE(rule->sweep, nullptr) << rule->name;
         EXPECT_NE(rule->generic_sweep, nullptr) << rule->name;
         EXPECT_NE(rule->run, nullptr) << rule->name;
-        EXPECT_NE(rule->make_search_verifier, nullptr) << rule->name;
+        EXPECT_NE(rule->make_lane_batch, nullptr) << rule->name;
     }
     for (const char* name :
          {"smp", "majority-prefer-black", "majority-prefer-current", "strong-majority",
@@ -311,16 +313,47 @@ TEST(RuleVerify, SearchVerifierBridgesConventions) {
     const rules::RuleInfo& contagion = *rules::find_rule("threshold-1");
     const rules::RuleInfo& two_threshold = *rules::find_rule("threshold-2");
 
-    // Search-convention verifier: seeds hold color 1, complement color 2;
-    // bi-color rules read the seeds as the black faction.
+    // Search convention: seeds hold color 1, complement color 2; bi-color
+    // rules read the seeds as the black faction, on the lanes the sharded
+    // driver verifies on and in the serial oracle's rule.run alike.
     ColorField search_field(t.size(), 2);
     search_field[t.index(1, 1)] = 1;
-    const auto v1 = contagion.make_search_verifier(t);
-    EXPECT_TRUE(v1->verify(search_field).is_monotone);
-    const auto v2 = two_threshold.make_search_verifier(t);
-    EXPECT_FALSE(v2->verify(search_field).is_dynamo);
+    const auto lane_verdict = [&](const rules::RuleInfo& rule, sim::LaneBatch& batch) {
+        batch.clear();
+        for (std::size_t v = 0; v < t.size(); ++v) {
+            batch.put(0, v, search_detail::rule_color(rule, search_field[v]));
+        }
+        std::array<sim::LaneOutcome, sim::LaneBatch::kLanes> ends;
+        batch.run(1, sim::kDefaultLaneCap, search_detail::rule_color(rule, kSearchSeedColor), ends);
+        EXPECT_TRUE(ends[0].ended) << rule.name;
+        return ends[0].termination == Termination::Monochromatic && ends[0].mono == kBlack &&
+               ends[0].monotone;
+    };
+    const auto contagion_lanes = contagion.make_lane_batch(t);
+    const auto two_threshold_lanes = two_threshold.make_lane_batch(t);
+    EXPECT_TRUE(lane_verdict(contagion, *contagion_lanes));
+    EXPECT_FALSE(lane_verdict(two_threshold, *two_threshold_lanes));
     // Reusable across candidates (the search hot-loop contract).
-    EXPECT_TRUE(v1->verify(search_field).is_monotone);
+    EXPECT_TRUE(lane_verdict(contagion, *contagion_lanes));
+    EXPECT_TRUE(search_detail::verify_candidate(t, contagion, search_field, true));
+    EXPECT_FALSE(search_detail::verify_candidate(t, two_threshold, search_field, false));
+
+    // The driver bridges the same way: one seed floods under contagion,
+    // none does under threshold-2.
+    ParallelSearchOptions par;
+    par.base.total_colors = 2;
+    par.use_symmetry = false;
+    par.base.rule = &contagion;
+    const SearchOutcome one = parallel_min_dynamo(t, 1, par);
+    EXPECT_TRUE(one.complete);
+    EXPECT_EQ(one.min_size, 1u);
+    ColorField seed_zero(t.size(), 2);
+    seed_zero[0] = 1;
+    EXPECT_EQ(one.witness_field, seed_zero);
+    par.base.rule = &two_threshold;
+    const SearchOutcome none = parallel_min_dynamo(t, 1, par);
+    EXPECT_TRUE(none.complete);
+    EXPECT_EQ(none.min_size, SearchOutcome::kNoDynamo);
 }
 
 TEST(RuleSearch, QuotientedSearchMatchesSerialOracleUnderBicolorRules) {

@@ -23,6 +23,7 @@
 #include "core/builders.hpp"
 #include "core/run/batch.hpp"
 #include "core/run/simulate.hpp"
+#include "core/search/enumerate.hpp"
 #include "core/sim/hybrid_engine.hpp"
 #include "core/sim/lane_engine.hpp"
 #include "core/transform.hpp"
@@ -530,36 +531,47 @@ TEST(RunCycleChecks, BicolorPeriodsAreAtMostTwoByGolesOlivosAndPoljakSura) {
 }
 
 TEST(RunCycleChecks, BicolorSearchVerdictsMatchTheHashDetector) {
-    // The search verifier steps PackedEngineT, so its bi-color runs take
-    // the period-2 check (or none): every verdict must equal the one the
-    // hash detector's run gives on the same black-seeded field.
+    // The search verifies on the rule's lane batch, whose bi-color repeat
+    // check reaches two rounds back (or none): every verdict must equal the
+    // one the hash detector's run gives on the same black-seeded field.
     constexpr std::pair<std::uint32_t, std::uint32_t> kSizes[] = {{3, 3}, {4, 4}, {2, 5}, {5, 4}};
     Xoshiro256 rng(0x5ea2c);
     for (const rules::RuleInfo* rule : bicolor_rules()) {
         for (const Topology topo : kTopologies) {
             for (const auto& [m, n] : kSizes) {
                 const Torus t(topo, m, n);
-                const auto verifier = rule->make_search_verifier(t);
-                for (int trial = 0; trial < 24; ++trial) {
+                const auto batch = rule->make_lane_batch(t);
+                batch->clear();
+                std::vector<ColorField> mapped;
+                for (unsigned trial = 0; trial < 24; ++trial) {
                     // Search convention: seeds hold color 1, the rest 2.
                     ColorField search(t.size(), 2);
                     for (auto& c : search) {
                         if (rng.uniform() < 0.1 + 0.03 * trial) c = 1;
                     }
-                    ColorField mapped(t.size());
+                    mapped.emplace_back(t.size());
                     for (std::size_t v = 0; v < t.size(); ++v) {
-                        mapped[v] = search[v] == 1 ? kBlack : kWhite;
+                        mapped.back()[v] = search_detail::rule_color(*rule, search[v]);
+                        batch->put(trial, v, mapped.back()[v]);
                     }
+                }
+                std::array<sim::LaneOutcome, 64> ends;
+                batch->run(24, sim::kDefaultLaneCap, kBlack, ends);
+                for (unsigned trial = 0; trial < 24; ++trial) {
                     RunOptions opts;
                     opts.backend = Backend::Generic;
                     opts.target = kBlack;
-                    const QuickVerdict expected =
-                        classify_quick_verdict(rule->run(t, mapped, opts), kBlack);
-                    const QuickVerdict verdict = verifier->verify(search);
+                    const RunResult expected = rule->run(t, mapped[trial], opts);
+                    const sim::LaneOutcome& verdict = ends[trial];
                     const std::string where = std::string(rule->name) + "/" + to_string(topo) +
                                               "/" + std::to_string(trial);
-                    EXPECT_EQ(verdict.is_dynamo, expected.is_dynamo) << where;
-                    EXPECT_EQ(verdict.is_monotone, expected.is_monotone) << where;
+                    ASSERT_TRUE(verdict.ended) << where;
+                    const bool is_dynamo = verdict.termination == Termination::Monochromatic &&
+                                           verdict.mono == kBlack;
+                    EXPECT_EQ(is_dynamo, expected.reached_mono(kBlack)) << where;
+                    EXPECT_EQ(is_dynamo && verdict.monotone,
+                              expected.reached_mono(kBlack) && expected.monotone)
+                        << where;
                     EXPECT_EQ(verdict.rounds, expected.rounds) << where;
                 }
             }
@@ -1182,10 +1194,32 @@ TEST(RunBatch, BatchedSimulationsMatchDirectRuns) {
 // Lane batches (core/sim/lane_engine.hpp): each lane ends as the scalar run
 // of its field does, on the four fields a Monte-Carlo trial keeps.
 
-/// A scalar run reduced to a lane's outcome, counting `counted`.
+/// A scalar run reduced to a lane's outcome, counting `counted`; the run's
+/// target is `counted` when its monotone flag is to be read.
 sim::LaneOutcome scalar_outcome(const RunResult& r, Color counted) {
-    return {true, r.termination, r.rounds, r.mono.value_or(kUnset),
-            static_cast<std::uint32_t>(count_color(r.final_colors, counted))};
+    return {true,
+            r.termination,
+            r.rounds,
+            r.mono.value_or(kUnset),
+            static_cast<std::uint32_t>(count_color(r.final_colors, counted)),
+            r.monotone};
+}
+
+/// `rule`'s run of `field` with `counted` as its target.
+RunResult targeted_run(const rules::RuleInfo& rule, const Torus& t, const ColorField& field,
+                       Color counted, Backend backend = Backend::Auto) {
+    RunOptions opts;
+    opts.backend = backend;
+    opts.target = counted;
+    return rule.run(t, field, opts);
+}
+
+/// Every color of `rule`'s lane palette, each in turn the counted one, and
+/// one the lanes cannot hold (no cell holds it, so none ever leaves it).
+/// 9 shares its low three bits with color 1.
+std::vector<Color> palette_colors(const rules::RuleInfo& rule) {
+    if (rule.bicolor()) return {kWhite, kBlack, 3};
+    return {1, 2, 3, 4, 5, 6, 7, 9};
 }
 
 /// Writes fields[0 .. width) into lanes 0 .. width of `batch` and runs it.
@@ -1229,23 +1263,26 @@ TEST(LaneBatches, EveryLaneEqualsTheScalarRunOnEveryRuleTopologyAndShape) {
                 const std::string where = std::string(rule->name) + " " + to_string(topo) + " " +
                                           std::to_string(m) + "x" + std::to_string(n);
                 const std::vector<ColorField> fields = trial_fields(t, *rule, m * 131 + n);
-                std::vector<RunResult> autos, generics;
-                for (const ColorField& f : fields) {
-                    RunOptions opts;
-                    autos.push_back(rule->run(t, f, opts));
-                    opts.backend = Backend::Generic;
-                    generics.push_back(rule->run(t, f, opts));
-                }
                 const auto batch = rule->make_lane_batch(t);
-                for (const unsigned width : {1u, 7u, 63u, 64u}) {
-                    for (const Color counted : {kWhite, kBlack}) {
+                for (const Color counted : palette_colors(*rule)) {
+                    std::vector<sim::LaneOutcome> expect;
+                    for (const ColorField& f : fields) {
+                        const RunResult autos = targeted_run(*rule, t, f, counted);
+                        const RunResult generic =
+                            targeted_run(*rule, t, f, counted, Backend::Generic);
+                        expect.push_back(scalar_outcome(autos, counted));
+                        ASSERT_EQ(expect.back(), scalar_outcome(generic, counted))
+                            << where << " lane " << expect.size() - 1;
+                    }
+                    for (const unsigned width : {1u, 7u, 63u, 64u}) {
                         const auto ends =
                             run_lanes(*batch, fields, width, sim::kDefaultLaneCap, counted);
                         for (unsigned lane = 0; lane < width; ++lane) {
-                            const std::string tag = where + " width " + std::to_string(width) +
-                                                    " lane " + std::to_string(lane);
-                            const sim::LaneOutcome expected = scalar_outcome(autos[lane], counted);
-                            ASSERT_EQ(expected, scalar_outcome(generics[lane], counted)) << tag;
+                            const std::string tag = where + " counted " +
+                                                    std::to_string(counted) + " width " +
+                                                    std::to_string(width) + " lane " +
+                                                    std::to_string(lane);
+                            const sim::LaneOutcome& expected = expect[lane];
                             if (!ends[lane].ended) {
                                 // Left live: the scalar run went past the lane cap.
                                 EXPECT_GE(expected.rounds, sim::kDefaultLaneCap) << tag;
@@ -1259,8 +1296,9 @@ TEST(LaneBatches, EveryLaneEqualsTheScalarRunOnEveryRuleTopologyAndShape) {
             }
         }
     }
-    // Nearly every lane ends inside the default cap at these sizes.
-    EXPECT_GT(compared, 12u * 3 * 6 * (1 + 7 + 63 + 64) * 2 * 9 / 10);
+    // Nearly every lane ends inside the default cap at these sizes: 10
+    // bi-color rows count 3 colors, smp and incremental 8.
+    EXPECT_GT(compared, (10u * 3 + 2 * 8) * 3 * 6 * (1 + 7 + 63 + 64) * 9 / 10);
 }
 
 TEST(LaneBatches, LanesPastTheLaneCapAreLeftLiveForTheScalarRun) {
@@ -1272,20 +1310,26 @@ TEST(LaneBatches, LanesPastTheLaneCapAreLeftLiveForTheScalarRun) {
             const Torus t(topo, 8, 8);
             const std::vector<ColorField> fields = trial_fields(t, *rule, 0x1a4e);
             const auto batch = rule->make_lane_batch(t);
-            for (const std::uint32_t cap : {0u, 1u, 2u, 3u}) {
-                const auto ends = run_lanes(*batch, fields, 64, cap, kBlack);
-                for (unsigned lane = 0; lane < 64; ++lane) {
-                    const sim::LaneOutcome expected =
-                        scalar_outcome(rule->run(t, fields[lane], {}), kBlack);
-                    const std::string tag = std::string(rule->name) + " " + to_string(topo) +
-                                            " cap " + std::to_string(cap) + " lane " +
-                                            std::to_string(lane);
-                    if (ends[lane].ended) {
-                        EXPECT_EQ(ends[lane], expected) << tag;
-                        ++ended;
-                    } else {
-                        EXPECT_GE(expected.rounds, cap) << tag;
-                        ++live;
+            for (const Color counted : palette_colors(*rule)) {
+                std::vector<sim::LaneOutcome> expect;
+                for (const ColorField& f : fields) {
+                    expect.push_back(scalar_outcome(targeted_run(*rule, t, f, counted), counted));
+                }
+                for (const std::uint32_t cap : {0u, 1u, 2u, 3u}) {
+                    const auto ends = run_lanes(*batch, fields, 64, cap, counted);
+                    for (unsigned lane = 0; lane < 64; ++lane) {
+                        const std::string tag = std::string(rule->name) + " " +
+                                                to_string(topo) + " counted " +
+                                                std::to_string(counted) + " cap " +
+                                                std::to_string(cap) + " lane " +
+                                                std::to_string(lane);
+                        if (ends[lane].ended) {
+                            EXPECT_EQ(ends[lane], expect[lane]) << tag;
+                            ++ended;
+                        } else {
+                            EXPECT_GE(expect[lane].rounds, cap) << tag;
+                            ++live;
+                        }
                     }
                 }
             }
@@ -1321,9 +1365,7 @@ TEST(LaneBatches, ARepeatBeyondTheHistoryIsLeftLiveNotMisread) {
         const Torus t(c.topo, c.m, c.n);
         ColorField field;
         for (const char* p = c.field; *p != '\0'; ++p) field.push_back(static_cast<Color>(*p - '0'));
-        RunOptions generic;
-        generic.backend = Backend::Generic;
-        const RunResult scalar = rules::smp_rule().run(t, field, generic);
+        const RunResult scalar = targeted_run(rules::smp_rule(), t, field, 1, Backend::Generic);
         ASSERT_EQ(scalar.termination, Termination::Cycle) << c.field;
         ASSERT_EQ(scalar.cycle_period, c.period) << c.field;
         ASSERT_EQ(scalar.rounds, c.rounds) << c.field;
