@@ -89,7 +89,7 @@ struct TrialSet {
     /// explicit backend keeps one rule.run per trial, which makes it the
     /// cross-check of the lanes.
     bool on_lanes() const noexcept {
-        return backend == Backend::Auto && (rule.bicolor() || num_colors <= 7) &&
+        return backend == Backend::Auto && sim::LaneBatch::holds(rule.bicolor(), num_colors) &&
                torus.size() <= kLaneMaxCells;
     }
 

@@ -144,47 +144,29 @@ SearchOutcome exhaustive_min_dynamo(const grid::Torus& torus, std::uint32_t max_
     DYNAMO_REQUIRE(max_size <= n, "max_size exceeds |V|");
     const rules::RuleInfo& rule = search_detail::validate_search_rule(options);
 
-    SearchOutcome outcome;
     ProbeContext ctx{torus, options, rule};
-
-    const auto fill_counts = [&] {
-        outcome.sims = ctx.sims;
-        outcome.candidates = ctx.candidates;
-        outcome.covered = ctx.candidates;  // no quotienting: one orbit each
-        outcome.reduction_factor = 1.0;
-    };
-
-    for (std::uint32_t size = 1; size <= max_size; ++size) {
+    SearchOutcome outcome;
+    int r = 0;  // probe_seed_set's verdict: 1 found, -1 budget exhausted
+    for (std::uint32_t size = 1; size <= max_size && r == 0; ++size) {
         std::vector<std::uint32_t> comb(size);
         for (std::uint32_t idx = 0; idx < size; ++idx) comb[idx] = idx;
-
-        bool more = true;
-        while (more) {
+        outcome.probed_max_size = size;
+        do {
             std::vector<grid::VertexId> seeds(comb.begin(), comb.end());
             ColorField witness;
-            const int r = probe_seed_set(ctx, seeds, witness);
-            if (r == -1) {
-                outcome.complete = false;
-                outcome.probed_max_size = size;
-                fill_counts();
-                return outcome;
-            }
+            r = probe_seed_set(ctx, seeds, witness);
             if (r == 1) {
-                outcome.complete = true;
                 outcome.min_size = size;
-                outcome.probed_max_size = size;
-                fill_counts();
                 outcome.witness_seeds = std::move(seeds);
                 outcome.witness_field = std::move(witness);
-                return outcome;
             }
-            more = search_detail::next_combination(comb, n);
-        }
-        outcome.probed_max_size = size;
+        } while (r == 0 && search_detail::next_combination(comb, n));
     }
 
-    outcome.complete = true;
-    fill_counts();
+    outcome.complete = r != -1;
+    outcome.sims = ctx.sims;
+    outcome.candidates = outcome.covered = ctx.candidates;  // no quotienting: one orbit each
+    outcome.reduction_factor = 1.0;
     return outcome;
 }
 

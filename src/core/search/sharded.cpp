@@ -181,12 +181,7 @@ SearchOutcome parallel_min_dynamo(const grid::Torus& torus, std::uint32_t max_si
 
     SearchOutcome outcome;
     outcome.group_order = group ? group->order() : 1;
-    const auto finalize = [&outcome] {
-        outcome.reduction_factor =
-            outcome.candidates == 0
-                ? 1.0
-                : static_cast<double>(outcome.covered) / static_cast<double>(outcome.candidates);
-    };
+    outcome.complete = true;
 
     for (std::uint32_t size = 1; size <= max_size; ++size) {
         // Canonical seed sets of this size, in combination order: the
@@ -210,7 +205,9 @@ SearchOutcome parallel_min_dynamo(const grid::Torus& torus, std::uint32_t max_si
             ShardState& st = states[s];
             std::uint64_t used = shard_used[s];
             LaneQueue lanes;
-            if (rule.bicolor() || base.total_colors <= 7) lanes.batch = rule.make_lane_batch(torus);
+            if (sim::LaneBatch::holds(rule.bicolor(), base.total_colors)) {
+                lanes.batch = rule.make_lane_batch(torus);
+            }
             // Shard s owns units j with j % shards == s.
             for (std::uint64_t j = s; j < units.size(); j += shards) {
                 const std::vector<std::size_t> stabilizer =
@@ -255,24 +252,23 @@ SearchOutcome parallel_min_dynamo(const grid::Torus& torus, std::uint32_t max_si
         // end or its budget); verdicts are only issued here.
         outcome.probed_max_size = size;
         if (best_unit != kNoUnit) {
-            // Sizes below `size` were exhausted (else we'd have returned),
+            // Sizes below `size` were exhausted (else we'd have stopped),
             // so any witness here settles the minimum exactly.
-            outcome.complete = true;
             outcome.min_size = size;
             outcome.witness_seeds = units[best_unit];
             outcome.witness_field = std::move(best_witness);
-            finalize();
-            return outcome;
+            break;
         }
         if (truncated.load(std::memory_order_relaxed)) {
             outcome.complete = false;
-            finalize();
-            return outcome;
+            break;
         }
     }
 
-    outcome.complete = true;
-    finalize();
+    outcome.reduction_factor =
+        outcome.candidates == 0
+            ? 1.0
+            : static_cast<double>(outcome.covered) / static_cast<double>(outcome.candidates);
     return outcome;
 }
 

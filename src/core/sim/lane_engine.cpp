@@ -53,7 +53,7 @@ LaneBatch::ColorKey LaneBatch::key_of(Color counted) const noexcept {
         return key;
     }
     for (int p = 0; p < planes_; ++p) key.bits[p] = (counted >> p) & 1u ? ~Word{0} : 0;
-    key.valid = counted >= 1 && counted <= 7 ? ~Word{0} : 0;
+    key.valid = counted >= 1 && counted <= kMaxColor ? ~Word{0} : 0;
     return key;
 }
 

@@ -89,6 +89,12 @@ inline constexpr std::uint32_t kDefaultLaneCap = 64;
 class LaneBatch {
   public:
     static constexpr unsigned kLanes = 64;
+    /// The largest color a multi-color rule's 3 planes hold (1..7).
+    static constexpr Color kMaxColor = 7;
+    /// Whether the lanes hold a `colors`-color palette of a (bi-color) rule.
+    static constexpr bool holds(bool bicolor, Color colors) noexcept {
+        return bicolor || colors <= kMaxColor;
+    }
 
     virtual ~LaneBatch() = default;
     LaneBatch(const LaneBatch&) = delete;
@@ -110,7 +116,7 @@ class LaneBatch {
             cell[0] |= Word{c == kBlack} << lane;
             return;
         }
-        DYNAMO_ASSERT(c >= 1 && c <= 7, "color outside the 3-plane encoding");
+        DYNAMO_ASSERT(c >= 1 && c <= kMaxColor, "color outside the 3-plane encoding");
         for (int p = 0; p < planes_; ++p) cell[p] |= Word{(c >> p) & 1u} << lane;
     }
 
@@ -201,6 +207,9 @@ class LaneBatchT final : public LaneBatch {
         end(initially_mono, Termination::Monochromatic, 0, slot(0), counted, 0, out);
         live &= ~initially_mono;
         // Lanes where a cell holding `counted` (modulo key.valid) recolored.
+        // No black cell recolors under an irreversible bi-color rule, so a
+        // counted white is left in exactly the lanes that changed.
+        constexpr bool kBlackAbsorbs = R::kIrreversible && kPlanes == 1;
         Word left = 0;
 
         for (std::uint32_t r = 1; live != 0 && r <= cap; ++r) {
@@ -229,7 +238,7 @@ class LaneBatchT final : public LaneBatch {
                 for (int p = 0; p < kPlanes; ++p) {
                     next[w + p] = out_words[p];
                     moved |= out_words[p] ^ cur[w + p];
-                    held &= ~(cur[w + p] ^ key.bits[p]);
+                    if constexpr (!kBlackAbsorbs) held &= ~(cur[w + p] ^ key.bits[p]);
                     all[p] &= out_words[p];
                     any[p] |= out_words[p];
                     for (unsigned j = 2; j <= kHistory; ++j) {
@@ -237,8 +246,9 @@ class LaneBatchT final : public LaneBatch {
                     }
                 }
                 changed |= moved;
-                left |= moved & held;
+                if constexpr (!kBlackAbsorbs) left |= moved & held;
             }
+            if constexpr (kBlackAbsorbs) left |= changed & ~key.bits[0];
             const Word lost = left & key.valid;
 
             const Word mono = monochromatic(all, any);

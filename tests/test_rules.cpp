@@ -326,15 +326,16 @@ TEST(RuleVerify, SearchVerifierBridgesConventions) {
         std::array<sim::LaneOutcome, sim::LaneBatch::kLanes> ends;
         batch.run(1, sim::kDefaultLaneCap, search_detail::rule_color(rule, kSearchSeedColor), ends);
         EXPECT_TRUE(ends[0].ended) << rule.name;
-        return ends[0].termination == Termination::Monochromatic && ends[0].mono == kBlack &&
-               ends[0].monotone;
+        const bool is_dynamo =
+            ends[0].termination == Termination::Monochromatic && ends[0].mono == kBlack;
+        return DynamoVerdict{is_dynamo, is_dynamo && ends[0].monotone, {}};
     };
     const auto contagion_lanes = contagion.make_lane_batch(t);
     const auto two_threshold_lanes = two_threshold.make_lane_batch(t);
-    EXPECT_TRUE(lane_verdict(contagion, *contagion_lanes));
-    EXPECT_FALSE(lane_verdict(two_threshold, *two_threshold_lanes));
+    EXPECT_TRUE(lane_verdict(contagion, *contagion_lanes).is_monotone);
+    EXPECT_FALSE(lane_verdict(two_threshold, *two_threshold_lanes).is_dynamo);
     // Reusable across candidates (the search hot-loop contract).
-    EXPECT_TRUE(lane_verdict(contagion, *contagion_lanes));
+    EXPECT_TRUE(lane_verdict(contagion, *contagion_lanes).is_monotone);
     EXPECT_TRUE(search_detail::verify_candidate(t, contagion, search_field, true));
     EXPECT_FALSE(search_detail::verify_candidate(t, two_threshold, search_field, false));
 

@@ -214,7 +214,11 @@ TEST(ParallelSearch, NonSymmetricModeMatchesTheOracleCandidateForCandidate) {
                 const SearchOutcome raw = parallel_min_dynamo(t, c.probe_to, opts);
                 opts.pool = &pool;
                 expect_identical(raw, parallel_min_dynamo(t, c.probe_to, opts), where.c_str());
+                EXPECT_EQ(raw.covered, raw.candidates) << where;
+                EXPECT_EQ(raw.group_order, 1u) << where;
                 if (budget != 0) continue;  // the shards split the budget
+                ASSERT_TRUE(oracle.complete) << where;
+                EXPECT_TRUE(raw.complete) << where;
                 EXPECT_EQ(raw.min_size, oracle.min_size) << where;
                 if (oracle.min_size == SearchOutcome::kNoDynamo) {
                     EXPECT_EQ(raw.candidates, oracle.candidates) << where;
@@ -261,7 +265,7 @@ TEST(ParallelSearch, TruncationIsReportedIdenticallySerialAndPooled) {
             const SearchOutcome s = parallel_min_dynamo(t, 4, serial);
             ASSERT_FALSE(s.complete) << where;
             EXPECT_GT(s.sims, 0u) << where;
-            for (int repeat = 0; repeat < 3; ++repeat) {
+            for (int repeat = 0; repeat < 5; ++repeat) {
                 expect_identical(s, parallel_min_dynamo(t, 4, pooled), where.c_str());
             }
         }
