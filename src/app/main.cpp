@@ -24,6 +24,9 @@
 //          [--format=markdown|json]      comparison table (atlas-aware)
 //          [--out=FILE]
 //   dynamo cache stats|clear|merge [--cache-dir=DIR]
+//
+// Every command but `run` (which checks its scenario's parameters) refuses
+// an option not listed here.
 #include <unistd.h>
 
 #include <chrono>
@@ -98,14 +101,22 @@ int usage(std::ostream& out, int code) {
     return code;
 }
 
+/// The arguments after `dynamo <command>`, parsed under `grammar`, which
+/// names every option the command takes: any other --key is refused.
+CliArgs command_args(int argc, char** argv, const CliGrammar& grammar) {
+    CliArgs args(argc - 1, argv + 1, grammar);
+    args.require_declared(grammar);
+    return args;
+}
+
 int cmd_list(int argc, char** argv) {
-    const CliArgs args(argc - 1, argv + 1, CliGrammar{{"markdown"}, {}});
+    const CliArgs args = command_args(argc, argv, {{"markdown"}, {}});
     scenario::print_list(std::cout, args.get_flag("markdown"));
     return 0;
 }
 
 int cmd_describe(int argc, char** argv) {
-    const CliArgs args(argc - 1, argv + 1);
+    const CliArgs args = command_args(argc, argv, {});
     if (args.positional().size() != 1) {
         std::cerr << "usage: dynamo describe <scenario>\n";
         return 2;
@@ -204,10 +215,9 @@ std::unique_ptr<service::HttpServer> bind_server(const CliArgs& args) {
 }
 
 int cmd_campaign(int argc, char** argv) {
-    const CliArgs args(
-        argc - 1, argv + 1,
-        CliGrammar{{"force"},
-                   {"workers", "cache-dir", "out", "progress", "shard", "checkpoint"}});
+    const CliArgs args = command_args(
+        argc, argv,
+        {{"force"}, {"workers", "cache-dir", "out", "progress", "shard", "checkpoint"}});
     if (args.positional().size() != 1) {
         std::cerr << "usage: dynamo campaign <manifest.json> [--force] [--workers=N] "
                      "[--cache-dir=DIR] [--out=FILE] [--progress=FILE] [--shard=K/N] "
@@ -236,8 +246,8 @@ int cmd_campaign(int argc, char** argv) {
 }
 
 int cmd_serve(int argc, char** argv) {
-    const CliArgs args(argc - 1, argv + 1,
-                       CliGrammar{{}, {"port", "port-file", "workers", "cache-dir"}});
+    const CliArgs args =
+        command_args(argc, argv, {{}, {"port", "port-file", "workers", "cache-dir"}});
     if (!args.positional().empty()) {
         std::cerr << "usage: dynamo serve [--port=P (0 = ephemeral)] [--workers=N] "
                      "[--cache-dir=DIR] [--port-file=PATH]\n";
@@ -277,10 +287,10 @@ std::uint64_t steady_now_ms() {
 }
 
 int cmd_coordinate(int argc, char** argv) {
-    const CliArgs args(argc - 1, argv + 1,
-                       CliGrammar{{"force"},
-                                  {"port", "port-file", "out", "cache-dir", "checkpoint",
-                                   "lease-ttl-ms", "batch", "progress"}});
+    const CliArgs args = command_args(argc, argv,
+                                      {{"force"},
+                                       {"port", "port-file", "out", "cache-dir", "checkpoint",
+                                        "lease-ttl-ms", "batch", "progress"}});
     if (args.positional().size() != 1) {
         std::cerr << "usage: dynamo coordinate <manifest.json> [--port=P] "
                      "[--port-file=PATH] [--out=FILE] [--cache-dir=DIR] "
@@ -347,8 +357,8 @@ int cmd_coordinate(int argc, char** argv) {
 }
 
 int cmd_work(int argc, char** argv) {
-    const CliArgs args(argc - 1, argv + 1,
-                       CliGrammar{{}, {"coordinator", "name", "workers", "capacity"}});
+    const CliArgs args =
+        command_args(argc, argv, {{}, {"coordinator", "name", "workers", "capacity"}});
     const std::string url = args.get_string("coordinator", "");
     if (!args.positional().empty() || url.empty()) {
         std::cerr << "usage: dynamo work --coordinator=URL [--name=ID] [--workers=N] "
@@ -387,7 +397,7 @@ int cmd_work(int argc, char** argv) {
 }
 
 int cmd_report(int argc, char** argv) {
-    const CliArgs args(argc - 1, argv + 1, CliGrammar{{}, {"format", "out"}});
+    const CliArgs args = command_args(argc, argv, {{}, {"format", "out"}});
     if (args.positional().size() != 1) {
         std::cerr << "usage: dynamo report <campaign.json> [--format=markdown|json] "
                      "[--out=FILE]\n";
@@ -413,7 +423,7 @@ int cmd_report(int argc, char** argv) {
 }
 
 int cmd_cache(int argc, char** argv) {
-    const CliArgs args(argc - 1, argv + 1, CliGrammar{{}, {"cache-dir"}});
+    const CliArgs args = command_args(argc, argv, {{}, {"cache-dir"}});
     const std::string dir = args.get_string("cache-dir", ".dynamo-cache");
     const auto& positional = args.positional();
     const std::string verb = positional.empty() ? "" : positional[0];

@@ -7,8 +7,8 @@
 #include "core/run/runner.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/transform.hpp"
 #include "util/assert.hpp"
@@ -61,35 +61,39 @@ class RunTally::AdoptionTracker {
     bool monotone_ = true;
 };
 
-/// Limit-cycle detection for any period, via an incrementally maintained
-/// position-keyed XOR fingerprint (two independent 64-bit streams) looked
-/// up in a table of every state seen: each change costs two mixes, so a
-/// round costs O(changed) plus one lookup instead of the seed driver's
-/// O(|V|) full-state rehash. XOR-folding makes the fingerprint independent
-/// of the order changes are reported in. A collision would merely
-/// terminate a run early - and ~2^-128 per pair is negligible at our
-/// scales.
+/// Limit-cycle detection for any period. The fingerprint {a, b} is two
+/// independent 64-bit XOR folds of position-keyed mixes, taken relative to
+/// the start state: it starts at 0 and folds only the changes, so it is the
+/// XOR of the start and current states' absolute fingerprints and compares
+/// equal exactly when they do. A round costs two mixes per change (not the
+/// seed driver's O(|V|) rehash), whatever order the changes come in. Each
+/// round appends {a, b} to a log (position = round - start round), and an
+/// open-addressing index of log positions (linear probing on a, 0 = empty,
+/// doubled at load 1/2) keeps the first position logged per a; a match on a
+/// with another b is not a repeat. A collision would merely end a run
+/// early - and ~2^-128 per pair is negligible at our scales.
 class RunTally::CycleDetector {
   public:
-    void on_start(const ColorField& initial, std::uint32_t round) {
-        for (std::size_t v = 0; v < initial.size(); ++v) fold(v, initial[v]);
-        seen_.emplace(a_, std::make_pair(b_, round));
-    }
+    explicit CycleDetector(std::uint32_t round) : start_(round), index_(64, 0) { log(slot(a_)); }
 
     std::optional<StopRequest> on_round(const RoundEvent& event) {
         for (const CellChange& ch : event.changes) {
             fold(ch.v, ch.before);  // XOR is its own inverse: remove old,
             fold(ch.v, ch.after);   // add new
         }
-        const auto it = seen_.find(a_);
-        if (it != seen_.end() && it->second.first == b_) {
-            return StopRequest{Termination::Cycle, event.round - it->second.second};
+        std::uint32_t& seen = slot(a_);
+        if (seen != 0 && log_[seen - 1].b == b_) {
+            return StopRequest{Termination::Cycle, event.round - start_ - (seen - 1)};
         }
-        seen_.emplace(a_, std::make_pair(b_, event.round));
+        log(seen);
         return std::nullopt;
     }
 
   private:
+    struct Fingerprint {
+        std::uint64_t a, b;
+    };
+
     static constexpr std::uint64_t mix(std::uint64_t z) noexcept {
         z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
@@ -102,9 +106,31 @@ class RunTally::CycleDetector {
         b_ ^= mix(key * 0xda942042e4dd58b5ULL + 0x2545f4914f6cdd1dULL);
     }
 
-    std::uint64_t a_ = 0xcbf29ce484222325ULL;
-    std::uint64_t b_ = 0x9e3779b97f4a7c15ULL;
-    std::unordered_map<std::uint64_t, std::pair<std::uint64_t, std::uint32_t>> seen_;
+    /// The index slot of first half `a`: its log position + 1, or 0.
+    std::uint32_t& slot(std::uint64_t a) noexcept {
+        const std::size_t mask = index_.size() - 1;
+        std::size_t i = a & mask;
+        while (index_[i] != 0 && log_[index_[i] - 1].a != a) i = (i + 1) & mask;
+        return index_[i];
+    }
+
+    /// Logs this round; `seen` is slot(a_), which takes it if empty.
+    void log(std::uint32_t& seen) {
+        log_.push_back({a_, b_});
+        if (seen != 0) return;
+        seen = static_cast<std::uint32_t>(log_.size());
+        if (2 * log_.size() <= index_.size()) return;
+        std::vector<std::uint32_t> old(2 * index_.size(), 0);
+        index_.swap(old);
+        for (const std::uint32_t pos : old) {
+            if (pos != 0) slot(log_[pos - 1].a) = pos;
+        }
+    }
+
+    std::uint32_t start_;  ///< the round of log_[0]
+    std::uint64_t a_ = 0, b_ = 0;
+    std::vector<Fingerprint> log_;
+    std::vector<std::uint32_t> index_;
 };
 
 /// The repeat check of a run whose every limit cycle has period 1 or 2
@@ -170,8 +196,7 @@ RunTally::RunTally(const ColorField& initial, std::uint32_t round, const RunOpti
         if (counts_[kWhite] + counts_[kBlack] != initial.size()) bound = PeriodBound::Unbounded;
         switch (bound) {
             case PeriodBound::Unbounded:
-                cycles_ = std::make_unique<CycleDetector>();
-                cycles_->on_start(initial, round);
+                cycles_ = std::make_unique<CycleDetector>(round);
                 break;
             case PeriodBound::Two: period_two_ = std::make_unique<PeriodTwoCheck>(); break;
             case PeriodBound::FixedPoint: break;

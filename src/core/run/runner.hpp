@@ -36,9 +36,10 @@
 //     quiescence check reports first: no detector at all;
 //   * every other engine and rule - smp, incremental, the reference
 //     BasicSyncEngine (Backend::Generic), the graph engines - keeps the
-//     hash detector, an incremental fingerprint of the whole field looked
-//     up in a table of every state seen. It is the oracle the two cheap
-//     checks are tested against (tests/test_run.cpp).
+//     hash detector: a fingerprint of the field relative to the start
+//     state, folded from the changes alone, logged every round and found
+//     again through an open-addressing index of log positions. It is the
+//     oracle the two cheap checks are tested against (tests/test_run.cpp).
 //
 // Both cheap checks stop at the round the hash detector stops at, with the
 // same period, so the RunResult does not depend on the check. The premise

@@ -25,6 +25,7 @@
 // declared parameters) to resolve it: declared flags never consume the
 // next token, declared value keys always do (even a "--"-prefixed one),
 // and only undeclared keys fall back to the greedy rule.
+// require_declared() then refuses any key the grammar does not name.
 #pragma once
 
 #include <concepts>
@@ -34,6 +35,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -154,6 +156,16 @@ class CliArgs {
     }
 
     bool get_flag(const std::string& key) const { return has(key); }
+
+    /// Throws std::invalid_argument naming the first parsed --key that
+    /// `grammar` declares neither a flag nor a value key: a command with a
+    /// fixed option set refuses a typo instead of ignoring it.
+    void require_declared(const CliGrammar& grammar) const {
+        for (const auto& [key, value] : values_) {
+            if (grammar.flag_keys.count(key) == 0 && grammar.value_keys.count(key) == 0)
+                throw std::invalid_argument("unknown option --" + key);
+        }
+    }
 
   private:
     std::string program_;

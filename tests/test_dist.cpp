@@ -36,6 +36,7 @@
 #include <fstream>
 #include <limits>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -1155,6 +1156,7 @@ void run_two_real_workers(bool hold_idle) {
     HttpServer server(0);
     const Endpoint endpoint{"127.0.0.1", server.port()};
     int idle = -1;
+    std::set<std::string> leased;  // worker names; the handler runs on the serve thread
     std::thread serve([&] {
         server.serve_forever([&](const HttpRequest& request) {
             if (hold_idle && idle < 0 && request.target == "/lease") {
@@ -1167,10 +1169,13 @@ void run_two_real_workers(bool hold_idle) {
                 addr.sin_port = htons(server.port());
                 EXPECT_EQ(::connect(idle, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
             }
+            if (request.target == "/lease") leased.insert(parse_lease_request(request.body).worker);
             const HttpResponse response = coordinator.handle(request, steady_now_ms());
-            // The campaign finishing stops the server AFTER this reply
-            // is written — the completing worker still hears back.
-            if (coordinator.complete()) server.stop();
+            // The server stops AFTER this reply is written — the completing
+            // worker still hears back — and only once both workers have
+            // asked for a lease: a worker that first reaches a stopped
+            // server never had contact, which is not a clean exit.
+            if (coordinator.complete() && leased.size() == 2) server.stop();
             return response;
         });
     });
@@ -1191,7 +1196,8 @@ void run_two_real_workers(bool hold_idle) {
                 },
                 wopts);
             // The worker that finishes the campaign sees "done"; the
-            // other may find the server already gone — both are clean.
+            // other may find the server gone after its first lease — both
+            // are clean.
             EXPECT_TRUE(worker_exit_clean(worker.run())) << name;
         });
     };

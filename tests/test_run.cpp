@@ -4,8 +4,9 @@
 // automatic round cap, observer composition (census series, frame dumper,
 // cycle detector) and stop-request priorities, the repeat checks (the
 // bi-color period-2 check and the irreversible rules' quiescence against
-// the hash detector, and the Goles-Olivos / Poljak-Sura period bound they
-// rest on), facts rounds (runs nothing reads change lists of, against
+// the hash detector, the Goles-Olivos / Poljak-Sura period bound they
+// rest on, and the hash detector against a map of every full state on a
+// period past 2048), facts rounds (runs nothing reads change lists of, against
 // the same runs listed and Generic, across Auto's hand-overs), the
 // plurality graph engine under the shared run loop, BatchRunner
 // substream determinism, and lane batches (every lane == the scalar run,
@@ -16,7 +17,10 @@
 #include <array>
 #include <bit>
 #include <filesystem>
+#include <limits>
+#include <map>
 #include <span>
+#include <string_view>
 
 #include "analysis/census_series.hpp"
 #include "analysis/montecarlo.hpp"
@@ -665,6 +669,90 @@ TEST(RunCycleChecks, OtherFieldsAndEnginesKeepTheHashDetector) {
     EXPECT_EQ(joined.termination, Termination::Cycle);
     EXPECT_EQ(joined.rounds, 3u);
     EXPECT_EQ(joined.cycle_period, 2u);
+}
+
+/// Every vertex takes its Left neighbor's color, so on the torus cordalis
+/// and serpentinus (whose Left links form one cycle through all of V) the
+/// field rotates along that cycle; a color above 3 loses one per hop, and a
+/// 3 becomes 1. A field of 1s with one 2 and one 9 decays for 7 rounds and
+/// then rotates the lone 2 with period |V|: no round is quiescent or
+/// monochromatic, so only a repeat or the cap ends the run.
+struct DecayingShift {
+    Color operator()(Color, const std::array<Color, grid::kDegree>& nbr) const noexcept {
+        const Color left = nbr[static_cast<std::size_t>(grid::Direction::Left)];
+        return left > 3 ? Color(left - 1) : left == 3 ? Color(1) : left;
+    }
+};
+
+/// The exact-state oracle of the hash detector: steps a copy of `engine`
+/// from its round and keeps every full state in a map until one repeats or
+/// the engine reaches round `cap`. Assumes, as DecayingShift guarantees,
+/// that no round is quiescent or monochromatic.
+RunResult first_repeat_by_states(BasicSyncEngine engine, std::uint32_t cap) {
+    // Ordered through a string_view of the bytes: at -O3, GCC 12 flags
+    // ColorField's own operator< with a false -Wstringop-overread.
+    const auto by_bytes = [](const ColorField& x, const ColorField& y) {
+        const auto bytes = [](const ColorField& f) {
+            return std::string_view(reinterpret_cast<const char*>(f.data()), f.size());
+        };
+        return bytes(x) < bytes(y);
+    };
+    std::map<ColorField, std::uint32_t, decltype(by_bytes)> seen(by_bytes);
+    seen.emplace(engine.colors(), engine.round());
+    RunResult result;
+    result.termination = Termination::RoundLimit;
+    while (engine.round() < cap) {
+        engine.step();
+        const auto [first, fresh] = seen.emplace(engine.colors(), engine.round());
+        if (!fresh) {
+            result.termination = Termination::Cycle;
+            result.cycle_period = engine.round() - first->second;
+            break;
+        }
+    }
+    result.rounds = engine.round();
+    result.final_colors = engine.colors();
+    return result;
+}
+
+TEST(RunCycleChecks, TheHashDetectorMatchesAnExactStateOracleOnALongPeriod) {
+    // Period |V| = 2304 > 2048, so the detector's index grows several
+    // times; runs start at round 0 (transient 7), inside the transient
+    // (joined at 3) and on the cycle (joined at 107), and once more with
+    // the cap one round short of the repeat.
+    constexpr std::uint32_t kTransient = 7;
+    for (const Topology topo : {Topology::TorusCordalis, Topology::TorusSerpentinus}) {
+        const Torus t(topo, 48, 48);
+        ColorField field(t.size(), 1);
+        field[0] = 2;
+        field[t.size() / 2] = 9;
+        for (const std::uint32_t join : {0u, 3u, kTransient + 100}) {
+            const std::string tag = std::string(to_string(topo)) + "/join " + std::to_string(join);
+            BasicSyncEngine engine(t, field, &reference_sweep<DecayingShift>);
+            for (std::uint32_t r = 0; r < join; ++r) engine.step();
+
+            const RunResult oracle =
+                first_repeat_by_states(engine, std::numeric_limits<std::uint32_t>::max());
+            ASSERT_EQ(oracle.termination, Termination::Cycle) << tag;
+            ASSERT_EQ(oracle.cycle_period, t.size()) << tag;
+            ASSERT_EQ(oracle.rounds, std::max(join, kTransient) + t.size()) << tag;
+
+            RunOptions capped;
+            capped.max_rounds = oracle.rounds - 1;
+            const RunResult limit_oracle = first_repeat_by_states(engine, capped.max_rounds);
+            ASSERT_EQ(limit_oracle.termination, Termination::RoundLimit) << tag;
+
+            for (const auto& [options, expected] :
+                 {std::pair{RunOptions{}, oracle}, std::pair{capped, limit_oracle}}) {
+                BasicSyncEngine run = engine;
+                const RunResult result = run_to_terminal(run, options);
+                EXPECT_EQ(result.termination, expected.termination) << tag;
+                EXPECT_EQ(result.rounds, expected.rounds) << tag;
+                EXPECT_EQ(result.cycle_period, expected.cycle_period) << tag;
+                EXPECT_EQ(result.final_colors, expected.final_colors) << tag;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

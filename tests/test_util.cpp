@@ -7,6 +7,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "util/assert.hpp"
 #include "util/cli.hpp"
@@ -219,6 +220,35 @@ TEST(CliArgs, DeclaredValueKeyAlwaysConsumes) {
 
     const char* truncated[] = {"prog", "--name"};
     EXPECT_THROW(CliArgs(2, truncated, grammar), std::invalid_argument);
+}
+
+TEST(CliArgs, RequireDeclaredRefusesKeysOutsideTheGrammar) {
+    CliGrammar grammar;
+    grammar.flag_keys = {"force"};
+    grammar.value_keys = {"cache-dir"};
+    const char* good[] = {"prog", "--force", "--cache-dir=/tmp/c", "pos"};
+    EXPECT_NO_THROW(CliArgs(4, good, grammar).require_declared(grammar));
+
+    // Every form of an unknown key is refused, by name: --k=v, --k v and a
+    // bare --k.
+    const char* with_eq[] = {"prog", "--force", "--bogus=1", ""};
+    const char* with_value[] = {"prog", "--bogus", "1", "--force"};
+    const char* bare[] = {"prog", "--force", "--bogus", ""};
+    for (const auto& [argc, argv] : {std::pair{3, with_eq}, std::pair{4, with_value},
+                                     std::pair{3, bare}}) {
+        const CliArgs args(argc, argv, grammar);
+        try {
+            args.require_declared(grammar);
+            ADD_FAILURE() << argv[1] << " " << argv[2] << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("--bogus"), std::string::npos) << e.what();
+        }
+    }
+    // An empty grammar refuses every key and still takes positionals.
+    const char* positional[] = {"prog", "a", "b"};
+    EXPECT_NO_THROW(CliArgs(3, positional).require_declared(CliGrammar{}));
+    const char* flagged[] = {"prog", "a", "--markdown"};
+    EXPECT_THROW(CliArgs(3, flagged).require_declared(CliGrammar{}), std::invalid_argument);
 }
 
 TEST(CliArgs, Uint64CoversFullRangeAndRejectsNegatives) {
