@@ -63,7 +63,6 @@ int scenario_main(dynamo::scenario::Context& ctx) {
         grid::Torus torus(grid::Topology::ToroidalMesh, c.m, c.n);
         ParallelSearchOptions opts;
         opts.base.total_colors = c.colors;
-        opts.base.require_monotone = true;
         opts.num_shards = 2 * pool.size();
         opts.pool = &pool;
         SearchOutcome outcome = parallel_min_dynamo(torus, c.probe_to, opts);

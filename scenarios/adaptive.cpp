@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "analysis/montecarlo.hpp"
+#include "core/run/batch.hpp"
 #include "core/transform.hpp"
 #include "grid/torus.hpp"
 #include "rules/registry.hpp"
@@ -73,21 +74,19 @@ int run_mc_critical_density(Context& ctx) {
     const Color k = rule.bicolor() ? kBlack : Color(1);
     const grid::Torus torus(topo, m, n);
 
-    // Warm start (on by default; warm=0 restores the cold schedule):
-    // each probe raises its stopping rule's FIRST checkpoint to half the
-    // decision time of the nearest previously-decided density. The
-    // neighbor's stopping time already proved the earlier checkpoints
-    // uninformative at a nearby density, and every checkpoint skipped
-    // leaves a larger delta_k slice for the one that finally decides —
-    // so decisions arrive in fewer trials. Soundness: an anytime-valid
-    // boundary holds for ANY predeclared checkpoint schedule, and this
-    // one depends only on earlier probes in refine_critical's fixed
-    // issue order — never on the current probe's own stream — so the
-    // bracket stays a pure function of (params, seed) and its 1 - delta
-    // guarantee is untouched. The raise is clamped to 8x the base so a
-    // cheap flat-end probe after an expensive near-threshold neighbor
-    // overpays by at most that bound.
-    const bool warm = ctx.args.get_int("warm", 1) != 0;
+    // Warm start: each probe raises its stopping rule's FIRST checkpoint
+    // to half the decision time of the nearest previously-decided
+    // density. The neighbor's stopping time already proved the earlier
+    // checkpoints uninformative at a nearby density, and every checkpoint
+    // skipped leaves a larger delta_k slice for the one that finally
+    // decides — so decisions arrive in fewer trials. Soundness: an
+    // anytime-valid boundary holds for ANY predeclared checkpoint
+    // schedule, and this one depends only on earlier probes in
+    // refine_critical's fixed issue order — never on the current probe's
+    // own stream — so the bracket stays a pure function of (params, seed)
+    // and its 1 - delta guarantee is untouched. The raise is clamped to 8x
+    // the base so a cheap flat-end probe after an expensive
+    // near-threshold neighbor overpays by at most that bound.
     const std::size_t base_min = probe_opts.stopping.min_trials;
     struct IssuedProbe {
         double x;
@@ -103,21 +102,18 @@ int run_mc_critical_density(Context& ctx) {
     const stats::CriticalBracket bracket = stats::refine_critical(
         refine, [&](double density, std::size_t index) {
             analysis::AdaptiveOptions opts = probe_opts;
-            if (warm) {
-                const IssuedProbe* nearest = nullptr;
-                for (const IssuedProbe& past : issued) {
-                    if (!past.decided) continue;
-                    if (nearest == nullptr ||
-                        std::abs(past.x - density) < std::abs(nearest->x - density))
-                        nearest = &past;
-                }
-                if (nearest != nullptr) {
-                    const std::size_t raised =
-                        std::min(nearest->trials / 2, base_min * 8);
-                    if (raised > base_min) {
-                        opts.stopping.min_trials = raised;
-                        ++warm_probes;
-                    }
+            const IssuedProbe* nearest = nullptr;
+            for (const IssuedProbe& past : issued) {
+                if (!past.decided) continue;
+                if (nearest == nullptr ||
+                    std::abs(past.x - density) < std::abs(nearest->x - density))
+                    nearest = &past;
+            }
+            if (nearest != nullptr) {
+                const std::size_t raised = std::min(nearest->trials / 2, base_min * 8);
+                if (raised > base_min) {
+                    opts.stopping.min_trials = raised;
+                    ++warm_probes;
                 }
             }
             const analysis::AdaptiveDensityPoint probe = analysis::run_density_point_adaptive(
@@ -190,9 +186,6 @@ int run_mc_critical_density(Context& ctx) {
         {"bracket_target", ParamType::Double, "0.02", "0.25", "target bracket width"},
         {"max_probes", ParamType::Int, "32", "6", "total probe budget: ladder + bisection"},
         {"max_trials", ParamType::Int, "10000", "40", "per-probe hard trial cap"},
-        {"warm", ParamType::Int, "1", "",
-         "warm-start each probe's checkpoint schedule from the nearest decided "
-         "neighbor (0 = cold schedule; bracket stays pure in (params, seed))"},
     },
     &run_mc_critical_density,
 });

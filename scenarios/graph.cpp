@@ -65,8 +65,7 @@ int run_graph_dynamics_point(Context& ctx) {
 
         RunOptions opts;
         opts.target = kBlack;
-        io::RoundStreamObserver::Options obs_opts;
-        io::RoundStreamObserver observer(stream, obs_opts);
+        io::RoundStreamObserver observer(stream);
         if (stream.enabled()) opts.observers.push_back(&observer);
 
         const RunResult r = graphx::run_graph_rule(grule, graph, field, opts);

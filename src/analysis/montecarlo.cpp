@@ -210,11 +210,9 @@ AdaptiveDensityPoint run_density_point_adaptive(const grid::Torus& torus, Color 
                                                 Backend backend) {
     const TrialSet set{torus, k, density, num_colors, trial_rule(num_colors, rule), backend};
     std::vector<TrialOutcome> outcomes(options.max_trials);
-    stats::SequentialOptions seq;
-    seq.stopping = options.stopping;
-    seq.max_trials = options.max_trials;
-    seq.chunk = options.chunk;
-    const stats::SequentialEstimator estimator(seq);
+    static_assert(stats::SequentialEstimator::kChunk == sim::LaneBatch::kLanes,
+                  "an estimator chunk is one lane batch");
+    const stats::SequentialEstimator estimator({options.stopping, options.max_trials});
     const stats::SequentialResult result =
         estimator.run_chunks([&](std::size_t lo, std::size_t hi, std::span<double> values) {
             set.run(lo, hi, seed, pool, outcomes);

@@ -15,7 +15,7 @@
 // top: the same per-trial substreams, but the trial count is decided by
 // an anytime-valid confidence sequence (stats/confidence.hpp), so the
 // point is a pure function of (params, seed, ci_target, delta) —
-// bit-identical serial vs pooled and independent of chunk geometry.
+// bit-identical serial vs pooled, on lanes or one engine per trial.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +62,6 @@ struct AdaptiveOptions {
     /// min_trials — see stats/confidence.hpp.
     stats::StoppingConfig stopping;
     std::size_t max_trials = 10000;  ///< hard cap when the rule never fires
-    /// Trials generated per batch round; affects throughput only, never
-    /// the result (chunk tails past the stop are discarded).
-    std::size_t chunk = 64;
 };
 
 /// An adaptively-stopped density point: the census covers exactly the
@@ -127,7 +124,9 @@ std::vector<DensityPoint> run_density_sweep(const grid::Torus& torus, Color k,
 /// threshold, or both), capped at options.max_trials. The census over
 /// the consumed prefix is bit-identical to a fixed-trial run of the same
 /// length — adaptive stopping changes WHEN to stop, never what a trial
-/// is — and the whole result is independent of pool and chunk geometry.
+/// is — and the whole result is independent of the pool and the backend.
+/// Trials run in chunks of stats::SequentialEstimator::kChunk (one lane
+/// batch each); max_trials = 0 throws std::invalid_argument.
 AdaptiveDensityPoint run_density_point_adaptive(const grid::Torus& torus, Color k,
                                                 double density, Color num_colors,
                                                 std::uint64_t seed,

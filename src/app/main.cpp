@@ -375,10 +375,6 @@ int cmd_work(int argc, char** argv) {
     dist::WorkerOptions options;
     options.name = args.get_string("name", "worker-" + std::to_string(::getpid()));
     options.capacity = static_cast<std::size_t>(int_at_least(args, "capacity", 4, 1));
-    // Decorrelate retry jitter across workers deterministically: the
-    // seed is a pure function of the worker's name.
-    for (const unsigned char c : options.name)
-        options.backoff.jitter_seed = options.backoff.jitter_seed * 0x100000001b3ULL ^ c;
     options.log = &std::cout;
     std::optional<ThreadPool> pool;
     options.pool = workers_pool(args, pool);

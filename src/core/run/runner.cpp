@@ -169,17 +169,11 @@ class RunTally::PeriodTwoCheck {
 };
 
 RunTally::RunTally(const ColorField& initial, std::uint32_t round, const RunOptions& options,
-                   PeriodBound bound)
+                   PeriodBound bound, bool time_varying)
     : options_(options),
-      cap_(options.max_rounds != 0 ? options.max_rounds : auto_round_cap(initial.size())) {
+      cap_(options.max_rounds != 0 ? options.max_rounds : auto_round_cap(initial.size())),
+      time_varying_(time_varying) {
     DYNAMO_REQUIRE(!initial.empty(), "cannot run an empty field");
-    // stop_on_quiescence = false declares a time-varying rule, under which
-    // a repeated state proves nothing (the rule may act differently next
-    // round) - cycle detection would misread a quiescent round as a
-    // period-1 cycle. Reject the inconsistent combination loudly.
-    DYNAMO_REQUIRE(options.stop_on_quiescence || !options.detect_cycles,
-                   "detect_cycles needs a time-invariant rule; disable it when "
-                   "stop_on_quiescence is false");
 
     // Incremental color census: monochromatic detection is O(changed) per
     // round instead of a full-field scan.
@@ -190,7 +184,9 @@ RunTally::RunTally(const ColorField& initial, std::uint32_t round, const RunOpti
         tracker_ = std::make_unique<AdoptionTracker>(*options.target);
         tracker_->on_start(initial);
     }
-    if (options.detect_cycles) {
+    // Under a time-varying rule a repeated state proves nothing (the rule
+    // may act differently next round), so such a run has no repeat check.
+    if (options.detect_cycles && !time_varying) {
         // A period bound is a statement about bi-color fields; on any other
         // field the hash detector decides.
         if (counts_[kWhite] + counts_[kBlack] != initial.size()) bound = PeriodBound::Unbounded;
@@ -235,7 +231,7 @@ void RunTally::record(std::uint32_t round, std::size_t changed, const ColorField
         distinct_ = distinct;
     }
 
-    if (changed == 0 && options_.stop_on_quiescence) {
+    if (changed == 0 && !time_varying_) {
         // The state was already terminal before this no-op round.
         end(distinct_ == 1 ? Termination::Monochromatic : Termination::FixedPoint, round - 1);
         return;
@@ -268,7 +264,7 @@ void RunTally::record(std::uint32_t round, std::size_t changed, const ColorField
 
 void RunTally::record_facts(std::uint32_t round, const RoundFacts& facts) {
     census_stale_ = true;
-    if (facts.changed == 0 && options_.stop_on_quiescence) {
+    if (facts.changed == 0 && !time_varying_) {
         end(facts.monochromatic ? Termination::Monochromatic : Termination::FixedPoint,
             round - 1);
         return;

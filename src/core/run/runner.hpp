@@ -13,6 +13,12 @@
 //   * an initially monochromatic field reports 0 rounds without stepping.
 //   * the defensive cap (max_rounds, default 4*|V| + 64, far above every
 //     bound the paper proves) reports the cap itself.
+//   * an engine whose rule is time-varying (CsrGraphEngineT::time_varying,
+//     e.g. the temporal-link rule of graph/temporal.hpp with edge_up < 1)
+//     may recolor again once links return, so neither a quiet round nor a
+//     repeated state ends its run: only a monochromatic state, an observer
+//     stop or the cap does. run_to_terminal reads this from the engine
+//     (engine_time_varying); no option selects it.
 //
 // Only the stepping loop is a template: the bookkeeping - census,
 // classification, observer dispatch, repeat detection - is the RunTally,
@@ -111,11 +117,6 @@ struct RunOptions {
     /// when a caller drives run_to_terminal with an explicit engine).
     Backend backend = Backend::Auto;
 
-    /// When false, a zero-change round is NOT terminal: time-varying rules
-    /// (graph/temporal.hpp) may recolor again once links return, so only
-    /// monochromatic states, observer stops, and the cap end the run.
-    bool stop_on_quiescence = true;
-
     /// Additional observers, notified in order after the automatic ones
     /// (target tracker, repeat check). Non-owning. Any observer makes the
     /// run list every round's changed cells (see the header comment).
@@ -186,6 +187,17 @@ constexpr PeriodBound engine_period_bound() noexcept {
     }
 }
 
+/// Does `engine` step a time-varying rule (see the header comment)? Only
+/// engines that say so through a time_varying() member are.
+template <typename E>
+bool engine_time_varying(const E& engine) noexcept {
+    if constexpr (requires { engine.time_varying(); }) {
+        return engine.time_varying();
+    } else {
+        return false;
+    }
+}
+
 /// Everything run_to_terminal decides, compiled once (core/run/runner.cpp):
 /// the round cap, the color census, the terminal classification, the
 /// repeat check, observer dispatch (the automatic target/cycle observers
@@ -195,11 +207,12 @@ constexpr PeriodBound engine_period_bound() noexcept {
 class RunTally {
   public:
     /// Validates `options`, takes the census of `initial`, picks the repeat
-    /// check from `bound` and notifies on_start. An initially monochromatic
-    /// field finishes the run here, at `round` (the engine's current
-    /// round). `options` must outlive the tally.
+    /// check from `bound` and notifies on_start. A `time_varying` run has
+    /// no repeat check and does not end on a quiet round. An initially
+    /// monochromatic field finishes the run here, at `round` (the engine's
+    /// current round). `options` must outlive the tally.
     RunTally(const ColorField& initial, std::uint32_t round, const RunOptions& options,
-             PeriodBound bound);
+             PeriodBound bound, bool time_varying);
     ~RunTally();
 
     /// True while the run is neither finished nor at the cap.
@@ -244,6 +257,7 @@ class RunTally {
 
     const RunOptions& options_;
     std::uint32_t cap_;
+    bool time_varying_;
     bool done_ = false;
     std::unique_ptr<AdoptionTracker> tracker_;
     std::unique_ptr<CycleDetector> cycles_;
@@ -263,7 +277,8 @@ class RunTally {
 /// its callers inline (CI counts the hybrid engine's).
 template <Engine E>
 [[gnu::noinline]] RunResult run_to_terminal(E& engine, const RunOptions& options = {}) {
-    RunTally tally(engine.colors(), engine.round(), options, engine_period_bound<E>());
+    RunTally tally(engine.colors(), engine.round(), options, engine_period_bound<E>(),
+                   engine_time_varying(engine));
     const bool lists = tally.wants_changes();
     while (tally.running(engine.round())) {
         std::vector<CellChange>& changes = tally.next_changes();

@@ -5,7 +5,6 @@
 // pinned): one rule.run per candidate.
 #include "core/search/enumerate.hpp"
 
-#include "core/blocks.hpp"
 #include "core/transform.hpp"
 #include "rules/registry.hpp"
 
@@ -18,9 +17,6 @@ const rules::RuleInfo& validate_search_rule(const SearchOptions& options) {
         options.rule != nullptr ? *options.rule : rules::smp_rule();
     DYNAMO_REQUIRE(rule.admits_palette(options.total_colors),
                    std::string("palette size inadmissible for rule '") + rule.name + "'");
-    DYNAMO_REQUIRE((!options.use_box_prune && !options.use_block_prune) ||
-                       &rule == &rules::smp_rule(),
-                   "the box/block prunes are SMP-specific; disable them for other rules");
     return rule;
 }
 
@@ -30,22 +26,17 @@ Color rule_color(const rules::RuleInfo& rule, Color c) noexcept {
 }
 
 bool verify_candidate(const grid::Torus& torus, const rules::RuleInfo& rule,
-                      const ColorField& field, bool require_monotone) {
+                      const ColorField& field) {
     ColorField mapped(field.size());
     for (std::size_t v = 0; v < field.size(); ++v) mapped[v] = rule_color(rule, field[v]);
     RunOptions opts;
     opts.target = rule_color(rule, kSearchSeedColor);
     const RunResult result = rule.run(torus, mapped, opts);
-    return result.reached_mono(*opts.target) && (result.monotone || !require_monotone);
+    return result.reached_mono(*opts.target) && result.monotone;
 }
 
-std::optional<std::vector<grid::VertexId>> free_vertices(const grid::Torus& torus,
-                                                         const std::vector<grid::VertexId>& seeds,
-                                                         const SearchOptions& options) {
-    if (options.use_box_prune) {
-        const BoundingBox box = bounding_box(torus, seeds);
-        if (box.rows + 1 < torus.rows() || box.cols + 1 < torus.cols()) return std::nullopt;
-    }
+std::vector<grid::VertexId> free_vertices(const grid::Torus& torus,
+                                          const std::vector<grid::VertexId>& seeds) {
     std::vector<char> is_seed(torus.size(), 0);
     for (const grid::VertexId v : seeds) is_seed[v] = 1;
     std::vector<grid::VertexId> rest;
@@ -95,9 +86,7 @@ int probe_seed_set(ProbeContext& ctx, const std::vector<grid::VertexId>& seeds,
                    ColorField& witness) {
     const grid::Torus& torus = ctx.torus;
     const SearchOptions& opt = ctx.options;
-    const auto free = search_detail::free_vertices(torus, seeds, opt);
-    if (!free) return 0;
-    const std::vector<grid::VertexId>& rest = *free;
+    const std::vector<grid::VertexId> rest = search_detail::free_vertices(torus, seeds);
 
     const std::uint8_t base = static_cast<std::uint8_t>(opt.total_colors - 1);
     std::vector<std::uint8_t> digits(rest.size(), 0);
@@ -108,10 +97,8 @@ int probe_seed_set(ProbeContext& ctx, const std::vector<grid::VertexId>& seeds,
         for (std::size_t idx = 0; idx < rest.size(); ++idx) {
             field[rest[idx]] = static_cast<Color>(2 + digits[idx]);
         }
-        if (opt.use_block_prune && has_non_k_block(torus, field, kSearchSeedColor)) continue;
-
         if (++ctx.sims > opt.max_sims) return -1;
-        if (search_detail::verify_candidate(torus, ctx.rule, field, opt.require_monotone)) {
+        if (search_detail::verify_candidate(torus, ctx.rule, field)) {
             witness = field;
             return 1;
         }

@@ -2,10 +2,9 @@
 //
 // The seed-era serial full enumeration: every seed set of a given size
 // AND every coloring of the complement, simulated one by one. Exponential,
-// so feasible only for tiny tori / small palettes; optional sound prunes
-// (bounding-box necessity, non-k-block certificates) can cut the work, but
-// the verification benches run with prunes off so the result does not
-// assume the lemmas under test.
+// so feasible only for tiny tori / small palettes. No candidate is pruned
+// (by the Lemma-1 bounding box or a non-k-block, say), so a result never
+// assumes the lemmas it is used to test.
 //
 // This driver is kept verbatim from the seed implementation for two jobs:
 //   * the seed-era entry points (their pinned tests keep exact behaviour,
@@ -19,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/search/types.hpp"
@@ -39,10 +37,9 @@ SeedProbe seed_set_admits_dynamo(const grid::Torus& torus,
 
 namespace search_detail {
 
-/// Resolve and validate SearchOptions::rule for a search driver: palette
-/// admissibility, and the SMP-only box/block prunes refused for every
-/// other rule. Returns the resolved registry entry (SMP when rule is
-/// null). The ONE rule-option validator, shared by the serial enumerator
+/// Resolve and validate SearchOptions::rule for a search driver: the
+/// palette must be admissible for the rule. Returns the resolved registry
+/// entry (SMP when rule is null). The ONE rule-option validator, shared by the serial enumerator
 /// and the sharded driver so the two can never drift apart; the sharded
 /// driver layers its quotient-soundness check on top.
 const rules::RuleInfo& validate_search_rule(const SearchOptions& options);
@@ -53,18 +50,16 @@ const rules::RuleInfo& validate_search_rule(const SearchOptions& options);
 /// when it floods rule_color(rule, kSearchSeedColor).
 Color rule_color(const rules::RuleInfo& rule, Color c) noexcept;
 
-/// Is the search-convention `field` a dynamo for the search target under
-/// `rule` (and monotone, when `require_monotone`)? One rule.run with the
-/// target set. The serial enumerator verifies every candidate with it;
-/// the sharded driver, the candidates its lane batches cannot decide.
+/// Is the search-convention `field` a monotone dynamo for the search
+/// target under `rule`? One rule.run with the target set. The serial
+/// enumerator verifies every candidate with it; the sharded driver, the
+/// candidates its lane batches cannot decide.
 bool verify_candidate(const grid::Torus& torus, const rules::RuleInfo& rule,
-                      const ColorField& field, bool require_monotone);
+                      const ColorField& field);
 
-/// The non-seed vertices in ascending order, or nullopt when the
-/// bounding-box prune (SearchOptions::use_box_prune) rules `seeds` out.
-std::optional<std::vector<grid::VertexId>> free_vertices(const grid::Torus& torus,
-                                                         const std::vector<grid::VertexId>& seeds,
-                                                         const SearchOptions& options);
+/// The non-seed vertices in ascending order.
+std::vector<grid::VertexId> free_vertices(const grid::Torus& torus,
+                                          const std::vector<grid::VertexId>& seeds);
 
 /// Advance a combination (sorted index vector over [0, n)); returns false
 /// after the last combination. Shared by both search drivers.

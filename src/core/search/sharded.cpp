@@ -14,7 +14,6 @@
 #include <optional>
 #include <utility>
 
-#include "core/blocks.hpp"
 #include "core/search/canonical.hpp"
 #include "core/search/enumerate.hpp"
 #include "core/sim/lane_engine.hpp"
@@ -59,9 +58,7 @@ UnitResult probe_unit(const grid::Torus& torus, const SearchOptions& opt,
                       const std::vector<grid::VertexId>& seeds, LaneQueue& lanes,
                       std::uint64_t sim_budget) {
     UnitResult result;
-    const auto free = search_detail::free_vertices(torus, seeds, opt);
-    if (!free) return result;
-    const std::vector<grid::VertexId>& rest = *free;
+    const std::vector<grid::VertexId> rest = search_detail::free_vertices(torus, seeds);
 
     const auto base = static_cast<std::uint8_t>(opt.total_colors - 1);
     const Color target = search_detail::rule_color(rule, kSearchSeedColor);
@@ -77,11 +74,10 @@ UnitResult probe_unit(const grid::Torus& torus, const SearchOptions& opt,
         }
         for (unsigned l = 0; l < queued; ++l) {
             const sim::LaneOutcome& end = lanes.ends[l];
-            const bool hit =
-                end.ended ? end.termination == Termination::Monochromatic && end.mono == target &&
-                                (end.monotone || !opt.require_monotone)
-                          : search_detail::verify_candidate(torus, rule, lanes.fields[l],
-                                                            opt.require_monotone);
+            const bool hit = end.ended ? end.termination == Termination::Monochromatic &&
+                                             end.mono == target && end.monotone
+                                       : search_detail::verify_candidate(torus, rule,
+                                                                         lanes.fields[l]);
             if (!hit) continue;
             result.sims -= queued - l - 1;
             result.candidates = lanes.candidates[l];
@@ -105,7 +101,6 @@ UnitResult probe_unit(const grid::Torus& torus, const SearchOptions& opt,
         }
         ++result.candidates;
         result.covered += orbit;
-        if (opt.use_block_prune && has_non_k_block(torus, field, kSearchSeedColor)) return 0;
         if (result.sims == sim_budget) {
             // This candidate exceeds the budget; a queued one may still hit.
             if (flush() == 1) return 1;

@@ -35,11 +35,11 @@ struct RuleInfo;
 /// The color of every seed in a search candidate; the others hold 2..|C|.
 inline constexpr Color kSearchSeedColor = 1;
 
+/// Every search counts monotone dynamos only (Definitions 2-3: the scope
+/// of Theorems 1, 3 and 5) and examines every candidate: it assumes none
+/// of the lemmas it is used to test.
 struct SearchOptions {
-    Color total_colors = 3;        ///< |C|; seeds hold color 1, others 2..|C|
-    bool require_monotone = true;  ///< count only monotone dynamos (Thm 1/3/5 scope)
-    bool use_box_prune = false;    ///< apply Lemma-1 bounding-box necessity
-    bool use_block_prune = false;  ///< apply non-k-block certificates
+    Color total_colors = 3;               ///< |C|; seeds hold color 1, others 2..|C|
     std::uint64_t max_sims = 50'000'000;  ///< simulation budget
     /// Local rule candidates are verified under (rules/registry.hpp);
     /// nullptr = the SMP protocol, the seed-era behaviour. Candidates stay
@@ -49,9 +49,7 @@ struct SearchOptions {
     /// core/search/enumerate.hpp). Constraints enforced
     /// by the drivers: the palette must be admissible for the rule, and
     /// the symmetry quotient requires a color-symmetric rule or |C| = 2
-    /// (where relabeling the single non-seed color is the identity). The
-    /// box/block prunes encode SMP-specific lemmas and are refused for
-    /// other rules.
+    /// (where relabeling the single non-seed color is the identity).
     const rules::RuleInfo* rule = nullptr;
 };
 
@@ -61,7 +59,7 @@ struct SearchOutcome {
     /// (which settles the minimum regardless of later candidates).
     bool complete = false;
     /// Smallest size for which some (seed set, coloring) pair is a
-    /// (monotone) dynamo; kNoDynamo if none exists up to `probed_max_size`.
+    /// monotone dynamo; kNoDynamo if none exists up to `probed_max_size`.
     std::uint32_t min_size = kNoDynamo;
     std::uint32_t probed_max_size = 0;
     std::uint64_t sims = 0;
@@ -83,7 +81,7 @@ struct SearchOutcome {
 };
 
 /// Does ANY coloring of the non-seed vertices (over colors 2..|C|) make
-/// `seeds` a (monotone, per options) dynamo for color 1? Exhaustive over
+/// `seeds` a monotone dynamo for color 1? Exhaustive over
 /// colorings; complete unless the budget is hit.
 struct SeedProbe {
     bool found = false;

@@ -36,7 +36,9 @@
 // availability with edge_up < 1) break the frontier premise - a vertex
 // whose neighborhood is unchanged may still recolor when links return -
 // so for them the engine evaluates every vertex every round; correctness
-// is never traded for the frontier shortcut.
+// is never traded for the frontier shortcut. The engine reports such a
+// rule through time_varying(), and run_to_terminal then ends the run on
+// neither a quiet round nor a repeated state (core/run/runner.hpp).
 #pragma once
 
 #include <algorithm>
@@ -99,6 +101,10 @@ class CsrGraphEngineT {
     const graphx::Graph& graph() const noexcept { return *graph_; }
     const R& rule() const noexcept { return rule_; }
     std::uint32_t round() const noexcept { return round_; }
+
+    /// Does the rule recolor by round as well as by state? run_to_terminal
+    /// then ends the run on neither a quiet round nor a repeated state.
+    bool time_varying() const noexcept { return full_every_round_; }
 
     /// Vertices scheduled for re-evaluation next round. For frontier-
     /// driven rules, 0 iff the state is a fixed point; for time-varying

@@ -15,6 +15,7 @@
 #include "scenario/campaign.hpp"
 #include "scenario/manifest.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace dynamo::dist {
 
@@ -22,11 +23,31 @@ namespace {
 
 using util::Json;
 
+constexpr std::uint64_t kPollMs = 200;         ///< sleep between "wait" polls
+constexpr std::uint64_t kBackoffBaseMs = 50;   ///< retry 0's nominal delay
+constexpr std::uint64_t kBackoffCapMs = 2000;  ///< nominal delays saturate here
+constexpr unsigned kMaxRetries = 8;            ///< retries before a request gives up
+
 void default_sleep(std::uint64_t ms) {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
 } // namespace
+
+std::uint64_t backoff_delay_ms(std::uint64_t seed, unsigned attempt) {
+    std::uint64_t raw = kBackoffBaseMs;
+    for (unsigned k = 0; k < attempt && raw < kBackoffCapMs; ++k) raw *= 2;
+    raw = std::min(raw, kBackoffCapMs);
+    SplitMix64 rng(seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(attempt) + 1)));
+    const std::uint64_t half = raw / 2;
+    return half + rng.next() % (raw - half + 1);  // uniform in [raw/2, raw]
+}
+
+std::uint64_t backoff_seed(const std::string& name) {
+    std::uint64_t seed = 0;
+    for (const unsigned char c : name) seed = seed * 0x100000001b3ULL ^ c;
+    return seed;
+}
 
 const char* to_string(WorkerExit exit) noexcept {
     switch (exit) {
@@ -53,9 +74,9 @@ std::optional<HttpClientResponse> WorkerLoop::request(const std::string& method,
             had_contact_ = true;
             return response;
         }
-        if (attempt >= options_.backoff.max_attempts) return std::nullopt;
+        if (attempt >= kMaxRetries) return std::nullopt;
         ++retries_;
-        sleeper_(backoff_delay_ms(options_.backoff, attempt));
+        sleeper_(backoff_delay_ms(backoff_seed(options_.name), attempt));
     }
 }
 
@@ -133,7 +154,7 @@ WorkerExit WorkerLoop::run() {
             return WorkerExit::CampaignComplete;
         }
         if (grant.wait || grant.indices.empty()) {
-            sleeper_(options_.poll_ms);
+            sleeper_(kPollMs);
             continue;
         }
         for (const std::size_t index : grant.indices) {
@@ -150,7 +171,7 @@ WorkerExit WorkerLoop::run() {
         bool hb_stop = false;
         std::thread hb_thread;
         const std::uint64_t lease_ttl = grant.ttl_ms != 0 ? grant.ttl_ms : ttl_ms;
-        if (options_.heartbeats && lease_ttl > 0) {
+        if (lease_ttl > 0) {
             const std::string hb_body =
                 render_heartbeat_request({options_.name, grant.lease_id});
             const std::uint64_t interval = std::max<std::uint64_t>(1, lease_ttl / 3);

@@ -5,18 +5,21 @@
 // substreams everywhere — the placement-independence invariant), then
 // loop lease -> compute -> complete until the coordinator says done.
 //
-// Fault model:
-//   * transient transport failures retry with capped exponential
-//     backoff + jitter (dist/backoff.hpp); once retries are exhausted
-//     AFTER the coordinator was ever reachable, the worker concludes
-//     the coordinator shut down and exits CLEANLY — a finished
-//     coordinator stops serving, and that must not fail worker jobs;
+// Fault model (the schedule is fixed, in dist/worker.cpp):
+//   * transient transport failures retry up to 8 times with capped
+//     exponential backoff + jitter (backoff_delay_ms: 50 ms doubling to
+//     a 2000 ms cap); once retries are exhausted AFTER the coordinator
+//     was ever reachable, the worker concludes the coordinator shut down
+//     and exits CLEANLY — a finished coordinator stops serving, and that
+//     must not fail worker jobs;
 //   * a coordinator that was NEVER reachable is an error (bad URL,
 //     nothing listening) — the worker exits nonzero;
+//   * a "wait" grant is polled again after 200 ms;
 //   * while computing a batch, a background heartbeat renews the lease
-//     every ttl/3 ms; heartbeat failures are deliberately IGNORED (the
-//     lease expiring merely requeues the work — the eventual
-//     completion resolves as first-valid-wins or a benign duplicate);
+//     every ttl/3 ms (none when the coordinator grants ttl_ms 0);
+//     heartbeat failures are deliberately IGNORED (the lease expiring
+//     merely requeues the work — the eventual completion resolves as
+//     first-valid-wins or a benign duplicate);
 //   * a 409 on /complete means the coordinator is running a DIFFERENT
 //     campaign than the manifest this worker fetched (restarted with a
 //     new manifest mid-run) — the worker exits nonzero rather than
@@ -24,8 +27,9 @@
 //
 // Socketless by construction: the loop talks through an injected
 // Transport function and sleeps through an injected Sleeper, so every
-// branch above is unit-testable with a scripted fake (test_dist.cpp);
-// `dynamo work` injects dist/http_client.hpp and a real sleep.
+// branch above is unit-testable with a scripted fake (test_dist.cpp; a
+// fake that grants ttl_ms 0 keeps the loop on one thread); `dynamo work`
+// injects dist/http_client.hpp and a real sleep.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +38,6 @@
 #include <ostream>
 #include <string>
 
-#include "dist/backoff.hpp"
 #include "dist/http_client.hpp"
 #include "util/parallel.hpp"
 
@@ -55,12 +58,21 @@ inline bool worker_exit_clean(WorkerExit exit) noexcept {
 
 const char* to_string(WorkerExit exit) noexcept;
 
+/// The retry delay before retry `attempt` (0-based) of a worker whose
+/// jitter seed is `seed`: uniform in [raw/2, raw], raw = min(2000,
+/// 50 * 2^attempt) ms. The top-half jitter keeps the expected delay
+/// growing while decorrelating workers that fail in lockstep (all hitting
+/// a restarting coordinator at once). A pure function: SplitMix64 keyed on
+/// (seed, attempt), no global RNG state.
+std::uint64_t backoff_delay_ms(std::uint64_t seed, unsigned attempt);
+
+/// A worker's jitter seed, a pure function of its name, so workers with
+/// different names retry on different schedules, reproducibly.
+std::uint64_t backoff_seed(const std::string& name);
+
 struct WorkerOptions {
     std::string name = "worker";
     std::size_t capacity = 4;      ///< points requested per lease
-    std::uint64_t poll_ms = 200;   ///< sleep between "wait" polls
-    BackoffPolicy backoff;         ///< transient-failure retry schedule
-    bool heartbeats = true;        ///< disable only in single-threaded tests
     ThreadPool* pool = nullptr;    ///< intra-batch parallelism; may be null
     std::ostream* log = nullptr;   ///< optional human-readable progress lines
 };
@@ -74,8 +86,7 @@ class WorkerLoop {
     using Sleeper = std::function<void(std::uint64_t ms)>;
 
     /// `transport` MUST be callable from a second thread while the main
-    /// loop computes (the heartbeat); pass heartbeats=false to keep a
-    /// test fake single-threaded.
+    /// loop computes (the heartbeat), unless it grants ttl_ms 0.
     WorkerLoop(Transport transport, WorkerOptions options, Sleeper sleeper = {});
 
     /// Run to one of the terminal states. Call once.
@@ -86,8 +97,8 @@ class WorkerLoop {
     std::size_t retries() const noexcept { return retries_; }
 
   private:
-    /// Transport with the retry/backoff policy applied; empty optional
-    /// after max_attempts consecutive transport failures.
+    /// Transport with the retry/backoff schedule applied; empty optional
+    /// after 8 retries that all failed.
     std::optional<HttpClientResponse> request(const std::string& method,
                                               const std::string& target,
                                               const std::string& body);

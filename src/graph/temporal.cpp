@@ -22,13 +22,11 @@ RunResult simulate_temporal(const grid::Torus& torus, const ColorField& initial,
 
     if (run.max_rounds == 0) run.max_rounds = static_cast<std::uint32_t>(8 * n + 64);
     // edge_up < 1.0: trajectories are round-dependent and links may come
-    // back up, so neither a repeated state nor a quiescent round is
-    // terminal. edge_up == 1.0: every link is up every round, the process
-    // is the plain static SMP dynamics - a quiescent round IS terminal
-    // (pinned by Temporal.FullAvailabilityFixedPointStopsExactly).
-    run.detect_cycles = !rule.time_varying();
-    run.stop_on_quiescence = !rule.time_varying();
-
+    // back up; the engine reports the rule as time-varying, so neither a
+    // repeated state nor a quiescent round is terminal. edge_up == 1.0:
+    // every link is up every round, the process is the plain static SMP
+    // dynamics - a quiescent round IS terminal (pinned by
+    // Temporal.FullAvailabilityFixedPointStopsExactly).
     sim::CsrGraphEngineT<TemporalSmpRule> engine(graph, initial, rule);
     return run_to_terminal(engine, run);
 }

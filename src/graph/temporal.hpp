@@ -30,10 +30,10 @@ struct TemporalOptions {
 /// Simulate the SMP-Protocol on `torus` under intermittent edge
 /// availability. With edge_up == 1.0 this reproduces core::simulate()
 /// exactly (asserted in tests). `run.max_rounds == 0` selects this
-/// model's own cap of 8*|V| + 64; `run.detect_cycles` and
-/// `run.stop_on_quiescence` are set from the model (both off while links
-/// flicker, both on at edge_up == 1.0); the remaining fields (target,
-/// pool, observers) apply as given.
+/// model's own cap of 8*|V| + 64; the other fields apply as given. While
+/// links flicker (edge_up < 1) the rule is time-varying, so the run ends
+/// on neither a quiet round nor a repeated state (core/run/runner.hpp):
+/// only a monochromatic state, an observer stop or the cap ends it.
 RunResult simulate_temporal(const grid::Torus& torus, const ColorField& initial,
                             const TemporalOptions& options, RunOptions run = {});
 

@@ -9,14 +9,14 @@
 // memory beyond the 65-counter histogram.
 //
 // Records:
-//   {"type":"round","round":r,"changed":c[,"latency_us":us]}   per round
+//   {"type":"round","round":r,"changed":c,"latency_us":us}     per round
 //   {"type":"run","rounds":n,"termination":t,
 //    "total_recolorings":m,"latency_us":{histogram}}           on finish
 //
 // Determinism: the wall clock is injected (`now_us`), so tests drive a
-// fake clock (or disable latency fields) and the stream is byte-identical
-// serial vs pooled - the property the differential net pins. The default
-// clock is std::chrono::steady_clock.
+// fake clock and the stream is byte-identical serial vs pooled - the
+// property the differential net pins. The default clock is
+// std::chrono::steady_clock.
 #pragma once
 
 #include <chrono>
@@ -34,21 +34,13 @@ namespace dynamo::io {
 
 class RoundStreamObserver final : public Observer {
   public:
-    struct Options {
-        /// Emit per-round latency fields. Off = fully deterministic stream
-        /// with the system clock.
-        bool include_latency = true;
-        /// Microsecond clock; injectable so tests are deterministic.
-        /// Defaults to steady_clock.
-        std::function<std::uint64_t()> now_us;
-    };
-
-    explicit RoundStreamObserver(JsonlWriter& writer) : RoundStreamObserver(writer, Options()) {}
-
-    RoundStreamObserver(JsonlWriter& writer, Options options)
-        : writer_(&writer), options_(std::move(options)) {
-        if (!options_.now_us) {
-            options_.now_us = [] {
+    /// `now_us` is the microsecond clock, injectable so tests are
+    /// deterministic; empty = std::chrono::steady_clock.
+    explicit RoundStreamObserver(JsonlWriter& writer,
+                                 std::function<std::uint64_t()> now_us = {})
+        : writer_(&writer), now_us_(std::move(now_us)) {
+        if (!now_us_) {
+            now_us_ = [] {
                 return static_cast<std::uint64_t>(
                     std::chrono::duration_cast<std::chrono::microseconds>(
                         std::chrono::steady_clock::now().time_since_epoch())
@@ -59,11 +51,11 @@ class RoundStreamObserver final : public Observer {
 
     void on_start(const ColorField& /*initial*/) override {
         histogram_ = {};
-        last_us_ = options_.now_us();
+        last_us_ = now_us_();
     }
 
     std::optional<StopRequest> on_round(const RoundEvent& event) override {
-        const std::uint64_t now = options_.now_us();
+        const std::uint64_t now = now_us_();
         const std::uint64_t latency = now - last_us_;
         last_us_ = now;
         histogram_.add(latency);
@@ -75,7 +67,7 @@ class RoundStreamObserver final : public Observer {
             o.emplace_back("type", Json("round"));
             o.emplace_back("round", Json(static_cast<std::uint64_t>(event.round)));
             o.emplace_back("changed", Json(static_cast<std::uint64_t>(event.changed)));
-            if (options_.include_latency) o.emplace_back("latency_us", Json(latency));
+            o.emplace_back("latency_us", Json(latency));
             writer_->write(Json(std::move(o)));
         }
         return std::nullopt;
@@ -90,7 +82,7 @@ class RoundStreamObserver final : public Observer {
         o.emplace_back("rounds", Json(static_cast<std::uint64_t>(result.rounds)));
         o.emplace_back("termination", Json(std::string(to_string(result.termination))));
         o.emplace_back("total_recolorings", Json(result.total_recolorings));
-        if (options_.include_latency) o.emplace_back("latency_us", histogram_.to_json());
+        o.emplace_back("latency_us", histogram_.to_json());
         writer_->write(Json(std::move(o)));
     }
 
@@ -100,7 +92,7 @@ class RoundStreamObserver final : public Observer {
 
   private:
     JsonlWriter* writer_;
-    Options options_;
+    std::function<std::uint64_t()> now_us_;
     analysis::Log2Histogram histogram_;
     std::uint64_t last_us_ = 0;
 };

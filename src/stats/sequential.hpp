@@ -1,29 +1,32 @@
 // dynamo/stats/sequential.hpp
 //
-// SequentialEstimator: adaptive Monte-Carlo on top of BatchRunner. The
-// estimator generates trials in deterministic chunks — trial t always
-// draws from substream_seed(seed, t), whichever chunk (or worker)
-// produces it — and feeds the observations IN TRIAL ORDER into a
+// SequentialEstimator: adaptive Monte-Carlo over a trial stream. The
+// caller's sampler generates trials in chunks of kChunk = 64 (the lane
+// width of core/sim/lane_engine.hpp, so one chunk is one lane batch; the
+// cap may cut the last chunk short) - trial t always draws from
+// substream_seed(seed, t), whichever chunk (or worker) produces it - and
+// the estimator feeds the observations IN TRIAL ORDER into a
 // ConfidenceSequence, stopping at the first trial whose checkpoint
 // satisfies the stopping rule.
 //
 // Determinism contract: the result is a pure function of
-// (sample fn, seed, stopping config, max_trials). The chunk size and the
-// thread pool change only how many trials past the stopping point get
-// generated and DISCARDED (`computed` vs `trials`), never which trials
-// the statistic consumes — so serial == pooled and chunk geometries
-// {1, 7, 64} all stop at the same trial with bit-identical estimates
-// (pinned in tests/test_stats.cpp). That is what makes adaptive results
-// cache-safe: a campaign point's metrics cannot depend on pool geometry.
+// (sampler, stopping config, max_trials). How the sampler runs a chunk -
+// serial or pooled, one engine per trial or a lane batch - changes
+// nothing, and trials generated past the stopping point are DISCARDED
+// (`computed` vs `trials`, at most one chunk's tail), never consumed. So
+// serial == pooled and lanes == per-trial engines (pinned in
+// tests/test_stats.cpp and tests/test_analysis.cpp). That is what makes
+// adaptive results cache-safe: a campaign point's metrics cannot depend
+// on pool geometry.
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <vector>
 
-#include "core/run/batch.hpp"
 #include "stats/confidence.hpp"
+#include "util/assert.hpp"
 
 namespace dynamo::stats {
 
@@ -32,9 +35,6 @@ struct SequentialOptions {
     /// Hard trial cap; the estimator reports converged = false when the
     /// stopping rule has not fired by then.
     std::size_t max_trials = 10000;
-    /// Trials generated per batch round. Purely a throughput knob (chunk
-    /// tails past the stop are discarded); never affects the result.
-    std::size_t chunk = 64;
 };
 
 struct SequentialResult {
@@ -50,32 +50,19 @@ struct SequentialResult {
 
 class SequentialEstimator {
   public:
-    explicit SequentialEstimator(const SequentialOptions& options,
-                                 ThreadPool* pool = nullptr) noexcept
-        : options_(options), pool_(pool) {
-        DYNAMO_REQUIRE(options_.chunk >= 1, "chunk must be >= 1");
+    /// Trials per chunk: the lane width, so a chunk is one lane batch.
+    static constexpr std::size_t kChunk = 64;
+
+    /// Throws std::invalid_argument when options.max_trials is 0.
+    explicit SequentialEstimator(const SequentialOptions& options) : options_(options) {
         DYNAMO_REQUIRE(options_.max_trials >= 1, "max_trials must be >= 1");
     }
 
-    /// sample(trial, rng) -> observation in [0, 1]; must be a pure
-    /// function of its arguments (rng is the trial's private substream).
-    /// It may additionally record side data in a per-trial slot — slots
-    /// past result.trials belong to discarded trials.
-    template <typename SampleFn>
-    SequentialResult run(std::uint64_t seed, SampleFn&& sample) const {
-        const BatchRunner batch(pool_);
-        return run_chunks([&](std::size_t lo, std::size_t hi, std::span<double> values) {
-            batch.run_trials(lo, hi, seed, [&](std::size_t t, Xoshiro256& rng) {
-                values[t - lo] = sample(t, rng);
-            });
-        });
-    }
-
-    /// The per-chunk form: sample_chunk(lo, hi, values) writes the
-    /// observations of trials [lo, hi) to values[0 .. hi - lo), each a pure
-    /// function of its trial, and runs them however it likes (the pool is
-    /// the sampler's business). The chunks are the ones run() would ask
-    /// for, so `computed` and every statistic are the same.
+    /// sample_chunk(lo, hi, values) writes the observations of trials
+    /// [lo, hi) to values[0 .. hi - lo), each in [0, 1] and a pure function
+    /// of its trial, and runs them however it likes (the pool is the
+    /// sampler's business). Chunks are [0, 64), [64, 128), ... cut at
+    /// max_trials.
     template <typename ChunkFn>
     SequentialResult run_chunks(ChunkFn&& sample_chunk) const {
         ConfidenceSequence sequence(options_.stopping);
@@ -83,7 +70,7 @@ class SequentialEstimator {
         SequentialResult result;
         std::size_t generated = 0;
         while (!sequence.stopped() && result.trials < options_.max_trials) {
-            const std::size_t hi = std::min(generated + options_.chunk, options_.max_trials);
+            const std::size_t hi = std::min(generated + kChunk, options_.max_trials);
             values.resize(hi - generated);
             sample_chunk(generated, hi, std::span<double>(values));
             for (std::size_t t = generated; t < hi && !sequence.stopped(); ++t) {
@@ -104,7 +91,6 @@ class SequentialEstimator {
 
   private:
     SequentialOptions options_;
-    ThreadPool* pool_;
 };
 
 } // namespace dynamo::stats

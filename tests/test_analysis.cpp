@@ -200,30 +200,35 @@ TEST(MonteCarlo, AdaptivePrefixCensusMatchesTheFixedTrialRun) {
     EXPECT_GE(adaptive.upper, adaptive.point.p_k_mono());
 }
 
-TEST(MonteCarlo, AdaptivePointIsInvariantAcrossPoolAndChunk) {
+TEST(MonteCarlo, AdaptivePointIsInvariantAcrossPool) {
     Torus t(Topology::ToroidalMesh, 6, 6);
     AdaptiveOptions options;
     options.stopping.ci_target = 0.2;
     options.max_trials = 1500;
-    options.chunk = 64;
     const AdaptiveDensityPoint serial =
         run_density_point_adaptive(t, 1, 0.5, 4, 0xFACE, options);
     ASSERT_TRUE(serial.converged);
 
     ThreadPool pool(3);
-    AdaptiveOptions rechunked = options;
-    rechunked.chunk = 5;
-    for (const AdaptiveOptions& o : {options, rechunked}) {
-        const AdaptiveDensityPoint other =
-            run_density_point_adaptive(t, 1, 0.5, 4, 0xFACE, o, &pool);
-        EXPECT_EQ(other.point.trials, serial.point.trials);
-        EXPECT_EQ(other.point.k_mono, serial.point.k_mono);
-        EXPECT_DOUBLE_EQ(other.point.mean_final_k_fraction,
-                         serial.point.mean_final_k_fraction);
-        EXPECT_DOUBLE_EQ(other.half_width, serial.half_width);
-        EXPECT_EQ(other.decided, serial.decided);
-        EXPECT_EQ(other.converged, serial.converged);
-    }
+    const AdaptiveDensityPoint other =
+        run_density_point_adaptive(t, 1, 0.5, 4, 0xFACE, options, &pool);
+    EXPECT_EQ(other.point.trials, serial.point.trials);
+    EXPECT_EQ(other.point.k_mono, serial.point.k_mono);
+    EXPECT_DOUBLE_EQ(other.point.mean_final_k_fraction, serial.point.mean_final_k_fraction);
+    EXPECT_DOUBLE_EQ(other.half_width, serial.half_width);
+    EXPECT_EQ(other.decided, serial.decided);
+    EXPECT_EQ(other.converged, serial.converged);
+    EXPECT_EQ(other.computed, serial.computed);
+}
+
+TEST(MonteCarlo, ZeroTrialCapThrows) {
+    // The cap is refused with an exception a campaign records as a failed
+    // point; it must not abort the process.
+    Torus t(Topology::ToroidalMesh, 6, 6);
+    AdaptiveOptions options;
+    options.stopping.ci_target = 0.05;
+    options.max_trials = 0;
+    EXPECT_THROW(run_density_point_adaptive(t, 1, 0.5, 4, 7, options), std::invalid_argument);
 }
 
 TEST(MonteCarlo, AdaptiveDecisionModeCallsTheObviousSides) {
@@ -286,7 +291,9 @@ void expect_adaptive_equal(const AdaptiveDensityPoint& a, const AdaptiveDensityP
 TEST(MonteCarlo, LaneTrialsEqualPerTrialRunsFieldForField) {
     // Backend::Auto runs a point's trials 64 at a time on lanes; Active
     // runs one engine per trial. Every field of the point must agree,
-    // serial and pooled, fixed and adaptive, at every estimator chunk.
+    // serial and pooled, fixed and adaptive. 150 trials end on a partial
+    // lane batch; the adaptive cap of 150 cuts the estimator's last chunk
+    // short when the stopping rule has not fired by then.
     struct Case {
         const char* rule;
         Color colors;
@@ -318,19 +325,27 @@ TEST(MonteCarlo, LaneTrialsEqualPerTrialRunsFieldForField) {
                 EXPECT_EQ(lane_trial_counts().lanes, after.lanes) << tag;
                 expect_points_equal(lanes, per_trial, tag);
 
-                for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+                for (const bool capped : {false, true}) {
                     AdaptiveOptions options;
-                    options.stopping.ci_target = 0.15;
-                    options.stopping.decision_threshold = 0.5;
-                    options.max_trials = 400;
-                    options.chunk = chunk;
-                    const std::string at = tag + " chunk " + std::to_string(chunk);
+                    options.stopping.ci_target = capped ? 0.01 : 0.15;
+                    if (!capped) options.stopping.decision_threshold = 0.5;
+                    options.max_trials = 150;
+                    const std::string at = tag + (capped ? " capped" : " stopped");
+                    const AdaptiveDensityPoint on_lanes = run_density_point_adaptive(
+                        t, k, 0.5, c.colors, 0xc4a, options, p, &rule, Backend::Auto);
                     expect_adaptive_equal(
-                        run_density_point_adaptive(t, k, 0.5, c.colors, 0xc4a, options, p, &rule,
-                                                   Backend::Auto),
+                        on_lanes,
                         run_density_point_adaptive(t, k, 0.5, c.colors, 0xc4a, options, p, &rule,
                                                    Backend::Active),
                         at);
+                    expect_adaptive_equal(
+                        on_lanes,
+                        run_density_point_adaptive(t, k, 0.5, c.colors, 0xc4a, options, nullptr,
+                                                   &rule, Backend::Active),
+                        at + " vs serial");
+                    if (capped) {
+                        EXPECT_EQ(on_lanes.computed, 150u) << at;
+                    }
                 }
             }
         }

@@ -1,6 +1,7 @@
 // Tests for the fault-tolerant distributed campaign fabric (src/dist/):
-//   * backoff — the retry schedule's exponential growth, cap saturation,
-//     jitter bounds, and per-seed determinism, all without sleeping;
+//   * backoff — the worker's fixed retry schedule: exponential growth,
+//     cap saturation, jitter bounds, and per-name determinism, all
+//     without sleeping;
 //   * protocol — codec round-trips for every message, loud rejection of
 //     malformed bodies, and result_hash as the duplicate-vs-conflict
 //     discriminator;
@@ -42,7 +43,6 @@
 #include <thread>
 #include <vector>
 
-#include "dist/backoff.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/http_client.hpp"
 #include "dist/lease_table.hpp"
@@ -142,6 +142,19 @@ HttpRequest make_request(const std::string& method, const std::string& target,
 
 /// WorkerLoop transport that routes straight into a coordinator's
 /// handle() at a controllable fake time — no sockets, no threads.
+/// `body` with a top-level "ttl_ms" set to 0.
+std::string without_ttl(const std::string& body) {
+    util::JsonObject fields = util::Json::parse(body, "coordinator reply").as_object();
+    for (auto& [key, value] : fields) {
+        if (key == "ttl_ms") value = util::Json(std::uint64_t{0});
+    }
+    return util::Json(std::move(fields)).dump();
+}
+
+/// A worker transport straight into `coordinator.handle` at the injected
+/// clock. The manifest and the grants it passes on carry ttl_ms 0, so a
+/// worker on it sends no heartbeats and the coordinator is called from the
+/// worker's thread only.
 WorkerLoop::Transport coordinator_transport(CampaignCoordinator& coordinator,
                                             std::uint64_t* now_ms) {
     return [&coordinator, now_ms](const std::string& method, const std::string& target,
@@ -149,6 +162,9 @@ WorkerLoop::Transport coordinator_transport(CampaignCoordinator& coordinator,
                -> std::optional<HttpClientResponse> {
         const HttpResponse response =
             coordinator.handle(make_request(method, target, body), *now_ms);
+        if (response.status == 200 && (target == "/manifest" || target == "/lease")) {
+            return HttpClientResponse{response.status, without_ttl(response.body)};
+        }
         return HttpClientResponse{response.status, response.body};
     };
 }
@@ -160,49 +176,36 @@ std::uint64_t steady_now_ms() {
 }
 
 // ---------------------------------------------------------------------------
-// Backoff
+// Backoff (the worker's fixed retry schedule: 50 ms doubling to 2000 ms)
 
 TEST(Backoff, ScheduleGrowsWithinJitterBoundsAndSaturates) {
-    BackoffPolicy policy;
-    policy.base_ms = 50;
-    policy.cap_ms = 2000;
-    policy.jitter_seed = 12345;
-
-    std::uint64_t raw = policy.base_ms;
+    const std::uint64_t seed = backoff_seed("w1");
+    std::uint64_t raw = 50;
     for (unsigned attempt = 0; attempt < 12; ++attempt) {
-        const std::uint64_t delay = backoff_delay_ms(policy, attempt);
+        const std::uint64_t delay = backoff_delay_ms(seed, attempt);
         EXPECT_GE(delay, raw / 2) << "attempt " << attempt;
         EXPECT_LE(delay, raw) << "attempt " << attempt;
-        raw = std::min<std::uint64_t>(raw * 2, policy.cap_ms);
+        raw = std::min<std::uint64_t>(raw * 2, 2000);
     }
     // Far past the doubling range the raw delay sits AT the cap (never
     // beyond, never overflowed back down).
-    const std::uint64_t late = backoff_delay_ms(policy, 63);
-    EXPECT_GE(late, policy.cap_ms / 2);
-    EXPECT_LE(late, policy.cap_ms);
+    const std::uint64_t late = backoff_delay_ms(seed, 63);
+    EXPECT_GE(late, 1000u);
+    EXPECT_LE(late, 2000u);
 }
 
-TEST(Backoff, DeterministicPerSeedAndDecorrelatedAcrossSeeds) {
-    BackoffPolicy a;
-    a.jitter_seed = 7;
-    BackoffPolicy b = a;
-    b.jitter_seed = 8;
-
+TEST(Backoff, DeterministicPerSeedAndDecorrelatedAcrossWorkerNames) {
+    const std::uint64_t a = backoff_seed("w1");
+    const std::uint64_t b = backoff_seed("w2");
+    EXPECT_EQ(a, backoff_seed("w1"));
+    EXPECT_NE(a, b);
     bool any_differ = false;
     for (unsigned attempt = 0; attempt < 10; ++attempt) {
-        // Pure function of (policy, attempt): re-evaluation is identical.
+        // Pure function of (seed, attempt): re-evaluation is identical.
         EXPECT_EQ(backoff_delay_ms(a, attempt), backoff_delay_ms(a, attempt));
         any_differ = any_differ || backoff_delay_ms(a, attempt) != backoff_delay_ms(b, attempt);
     }
-    EXPECT_TRUE(any_differ) << "two jitter seeds produced identical schedules";
-}
-
-TEST(Backoff, TinyDelaysSkipJitter) {
-    BackoffPolicy policy;
-    policy.base_ms = 0;
-    EXPECT_EQ(backoff_delay_ms(policy, 0), 0u);
-    policy.base_ms = 1;
-    EXPECT_EQ(backoff_delay_ms(policy, 0), 1u);
+    EXPECT_TRUE(any_differ) << "two worker names produced identical schedules";
 }
 
 // ---------------------------------------------------------------------------
@@ -814,12 +817,6 @@ WorkerOptions worker_options(const std::string& name) {
     WorkerOptions options;
     options.name = name;
     options.capacity = 2;
-    options.poll_ms = 1;
-    options.heartbeats = false;  // keep test fakes single-threaded
-    options.backoff.base_ms = 4;
-    options.backoff.cap_ms = 32;
-    options.backoff.max_attempts = 3;
-    options.backoff.jitter_seed = 99;
     return options;
 }
 
@@ -869,7 +866,7 @@ TEST(Worker, RetriesTransientFailuresWithTheBackoffSchedule) {
     // The recorded sleeps ARE the deterministic backoff schedule.
     ASSERT_GE(slept.size(), 3u);
     for (unsigned attempt = 0; attempt < 3; ++attempt)
-        EXPECT_EQ(slept[attempt], backoff_delay_ms(options.backoff, attempt));
+        EXPECT_EQ(slept[attempt], backoff_delay_ms(backoff_seed("w1"), attempt));
 }
 
 TEST(Worker, NeverReachedCoordinatorIsAnError) {
@@ -883,7 +880,8 @@ TEST(Worker, NeverReachedCoordinatorIsAnError) {
         worker_options("w1"), [](std::uint64_t) {});
     EXPECT_EQ(worker.run(), WorkerExit::Unreachable);
     EXPECT_FALSE(worker_exit_clean(WorkerExit::Unreachable));
-    EXPECT_EQ(calls, 4u);  // initial try + max_attempts retries
+    EXPECT_EQ(calls, 9u);  // initial try + 8 retries
+    EXPECT_EQ(worker.retries(), 8u);
 }
 
 TEST(Worker, LostAfterContactExitsCleanly) {
@@ -1185,16 +1183,17 @@ void run_two_real_workers(bool hold_idle) {
             WorkerOptions wopts;
             wopts.name = name;
             wopts.capacity = 2;
-            wopts.poll_ms = 5;
-            wopts.backoff.base_ms = 2;
-            wopts.backoff.cap_ms = 20;
-            wopts.backoff.max_attempts = 4;
+            // Real sleeps, a tenth of the fixed schedule's: a worker that
+            // finds the server gone retries 8 times in under a second.
             WorkerLoop worker(
                 [endpoint](const std::string& method, const std::string& target,
                            const std::string& body) {
                     return http_request(endpoint, method, target, body, 5000);
                 },
-                wopts);
+                wopts,
+                [](std::uint64_t ms) {
+                    std::this_thread::sleep_for(std::chrono::milliseconds(ms / 10));
+                });
             // The worker that finishes the campaign sees "done"; the
             // other may find the server gone after its first lease — both
             // are clean.

@@ -376,9 +376,7 @@ TEST(RunStream, HistogramCountsEveryObservedRound) {
     std::ostringstream sink;
     io::JsonlWriter writer(&sink);
     std::uint64_t fake_clock = 0;
-    io::RoundStreamObserver::Options oo;
-    oo.now_us = [&fake_clock] { return fake_clock += 17; };
-    io::RoundStreamObserver observer(writer, oo);
+    io::RoundStreamObserver observer(writer, [&fake_clock] { return fake_clock += 17; });
 
     RunOptions opts;
     opts.observers.push_back(&observer);
@@ -421,9 +419,7 @@ TEST(RunStream, ByteIdenticalSerialVsPooled) {
         std::ostringstream sink;
         io::JsonlWriter writer(&sink);
         std::uint64_t fake_clock = 0;
-        io::RoundStreamObserver::Options oo;
-        oo.now_us = [&fake_clock] { return fake_clock += 5; };
-        io::RoundStreamObserver observer(writer, oo);
+        io::RoundStreamObserver observer(writer, [&fake_clock] { return fake_clock += 5; });
         RunOptions opts;
         opts.pool = pool;
         opts.parallel_grain = 3;
@@ -447,8 +443,8 @@ TEST(RunStream, ByteIdenticalSerialVsPooled) {
 // here the net pins the intermittent path's exact accounting against a
 // manual CSR replay.
 TEST(TemporalMigration, IntermittentRecoloringsAreExactCellCounts) {
-    // Under intermittent links the driver still runs capless-quiescence
-    // (stop_on_quiescence = false); total_recolorings must equal the sum
+    // Under intermittent links a quiet round is not terminal (the engine
+    // reports a time-varying rule); total_recolorings must equal the sum
     // of per-round state diffs - no over-report on no-op rounds.
     const Torus t(Topology::ToroidalMesh, 6, 6);
     const Configuration cfg = build_theorem2_configuration(t);

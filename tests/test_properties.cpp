@@ -12,7 +12,8 @@
 //     sufficient conditions imply monotone dynamos (randomized over torus
 //     sizes, topologies and palettes, with solver-generated instances);
 //     the non-dynamo certificate never fires on accepted configurations;
-//     the Lemma-1 / block prunes never change a search outcome.
+//     every minimum witness the exhaustive search finds satisfies Lemma 1
+//     and holds no non-k-block.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "core/conditions.hpp"
 #include "core/dynamo.hpp"
 #include "core/run/simulate.hpp"
+#include "core/search/enumerate.hpp"
 #include "core/search/sharded.hpp"
 #include "core/solver.hpp"
 #include "util/rng.hpp"
@@ -313,25 +315,48 @@ TEST(CertificateSoundness, NeverFiresOnConfigurationsTheSimulationAccepts) {
     EXPECT_GE(dynamos, 10) << "too few dynamos sampled to trust the net";
 }
 
-TEST(PruneSoundness, PrunedParallelSearchEqualsUnpruned) {
-    // Lemma-1 bounding-box necessity and the non-k-block certificate are
-    // sound prunes: on tiny tori the canonical search returns the same
-    // decision with and without them, spending no more simulations.
-    for (const Topology topo : {Topology::ToroidalMesh, Topology::TorusCordalis}) {
-        Torus t(topo, 3, 3);
-        ParallelSearchOptions plain;
-        plain.base.total_colors = 3;
-        plain.num_shards = 2;
-        ParallelSearchOptions pruned = plain;
-        pruned.base.use_box_prune = true;
-        pruned.base.use_block_prune = true;
+/// The non-k-block certificate and, on the toroidal mesh, Lemma 1 on one
+/// monotone dynamo: no block of another color (which could never recolor)
+/// is left in its field, and its seeds span at least (m-1) x (n-1). Lemma
+/// 1 is the mesh's lemma: on the 3x3 torus cordalis four minimum
+/// witnesses span only two rows.
+void expect_lemma1_and_no_non_k_block(const Torus& t, const std::vector<grid::VertexId>& seeds,
+                                      const ColorField& field) {
+    EXPECT_FALSE(has_non_k_block(t, field, kSearchSeedColor)) << to_string(t.topology());
+    if (t.topology() != Topology::ToroidalMesh) return;
+    const BoundingBox box = bounding_box(t, seeds);
+    EXPECT_GE(box.rows + 1, t.rows());
+    EXPECT_GE(box.cols + 1, t.cols());
+}
 
-        const SearchOutcome a = parallel_min_dynamo(t, 3, plain);
-        const SearchOutcome b = parallel_min_dynamo(t, 3, pruned);
-        ASSERT_TRUE(a.complete);
-        ASSERT_TRUE(b.complete);
-        EXPECT_EQ(a.min_size, b.min_size) << to_string(topo);
-        EXPECT_LE(b.sims, a.sims) << to_string(topo);  // prunes only ever skip work
+TEST(SearchLemmas, EveryMinimumWitnessPassesTheBoxAndHasNoNonKBlock) {
+    // The searches prune nothing, so they do not assume these lemmas: on
+    // tiny tori, the canonical search's witness and a witness of every
+    // seed set of the minimum size that admits a monotone dynamo satisfy
+    // them.
+    for (const Topology topo :
+         {Topology::ToroidalMesh, Topology::TorusCordalis, Topology::TorusSerpentinus}) {
+        Torus t(topo, 3, 3);
+        ParallelSearchOptions par;
+        par.base.total_colors = 3;
+        par.num_shards = 2;
+        const SearchOutcome outcome = parallel_min_dynamo(t, 3, par);
+        ASSERT_TRUE(outcome.complete);
+        ASSERT_NE(outcome.min_size, SearchOutcome::kNoDynamo) << to_string(topo);
+        expect_lemma1_and_no_non_k_block(t, outcome.witness_seeds, outcome.witness_field);
+
+        std::vector<std::uint32_t> comb(outcome.min_size);
+        std::iota(comb.begin(), comb.end(), 0u);
+        std::size_t witnesses = 0;
+        do {
+            const std::vector<grid::VertexId> seeds(comb.begin(), comb.end());
+            const SeedProbe probe = seed_set_admits_dynamo(t, seeds, par.base);
+            ASSERT_TRUE(probe.complete);
+            if (!probe.found) continue;
+            ++witnesses;
+            expect_lemma1_and_no_non_k_block(t, seeds, probe.witness_field);
+        } while (search_detail::next_combination(comb, static_cast<std::uint32_t>(t.size())));
+        EXPECT_GT(witnesses, 0u) << to_string(topo);
     }
 }
 

@@ -336,8 +336,8 @@ TEST(RuleVerify, SearchVerifierBridgesConventions) {
     EXPECT_FALSE(lane_verdict(two_threshold, *two_threshold_lanes).is_dynamo);
     // Reusable across candidates (the search hot-loop contract).
     EXPECT_TRUE(lane_verdict(contagion, *contagion_lanes).is_monotone);
-    EXPECT_TRUE(search_detail::verify_candidate(t, contagion, search_field, true));
-    EXPECT_FALSE(search_detail::verify_candidate(t, two_threshold, search_field, false));
+    EXPECT_TRUE(search_detail::verify_candidate(t, contagion, search_field));
+    EXPECT_FALSE(search_detail::verify_candidate(t, two_threshold, search_field));
 
     // The driver bridges the same way: one seed floods under contagion,
     // none does under threshold-2.
@@ -417,13 +417,6 @@ TEST(RuleSearch, UnsoundCombinationsAreRefusedLoudly) {
     par.base.max_sims = 20'000;
     const SearchOutcome raw = parallel_min_dynamo(t, 1, par);
     EXPECT_TRUE(raw.complete);
-
-    // SMP-specific prunes are refused for other rules.
-    SearchOptions pruned;
-    pruned.total_colors = 2;
-    pruned.rule = rules::find_rule("threshold-2");
-    pruned.use_block_prune = true;
-    EXPECT_THROW(exhaustive_min_dynamo(t, 1, pruned), std::invalid_argument);
 }
 
 TEST(RuleSimulate, DispatchHelpersRideTheMonomorphizedPath) {

@@ -346,20 +346,6 @@ TEST(RunBackends, ReferenceEngineRunsARuntimeFunctor) {
     }
 }
 
-TEST(RunBackends, CycleDetectionRejectedForTimeVaryingRules) {
-    // stop_on_quiescence = false declares a time-varying rule, under which
-    // state repetition proves nothing: the runner must refuse the
-    // combination instead of reporting spurious period-1 cycles.
-    Torus t(Topology::ToroidalMesh, 6, 6);
-    sim::PackedEngineT<sim::SmpRule> engine(t, checkerboard(t, 1, 2));
-    RunOptions opts;
-    opts.stop_on_quiescence = false;
-    EXPECT_THROW(run_to_terminal(engine, opts), std::invalid_argument);
-    opts.detect_cycles = false;
-    opts.max_rounds = 4;
-    EXPECT_EQ(run_to_terminal(engine, opts).termination, Termination::RoundLimit);
-}
-
 TEST(RunBackends, AutomaticRoundCapSaturates) {
     EXPECT_EQ(auto_round_cap(1), 68u);
     EXPECT_EQ(auto_round_cap((std::size_t{1} << 30) - 17), 4294967292u);

@@ -134,7 +134,7 @@ constexpr EdgeCase kEdgeCases[] = {
 /// per-seed-set probe: the seed sets of each size in combination order,
 /// each given the budget left, the size finished past a witness (the
 /// driver decides only once a size is done), stopping at the first
-/// truncation. Without prunes every candidate is simulated, so candidates
+/// truncation. Every candidate is simulated (none is pruned), so candidates
 /// == covered == sims.
 SearchOutcome one_shard_oracle(const Torus& t, std::uint32_t max_size, const SearchOptions& opts) {
     SearchOutcome out;

@@ -29,7 +29,6 @@ TEST(ExhaustiveSearch, ThreeByThreeMeshBeatsTheTheorem1Bound) {
     Torus t(Topology::ToroidalMesh, 3, 3);
     SearchOptions opts;
     opts.total_colors = 3;
-    opts.require_monotone = true;
     const SearchOutcome outcome = exhaustive_min_dynamo(t, 3, opts);
     EXPECT_TRUE(outcome.complete);
     ASSERT_EQ(outcome.min_size, 3u);  // below the paper's bound of 4
@@ -117,22 +116,6 @@ TEST(ExhaustiveSearch, SeedProbeBoundaryOnTinyTorus) {
     const SeedProbe single = seed_set_admits_dynamo(t, {t.index(0, 0)}, opts);
     EXPECT_TRUE(single.complete);
     EXPECT_FALSE(single.found);
-}
-
-TEST(ExhaustiveSearch, PrunesDoNotChangeTheOutcome) {
-    // Lemma-1 box prune and non-k-block prune are sound: same verdict with
-    // and without them on a small instance.
-    Torus t(Topology::ToroidalMesh, 3, 3);
-    SearchOptions plain;
-    plain.total_colors = 3;
-    SearchOptions pruned = plain;
-    pruned.use_box_prune = true;
-    pruned.use_block_prune = true;
-    const SearchOutcome a = exhaustive_min_dynamo(t, 3, plain);
-    const SearchOutcome b = exhaustive_min_dynamo(t, 3, pruned);
-    EXPECT_EQ(a.min_size, b.min_size);
-    EXPECT_TRUE(b.complete);
-    EXPECT_LE(b.sims, a.sims);  // prunes only ever skip work
 }
 
 // --- phi transformation (Propositions 1/2 infrastructure) ---------------------

@@ -36,6 +36,8 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/montecarlo.hpp"
+#include "grid/torus.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/checkpoint.hpp"
 #include "scenario/manifest.hpp"
@@ -112,6 +114,29 @@ int svc_probe_fn(Context& ctx) {
       {"require_file", ParamType::String, "", "", "record whether this file exists"},
       {"fail_if_file", ParamType::String, "", "", "fail iff <file>-<value> exists"}},
      svc_probe_fn});
+
+/// svc_adaptive_probe: one adaptive density point on the 6x6 mesh with
+/// the manifest's trial cap - the estimator path of mc_density_point,
+/// whose scenario this binary does not link.
+int svc_adaptive_probe_fn(Context& ctx) {
+    analysis::AdaptiveOptions options;
+    options.stopping.ci_target = 0.05;
+    options.max_trials = ctx.args.get_int_as<std::size_t>("max_trials", 100);
+    const grid::Torus torus(grid::Topology::ToroidalMesh, 6, 6);
+    const analysis::AdaptiveDensityPoint point = analysis::run_density_point_adaptive(
+        torus, 1, 0.5, 4, ctx.args.get_uint64("seed", 0), options);
+    ctx.metrics["trials"] = std::to_string(point.point.trials);
+    return 0;
+}
+
+[[maybe_unused]] const bool kAdaptiveProbeRegistered = register_scenario(
+    {"svc_adaptive_probe",
+     "point",
+     "test-only adaptive density point with a settable trial cap",
+     0,
+     {{"max_trials", ParamType::Int, "100", "", "the estimator's trial cap"},
+      {"seed", ParamType::Uint, "0", "", "RNG substream slot"}},
+     svc_adaptive_probe_fn});
 
 Manifest probe_manifest(const std::string& extra_fixed = "") {
     return parse_manifest(
@@ -591,6 +616,26 @@ TEST(Service, ReportsConflictUntilDoneAndSurfacesJobFailure) {
         util::Json::parse(call(service, "GET", "/campaigns/1").body, "status");
     EXPECT_EQ(status.find("status")->as_string(), "failed");
     EXPECT_EQ(call(service, "GET", "/campaigns/1/report").status, 409);
+}
+
+TEST(Service, AZeroTrialCapPointFailsAndTheServiceKeepsAnswering) {
+    // A point the adaptive estimator refuses (max_trials = 0) fails like
+    // any other: the job ends done with one failed point, and the service
+    // still answers.
+    const ScratchDir dir("service_zero_cap");
+    ServiceOptions options;
+    options.cache_dir = dir.path() + "/cache";
+    CampaignService service(options);
+    const std::string manifest =
+        R"({"name": "zero-cap", "scenario": "svc_adaptive_probe",
+            "fixed": {"max_trials": 0}, "seed": 5})";
+    ASSERT_EQ(call(service, "POST", "/campaigns", manifest).status, 202);
+    wait_until_idle(service);
+    const util::Json status =
+        util::Json::parse(call(service, "GET", "/campaigns/1").body, "status");
+    EXPECT_EQ(status.find("status")->as_string(), "done");
+    EXPECT_EQ(status.find("failed")->as_int(), 1);
+    EXPECT_EQ(call(service, "GET", "/healthz").status, 200);
 }
 
 // ---------------------------------------------------------------------------

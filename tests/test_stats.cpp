@@ -2,13 +2,16 @@
 // round-trips, confidence-sequence config validation, the simulated
 // COVERAGE property (across many pinned Bernoulli streams the anytime CI
 // must contain the true p with frequency >= 1 - delta, and a decision
-// stop must never land on the wrong side of the threshold), the
-// chunk-geometry/pool invariance of SequentialEstimator (stop decisions
-// identical across chunk sizes {1, 7, 64}, serial vs pooled), and the
-// ladder + bisection critical-point refinement on synthetic curves.
+// stop must never land on the wrong side of the threshold), the pool
+// invariance of SequentialEstimator (serial and pooled samplers stop where
+// one trial at a time does, also on a cap that cuts a chunk short), and
+// the ladder + bisection critical-point refinement on synthetic curves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/run/batch.hpp"
@@ -190,53 +193,70 @@ double bernoulli_sample(std::size_t /*trial*/, Xoshiro256& rng) {
     return rng.bernoulli(0.35) ? 1.0 : 0.0;
 }
 
-TEST(SequentialEstimator, StopDecisionIsInvariantAcrossChunkGeometryAndPool) {
+/// A chunk sampler over bernoulli_sample: trial t draws from
+/// substream_seed(seed, t), on `pool` when given.
+auto bernoulli_chunks(std::uint64_t seed, ThreadPool* pool) {
+    return [seed, pool](std::size_t lo, std::size_t hi, std::span<double> values) {
+        BatchRunner(pool).run_trials(lo, hi, seed, [&](std::size_t t, Xoshiro256& rng) {
+            values[t - lo] = bernoulli_sample(t, rng);
+        });
+    };
+}
+
+TEST(SequentialEstimator, StopDecisionIsInvariantAcrossPoolAndEqualsOneTrialAtATime) {
+    // The statistic consumes trials in order whoever generates a chunk:
+    // serial and pooled samplers stop at the trial a confidence sequence
+    // fed one trial at a time stops at, with bit-identical estimates. A
+    // cap of 150 (not a multiple of the 64-trial chunk) ends on a partial
+    // chunk; 20000 lets the stopping rule fire.
     StoppingConfig stopping;
     stopping.ci_target = 0.05;
     stopping.decision_threshold = 0.5;
+    ThreadPool pool(3);
+    for (const std::size_t cap : {std::size_t{150}, std::size_t{20000}}) {
+        ConfidenceSequence one_by_one(stopping);
+        std::size_t consumed = 0;
+        while (!one_by_one.stopped() && consumed < cap) {
+            Xoshiro256 rng(substream_seed(0xFEED, consumed));
+            one_by_one.observe(bernoulli_sample(consumed, rng));
+            ++consumed;
+        }
+        const std::size_t chunk = SequentialEstimator::kChunk;
+        const std::size_t generated = std::min(cap, (consumed + chunk - 1) / chunk * chunk);
 
-    std::vector<SequentialResult> results;
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
-        SequentialOptions options;
-        options.stopping = stopping;
-        options.max_trials = 20000;
-        options.chunk = chunk;
-        const SequentialEstimator serial(options, nullptr);
-        results.push_back(serial.run(0xFEED, bernoulli_sample));
-
-        ThreadPool pool(3);
-        const SequentialEstimator pooled(options, &pool);
-        results.push_back(pooled.run(0xFEED, bernoulli_sample));
-    }
-    const SequentialResult& reference = results.front();
-    ASSERT_TRUE(reference.converged);
-    EXPECT_GT(reference.trials, 0u);
-    for (const SequentialResult& r : results) {
-        // Everything the statistic sees is identical; only `computed`
-        // (the discarded generation tail) may differ with the geometry.
-        EXPECT_EQ(r.trials, reference.trials);
-        EXPECT_EQ(r.estimate, reference.estimate);
-        EXPECT_EQ(r.half_width, reference.half_width);
-        EXPECT_EQ(r.lower, reference.lower);
-        EXPECT_EQ(r.upper, reference.upper);
-        EXPECT_EQ(r.decided, reference.decided);
-        EXPECT_EQ(r.converged, reference.converged);
-        EXPECT_GE(r.computed, r.trials);
+        const SequentialEstimator estimator({stopping, cap});
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+            const SequentialResult r = estimator.run_chunks(bernoulli_chunks(0xFEED, p));
+            const std::string tag = "cap " + std::to_string(cap) + (p ? " pooled" : " serial");
+            EXPECT_EQ(r.trials, consumed) << tag;
+            EXPECT_EQ(r.computed, generated) << tag;
+            EXPECT_EQ(r.estimate, one_by_one.estimate()) << tag;
+            EXPECT_EQ(r.half_width, one_by_one.half_width()) << tag;
+            EXPECT_EQ(r.lower, one_by_one.lower()) << tag;
+            EXPECT_EQ(r.upper, one_by_one.upper()) << tag;
+            EXPECT_EQ(r.decided, one_by_one.decided()) << tag;
+            EXPECT_EQ(r.converged, one_by_one.stopped()) << tag;
+        }
+        EXPECT_EQ(one_by_one.stopped(), cap == 20000) << "cap " << cap;
     }
 }
 
 TEST(SequentialEstimator, HonoursTheTrialCap) {
     StoppingConfig stopping;
     stopping.ci_target = 0.0001;  // unreachable at this cap
-    SequentialOptions options;
-    options.stopping = stopping;
-    options.max_trials = 500;
-    options.chunk = 64;
-    const SequentialEstimator estimator(options);
-    const SequentialResult result = estimator.run(3, bernoulli_sample);
+    const SequentialEstimator estimator({stopping, 150});
+    const SequentialResult result = estimator.run_chunks(bernoulli_chunks(3, nullptr));
     EXPECT_FALSE(result.converged);
-    EXPECT_EQ(result.trials, 500u);
-    EXPECT_LE(result.computed, 512u);  // at most one chunk of overshoot
+    EXPECT_EQ(result.trials, 150u);
+    EXPECT_EQ(result.computed, 150u);  // the last chunk is cut at the cap
+}
+
+TEST(SequentialEstimator, ZeroTrialCapThrows) {
+    // A refused configuration is an exception the caller can report as a
+    // failed campaign point.
+    SequentialOptions options;
+    options.max_trials = 0;
+    EXPECT_THROW(SequentialEstimator{options}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- refine ---

@@ -5,6 +5,9 @@
 
 #include "core/builders.hpp"
 #include "core/run/simulate.hpp"
+#include "core/sim/csr_graph_engine.hpp"
+#include "graph/generators.hpp"
+#include "graph/graph_rules.hpp"
 #include "graph/temporal.hpp"
 
 namespace dynamo::graphx {
@@ -124,6 +127,52 @@ TEST(Temporal, DynamoStillFloodsUnderHighAvailability) {
     EXPECT_TRUE(trace.reached_mono(cfg.k));
     const RunResult stat = simulate(t, cfg.field);
     EXPECT_GE(trace.rounds, stat.rounds);
+}
+
+TEST(Temporal, TimeVaryingEnginesRunUnderDefaultOptions) {
+    // run_to_terminal reads time-variance from the engine: under default
+    // RunOptions a flickering-link run passes its quiet rounds and never
+    // reads a repeated state as a cycle, exactly as simulate_temporal runs
+    // it, while a static rule on the same engine still stops on quiescence.
+    const Torus t(Topology::ToroidalMesh, 6, 6);
+    const Graph g = from_torus(t);
+    const Configuration cfg = build_theorem2_configuration(t);
+    TemporalOptions opts;
+    opts.edge_up = 0.5;
+    opts.seed = 31;
+    const TemporalSmpRule rule{opts.edge_up, opts.seed};
+
+    sim::CsrGraphEngineT<TemporalSmpRule> engine(g, cfg.field, rule);
+    ASSERT_TRUE(engine.time_varying());
+    const RunResult direct = run_to_terminal(engine);
+    EXPECT_NE(direct.termination, Termination::FixedPoint);
+    EXPECT_NE(direct.termination, Termination::Cycle);
+
+    // The trajectory had quiet rounds before it ended, so a run that stops
+    // on quiescence would have ended earlier.
+    sim::CsrGraphEngineT<TemporalSmpRule> replay(g, cfg.field, rule);
+    std::uint32_t quiet = 0;
+    for (std::uint32_t r = 0; r < direct.rounds; ++r) quiet += replay.step() == 0;
+    EXPECT_GT(quiet, 0u);
+    EXPECT_EQ(replay.colors(), direct.final_colors);
+
+    RunOptions run;
+    run.max_rounds = auto_round_cap(t.size());  // the default cap of run_to_terminal
+    const RunResult temporal = simulate_temporal(t, cfg.field, opts, run);
+    EXPECT_EQ(temporal.termination, direct.termination);
+    EXPECT_EQ(temporal.rounds, direct.rounds);
+    EXPECT_EQ(temporal.total_recolorings, direct.total_recolorings);
+    EXPECT_EQ(temporal.final_colors, direct.final_colors);
+
+    // A static rule: the two stable bands are a fixed point after round 0.
+    ColorField bands(t.size());
+    for (std::size_t v = 0; v < bands.size(); ++v) bands[v] = v < bands.size() / 2 ? 1 : 2;
+    sim::CsrGraphEngineT<PluralityRule> still(g, bands);
+    ASSERT_FALSE(still.time_varying());
+    const RunResult fixed = run_to_terminal(still);
+    EXPECT_EQ(fixed.termination, Termination::FixedPoint);
+    EXPECT_EQ(fixed.rounds, 0u);
+    EXPECT_EQ(still.round(), 1u);
 }
 
 TEST(Temporal, RejectsBadAvailability) {
