@@ -209,12 +209,14 @@ AdaptiveDensityPoint run_density_point_adaptive(const grid::Torus& torus, Color 
                                                 ThreadPool* pool, const rules::RuleInfo* rule,
                                                 Backend backend) {
     const TrialSet set{torus, k, density, num_colors, trial_rule(num_colors, rule), backend};
-    std::vector<TrialOutcome> outcomes(options.max_trials);
+    // Grown chunk by chunk: memory follows the trials run, not the cap.
+    std::vector<TrialOutcome> outcomes;
     static_assert(stats::SequentialEstimator::kChunk == sim::LaneBatch::kLanes,
                   "an estimator chunk is one lane batch");
     const stats::SequentialEstimator estimator({options.stopping, options.max_trials});
     const stats::SequentialResult result =
         estimator.run_chunks([&](std::size_t lo, std::size_t hi, std::span<double> values) {
+            outcomes.resize(hi);
             set.run(lo, hi, seed, pool, outcomes);
             for (std::size_t t = lo; t < hi; ++t) {
                 const bool is_k_mono = outcomes[t].termination == Termination::Monochromatic &&

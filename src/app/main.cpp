@@ -7,16 +7,17 @@
 //   dynamo describe <scenario>           parameter schema + example command
 //   dynamo run <scenario> [--k=v ...]    run one scenario (strict args)
 //   dynamo campaign <manifest.json>      expand x cache-or-compute x report
-//          [--force] [--workers=N] [--cache-dir=DIR] [--out=FILE]
+//          [--workers=N] [--cache-dir=DIR] [--out=FILE]
 //          [--progress=FILE]             live JSONL: one line per completed point
 //          [--shard=K/N]                 run only points with index % N == K
-//          [--checkpoint=FILE]           crash-safe resume record (JSONL)
+//                                        (a re-run against the same cache
+//                                        resumes; an empty one recomputes)
 //   dynamo serve [--port=P] [--workers=N] [--cache-dir=DIR] [--port-file=PATH]
 //                                        HTTP/JSON campaign service (loopback)
 //   dynamo coordinate <manifest.json> [--port=P] [--port-file=PATH] ...
 //                                        distributed-campaign coordinator:
 //                                        leases points to pulling workers,
-//                                        persists through cache + checkpoint,
+//                                        persists through the cache,
 //                                        artifact byte-identical to a local run
 //   dynamo work --coordinator=URL [--name=ID] [--workers=N] [--capacity=N]
 //                                        pull-compute-complete worker loop
@@ -58,15 +59,16 @@ int usage(std::ostream& out, int code) {
            "  dynamo list [--markdown]            list registered scenarios\n"
            "  dynamo describe <scenario>          show parameters and defaults\n"
            "  dynamo run <scenario> [--k=v ...]   run one scenario\n"
-           "  dynamo campaign <manifest.json> [--force] [--workers=N (0 = hardware)]\n"
+           "  dynamo campaign <manifest.json> [--workers=N (0 = hardware)]\n"
            "                  [--cache-dir=DIR] [--out=FILE] [--progress=FILE]\n"
-           "                  [--shard=K/N] [--checkpoint=FILE]\n"
+           "                  [--shard=K/N]\n"
            "                                      run an experiment manifest through\n"
            "                                      the content-addressed result cache\n"
            "                                      (--progress: live JSONL, one line\n"
            "                                      per completed point; --shard: own\n"
-           "                                      only points with index % N == K;\n"
-           "                                      --checkpoint: crash-safe resume)\n"
+           "                                      only points with index % N == K);\n"
+           "                                      re-running against the same cache\n"
+           "                                      resumes, an empty one recomputes\n"
            "  dynamo serve [--port=P] [--workers=N] [--cache-dir=DIR]\n"
            "               [--port-file=PATH]\n"
            "                                      HTTP/JSON campaign service on\n"
@@ -74,9 +76,8 @@ int usage(std::ostream& out, int code) {
            "                                      --port-file: write the bound port\n"
            "                                      atomically for scripts)\n"
            "  dynamo coordinate <manifest.json> [--port=P] [--port-file=PATH]\n"
-           "                    [--out=FILE] [--cache-dir=DIR] [--checkpoint=FILE]\n"
-           "                    [--force] [--lease-ttl-ms=MS] [--batch=N]\n"
-           "                    [--progress=FILE]\n"
+           "                    [--out=FILE] [--cache-dir=DIR] [--lease-ttl-ms=MS]\n"
+           "                    [--batch=N] [--progress=FILE]\n"
            "                                      hand out point leases to pulling\n"
            "                                      `dynamo work` processes; artifact\n"
            "                                      is byte-identical to a local run\n"
@@ -215,23 +216,19 @@ std::unique_ptr<service::HttpServer> bind_server(const CliArgs& args) {
 }
 
 int cmd_campaign(int argc, char** argv) {
-    const CliArgs args = command_args(
-        argc, argv,
-        {{"force"}, {"workers", "cache-dir", "out", "progress", "shard", "checkpoint"}});
+    const CliArgs args =
+        command_args(argc, argv, {{}, {"workers", "cache-dir", "out", "progress", "shard"}});
     if (args.positional().size() != 1) {
-        std::cerr << "usage: dynamo campaign <manifest.json> [--force] [--workers=N] "
-                     "[--cache-dir=DIR] [--out=FILE] [--progress=FILE] [--shard=K/N] "
-                     "[--checkpoint=FILE]\n";
+        std::cerr << "usage: dynamo campaign <manifest.json> [--workers=N] "
+                     "[--cache-dir=DIR] [--out=FILE] [--progress=FILE] [--shard=K/N]\n";
         return 2;
     }
     const scenario::Manifest manifest = scenario::load_manifest(args.positional()[0]);
 
     scenario::CampaignOptions options;
-    options.force = args.get_flag("force");
     options.cache_dir = args.get_string("cache-dir", options.cache_dir);
     if (const std::string shard = args.get_string("shard", ""); !shard.empty())
         scenario::parse_shard_spec(shard, options.shard_index, options.shard_count);
-    options.checkpoint = args.get_string("checkpoint", "");
     std::ofstream progress;
     options.progress = open_progress(args, progress);
     std::optional<ThreadPool> pool;
@@ -287,15 +284,13 @@ std::uint64_t steady_now_ms() {
 }
 
 int cmd_coordinate(int argc, char** argv) {
-    const CliArgs args = command_args(argc, argv,
-                                      {{"force"},
-                                       {"port", "port-file", "out", "cache-dir", "checkpoint",
-                                        "lease-ttl-ms", "batch", "progress"}});
+    const CliArgs args = command_args(
+        argc, argv,
+        {{}, {"port", "port-file", "out", "cache-dir", "lease-ttl-ms", "batch", "progress"}});
     if (args.positional().size() != 1) {
         std::cerr << "usage: dynamo coordinate <manifest.json> [--port=P] "
                      "[--port-file=PATH] [--out=FILE] [--cache-dir=DIR] "
-                     "[--checkpoint=FILE] [--force] [--lease-ttl-ms=MS] [--batch=N] "
-                     "[--progress=FILE]\n";
+                     "[--lease-ttl-ms=MS] [--batch=N] [--progress=FILE]\n";
         return 2;
     }
     // Keep the raw document: GET /manifest serves it VERBATIM so workers
@@ -307,8 +302,6 @@ int cmd_coordinate(int argc, char** argv) {
 
     dist::CoordinatorOptions options;
     options.cache_dir = args.get_string("cache-dir", options.cache_dir);
-    options.checkpoint = args.get_string("checkpoint", "");
-    options.force = args.get_flag("force");
     options.lease_ttl_ms = static_cast<std::uint64_t>(int_at_least(args, "lease-ttl-ms", 10000, 1));
     options.batch = static_cast<std::size_t>(int_at_least(args, "batch", 4, 1));
     std::ofstream progress;
@@ -318,10 +311,9 @@ int cmd_coordinate(int argc, char** argv) {
 
     bool interrupted = false;
     if (coordinator.complete()) {
-        // Warm resume: checkpoint + cache already cover every point — no
-        // reason to open a socket just to tell workers "done".
-        std::cout << "dynamo coordinate: campaign already complete (cache/checkpoint), "
-                     "not serving\n";
+        // Warm resume: the cache already covers every point — no reason
+        // to open a socket just to tell workers "done".
+        std::cout << "dynamo coordinate: campaign already complete (cache), not serving\n";
     } else {
         const std::unique_ptr<service::HttpServer> server = bind_server(args);
         std::cout << "dynamo coordinate: listening on http://127.0.0.1:" << server->port()

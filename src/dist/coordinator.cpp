@@ -27,11 +27,9 @@ using util::JsonObject;
 /// layout, so its fingerprint is the one a local run computes.
 scenario::CampaignOptions ledger_options(const CoordinatorOptions& options) {
     scenario::CampaignOptions ledger;
-    ledger.force = options.force;
     ledger.cache_dir = options.cache_dir;
     ledger.code_epoch = options.code_epoch;
     ledger.progress = options.progress;
-    ledger.checkpoint = options.checkpoint;
     return ledger;
 }
 

@@ -3,8 +3,8 @@
 // The campaign coordinator behind `dynamo coordinate`: a CampaignLedger
 // (scenario/campaign.hpp) plus a LeaseTable (dist/lease_table.hpp) seeded
 // from the ledger's pending indices. The ledger — the same one a local
-// `dynamo campaign` run is built on — owns the expansion, the cache pass,
-// the checkpoint and settling; this class only routes the lease protocol
+// `dynamo campaign` run is built on — owns the expansion, the cache pass
+// and settling; this class only routes the lease protocol
 // and hands each accepted completion to CampaignLedger::settle. That
 // shared owner is what makes the two execution modes interchangeable:
 //
@@ -14,9 +14,9 @@
 //     rendered through CampaignOutcome::to_json with the unsharded 0/1
 //     layout and is byte-identical to `dynamo campaign` on the same
 //     manifest (acceptance-gated in CI with `cmp`);
-//   * crash safety — the ledger stores and checkpoints a result the
-//     moment it is accepted, under the same fingerprint a local run
-//     computes, so a killed coordinator resumes under `dynamo
+//   * crash safety — the ledger caches a result the moment it is
+//     accepted, under the same cache key a local run computes, so a
+//     killed coordinator resumes from its cache under `dynamo
 //     coordinate` OR `dynamo campaign`, and vice versa;
 //   * cache warmth — a coordinated run warms the same content-addressed
 //     cache CLI runs read, so re-running distributes zero points.
@@ -40,9 +40,7 @@
 namespace dynamo::dist {
 
 struct CoordinatorOptions {
-    std::string cache_dir = ".dynamo-cache";
-    std::string checkpoint;  ///< optional crash-safe ledger (strongly recommended)
-    bool force = false;      ///< skip cache lookups (checkpointed points still served)
+    std::string cache_dir = ".dynamo-cache";  ///< the resume record: re-run against it
     std::uint64_t lease_ttl_ms = 10000;
     std::size_t batch = 4;   ///< max indices per lease
     std::ostream* progress = nullptr;  ///< campaign-progress JSONL (same records as local)
@@ -55,7 +53,7 @@ class CampaignCoordinator {
     /// and queues its pending indices for leasing. `manifest_text` is
     /// the raw document served verbatim at GET /manifest so workers
     /// expand the coordinator's exact grid. Throws on infrastructure
-    /// errors (unknown scenario, bad checkpoint) — never because of
+    /// errors (unknown scenario, empty cache directory) — never because of
     /// point-level failures.
     CampaignCoordinator(scenario::Manifest manifest, std::string manifest_text,
                         CoordinatorOptions options);

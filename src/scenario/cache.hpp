@@ -4,8 +4,10 @@
 // is (scenario name, canonical parameter binding, code epoch); its cached
 // value is the metrics map + report text + exit code the scenario
 // produced. Re-running a campaign computes only the points whose key is
-// absent (cache miss) or whose epoch moved (invalidation); `--force`
-// bypasses lookups but still stores fresh results.
+// absent (cache miss) or whose epoch moved (invalidation). The cache is
+// also a campaign's only resume record: every lookup is honored, so a
+// stale entry is retired by an epoch bump (below), and a full recompute
+// is a run against an empty cache directory.
 //
 // Key = FNV-1a 64 over a canonical serialization: scenario name, combined
 // epoch, and the sorted "key=value" parameter bindings. The cache file

@@ -22,7 +22,8 @@ using util::JsonObject;
 
 /// FNV-1a over the campaign's expanded identity (see CampaignLedger):
 /// any manifest edit lands in some point's canonical params and moves it,
-/// as does an epoch bump or a different shard split.
+/// as does an epoch bump or a different shard split. The coordinator
+/// names its campaign by it on the wire (dist/protocol.hpp).
 std::uint64_t campaign_fingerprint(const std::string& scenario_name, int epoch,
                                    unsigned shard_index, unsigned shard_count,
                                    const std::vector<PointSpec>& specs) {
@@ -117,34 +118,16 @@ CampaignLedger::CampaignLedger(const Manifest& manifest, const CampaignOptions& 
         outcome_.points.push_back(std::move(point));
     }
 
-    if (!options.checkpoint.empty()) {
-        checkpoint_ = std::make_unique<CampaignCheckpoint>(options.checkpoint, fingerprint_,
-                                                           options.shard_index,
-                                                           options.shard_count, specs.size());
-        outcome_.resumed = checkpoint_->resumed();
-    }
-
     // The cache pass (serial): satisfy points from the cache, collect the
-    // misses. A checkpointed point is served from the cache even under
-    // --force — resume means "keep the work already banked". Settled
-    // cache hits the checkpoint does not know yet are recorded, so a
-    // later --force resume keeps them too.
+    // misses.
     for (CampaignPoint& point : outcome_.points) {
-        const CacheKey key{scenario_->name, epoch_, point.spec.params};
-        const std::uint64_t hash = cache_hash(key);
-        const bool settled =
-            checkpoint_ != nullptr && checkpoint_->is_settled(point.spec.index, hash);
-        if (!options.force || settled) {
-            if (auto hit = cache_.lookup(key)) {
-                point.result = std::move(*hit);
-                point.from_cache = true;
-                ++outcome_.cached;
-                if (point.result.exit_code != 0) ++outcome_.failed;
-                if (checkpoint_ != nullptr && point.result.exit_code == 0)
-                    checkpoint_->mark_settled(point.spec.index, hash);
-                emit_progress(progress_, "cached", point);
-                continue;
-            }
+        if (auto hit = cache_.lookup(CacheKey{scenario_->name, epoch_, point.spec.params})) {
+            point.result = std::move(*hit);
+            point.from_cache = true;
+            ++outcome_.cached;
+            if (point.result.exit_code != 0) ++outcome_.failed;
+            emit_progress(progress_, "cached", point);
+            continue;
         }
         pending_.push_back(point.spec.index);
     }
@@ -161,20 +144,16 @@ std::size_t CampaignLedger::slot(std::size_t index) const {
 
 void CampaignLedger::settle(std::size_t index, CachedResult result) {
     // Each index settles once, so its slot is this call's alone; only the
-    // counts are shared. A SUCCESSFUL point is stored and checkpointed
-    // before this returns, so a campaign killed after k settles
-    // warm-starts with exactly k cache hits. Failed points are not cached
-    // — a re-run retries them instead of replaying the error. The cache
-    // store is concurrency-safe (unique per-writer temp names), so it
-    // runs outside the lock.
+    // counts are shared. A SUCCESSFUL point is stored before this
+    // returns, so a campaign killed after k settles warm-starts with
+    // exactly k cache hits. Failed points are not cached — a re-run
+    // retries them instead of replaying the error. The cache store is
+    // concurrency-safe (unique per-writer temp names), so it runs outside
+    // the lock.
     CampaignPoint& point = outcome_.points[slot(index)];
     point.result = std::move(result);
     const bool ok = point.result.exit_code == 0;
-    if (ok) {
-        const CacheKey key{scenario_->name, epoch_, point.spec.params};
-        cache_.store(key, point.result);
-        if (checkpoint_ != nullptr) checkpoint_->mark_settled(index, cache_hash(key));
-    }
+    if (ok) cache_.store(CacheKey{scenario_->name, epoch_, point.spec.params}, point.result);
     emit_progress(progress_, ok ? "computed" : "failed", point);
     const std::lock_guard<std::mutex> lock(counts_mutex_);
     ++outcome_.computed;
@@ -244,7 +223,6 @@ std::string CampaignOutcome::summary(const Manifest& manifest) const {
     if (shard_count > 1) os << "/" << total_points;
     os << " points, " << computed << " computed, " << cached << " cached, " << failed
        << " failed";
-    if (resumed > 0) os << " (" << resumed << " checkpointed)";
     return os.str();
 }
 

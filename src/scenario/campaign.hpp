@@ -13,15 +13,22 @@
 // run's JSON byte for byte (cache provenance is reported separately).
 //
 // Ownership: CampaignLedger is the ONE owner of a campaign's bookkeeping
-// — expansion and the shard filter, the checkpoint fingerprint, the
-// serial cache pass (with its "--force keeps checkpointed work" rule),
-// and settling a computed point into cache, checkpoint, progress stream
+// — expansion and the shard filter, the campaign fingerprint, the serial
+// cache pass, and settling a computed point into cache, progress stream
 // and counts. Both execution modes are a ledger plus a scheduler over
 // its pending indices: run_campaign drives them through
 // parallel_for_blocks, the distributed coordinator (dist/coordinator.hpp)
-// leases them to workers. Nothing else reads or writes the cache,
-// checkpoint or progress stream on a campaign's behalf, which is why a
-// checkpoint left by either mode resumes under the other.
+// leases them to workers. Nothing else reads or writes the cache or
+// progress stream on a campaign's behalf, which is why a campaign killed
+// in either mode resumes under the other.
+//
+// Resume is the cache: every point is a pure function of (manifest,
+// epochs), so its cache entry is both its memo and its record of being
+// done. Re-running a killed campaign against the same cache directory
+// computes only what never settled. A full recompute is a run against an
+// empty cache directory (then `dynamo cache merge` folds it into a shared
+// one); a stale entry is retired by bumping Scenario::epoch or
+// kCodeEpoch, never by bypassing the lookup.
 //
 // Crash-safety contract (the two bugs this layer used to have, both
 // test-enforced in tests/test_service.cpp):
@@ -47,21 +54,18 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "io/jsonl.hpp"
 #include "scenario/cache.hpp"
-#include "scenario/checkpoint.hpp"
 #include "scenario/manifest.hpp"
 #include "util/parallel.hpp"
 
 namespace dynamo::scenario {
 
 struct CampaignOptions {
-    bool force = false;            ///< skip cache lookups (still stores fresh results)
     ThreadPool* pool = nullptr;    ///< nullptr computes points serially (same report)
     std::string cache_dir = ".dynamo-cache";
     int code_epoch = kCodeEpoch;   ///< injectable for invalidation tests
@@ -79,11 +83,6 @@ struct CampaignOptions {
     /// (the unsharded campaign). shard_index must be < shard_count.
     unsigned shard_index = 0;
     unsigned shard_count = 1;
-    /// Optional crash-safe checkpoint file (scenario/checkpoint.hpp):
-    /// settled points are appended as they land, and a resumed run —
-    /// even under --force — serves checkpointed points from the cache
-    /// instead of recomputing them. Empty = no checkpoint.
-    std::string checkpoint;
 };
 
 /// Parses a --shard=K/N value into (index, count). Throws
@@ -104,7 +103,6 @@ struct CampaignOutcome {
     std::size_t cached = 0;
     std::size_t failed = 0;  ///< points whose scenario threw or returned non-zero
     std::size_t total_points = 0;  ///< full expansion size (all shards)
-    std::size_t resumed = 0;       ///< points the checkpoint carried in as settled
     unsigned shard_index = 0;
     unsigned shard_count = 1;
 
@@ -121,14 +119,12 @@ struct CampaignOutcome {
 /// caller supplies only the schedule that computes pending points.
 class CampaignLedger {
   public:
-    /// Expands the FULL manifest, keeps this shard's points, opens the
-    /// checkpoint (fingerprint: scenario, combined epoch, shard layout and
+    /// Expands the FULL manifest, keeps this shard's points, computes the
+    /// campaign fingerprint (scenario, combined epoch, shard layout and
     /// every expanded point's canonical cache-key string), and runs the
-    /// serial cache pass: a point is served from the cache unless --force
-    /// is set and the checkpoint does not record it. Cache hits are
-    /// counted, checkpointed and streamed here. `options.pool` is unused.
-    /// Throws on infrastructure errors (unknown scenario, bad shard
-    /// layout, a checkpoint belonging to a different campaign).
+    /// serial cache pass: every point found in the cache is served from
+    /// it, counted and streamed here. `options.pool` is unused. Throws on
+    /// infrastructure errors (unknown scenario, bad shard layout).
     CampaignLedger(const Manifest& manifest, const CampaignOptions& options);
 
     const Scenario& scenario() const noexcept { return *scenario_; }
@@ -141,9 +137,9 @@ class CampaignLedger {
     const PointSpec& spec(std::size_t index) const { return outcome_.points[slot(index)].spec; }
 
     /// Settles one computed point, once per pending index: a successful
-    /// result is stored in the cache and checkpointed before this
-    /// returns (failures are neither, so a re-run retries them), then the
-    /// progress line is written and the counts move. Thread-safe.
+    /// result is stored in the cache before this returns (a failure is
+    /// not, so a re-run retries it), then the progress line is written
+    /// and the counts move. Thread-safe.
     void settle(std::size_t index, CachedResult result);
 
     /// Counts and points so far; do not read it while settle() may run.
@@ -159,7 +155,6 @@ class CampaignLedger {
     int epoch_ = 0;
     std::uint64_t fingerprint_ = 0;
     CampaignOutcome outcome_;
-    std::unique_ptr<CampaignCheckpoint> checkpoint_;
     io::JsonlWriter progress_;
     std::vector<std::size_t> pending_;
     std::mutex counts_mutex_;
@@ -167,10 +162,9 @@ class CampaignLedger {
 
 /// Run the campaign (or one shard of it): a CampaignLedger whose pending
 /// points are computed across `options.pool`. Throws only on
-/// infrastructure errors (unwritable cache or checkpoint, a checkpoint
-/// belonging to a different campaign); per-point scenario exceptions are
-/// captured into that point's report with exit_code 2 and counted in
-/// `failed`.
+/// infrastructure errors (an unwritable cache); per-point scenario
+/// exceptions are captured into that point's report with exit_code 2 and
+/// counted in `failed`.
 CampaignOutcome run_campaign(const Manifest& manifest, const CampaignOptions& options = {});
 
 /// Execute one expanded point against a private output buffer. Never

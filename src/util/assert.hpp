@@ -16,32 +16,33 @@
 
 namespace dynamo::detail {
 
-[[noreturn]] inline void throw_require(const char* expr, const char* file, int line,
-                                       const std::string& msg) {
+// The message names the failed expression, not the source file and line:
+// a failed campaign point stores it in the artifact, which must not
+// depend on where the code was built.
+[[noreturn]] inline void throw_require(const char* expr, const std::string& msg) {
     std::ostringstream os;
-    os << "dynamo: precondition failed: (" << expr << ") at " << file << ':' << line;
+    os << "dynamo: precondition failed: (" << expr << ")";
     if (!msg.empty()) os << " - " << msg;
     throw std::invalid_argument(os.str());
 }
 
-[[noreturn]] inline void throw_ensure(const char* expr, const char* file, int line,
-                                      const std::string& msg) {
+[[noreturn]] inline void throw_ensure(const char* expr, const std::string& msg) {
     std::ostringstream os;
-    os << "dynamo: invariant violated: (" << expr << ") at " << file << ':' << line;
+    os << "dynamo: invariant violated: (" << expr << ")";
     if (!msg.empty()) os << " - " << msg;
     throw std::logic_error(os.str());
 }
 
 } // namespace dynamo::detail
 
-#define DYNAMO_REQUIRE(expr, msg)                                                  \
-    do {                                                                           \
-        if (!(expr)) ::dynamo::detail::throw_require(#expr, __FILE__, __LINE__, (msg)); \
+#define DYNAMO_REQUIRE(expr, msg)                                   \
+    do {                                                            \
+        if (!(expr)) ::dynamo::detail::throw_require(#expr, (msg)); \
     } while (false)
 
-#define DYNAMO_ENSURE(expr, msg)                                                   \
-    do {                                                                           \
-        if (!(expr)) ::dynamo::detail::throw_ensure(#expr, __FILE__, __LINE__, (msg)); \
+#define DYNAMO_ENSURE(expr, msg)                                   \
+    do {                                                           \
+        if (!(expr)) ::dynamo::detail::throw_ensure(#expr, (msg)); \
     } while (false)
 
 #ifdef NDEBUG

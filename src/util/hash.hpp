@@ -3,9 +3,9 @@
 // FNV-1a 64 and its 16-hex-digit rendering: the one hash behind result
 // cache keys (scenario/cache.hpp), campaign fingerprints (scenario/
 // campaign.hpp) and point-result hashes (dist/protocol.hpp), and the one
-// way those values are written into file names, checkpoint ledgers and
-// wire messages. Cache directories and checkpoints on disk are keyed by
-// these exact values, so neither function may change.
+// way those values are written into file names and wire messages. Cache
+// directories on disk are keyed by these exact values, so neither
+// function may change.
 #pragma once
 
 #include <cstdint>

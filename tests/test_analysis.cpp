@@ -221,6 +221,37 @@ TEST(MonteCarlo, AdaptivePointIsInvariantAcrossPool) {
     EXPECT_EQ(other.computed, serial.computed);
 }
 
+TEST(MonteCarlo, AdaptivePointIsTheSameUnderAnyCapItNeverReaches) {
+    // The cap bounds the trials, it does not size the work: a point that
+    // stops long before either cap is field-for-field the same under a
+    // 10,000 and a 1,000,000 cap. CI checks the memory side: the peak RSS
+    // of such a point under a 10,000,000 cap.
+    Torus t(Topology::ToroidalMesh, 6, 6);
+    AdaptiveOptions small;
+    small.stopping.ci_target = 0.2;
+    small.max_trials = 10000;
+    AdaptiveOptions large = small;
+    large.max_trials = 1000000;
+    const AdaptiveDensityPoint a = run_density_point_adaptive(t, 1, 0.5, 4, 0xCAB, small);
+    const AdaptiveDensityPoint b = run_density_point_adaptive(t, 1, 0.5, 4, 0xCAB, large);
+    ASSERT_TRUE(a.converged);
+    EXPECT_LT(a.computed, small.max_trials);
+    EXPECT_EQ(a.point.density, b.point.density);
+    EXPECT_EQ(a.point.trials, b.point.trials);
+    EXPECT_EQ(a.point.k_mono, b.point.k_mono);
+    EXPECT_EQ(a.point.other_mono, b.point.other_mono);
+    EXPECT_EQ(a.point.cycles, b.point.cycles);
+    EXPECT_EQ(a.point.fixed_points, b.point.fixed_points);
+    EXPECT_EQ(a.point.mean_rounds_mono, b.point.mean_rounds_mono);
+    EXPECT_EQ(a.point.mean_final_k_fraction, b.point.mean_final_k_fraction);
+    EXPECT_EQ(a.half_width, b.half_width);
+    EXPECT_EQ(a.lower, b.lower);
+    EXPECT_EQ(a.upper, b.upper);
+    EXPECT_EQ(a.decided, b.decided);
+    EXPECT_EQ(a.converged, b.converged);
+    EXPECT_EQ(a.computed, b.computed);
+}
+
 TEST(MonteCarlo, ZeroTrialCapThrows) {
     // The cap is refused with an exception a campaign records as a failed
     // point; it must not abort the process.

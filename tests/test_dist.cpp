@@ -12,7 +12,7 @@
 //   * coordinator — socketless handle() routing of the whole endpoint
 //     surface with an injected clock, the placement-independence
 //     invariant (distributed artifact byte-identical to run_campaign),
-//     and kill-and-resume through the shared cache + checkpoint, in both
+//     and kill-and-resume through the shared cache alone, in both
 //     directions between `dynamo coordinate` and `dynamo campaign`;
 //   * worker — every terminal state of the loop via scripted transports
 //     and recorded sleepers (retry counting, shutdown-vs-unreachable,
@@ -434,11 +434,9 @@ TEST(LeaseTable, DrainsToAllSettled) {
 // ---------------------------------------------------------------------------
 // Coordinator (socketless, injected clock)
 
-CoordinatorOptions coordinator_options(const ScratchDir& scratch,
-                                       const std::string& checkpoint = "") {
+CoordinatorOptions coordinator_options(const ScratchDir& scratch) {
     CoordinatorOptions options;
     options.cache_dir = scratch.path() + "/cache";
-    options.checkpoint = checkpoint;
     options.lease_ttl_ms = 1000;
     options.batch = 4;
     return options;
@@ -624,7 +622,6 @@ TEST(Coordinator, KilledCoordinatorResumesExactly) {
     const ScratchDir scratch("resume");
     const Manifest manifest = probe_manifest();
     const std::vector<PointSpec> specs = scenario::expand(manifest);
-    const std::string checkpoint = scratch.path() + "/ledger.jsonl";
 
     CampaignOptions local;
     local.cache_dir = scratch.path() + "/cache-local";
@@ -634,8 +631,7 @@ TEST(Coordinator, KilledCoordinatorResumesExactly) {
     {
         // First life: settle exactly one 2-point lease, then "crash"
         // (destruction without rendering).
-        CampaignCoordinator coordinator(manifest, kManifestText,
-                                        coordinator_options(scratch, checkpoint));
+        CampaignCoordinator coordinator(manifest, kManifestText, coordinator_options(scratch));
         fingerprint = coordinator.fingerprint_hex();
         const LeaseGrant grant = parse_lease_grant(
             coordinator
@@ -654,14 +650,12 @@ TEST(Coordinator, KilledCoordinatorResumesExactly) {
         EXPECT_FALSE(coordinator.complete());
     }
     {
-        // Second life: the checkpoint + cache carry the settled points
-        // in; only the remaining four are queued; the final artifact is
-        // still byte-identical to the local run.
-        CampaignCoordinator coordinator(manifest, kManifestText,
-                                        coordinator_options(scratch, checkpoint));
+        // Second life: the cache carries the settled points in; only the
+        // remaining four are queued; the final artifact is still
+        // byte-identical to the local run.
+        CampaignCoordinator coordinator(manifest, kManifestText, coordinator_options(scratch));
         EXPECT_EQ(coordinator.fingerprint_hex(), fingerprint);
         EXPECT_EQ(coordinator.settled_points(), 2u);
-        EXPECT_EQ(coordinator.outcome().resumed, 2u);
         drain(coordinator, specs, "w2", 0);
         EXPECT_TRUE(coordinator.complete());
         EXPECT_EQ(coordinator.artifact(), local_json);
@@ -671,8 +665,7 @@ TEST(Coordinator, KilledCoordinatorResumesExactly) {
     {
         // Third life: fully warm — born complete, workers are told done
         // immediately, artifact still byte-identical.
-        CampaignCoordinator coordinator(manifest, kManifestText,
-                                        coordinator_options(scratch, checkpoint));
+        CampaignCoordinator coordinator(manifest, kManifestText, coordinator_options(scratch));
         EXPECT_TRUE(coordinator.complete());
         const LeaseGrant grant = parse_lease_grant(
             coordinator
@@ -691,20 +684,17 @@ TEST(Coordinator, FailingPointsAreRetriedOnResume) {
         R"( "fixed": {"fail_value": 3}, "grid": {"value": [1, 3]}, "seed": 17})";
     const Manifest manifest = parse_manifest(text, "test-manifest");
     const std::vector<PointSpec> specs = scenario::expand(manifest);
-    const std::string checkpoint = scratch.path() + "/ledger.jsonl";
 
     {
-        CampaignCoordinator coordinator(manifest, text,
-                                        coordinator_options(scratch, checkpoint));
+        CampaignCoordinator coordinator(manifest, text, coordinator_options(scratch));
         drain(coordinator, specs, "w1", 0);
         EXPECT_TRUE(coordinator.complete());
         EXPECT_EQ(coordinator.outcome().failed, 1u);
     }
     {
-        // Failures are neither cached nor checkpointed: the re-run
-        // queues exactly the failed point again.
-        CampaignCoordinator coordinator(manifest, text,
-                                        coordinator_options(scratch, checkpoint));
+        // Failures are not cached: the re-run queues exactly the failed
+        // point again.
+        CampaignCoordinator coordinator(manifest, text, coordinator_options(scratch));
         EXPECT_FALSE(coordinator.complete());
         EXPECT_EQ(coordinator.settled_points(), 1u);
         drain(coordinator, specs, "w2", 0);
@@ -713,14 +703,14 @@ TEST(Coordinator, FailingPointsAreRetriedOnResume) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-mode resume: a checkpoint left by one execution mode finishes
-// under the other, because both are the same CampaignLedger. Each first
-// life ends in a real SIGKILL (a forked death-test child), so only what
-// was flushed to the cache and checkpoint survives.
+// Cross-mode resume: a campaign killed in one execution mode finishes
+// under the other from its cache alone, because both are the same
+// CampaignLedger. Each first life ends in a real SIGKILL (a forked
+// death-test child), so only what was flushed to the cache survives.
 
 /// A progress sink that SIGKILLs the process at its `kill_at`-th line.
-/// The ledger writes a point's progress line only after caching and
-/// checkpointing it, so the kill lands right after that many settles.
+/// The ledger writes a point's progress line only after caching it, so
+/// the kill lands right after that many settles.
 class KillAtLine : public std::streambuf {
   public:
     explicit KillAtLine(int kill_at) : left_(kill_at) {}
@@ -745,13 +735,11 @@ TEST(CrossModeResume, KilledCoordinatorFinishesUnderRunCampaign) {
     const ScratchDir scratch("cross_coord");
     const Manifest manifest = probe_manifest();
     const std::vector<PointSpec> specs = scenario::expand(manifest);
-    const std::string checkpoint = scratch.path() + "/ledger.jsonl";
     const std::string expected = clean_local_artifact(scratch, manifest);
 
     EXPECT_EXIT(
         {
-            CampaignCoordinator coordinator(manifest, kManifestText,
-                                            coordinator_options(scratch, checkpoint));
+            CampaignCoordinator coordinator(manifest, kManifestText, coordinator_options(scratch));
             const LeaseGrant grant = parse_lease_grant(
                 coordinator
                     .handle(make_request("POST", "/lease", render_lease_request({"w1", 2})), 0)
@@ -768,13 +756,11 @@ TEST(CrossModeResume, KilledCoordinatorFinishesUnderRunCampaign) {
         },
         ::testing::KilledBySignal(SIGKILL), "");
 
-    // --force: only what the coordinator's checkpoint recorded is kept.
+    // The coordinator's two settles are in the shared cache; the rest is
+    // computed locally.
     CampaignOptions options;
     options.cache_dir = scratch.path() + "/cache";
-    options.checkpoint = checkpoint;
-    options.force = true;
     const scenario::CampaignOutcome finished = run_campaign(manifest, options);
-    EXPECT_EQ(finished.resumed, 2u);
     EXPECT_EQ(finished.cached, 2u);
     EXPECT_EQ(finished.computed, 4u);
     EXPECT_EQ(finished.to_json(manifest), expected);
@@ -784,7 +770,6 @@ TEST(CrossModeResume, KilledRunCampaignFinishesUnderCoordinator) {
     const ScratchDir scratch("cross_local");
     const Manifest manifest = probe_manifest();
     const std::vector<PointSpec> specs = scenario::expand(manifest);
-    const std::string checkpoint = scratch.path() + "/ledger.jsonl";
     const std::string expected = clean_local_artifact(scratch, manifest);
 
     EXPECT_EXIT(
@@ -793,16 +778,12 @@ TEST(CrossModeResume, KilledRunCampaignFinishesUnderCoordinator) {
             std::ostream progress(&killer);
             CampaignOptions options;
             options.cache_dir = scratch.path() + "/cache";
-            options.checkpoint = checkpoint;
             options.progress = &progress;
             run_campaign(manifest, options);
         },
         ::testing::KilledBySignal(SIGKILL), "");
 
-    CoordinatorOptions options = coordinator_options(scratch, checkpoint);
-    options.force = true;
-    CampaignCoordinator coordinator(manifest, kManifestText, options);
-    EXPECT_EQ(coordinator.outcome().resumed, 3u);
+    CampaignCoordinator coordinator(manifest, kManifestText, coordinator_options(scratch));
     EXPECT_EQ(coordinator.settled_points(), 3u);
     drain(coordinator, specs, "w1", 0);
     EXPECT_TRUE(coordinator.complete());
@@ -1221,10 +1202,9 @@ TEST(LoopbackEndToEnd, TwoRealWorkersMatchTheLocalArtifact) { run_two_real_worke
 TEST(LoopbackEndToEnd, AnIdleConnectionHeldOpenExpiresNoLease) { run_two_real_workers(true); }
 
 TEST(Hashes, CacheKeyFingerprintAndResultHashArePinned) {
-    // Cache entry names, checkpoint fingerprints and completion hashes are
-    // stored on disk and on the wire: a cache directory or checkpoint
-    // written by an earlier build must still be hit, so these values never
-    // move.
+    // Cache entry names, campaign fingerprints and completion hashes are
+    // stored on disk and on the wire: a cache directory written by an
+    // earlier build must still be hit, so these values never move.
     const scenario::CacheKey key{"dist_probe", 4, {{"seed", "17"}, {"value", "3"}}};
     EXPECT_EQ(util::hex16(scenario::cache_hash(key)), "d8d2a31c2da5d243");
 

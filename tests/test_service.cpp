@@ -6,8 +6,6 @@
 //     points run (probed from inside a running campaign), and a campaign
 //     interrupted by a failing point warm-starts with exactly the
 //     previously-successful points as cache hits;
-//   * checkpoints — round-trip, torn-tail tolerance, loud fingerprint
-//     rejection, --force-resume semantics;
 //   * sharding — shard counts {1, 2, 7} all reassemble through their
 //     shared cache into the byte-identical unsharded artifact;
 //   * the HTTP/JSON service — request parsing, socketless routing of the
@@ -39,7 +37,6 @@
 #include "analysis/montecarlo.hpp"
 #include "grid/torus.hpp"
 #include "scenario/campaign.hpp"
-#include "scenario/checkpoint.hpp"
 #include "scenario/manifest.hpp"
 #include "scenario/scenario.hpp"
 #include "service/http.hpp"
@@ -261,102 +258,6 @@ TEST(CampaignCrashSafety, InterruptedCampaignResumesWithExactlyTheBankedHits) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoints
-// ---------------------------------------------------------------------------
-
-TEST(Checkpoint, RoundTripAndTornTailTolerance) {
-    const ScratchDir dir("ckpt");
-    const std::string path = dir.path() + "/shard0.jsonl";
-    {
-        CampaignCheckpoint fresh(path, 0xabcdefULL, 0, 2, 6);
-        EXPECT_EQ(fresh.resumed(), 0u);
-        fresh.mark_settled(0, 11);
-        fresh.mark_settled(2, 22);
-        fresh.mark_settled(2, 22);  // idempotent
-    }
-    // Lines of another shard (index 1) or past the campaign's points
-    // (index 6) are not this shard's progress.
-    {
-        std::ofstream(path, std::ios::app) << "{\"index\": 1, \"hash\": \"000000000000000b\"}\n"
-                                           << "{\"index\": 6, \"hash\": \"000000000000000b\"}\n";
-    }
-    // Simulate a crash mid-append: a torn, unparsable final line.
-    { std::ofstream(path, std::ios::app) << "{\"index\": 4, \"ha"; }
-
-    CampaignCheckpoint reopened(path, 0xabcdefULL, 0, 2, 6);
-    EXPECT_EQ(reopened.resumed(), 2u);
-    EXPECT_FALSE(reopened.is_settled(1, 11));
-    EXPECT_FALSE(reopened.is_settled(6, 11));
-    EXPECT_TRUE(reopened.is_settled(0, 11));
-    EXPECT_TRUE(reopened.is_settled(2, 22));
-    EXPECT_FALSE(reopened.is_settled(2, 23)) << "hash must match, not just the index";
-    EXPECT_FALSE(reopened.is_settled(4, 0)) << "the torn line must be ignored";
-}
-
-TEST(Checkpoint, DamagedIndexLinesAreSkippedNotFatal) {
-    // A settled line whose index is not a non-negative exact integer used
-    // to throw "not an exact integer" and abort the whole resume. One past
-    // the campaign's points is not progress either.
-    const ScratchDir dir("ckpt_damaged");
-    const std::string path = dir.path() + "/ck.jsonl";
-    {
-        CampaignCheckpoint fresh(path, 0x5eedULL, 0, 1, 4);
-        fresh.mark_settled(1, 11);
-    }
-    {
-        std::ofstream out(path, std::ios::app);
-        out << "{\"index\": 0.5, \"hash\": \"0000000000000007\"}\n"
-            << "{\"index\": -1, \"hash\": \"0000000000000007\"}\n"
-            << "{\"index\": 1e300, \"hash\": \"0000000000000007\"}\n"
-            << "{\"index\": 4, \"hash\": \"0000000000000007\"}\n"
-            << "{\"index\": 3, \"hash\": \"0000000000000021\"}\n";
-    }
-    const CampaignCheckpoint reopened(path, 0x5eedULL, 0, 1, 4);
-    EXPECT_EQ(reopened.resumed(), 2u);
-    EXPECT_TRUE(reopened.is_settled(1, 11));
-    EXPECT_TRUE(reopened.is_settled(3, 0x21)) << "lines after a damaged one still count";
-    EXPECT_FALSE(reopened.is_settled(0, 7));
-    EXPECT_FALSE(reopened.is_settled(4, 7)) << "index 4 is past the campaign's 4 points";
-}
-
-TEST(Checkpoint, RejectsForeignFilesAndWrongFingerprints) {
-    const ScratchDir dir("ckpt_reject");
-    const std::string path = dir.path() + "/ck.jsonl";
-    { CampaignCheckpoint fresh(path, 7, 0, 1, 3); }
-    EXPECT_THROW(CampaignCheckpoint(path, 8, 0, 1, 3), std::invalid_argument)
-        << "a different campaign fingerprint must be rejected loudly";
-
-    const std::string foreign = dir.path() + "/notes.txt";
-    { std::ofstream(foreign) << "not json at all\n"; }
-    EXPECT_THROW(CampaignCheckpoint(foreign, 7, 0, 1, 3), std::invalid_argument);
-}
-
-TEST(Checkpoint, ForceResumeServesCheckpointedPointsFromTheCache) {
-    const ScratchDir dir("ckpt_force");
-    const Manifest manifest = probe_manifest();
-    CampaignOptions options;
-    options.cache_dir = dir.path() + "/cache";
-    options.checkpoint = dir.path() + "/ck.jsonl";
-    const CampaignOutcome cold = run_campaign(manifest, options);
-    EXPECT_EQ(cold.computed, 6u);
-    EXPECT_EQ(cold.resumed, 0u);
-
-    // --force normally recomputes everything; with the checkpoint it must
-    // keep the banked work instead.
-    options.force = true;
-    const CampaignOutcome forced = run_campaign(manifest, options);
-    EXPECT_EQ(forced.resumed, 6u);
-    EXPECT_EQ(forced.cached, 6u);
-    EXPECT_EQ(forced.computed, 0u);
-    EXPECT_EQ(forced.to_json(manifest), cold.to_json(manifest));
-
-    // Without the checkpoint, --force recomputes as ever.
-    options.checkpoint.clear();
-    const CampaignOutcome plain_force = run_campaign(manifest, options);
-    EXPECT_EQ(plain_force.computed, 6u);
-}
-
-// ---------------------------------------------------------------------------
 // Sharding + reassembly
 // ---------------------------------------------------------------------------
 
@@ -376,8 +277,6 @@ TEST(ShardMerge, EveryShardCountMergesByteIdenticallyToUnsharded) {
         for (unsigned k = 0; k < count; ++k) {
             options.shard_index = k;
             options.shard_count = count;
-            options.checkpoint =
-                dir.path() + "/ck-" + std::to_string(count) + "-" + std::to_string(k);
             owned_total += run_campaign(manifest, options).points.size();
         }
         EXPECT_EQ(owned_total, 6u) << "shards must partition the expansion";

@@ -224,16 +224,16 @@ TEST(CliArgs, DeclaredValueKeyAlwaysConsumes) {
 
 TEST(CliArgs, RequireDeclaredRefusesKeysOutsideTheGrammar) {
     CliGrammar grammar;
-    grammar.flag_keys = {"force"};
+    grammar.flag_keys = {"verbose"};
     grammar.value_keys = {"cache-dir"};
-    const char* good[] = {"prog", "--force", "--cache-dir=/tmp/c", "pos"};
+    const char* good[] = {"prog", "--verbose", "--cache-dir=/tmp/c", "pos"};
     EXPECT_NO_THROW(CliArgs(4, good, grammar).require_declared(grammar));
 
     // Every form of an unknown key is refused, by name: --k=v, --k v and a
     // bare --k.
-    const char* with_eq[] = {"prog", "--force", "--bogus=1", ""};
-    const char* with_value[] = {"prog", "--bogus", "1", "--force"};
-    const char* bare[] = {"prog", "--force", "--bogus", ""};
+    const char* with_eq[] = {"prog", "--verbose", "--bogus=1", ""};
+    const char* with_value[] = {"prog", "--bogus", "1", "--verbose"};
+    const char* bare[] = {"prog", "--verbose", "--bogus", ""};
     for (const auto& [argc, argv] : {std::pair{3, with_eq}, std::pair{4, with_value},
                                      std::pair{3, bare}}) {
         const CliArgs args(argc, argv, grammar);
