@@ -16,9 +16,14 @@
 // an anytime-valid confidence sequence (stats/confidence.hpp), so the
 // point is a pure function of (params, seed, ci_target, delta) —
 // bit-identical serial vs pooled, on lanes or one engine per trial.
+// On lanes, a block's fields are drawn cell by cell with all 64
+// generators stepped together (random_lane_fields), but each lane makes
+// exactly the draws of random_coloring from its substream, so a trial's
+// field does not depend on how it is drawn.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analysis/stats.hpp"
@@ -31,6 +36,9 @@
 
 namespace dynamo::rules {
 struct RuleInfo;
+}
+namespace dynamo::sim {
+class LaneBatch;
 }
 
 namespace dynamo::analysis {
@@ -92,6 +100,17 @@ LaneTrialCounts lane_trial_counts() noexcept;
 ColorField random_coloring(std::size_t size, Color k, Color num_colors, double density,
                            Xoshiro256& rng);
 
+/// random_coloring for a block of lane trials: lane l of `lanes`' round-0
+/// state (sim::LaneBatch::round0) receives the field
+/// random_coloring(cells, k, num_colors, density, rngs[l]) would return,
+/// and rngs[l] ends where that call leaves it. It draws cell by cell, all
+/// lanes at once: each lane still makes exactly its own generator's draws
+/// in their order, so the fields are bit-identical to the per-lane ones.
+/// 1 <= rngs.size() <= 64; lanes at and above rngs.size() are left 0. A
+/// bi-color (1-plane) batch takes a 2-color palette only.
+void random_lane_fields(sim::LaneBatch& lanes, Color k, Color num_colors, double density,
+                        std::span<Xoshiro256> rngs);
+
 /// One sweep point: `trials` random colorings at the given density, trial
 /// t seeded with substream_seed(seed, t), executed on `pool` when given
 /// (bit-identical results either way). `rule` selects the local rule the
@@ -101,8 +120,9 @@ ColorField random_coloring(std::size_t size, Color k, Color num_colors, double d
 /// time on the rule's lane batch (core/sim/lane_engine.hpp) when the
 /// palette has at most 7 colors and the torus at most 128x128 cells, any
 /// other backend one run per trial. All produce identical outcomes, so
-/// the parameter exists for engine cross-validation and perf experiments. The caller owns the color conventions: k is the
-/// flooding target under that rule (kBlack for bi-color rules).
+/// the parameter exists for engine cross-validation and perf experiments.
+/// The caller owns the color conventions: k is the flooding target under
+/// that rule (kBlack for bi-color rules).
 DensityPoint run_density_point(const grid::Torus& torus, Color k, double density,
                                Color num_colors, std::size_t trials, std::uint64_t seed,
                                ThreadPool* pool = nullptr,

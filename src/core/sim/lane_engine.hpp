@@ -84,7 +84,8 @@ inline constexpr unsigned kUnboundedHistory = 6;
 inline constexpr std::uint32_t kDefaultLaneCap = 64;
 
 /// The rule-independent half of a lane batch: the torus, its neighbor
-/// table, and the states, of which the caller writes round 0 with put().
+/// table, and the states, of which the caller writes round 0 with put() or
+/// round0().
 /// LaneBatchT<R>::run steps it. Not for concurrent use.
 class LaneBatch {
   public:
@@ -120,7 +121,15 @@ class LaneBatch {
         for (int p = 0; p < planes_; ++p) cell[p] |= Word{(c >> p) & 1u} << lane;
     }
 
-    /// Runs lanes [0, lanes) from the state put() wrote, under the rule's
+    /// Cell v's round-0 words, one per plane, bit l of each being lane l
+    /// under put()'s encoding. The Monte-Carlo lane draw assigns them whole,
+    /// one cell at a time, with no clear() first.
+    Word* round0(std::size_t v) noexcept {
+        DYNAMO_ASSERT(v < cells_, "cell out of range");
+        return states_.data() + v * static_cast<std::size_t>(planes_);
+    }
+
+    /// Runs lanes [0, lanes) from the round-0 state, under the rule's
     /// RunOptions defaults (cycle detection on, automatic round cap), for at
     /// most `lane_cap` rounds. out[l] receives lane l's outcome, with
     /// `count` the number of its cells holding `counted` at the end and

@@ -55,15 +55,25 @@ class Xoshiro256 {
         for (auto& s : state_) s = sm.next();
     }
 
-    std::uint64_t next() noexcept {
-        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-        const std::uint64_t t = state_[1] << 17;
-        state_[2] ^= state_[0];
-        state_[3] ^= state_[1];
-        state_[1] ^= state_[2];
-        state_[0] ^= state_[3];
-        state_[2] ^= t;
-        state_[3] = rotl(state_[3], 45);
+    /// The generator at a given state, as state() reads it.
+    explicit Xoshiro256(const std::array<std::uint64_t, 4>& state) noexcept : state_(state) {}
+    const std::array<std::uint64_t, 4>& state() const noexcept { return state_; }
+
+    std::uint64_t next() noexcept { return step(state_[0], state_[1], state_[2], state_[3]); }
+
+    /// next() on a state held elsewhere: the lane draw of the Monte-Carlo
+    /// trials (analysis/montecarlo.cpp) keeps 64 states as one array per
+    /// state word and steps them together.
+    static std::uint64_t step(std::uint64_t& s0, std::uint64_t& s1, std::uint64_t& s2,
+                              std::uint64_t& s3) noexcept {
+        const std::uint64_t result = rotl(s1 * 5, 7) * 9;
+        const std::uint64_t t = s1 << 17;
+        s2 ^= s0;
+        s3 ^= s1;
+        s1 ^= s2;
+        s0 ^= s3;
+        s2 ^= t;
+        s3 = rotl(s3, 45);
         return result;
     }
 
@@ -77,7 +87,7 @@ class Xoshiro256 {
         __uint128_t m = static_cast<__uint128_t>(x) * bound;
         auto lo = static_cast<std::uint64_t>(m);
         if (lo < bound) {
-            const std::uint64_t threshold = (0 - bound) % bound;
+            const std::uint64_t threshold = below_threshold(bound);
             while (lo < threshold) {
                 x = next();
                 m = static_cast<__uint128_t>(x) * bound;
@@ -85,6 +95,12 @@ class Xoshiro256 {
             }
         }
         return static_cast<std::uint64_t>(m >> 64);
+    }
+
+    /// below(bound)'s rejection rule: a draw x is redrawn while the low word
+    /// of x * bound is under this, which is 0 for a power of two.
+    static constexpr std::uint64_t below_threshold(std::uint64_t bound) noexcept {
+        return (0 - bound) % bound;
     }
 
     /// Uniform double in [0, 1).

@@ -3,9 +3,15 @@
 // densities, and lane trials == per-trial runs).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <memory>
+
 #include "analysis/census.hpp"
 #include "analysis/montecarlo.hpp"
 #include "analysis/stats.hpp"
+#include "core/run/batch.hpp"
+#include "core/sim/lane_engine.hpp"
 #include "core/transform.hpp"
 #include "grid/torus.hpp"
 #include "rules/registry.hpp"
@@ -26,6 +32,16 @@ constexpr std::size_t kPinCycles = 11;
 constexpr std::size_t kPinFixedPoints = 24;
 constexpr double kPinMeanRoundsMono = 5.3076923076923075;
 constexpr double kPinMeanFinalKFraction = 0.83268229166666663;
+
+// Two more cells, for the lane encodings the cell above does not reach: a
+// bi-color rule (majority-prefer-black, mesh 8x8, k = black, rho = 0.3,
+// 150 trials, seed 0xb1c0) and a 7-color palette (smp, serpentinus 8x8,
+// k = 4, rho = 0.5, 150 trials, seed 0x7c01). Taken from the per-lane
+// draw, before the lane draw drew fields cell by cell.
+constexpr DensityPoint kBicolorPin{0.3, 150, 13, 1, 136, 0, 6.7692307692307692,
+                                   0.62187499999999996};
+constexpr DensityPoint kSevenColorPin{0.5, 150, 106, 0, 0, 44, 3.8962264150943398,
+                                      0.97302083333333333};
 
 TEST(Census, CountsAndDominant) {
     const ColorField f{1, 2, 2, 3, 2, 1};
@@ -295,6 +311,134 @@ TEST(MonteCarlo, DensityPointRegressionPin) {
     EXPECT_EQ(p.fixed_points, kPinFixedPoints);
     EXPECT_NEAR(p.mean_rounds_mono, kPinMeanRoundsMono, 1e-12);
     EXPECT_NEAR(p.mean_final_k_fraction, kPinMeanFinalKFraction, 1e-12);
+
+    const auto expect_pin = [](const DensityPoint& got, const DensityPoint& pin,
+                               const char* tag) {
+        EXPECT_EQ(got.trials, pin.trials) << tag;
+        EXPECT_EQ(got.k_mono, pin.k_mono) << tag;
+        EXPECT_EQ(got.other_mono, pin.other_mono) << tag;
+        EXPECT_EQ(got.cycles, pin.cycles) << tag;
+        EXPECT_EQ(got.fixed_points, pin.fixed_points) << tag;
+        EXPECT_NEAR(got.mean_rounds_mono, pin.mean_rounds_mono, 1e-12) << tag;
+        EXPECT_NEAR(got.mean_final_k_fraction, pin.mean_final_k_fraction, 1e-12) << tag;
+    };
+    const rules::RuleInfo& bicolor = rules::rule_or_throw("majority-prefer-black");
+    expect_pin(run_density_point(t, kBlack, 0.3, 2, 150, 0xb1c0, nullptr, &bicolor),
+               kBicolorPin, "majority-prefer-black");
+    const Torus serpentinus(Topology::TorusSerpentinus, 8, 8);
+    const rules::RuleInfo& smp = rules::rule_or_throw("smp");
+    expect_pin(run_density_point(serpentinus, 4, 0.5, 7, 150, 0x7c01, nullptr, &smp),
+               kSevenColorPin, "smp |C|=7");
+}
+
+/// Draws a field per generator with random_lane_fields into a batch that
+/// held other fields before, and checks every round-0 word against put()
+/// of random_coloring from the same generator, and every generator's end
+/// state against random_coloring's.
+void expect_lane_draw_matches(const rules::RuleInfo& rule, const Torus& t, Color k,
+                              Color colors, double density, std::vector<Xoshiro256> rngs,
+                              const std::string& tag) {
+    std::vector<Xoshiro256> scalar = rngs;
+    const std::unique_ptr<sim::LaneBatch> expected = rule.make_lane_batch(t);
+    expected->clear();
+    for (unsigned l = 0; l < scalar.size(); ++l) {
+        const ColorField field = random_coloring(t.size(), k, colors, density, scalar[l]);
+        for (std::size_t v = 0; v < t.size(); ++v) expected->put(l, v, field[v]);
+    }
+    const std::unique_ptr<sim::LaneBatch> drawn = rule.make_lane_batch(t);
+    std::vector<Xoshiro256> stale(sim::LaneBatch::kLanes, Xoshiro256(0x57a1e));
+    random_lane_fields(*drawn, k, colors, 0.5, stale);
+    random_lane_fields(*drawn, k, colors, density, rngs);
+    std::size_t wrong = 0;
+    for (std::size_t v = 0; v < t.size(); ++v) {
+        for (int p = 0; p < drawn->planes(); ++p) {
+            wrong += drawn->round0(v)[p] != expected->round0(v)[p];
+        }
+    }
+    EXPECT_EQ(wrong, 0u) << tag;
+    for (std::size_t l = 0; l < rngs.size(); ++l) {
+        EXPECT_EQ(rngs[l].state(), scalar[l].state()) << tag << " lane " << l;
+    }
+}
+
+TEST(MonteCarlo, LaneDrawEqualsRandomColoringWordForWord) {
+    // Lane l of a block of trials first .. first + lanes - 1 draws from
+    // Xoshiro256(substream_seed(seed, first + l)), as run_density_point's
+    // blocks do. Densities include both ends, the smallest positive one,
+    // one where density * 2^53 is an integer and 1 - 2^-53.
+    const Torus t(Topology::ToroidalMesh, 5, 7);
+    const double densities[] = {0.0, 0x1.0p-53, 0.3, 0.25, 1.0 - 0x1.0p-53, 1.0};
+    const auto generators = [](std::size_t lanes) {
+        std::vector<Xoshiro256> rngs;
+        for (std::size_t l = 0; l < lanes; ++l) rngs.emplace_back(substream_seed(0x1a9e, 100 + l));
+        return rngs;
+    };
+    const rules::RuleInfo& bicolor = rules::rule_or_throw("majority-prefer-black");
+    const rules::RuleInfo& smp = rules::rule_or_throw("smp");
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{37}, std::size_t{64}}) {
+        for (const double density : densities) {
+            const std::string at =
+                " lanes=" + std::to_string(lanes) + " density=" + std::to_string(density);
+            for (const Color k : {kBlack, kWhite}) {
+                expect_lane_draw_matches(bicolor, t, k, 2, density, generators(lanes),
+                                         "bi-color k=" + std::to_string(k) + at);
+            }
+            for (Color colors = 3; colors <= 7; ++colors) {
+                for (const Color k : {Color{1}, static_cast<Color>((colors + 1) / 2), colors}) {
+                    expect_lane_draw_matches(smp, t, k, colors, density, generators(lanes),
+                                             "|C|=" + std::to_string(colors) +
+                                                 " k=" + std::to_string(k) + at);
+                }
+            }
+        }
+    }
+}
+
+/// The state one Xoshiro256 step before `after` (the step is invertible).
+std::array<std::uint64_t, 4> state_before(const std::array<std::uint64_t, 4>& after) {
+    // One step maps (s0, s1, s2, s3) to (s0 ^ s1 ^ s3, s0 ^ s1 ^ s2,
+    // s0 ^ s2 ^ (s1 << 17), rotl(s1 ^ s3, 45)).
+    const std::uint64_t s1_xor_s3 = std::rotr(after[3], 45);
+    const std::uint64_t s0 = after[0] ^ s1_xor_s3;
+    const std::uint64_t y = after[1] ^ after[2];  // s1 ^ (s1 << 17)
+    const std::uint64_t s1 = y ^ (y << 17) ^ (y << 34) ^ (y << 51);
+    return {s0, s1, after[1] ^ s0 ^ s1, s1_xor_s3 ^ s1};
+}
+
+TEST(MonteCarlo, LaneDrawRedrawsByBelowsRule) {
+    // below(n) redraws while the low word of x * n is under
+    // Xoshiro256::below_threshold(n), which is nonzero for n = 3, 5, 6.
+    // x = 0 is such a draw, and a generator puts out 0 from a state whose
+    // second word is 0. From (a, 0, a, d) it steps to (a ^ d, 0, 0, ...),
+    // so it puts out 0 twice. With density 0 a cell's second draw is the
+    // below() draw, so a generator one step before (a, 0, a, d) redraws
+    // twice in cell 0.
+    const std::array<std::uint64_t, 4> zero_twice{0x9e3779b97f4a7c15ULL, 0,
+                                                  0x9e3779b97f4a7c15ULL, 0xbf58476d1ce4e5b9ULL};
+    const std::array<std::uint64_t, 4> start = state_before(zero_twice);
+    Xoshiro256 check(start);
+    check.next();
+    ASSERT_EQ(check.state(), zero_twice);
+    for (const std::uint64_t n : {3u, 5u, 6u}) {
+        Xoshiro256 drawn(zero_twice), three(zero_twice);
+        drawn.below(n);
+        for (int i = 0; i < 3; ++i) three.next();
+        EXPECT_EQ(drawn.state(), three.state()) << "below(" << n << ") redraws twice";
+    }
+
+    const Torus t(Topology::ToroidalMesh, 4, 4);
+    const rules::RuleInfo& smp = rules::rule_or_throw("smp");
+    for (const Color colors : {Color{4}, Color{6}, Color{7}}) {
+        for (const double density : {0.0, 0.3}) {
+            std::vector<Xoshiro256> rngs;
+            for (std::size_t l = 0; l < 64; ++l) rngs.emplace_back(substream_seed(0x4ed, l));
+            rngs[5] = Xoshiro256(start);
+            rngs[40] = Xoshiro256(start);
+            expect_lane_draw_matches(smp, t, 1, colors, density, rngs,
+                                     "|C|=" + std::to_string(colors) +
+                                         " density=" + std::to_string(density));
+        }
+    }
 }
 
 void expect_points_equal(const DensityPoint& a, const DensityPoint& b, const std::string& tag) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -576,6 +577,40 @@ TEST(Campaign, AZeroTrialCapFailsItsPointWithoutAbortingTheCampaign) {
     EXPECT_EQ(outcome.points[0].result.report,
               "point failed: dynamo: precondition failed: (options_.max_trials >= 1) - "
               "max_trials must be >= 1\n");
+}
+
+std::string fnv1a_hex(const std::string& bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
+    return buf;
+}
+
+TEST(Campaign, AtlasSmokeArtifactIsPinnedSerialAndPooled) {
+    // The committed atlas_smoke manifest, run cold in process: its
+    // artifact's FNV-1a is the one `dynamo campaign` writes for it and the
+    // layer ladder's atlas workload checks. Any change to a trial's random
+    // field, its run or the reduction shows up here.
+    const std::string path = std::string(DYNAMO_SOURCE_DIR) + "/manifests/atlas_smoke.json";
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << path;
+    const Manifest manifest = parse_manifest(
+        std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()), path);
+    ThreadPool pool(3);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        const ScratchDir dir(p ? "atlas_pooled" : "atlas_serial");
+        CampaignOptions options;
+        options.cache_dir = dir.path();
+        options.pool = p;
+        const CampaignOutcome outcome = run_campaign(manifest, options);
+        EXPECT_EQ(outcome.failed, 0u);
+        EXPECT_EQ(fnv1a_hex(outcome.to_json(manifest)), "696a5e8a6a66fac2")
+            << (p ? "pooled" : "serial");
+    }
 }
 
 TEST(Cache, RuleIdentityKeysNeverCollide) {
