@@ -1,33 +1,11 @@
 // dynamo/app/main.cpp
 //
-// The unified `dynamo` CLI: one binary over the scenario registry.
-//
-//   dynamo list [--markdown]             catalog (markdown form is committed
-//                                        as docs/scenarios.md and CI-gated)
-//   dynamo describe <scenario>           parameter schema + example command
-//   dynamo run <scenario> [--k=v ...]    run one scenario (strict args)
-//   dynamo campaign <manifest.json>      expand x cache-or-compute x report
-//          [--workers=N] [--cache-dir=DIR] [--out=FILE]
-//          [--progress=FILE]             live JSONL: one line per completed point
-//          [--shard=K/N]                 run only points with index % N == K
-//                                        (a re-run against the same cache
-//                                        resumes; an empty one recomputes)
-//   dynamo serve [--port=P] [--workers=N] [--cache-dir=DIR] [--port-file=PATH]
-//                                        HTTP/JSON campaign service (loopback)
-//   dynamo coordinate <manifest.json> [--port=P] [--port-file=PATH] ...
-//                                        distributed-campaign coordinator:
-//                                        leases points to pulling workers,
-//                                        persists through the cache,
-//                                        artifact byte-identical to a local run
-//   dynamo work --coordinator=URL [--name=ID] [--workers=N] [--capacity=N]
-//                                        pull-compute-complete worker loop
-//   dynamo report <campaign.json>        render a campaign artifact as a
-//          [--format=markdown|json]      comparison table (atlas-aware)
-//          [--out=FILE]
-//   dynamo cache stats|clear|merge [--cache-dir=DIR]
-//
-// Every command but `run` (which checks its scenario's parameters) refuses
-// an option not listed here.
+// The unified `dynamo` CLI: one binary over the scenario registry. The
+// command table (kCommands, at the bottom) is the one statement of each
+// command's operands and options: `dynamo help`, a command's usage error
+// and the option grammar it parses under are all built from it. Every
+// command but `run` (which checks its scenario's parameters) refuses an
+// option its synopsis does not list.
 #include <unistd.h>
 
 #include <chrono>
@@ -53,96 +31,89 @@ namespace {
 
 using namespace dynamo;
 
-int usage(std::ostream& out, int code) {
-    out << "dynamo - unified scenario runner for the colored-tori reproduction\n"
-           "\n"
-           "  dynamo list [--markdown]            list registered scenarios\n"
-           "  dynamo describe <scenario>          show parameters and defaults\n"
-           "  dynamo run <scenario> [--k=v ...]   run one scenario\n"
-           "  dynamo campaign <manifest.json> [--workers=N (0 = hardware)]\n"
-           "                  [--cache-dir=DIR] [--out=FILE] [--progress=FILE]\n"
-           "                  [--shard=K/N]\n"
-           "                                      run an experiment manifest through\n"
-           "                                      the content-addressed result cache\n"
-           "                                      (--progress: live JSONL, one line\n"
-           "                                      per completed point; --shard: own\n"
-           "                                      only points with index % N == K);\n"
-           "                                      re-running against the same cache\n"
-           "                                      resumes, an empty one recomputes\n"
-           "  dynamo serve [--port=P] [--workers=N] [--cache-dir=DIR]\n"
-           "               [--port-file=PATH]\n"
-           "                                      HTTP/JSON campaign service on\n"
-           "                                      127.0.0.1 (docs/serving.md;\n"
-           "                                      --port-file: write the bound port\n"
-           "                                      atomically for scripts)\n"
-           "  dynamo coordinate <manifest.json> [--port=P] [--port-file=PATH]\n"
-           "                    [--out=FILE] [--cache-dir=DIR] [--lease-ttl-ms=MS]\n"
-           "                    [--batch=N] [--progress=FILE]\n"
-           "                                      hand out point leases to pulling\n"
-           "                                      `dynamo work` processes; artifact\n"
-           "                                      is byte-identical to a local run\n"
-           "  dynamo work --coordinator=URL [--name=ID] [--workers=N] [--capacity=N]\n"
-           "                                      pull leases, compute points, push\n"
-           "                                      results; exits 0 when the campaign\n"
-           "                                      completes or the coordinator shuts\n"
-           "                                      down after contact\n"
-           "  dynamo report <campaign.json> [--format=markdown|json] [--out=FILE]\n"
-           "                                      render a campaign artifact as a\n"
-           "                                      comparison table (atlas-aware)\n"
-           "  dynamo cache stats|clear [--cache-dir=DIR]\n"
-           "  dynamo cache merge <src-dir>... [--cache-dir=DST]\n"
-           "                                      copy entries from shard caches;\n"
-           "                                      a campaign re-run against the merged\n"
-           "                                      cache reassembles the unsharded\n"
-           "                                      artifact with 0 computed\n"
-           "\n"
-           "docs: docs/scenarios.md (catalog), docs/manifest-format.md (campaigns),\n"
-           "      docs/serving.md (shard/reassemble/resume + HTTP service),\n"
-           "      docs/reproducing-the-paper.md (paper artifact -> command)\n";
-    return code;
+struct Command {
+    const char* name;
+    /// Operands and options, one usage form a line. Each `--key=VALUE` is a
+    /// value option of the command's grammar, each bare `--key` a flag.
+    const char* synopsis;
+    const char* about;  ///< what `dynamo help` says the command does
+    int (*run)(const Command& self, int argc, char** argv);
+
+    CliGrammar grammar() const {
+        CliGrammar grammar;
+        const std::string text = synopsis;
+        for (std::size_t at = text.find("--"); at != std::string::npos;
+             at = text.find("--", at)) {
+            at += 2;
+            const std::size_t end = text.find_first_not_of("abcdefghijklmnopqrstuvwxyz-", at);
+            const bool value = end != std::string::npos && text[end] == '=';
+            (value ? grammar.value_keys : grammar.flag_keys).insert(text.substr(at, end - at));
+            at = end;
+        }
+        return grammar;
+    }
+
+    /// The arguments after `dynamo <name>`: any --key the synopsis does
+    /// not list is refused.
+    CliArgs args(int argc, char** argv) const {
+        const CliGrammar declared = grammar();
+        CliArgs args(argc - 1, argv + 1, declared);
+        args.require_declared(declared);
+        return args;
+    }
+
+    int usage_error() const {
+        std::istringstream forms(synopsis);
+        const char* lead = "usage: ";
+        for (std::string form; std::getline(forms, form); lead = "       ")
+            std::cerr << lead << "dynamo " << name << " " << form << "\n";
+        return 2;
+    }
+};
+
+/// Appends the words of `text` to `line`, breaking before column 78;
+/// continuation lines are indented `indent` columns.
+void wrap(std::ostream& out, std::string line, const std::string& text, std::size_t indent) {
+    std::istringstream words(text);
+    for (std::string word; words >> word;) {
+        const bool has_words = line.find_first_not_of(' ') != std::string::npos;
+        if (has_words && line.size() + 1 + word.size() > 78) {
+            out << line << "\n";
+            line.assign(indent - 1, ' ');
+        }
+        line += ' ' + word;
+    }
+    out << line << "\n";
 }
 
-/// The arguments after `dynamo <command>`, parsed under `grammar`, which
-/// names every option the command takes: any other --key is refused.
-CliArgs command_args(int argc, char** argv, const CliGrammar& grammar) {
-    CliArgs args(argc - 1, argv + 1, grammar);
-    args.require_declared(grammar);
-    return args;
-}
-
-int cmd_list(int argc, char** argv) {
-    const CliArgs args = command_args(argc, argv, {{"markdown"}, {}});
+int cmd_list(const Command& self, int argc, char** argv) {
+    const CliArgs args = self.args(argc, argv);
     scenario::print_list(std::cout, args.get_flag("markdown"));
     return 0;
 }
 
-int cmd_describe(int argc, char** argv) {
-    const CliArgs args = command_args(argc, argv, {});
-    if (args.positional().size() != 1) {
-        std::cerr << "usage: dynamo describe <scenario>\n";
-        return 2;
-    }
-    const scenario::Scenario* s = scenario::find(args.positional()[0]);
-    if (s == nullptr) {
-        std::cerr << "unknown scenario '" << args.positional()[0]
+/// The registered scenario `name`; nullptr, said on stderr, when unknown.
+const scenario::Scenario* find_scenario(const std::string& name) {
+    const scenario::Scenario* s = scenario::find(name);
+    if (s == nullptr)
+        std::cerr << "unknown scenario '" << name
                   << "' — `dynamo list` shows the registered names\n";
-        return 2;
-    }
+    return s;
+}
+
+int cmd_describe(const Command& self, int argc, char** argv) {
+    const CliArgs args = self.args(argc, argv);
+    if (args.positional().size() != 1) return self.usage_error();
+    const scenario::Scenario* s = find_scenario(args.positional()[0]);
+    if (s == nullptr) return 2;
     scenario::print_describe(std::cout, *s);
     return 0;
 }
 
-int cmd_run(int argc, char** argv) {
-    if (argc < 3) {
-        std::cerr << "usage: dynamo run <scenario> [--param=value ...]\n";
-        return 2;
-    }
-    const scenario::Scenario* s = scenario::find(argv[2]);
-    if (s == nullptr) {
-        std::cerr << "unknown scenario '" << argv[2]
-                  << "' — `dynamo list` shows the registered names\n";
-        return 2;
-    }
+int cmd_run(const Command& self, int argc, char** argv) {
+    if (argc < 3) return self.usage_error();
+    const scenario::Scenario* s = find_scenario(argv[2]);
+    if (s == nullptr) return 2;
     // argv[2] (the scenario name) becomes the sub-parse's program name, so
     // strict validation sees only the scenario's own arguments.
     const CliArgs args(argc - 2, argv + 2, scenario::grammar(*s));
@@ -215,14 +186,9 @@ std::unique_ptr<service::HttpServer> bind_server(const CliArgs& args) {
     return server;
 }
 
-int cmd_campaign(int argc, char** argv) {
-    const CliArgs args =
-        command_args(argc, argv, {{}, {"workers", "cache-dir", "out", "progress", "shard"}});
-    if (args.positional().size() != 1) {
-        std::cerr << "usage: dynamo campaign <manifest.json> [--workers=N] "
-                     "[--cache-dir=DIR] [--out=FILE] [--progress=FILE] [--shard=K/N]\n";
-        return 2;
-    }
+int cmd_campaign(const Command& self, int argc, char** argv) {
+    const CliArgs args = self.args(argc, argv);
+    if (args.positional().size() != 1) return self.usage_error();
     const scenario::Manifest manifest = scenario::load_manifest(args.positional()[0]);
 
     scenario::CampaignOptions options;
@@ -242,14 +208,9 @@ int cmd_campaign(int argc, char** argv) {
     return outcome.failed == 0 ? 0 : 1;
 }
 
-int cmd_serve(int argc, char** argv) {
-    const CliArgs args =
-        command_args(argc, argv, {{}, {"port", "port-file", "workers", "cache-dir"}});
-    if (!args.positional().empty()) {
-        std::cerr << "usage: dynamo serve [--port=P (0 = ephemeral)] [--workers=N] "
-                     "[--cache-dir=DIR] [--port-file=PATH]\n";
-        return 2;
-    }
+int cmd_serve(const Command& self, int argc, char** argv) {
+    const CliArgs args = self.args(argc, argv);
+    if (!args.positional().empty()) return self.usage_error();
     std::optional<ThreadPool> pool;
     service::ServiceOptions service_options;
     service_options.cache_dir = args.get_string("cache-dir", service_options.cache_dir);
@@ -283,16 +244,9 @@ std::uint64_t steady_now_ms() {
             .count());
 }
 
-int cmd_coordinate(int argc, char** argv) {
-    const CliArgs args = command_args(
-        argc, argv,
-        {{}, {"port", "port-file", "out", "cache-dir", "lease-ttl-ms", "batch", "progress"}});
-    if (args.positional().size() != 1) {
-        std::cerr << "usage: dynamo coordinate <manifest.json> [--port=P] "
-                     "[--port-file=PATH] [--out=FILE] [--cache-dir=DIR] "
-                     "[--lease-ttl-ms=MS] [--batch=N] [--progress=FILE]\n";
-        return 2;
-    }
+int cmd_coordinate(const Command& self, int argc, char** argv) {
+    const CliArgs args = self.args(argc, argv);
+    if (args.positional().size() != 1) return self.usage_error();
     // Keep the raw document: GET /manifest serves it VERBATIM so workers
     // expand exactly the coordinator's grid.
     const std::string manifest_path = args.positional()[0];
@@ -303,7 +257,6 @@ int cmd_coordinate(int argc, char** argv) {
     dist::CoordinatorOptions options;
     options.cache_dir = args.get_string("cache-dir", options.cache_dir);
     options.lease_ttl_ms = static_cast<std::uint64_t>(int_at_least(args, "lease-ttl-ms", 10000, 1));
-    options.batch = static_cast<std::size_t>(int_at_least(args, "batch", 4, 1));
     std::ofstream progress;
     options.progress = open_progress(args, progress);
 
@@ -348,15 +301,10 @@ int cmd_coordinate(int argc, char** argv) {
     return coordinator.outcome().failed == 0 ? 0 : 1;
 }
 
-int cmd_work(int argc, char** argv) {
-    const CliArgs args =
-        command_args(argc, argv, {{}, {"coordinator", "name", "workers", "capacity"}});
+int cmd_work(const Command& self, int argc, char** argv) {
+    const CliArgs args = self.args(argc, argv);
     const std::string url = args.get_string("coordinator", "");
-    if (!args.positional().empty() || url.empty()) {
-        std::cerr << "usage: dynamo work --coordinator=URL [--name=ID] [--workers=N] "
-                     "[--capacity=N]\n";
-        return 2;
-    }
+    if (!args.positional().empty() || url.empty()) return self.usage_error();
     const std::optional<dist::Endpoint> endpoint = dist::parse_endpoint(url);
     if (!endpoint.has_value()) {
         std::cerr << "dynamo work: bad --coordinator '" << url
@@ -366,7 +314,6 @@ int cmd_work(int argc, char** argv) {
 
     dist::WorkerOptions options;
     options.name = args.get_string("name", "worker-" + std::to_string(::getpid()));
-    options.capacity = static_cast<std::size_t>(int_at_least(args, "capacity", 4, 1));
     options.log = &std::cout;
     std::optional<ThreadPool> pool;
     options.pool = workers_pool(args, pool);
@@ -384,13 +331,9 @@ int cmd_work(int argc, char** argv) {
     return dist::worker_exit_clean(exit) ? 0 : 1;
 }
 
-int cmd_report(int argc, char** argv) {
-    const CliArgs args = command_args(argc, argv, {{}, {"format", "out"}});
-    if (args.positional().size() != 1) {
-        std::cerr << "usage: dynamo report <campaign.json> [--format=markdown|json] "
-                     "[--out=FILE]\n";
-        return 2;
-    }
+int cmd_report(const Command& self, int argc, char** argv) {
+    const CliArgs args = self.args(argc, argv);
+    if (args.positional().size() != 1) return self.usage_error();
     const std::string format_name = args.get_string("format", "markdown");
     scenario::ReportFormat format;
     if (format_name == "markdown") {
@@ -410,22 +353,19 @@ int cmd_report(int argc, char** argv) {
     return 0;
 }
 
-int cmd_cache(int argc, char** argv) {
-    const CliArgs args = command_args(argc, argv, {{}, {"cache-dir"}});
+int cmd_cache(const Command& self, int argc, char** argv) {
+    const CliArgs args = self.args(argc, argv);
     const std::string dir = args.get_string("cache-dir", ".dynamo-cache");
     const auto& positional = args.positional();
     const std::string verb = positional.empty() ? "" : positional[0];
     const bool arity_ok = verb == "merge" ? positional.size() >= 2 : positional.size() == 1;
-    if (!arity_ok || (verb != "stats" && verb != "clear" && verb != "merge")) {
-        std::cerr << "usage: dynamo cache stats|clear [--cache-dir=DIR]\n"
-                     "       dynamo cache merge <src-dir>... [--cache-dir=DST]\n";
-        return 2;
-    }
+    if (!arity_ok || (verb != "stats" && verb != "clear" && verb != "merge"))
+        return self.usage_error();
     const scenario::ResultCache cache(dir);
     if (verb == "stats") {
         const auto stats = cache.stats();
         std::cout << "cache " << dir << ": " << stats.entries << " entries, " << stats.bytes
-                  << " bytes (code epoch " << cache.code_epoch() << ")\n";
+                  << " bytes (code epoch " << scenario::kCodeEpoch << ")\n";
         return 0;
     }
     if (verb == "merge") {
@@ -440,25 +380,70 @@ int cmd_cache(int argc, char** argv) {
     return 0;
 }
 
+const Command kCommands[] = {
+    {"list", "[--markdown]",
+     "list registered scenarios (--markdown: the catalog committed as docs/scenarios.md)",
+     cmd_list},
+    {"describe", "<scenario>", "show parameters, defaults and an example command", cmd_describe},
+    {"run", "<scenario> [--param=value ...]", "run one scenario", cmd_run},
+    {"campaign",
+     "<manifest.json> [--workers=N] [--cache-dir=DIR] [--out=FILE] [--progress=FILE] "
+     "[--shard=K/N]",
+     "run an experiment manifest through the content-addressed result cache (--workers: 0 = "
+     "hardware; --progress: live JSONL, one line per completed point; --shard: own only "
+     "points with index % N == K); re-running against the same cache resumes, an empty one "
+     "recomputes",
+     cmd_campaign},
+    {"serve", "[--port=P] [--workers=N] [--cache-dir=DIR] [--port-file=PATH]",
+     "HTTP/JSON campaign service on 127.0.0.1 (docs/serving.md; --port: 0 = ephemeral; "
+     "--port-file: write the bound port atomically for scripts)",
+     cmd_serve},
+    {"coordinate",
+     "<manifest.json> [--port=P] [--port-file=PATH] [--out=FILE] [--cache-dir=DIR] "
+     "[--lease-ttl-ms=MS] [--progress=FILE]",
+     "hand out point leases to pulling `dynamo work` processes; the artifact is "
+     "byte-identical to a local run",
+     cmd_coordinate},
+    {"work", "--coordinator=URL [--name=ID] [--workers=N]",
+     "pull leases of one point per worker thread, compute them, push results; exits 0 when "
+     "the campaign completes or the coordinator shuts down after contact",
+     cmd_work},
+    {"report", "<campaign.json> [--format=markdown|json] [--out=FILE]",
+     "render a campaign artifact as a comparison table (atlas-aware)", cmd_report},
+    {"cache", "stats|clear [--cache-dir=DIR]\nmerge <src-dir>... [--cache-dir=DST]",
+     "inspect or empty a cache, or copy entries from shard caches; a campaign re-run against "
+     "the merged cache reassembles the unsharded artifact with 0 computed",
+     cmd_cache},
+};
+
+int usage(std::ostream& out, int code) {
+    out << "dynamo - unified scenario runner for the colored-tori reproduction\n\n";
+    for (const Command& command : kCommands) {
+        std::istringstream forms(command.synopsis);
+        for (std::string form; std::getline(forms, form);)
+            wrap(out, std::string("  dynamo ") + command.name, form, 8);
+        wrap(out, "     ", command.about, 6);
+    }
+    out << "\ndocs: docs/scenarios.md (catalog), docs/manifest-format.md (campaigns),\n"
+           "      docs/serving.md (shard/reassemble/resume + HTTP service),\n"
+           "      docs/reproducing-the-paper.md (paper artifact -> command)\n";
+    return code;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
     if (argc < 2) return usage(std::cerr, 2);
     const std::string cmd = argv[1];
-    try {
-        if (cmd == "list") return cmd_list(argc, argv);
-        if (cmd == "describe") return cmd_describe(argc, argv);
-        if (cmd == "run") return cmd_run(argc, argv);
-        if (cmd == "campaign") return cmd_campaign(argc, argv);
-        if (cmd == "serve") return cmd_serve(argc, argv);
-        if (cmd == "coordinate") return cmd_coordinate(argc, argv);
-        if (cmd == "work") return cmd_work(argc, argv);
-        if (cmd == "report") return cmd_report(argc, argv);
-        if (cmd == "cache") return cmd_cache(argc, argv);
-        if (cmd == "help" || cmd == "--help" || cmd == "-h") return usage(std::cout, 0);
-    } catch (const std::exception& e) {
-        std::cerr << "dynamo " << cmd << ": " << e.what() << "\n";
-        return 2;
+    if (cmd == "help" || cmd == "--help" || cmd == "-h") return usage(std::cout, 0);
+    for (const Command& command : kCommands) {
+        if (cmd != command.name) continue;
+        try {
+            return command.run(command, argc, argv);
+        } catch (const std::exception& e) {
+            std::cerr << "dynamo " << cmd << ": " << e.what() << "\n";
+            return 2;
+        }
     }
     std::cerr << "dynamo: unknown command '" << cmd << "'\n\n";
     return usage(std::cerr, 2);

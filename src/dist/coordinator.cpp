@@ -15,7 +15,6 @@ namespace dynamo::dist {
 
 namespace {
 
-using scenario::CachedResult;
 using service::error_response;
 using service::HttpRequest;
 using service::HttpResponse;
@@ -28,9 +27,18 @@ using util::JsonObject;
 scenario::CampaignOptions ledger_options(const CoordinatorOptions& options) {
     scenario::CampaignOptions ledger;
     ledger.cache_dir = options.cache_dir;
-    ledger.code_epoch = options.code_epoch;
     ledger.progress = options.progress;
     return ledger;
+}
+
+/// The cache hits by index -> result_hash: they enter the lease table
+/// settled, so a completion resent across a coordinator restart is a
+/// duplicate or a conflict like any other.
+std::map<std::size_t, std::uint64_t> cached_hashes(const scenario::CampaignOutcome& outcome) {
+    std::map<std::size_t, std::uint64_t> hashes;
+    for (const scenario::CampaignPoint& point : outcome.points)
+        if (point.from_cache) hashes.emplace(point.spec.index, result_hash(point.result));
+    return hashes;
 }
 
 } // namespace
@@ -42,7 +50,7 @@ CampaignCoordinator::CampaignCoordinator(scenario::Manifest manifest,
       manifest_text_(std::move(manifest_text)),
       options_(std::move(options)),
       ledger_(manifest_, ledger_options(options_)),
-      table_(ledger_.pending(), LeaseTableOptions{options_.lease_ttl_ms, options_.batch}) {}
+      table_(ledger_.pending(), options_.lease_ttl_ms, cached_hashes(ledger_.outcome())) {}
 
 HttpResponse CampaignCoordinator::handle(const HttpRequest& request, std::uint64_t now_ms) {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -68,7 +76,6 @@ HttpResponse CampaignCoordinator::handle_locked(const HttpRequest& request,
         JsonObject body;
         body.emplace_back("fingerprint", Json(fingerprint_hex()));
         body.emplace_back("points", Json(static_cast<std::uint64_t>(total_points())));
-        body.emplace_back("ttl_ms", Json(options_.lease_ttl_ms));
         body.emplace_back("manifest", Json(manifest_text_));
         return json_response(200, std::move(body));
     }
@@ -104,32 +111,24 @@ HttpResponse CampaignCoordinator::status(std::uint64_t now_ms) {
 }
 
 HttpResponse CampaignCoordinator::lease(const std::string& body, std::uint64_t now_ms) {
-    const LeaseRequest request = parse_lease_request(body);
+    const std::size_t capacity = parse_lease_request(body);
     LeaseGrant grant;
-    if (table_.all_settled()) {
-        grant.done = true;
-    } else {
-        LeaseTable::Grant g = table_.acquire(request.worker, request.capacity, now_ms);
-        if (g.indices.empty()) {
-            // Nothing grantable: either everything settled during the
-            // acquire's expiry sweep, or all remaining work is out on
-            // live leases — the worker polls again shortly.
-            grant.done = table_.all_settled();
-            grant.wait = !grant.done;
-        } else {
-            grant.lease_id = g.lease_id;
-            grant.indices = std::move(g.indices);
-            grant.ttl_ms = options_.lease_ttl_ms;
-        }
+    if (!table_.all_settled()) {
+        LeaseTable::Grant g = table_.acquire(capacity, now_ms);
+        grant.lease_id = g.lease_id;
+        grant.indices = std::move(g.indices);
+        grant.ttl_ms = options_.lease_ttl_ms;
     }
+    // Not done and no indices: all remaining work is out on live leases,
+    // and the worker polls again shortly.
+    grant.done = table_.all_settled();
     HttpResponse response;
     response.body = render_lease_grant(grant) + "\n";
     return response;
 }
 
 HttpResponse CampaignCoordinator::heartbeat(const std::string& body, std::uint64_t now_ms) {
-    const HeartbeatRequest request = parse_heartbeat_request(body);
-    const bool alive = table_.heartbeat(request.lease_id, now_ms);
+    const bool alive = table_.heartbeat(parse_heartbeat_request(body), now_ms);
     JsonObject reply;
     reply.emplace_back("ok", Json(alive));
     // 410 Gone tells the worker its lease expired and was requeued; its
@@ -145,17 +144,15 @@ HttpResponse CampaignCoordinator::completion(const std::string& body, std::uint6
                                        request.fingerprint);
     }
     CompleteReply reply;
-    for (const PointResult& result : request.results) {
-        if (result.index >= total_points())
-            return error_response(400, "completion index " + std::to_string(result.index) +
+    for (const PointResult& point : request.results) {
+        if (point.index >= total_points())
+            return error_response(400, "completion index " + std::to_string(point.index) +
                                            " out of range");
-        const std::uint64_t hash = result_hash(result);
-        switch (table_.complete(result.index, hash, now_ms)) {
+        switch (table_.complete(point.index, result_hash(point.result), now_ms)) {
             case LeaseTable::Completion::Accepted:
                 // The ledger persists it before the worker hears back, so
                 // a coordinator killed now loses nothing.
-                ledger_.settle(result.index,
-                               CachedResult{result.metrics, result.report, result.exit_code});
+                ledger_.settle(point.index, point.result);
                 ++reply.accepted;
                 break;
             case LeaseTable::Completion::Duplicate:
@@ -166,7 +163,7 @@ HttpResponse CampaignCoordinator::completion(const std::string& body, std::uint6
                 break;
             case LeaseTable::Completion::Unknown:
                 return error_response(400, "completion for index the campaign does not own: " +
-                                               std::to_string(result.index));
+                                               std::to_string(point.index));
         }
     }
     HttpResponse response;
@@ -186,7 +183,7 @@ std::size_t CampaignCoordinator::conflicts() const {
 
 std::size_t CampaignCoordinator::settled_points() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return table_.settled() + ledger_.outcome().cached;
+    return table_.settled();
 }
 
 std::string CampaignCoordinator::fingerprint_hex() const {

@@ -2,7 +2,9 @@
 //
 // The campaign coordinator behind `dynamo coordinate`: a CampaignLedger
 // (scenario/campaign.hpp) plus a LeaseTable (dist/lease_table.hpp) seeded
-// from the ledger's pending indices. The ledger — the same one a local
+// from the ledger: its pending indices queued, its cache hits settled
+// under their result_hash. A lease holds as many points as the asking
+// worker has threads. The ledger — the same one a local
 // `dynamo campaign` run is built on — owns the expansion, the cache pass
 // and settling; this class only routes the lease protocol
 // and hands each accepted completion to CampaignLedger::settle. That
@@ -41,10 +43,8 @@ namespace dynamo::dist {
 
 struct CoordinatorOptions {
     std::string cache_dir = ".dynamo-cache";  ///< the resume record: re-run against it
-    std::uint64_t lease_ttl_ms = 10000;
-    std::size_t batch = 4;   ///< max indices per lease
+    std::uint64_t lease_ttl_ms = 10000;  ///< carried by every grant
     std::ostream* progress = nullptr;  ///< campaign-progress JSONL (same records as local)
-    int code_epoch = scenario::kCodeEpoch;  ///< injectable for tests
 };
 
 class CampaignCoordinator {
@@ -80,6 +80,7 @@ class CampaignCoordinator {
 
     std::string fingerprint_hex() const;
     std::size_t total_points() const noexcept { return ledger_.outcome().total_points; }
+    /// Points settled so far, cache hits included (each counted once).
     std::size_t settled_points() const;
 
     /// One-line human summary (the standard campaign summary plus

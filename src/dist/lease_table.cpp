@@ -10,9 +10,10 @@
 
 namespace dynamo::dist {
 
-LeaseTable::LeaseTable(std::vector<std::size_t> pending, LeaseTableOptions options)
-    : options_(options) {
-    DYNAMO_REQUIRE(options_.batch >= 1, "lease batch must be at least 1");
+LeaseTable::LeaseTable(std::vector<std::size_t> pending, std::uint64_t ttl_ms,
+                       const std::map<std::size_t, std::uint64_t>& settled)
+    : ttl_ms_(ttl_ms), settled_(settled) {
+    for (const auto& [index, hash] : settled) states_.emplace(index, State::Settled);
     for (const std::size_t index : pending) {
         const bool fresh = states_.emplace(index, State::Queued).second;
         DYNAMO_REQUIRE(fresh, "duplicate pending index in lease table");
@@ -20,12 +21,11 @@ LeaseTable::LeaseTable(std::vector<std::size_t> pending, LeaseTableOptions optio
     }
 }
 
-LeaseTable::Grant LeaseTable::acquire(const std::string& worker, std::size_t capacity,
-                                      std::uint64_t now_ms) {
+LeaseTable::Grant LeaseTable::acquire(std::size_t capacity, std::uint64_t now_ms) {
+    DYNAMO_REQUIRE(capacity >= 1, "lease capacity must be at least 1");
     expire(now_ms);
     Grant grant;
-    const std::size_t want = std::min(std::max<std::size_t>(capacity, 1), options_.batch);
-    while (grant.indices.size() < want && !queue_.empty()) {
+    while (grant.indices.size() < capacity && !queue_.empty()) {
         const std::size_t index = queue_.front();
         queue_.pop_front();
         // The queue may hold stale entries for indices that settled
@@ -36,11 +36,7 @@ LeaseTable::Grant LeaseTable::acquire(const std::string& worker, std::size_t cap
     }
     if (grant.indices.empty()) return grant;  // done or wait — caller decides
     grant.lease_id = next_lease_id_++;
-    Lease lease;
-    lease.worker = worker;
-    lease.indices = grant.indices;
-    lease.expires_at_ms = now_ms + options_.ttl_ms;
-    leases_.emplace(grant.lease_id, std::move(lease));
+    leases_.emplace(grant.lease_id, Lease{grant.indices, now_ms + ttl_ms_});
     ++leases_granted_;
     return grant;
 }
@@ -49,7 +45,7 @@ bool LeaseTable::heartbeat(std::uint64_t lease_id, std::uint64_t now_ms) {
     expire(now_ms);
     const auto it = leases_.find(lease_id);
     if (it == leases_.end()) return false;
-    it->second.expires_at_ms = now_ms + options_.ttl_ms;
+    it->second.expires_at_ms = now_ms + ttl_ms_;
     return true;
 }
 
@@ -103,17 +99,10 @@ std::size_t LeaseTable::expire(std::uint64_t now_ms) {
     return expired;
 }
 
-std::size_t LeaseTable::queued() const noexcept {
+std::size_t LeaseTable::count(State state) const noexcept {
     std::size_t n = 0;
-    for (const auto& [index, state] : states_)
-        if (state == State::Queued) ++n;
-    return n;
-}
-
-std::size_t LeaseTable::leased() const noexcept {
-    std::size_t n = 0;
-    for (const auto& [index, state] : states_)
-        if (state == State::Leased) ++n;
+    for (const auto& [index, s] : states_)
+        if (s == state) ++n;
     return n;
 }
 

@@ -6,7 +6,7 @@
 // so lease expiry, worker crashes, and duplicate races are all testable
 // by feeding a fake timeline (tests/test_dist.cpp does exactly that).
 //
-// Point lifecycle:
+// Point lifecycle (points served from the cache are born Settled):
 //
 //   Queued --acquire--> Leased --complete--> Settled
 //     ^                   |
@@ -33,28 +33,27 @@
 //     are pure functions of (manifest, index), so honest duplicates
 //     cannot disagree; the caller fails the campaign loudly;
 //   * an index this campaign never owned is Unknown (caller 400s).
+// A point settled before a coordinator restart (a cache hit) follows the
+// same rules, so a worker's retried completion from the first life is a
+// Duplicate or a Conflict, never Unknown.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <string>
 #include <vector>
 
 namespace dynamo::dist {
 
-struct LeaseTableOptions {
-    std::uint64_t ttl_ms = 10000;  ///< lease lifetime between heartbeats
-    std::size_t batch = 4;         ///< max indices per grant
-};
-
 class LeaseTable {
   public:
-    /// `pending` holds the indices still to compute (already-cached
-    /// points never enter the table). Order is preserved: grants walk
-    /// the queue front to back, so expansion order is the default
-    /// schedule and requeued work goes to the back of the line.
-    LeaseTable(std::vector<std::size_t> pending, LeaseTableOptions options);
+    /// `pending` holds the indices still to compute, `settled` the points
+    /// already done (the cache hits) by index -> result_hash. Order is
+    /// preserved: grants walk the queue front to back, so expansion order
+    /// is the default schedule and requeued work goes to the back of the
+    /// line. A lease lives `ttl_ms` between heartbeats.
+    LeaseTable(std::vector<std::size_t> pending, std::uint64_t ttl_ms,
+               const std::map<std::size_t, std::uint64_t>& settled = {});
 
     struct Grant {
         std::uint64_t lease_id = 0;           ///< 0 when nothing granted
@@ -63,10 +62,11 @@ class LeaseTable {
 
     enum class Completion { Accepted, Duplicate, Conflict, Unknown };
 
-    /// Hand out up to min(capacity, batch) queued indices under a fresh
-    /// lease. An empty grant means: everything settled (all_settled())
-    /// or all remaining work is out on live leases (caller says "wait").
-    Grant acquire(const std::string& worker, std::size_t capacity, std::uint64_t now_ms);
+    /// Hand out min(capacity, queued) indices (capacity >= 1) under a
+    /// fresh lease. An empty grant means: everything settled
+    /// (all_settled()) or all remaining work is out on live leases
+    /// (caller says "wait").
+    Grant acquire(std::size_t capacity, std::uint64_t now_ms);
 
     /// Renew a lease's TTL. False when the lease is unknown or already
     /// expired (its work was requeued) — the worker should abandon the
@@ -87,8 +87,8 @@ class LeaseTable {
 
     std::size_t total() const noexcept { return states_.size(); }
     std::size_t settled() const noexcept { return settled_.size(); }
-    std::size_t queued() const noexcept;
-    std::size_t leased() const noexcept;
+    std::size_t queued() const noexcept { return count(State::Queued); }
+    std::size_t leased() const noexcept { return count(State::Leased); }
     std::size_t leases_granted() const noexcept { return leases_granted_; }
     std::size_t leases_expired() const noexcept { return leases_expired_; }
     std::size_t duplicates() const noexcept { return duplicates_; }
@@ -97,13 +97,14 @@ class LeaseTable {
   private:
     enum class State { Queued, Leased, Settled };
 
+    std::size_t count(State state) const noexcept;
+
     struct Lease {
-        std::string worker;
         std::vector<std::size_t> indices;  ///< still-unfinished slice
         std::uint64_t expires_at_ms = 0;
     };
 
-    LeaseTableOptions options_;
+    std::uint64_t ttl_ms_;
     std::map<std::size_t, State> states_;        ///< every owned index
     std::deque<std::size_t> queue_;              ///< Queued order (may hold stale entries)
     std::map<std::uint64_t, Lease> leases_;      ///< live leases by id

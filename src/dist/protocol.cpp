@@ -56,7 +56,7 @@ Json parse_object(const std::string& text, const char* where) {
 
 } // namespace
 
-std::uint64_t result_hash(const PointResult& result) {
+std::uint64_t result_hash(const scenario::CachedResult& result) {
     util::Fnv1a h;
     h.field(std::to_string(result.exit_code));
     for (const auto& [key, value] : result.metrics) {  // std::map: sorted
@@ -67,27 +67,22 @@ std::uint64_t result_hash(const PointResult& result) {
     return h.value();
 }
 
-std::string render_lease_request(const LeaseRequest& request) {
+std::string render_lease_request(std::size_t capacity) {
     JsonObject body;
-    body.emplace_back("worker", Json(request.worker));
-    body.emplace_back("capacity", Json(static_cast<std::uint64_t>(request.capacity)));
+    body.emplace_back("capacity", Json(static_cast<std::uint64_t>(capacity)));
     return Json(std::move(body)).dump(0);
 }
 
-LeaseRequest parse_lease_request(const std::string& text) {
-    const Json body = parse_object(text, "lease request");
-    LeaseRequest request;
-    request.worker = get_string(body, "worker", "lease request");
-    request.capacity =
-        static_cast<std::size_t>(get_uint(body, "capacity", "lease request"));
-    if (request.capacity == 0) bad("lease request.capacity must be at least 1");
-    return request;
+std::size_t parse_lease_request(const std::string& text) {
+    const std::uint64_t capacity =
+        get_uint(parse_object(text, "lease request"), "capacity", "lease request");
+    if (capacity == 0) bad("lease request.capacity must be at least 1");
+    return static_cast<std::size_t>(capacity);
 }
 
 std::string render_lease_grant(const LeaseGrant& grant) {
     JsonObject body;
     body.emplace_back("done", Json(grant.done));
-    body.emplace_back("wait", Json(grant.wait));
     body.emplace_back("lease_id", Json(grant.lease_id));
     JsonArray indices;
     indices.reserve(grant.indices.size());
@@ -102,7 +97,6 @@ LeaseGrant parse_lease_grant(const std::string& text) {
     const Json body = parse_object(text, "lease grant");
     LeaseGrant grant;
     grant.done = get_bool_or(body, "done", false, "lease grant");
-    grant.wait = get_bool_or(body, "wait", false, "lease grant");
     grant.lease_id = get_uint(body, "lease_id", "lease grant");
     grant.ttl_ms = get_uint(body, "ttl_ms", "lease grant");
     const Json& indices = member(body, "indices", "lease grant");
@@ -116,37 +110,25 @@ LeaseGrant parse_lease_grant(const std::string& text) {
     return grant;
 }
 
-std::string render_heartbeat_request(const HeartbeatRequest& request) {
+std::string render_heartbeat_request(std::uint64_t lease_id) {
     JsonObject body;
-    body.emplace_back("worker", Json(request.worker));
-    body.emplace_back("lease_id", Json(request.lease_id));
+    body.emplace_back("lease_id", Json(lease_id));
     return Json(std::move(body)).dump(0);
 }
 
-HeartbeatRequest parse_heartbeat_request(const std::string& text) {
-    const Json body = parse_object(text, "heartbeat");
-    HeartbeatRequest request;
-    request.worker = get_string(body, "worker", "heartbeat");
-    request.lease_id = get_uint(body, "lease_id", "heartbeat");
-    return request;
+std::uint64_t parse_heartbeat_request(const std::string& text) {
+    return get_uint(parse_object(text, "heartbeat"), "lease_id", "heartbeat");
 }
 
 std::string render_complete_request(const CompleteRequest& request) {
     JsonObject body;
-    body.emplace_back("worker", Json(request.worker));
-    body.emplace_back("lease_id", Json(request.lease_id));
     body.emplace_back("fingerprint", Json(request.fingerprint));
     JsonArray results;
     results.reserve(request.results.size());
-    for (const PointResult& result : request.results) {
+    for (const PointResult& point : request.results) {
         JsonObject record;
-        record.emplace_back("index", Json(static_cast<std::uint64_t>(result.index)));
-        record.emplace_back("exit_code", Json(static_cast<std::int64_t>(result.exit_code)));
-        JsonObject metrics;
-        metrics.reserve(result.metrics.size());
-        for (const auto& [key, value] : result.metrics) metrics.emplace_back(key, Json(value));
-        record.emplace_back("metrics", Json(std::move(metrics)));
-        record.emplace_back("report", Json(result.report));
+        record.emplace_back("index", Json(static_cast<std::uint64_t>(point.index)));
+        scenario::write_result(record, point.result);
         results.emplace_back(Json(std::move(record)));
     }
     body.emplace_back("results", Json(std::move(results)));
@@ -156,29 +138,14 @@ std::string render_complete_request(const CompleteRequest& request) {
 CompleteRequest parse_complete_request(const std::string& text) {
     const Json body = parse_object(text, "completion");
     CompleteRequest request;
-    request.worker = get_string(body, "worker", "completion");
-    request.lease_id = get_uint(body, "lease_id", "completion");
     request.fingerprint = get_string(body, "fingerprint", "completion");
     const Json& results = member(body, "results", "completion");
     if (!results.is_array()) bad("completion.results must be an array");
     request.results.reserve(results.as_array().size());
     for (const Json& record : results.as_array()) {
         if (!record.is_object()) bad("completion.results entries must be objects");
-        PointResult result;
-        result.index = static_cast<std::size_t>(get_uint(record, "index", "result"));
-        const Json& exit_code = member(record, "exit_code", "result");
-        if (!exit_code.is_number()) bad("result.exit_code must be a number");
-        const std::optional<int> code = exit_code.to_int();
-        if (!code) bad("result.exit_code does not fit an int: " + exit_code.number_lexeme());
-        result.exit_code = *code;
-        const Json& metrics = member(record, "metrics", "result");
-        if (!metrics.is_object()) bad("result.metrics must be an object");
-        for (const auto& [key, value] : metrics.as_object()) {
-            if (!value.is_string()) bad("result.metrics values must be strings");
-            result.metrics[key] = value.as_string();
-        }
-        result.report = get_string(record, "report", "result");
-        request.results.push_back(std::move(result));
+        request.results.push_back({static_cast<std::size_t>(get_uint(record, "index", "result")),
+                                   scenario::read_result(record, "dist protocol: result")});
     }
     return request;
 }

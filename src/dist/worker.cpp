@@ -96,7 +96,6 @@ WorkerExit WorkerLoop::run() {
     // manifest VERBATIM, so this expansion is bit-for-bit the
     // coordinator's: same parameters, same injected substream seeds.
     std::string fingerprint;
-    std::uint64_t ttl_ms = 0;
     const scenario::Scenario* scenario = nullptr;
     std::vector<scenario::PointSpec> specs;
     {
@@ -109,13 +108,10 @@ WorkerExit WorkerLoop::run() {
         try {
             const Json envelope = Json::parse(response->body, "manifest envelope");
             const Json* fp = envelope.find("fingerprint");
-            const Json* ttl = envelope.find("ttl_ms");
             const Json* text = envelope.find("manifest");
-            if (fp == nullptr || !fp->is_string() || ttl == nullptr || !ttl->is_number() ||
-                text == nullptr || !text->is_string())
+            if (fp == nullptr || !fp->is_string() || text == nullptr || !text->is_string())
                 throw std::invalid_argument("manifest envelope is missing fields");
             fingerprint = fp->as_string();
-            ttl_ms = static_cast<std::uint64_t>(ttl->as_int());
             const scenario::Manifest manifest =
                 scenario::parse_manifest(text->as_string(), "coordinator manifest");
             scenario = scenario::find(manifest.scenario);
@@ -131,12 +127,11 @@ WorkerExit WorkerLoop::run() {
             " points)");
     }
 
+    const std::string lease_body =
+        render_lease_request(options_.pool != nullptr ? options_.pool->size() : 1);
     for (;;) {
-        LeaseRequest lease_request;
-        lease_request.worker = options_.name;
-        lease_request.capacity = options_.capacity;
         const std::optional<HttpClientResponse> response =
-            request("POST", "/lease", render_lease_request(lease_request));
+            request("POST", "/lease", lease_body);
         if (!response.has_value()) return lost();
         if (response->status != 200) {
             log("POST /lease answered " + std::to_string(response->status));
@@ -153,7 +148,7 @@ WorkerExit WorkerLoop::run() {
             log("campaign complete after " + std::to_string(points_computed_) + " points");
             return WorkerExit::CampaignComplete;
         }
-        if (grant.wait || grant.indices.empty()) {
+        if (grant.indices.empty()) {
             sleeper_(kPollMs);
             continue;
         }
@@ -170,11 +165,9 @@ WorkerExit WorkerLoop::run() {
         std::condition_variable hb_cv;
         bool hb_stop = false;
         std::thread hb_thread;
-        const std::uint64_t lease_ttl = grant.ttl_ms != 0 ? grant.ttl_ms : ttl_ms;
-        if (lease_ttl > 0) {
-            const std::string hb_body =
-                render_heartbeat_request({options_.name, grant.lease_id});
-            const std::uint64_t interval = std::max<std::uint64_t>(1, lease_ttl / 3);
+        if (grant.ttl_ms > 0) {
+            const std::string hb_body = render_heartbeat_request(grant.lease_id);
+            const std::uint64_t interval = std::max<std::uint64_t>(1, grant.ttl_ms / 3);
             hb_thread = std::thread([this, &hb_mutex, &hb_cv, &hb_stop, hb_body, interval] {
                 std::unique_lock<std::mutex> lock(hb_mutex);
                 for (;;) {
@@ -189,22 +182,15 @@ WorkerExit WorkerLoop::run() {
         }
 
         CompleteRequest completion;
-        completion.worker = options_.name;
-        completion.lease_id = grant.lease_id;
         completion.fingerprint = fingerprint;
         completion.results.resize(grant.indices.size());
         parallel_for_blocks(options_.pool, grant.indices.size(), 1,
                             [&](std::size_t lo, std::size_t hi) {
                                 for (std::size_t j = lo; j < hi; ++j) {
                                     const std::size_t index = grant.indices[j];
-                                    const scenario::CachedResult computed =
-                                        scenario::compute_campaign_point(*scenario,
-                                                                         specs[index]);
-                                    PointResult& result = completion.results[j];
-                                    result.index = index;
-                                    result.exit_code = computed.exit_code;
-                                    result.metrics = computed.metrics;
-                                    result.report = computed.report;
+                                    completion.results[j] = {
+                                        index, scenario::compute_campaign_point(
+                                                   *scenario, specs[index])};
                                 }
                             });
 

@@ -4,6 +4,8 @@
 // expand it locally (global indices => identical parameters and RNG
 // substreams everywhere — the placement-independence invariant), then
 // loop lease -> compute -> complete until the coordinator says done.
+// Each lease asks for as many points as the worker's pool has threads
+// (1 without a pool), so every thread has a point to compute.
 //
 // Fault model (the schedule is fixed, in dist/worker.cpp):
 //   * transient transport failures retry up to 8 times with capped
@@ -14,9 +16,9 @@
 //     must not fail worker jobs;
 //   * a coordinator that was NEVER reachable is an error (bad URL,
 //     nothing listening) — the worker exits nonzero;
-//   * a "wait" grant is polled again after 200 ms;
+//   * a grant with no indices ("wait") is polled again after 200 ms;
 //   * while computing a batch, a background heartbeat renews the lease
-//     every ttl/3 ms (none when the coordinator grants ttl_ms 0);
+//     every ttl/3 ms (none when the grant carries ttl_ms 0);
 //     heartbeat failures are deliberately IGNORED (the lease expiring
 //     merely requeues the work — the eventual completion resolves as
 //     first-valid-wins or a benign duplicate);
@@ -71,9 +73,8 @@ std::uint64_t backoff_delay_ms(std::uint64_t seed, unsigned attempt);
 std::uint64_t backoff_seed(const std::string& name);
 
 struct WorkerOptions {
-    std::string name = "worker";
-    std::size_t capacity = 4;      ///< points requested per lease
-    ThreadPool* pool = nullptr;    ///< intra-batch parallelism; may be null
+    std::string name = "worker";   ///< log prefix and backoff seed
+    ThreadPool* pool = nullptr;    ///< computes a lease's points; its size is the lease size
     std::ostream* log = nullptr;   ///< optional human-readable progress lines
 };
 

@@ -43,8 +43,38 @@ std::uint64_t cache_hash(const CacheKey& key) {
     return util::Fnv1a().bytes(canonical_key_string(key)).value();
 }
 
-ResultCache::ResultCache(std::string dir, int code_epoch)
-    : dir_(std::move(dir)), code_epoch_(code_epoch) {
+void write_result(JsonObject& record, const CachedResult& result) {
+    JsonObject metrics;
+    for (const auto& [k, v] : result.metrics) metrics.emplace_back(k, Json(v));
+    record.emplace_back("metrics", Json(std::move(metrics)));
+    record.emplace_back("report", Json(result.report));
+    record.emplace_back("exit_code", Json(static_cast<std::int64_t>(result.exit_code)));
+}
+
+CachedResult read_result(const Json& record, const std::string& where) {
+    const auto field = [&](const char* key, bool (Json::*is)() const noexcept,
+                           const char* type) -> const Json& {
+        const Json* value = record.find(key);
+        if (value == nullptr || !(value->*is)())
+            throw std::invalid_argument(where + "." + key + " must be " + type);
+        return *value;
+    };
+    CachedResult result;
+    for (const auto& [k, v] : field("metrics", &Json::is_object, "an object").as_object()) {
+        if (!v.is_string()) throw std::invalid_argument(where + ".metrics values must be strings");
+        result.metrics[k] = v.as_string();
+    }
+    result.report = field("report", &Json::is_string, "a string").as_string();
+    const Json& exit_code = field("exit_code", &Json::is_number, "a number");
+    const std::optional<int> code = exit_code.to_int();
+    if (!code)
+        throw std::invalid_argument(where + ".exit_code does not fit an int: " +
+                                    exit_code.number_lexeme());
+    result.exit_code = *code;
+    return result;
+}
+
+ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
     DYNAMO_REQUIRE(!dir_.empty(), "cache directory must not be empty");
 }
 
@@ -59,46 +89,29 @@ std::optional<CachedResult> ResultCache::lookup(const CacheKey& key) const {
     if (!in) return std::nullopt;
     std::ostringstream buf;
     buf << in.rdbuf();
-    Json record;
     try {
-        record = Json::parse(buf.str(), path);
-    } catch (const std::exception&) {
-        return std::nullopt;  // corrupt entry: treat as a miss, recompute
-    }
-    const Json* scenario = record.find("scenario");
-    const Json* epoch = record.find("epoch");
-    const Json* params = record.find("params");
-    const Json* metrics = record.find("metrics");
-    const Json* report = record.find("report");
-    const Json* exit_code = record.find("exit_code");
-    if (scenario == nullptr || !scenario->is_string() || scenario->as_string() != key.scenario)
-        return std::nullopt;
-    if (epoch == nullptr || !epoch->is_number() || epoch->as_int() != key.epoch)
-        return std::nullopt;
-    if (params == nullptr || !params->is_object()) return std::nullopt;
-    // Exact binding match both ways: a hash collision or a stale file from
-    // an edited manifest must read as a miss.
-    if (params->as_object().size() != key.params.size()) return std::nullopt;
-    for (const auto& [k, v] : params->as_object()) {
-        const auto it = key.params.find(k);
-        if (it == key.params.end() || !v.is_string() || v.as_string() != it->second)
+        const Json record = Json::parse(buf.str(), path);
+        const Json* scenario = record.find("scenario");
+        const Json* epoch = record.find("epoch");
+        const Json* params = record.find("params");
+        if (scenario == nullptr || !scenario->is_string() ||
+            scenario->as_string() != key.scenario)
             return std::nullopt;
+        if (epoch == nullptr || !epoch->is_number() || epoch->as_int() != key.epoch)
+            return std::nullopt;
+        if (params == nullptr || !params->is_object()) return std::nullopt;
+        // Exact binding match both ways: a hash collision or a stale file
+        // from an edited manifest must read as a miss.
+        if (params->as_object().size() != key.params.size()) return std::nullopt;
+        for (const auto& [k, v] : params->as_object()) {
+            const auto it = key.params.find(k);
+            if (it == key.params.end() || !v.is_string() || v.as_string() != it->second)
+                return std::nullopt;
+        }
+        return read_result(record, path);
+    } catch (const std::exception&) {
+        return std::nullopt;  // corrupt or edited entry: treat as a miss, recompute
     }
-    if (metrics == nullptr || !metrics->is_object() || report == nullptr ||
-        !report->is_string() || exit_code == nullptr || !exit_code->is_number())
-        return std::nullopt;
-    CachedResult result;
-    for (const auto& [k, v] : metrics->as_object()) {
-        if (!v.is_string()) return std::nullopt;
-        result.metrics[k] = v.as_string();
-    }
-    result.report = report->as_string();
-    // An exit code that is fractional or does not fit int is an edited
-    // entry: a miss, never a wrapped (2^32 -> 0, "success") value.
-    const std::optional<int> code = exit_code->to_int();
-    if (!code) return std::nullopt;
-    result.exit_code = *code;
-    return result;
 }
 
 namespace {
@@ -153,15 +166,11 @@ void ResultCache::store(const CacheKey& key, const CachedResult& result) const {
     fs::create_directories(dir_);
     JsonObject params;
     for (const auto& [k, v] : key.params) params.emplace_back(k, Json(v));
-    JsonObject metrics;
-    for (const auto& [k, v] : result.metrics) metrics.emplace_back(k, Json(v));
     JsonObject record;
     record.emplace_back("scenario", Json(key.scenario));
     record.emplace_back("epoch", Json(static_cast<std::int64_t>(key.epoch)));
     record.emplace_back("params", Json(std::move(params)));
-    record.emplace_back("metrics", Json(std::move(metrics)));
-    record.emplace_back("report", Json(result.report));
-    record.emplace_back("exit_code", Json(static_cast<std::int64_t>(result.exit_code)));
+    write_result(record, result);
 
     atomic_publish(entry_path(key), Json(std::move(record)).dump(2) + "\n");
 }

@@ -27,6 +27,8 @@
 #include <optional>
 #include <string>
 
+#include "util/json.hpp"
+
 namespace dynamo::scenario {
 
 /// Global cache epoch. Bump on changes that invalidate every cached
@@ -58,24 +60,33 @@ std::string canonical_key_string(const CacheKey& key);
 /// FNV-1a 64 of canonical_key_string().
 std::uint64_t cache_hash(const CacheKey& key);
 
+/// A point's result: what a cache entry stores and a worker's completion
+/// carries (dist/protocol.hpp).
 struct CachedResult {
     std::map<std::string, std::string> metrics;
     std::string report;
     int exit_code = 0;
 };
 
+/// The one codec for a result's fields, shared by the cache entry and the
+/// completion record: appends "metrics", "report", "exit_code" in that
+/// order, and reads them back from `record`. read_result throws
+/// std::invalid_argument naming `where` on a missing or mistyped field,
+/// or an exit code that is fractional or does not fit int (never a
+/// wrapped 2^32 -> 0 "success").
+void write_result(util::JsonObject& record, const CachedResult& result);
+CachedResult read_result(const util::Json& record, const std::string& where);
+
 class ResultCache {
   public:
-    /// Creates `dir` lazily on first store. `code_epoch` defaults to the
-    /// global stamp; tests inject other values to exercise invalidation.
-    explicit ResultCache(std::string dir, int code_epoch = kCodeEpoch);
+    /// Creates `dir` lazily on first store.
+    explicit ResultCache(std::string dir);
 
     const std::string& dir() const noexcept { return dir_; }
-    int code_epoch() const noexcept { return code_epoch_; }
 
     /// Combined epoch for a scenario-local epoch value.
-    int combined_epoch(int scenario_epoch) const noexcept {
-        return code_epoch_ + scenario_epoch;
+    static int combined_epoch(int scenario_epoch) noexcept {
+        return kCodeEpoch + scenario_epoch;
     }
 
     /// Returns the cached result iff the file exists, parses, and its
@@ -114,7 +125,6 @@ class ResultCache {
 
   private:
     std::string dir_;
-    int code_epoch_;
 };
 
 } // namespace dynamo::scenario

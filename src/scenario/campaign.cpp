@@ -92,7 +92,7 @@ CachedResult compute_campaign_point(const Scenario& scenario, const PointSpec& p
 
 CampaignLedger::CampaignLedger(const Manifest& manifest, const CampaignOptions& options)
     : scenario_(find(manifest.scenario)),
-      cache_(options.cache_dir, options.code_epoch),
+      cache_(options.cache_dir),
       progress_(options.progress) {
     DYNAMO_REQUIRE(scenario_ != nullptr, "manifest scenario vanished from the registry");
     DYNAMO_REQUIRE(options.shard_count >= 1, "shard_count must be at least 1");
@@ -100,7 +100,7 @@ CampaignLedger::CampaignLedger(const Manifest& manifest, const CampaignOptions& 
                    "shard_index " + std::to_string(options.shard_index) +
                        " is out of range for shard_count " +
                        std::to_string(options.shard_count));
-    epoch_ = cache_.combined_epoch(scenario_->epoch);
+    epoch_ = ResultCache::combined_epoch(scenario_->epoch);
 
     // Expansion is ALWAYS that of the full manifest: global indices (and
     // with them the injected RNG substreams) must not depend on the shard

@@ -68,7 +68,6 @@ namespace dynamo::scenario {
 struct CampaignOptions {
     ThreadPool* pool = nullptr;    ///< nullptr computes points serially (same report)
     std::string cache_dir = ".dynamo-cache";
-    int code_epoch = kCodeEpoch;   ///< injectable for invalidation tests
     /// Optional live progress stream (JSONL): one object per completed
     /// point — {"index", "status": "cached"|"computed"|"failed",
     /// "exit_code", "params", "metrics"} — flushed as each point lands, so

@@ -37,7 +37,6 @@
 #include <fstream>
 #include <limits>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -122,13 +121,7 @@ Manifest probe_manifest() { return parse_manifest(kManifestText, "test-manifest"
 /// primitive the real worker uses.
 PointResult compute_result(const std::vector<PointSpec>& specs, std::size_t index) {
     const scenario::Scenario* s = scenario::find("dist_probe");
-    const scenario::CachedResult computed = scenario::compute_campaign_point(*s, specs[index]);
-    PointResult result;
-    result.index = index;
-    result.exit_code = computed.exit_code;
-    result.metrics = computed.metrics;
-    result.report = computed.report;
-    return result;
+    return {index, scenario::compute_campaign_point(*s, specs[index])};
 }
 
 HttpRequest make_request(const std::string& method, const std::string& target,
@@ -140,8 +133,6 @@ HttpRequest make_request(const std::string& method, const std::string& target,
     return request;
 }
 
-/// WorkerLoop transport that routes straight into a coordinator's
-/// handle() at a controllable fake time — no sockets, no threads.
 /// `body` with a top-level "ttl_ms" set to 0.
 std::string without_ttl(const std::string& body) {
     util::JsonObject fields = util::Json::parse(body, "coordinator reply").as_object();
@@ -152,9 +143,9 @@ std::string without_ttl(const std::string& body) {
 }
 
 /// A worker transport straight into `coordinator.handle` at the injected
-/// clock. The manifest and the grants it passes on carry ttl_ms 0, so a
-/// worker on it sends no heartbeats and the coordinator is called from the
-/// worker's thread only.
+/// clock. The grants it passes on carry ttl_ms 0, so a worker on it sends
+/// no heartbeats and the coordinator is called from the worker's thread
+/// only.
 WorkerLoop::Transport coordinator_transport(CampaignCoordinator& coordinator,
                                             std::uint64_t* now_ms) {
     return [&coordinator, now_ms](const std::string& method, const std::string& target,
@@ -162,7 +153,7 @@ WorkerLoop::Transport coordinator_transport(CampaignCoordinator& coordinator,
                -> std::optional<HttpClientResponse> {
         const HttpResponse response =
             coordinator.handle(make_request(method, target, body), *now_ms);
-        if (response.status == 200 && (target == "/manifest" || target == "/lease")) {
+        if (response.status == 200 && target == "/lease") {
             return HttpClientResponse{response.status, without_ttl(response.body)};
         }
         return HttpClientResponse{response.status, response.body};
@@ -212,10 +203,8 @@ TEST(Backoff, DeterministicPerSeedAndDecorrelatedAcrossWorkerNames) {
 // Protocol
 
 TEST(Protocol, EveryMessageRoundTrips) {
-    LeaseRequest lease_request{"w-1", 8};
-    const LeaseRequest lr = parse_lease_request(render_lease_request(lease_request));
-    EXPECT_EQ(lr.worker, "w-1");
-    EXPECT_EQ(lr.capacity, 8u);
+    EXPECT_EQ(render_lease_request(8), R"({"capacity":8})");
+    EXPECT_EQ(parse_lease_request(render_lease_request(8)), 8u);
 
     LeaseGrant grant;
     grant.lease_id = 42;
@@ -223,7 +212,6 @@ TEST(Protocol, EveryMessageRoundTrips) {
     grant.ttl_ms = 1500;
     const LeaseGrant g = parse_lease_grant(render_lease_grant(grant));
     EXPECT_FALSE(g.done);
-    EXPECT_FALSE(g.wait);
     EXPECT_EQ(g.lease_id, 42u);
     EXPECT_EQ(g.indices, (std::vector<std::size_t>{3, 1, 4}));
     EXPECT_EQ(g.ttl_ms, 1500u);
@@ -232,29 +220,27 @@ TEST(Protocol, EveryMessageRoundTrips) {
     done.done = true;
     EXPECT_TRUE(parse_lease_grant(render_lease_grant(done)).done);
 
-    const HeartbeatRequest hb = parse_heartbeat_request(render_heartbeat_request({"w-2", 9}));
-    EXPECT_EQ(hb.worker, "w-2");
-    EXPECT_EQ(hb.lease_id, 9u);
+    EXPECT_EQ(render_heartbeat_request(9), R"({"lease_id":9})");
+    EXPECT_EQ(parse_heartbeat_request(render_heartbeat_request(9)), 9u);
 
     CompleteRequest completion;
-    completion.worker = "w-3";
-    completion.lease_id = 5;
     completion.fingerprint = util::hex16(0xdeadbeefULL);
-    PointResult result;
-    result.index = 11;
-    result.exit_code = 2;
-    result.metrics = {{"rounds", "7"}, {"note", "line\nwith \"quotes\""}};
-    result.report = "multi\nline report\twith tabs";
-    completion.results.push_back(result);
-    const CompleteRequest c = parse_complete_request(render_complete_request(completion));
-    EXPECT_EQ(c.worker, "w-3");
-    EXPECT_EQ(c.lease_id, 5u);
+    PointResult point;
+    point.index = 11;
+    point.result.exit_code = 2;
+    point.result.metrics = {{"rounds", "7"}, {"note", "line\nwith \"quotes\""}};
+    point.result.report = "multi\nline report\twith tabs";
+    completion.results.push_back(point);
+    const std::string body = render_complete_request(completion);
+    EXPECT_EQ(body.find("worker"), std::string::npos) << body;
+    EXPECT_EQ(body.find("lease_id"), std::string::npos) << body;
+    const CompleteRequest c = parse_complete_request(body);
     EXPECT_EQ(c.fingerprint, "00000000deadbeef");
     ASSERT_EQ(c.results.size(), 1u);
     EXPECT_EQ(c.results[0].index, 11u);
-    EXPECT_EQ(c.results[0].exit_code, 2);
-    EXPECT_EQ(c.results[0].metrics, result.metrics);
-    EXPECT_EQ(c.results[0].report, result.report);
+    EXPECT_EQ(c.results[0].result.exit_code, 2);
+    EXPECT_EQ(c.results[0].result.metrics, point.result.metrics);
+    EXPECT_EQ(c.results[0].result.report, point.result.report);
 
     const CompleteReply reply = parse_complete_reply(render_complete_reply({4, 2, 1}));
     EXPECT_EQ(reply.accepted, 4u);
@@ -264,14 +250,25 @@ TEST(Protocol, EveryMessageRoundTrips) {
 
 TEST(Protocol, MalformedBodiesThrowActionably) {
     EXPECT_THROW(parse_lease_request("{"), std::invalid_argument);
+    // A lease request is its capacity: without one, or with 0, it is refused.
     EXPECT_THROW(parse_lease_request(R"({"worker": "w"})"), std::invalid_argument);
-    EXPECT_THROW(parse_lease_request(R"({"worker": "w", "capacity": 0})"),
-                 std::invalid_argument);
+    EXPECT_THROW(parse_lease_request(R"({"capacity": 0})"), std::invalid_argument);
+    EXPECT_THROW(parse_lease_request(R"({"capacity": -1})"), std::invalid_argument);
     EXPECT_THROW(parse_lease_grant(R"([1, 2])"), std::invalid_argument);
     EXPECT_THROW(parse_lease_grant(R"({"lease_id": 1, "ttl_ms": 5, "indices": [-1]})"),
                  std::invalid_argument);
+    EXPECT_THROW(parse_lease_grant(R"({"done": false, "lease_id": 1, "indices": []})"),
+                 std::invalid_argument);
     EXPECT_THROW(parse_heartbeat_request(R"({"worker": "w"})"), std::invalid_argument);
-    EXPECT_THROW(parse_complete_request(R"({"worker": "w", "lease_id": 1})"),
+    EXPECT_THROW(parse_heartbeat_request("9"), std::invalid_argument);
+    EXPECT_THROW(parse_complete_request(R"({"results": []})"), std::invalid_argument);
+    EXPECT_THROW(parse_complete_request(R"({"fingerprint": "f"})"), std::invalid_argument);
+    EXPECT_THROW(parse_complete_request(R"({"fingerprint": "f", "results": [)"
+                                        R"({"index": 0, "metrics": {}, "report": ""}]})"),
+                 std::invalid_argument);
+    EXPECT_THROW(parse_complete_request(R"({"fingerprint": "f", "results": [)"
+                                        R"({"index": 0, "exit_code": 0, "metrics": {"k": 1},)"
+                                        R"( "report": ""}]})"),
                  std::invalid_argument);
     EXPECT_THROW(parse_complete_reply(R"({"accepted": 1})"), std::invalid_argument);
 }
@@ -280,11 +277,11 @@ TEST(Protocol, ExitCodesThatDoNotFitIntAreRejected) {
     // 2^32 used to decode as exit code 0, settling a failed point as a
     // success; fractional codes are not codes at all.
     const auto completion = [](const std::string& exit_code) {
-        return R"({"worker": "w", "lease_id": 1, "fingerprint": "f", "results": [)"
+        return R"({"fingerprint": "f", "results": [)"
                R"({"index": 0, "exit_code": )" +
                exit_code + R"(, "metrics": {}, "report": ""}]})";
     };
-    EXPECT_EQ(parse_complete_request(completion("-2147483648")).results[0].exit_code,
+    EXPECT_EQ(parse_complete_request(completion("-2147483648")).results[0].result.exit_code,
               std::numeric_limits<int>::min());
     for (const char* bad : {"4294967296", "2147483648", "-2147483649", "0.5"}) {
         EXPECT_THROW(parse_complete_request(completion(bad)), std::invalid_argument) << bad;
@@ -292,27 +289,27 @@ TEST(Protocol, ExitCodesThatDoNotFitIntAreRejected) {
 }
 
 TEST(Protocol, ResultHashDiscriminatesPayloads) {
-    PointResult a;
+    scenario::CachedResult a;
     a.exit_code = 0;
     a.metrics = {{"k", "1"}};
     a.report = "report";
-    PointResult same = a;
+    scenario::CachedResult same = a;
     EXPECT_EQ(result_hash(a), result_hash(same));
 
-    PointResult exit_differs = a;
+    scenario::CachedResult exit_differs = a;
     exit_differs.exit_code = 1;
-    PointResult metric_differs = a;
+    scenario::CachedResult metric_differs = a;
     metric_differs.metrics["k"] = "2";
-    PointResult report_differs = a;
+    scenario::CachedResult report_differs = a;
     report_differs.report = "other";
     EXPECT_NE(result_hash(a), result_hash(exit_differs));
     EXPECT_NE(result_hash(a), result_hash(metric_differs));
     EXPECT_NE(result_hash(a), result_hash(report_differs));
 
     // The separator keeps (key, value) boundaries unambiguous.
-    PointResult ab;
+    scenario::CachedResult ab;
     ab.metrics = {{"ab", "c"}};
-    PointResult a_bc;
+    scenario::CachedResult a_bc;
     a_bc.metrics = {{"a", "bc"}};
     EXPECT_NE(result_hash(ab), result_hash(a_bc));
 }
@@ -320,44 +317,51 @@ TEST(Protocol, ResultHashDiscriminatesPayloads) {
 // ---------------------------------------------------------------------------
 // Lease table
 
-TEST(LeaseTable, GrantsRespectBatchAndCapacity) {
-    LeaseTableOptions options;
-    options.batch = 3;
-    LeaseTable table({0, 1, 2, 3, 4}, options);
+TEST(LeaseTable, AGrantIsMinOfCapacityAndQueued) {
+    LeaseTable table({0, 1, 2, 3, 4, 5}, 10000);
 
-    // capacity > batch clamps to batch; queue order is preserved.
-    const LeaseTable::Grant big = table.acquire("w", 10, 0);
-    EXPECT_EQ(big.indices, (std::vector<std::size_t>{0, 1, 2}));
-    EXPECT_NE(big.lease_id, 0u);
+    // Capacity below the queue: capacity indices, in queue order.
+    const LeaseTable::Grant first = table.acquire(3, 0);
+    EXPECT_EQ(first.indices, (std::vector<std::size_t>{0, 1, 2}));
+    EXPECT_NE(first.lease_id, 0u);
+    EXPECT_EQ(table.acquire(1, 0).indices, (std::vector<std::size_t>{3}));
 
-    // capacity < batch grants capacity; capacity 0 is treated as 1.
-    EXPECT_EQ(table.acquire("w", 1, 0).indices, (std::vector<std::size_t>{3}));
-    EXPECT_EQ(table.acquire("w", 0, 0).indices, (std::vector<std::size_t>{4}));
+    // Capacity above the queue: whatever is queued.
+    EXPECT_EQ(table.acquire(10, 0).indices, (std::vector<std::size_t>{4, 5}));
 
     // Everything is out on live leases: empty grant, not settled.
-    EXPECT_TRUE(table.acquire("w", 4, 0).indices.empty());
+    EXPECT_TRUE(table.acquire(4, 0).indices.empty());
     EXPECT_FALSE(table.all_settled());
     EXPECT_EQ(table.queued(), 0u);
-    EXPECT_EQ(table.leased(), 5u);
+    EXPECT_EQ(table.leased(), 6u);
     EXPECT_EQ(table.leases_granted(), 3u);
 }
 
-TEST(LeaseTable, ExpiryRequeuesUnfinishedWork) {
-    LeaseTableOptions options;
-    options.ttl_ms = 100;
-    options.batch = 2;
-    LeaseTable table({0, 1}, options);
+TEST(LeaseTable, CachedPointsAreBornSettled) {
+    LeaseTable table({1}, 10000, {{0, 0xaULL}, {2, 0xcULL}});
+    EXPECT_EQ(table.total(), 3u);
+    EXPECT_EQ(table.settled(), 2u);
+    EXPECT_EQ(table.acquire(4, 0).indices, (std::vector<std::size_t>{1}));
+    EXPECT_EQ(table.complete(0, 0xaULL, 0), LeaseTable::Completion::Duplicate);
+    EXPECT_EQ(table.complete(2, 0xbULL, 0), LeaseTable::Completion::Conflict);
+    EXPECT_EQ(table.complete(1, 0xbULL, 0), LeaseTable::Completion::Accepted);
+    EXPECT_TRUE(table.all_settled());
+    EXPECT_TRUE(LeaseTable({}, 10000, {{0, 0xaULL}}).all_settled());
+}
 
-    const LeaseTable::Grant first = table.acquire("w1", 2, 1000);
+TEST(LeaseTable, ExpiryRequeuesUnfinishedWork) {
+    LeaseTable table({0, 1}, 100);
+
+    const LeaseTable::Grant first = table.acquire(2, 1000);
     ASSERT_EQ(first.indices.size(), 2u);
 
     // Before the deadline the lease holds its work hostage...
-    EXPECT_TRUE(table.acquire("w2", 2, 1099).indices.empty());
+    EXPECT_TRUE(table.acquire(2, 1099).indices.empty());
     EXPECT_TRUE(table.heartbeat(first.lease_id, 1099));
 
     // The heartbeat moved the deadline to 1099 + 100; past it, the next
     // acquire sweeps the lease and re-grants the same indices.
-    const LeaseTable::Grant second = table.acquire("w2", 2, 1199);
+    const LeaseTable::Grant second = table.acquire(2, 1199);
     EXPECT_EQ(second.indices, first.indices);
     EXPECT_NE(second.lease_id, first.lease_id);
     EXPECT_EQ(table.leases_expired(), 1u);
@@ -368,14 +372,11 @@ TEST(LeaseTable, ExpiryRequeuesUnfinishedWork) {
 }
 
 TEST(LeaseTable, CrashedWorkerRaceIsFirstValidWins) {
-    LeaseTableOptions options;
-    options.ttl_ms = 50;
-    options.batch = 1;
-    LeaseTable table({7}, options);
+    LeaseTable table({7}, 50);
 
     // w1 takes index 7, stalls past its TTL; the index is re-granted.
-    const LeaseTable::Grant w1 = table.acquire("w1", 1, 0);
-    const LeaseTable::Grant w2 = table.acquire("w2", 1, 100);
+    const LeaseTable::Grant w1 = table.acquire(1, 0);
+    const LeaseTable::Grant w2 = table.acquire(1, 100);
     ASSERT_EQ(w1.indices, w2.indices);
 
     // The replacement finishes first: accepted. w1's late completion of
@@ -394,16 +395,13 @@ TEST(LeaseTable, CrashedWorkerRaceIsFirstValidWins) {
 }
 
 TEST(LeaseTable, SlowWorkerBeatenByTtlStillLandsFirst) {
-    LeaseTableOptions options;
-    options.ttl_ms = 50;
-    options.batch = 1;
-    LeaseTable table({3}, options);
+    LeaseTable table({3}, 50);
 
-    const LeaseTable::Grant w1 = table.acquire("w1", 1, 0);
+    const LeaseTable::Grant w1 = table.acquire(1, 0);
     ASSERT_EQ(w1.indices, (std::vector<std::size_t>{3}));
     // TTL passes, the index is re-granted to w2 — but w1 finishes before
     // w2 does. Its work is valid (pure function of the index): accepted.
-    const LeaseTable::Grant w2 = table.acquire("w2", 1, 60);
+    const LeaseTable::Grant w2 = table.acquire(1, 60);
     ASSERT_EQ(w2.indices, (std::vector<std::size_t>{3}));
     EXPECT_EQ(table.complete(3, 0x11ULL, 70), LeaseTable::Completion::Accepted);
     // w2's eventual identical result: duplicate, not conflict.
@@ -412,12 +410,10 @@ TEST(LeaseTable, SlowWorkerBeatenByTtlStillLandsFirst) {
 }
 
 TEST(LeaseTable, DrainsToAllSettled) {
-    LeaseTableOptions options;
-    options.batch = 2;
-    LeaseTable table({0, 1, 2}, options);
+    LeaseTable table({0, 1, 2}, 10000);
 
     for (;;) {
-        const LeaseTable::Grant grant = table.acquire("w", 2, 0);
+        const LeaseTable::Grant grant = table.acquire(2, 0);
         if (grant.indices.empty()) break;
         for (const std::size_t index : grant.indices)
             EXPECT_EQ(table.complete(index, 0x5eedULL + index, 0),
@@ -428,7 +424,7 @@ TEST(LeaseTable, DrainsToAllSettled) {
     EXPECT_EQ(table.queued(), 0u);
     EXPECT_EQ(table.leased(), 0u);
     // An empty table (everything cached up front) is born settled.
-    EXPECT_TRUE(LeaseTable({}, options).all_settled());
+    EXPECT_TRUE(LeaseTable({}, 10000).all_settled());
 }
 
 // ---------------------------------------------------------------------------
@@ -438,24 +434,21 @@ CoordinatorOptions coordinator_options(const ScratchDir& scratch) {
     CoordinatorOptions options;
     options.cache_dir = scratch.path() + "/cache";
     options.lease_ttl_ms = 1000;
-    options.batch = 4;
     return options;
 }
 
-/// Drive one worker identity through lease -> compute -> complete until
-/// the coordinator reports done.
+/// Drive one worker through lease -> compute -> complete (4 points a
+/// lease) until the coordinator reports done.
 void drain(CampaignCoordinator& coordinator, const std::vector<PointSpec>& specs,
-           const std::string& worker, std::uint64_t now_ms) {
+           std::uint64_t now_ms) {
     for (;;) {
         const HttpResponse response = coordinator.handle(
-            make_request("POST", "/lease", render_lease_request({worker, 4})), now_ms);
+            make_request("POST", "/lease", render_lease_request(4)), now_ms);
         EXPECT_EQ(response.status, 200);
         const LeaseGrant grant = parse_lease_grant(response.body);
         if (grant.done) return;
         ASSERT_FALSE(grant.indices.empty()) << "wait with a single worker means a stall";
         CompleteRequest completion;
-        completion.worker = worker;
-        completion.lease_id = grant.lease_id;
         completion.fingerprint = coordinator.fingerprint_hex();
         for (const std::size_t index : grant.indices)
             completion.results.push_back(compute_result(specs, index));
@@ -505,7 +498,7 @@ TEST(Coordinator, DistributedArtifactIsByteIdenticalToLocalRun) {
 
     CampaignCoordinator coordinator(manifest, kManifestText, coordinator_options(scratch));
     const std::vector<PointSpec> specs = scenario::expand(manifest);
-    drain(coordinator, specs, "w1", 0);
+    drain(coordinator, specs, 0);
 
     EXPECT_TRUE(coordinator.complete());
     EXPECT_EQ(coordinator.conflicts(), 0u);
@@ -515,12 +508,11 @@ TEST(Coordinator, DistributedArtifactIsByteIdenticalToLocalRun) {
 
 TEST(Coordinator, LeaseExpiryRecyclesAndHeartbeatKeepsAlive) {
     const ScratchDir scratch("expiry");
-    CoordinatorOptions options = coordinator_options(scratch);
-    options.batch = 6;
+    const CoordinatorOptions options = coordinator_options(scratch);
     CampaignCoordinator coordinator(probe_manifest(), kManifestText, options);
 
-    const HttpResponse granted = coordinator.handle(
-        make_request("POST", "/lease", render_lease_request({"w1", 6})), 0);
+    const HttpResponse granted =
+        coordinator.handle(make_request("POST", "/lease", render_lease_request(6)), 0);
     const LeaseGrant first = parse_lease_grant(granted.body);
     ASSERT_EQ(first.indices.size(), 6u);
     EXPECT_EQ(first.ttl_ms, options.lease_ttl_ms);
@@ -528,27 +520,25 @@ TEST(Coordinator, LeaseExpiryRecyclesAndHeartbeatKeepsAlive) {
     // Inside the TTL: nothing to grant, the worker is told to wait; a
     // heartbeat renews the lease.
     const LeaseGrant wait = parse_lease_grant(
-        coordinator.handle(make_request("POST", "/lease", render_lease_request({"w2", 2})), 500)
-            .body);
-    EXPECT_TRUE(wait.wait);
+        coordinator.handle(make_request("POST", "/lease", render_lease_request(2)), 500).body);
+    EXPECT_FALSE(wait.done);
+    EXPECT_TRUE(wait.indices.empty());
     EXPECT_EQ(coordinator
                   .handle(make_request("POST", "/heartbeat",
-                                       render_heartbeat_request({"w1", first.lease_id})),
+                                       render_heartbeat_request(first.lease_id)),
                           900)
                   .status,
               200);
 
     // 900 + ttl passes without another heartbeat: the work is recycled.
     const LeaseGrant second = parse_lease_grant(
-        coordinator
-            .handle(make_request("POST", "/lease", render_lease_request({"w2", 6})), 2000)
-            .body);
+        coordinator.handle(make_request("POST", "/lease", render_lease_request(6)), 2000).body);
     EXPECT_EQ(second.indices, first.indices);
 
     // The dead lease's heartbeat is 410 Gone.
     EXPECT_EQ(coordinator
                   .handle(make_request("POST", "/heartbeat",
-                                       render_heartbeat_request({"w1", first.lease_id})),
+                                       render_heartbeat_request(first.lease_id)),
                           2001)
                   .status,
               410);
@@ -561,13 +551,11 @@ TEST(Coordinator, DuplicateAndConflictingCompletions) {
     const std::vector<PointSpec> specs = scenario::expand(probe_manifest());
 
     const LeaseGrant grant = parse_lease_grant(
-        coordinator.handle(make_request("POST", "/lease", render_lease_request({"w1", 2})), 0)
+        coordinator.handle(make_request("POST", "/lease", render_lease_request(2)), 0)
             .body);
     ASSERT_EQ(grant.indices.size(), 2u);
 
     CompleteRequest completion;
-    completion.worker = "w1";
-    completion.lease_id = grant.lease_id;
     completion.fingerprint = coordinator.fingerprint_hex();
     for (const std::size_t index : grant.indices)
         completion.results.push_back(compute_result(specs, index));
@@ -600,7 +588,7 @@ TEST(Coordinator, DuplicateAndConflictingCompletions) {
     // CLI's loud exit-4.
     CompleteRequest tampered = completion;
     tampered.results.resize(1);
-    tampered.results[0].metrics["value"] = "corrupted";
+    tampered.results[0].result.metrics["value"] = "corrupted";
     const CompleteReply conflicted = parse_complete_reply(
         coordinator
             .handle(make_request("POST", "/complete", render_complete_request(tampered)), 0)
@@ -635,12 +623,10 @@ TEST(Coordinator, KilledCoordinatorResumesExactly) {
         fingerprint = coordinator.fingerprint_hex();
         const LeaseGrant grant = parse_lease_grant(
             coordinator
-                .handle(make_request("POST", "/lease", render_lease_request({"w1", 2})), 0)
+                .handle(make_request("POST", "/lease", render_lease_request(2)), 0)
                 .body);
         ASSERT_EQ(grant.indices.size(), 2u);
         CompleteRequest completion;
-        completion.worker = "w1";
-        completion.lease_id = grant.lease_id;
         completion.fingerprint = fingerprint;
         for (const std::size_t index : grant.indices)
             completion.results.push_back(compute_result(specs, index));
@@ -656,7 +642,7 @@ TEST(Coordinator, KilledCoordinatorResumesExactly) {
         CampaignCoordinator coordinator(manifest, kManifestText, coordinator_options(scratch));
         EXPECT_EQ(coordinator.fingerprint_hex(), fingerprint);
         EXPECT_EQ(coordinator.settled_points(), 2u);
-        drain(coordinator, specs, "w2", 0);
+        drain(coordinator, specs, 0);
         EXPECT_TRUE(coordinator.complete());
         EXPECT_EQ(coordinator.artifact(), local_json);
         EXPECT_EQ(coordinator.outcome().computed, 4u);
@@ -669,12 +655,59 @@ TEST(Coordinator, KilledCoordinatorResumesExactly) {
         EXPECT_TRUE(coordinator.complete());
         const LeaseGrant grant = parse_lease_grant(
             coordinator
-                .handle(make_request("POST", "/lease", render_lease_request({"w3", 4})), 0)
+                .handle(make_request("POST", "/lease", render_lease_request(4)), 0)
                 .body);
         EXPECT_TRUE(grant.done);
         EXPECT_EQ(coordinator.artifact(), local_json);
         EXPECT_EQ(coordinator.outcome().computed, 0u);
     }
+}
+
+TEST(Coordinator, CompletionResentAfterRestartIsDuplicateOrConflict) {
+    // A worker whose /complete reply died with its coordinator resends the
+    // completion to the restarted one. Its points are cache hits there,
+    // and they settle by the same rules as points settled in this life.
+    const ScratchDir scratch("resent");
+    const Manifest manifest = probe_manifest();
+    const std::vector<PointSpec> specs = scenario::expand(manifest);
+
+    CompleteRequest completion;
+    {
+        CampaignCoordinator coordinator(manifest, kManifestText, coordinator_options(scratch));
+        const LeaseGrant grant = parse_lease_grant(
+            coordinator.handle(make_request("POST", "/lease", render_lease_request(5)), 0).body);
+        ASSERT_EQ(grant.indices, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+        completion.fingerprint = coordinator.fingerprint_hex();
+        for (const std::size_t index : grant.indices)
+            completion.results.push_back(compute_result(specs, index));
+        EXPECT_EQ(coordinator
+                      .handle(make_request("POST", "/complete",
+                                           render_complete_request(completion)),
+                              0)
+                      .status,
+                  200);
+    }
+
+    CampaignCoordinator coordinator(manifest, kManifestText, coordinator_options(scratch));
+    EXPECT_EQ(coordinator.settled_points(), 5u);  // each cache hit counted once
+    EXPECT_FALSE(coordinator.complete());
+    CompleteRequest resent = completion;
+    resent.results.resize(2);
+    resent.results[1].result.report = "tampered\n";
+    const HttpResponse reply = coordinator.handle(
+        make_request("POST", "/complete", render_complete_request(resent)), 0);
+    ASSERT_EQ(reply.status, 200) << reply.body;
+    const CompleteReply counts = parse_complete_reply(reply.body);
+    EXPECT_EQ(counts.accepted, 0u);
+    EXPECT_EQ(counts.duplicates, 1u);
+    EXPECT_EQ(counts.conflicts, 1u);
+    EXPECT_EQ(coordinator.conflicts(), 1u);
+    EXPECT_EQ(coordinator.settled_points(), 5u);
+
+    drain(coordinator, specs, 0);
+    EXPECT_EQ(coordinator.outcome().computed, 1u);
+    EXPECT_EQ(coordinator.outcome().cached, 5u);
+    EXPECT_EQ(coordinator.settled_points(), 6u);
 }
 
 TEST(Coordinator, FailingPointsAreRetriedOnResume) {
@@ -687,7 +720,7 @@ TEST(Coordinator, FailingPointsAreRetriedOnResume) {
 
     {
         CampaignCoordinator coordinator(manifest, text, coordinator_options(scratch));
-        drain(coordinator, specs, "w1", 0);
+        drain(coordinator, specs, 0);
         EXPECT_TRUE(coordinator.complete());
         EXPECT_EQ(coordinator.outcome().failed, 1u);
     }
@@ -697,7 +730,7 @@ TEST(Coordinator, FailingPointsAreRetriedOnResume) {
         CampaignCoordinator coordinator(manifest, text, coordinator_options(scratch));
         EXPECT_FALSE(coordinator.complete());
         EXPECT_EQ(coordinator.settled_points(), 1u);
-        drain(coordinator, specs, "w2", 0);
+        drain(coordinator, specs, 0);
         EXPECT_EQ(coordinator.outcome().computed, 1u);
     }
 }
@@ -742,11 +775,9 @@ TEST(CrossModeResume, KilledCoordinatorFinishesUnderRunCampaign) {
             CampaignCoordinator coordinator(manifest, kManifestText, coordinator_options(scratch));
             const LeaseGrant grant = parse_lease_grant(
                 coordinator
-                    .handle(make_request("POST", "/lease", render_lease_request({"w1", 2})), 0)
+                    .handle(make_request("POST", "/lease", render_lease_request(2)), 0)
                     .body);
             CompleteRequest completion;
-            completion.worker = "w1";
-            completion.lease_id = grant.lease_id;
             completion.fingerprint = coordinator.fingerprint_hex();
             for (const std::size_t index : grant.indices)
                 completion.results.push_back(compute_result(specs, index));
@@ -785,7 +816,7 @@ TEST(CrossModeResume, KilledRunCampaignFinishesUnderCoordinator) {
 
     CampaignCoordinator coordinator(manifest, kManifestText, coordinator_options(scratch));
     EXPECT_EQ(coordinator.settled_points(), 3u);
-    drain(coordinator, specs, "w1", 0);
+    drain(coordinator, specs, 0);
     EXPECT_TRUE(coordinator.complete());
     EXPECT_EQ(coordinator.outcome().computed, 3u);
     EXPECT_EQ(coordinator.artifact(), expected);
@@ -797,7 +828,6 @@ TEST(CrossModeResume, KilledRunCampaignFinishesUnderCoordinator) {
 WorkerOptions worker_options(const std::string& name) {
     WorkerOptions options;
     options.name = name;
-    options.capacity = 2;
     return options;
 }
 
@@ -811,7 +841,7 @@ TEST(Worker, DrivesCampaignToCompletion) {
                       [](std::uint64_t) {});
     EXPECT_EQ(worker.run(), WorkerExit::CampaignComplete);
     EXPECT_EQ(worker.points_computed(), 6u);
-    EXPECT_EQ(worker.leases_completed(), 3u);  // 6 points / capacity 2
+    EXPECT_EQ(worker.leases_completed(), 6u);  // no pool: one point a lease
     EXPECT_EQ(worker.retries(), 0u);
     EXPECT_TRUE(coordinator.complete());
 
@@ -820,6 +850,35 @@ TEST(Worker, DrivesCampaignToCompletion) {
     options.cache_dir = local.path();
     EXPECT_EQ(coordinator.artifact(),
               run_campaign(probe_manifest(), options).to_json(probe_manifest()));
+}
+
+/// The capacity of every lease request a worker with `pool` sends while
+/// it drives the probe campaign to completion.
+std::vector<std::size_t> lease_capacities(ThreadPool* pool) {
+    const ScratchDir scratch("lease_size");
+    CampaignCoordinator coordinator(probe_manifest(), kManifestText,
+                                    coordinator_options(scratch));
+    std::uint64_t now = 0;
+    const WorkerLoop::Transport real = coordinator_transport(coordinator, &now);
+    std::vector<std::size_t> capacities;
+    WorkerOptions options = worker_options("w1");
+    options.pool = pool;
+    WorkerLoop worker(
+        [&](const std::string& method, const std::string& target, const std::string& body) {
+            if (target == "/lease") capacities.push_back(parse_lease_request(body));
+            return real(method, target, body);
+        },
+        options, [](std::uint64_t) {});
+    EXPECT_EQ(worker.run(), WorkerExit::CampaignComplete);
+    EXPECT_EQ(worker.points_computed(), 6u);
+    return capacities;
+}
+
+TEST(Worker, ALeaseAsksForOnePointPerPoolThread) {
+    ThreadPool pool(3);
+    // Two grants of 3 points, then the request answered "done".
+    EXPECT_EQ(lease_capacities(&pool), (std::vector<std::size_t>{3, 3, 3}));
+    EXPECT_EQ(lease_capacities(nullptr), std::vector<std::size_t>(7, 1));
 }
 
 TEST(Worker, RetriesTransientFailuresWithTheBackoffSchedule) {
@@ -1128,14 +1187,12 @@ void run_two_real_workers(bool hold_idle) {
     local.cache_dir = scratch.path() + "/cache-local";
     const std::string local_json = run_campaign(manifest, local).to_json(manifest);
 
-    CoordinatorOptions options = coordinator_options(scratch);
-    options.batch = 2;
-    CampaignCoordinator coordinator(manifest, kManifestText, options);
+    CampaignCoordinator coordinator(manifest, kManifestText, coordinator_options(scratch));
 
     HttpServer server(0);
     const Endpoint endpoint{"127.0.0.1", server.port()};
     int idle = -1;
-    std::set<std::string> leased;  // worker names; the handler runs on the serve thread
+    std::atomic<int> leased{0};  // workers that have sent their first /lease
     std::thread serve([&] {
         server.serve_forever([&](const HttpRequest& request) {
             if (hold_idle && idle < 0 && request.target == "/lease") {
@@ -1148,13 +1205,12 @@ void run_two_real_workers(bool hold_idle) {
                 addr.sin_port = htons(server.port());
                 EXPECT_EQ(::connect(idle, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
             }
-            if (request.target == "/lease") leased.insert(parse_lease_request(request.body).worker);
             const HttpResponse response = coordinator.handle(request, steady_now_ms());
             // The server stops AFTER this reply is written — the completing
             // worker still hears back — and only once both workers have
             // asked for a lease: a worker that first reaches a stopped
             // server never had contact, which is not a clean exit.
-            if (coordinator.complete() && leased.size() == 2) server.stop();
+            if (coordinator.complete() && leased.load() == 2) server.stop();
             return response;
         });
     });
@@ -1163,12 +1219,18 @@ void run_two_real_workers(bool hold_idle) {
         return std::thread([&, name] {
             WorkerOptions wopts;
             wopts.name = name;
-            wopts.capacity = 2;
             // Real sleeps, a tenth of the fixed schedule's: a worker that
             // finds the server gone retries 8 times in under a second.
+            // Its first /lease goes out after its /manifest was answered,
+            // so once both have counted themselves, both had contact.
             WorkerLoop worker(
-                [endpoint](const std::string& method, const std::string& target,
-                           const std::string& body) {
+                [&leased, endpoint, asked = false](const std::string& method,
+                                                   const std::string& target,
+                                                   const std::string& body) mutable {
+                    if (target == "/lease" && !asked) {
+                        asked = true;
+                        ++leased;
+                    }
                     return http_request(endpoint, method, target, body, 5000);
                 },
                 wopts,
@@ -1211,11 +1273,10 @@ TEST(Hashes, CacheKeyFingerprintAndResultHashArePinned) {
     ScratchDir dir("pinned_hashes");
     CampaignOptions options;
     options.cache_dir = dir.path() + "/cache";
-    options.code_epoch = 4;
     const scenario::CampaignLedger ledger(probe_manifest(), options);
     EXPECT_EQ(util::hex16(ledger.fingerprint()), "81f20798338bf1df");
 
-    PointResult result;
+    scenario::CachedResult result;
     result.exit_code = 0;
     result.metrics = {{"seed", "17"}, {"value", "3"}};
     result.report = "probe: value 3\n";

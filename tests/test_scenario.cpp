@@ -382,8 +382,8 @@ TEST(Registry, WarmStartedBracketsAreDeterministic) {
 
 TEST(Cache, HitMissAndEpochInvalidation) {
     const ScratchDir dir("cache");
-    const ResultCache cache(dir.path(), /*code_epoch=*/1);
-    const CacheKey key{"mc_density_point", cache.combined_epoch(0), {{"m", "6"}, {"n", "6"}}};
+    const ResultCache cache(dir.path());
+    const CacheKey key{"mc_density_point", 1, {{"m", "6"}, {"n", "6"}}};
 
     EXPECT_FALSE(cache.lookup(key).has_value());  // cold miss
 
@@ -405,11 +405,10 @@ TEST(Cache, HitMissAndEpochInvalidation) {
     EXPECT_NE(cache_hash(key), cache_hash(other));
 
     // Epoch bump (code or scenario) orphans the old entry.
-    const ResultCache bumped(dir.path(), /*code_epoch=*/2);
     CacheKey bumped_key = key;
-    bumped_key.epoch = bumped.combined_epoch(0);
-    EXPECT_FALSE(bumped.lookup(bumped_key).has_value());
-    EXPECT_NE(cache.entry_path(key), bumped.entry_path(bumped_key));
+    bumped_key.epoch = 2;
+    EXPECT_FALSE(cache.lookup(bumped_key).has_value());
+    EXPECT_NE(cache.entry_path(key), cache.entry_path(bumped_key));
 
     // A corrupt entry reads as a miss, never as a wrong result.
     {
@@ -528,11 +527,23 @@ TEST(Campaign, WarmRunIsAllCacheHitsAndByteIdentical) {
     EXPECT_EQ(recomputed.cached, 0u);
     EXPECT_EQ(recomputed.to_json(manifest), cold.to_json(manifest));
 
-    // An epoch bump invalidates the whole campaign.
+    // Entries stored under another epoch are misses: the whole campaign
+    // recomputes.
+    const ScratchDir other_dir("camp_warm_other_epoch");
+    const ResultCache other_epoch(other_dir.path());
+    const Scenario* s = find(manifest.scenario);
+    ASSERT_NE(s, nullptr);
+    for (const CampaignPoint& point : cold.points) {
+        other_epoch.store(
+            CacheKey{manifest.scenario, ResultCache::combined_epoch(s->epoch) + 1,
+                     point.spec.params},
+            point.result);
+    }
     CampaignOptions bumped = options;
-    bumped.code_epoch = kCodeEpoch + 1;
+    bumped.cache_dir = other_dir.path();
     const CampaignOutcome invalidated = run_campaign(manifest, bumped);
     EXPECT_EQ(invalidated.computed, 4u);
+    EXPECT_EQ(invalidated.cached, 0u);
     EXPECT_EQ(invalidated.to_json(manifest), cold.to_json(manifest));
 }
 
@@ -801,21 +812,20 @@ TEST(Cache, EpochFourEntriesNeverCollideWithEpochThree) {
     // disjoint on-disk identity.
     EXPECT_EQ(kCodeEpoch, 4u);
     const ScratchDir dir("cache_epoch4");
-    const ResultCache previous(dir.path(), /*code_epoch=*/3);
-    const ResultCache current(dir.path(), /*code_epoch=*/4);
+    const ResultCache cache(dir.path());
     const std::map<std::string, std::string> params{{"m", "6"}, {"density", "0.3"}};
-    const CacheKey old_key{"mc_density_point", previous.combined_epoch(0), params};
+    const CacheKey old_key{"mc_density_point", 3, params};
     CachedResult stale;
     stale.metrics = {{"p_k_mono", "0.25"}};
     stale.report = "pre-adaptive shape\n";
-    previous.store(old_key, stale);
+    cache.store(old_key, stale);
 
     CacheKey new_key = old_key;
-    new_key.epoch = current.combined_epoch(0);
-    EXPECT_NE(new_key.epoch, old_key.epoch);
-    EXPECT_FALSE(current.lookup(new_key).has_value())
+    new_key.epoch = ResultCache::combined_epoch(0);
+    EXPECT_EQ(new_key.epoch, 4);
+    EXPECT_FALSE(cache.lookup(new_key).has_value())
         << "epoch-3 entries must read as misses under epoch 4";
-    EXPECT_NE(current.entry_path(new_key), previous.entry_path(old_key));
+    EXPECT_NE(cache.entry_path(new_key), cache.entry_path(old_key));
 }
 
 TEST(Cache, AdaptiveStoppingBindingsArePartOfThePointIdentity) {
