@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 
@@ -64,46 +65,45 @@ ColorField random_coloring(std::size_t size, Color k, Color num_colors, double d
     return field;
 }
 
-void random_lane_fields(sim::LaneBatch& lanes, Color k, Color num_colors, double density,
-                        std::span<Xoshiro256> rngs) {
-    require_coloring(k, num_colors, density);
-    DYNAMO_REQUIRE(!rngs.empty() && rngs.size() <= kLanes, "a lane block holds 1..64 trials");
+namespace {
+
+/// What every lane's draw of a cell compares with, worked out once per
+/// block and outside the per-level loops: the one floating-point step of
+/// the draw (k_below) stays out of the cloned code.
+struct LaneDraw {
+    /// A lane draws k iff (x >> 11) < k_below.
+    std::uint64_t k_below = 0;
+    /// A lane that did not draw k draws i = below(others), color 1 + i
+    /// with k skipped.
+    std::uint32_t others = 0;
+    /// below(others)'s rejection threshold.
+    std::uint64_t redraw_under = 0;
+    Color k = 0;
+    /// k, and the one other color when others = 1, as the batch stores
+    /// them: bit p of a code is plane p.
+    std::uint8_t k_code = 0;
+    std::uint8_t other_code = 0;
+    /// The lanes that hold trials.
+    Word live = 0;
+};
+
+/// Color 1 + i with k skipped: the draw of a lane that did not draw k.
+inline std::uint8_t color_other_than(Color k, std::uint64_t i) noexcept {
+    const std::uint64_t c = i + 1;
+    return static_cast<std::uint8_t>(c + (c >= k));
+}
+
+/// The cell-major draw of random_lane_fields, on the generators `s` (one
+/// array per state word). Compiled once per ISA level (util/isa.hpp).
+[[gnu::always_inline]] inline void draw_cells(sim::LaneBatch& lanes, const LaneDraw& draw,
+                                              std::uint64_t (&s)[4][kLanes]) {
     const int planes = lanes.planes();
-    DYNAMO_REQUIRE(planes == 1 ? num_colors == 2 : num_colors <= sim::LaneBatch::kMaxColor,
-                   "palette outside the lane batch's encoding");
-    const std::size_t used = rngs.size();
-    const Word live = used == kLanes ? ~Word{0} : (Word{1} << used) - 1;
-
-    // bernoulli(density) is (x >> 11) * 2^-53 < density. Scaling both sides
-    // by 2^53 is exact in double, and the left side is an integer, so the
-    // test is (x >> 11) < ceil(density * 2^53), at most 2^53.
-    const auto k_below = static_cast<std::uint64_t>(std::ceil(std::ldexp(density, 53)));
-    // A lane that did not draw k draws i = below(others), color 1 + i with
-    // k skipped, and redraws by below's own rule (never for others = 1, 2
-    // or 4; so never under a bi-color rule).
-    const std::uint64_t others = num_colors - 1u;
-    const std::uint64_t redraw_under = Xoshiro256::below_threshold(others);
-    // Colors as the batch stores them: bit p of a code is plane p.
-    const auto code = [&](unsigned c) {
-        return static_cast<std::uint8_t>(planes == 1 ? c == kBlack : c);
-    };
-    std::array<std::uint8_t, sim::LaneBatch::kMaxColor> other_code{};
-    for (unsigned i = 0; i < others; ++i) other_code[i] = code(i + 1 >= k ? i + 2 : i + 1);
-    const std::uint8_t k_code = code(k);
-
-    // The generators, copied out one array per state word, so the lanes
-    // step as independent chains and no store to the batch can alias them.
-    // Lanes past `used` step copies of lane 0, and their bits are dropped.
-    std::uint64_t s[4][kLanes] = {};
-    for (unsigned l = 0; l < kLanes; ++l) {
-        const std::array<std::uint64_t, 4>& state = rngs[l < used ? l : 0].state();
-        for (unsigned w = 0; w < 4; ++w) s[w][l] = state[w];
-    }
     std::uint8_t drew_k[kLanes] = {};
+    std::uint8_t redraw[kLanes] = {};
     std::uint64_t second[kLanes] = {};
     // Lane l's color code when it did not draw k; a 2-color palette has one.
     std::uint8_t codes[kLanes] = {};
-    std::fill_n(codes, kLanes, other_code[0]);
+    std::fill_n(codes, kLanes, draw.other_code);
     for (std::size_t v = 0; v < lanes.torus().size(); ++v) {
         // Every lane draws, and steps a copy for the second draw that only
         // the lanes which did not draw k keep: no branch on the draw.
@@ -111,7 +111,7 @@ void random_lane_fields(sim::LaneBatch& lanes, Color k, Color num_colors, double
             std::uint64_t s0 = s[0][l], s1 = s[1][l], s2 = s[2][l], s3 = s[3][l];
             const std::uint64_t x = Xoshiro256::step(s0, s1, s2, s3);
             // 1 iff (x >> 11) < k_below, both being below 2^63.
-            const std::uint64_t k_bit = ((x >> 11) - k_below) >> 63;
+            const std::uint64_t k_bit = ((x >> 11) - draw.k_below) >> 63;
             drew_k[l] = static_cast<std::uint8_t>(k_bit);
             std::uint64_t t0 = s0, t1 = s1, t2 = s2, t3 = s3;
             second[l] = Xoshiro256::step(t0, t1, t2, t3);
@@ -122,30 +122,89 @@ void random_lane_fields(sim::LaneBatch& lanes, Color k, Color num_colors, double
             s[3][l] = t3 ^ ((t3 ^ s3) & keep);
         }
         const Word k_lanes = lane_bits(drew_k, 0);
-        if (others > 1) {
-            // below(others) on the second draw; a lane whose draw falls
+        if (draw.others > 1) {
+            // below(others) on the second draw. A multi-color palette is
+            // stored as the color itself (3 planes). A lane whose draw falls
             // under below's threshold draws again from its own generator.
-            Word redraws = 0;
             for (unsigned l = 0; l < kLanes; ++l) {
-                const __uint128_t m = static_cast<__uint128_t>(second[l]) * others;
-                redraws |= Word{static_cast<std::uint64_t>(m) < redraw_under} << l;
-                codes[l] = other_code[static_cast<std::size_t>(m >> 64)];
+                const WideProduct m = mul_wide(second[l], draw.others);
+                redraw[l] = m.lo < draw.redraw_under;
+                codes[l] = color_other_than(draw.k, m.hi);
             }
-            for (redraws &= live & ~k_lanes; redraws != 0; redraws &= redraws - 1) {
+            Word redraws = lane_bits(redraw, 0) & draw.live & ~k_lanes;
+            for (; redraws != 0; redraws &= redraws - 1) {
                 const auto l = static_cast<unsigned>(std::countr_zero(redraws));
-                __uint128_t m = 0;
+                WideProduct m;
                 do {
-                    const std::uint64_t x = Xoshiro256::step(s[0][l], s[1][l], s[2][l], s[3][l]);
-                    m = static_cast<__uint128_t>(x) * others;
-                } while (static_cast<std::uint64_t>(m) < redraw_under);
-                codes[l] = other_code[static_cast<std::size_t>(m >> 64)];
+                    m = mul_wide(Xoshiro256::step(s[0][l], s[1][l], s[2][l], s[3][l]),
+                                 draw.others);
+                } while (m.lo < draw.redraw_under);
+                codes[l] = color_other_than(draw.k, m.hi);
             }
         }
         Word* words = lanes.round0(v);
         for (int p = 0; p < planes; ++p) {
-            const Word k_plane = (k_code >> p) & 1u ? k_lanes : 0;
-            words[p] = (k_plane | (lane_bits(codes, p) & ~k_lanes)) & live;
+            const Word k_plane = (draw.k_code >> p) & 1u ? k_lanes : 0;
+            words[p] = (k_plane | (lane_bits(codes, p) & ~k_lanes)) & draw.live;
         }
+    }
+}
+
+#if DYNAMO_ISA_LEVELS
+[[DYNAMO_TARGET_V3]] void draw_cells_v3(sim::LaneBatch& lanes, const LaneDraw& draw,
+                                        std::uint64_t (&s)[4][kLanes]) {
+    draw_cells(lanes, draw, s);
+}
+
+[[DYNAMO_TARGET_V4]] void draw_cells_v4(sim::LaneBatch& lanes, const LaneDraw& draw,
+                                        std::uint64_t (&s)[4][kLanes]) {
+    draw_cells(lanes, draw, s);
+}
+#endif
+
+} // namespace
+
+void random_lane_fields(sim::LaneBatch& lanes, Color k, Color num_colors, double density,
+                        std::span<Xoshiro256> rngs, isa::Level level) {
+    require_coloring(k, num_colors, density);
+    DYNAMO_REQUIRE(!rngs.empty() && rngs.size() <= kLanes, "a lane block holds 1..64 trials");
+    const int planes = lanes.planes();
+    DYNAMO_REQUIRE(planes == 1 ? num_colors == 2 : num_colors <= sim::LaneBatch::kMaxColor,
+                   "palette outside the lane batch's encoding");
+    DYNAMO_REQUIRE(isa::runs(level), "ISA level the host does not run");
+    const std::size_t used = rngs.size();
+
+    LaneDraw draw;
+    // bernoulli(density) is (x >> 11) * 2^-53 < density. Scaling both sides
+    // by 2^53 is exact in double, and the left side is an integer, so the
+    // test is (x >> 11) < ceil(density * 2^53), at most 2^53.
+    draw.k_below = static_cast<std::uint64_t>(std::ceil(std::ldexp(density, 53)));
+    // below(others) redraws by its own rule, never for others = 1, 2 or 4
+    // (so never under a bi-color rule).
+    draw.others = num_colors - 1u;
+    draw.redraw_under = Xoshiro256::below_threshold(draw.others);
+    draw.k = k;
+    const auto code = [&](unsigned c) {
+        return static_cast<std::uint8_t>(planes == 1 ? c == kBlack : c);
+    };
+    draw.k_code = code(k);
+    draw.other_code = code(color_other_than(k, 0));
+    draw.live = used == kLanes ? ~Word{0} : (Word{1} << used) - 1;
+
+    // The generators, copied out one array per state word, so the lanes
+    // step as independent chains and no store to the batch can alias them.
+    // Lanes past `used` step copies of lane 0, and their bits are dropped.
+    std::uint64_t s[4][kLanes] = {};
+    for (unsigned l = 0; l < kLanes; ++l) {
+        const std::array<std::uint64_t, 4>& state = rngs[l < used ? l : 0].state();
+        for (unsigned w = 0; w < 4; ++w) s[w][l] = state[w];
+    }
+    switch (level) {
+#if DYNAMO_ISA_LEVELS
+        case isa::Level::V4: draw_cells_v4(lanes, draw, s); break;
+        case isa::Level::V3: draw_cells_v3(lanes, draw, s); break;
+#endif
+        default: draw_cells(lanes, draw, s); break;
     }
     for (unsigned l = 0; l < used; ++l) rngs[l] = Xoshiro256({s[0][l], s[1][l], s[2][l], s[3][l]});
 }
@@ -191,6 +250,12 @@ struct TrialSet {
     Color num_colors;
     const rules::RuleInfo& rule;
     Backend backend;
+    /// Lane batches between blocks: a block takes one, or builds one if
+    /// none is free, and gives it back. A point builds at most one per
+    /// thread running its blocks, and every later block draws over the
+    /// round-0 words and steps over the rest.
+    mutable std::mutex spare_mutex = {};
+    mutable std::vector<std::unique_ptr<sim::LaneBatch>> spare = {};
 
     /// Backend::Auto trials run 64 at a time on the rule's lane batch when
     /// the palette fits the bit-plane encoding and the torus is small. An
@@ -236,7 +301,15 @@ struct TrialSet {
     /// re-runs on its own engine from the same substream.
     void run_block(std::size_t first, std::span<Xoshiro256> rngs, std::uint64_t seed,
                    std::vector<TrialOutcome>& outcomes) const {
-        const std::unique_ptr<sim::LaneBatch> lanes = rule.make_lane_batch(torus);
+        std::unique_ptr<sim::LaneBatch> lanes;
+        {
+            const std::lock_guard<std::mutex> lock(spare_mutex);
+            if (!spare.empty()) {
+                lanes = std::move(spare.back());
+                spare.pop_back();
+            }
+        }
+        if (!lanes) lanes = rule.make_lane_batch(torus);
         random_lane_fields(*lanes, k, num_colors, density, rngs);
         std::array<sim::LaneOutcome, sim::LaneBatch::kLanes> ends;
         lanes->run(static_cast<unsigned>(rngs.size()), sim::kDefaultLaneCap, k, ends);
@@ -256,6 +329,8 @@ struct TrialSet {
         }
         lane_trials.fetch_add(rngs.size(), std::memory_order_relaxed);
         lane_fallbacks.fetch_add(fallbacks, std::memory_order_relaxed);
+        const std::lock_guard<std::mutex> lock(spare_mutex);
+        spare.push_back(std::move(lanes));
     }
 };
 

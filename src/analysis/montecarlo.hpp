@@ -31,6 +31,7 @@
 #include "core/run/backend.hpp"
 #include "grid/torus.hpp"
 #include "stats/sequential.hpp"
+#include "util/isa.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -107,9 +108,11 @@ ColorField random_coloring(std::size_t size, Color k, Color num_colors, double d
 /// lanes at once: each lane still makes exactly its own generator's draws
 /// in their order, so the fields are bit-identical to the per-lane ones.
 /// 1 <= rngs.size() <= 64; lanes at and above rngs.size() are left 0. A
-/// bi-color (1-plane) batch takes a 2-color palette only.
+/// bi-color (1-plane) batch takes a 2-color palette only. The draw runs
+/// compiled for `level`, one of isa::host_levels() (util/isa.hpp); every
+/// level draws the same fields.
 void random_lane_fields(sim::LaneBatch& lanes, Color k, Color num_colors, double density,
-                        std::span<Xoshiro256> rngs);
+                        std::span<Xoshiro256> rngs, isa::Level level = isa::best());
 
 /// One sweep point: `trials` random colorings at the given density, trial
 /// t seeded with substream_seed(seed, t), executed on `pool` when given

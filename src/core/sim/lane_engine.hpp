@@ -13,7 +13,17 @@
 // search's candidates (core/search/sharded.cpp): at the atlas's 8x8 and
 // 12x12 sizes, and more so at a search's 3x3 and 4x4, a scalar run is
 // dominated by per-run overhead, not by sweeping, and a lane round
-// amortizes it over 64 runs.
+// amortizes it over 64 runs. A Monte-Carlo point reuses one batch per
+// thread for all its blocks: the draw writes every round-0 word, and a
+// run uses no state it has not written.
+//
+// The rounds loop is compiled for the build's baseline ISA only. Unlike
+// the lane draw, which runs x86-64-v3 and -v4 copies of itself
+// (util/isa.hpp), copies of this loop for those levels did not make the
+// atlas workload faster (lower in 6 of 10 alternating pairs, equal
+// medians; CHANGES.md). Its cell step is scalar word operations behind a
+// neighbor-table gather, and those copies compiled to nearly the same code
+// (within 2 % in size).
 //
 // Each lane ends with RunTally's priority and round accounting
 // (core/run/runner.hpp), checked per lane on whole-word masks fused into

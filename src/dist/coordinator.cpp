@@ -166,6 +166,7 @@ HttpResponse CampaignCoordinator::completion(const std::string& body, std::uint6
                                                std::to_string(point.index));
         }
     }
+    reply.done = table_.all_settled();
     HttpResponse response;
     response.body = render_complete_reply(reply) + "\n";
     return response;

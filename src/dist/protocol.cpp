@@ -155,6 +155,7 @@ std::string render_complete_reply(const CompleteReply& reply) {
     body.emplace_back("accepted", Json(static_cast<std::uint64_t>(reply.accepted)));
     body.emplace_back("duplicates", Json(static_cast<std::uint64_t>(reply.duplicates)));
     body.emplace_back("conflicts", Json(static_cast<std::uint64_t>(reply.conflicts)));
+    body.emplace_back("done", Json(reply.done));
     return Json(std::move(body)).dump(0);
 }
 
@@ -166,6 +167,7 @@ CompleteReply parse_complete_reply(const std::string& text) {
         static_cast<std::size_t>(get_uint(body, "duplicates", "completion reply"));
     reply.conflicts =
         static_cast<std::size_t>(get_uint(body, "conflicts", "completion reply"));
+    reply.done = get_bool_or(body, "done", false, "completion reply");
     return reply;
 }
 

@@ -17,6 +17,7 @@
 //   POST /lease      -> 200 LeaseGrant        | 400 malformed
 //   POST /heartbeat  -> 200 {"ok":true}       | 410 lease gone
 //   POST /complete   -> 200 CompleteReply     | 409 wrong campaign | 400
+//                       (done: the campaign settled; the worker exits)
 //
 // Each body carries only what its reader uses: a lease request is the
 // number of points the worker wants (its thread count), a heartbeat is
@@ -80,6 +81,9 @@ struct CompleteReply {
     std::size_t accepted = 0;    ///< settled now, first valid result
     std::size_t duplicates = 0;  ///< already settled, matching hash (benign)
     std::size_t conflicts = 0;   ///< already settled, MISMATCHING hash (fatal)
+    /// Every point has settled: the worker exits as on a done grant,
+    /// without another /lease (the coordinator stops serving once done).
+    bool done = false;
 };
 
 /// FNV-1a 64 (util/hash.hpp) over a point result's full payload (exit

@@ -222,6 +222,12 @@ WorkerExit WorkerLoop::run() {
                 std::to_string(counts.accepted) + " accepted, " +
                 std::to_string(counts.duplicates) + " duplicate, " +
                 std::to_string(counts.conflicts) + " conflicting");
+            // The completion that settled the campaign: the coordinator
+            // stops serving after answering it, so do not ask for a lease.
+            if (counts.done) {
+                log("campaign complete after " + std::to_string(points_computed_) + " points");
+                return WorkerExit::CampaignComplete;
+            }
         } catch (const std::exception& e) {
             log(std::string("bad completion reply: ") + e.what());
             return WorkerExit::ProtocolError;

@@ -3,7 +3,8 @@
 // The pulling worker behind `dynamo work`: fetch the manifest once,
 // expand it locally (global indices => identical parameters and RNG
 // substreams everywhere — the placement-independence invariant), then
-// loop lease -> compute -> complete until the coordinator says done.
+// loop lease -> compute -> complete until the coordinator says done (on
+// a lease grant, or on the completion reply that settled the campaign).
 // Each lease asks for as many points as the worker's pool has threads
 // (1 without a pool), so every thread has a point to compute.
 //

@@ -43,6 +43,23 @@ class SplitMix64 {
     std::uint64_t state_;
 };
 
+/// A 64-bit by 32-bit product as its high and low 64-bit words.
+struct WideProduct {
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
+};
+
+/// x * c, exact for every c below 2^32, from 32-bit partial products: the
+/// high word is (xh * c + (xl * c >> 32)) >> 32 for x = xh * 2^32 + xl,
+/// and no partial sum overflows. The lane draw (analysis/montecarlo.cpp)
+/// takes below() of a small palette this way because a loop of these
+/// vectorizes, where one of __uint128_t products stays scalar.
+constexpr WideProduct mul_wide(std::uint64_t x, std::uint32_t c) noexcept {
+    const std::uint64_t low_half = x & 0xffffffffULL;
+    const std::uint64_t high_half = x >> 32;
+    return {(high_half * c + ((low_half * c) >> 32)) >> 32, x * c};
+}
+
 /// Xoshiro256**: the library's main generator. 256-bit state, jumpable,
 /// excellent statistical quality, trivially copyable (cheap to fork per
 /// thread for deterministic parallel experiments).

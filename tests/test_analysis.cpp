@@ -15,6 +15,7 @@
 #include "core/transform.hpp"
 #include "grid/torus.hpp"
 #include "rules/registry.hpp"
+#include "util/isa.hpp"
 #include "util/parallel.hpp"
 
 namespace dynamo::analysis {
@@ -331,13 +332,14 @@ TEST(MonteCarlo, DensityPointRegressionPin) {
                kSevenColorPin, "smp |C|=7");
 }
 
-/// Draws a field per generator with random_lane_fields into a batch that
-/// held other fields before, and checks every round-0 word against put()
-/// of random_coloring from the same generator, and every generator's end
-/// state against random_coloring's.
+/// Draws a field per generator with random_lane_fields, compiled for ISA
+/// `level`, into a batch that held other fields before, and checks every
+/// round-0 word against put() of random_coloring from the same generator,
+/// and every generator's end state against random_coloring's.
 void expect_lane_draw_matches(const rules::RuleInfo& rule, const Torus& t, Color k,
                               Color colors, double density, std::vector<Xoshiro256> rngs,
-                              const std::string& tag) {
+                              isa::Level level, const std::string& at) {
+    const std::string tag = at + " " + isa::to_string(level);
     std::vector<Xoshiro256> scalar = rngs;
     const std::unique_ptr<sim::LaneBatch> expected = rule.make_lane_batch(t);
     expected->clear();
@@ -347,8 +349,8 @@ void expect_lane_draw_matches(const rules::RuleInfo& rule, const Torus& t, Color
     }
     const std::unique_ptr<sim::LaneBatch> drawn = rule.make_lane_batch(t);
     std::vector<Xoshiro256> stale(sim::LaneBatch::kLanes, Xoshiro256(0x57a1e));
-    random_lane_fields(*drawn, k, colors, 0.5, stale);
-    random_lane_fields(*drawn, k, colors, density, rngs);
+    random_lane_fields(*drawn, k, colors, 0.5, stale, level);
+    random_lane_fields(*drawn, k, colors, density, rngs, level);
     std::size_t wrong = 0;
     for (std::size_t v = 0; v < t.size(); ++v) {
         for (int p = 0; p < drawn->planes(); ++p) {
@@ -375,19 +377,23 @@ TEST(MonteCarlo, LaneDrawEqualsRandomColoringWordForWord) {
     };
     const rules::RuleInfo& bicolor = rules::rule_or_throw("majority-prefer-black");
     const rules::RuleInfo& smp = rules::rule_or_throw("smp");
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{37}, std::size_t{64}}) {
-        for (const double density : densities) {
-            const std::string at =
-                " lanes=" + std::to_string(lanes) + " density=" + std::to_string(density);
-            for (const Color k : {kBlack, kWhite}) {
-                expect_lane_draw_matches(bicolor, t, k, 2, density, generators(lanes),
-                                         "bi-color k=" + std::to_string(k) + at);
-            }
-            for (Color colors = 3; colors <= 7; ++colors) {
-                for (const Color k : {Color{1}, static_cast<Color>((colors + 1) / 2), colors}) {
-                    expect_lane_draw_matches(smp, t, k, colors, density, generators(lanes),
-                                             "|C|=" + std::to_string(colors) +
-                                                 " k=" + std::to_string(k) + at);
+    for (const isa::Level level : isa::host_levels()) {
+        for (const std::size_t lanes : {std::size_t{1}, std::size_t{37}, std::size_t{64}}) {
+            for (const double density : densities) {
+                const std::string at =
+                    " lanes=" + std::to_string(lanes) + " density=" + std::to_string(density);
+                for (const Color k : {kBlack, kWhite}) {
+                    expect_lane_draw_matches(bicolor, t, k, 2, density, generators(lanes), level,
+                                             "bi-color k=" + std::to_string(k) + at);
+                }
+                for (Color colors = 3; colors <= 7; ++colors) {
+                    for (const Color k :
+                         {Color{1}, static_cast<Color>((colors + 1) / 2), colors}) {
+                        expect_lane_draw_matches(smp, t, k, colors, density, generators(lanes),
+                                                 level,
+                                                 "|C|=" + std::to_string(colors) +
+                                                     " k=" + std::to_string(k) + at);
+                    }
                 }
             }
         }
@@ -428,15 +434,17 @@ TEST(MonteCarlo, LaneDrawRedrawsByBelowsRule) {
 
     const Torus t(Topology::ToroidalMesh, 4, 4);
     const rules::RuleInfo& smp = rules::rule_or_throw("smp");
-    for (const Color colors : {Color{4}, Color{6}, Color{7}}) {
-        for (const double density : {0.0, 0.3}) {
-            std::vector<Xoshiro256> rngs;
-            for (std::size_t l = 0; l < 64; ++l) rngs.emplace_back(substream_seed(0x4ed, l));
-            rngs[5] = Xoshiro256(start);
-            rngs[40] = Xoshiro256(start);
-            expect_lane_draw_matches(smp, t, 1, colors, density, rngs,
-                                     "|C|=" + std::to_string(colors) +
-                                         " density=" + std::to_string(density));
+    for (const isa::Level level : isa::host_levels()) {
+        for (const Color colors : {Color{4}, Color{6}, Color{7}}) {
+            for (const double density : {0.0, 0.3}) {
+                std::vector<Xoshiro256> rngs;
+                for (std::size_t l = 0; l < 64; ++l) rngs.emplace_back(substream_seed(0x4ed, l));
+                rngs[5] = Xoshiro256(start);
+                rngs[40] = Xoshiro256(start);
+                expect_lane_draw_matches(smp, t, 1, colors, density, rngs, level,
+                                         "|C|=" + std::to_string(colors) +
+                                             " density=" + std::to_string(density));
+            }
         }
     }
 }

@@ -242,10 +242,12 @@ TEST(Protocol, EveryMessageRoundTrips) {
     EXPECT_EQ(c.results[0].result.metrics, point.result.metrics);
     EXPECT_EQ(c.results[0].result.report, point.result.report);
 
-    const CompleteReply reply = parse_complete_reply(render_complete_reply({4, 2, 1}));
+    const CompleteReply reply = parse_complete_reply(render_complete_reply({4, 2, 1, false}));
     EXPECT_EQ(reply.accepted, 4u);
     EXPECT_EQ(reply.duplicates, 2u);
     EXPECT_EQ(reply.conflicts, 1u);
+    EXPECT_FALSE(reply.done);
+    EXPECT_TRUE(parse_complete_reply(render_complete_reply({1, 0, 0, true})).done);
 }
 
 TEST(Protocol, MalformedBodiesThrowActionably) {
@@ -876,9 +878,40 @@ std::vector<std::size_t> lease_capacities(ThreadPool* pool) {
 
 TEST(Worker, ALeaseAsksForOnePointPerPoolThread) {
     ThreadPool pool(3);
-    // Two grants of 3 points, then the request answered "done".
-    EXPECT_EQ(lease_capacities(&pool), (std::vector<std::size_t>{3, 3, 3}));
-    EXPECT_EQ(lease_capacities(nullptr), std::vector<std::size_t>(7, 1));
+    // Two grants of 3 points; the second completion settles the campaign.
+    EXPECT_EQ(lease_capacities(&pool), (std::vector<std::size_t>{3, 3}));
+    EXPECT_EQ(lease_capacities(nullptr), std::vector<std::size_t>(6, 1));
+}
+
+TEST(Worker, TheSettlingCompletionEndsTheWorker) {
+    // `dynamo coordinate` stops serving once the campaign has settled, so
+    // a request after the completion that settled it would only run the
+    // retry schedule against a closed port. The worker exits on that
+    // completion's reply instead: no request follows it, and it sleeps
+    // no backoff.
+    const ScratchDir scratch("settling");
+    CampaignCoordinator coordinator(probe_manifest(), kManifestText,
+                                    coordinator_options(scratch));
+    std::uint64_t now = 0;
+    const WorkerLoop::Transport real = coordinator_transport(coordinator, &now);
+    std::vector<std::string> after_settled;
+    std::size_t slept = 0;
+    WorkerLoop worker(
+        [&](const std::string& method, const std::string& target, const std::string& body)
+            -> std::optional<HttpClientResponse> {
+            if (coordinator.complete()) {
+                after_settled.push_back(method + " " + target);
+                return std::nullopt;
+            }
+            return real(method, target, body);
+        },
+        worker_options("w1"), [&slept](std::uint64_t) { ++slept; });
+    EXPECT_EQ(worker.run(), WorkerExit::CampaignComplete);
+    EXPECT_TRUE(coordinator.complete());
+    EXPECT_EQ(worker.points_computed(), 6u);
+    EXPECT_EQ(after_settled, std::vector<std::string>{});
+    EXPECT_EQ(slept, 0u);
+    EXPECT_EQ(worker.retries(), 0u);
 }
 
 TEST(Worker, RetriesTransientFailuresWithTheBackoffSchedule) {

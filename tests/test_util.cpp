@@ -6,11 +6,13 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
 #include "util/assert.hpp"
 #include "util/cli.hpp"
+#include "util/isa.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -81,6 +83,41 @@ TEST(Xoshiro256, UniformInUnitInterval) {
         sum += u;
     }
     EXPECT_NEAR(sum / trials, 0.5, 0.02);
+}
+
+TEST(Xoshiro256, WideProductEqualsTheUint128Product) {
+    // Both words of mul_wide(x, c) against the __uint128_t product, for the
+    // lane draw's below() bounds 2..6, at the 32-bit edges and at random x.
+    std::vector<std::uint64_t> xs = {0, 1, (1ULL << 32) - 1, 1ULL << 32, ~0ULL};
+    Xoshiro256 rng(0x3a1d);
+    for (int i = 0; i < 10000; ++i) xs.push_back(rng.next());
+    for (std::uint32_t c = 2; c <= 6; ++c) {
+        for (const std::uint64_t x : xs) {
+            const __uint128_t m = static_cast<__uint128_t>(x) * c;
+            const WideProduct w = mul_wide(x, c);
+            ASSERT_EQ(w.hi, static_cast<std::uint64_t>(m >> 64)) << x << " * " << c;
+            ASSERT_EQ(w.lo, static_cast<std::uint64_t>(m)) << x << " * " << c;
+        }
+    }
+    static_assert(mul_wide(~0ULL, 0xffffffffU).hi == 0xfffffffeULL);
+    static_assert(mul_wide(~0ULL, 0xffffffffU).lo == 0xffffffff00000001ULL);
+}
+
+TEST(IsaLevels, TheHostRunsTheBaselineAndEveryLevelUpToItsBest) {
+    const std::span<const isa::Level> levels = isa::host_levels();
+    ASSERT_FALSE(levels.empty());
+    EXPECT_EQ(levels.front(), isa::Level::Baseline);
+    EXPECT_EQ(levels.back(), isa::best());
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+        EXPECT_EQ(static_cast<std::size_t>(levels[i]), i);
+        EXPECT_TRUE(isa::runs(levels[i]));
+    }
+    for (const isa::Level level : isa::kLevels) {
+        EXPECT_EQ(isa::runs(level), level <= isa::best()) << isa::to_string(level);
+    }
+#if !DYNAMO_ISA_LEVELS
+    EXPECT_EQ(isa::best(), isa::Level::Baseline);
+#endif
 }
 
 TEST(Xoshiro256, ForkProducesIndependentStream) {
