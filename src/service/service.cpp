@@ -30,6 +30,31 @@ const char* status_name(int job_status) {
     }
 }
 
+/// Every manifest field, grid axes in manifest order, as one compact JSON
+/// array: equal keys mean equal campaigns, and so byte-equal reports.
+std::string manifest_key(const Manifest& manifest) {
+    JsonObject fixed;
+    for (const auto& [key, value] : manifest.fixed) fixed.emplace_back(key, Json(value));
+    JsonArray grid;
+    for (const auto& axis : manifest.grid) {
+        JsonArray values(axis.values.begin(), axis.values.end());
+        grid.emplace_back(Json(JsonArray{Json(axis.key), Json(std::move(values))}));
+    }
+    return Json(JsonArray{Json(manifest.name), Json(manifest.scenario),
+                          Json(manifest.description), Json(std::move(fixed)),
+                          Json(std::move(grid)), Json(manifest.repetitions),
+                          Json(manifest.seed)})
+        .dump();
+}
+
+HttpResponse ticket(std::uint64_t id, int job_status, std::size_t points) {
+    JsonObject response;
+    response.emplace_back("id", Json(id));
+    response.emplace_back("status", Json(status_name(job_status)));
+    response.emplace_back("points", Json(static_cast<std::uint64_t>(points)));
+    return json_response(202, std::move(response));
+}
+
 /// Splits "/campaigns/<id>[/<tail>]" -> (id, tail). False when the
 /// target is not of that shape or the id is not a decimal number that
 /// fits in 64 bits (an overflowing id must not wrap onto a real job).
@@ -82,7 +107,7 @@ CampaignService::~CampaignService() {
 bool CampaignService::idle() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (!queue_.empty()) return false;
-    for (const auto& job : jobs_) {
+    for (const auto& [id, job] : jobs_) {
         if (job->status == JobStatus::kQueued || job->status == JobStatus::kRunning)
             return false;
     }
@@ -124,32 +149,59 @@ HttpResponse CampaignService::handle(const HttpRequest& request) {
 
 HttpResponse CampaignService::submit(const std::string& body) {
     Manifest manifest;
-    std::size_t points = 0;
     try {
         manifest = scenario::parse_manifest(body, "request body");
-        points = scenario::expand(manifest).size();
     } catch (const std::exception& e) {
         return error_response(400, e.what());
     }
+    std::string key = manifest_key(manifest);
 
-    Job* job = nullptr;
+    std::shared_ptr<Job> job;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        auto owned = std::make_unique<Job>();
-        owned->id = jobs_.size() + 1;  // ids are 1-based and dense
-        owned->manifest = std::move(manifest);
-        owned->points = points;
-        job = owned.get();
-        jobs_.push_back(std::move(owned));
+        if (const auto kept = reusable_job(key))
+            return ticket(kept->id, static_cast<int>(kept->status), kept->points);
+        std::size_t points = 0;
+        try {
+            points = scenario::expand(manifest).size();
+        } catch (const std::exception& e) {
+            return error_response(400, e.what());
+        }
+        if (jobs_.size() >= kKeptJobs && !evict_oldest_finished())
+            return error_response(503, "all " + std::to_string(kKeptJobs) +
+                                           " kept campaigns are unfinished; retry later");
+        job = std::make_shared<Job>();
+        job->id = next_id_++;
+        job->manifest = std::move(manifest);
+        job->points = points;
+        by_key_[key] = job->id;
+        job->key = std::move(key);
+        jobs_.emplace(job->id, job);
         queue_.push_back(job);
     }
     wake_.notify_all();
+    return ticket(job->id, static_cast<int>(JobStatus::kQueued), job->points);
+}
 
-    JsonObject response;
-    response.emplace_back("id", Json(job->id));
-    response.emplace_back("status", Json("queued"));
-    response.emplace_back("points", Json(static_cast<std::uint64_t>(points)));
-    return json_response(202, std::move(response));
+std::shared_ptr<CampaignService::Job> CampaignService::reusable_job(const std::string& key) const {
+    const auto indexed = by_key_.find(key);
+    if (indexed == by_key_.end()) return nullptr;
+    const std::shared_ptr<Job>& job = jobs_.at(indexed->second);
+    const bool failures = job->status == JobStatus::kFailed ||
+                          (job->status == JobStatus::kDone && job->outcome.failed != 0);
+    return failures ? nullptr : job;
+}
+
+bool CampaignService::evict_oldest_finished() {
+    const auto oldest = std::find_if(jobs_.begin(), jobs_.end(), [](const auto& entry) {
+        return entry.second->status == JobStatus::kDone ||
+               entry.second->status == JobStatus::kFailed;
+    });
+    if (oldest == jobs_.end()) return false;
+    const auto indexed = by_key_.find(oldest->second->key);
+    if (indexed != by_key_.end() && indexed->second == oldest->first) by_key_.erase(indexed);
+    jobs_.erase(oldest);
+    return true;
 }
 
 HttpResponse CampaignService::list_jobs() const {
@@ -157,7 +209,7 @@ HttpResponse CampaignService::list_jobs() const {
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         entries.reserve(jobs_.size());
-        for (const auto& job : jobs_) {
+        for (const auto& [id, job] : jobs_) {
             JsonObject entry;
             entry.emplace_back("id", Json(job->id));
             entry.emplace_back("campaign", Json(job->manifest.name));
@@ -172,17 +224,29 @@ HttpResponse CampaignService::list_jobs() const {
     return json_response(200, std::move(body));
 }
 
-CampaignService::Job* CampaignService::find_job(std::uint64_t id, JobStatus* status) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (id == 0 || id > jobs_.size()) return nullptr;
-    if (status != nullptr) *status = jobs_[id - 1]->status;
-    return jobs_[id - 1].get();
+std::shared_ptr<const CampaignService::Job> CampaignService::find_job(std::uint64_t id,
+                                                                     HttpResponse& missing,
+                                                                     JobStatus* status) const {
+    bool issued = false;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (const auto kept = jobs_.find(id); kept != jobs_.end()) {
+            if (status != nullptr) *status = kept->second->status;
+            return kept->second;
+        }
+        issued = id != 0 && id < next_id_;
+    }
+    missing = issued ? error_response(410, "campaign " + std::to_string(id) +
+                                               " was evicted; resubmit its manifest")
+                     : error_response(404, "no campaign " + std::to_string(id));
+    return nullptr;
 }
 
 HttpResponse CampaignService::job_status(std::uint64_t id) const {
     JobStatus status = JobStatus::kQueued;
-    Job* job = find_job(id, &status);
-    if (job == nullptr) return error_response(404, "no campaign " + std::to_string(id));
+    HttpResponse missing;
+    const auto job = find_job(id, missing, &status);
+    if (job == nullptr) return missing;
     // A progress line lands per settled point, so the line count IS the
     // live settled count — no extra bookkeeping channel needed.
     const std::string progress = job->progress.snapshot();
@@ -208,15 +272,17 @@ HttpResponse CampaignService::job_status(std::uint64_t id) const {
 }
 
 HttpResponse CampaignService::job_progress(std::uint64_t id) const {
-    Job* job = find_job(id);
-    if (job == nullptr) return error_response(404, "no campaign " + std::to_string(id));
+    HttpResponse missing;
+    const auto job = find_job(id, missing);
+    if (job == nullptr) return missing;
     return {200, "application/x-ndjson", job->progress.snapshot()};
 }
 
 HttpResponse CampaignService::job_report(std::uint64_t id) const {
     JobStatus status = JobStatus::kQueued;
-    Job* job = find_job(id, &status);
-    if (job == nullptr) return error_response(404, "no campaign " + std::to_string(id));
+    HttpResponse missing;
+    const auto job = find_job(id, missing, &status);
+    if (job == nullptr) return missing;
     if (status == JobStatus::kFailed) return error_response(409, job->error);
     if (status != JobStatus::kDone)
         return error_response(409, "campaign " + std::to_string(id) + " is " +
@@ -228,7 +294,7 @@ HttpResponse CampaignService::job_report(std::uint64_t id) const {
 
 void CampaignService::runner_loop() {
     for (;;) {
-        Job* job = nullptr;
+        std::shared_ptr<Job> job;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });

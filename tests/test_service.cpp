@@ -11,6 +11,9 @@
 //   * the HTTP/JSON service — request parsing, socketless routing of the
 //     whole endpoint surface, and real loopback-socket round trips
 //     (including a reset client and idle/trickling clients).
+//   * content-addressed, capped jobs — a resubmission reuses its job
+//     unless that job failed anywhere, evicted ids answer 410, and a cap
+//     of unfinished jobs answers 503.
 //
 // The probe scenarios registered here exist only in this binary (the
 // registry is process-local and register_scenario is public), so the
@@ -26,10 +29,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -134,6 +139,44 @@ int svc_adaptive_probe_fn(Context& ctx) {
      {{"max_trials", ParamType::Int, "100", "", "the estimator's trial cap"},
       {"seed", ParamType::Uint, "0", "", "RNG substream slot"}},
      svc_adaptive_probe_fn});
+
+/// svc_latch: a point that blocks until the latch opens. It holds the
+/// service's one runner, so a test can fill the job cap with unfinished
+/// jobs without relying on timing.
+std::mutex latch_mutex;
+std::condition_variable latch_opened;
+bool latch_open = true;
+
+int svc_latch_fn(Context& ctx) {
+    std::unique_lock<std::mutex> lock(latch_mutex);
+    latch_opened.wait(lock, [] { return latch_open; });
+    ctx.out << "latch: opened\n";
+    return 0;
+}
+
+[[maybe_unused]] const bool kLatchRegistered = register_scenario(
+    {"svc_latch", "point", "test-only point that waits for the latch to open", 0, {},
+     svc_latch_fn});
+
+/// Closes the latch for its lifetime; open() (or the destructor) lets
+/// every waiting svc_latch point finish.
+class ClosedLatch {
+  public:
+    ClosedLatch() { set(false); }
+    ~ClosedLatch() { open(); }
+    ClosedLatch(const ClosedLatch&) = delete;
+    ClosedLatch& operator=(const ClosedLatch&) = delete;
+    void open() { set(true); }
+
+  private:
+    static void set(bool opened) {
+        {
+            const std::lock_guard<std::mutex> lock(latch_mutex);
+            latch_open = opened;
+        }
+        latch_opened.notify_all();
+    }
+};
 
 Manifest probe_manifest(const std::string& extra_fixed = "") {
     return parse_manifest(
@@ -538,6 +581,171 @@ TEST(Service, AZeroTrialCapPointFailsAndTheServiceKeepsAnswering) {
 }
 
 // ---------------------------------------------------------------------------
+// Content-addressed, capped jobs
+// ---------------------------------------------------------------------------
+
+util::Json ticket_of(const HttpResponse& response) {
+    EXPECT_EQ(response.status, 202) << response.body;
+    return util::Json::parse(response.body, "ticket");
+}
+
+std::int64_t submitted_id(CampaignService& service, const std::string& manifest) {
+    return ticket_of(call(service, "POST", "/campaigns", manifest)).find("id")->as_int();
+}
+
+util::Json job_status(CampaignService& service, std::int64_t id) {
+    const HttpResponse status = call(service, "GET", "/campaigns/" + std::to_string(id));
+    EXPECT_EQ(status.status, 200) << status.body;
+    return util::Json::parse(status.body, "status");
+}
+
+TEST(Service, AResubmittedManifestReusesItsJob) {
+    const ScratchDir dir("service_reuse");
+    ServiceOptions options;
+    options.cache_dir = dir.path() + "/cache";
+    CampaignService service(options);
+    ASSERT_EQ(submitted_id(service, manifest_text()), 1);
+    wait_until_idle(service);
+
+    const util::Json again = ticket_of(call(service, "POST", "/campaigns", manifest_text()));
+    EXPECT_EQ(again.find("id")->as_int(), 1);
+    EXPECT_EQ(again.find("status")->as_string(), "done");
+    EXPECT_EQ(again.find("points")->as_int(), 6);
+    EXPECT_TRUE(service.idle()) << "a reused job queues nothing";
+
+    // Key order and whitespace are not part of the manifest.
+    const std::string reordered =
+        "{\"seed\":99,\"grid\":{\"value\":[1,2,3,4,5,6]},\n\t\"scenario\":\"svc_probe\","
+        "  \"name\":\"svc-probe\"}";
+    EXPECT_EQ(submitted_id(service, reordered), 1);
+
+    // The counts describe the first run, which computed every point.
+    const util::Json status = job_status(service, 1);
+    EXPECT_EQ(status.find("computed")->as_int(), 6);
+    EXPECT_EQ(status.find("cached")->as_int(), 0);
+
+    const HttpResponse report = call(service, "GET", "/campaigns/1/report");
+    ASSERT_EQ(report.status, 200);
+    const Manifest manifest = parse_manifest(manifest_text(), "test-manifest");
+    CampaignOptions campaign_options;
+    campaign_options.cache_dir = dir.path() + "/cache";
+    EXPECT_EQ(report.body, run_campaign(manifest, campaign_options).to_json(manifest));
+
+    // Every field is in the key: another seed or name is another job.
+    std::string other_seed = manifest_text();
+    other_seed.replace(other_seed.find("99"), 2, "100");
+    EXPECT_EQ(submitted_id(service, other_seed), 2);
+    std::string other_name = manifest_text();
+    other_name.replace(other_name.find("svc-probe"), 9, "svc-probe-2");
+    EXPECT_EQ(submitted_id(service, other_name), 3);
+    wait_until_idle(service);
+    EXPECT_EQ(submitted_id(service, other_seed), 2);
+}
+
+TEST(Service, AFailedJobIsNeverReused) {
+    const ScratchDir dir("service_no_reuse_failed");
+    // A cache path under a regular file: every job fails.
+    { std::ofstream(dir.path() + "/blocker") << "x"; }
+    ServiceOptions options;
+    options.cache_dir = dir.path() + "/blocker/cache";
+    CampaignService service(options);
+    ASSERT_EQ(submitted_id(service, manifest_text()), 1);
+    wait_until_idle(service);
+    ASSERT_EQ(job_status(service, 1).find("status")->as_string(), "failed");
+    EXPECT_EQ(submitted_id(service, manifest_text()), 2);
+}
+
+TEST(Service, ADoneJobWithFailedPointsIsRetriedNotReused) {
+    const ScratchDir dir("service_no_reuse_partial");
+    const std::string marker = dir.path() + "/fail";
+    { std::ofstream(marker + "-3") << "x"; }
+    ServiceOptions options;
+    options.cache_dir = dir.path() + "/cache";
+    CampaignService service(options);
+    const std::string manifest =
+        R"({"name": "svc-probe", "scenario": "svc_probe", "fixed": {"fail_if_file": ")" +
+        marker + R"("}, "grid": {"value": [1, 2, 3, 4, 5, 6]}, "seed": 99})";
+    ASSERT_EQ(submitted_id(service, manifest), 1);
+    wait_until_idle(service);
+    const util::Json first = job_status(service, 1);
+    ASSERT_EQ(first.find("status")->as_string(), "done");
+    ASSERT_EQ(first.find("failed")->as_int(), 1);
+
+    fs::remove(marker + "-3");
+    ASSERT_EQ(submitted_id(service, manifest), 2) << "failed points must be retried";
+    wait_until_idle(service);
+    const util::Json retried = job_status(service, 2);
+    EXPECT_EQ(retried.find("status")->as_string(), "done");
+    EXPECT_EQ(retried.find("failed")->as_int(), 0);
+    EXPECT_EQ(retried.find("computed")->as_int(), 1);
+    EXPECT_EQ(retried.find("cached")->as_int(), 5);
+    EXPECT_EQ(submitted_id(service, manifest), 2) << "a clean job is reused";
+}
+
+std::string distinct_manifest(int value) {
+    return R"({"name": "cap", "scenario": "svc_probe", "fixed": {"value": )" +
+           std::to_string(value) + "}}";
+}
+
+TEST(Service, EvictedJobsAnswerGoneAndTheKeptSetStaysCapped) {
+    const ScratchDir dir("service_cap");
+    ServiceOptions options;
+    options.cache_dir = dir.path() + "/cache";
+    CampaignService service(options);
+    const int kept = static_cast<int>(CampaignService::kKeptJobs);
+    const int extra = 8;
+    for (int v = 1; v <= kept; ++v) ASSERT_EQ(submitted_id(service, distinct_manifest(v)), v);
+    wait_until_idle(service);
+    // Each new job evicts the oldest finished one: ids 1..extra.
+    for (int v = kept + 1; v <= kept + extra; ++v)
+        ASSERT_EQ(submitted_id(service, distinct_manifest(v)), v);
+    wait_until_idle(service);
+
+    for (int id = 1; id <= extra; ++id) {
+        const std::string job = "/campaigns/" + std::to_string(id);
+        EXPECT_EQ(call(service, "GET", job).status, 410) << id;
+        EXPECT_EQ(call(service, "GET", job + "/progress").status, 410) << id;
+        EXPECT_EQ(call(service, "GET", job + "/report").status, 410) << id;
+    }
+    EXPECT_EQ(call(service, "GET", "/campaigns/" + std::to_string(extra + 1)).status, 200);
+    EXPECT_EQ(call(service, "GET", "/campaigns/0").status, 404);
+    const std::string unissued = "/campaigns/" + std::to_string(kept + extra + 1);
+    EXPECT_EQ(call(service, "GET", unissued).status, 404);
+    EXPECT_EQ(call(service, "GET", unissued + "/progress").status, 404);
+    EXPECT_EQ(call(service, "GET", unissued + "/report").status, 404);
+
+    const HttpResponse listing = call(service, "GET", "/campaigns");
+    EXPECT_EQ(util::Json::parse(listing.body, "list").find("campaigns")->as_array().size(),
+              CampaignService::kKeptJobs);
+    // An evicted job's manifest is a new job, not a dangling reuse.
+    EXPECT_EQ(submitted_id(service, distinct_manifest(1)), kept + extra + 1);
+}
+
+TEST(Service, AFullCapOfUnfinishedJobsAnswers503) {
+    const ScratchDir dir("service_full");
+    ServiceOptions options;
+    options.cache_dir = dir.path() + "/cache";
+    CampaignService service(options);
+    ClosedLatch latch;
+    const std::string blocker = R"({"name": "latch", "scenario": "svc_latch"})";
+    ASSERT_EQ(submitted_id(service, blocker), 1);
+    const int kept = static_cast<int>(CampaignService::kKeptJobs);
+    for (int v = 2; v <= kept; ++v) ASSERT_EQ(submitted_id(service, distinct_manifest(v)), v);
+
+    const HttpResponse refused = call(service, "POST", "/campaigns", distinct_manifest(0));
+    EXPECT_EQ(refused.status, 503) << refused.body;
+    // A queued or running job still answers its resubmission.
+    EXPECT_EQ(submitted_id(service, blocker), 1);
+    EXPECT_EQ(submitted_id(service, distinct_manifest(2)), 2);
+    EXPECT_EQ(job_status(service, 2).find("status")->as_string(), "queued");
+
+    latch.open();
+    wait_until_idle(service);
+    EXPECT_EQ(submitted_id(service, distinct_manifest(0)), kept + 1);
+    EXPECT_EQ(call(service, "GET", "/campaigns/1").status, 410);
+}
+
+// ---------------------------------------------------------------------------
 // One real socket round trip
 // ---------------------------------------------------------------------------
 
@@ -820,6 +1028,13 @@ TEST(Http, TransferEncodingGets501AndClosesTheConnection) {
     // Closed at once, not at the 2 s deadline.
     EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count(),
               1.0);
+}
+
+TEST(Http, GoneAndServiceUnavailableHaveTheirReasonPhrases) {
+    EXPECT_STREQ(service::http_status_text(410), "Gone");
+    EXPECT_STREQ(service::http_status_text(503), "Service Unavailable");
+    const std::string wire = service::render_http_response({410, "application/json", "{}\n"});
+    EXPECT_EQ(wire.rfind("HTTP/1.1 410 Gone\r\n", 0), 0u) << wire;
 }
 
 TEST(Http, ConflictingContentLengthsGet400AndCloseTheConnection) {
